@@ -12,15 +12,10 @@
 //	pcsi-bench -seed 7       # change the simulation seed
 //	pcsi-bench -trace t.json # also export a Chrome/Perfetto trace
 //	pcsi-bench -faultrate .05 # run with stochastic fault injection + retries
-//	pcsi-bench -engine       # run the engine microbenchmark instead
 //	pcsi-bench -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //	                         # write pprof profiles of the run
 //
-// With -engine, pcsi-bench skips the experiments and instead runs the
-// deterministic engine microbenchmark (see engine.go): -engine-out writes
-// the BENCH_engine.json artifact, and -engine-baseline compares against a
-// committed baseline, exiting 1 on a >10% regression in allocs/event or
-// events/sec.
+// Host-time performance is measured by bench/ (bash bench/run.sh), not here.
 //
 // With -trace, every selected experiment runs with the span tracer on; the
 // merged trace_event JSON lands in the given file and each simulated run's
@@ -50,9 +45,6 @@ func main() {
 		list      = flag.Bool("list", false, "list experiments and exit")
 		traceFile = flag.String("trace", "", "export a merged Chrome trace_event JSON to this file")
 		faultrate = flag.Float64("faultrate", 0, "inject faults at this rate (0 = off, identical to the paper runs)")
-		engine    = flag.Bool("engine", false, "run the engine microbenchmark instead of the experiments")
-		engineOut = flag.String("engine-out", "", "with -engine: write the JSON result to this file")
-		engineBas = flag.String("engine-baseline", "", "with -engine: compare against this committed baseline and fail on >10% regression")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
@@ -89,10 +81,6 @@ func main() {
 			pprof.StopCPUProfile()
 			origExit(code)
 		}
-	}
-
-	if *engine {
-		exit(engineBenchMain(*seed, *engineOut, *engineBas))
 	}
 
 	if *faultrate > 0 {

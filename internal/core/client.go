@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 
 	"repro/internal/capability"
@@ -10,7 +10,6 @@ import (
 	"repro/internal/fncache"
 	"repro/internal/media"
 	"repro/internal/object"
-	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/trace"
@@ -57,13 +56,6 @@ func (cl *Client) WithTenant(name string) *Client {
 
 // Tenant returns the client's tenant name ("" = default).
 func (cl *Client) Tenant() string { return cl.tenant }
-
-// admit gates one data-plane operation through the admission controller.
-// With no controller (the historical configuration) it is an inlined
-// no-op returning the zero Grant.
-func (cl *Client) admit(p *sim.Proc, class qos.Class) (qos.Grant, error) {
-	return cl.c.qos.Admit(p, qos.Request{Tenant: cl.tenant, Class: class})
-}
 
 // CreateOpt mutates creation parameters.
 type CreateOpt func(*createParams)
@@ -118,122 +110,71 @@ func (cl *Client) observe(p *sim.Proc, start sim.Time) {
 	cl.c.DataLat.Observe(p.Now().Sub(start))
 }
 
-// opSpan opens a span for one client operation: cat "core.data" for payload
-// ops, "core.meta" for metadata-only ops. The span nests under whatever the
-// calling process has open (a function's exec span, a task span, ...).
-func (cl *Client) opSpan(p *sim.Proc, cat, name string, obj object.ID) *trace.Span {
-	return trace.Of(cl.c.env).Start(p, cat, name,
-		trace.Int("obj", int64(obj)), trace.Int("origin", int64(cl.node)))
-}
-
 // Create makes a new object and returns a full-rights reference to it.
 func (cl *Client) Create(p *sim.Proc, kind object.Kind, opts ...CreateOpt) (Ref, error) {
 	params := createParams{lvl: consistency.Linearizable, mut: object.Mutable}
 	for _, o := range opts {
 		o(&params)
 	}
-	g, qerr := cl.admit(p, qos.ClassData)
-	if qerr != nil {
-		return Ref{}, qerr
-	}
-	defer g.Release()
-	sp := trace.Of(cl.c.env).Start(p, "core.data", "create", trace.Int("origin", int64(cl.node)))
-	defer sp.Close(p)
-	start := p.Now()
-	if params.ephemeral {
-		id := cl.c.newEphem(cl.node, kind)
-		if params.mut != object.Mutable {
-			if err := cl.c.ephem[id].obj.SetMutability(params.mut); err != nil {
-				return Ref{}, err
+	var id object.ID
+	err := cl.run(p, Ref{}, verbCreate, func(t target) error {
+		start := p.Now()
+		if params.ephemeral {
+			id = cl.c.newEphem(cl.node, kind)
+			if params.mut != object.Mutable {
+				if err := cl.c.ephem[id].obj.SetMutability(params.mut); err != nil {
+					return err
+				}
+			}
+			p.Sleep(media.DRAM.WriteLatency)
+		} else {
+			err := t.retry(func() error {
+				var cerr error
+				id, cerr = cl.c.grp.Create(p, cl.node, kind)
+				return cerr
+			})
+			if err != nil {
+				return err
+			}
+			if params.mut != object.Mutable {
+				err = cl.c.grp.Apply(p, cl.node, id, consistency.Linearizable, 0, func(o *object.Object) error {
+					return o.SetMutability(params.mut)
+				})
+				if err != nil {
+					return err
+				}
 			}
 		}
-		p.Sleep(media.DRAM.WriteLatency)
 		cl.observe(p, start)
-		return Ref{cap: cl.c.caps.Mint(id, capability.All), lvl: params.lvl}, nil
-	}
-	var id object.ID
-	err := cl.c.do(p, "core.create", func() error {
-		if ferr := cl.c.inj.OpFault(p, "core.create"); ferr != nil {
-			return ferr
-		}
-		var cerr error
-		id, cerr = cl.c.grp.Create(p, cl.node, kind)
-		return cerr
+		return nil
 	})
 	if err != nil {
 		return Ref{}, err
 	}
-	if params.mut != object.Mutable {
-		err = cl.c.grp.Apply(p, cl.node, id, consistency.Linearizable, 0, func(o *object.Object) error {
-			return o.SetMutability(params.mut)
-		})
-		if err != nil {
-			return Ref{}, err
-		}
-	}
-	cl.observe(p, start)
 	return Ref{cap: cl.c.caps.Mint(id, capability.All), lvl: params.lvl}, nil
-}
-
-// beginWrite opens a coherence write on r's object when the colocated
-// cache may lease it: the epoch bump drops every holder BEFORE the store
-// mutates (so no entry outlives the data it copied), and the invalidation
-// fan-out is charged one message per holder. The returned closure ends the
-// write and must run even when the store operation fails.
-func (cl *Client) beginWrite(p *sim.Proc, r Ref) func() {
-	fc := cl.c.fncache
-	if fc == nil || r.lvl != consistency.Linearizable {
-		return func() {}
-	}
-	key := fncache.Key(r.cap.Object())
-	for _, h := range fc.BeginWrite(key) {
-		cl.c.net.Send(p, cl.node, simnet.NodeID(h), 64) // invalidate message
-	}
-	return func() { fc.EndWrite(key) }
 }
 
 // Put replaces an object's payload.
 func (cl *Client) Put(p *sim.Proc, r Ref, data []byte) error {
-	if err := cl.check(r, capability.Write); err != nil {
-		return err
-	}
-	g, qerr := cl.admit(p, qos.ClassData)
-	if qerr != nil {
-		return qerr
-	}
-	defer g.Release()
-	sp := cl.opSpan(p, "core.data", "put", r.cap.Object())
-	sp.Annotate(trace.Int("bytes", int64(len(data))))
-	defer sp.Close(p)
-	if e, ok := cl.c.ephemOf(r.cap.Object()); ok {
-		// Whole-object writes migrate the single copy to the writer: data
-		// lives where it was produced, so a co-scheduled consumer reads it
-		// locally (§4.1).
-		e.owner = cl.node
-		return cl.ephemMutate(p, e, len(data), func(o *object.Object) error {
-			return o.SetData(data)
-		})
-	}
-	start := p.Now()
-	endWrite := cl.beginWrite(p, r)
-	defer endWrite()
-	cl.c.BytesMoved += int64(len(data))
-	err := cl.c.do(p, "core.put", func() error {
-		if ferr := cl.c.inj.OpFault(p, "core.put"); ferr != nil {
-			return ferr
+	return cl.run(p, r, verbPut, func(t target) error {
+		t.sp.Annotate(trace.Int("bytes", int64(len(data))))
+		if t.e != nil {
+			// Whole-object writes migrate the single copy to the writer: data
+			// lives where it was produced, so a co-scheduled consumer reads it
+			// locally (§4.1).
+			t.e.owner = cl.node
 		}
-		return cl.c.grp.Apply(p, cl.node, r.cap.Object(), r.lvl, len(data), func(o *object.Object) error {
+		err := t.apply(r.lvl, len(data), func(o *object.Object) error {
 			return o.SetData(data)
 		})
+		if err == nil && t.e == nil {
+			// Stage the written content locally; it becomes servable if the
+			// object is later frozen (cache-stable, §3.3).
+			cl.c.cacheFor(cl.node)[t.id] = &cacheEntry{data: append([]byte(nil), data...)}
+			cl.c.Meter.Charge("write", cost.PCSIBook.WriteCost(int64(len(data))))
+		}
+		return err
 	})
-	if err == nil {
-		// Stage the written content locally; it becomes servable if the
-		// object is later frozen (cache-stable, §3.3).
-		cl.c.cacheFor(cl.node)[r.cap.Object()] = &cacheEntry{data: append([]byte(nil), data...)}
-		cl.c.Meter.Charge("write", cost.PCSIBook.WriteCost(int64(len(data))))
-	}
-	cl.observe(p, start)
-	return err
 }
 
 // Get returns an object's full payload. Reads of frozen objects whose
@@ -241,365 +182,198 @@ func (cl *Client) Put(p *sim.Proc, r Ref, data []byte) error {
 // touching the network — logical disaggregation without physical
 // disaggregation (§4.1).
 func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) {
-	if err := cl.check(r, capability.Read); err != nil {
-		return nil, err
-	}
-	g, qerr := cl.admit(p, qos.ClassData)
-	if qerr != nil {
-		return nil, qerr
-	}
-	defer g.Release()
-	sp := cl.opSpan(p, "core.data", "get", r.cap.Object())
-	defer sp.Close(p)
-	if e, ok := cl.c.ephemOf(r.cap.Object()); ok {
-		var data []byte
-		err := cl.ephemView(p, e, int(e.obj.Size()), func(o *object.Object) error {
-			data = o.Read()
-			return nil
-		})
-		return data, err
-	}
-	start := p.Now()
-	if e, ok := cl.c.cacheFor(cl.node)[r.cap.Object()]; ok && e.stable {
-		cl.c.CacheHits++
-		sp.Annotate(trace.Str("cache", "hit"))
-		p.Sleep(media.DRAM.ReadCost(int64(len(e.data))))
-		cl.c.Meter.Charge("read", cost.PCSIBook.ReadCost(int64(len(e.data)), false))
-		cl.observe(p, start)
-		return append([]byte(nil), e.data...), nil
-	}
-	// Lease path: a linearizable read served from the colocated cache skips
-	// both the network round trip and the primary's per-object lock — the
-	// Cloudburst win. Validity is audited on every hit: an entry whose fill
-	// stamp trails the store's newest is a coherence violation, not a
-	// staleness allowance.
-	fc := cl.c.fncache
-	leased := fc != nil && r.lvl == consistency.Linearizable
-	key := fncache.Key(r.cap.Object())
-	if leased {
-		if data, stamp, ok := fc.LeaseGet(int(cl.node), key, p.Now()); ok {
-			if newest, have := cl.c.grp.NewestStamp(r.cap.Object()); have && stamp.Less(newest) {
-				fc.StaleLeaseServes.Inc()
-			}
-			sp.Annotate(trace.Str("fncache", "hit"))
-			p.Sleep(media.DRAM.ReadCost(int64(len(data))))
-			cl.c.Meter.Charge("read", cost.PCSIBook.ReadCost(int64(len(data)), false))
-			cl.observe(p, start)
-			return append([]byte(nil), data...), nil
-		}
-	}
-	var epochAtRead uint64
-	if leased {
-		epochAtRead = fc.Epoch(key)
-	}
 	var data []byte
-	var frozen bool
-	var kind object.Kind
-	err := cl.c.do(p, "core.get", func() error {
-		if ferr := cl.c.inj.OpFault(p, "core.get"); ferr != nil {
-			return ferr
+	err := cl.run(p, r, verbGet, func(t target) error {
+		fc := cl.c.fncache
+		leased := t.e == nil && fc != nil && r.lvl == consistency.Linearizable
+		var epochAtRead uint64
+		if t.e == nil {
+			var hit bool
+			if data, hit = cl.cachedGet(t, leased); hit {
+				return nil
+			}
+			if leased {
+				epochAtRead = fc.Epoch(fncache.Key(t.id))
+			}
 		}
-		return cl.c.grp.View(p, cl.node, r.cap.Object(), r.lvl, func(o *object.Object) error {
+		var frozen bool
+		var kind object.Kind
+		err := t.view(r.lvl, whole, func(o *object.Object) error {
 			data = o.Read()
 			frozen = o.Mutability() == object.Immutable
 			kind = o.Kind()
 			return nil
 		})
-	})
-	if err == nil {
-		// Pull-through: remote reads populate the local cache; the entry
-		// is servable immediately when the object is already frozen.
-		cl.c.cacheFor(cl.node)[r.cap.Object()] = &cacheEntry{data: append([]byte(nil), data...), stable: frozen}
-		cl.c.Meter.Charge("read", cost.PCSIBook.ReadCost(int64(len(data)), r.lvl == consistency.Linearizable))
-		if leased && kind == object.Regular {
-			// Fill under the epoch recorded before the read; a write that
-			// slipped in between bumped it and the fill is refused. Only
-			// plain payload objects are cached: FIFOs, sockets, and
-			// directories mutate through verbs the lease directory does not
-			// hook.
-			stamp, _ := cl.c.grp.PrimaryStamp(r.cap.Object())
-			fc.LeaseFill(int(cl.node), key, data, stamp, epochAtRead, p.Now())
+		if err == nil && t.e == nil {
+			// Pull-through: remote reads populate the local cache; the entry
+			// is servable immediately when the object is already frozen.
+			cl.c.cacheFor(cl.node)[t.id] = &cacheEntry{data: append([]byte(nil), data...), stable: frozen}
+			cl.c.Meter.Charge("read", cost.PCSIBook.ReadCost(int64(len(data)), r.lvl == consistency.Linearizable))
+			if leased && kind == object.Regular {
+				// Fill under the epoch recorded before the read; a write that
+				// slipped in between bumped it and the fill is refused. Only
+				// plain payload objects are cached: FIFOs, sockets, and
+				// directories mutate through verbs the lease directory does not
+				// hook.
+				stamp, _ := cl.c.grp.PrimaryStamp(t.id)
+				fc.LeaseFill(int(cl.node), fncache.Key(t.id), data, stamp, epochAtRead, p.Now())
+			}
 		}
-	}
-	cl.c.BytesMoved += int64(len(data))
-	cl.observe(p, start)
+		t.moved(len(data))
+		return err
+	})
 	return data, err
+}
+
+// cachedGet serves a replicated read from the client's own node when it
+// can, at DRAM cost: from the cache-stable copy of a frozen object, or — for
+// a leased reference — from the colocated function cache, skipping both the
+// round trip and the primary's per-object lock (the Cloudburst win). Every
+// lease hit is audited: an entry whose fill stamp trails the store's newest
+// is a coherence violation, not a staleness allowance.
+func (cl *Client) cachedGet(t target, leased bool) ([]byte, bool) {
+	var data []byte
+	if e, ok := cl.c.cacheFor(cl.node)[t.id]; ok && e.stable {
+		cl.c.CacheHits++
+		t.sp.Annotate(trace.Str("cache", "hit"))
+		data = e.data
+	} else if !leased {
+		return nil, false
+	} else {
+		var stamp consistency.Stamp
+		if data, stamp, ok = cl.c.fncache.LeaseGet(int(cl.node), fncache.Key(t.id), t.p.Now()); !ok {
+			return nil, false
+		}
+		if newest, have := cl.c.grp.NewestStamp(t.id); have && stamp.Less(newest) {
+			cl.c.fncache.StaleLeaseServes.Inc()
+		}
+		t.sp.Annotate(trace.Str("fncache", "hit"))
+	}
+	t.p.Sleep(media.DRAM.ReadCost(int64(len(data))))
+	cl.c.Meter.Charge("read", cost.PCSIBook.ReadCost(int64(len(data)), false))
+	return append([]byte(nil), data...), true
 }
 
 // GetAt reads at a specific consistency level, overriding the reference's
 // default — the per-operation menu of §3.3.
 func (cl *Client) GetAt(p *sim.Proc, r Ref, lvl consistency.Level) ([]byte, error) {
-	if err := cl.check(r, capability.Read); err != nil {
-		return nil, err
-	}
-	g, qerr := cl.admit(p, qos.ClassData)
-	if qerr != nil {
-		return nil, qerr
-	}
-	defer g.Release()
-	sp := cl.opSpan(p, "core.data", "get_at", r.cap.Object())
-	defer sp.Close(p)
-	start := p.Now()
 	var data []byte
-	err := cl.c.do(p, "core.get_at", func() error {
-		if ferr := cl.c.inj.OpFault(p, "core.get_at"); ferr != nil {
-			return ferr
-		}
-		var gerr error
-		data, gerr = cl.c.grp.Read(p, cl.node, r.cap.Object(), lvl)
-		return gerr
+	err := cl.run(p, r, verbGetAt, func(t target) error {
+		err := t.view(lvl, whole, func(o *object.Object) error {
+			data = o.Read()
+			return nil
+		})
+		t.moved(len(data))
+		return err
 	})
-	cl.c.BytesMoved += int64(len(data))
-	cl.observe(p, start)
 	return data, err
 }
 
 // Append appends to an object.
 func (cl *Client) Append(p *sim.Proc, r Ref, data []byte) error {
-	if err := cl.check(r, capability.Append); err != nil {
-		return err
-	}
-	g, qerr := cl.admit(p, qos.ClassData)
-	if qerr != nil {
-		return qerr
-	}
-	defer g.Release()
-	sp := cl.opSpan(p, "core.data", "append", r.cap.Object())
-	sp.Annotate(trace.Int("bytes", int64(len(data))))
-	defer sp.Close(p)
-	if e, ok := cl.c.ephemOf(r.cap.Object()); ok {
-		return cl.ephemMutate(p, e, len(data), func(o *object.Object) error {
-			return o.Append(data)
-		})
-	}
-	start := p.Now()
-	endWrite := cl.beginWrite(p, r)
-	defer endWrite()
-	cl.c.BytesMoved += int64(len(data))
-	err := cl.c.do(p, "core.append", func() error {
-		if ferr := cl.c.inj.OpFault(p, "core.append"); ferr != nil {
-			return ferr
-		}
-		return cl.c.grp.Apply(p, cl.node, r.cap.Object(), r.lvl, len(data), func(o *object.Object) error {
+	return cl.run(p, r, verbAppend, func(t target) error {
+		t.sp.Annotate(trace.Int("bytes", int64(len(data))))
+		return t.apply(r.lvl, len(data), func(o *object.Object) error {
 			return o.Append(data)
 		})
 	})
-	cl.observe(p, start)
-	return err
 }
 
 // WriteAt writes data at an offset.
 func (cl *Client) WriteAt(p *sim.Proc, r Ref, data []byte, off int64) error {
-	if err := cl.check(r, capability.Write); err != nil {
-		return err
-	}
-	g, qerr := cl.admit(p, qos.ClassData)
-	if qerr != nil {
-		return qerr
-	}
-	defer g.Release()
-	sp := cl.opSpan(p, "core.data", "write_at", r.cap.Object())
-	sp.Annotate(trace.Int("bytes", int64(len(data))))
-	defer sp.Close(p)
-	if e, ok := cl.c.ephemOf(r.cap.Object()); ok {
-		return cl.ephemMutate(p, e, len(data), func(o *object.Object) error {
-			_, werr := o.WriteAt(data, off)
-			return werr
-		})
-	}
-	start := p.Now()
-	endWrite := cl.beginWrite(p, r)
-	defer endWrite()
-	cl.c.BytesMoved += int64(len(data))
-	err := cl.c.do(p, "core.write_at", func() error {
-		if ferr := cl.c.inj.OpFault(p, "core.write_at"); ferr != nil {
-			return ferr
-		}
-		return cl.c.grp.Apply(p, cl.node, r.cap.Object(), r.lvl, len(data), func(o *object.Object) error {
+	return cl.run(p, r, verbWriteAt, func(t target) error {
+		t.sp.Annotate(trace.Int("bytes", int64(len(data))))
+		return t.apply(r.lvl, len(data), func(o *object.Object) error {
 			_, werr := o.WriteAt(data, off)
 			return werr
 		})
 	})
-	cl.observe(p, start)
-	return err
 }
 
 // ReadAt reads up to n bytes from an offset.
 func (cl *Client) ReadAt(p *sim.Proc, r Ref, off int64, n int) ([]byte, error) {
-	if err := cl.check(r, capability.Read); err != nil {
-		return nil, err
-	}
-	g, qerr := cl.admit(p, qos.ClassData)
-	if qerr != nil {
-		return nil, qerr
-	}
-	defer g.Release()
-	sp := cl.opSpan(p, "core.data", "read_at", r.cap.Object())
-	defer sp.Close(p)
-	if e, ok := cl.c.ephemOf(r.cap.Object()); ok {
+	var out []byte
+	err := cl.run(p, r, verbReadAt, func(t target) error {
 		buf := make([]byte, n)
 		var got int
-		err := cl.ephemView(p, e, n, func(o *object.Object) error {
+		err := t.view(r.lvl, n, func(o *object.Object) error {
 			var rerr error
 			got, rerr = o.ReadAt(buf, off)
 			return rerr
 		})
-		return buf[:got], err
-	}
-	start := p.Now()
-	buf := make([]byte, n)
-	var got int
-	err := cl.c.do(p, "core.read_at", func() error {
-		if ferr := cl.c.inj.OpFault(p, "core.read_at"); ferr != nil {
-			return ferr
-		}
-		return cl.c.grp.View(p, cl.node, r.cap.Object(), r.lvl, func(o *object.Object) error {
-			var rerr error
-			got, rerr = o.ReadAt(buf, off)
-			return rerr
-		})
+		t.moved(got)
+		out = buf[:got]
+		return err
 	})
-	cl.c.BytesMoved += int64(got)
-	cl.observe(p, start)
-	return buf[:got], err
+	return out, err
 }
 
 // Freeze moves the object along the Figure 1 mutability lattice. Freezing
 // to IMMUTABLE promotes any staged local copy to cache-stable.
 func (cl *Client) Freeze(p *sim.Proc, r Ref, m object.Mutability) error {
-	if err := cl.check(r, capability.SetMut); err != nil {
-		return err
-	}
-	g, qerr := cl.admit(p, qos.ClassData)
-	if qerr != nil {
-		return qerr
-	}
-	defer g.Release()
-	sp := cl.opSpan(p, "core.meta", "freeze", r.cap.Object())
-	sp.Annotate(trace.Str("to", m.String()))
-	defer sp.Close(p)
-	if e, ok := cl.c.ephemOf(r.cap.Object()); ok {
-		return cl.ephemMutate(p, e, 0, func(o *object.Object) error {
+	return cl.run(p, r, verbFreeze, func(t target) error {
+		t.sp.Annotate(trace.Str("to", m.String()))
+		err := t.apply(consistency.Linearizable, 0, func(o *object.Object) error {
 			return o.SetMutability(m)
 		})
-	}
-	endWrite := cl.beginWrite(p, r)
-	defer endWrite()
-	err := cl.c.do(p, "core.freeze", func() error {
-		if ferr := cl.c.inj.OpFault(p, "core.freeze"); ferr != nil {
-			return ferr
-		}
-		return cl.c.grp.Apply(p, cl.node, r.cap.Object(), consistency.Linearizable, 0, func(o *object.Object) error {
-			return o.SetMutability(m)
-		})
-	})
-	if err == nil && m == object.Immutable {
-		// The staged local copy may be stale (another node could have
-		// written after we staged), so it cannot simply be promoted.
-		// Drop it unless it provably matches the frozen content; the next
-		// Get pulls the authoritative bytes through and caches them.
-		id := r.cap.Object()
-		if e, ok := cl.c.cacheFor(cl.node)[id]; ok {
-			if o, gerr := cl.c.grp.Primary0Store().Get(id); gerr == nil && bytesEqual(o.Read(), e.data) {
-				e.stable = true
-			} else {
-				delete(cl.c.cacheFor(cl.node), id)
+		if err == nil && t.e == nil && m == object.Immutable {
+			// The staged local copy may be stale (another node could have
+			// written after we staged), so it cannot simply be promoted.
+			// Drop it unless it provably matches the frozen content; the next
+			// Get pulls the authoritative bytes through and caches them.
+			if e, ok := cl.c.cacheFor(cl.node)[t.id]; ok {
+				if o, gerr := cl.c.grp.Primary0Store().Get(t.id); gerr == nil && bytes.Equal(o.Read(), e.data) {
+					e.stable = true
+				} else {
+					delete(cl.c.cacheFor(cl.node), t.id)
+				}
 			}
 		}
-	}
-	return err
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+		return err
+	})
 }
 
 // Mutability reports the object's current level.
 func (cl *Client) Mutability(p *sim.Proc, r Ref) (object.Mutability, error) {
-	if err := cl.check(r, capability.Read); err != nil {
-		return 0, err
-	}
-	sp := cl.opSpan(p, "core.meta", "mutability", r.cap.Object())
-	defer sp.Close(p)
-	if e, ok := cl.c.ephemOf(r.cap.Object()); ok {
-		var m object.Mutability
-		err := cl.ephemView(p, e, 0, func(o *object.Object) error {
+	var m object.Mutability
+	err := cl.run(p, r, verbMutability, func(t target) error {
+		return t.view(consistency.Linearizable, 0, func(o *object.Object) error {
 			m = o.Mutability()
 			return nil
 		})
-		return m, err
-	}
-	var m object.Mutability
-	err := cl.c.grp.View(p, cl.node, r.cap.Object(), consistency.Linearizable, func(o *object.Object) error {
-		m = o.Mutability()
-		return nil
 	})
 	return m, err
 }
 
 // Push enqueues a message on a FIFO object.
 func (cl *Client) Push(p *sim.Proc, r Ref, msg []byte) error {
-	if err := cl.check(r, capability.Append); err != nil {
-		return err
-	}
-	g, qerr := cl.admit(p, qos.ClassData)
-	if qerr != nil {
-		return qerr
-	}
-	defer g.Release()
-	sp := cl.opSpan(p, "core.data", "push", r.cap.Object())
-	defer sp.Close(p)
-	cl.c.BytesMoved += int64(len(msg))
-	return cl.c.do(p, "core.push", func() error {
-		if ferr := cl.c.inj.OpFault(p, "core.push"); ferr != nil {
-			return ferr
-		}
-		return cl.c.grp.Apply(p, cl.node, r.cap.Object(), consistency.Linearizable, len(msg), func(o *object.Object) error {
+	return cl.run(p, r, verbPush, func(t target) error {
+		return t.apply(consistency.Linearizable, len(msg), func(o *object.Object) error {
 			return o.Push(msg)
 		})
 	})
 }
 
 // Pop dequeues a message from a FIFO object, blocking (with polling) until
-// one is available. Pop deliberately bypasses QoS admission: a consumer
-// parked on an empty queue would pin an admission slot for an unbounded
-// poll, starving producers of the very tokens needed to fill the queue.
+// one is available.
 func (cl *Client) Pop(p *sim.Proc, r Ref) ([]byte, error) {
-	if err := cl.check(r, capability.Read|capability.Write); err != nil {
-		return nil, err
-	}
-	sp := cl.opSpan(p, "core.data", "pop", r.cap.Object())
-	defer sp.Close(p)
-	if err := cl.c.inj.OpFault(p, "core.pop"); err != nil {
-		return nil, err
-	}
-	for {
-		var msg []byte
-		err := cl.c.grp.Apply(p, cl.node, r.cap.Object(), consistency.Linearizable, 0, func(o *object.Object) error {
-			m, perr := o.Pop()
-			if perr != nil {
-				return perr
-			}
-			msg = m
-			return nil
+	var msg []byte
+	err := cl.run(p, r, verbPop, func(t target) error {
+		// The one fault roll outside target.retry: an injected failure
+		// surfaces to the caller un-retried, because the poll loop is
+		// already the retry.
+		if err := t.fault(); err != nil {
+			return err
+		}
+		err := t.poll(object.ErrFIFOEmpty, 0, func(o *object.Object) error {
+			var perr error
+			msg, perr = o.Pop()
+			return perr
 		})
-		if err == nil {
-			cl.c.BytesMoved += int64(len(msg))
-			return msg, nil
-		}
-		if !errors.Is(err, object.ErrFIFOEmpty) {
-			return nil, err
-		}
-		p.Sleep(cl.c.net.Profile().BaseRTT) // poll backoff
-	}
+		t.moved(len(msg))
+		return err
+	})
+	return msg, err
 }
 
 // Attenuate derives a reference with narrowed rights.
@@ -637,28 +411,8 @@ type StatInfo struct {
 // Stat fetches object metadata.
 func (cl *Client) Stat(p *sim.Proc, r Ref) (StatInfo, error) {
 	var info StatInfo
-	if err := cl.check(r, capability.Read); err != nil {
-		return info, err
-	}
-	g, qerr := cl.admit(p, qos.ClassData)
-	if qerr != nil {
-		return info, qerr
-	}
-	defer g.Release()
-	sp := cl.opSpan(p, "core.meta", "stat", r.cap.Object())
-	defer sp.Close(p)
-	if e, ok := cl.c.ephemOf(r.cap.Object()); ok {
-		err := cl.ephemView(p, e, 0, func(o *object.Object) error {
-			info = StatInfo{Kind: o.Kind(), Size: o.Size(), Version: o.Version(), Mutability: o.Mutability()}
-			return nil
-		})
-		return info, err
-	}
-	err := cl.c.do(p, "core.stat", func() error {
-		if ferr := cl.c.inj.OpFault(p, "core.stat"); ferr != nil {
-			return ferr
-		}
-		return cl.c.grp.View(p, cl.node, r.cap.Object(), consistency.Linearizable, func(o *object.Object) error {
+	err := cl.run(p, r, verbStat, func(t target) error {
+		return t.view(consistency.Linearizable, 0, func(o *object.Object) error {
 			info = StatInfo{Kind: o.Kind(), Size: o.Size(), Version: o.Version(), Mutability: o.Mutability()}
 			return nil
 		})

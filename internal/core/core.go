@@ -196,7 +196,7 @@ func New(opts Options) *Cloud {
 	// Storage replicas spread across racks on dedicated storage nodes.
 	var storageNodes []simnet.NodeID
 	for i := 0; i < opts.Replicas; i++ {
-		rack := i % maxInt(opts.ClusterCfg.Racks, 1)
+		rack := i % max(opts.ClusterCfg.Racks, 1)
 		storageNodes = append(storageNodes, net.AddNode(rack))
 	}
 	grp := consistency.NewGroup(env, net, storageNodes, opts.Media)
@@ -315,13 +315,6 @@ func New(opts Options) *Cloud {
 		grp.StartAntiEntropy(opts.AntiEntropyInterval)
 	}
 	return c
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // instrumentQoS registers per-class queue-depth/in-flight gauges, a
@@ -489,24 +482,24 @@ func (c *Cloud) Collect() int {
 			delete(cache, id)
 		}
 	}
-	if c.fncache != nil {
-		keys := make([]fncache.Key, len(c.col.LastSweptIDs))
-		for i, id := range c.col.LastSweptIDs {
-			keys[i] = fncache.Key(id)
-		}
-		c.fncache.Invalidate(keys...)
-	}
+	c.dropLeases(c.col.LastSweptIDs...)
 	return n + c.sweepEphemeral()
+}
+
+// dropLeases invalidates every function-cache copy of ids. GC sweeps and
+// metadata mirrors bypass the lease write path, so they drop cached copies
+// themselves — before the state replicates, so none outlives its content.
+func (c *Cloud) dropLeases(ids ...object.ID) {
+	if c.fncache == nil {
+		return
+	}
+	for _, id := range ids {
+		c.fncache.Invalidate(fncache.Key(id))
+	}
 }
 
 // Collector exposes GC statistics.
 func (c *Cloud) Collector() *gc.Collector { return c.col }
-
-// do runs op through the cloud's retry policy; with no policy bound it
-// calls fn exactly once with zero overhead.
-func (c *Cloud) do(p *sim.Proc, op string, fn func() error) error {
-	return c.retry.Do(p, op, fn)
-}
 
 // DefaultRetryable extends the substrate classifier with PCSI-level
 // transients: consistency unavailability and placement pressure are worth
@@ -515,11 +508,6 @@ func DefaultRetryable(err error) bool {
 	return fault.Retryable(err) ||
 		errors.Is(err, consistency.ErrUnavailable) ||
 		errors.Is(err, faas.ErrNoPlacement)
-}
-
-func (c *Cloud) ephemContains(id object.ID) bool {
-	_, ok := c.ephem[id]
-	return ok
 }
 
 // chaosInvariants audits end-of-run state for the chaos harness. Runs
@@ -545,7 +533,7 @@ func (c *Cloud) chaosInvariants() []string {
 	}
 	st := c.grp.Primary0Store()
 	for _, id := range c.caps.Roots() {
-		if !st.Contains(id) && !c.ephemContains(id) {
+		if !st.Contains(id) && c.ephemOf(id) == nil {
 			v = append(v, fmt.Sprintf("live capability refers to missing object %v", id))
 		}
 	}

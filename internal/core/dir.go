@@ -12,11 +12,8 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/capability"
 	"repro/internal/consistency"
-	"repro/internal/fncache"
 	"repro/internal/object"
-	"repro/internal/qos"
 	"repro/internal/sim"
 )
 
@@ -42,37 +39,16 @@ const (
 // bypasses the cache-stable and lease fast paths (they do not carry
 // versions).
 func (cl *Client) GetVersioned(p *sim.Proc, r Ref) ([]byte, uint64, error) {
-	if err := cl.check(r, capability.Read); err != nil {
-		return nil, 0, err
-	}
-	g, qerr := cl.admit(p, qos.ClassData)
-	if qerr != nil {
-		return nil, 0, qerr
-	}
-	defer g.Release()
-	sp := cl.opSpan(p, "core.data", "get_versioned", r.cap.Object())
-	defer sp.Close(p)
 	var data []byte
 	var ver uint64
-	if e, ok := cl.c.ephemOf(r.cap.Object()); ok {
-		err := cl.ephemView(p, e, int(e.obj.Size()), func(o *object.Object) error {
+	err := cl.run(p, r, verbGetVersioned, func(t target) error {
+		err := t.view(consistency.Linearizable, whole, func(o *object.Object) error {
 			data, ver = o.Read(), o.Version()
 			return nil
 		})
-		return data, ver, err
-	}
-	start := p.Now()
-	err := cl.c.do(p, "core.get", func() error {
-		if ferr := cl.c.inj.OpFault(p, "core.get"); ferr != nil {
-			return ferr
-		}
-		return cl.c.grp.View(p, cl.node, r.cap.Object(), consistency.Linearizable, func(o *object.Object) error {
-			data, ver = o.Read(), o.Version()
-			return nil
-		})
+		t.moved(len(data))
+		return err
 	})
-	cl.c.BytesMoved += int64(len(data))
-	cl.observe(p, start)
 	return data, ver, err
 }
 
@@ -80,29 +56,18 @@ func (cl *Client) GetVersioned(p *sim.Proc, r Ref) ([]byte, uint64, error) {
 // they were read at, from the authoritative metadata replica. Entries are
 // sorted by name.
 func (cl *Client) ReadDir(p *sim.Proc, r Ref) ([]DirEntry, uint64, error) {
-	if err := cl.check(r, capability.Read); err != nil {
-		return nil, 0, err
-	}
-	g, qerr := cl.admit(p, qos.ClassData)
-	if qerr != nil {
-		return nil, 0, qerr
-	}
-	defer g.Release()
-	sp := cl.opSpan(p, "core.meta", "readdir", r.cap.Object())
-	defer sp.Close(p)
 	var ents []DirEntry
 	var ver uint64
-	err := cl.c.do(p, "core.readdir", func() error {
-		if ferr := cl.c.inj.OpFault(p, "core.readdir"); ferr != nil {
-			return ferr
-		}
-		cl.c.metaOp(p, cl, "")
-		o, err := cl.c.grp.Primary0Store().Get(r.cap.Object())
-		if err != nil {
-			return fmt.Errorf("core: readdir: %w", err)
-		}
-		ents, ver, err = entryTable(o)
-		return err
+	err := cl.run(p, r, verbReadDir, func(t target) error {
+		return t.retry(func() error {
+			cl.c.metaOp(p, cl, "")
+			o, err := cl.c.grp.Primary0Store().Get(t.id)
+			if err != nil {
+				return fmt.Errorf("core: readdir: %w", err)
+			}
+			ents, ver, err = entryTable(o)
+			return err
+		})
 	})
 	return ents, ver, err
 }
@@ -113,35 +78,19 @@ func (cl *Client) ReadDir(p *sim.Proc, r Ref) ([]DirEntry, uint64, error) {
 // the directory already holds is a no-op — so transactional commit
 // installation and crash-recovery replay can both use it idempotently.
 func (cl *Client) SetDirEntries(p *sim.Proc, r Ref, entries []DirEntry) error {
-	if err := cl.check(r, capability.Write); err != nil {
-		return err
-	}
-	g, qerr := cl.admit(p, qos.ClassData)
-	if qerr != nil {
-		return qerr
-	}
-	defer g.Release()
-	sp := cl.opSpan(p, "core.meta", "set_entries", r.cap.Object())
-	defer sp.Close(p)
-	id := r.cap.Object()
-	return cl.c.do(p, "core.setdir", func() error {
-		if ferr := cl.c.inj.OpFault(p, "core.setdir"); ferr != nil {
-			return ferr
-		}
-		cl.c.metaOp(p, cl, "")
-		o, err := cl.c.grp.Primary0Store().Get(id)
-		if err != nil {
-			return fmt.Errorf("core: setdir: %w", err)
-		}
-		if err := installEntries(o, entries); err != nil {
-			return err
-		}
-		if fc := cl.c.fncache; fc != nil {
-			// Mirror bypasses the lease write path; drop any cached copy
-			// before the state replicates.
-			fc.Invalidate(fncache.Key(id))
-		}
-		return cl.c.grp.Mirror(p, id)
+	return cl.run(p, r, verbSetDirEntries, func(t target) error {
+		return t.retry(func() error {
+			cl.c.metaOp(p, cl, "")
+			o, err := cl.c.grp.Primary0Store().Get(t.id)
+			if err != nil {
+				return fmt.Errorf("core: setdir: %w", err)
+			}
+			if err := installEntries(o, entries); err != nil {
+				return err
+			}
+			cl.c.dropLeases(t.id)
+			return cl.c.grp.Mirror(p, t.id)
+		})
 	})
 }
 

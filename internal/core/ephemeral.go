@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/fault"
 	"repro/internal/media"
 	"repro/internal/object"
@@ -47,45 +45,28 @@ func (c *Cloud) newEphem(owner simnet.NodeID, kind object.Kind) object.ID {
 	return id
 }
 
-// ephemOf returns the ephemeral entry behind a reference, if any.
-func (c *Cloud) ephemOf(id object.ID) (*ephemObj, bool) {
-	e, ok := c.ephem[id]
-	return e, ok
-}
+// ephemOf returns the ephemeral entry behind an object ID, or nil for a
+// replicated object.
+func (c *Cloud) ephemOf(id object.ID) *ephemObj { return c.ephem[id] }
 
-// ephemAccess charges the cost of touching an ephemeral object from a
-// node: local memory when on the owner, one exchange with the owner
-// otherwise. size is the payload crossing the boundary.
-func (cl *Client) ephemAccess(p *sim.Proc, e *ephemObj, sendSize, recvSize int) {
+// ephemDo runs fn against an ephemeral object and, when it succeeds, charges
+// the access and samples its latency: local memory when on the owner, one
+// exchange with the owner otherwise. send is the payload crossing to the
+// object, recv the payload crossing back.
+func (cl *Client) ephemDo(p *sim.Proc, e *ephemObj, send, recv int, fn func(*object.Object) error) error {
+	start := p.Now()
+	if err := fn(e.obj); err != nil {
+		return err
+	}
 	if cl.node == e.owner {
 		cl.c.CacheHits++
-		p.Sleep(media.DRAM.ReadCost(int64(sendSize + recvSize)))
-		return
+		p.Sleep(media.DRAM.ReadCost(int64(send + recv)))
+	} else {
+		cl.c.net.Send(p, cl.node, e.owner, 64+send)
+		p.Sleep(media.DRAM.ReadCost(int64(send + recv)))
+		cl.c.net.Send(p, e.owner, cl.node, 64+recv)
+		cl.c.BytesMoved += int64(send + recv)
 	}
-	cl.c.net.Send(p, cl.node, e.owner, 64+sendSize)
-	p.Sleep(media.DRAM.ReadCost(int64(sendSize + recvSize)))
-	cl.c.net.Send(p, e.owner, cl.node, 64+recvSize)
-	cl.c.BytesMoved += int64(sendSize + recvSize)
-}
-
-// ephemMutate runs a mutation against an ephemeral object.
-func (cl *Client) ephemMutate(p *sim.Proc, e *ephemObj, size int, fn func(*object.Object) error) error {
-	start := p.Now()
-	if err := fn(e.obj); err != nil {
-		return err
-	}
-	cl.ephemAccess(p, e, size, 0)
-	cl.observe(p, start)
-	return nil
-}
-
-// ephemView runs a read against an ephemeral object.
-func (cl *Client) ephemView(p *sim.Proc, e *ephemObj, recvSize int, fn func(*object.Object) error) error {
-	start := p.Now()
-	if err := fn(e.obj); err != nil {
-		return err
-	}
-	cl.ephemAccess(p, e, 0, recvSize)
 	cl.observe(p, start)
 	return nil
 }
@@ -112,8 +93,3 @@ func (c *Cloud) sweepEphemeral() int {
 
 // EphemeralCount reports live ephemeral objects (tests/diagnostics).
 func (c *Cloud) EphemeralCount() int { return len(c.ephem) }
-
-// ephemString describes an ephemeral entry.
-func (e *ephemObj) String() string {
-	return fmt.Sprintf("ephem(%v@node%d)", e.obj.ID(), e.owner)
-}

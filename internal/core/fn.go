@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/capability"
 	"repro/internal/cluster"
-	"repro/internal/consistency"
 	"repro/internal/faas"
 	"repro/internal/object"
 	"repro/internal/platform"
@@ -25,18 +24,17 @@ type FnCtx struct {
 	Inputs  []Ref
 	Outputs []Ref
 	Body    []byte
-	cloud   *Cloud
 }
 
 // Proc returns the simulation process the function runs in.
 func (fc *FnCtx) Proc() *sim.Proc { return fc.Inv.Proc() }
 
 // Cloud returns the deployment.
-func (fc *FnCtx) Cloud() *Cloud { return fc.cloud }
+func (fc *FnCtx) Cloud() *Cloud { return fc.Client.c }
 
 // Device returns the GPU memory of the node the function runs on, or nil.
 func (fc *FnCtx) Device() *platform.Device {
-	return fc.cloud.Device(fc.Inv.Node())
+	return fc.Client.c.Device(fc.Inv.Node())
 }
 
 // HandlerFunc is a PCSI function body.
@@ -81,7 +79,7 @@ func (cl *Client) RegisterFunction(p *sim.Proc, cfg FnConfig) (Ref, error) {
 	if err != nil {
 		return Ref{}, err
 	}
-	if err := cl.Put(p, codeRef, make([]byte, minInt64(cfg.CodeSize, 1<<16))); err != nil {
+	if err := cl.Put(p, codeRef, make([]byte, min(cfg.CodeSize, 1<<16))); err != nil {
 		return Ref{}, err
 	}
 	// Code is immutable once published — drop-in replacement means
@@ -103,7 +101,6 @@ func (cl *Client) RegisterFunction(p *sim.Proc, cfg FnConfig) (Ref, error) {
 				Inv:    inv,
 				Client: c.ClientAt(inv.Node()),
 				Body:   inv.Body,
-				cloud:  c,
 			}
 			if args, ok := inv.Ctx.(*invokeArgs); ok && args != nil {
 				fc.Inputs = args.inputs
@@ -127,13 +124,6 @@ func (cl *Client) RegisterFunction(p *sim.Proc, cfg FnConfig) (Ref, error) {
 	return ref, nil
 }
 
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // InvokeArgs parameterise one invocation.
 type InvokeArgs struct {
 	Inputs  []Ref
@@ -148,14 +138,15 @@ type InvokeArgs struct {
 // Requires the Exec right — functions are invoked through references like
 // any other object.
 func (cl *Client) Invoke(p *sim.Proc, fnRef Ref, args InvokeArgs) (*faas.Instance, error) {
-	if err := cl.check(fnRef, capability.Exec); err != nil {
+	v := verbInvoke
+	if err := cl.check(fnRef, v.need); err != nil {
 		return nil, err
 	}
 	name, ok := cl.c.fnByCode[fnRef.cap.Object()]
 	if !ok {
 		return nil, ErrNoSuchFn
 	}
-	sp := trace.Of(cl.c.env).Start(p, "core.fn", "invoke", trace.Str("fn", name))
+	sp := trace.Of(cl.c.env).Start(p, v.cat, v.name, trace.Str("fn", name))
 	defer sp.Close(p)
 	hints := args.Hints
 	if args.Goal != faas.GoalDefault {
@@ -165,10 +156,8 @@ func (cl *Client) Invoke(p *sim.Proc, fnRef Ref, args InvokeArgs) (*faas.Instanc
 		hints.Tenant = cl.tenant
 	}
 	var inst *faas.Instance
-	err := cl.c.do(p, "core.invoke:"+name, func() error {
-		if ferr := cl.c.inj.OpFault(p, "core.invoke"); ferr != nil {
-			return ferr
-		}
+	t := target{cl: cl, p: p, v: v, op: v.fault + ":" + name}
+	err := t.retry(func() error {
 		// The invocation request travels to the runtime's control plane
 		// (and again on each retry — the request is re-sent).
 		cl.c.net.Send(p, cl.node, cl.c.grp.Primary0Node(), 128+len(args.Body))
@@ -234,6 +223,3 @@ func (cl *Client) RunGraph(p *sim.Proc, tasks []GraphTask) (map[string]*taskgrap
 	cl.c.GraphsFinished++
 	return res, err
 }
-
-// ConsistencyOf reports the reference's default level (diagnostics).
-func (cl *Client) ConsistencyOf(r Ref) consistency.Level { return r.lvl }

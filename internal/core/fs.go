@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/capability"
 	"repro/internal/consistency"
-	"repro/internal/fncache"
 	"repro/internal/namespace"
 	"repro/internal/object"
 	"repro/internal/sim"
@@ -95,16 +94,8 @@ func (n *NS) mirrorPath(p *sim.Proc, path string) error {
 			}
 		}
 	}
-	if fc := n.c.fncache; fc != nil {
-		// Mirror bypasses the lease write path, and a copy-up target can be
-		// a Regular object some node leased: invalidate before the state
-		// replicates so no cached entry outlives the mirrored content.
-		keys := make([]fncache.Key, len(ids))
-		for i, id := range ids {
-			keys[i] = fncache.Key(id)
-		}
-		fc.Invalidate(keys...)
-	}
+	// A copy-up target can be a Regular object some node leased.
+	n.c.dropLeases(ids...)
 	return n.c.grp.Mirror(p, ids...)
 }
 
@@ -163,7 +154,7 @@ func (n *NS) Bind(p *sim.Proc, cl *Client, path string, r Ref) error {
 	if err := cl.check(r, 0); err != nil {
 		return err
 	}
-	if _, ok := n.c.ephemOf(r.cap.Object()); ok {
+	if n.c.ephemOf(r.cap.Object()) != nil {
 		return ErrEphemeralNS
 	}
 	n.c.metaOp(p, cl, path)

@@ -76,16 +76,22 @@ func (cl *Client) LatticeRead(p *sim.Proc, r Ref) (fncache.Lattice, error) {
 		return v, nil
 	}
 	// Cold: pull the store value into a fresh local replica.
+	return cl.latticePull(p, r)
+}
+
+// latticePull installs the store's current join as the caller node's
+// replica, clearing observed staleness up to the pulled stamp.
+func (cl *Client) latticePull(p *sim.Proc, r Ref) (fncache.Lattice, error) {
 	data, err := cl.GetAt(p, r, consistency.Eventual)
 	if err != nil {
 		return nil, err
 	}
-	v, derr := fncache.Decode(data)
-	if derr != nil {
-		return nil, derr
+	v, err := fncache.Decode(data)
+	if err != nil {
+		return nil, err
 	}
 	stamp, _ := cl.c.grp.NewestStamp(r.cap.Object())
-	fc.LatticePull(node, key, v, stamp)
+	cl.c.fncache.LatticePull(int(cl.node), fncache.Key(r.cap.Object()), v, stamp)
 	return v, nil
 }
 
@@ -110,17 +116,8 @@ func (cl *Client) LatticeSync(p *sim.Proc, r Ref) error {
 		stamp, _ := cl.c.grp.NewestStamp(r.cap.Object())
 		fc.Flushed(node, key, stamp)
 	}
-	data, err := cl.GetAt(p, r, consistency.Eventual)
-	if err != nil {
-		return err
-	}
-	v, derr := fncache.Decode(data)
-	if derr != nil {
-		return derr
-	}
-	stamp, _ := cl.c.grp.NewestStamp(r.cap.Object())
-	fc.LatticePull(node, key, v, stamp)
-	return nil
+	_, err := cl.latticePull(p, r)
+	return err
 }
 
 // latticeRMW folds enc into the stored payload: read the current value,
@@ -132,13 +129,18 @@ func (cl *Client) latticeRMW(p *sim.Proc, r Ref, enc []byte) error {
 	if err != nil {
 		return err
 	}
-	merged := enc
+	return cl.Put(p, r, joinPayload(cur, enc))
+}
+
+// joinPayload is the lattice join of a stored payload with an encoded
+// replica; a store payload that is not a lattice is simply replaced.
+func joinPayload(cur, enc []byte) []byte {
 	if fncache.Mergeable(cur) {
 		if m, ok := fncache.MergePayload(cur, enc); ok {
-			merged = m
+			return m
 		}
 	}
-	return cl.Put(p, r, merged)
+	return enc
 }
 
 // LatticeAudit is the lattice convergence check, used by the chaos
@@ -168,13 +170,7 @@ func (c *Cloud) LatticeAudit() []string {
 				continue
 			}
 			err := c.grp.QuiescentApply(id, func(o *object.Object) error {
-				merged := enc
-				if cur := o.Read(); fncache.Mergeable(cur) {
-					if m, ok := fncache.MergePayload(cur, enc); ok {
-						merged = m
-					}
-				}
-				return o.SetData(merged)
+				return o.SetData(joinPayload(o.Read(), enc))
 			})
 			if err != nil {
 				v = append(v, fmt.Sprintf("lattice flush of object %v from node %d: %v", id, node, err))

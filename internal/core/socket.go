@@ -1,9 +1,6 @@
 package core
 
 import (
-	"errors"
-
-	"repro/internal/capability"
 	"repro/internal/consistency"
 	"repro/internal/object"
 	"repro/internal/sim"
@@ -23,64 +20,34 @@ const (
 
 // SockSend enqueues msg from the given end toward the other.
 func (cl *Client) SockSend(p *sim.Proc, r Ref, end int, msg []byte) error {
-	if err := cl.check(r, capability.Write); err != nil {
-		return err
-	}
-	if e, ok := cl.c.ephemOf(r.cap.Object()); ok {
-		return cl.ephemMutate(p, e, len(msg), func(o *object.Object) error {
+	return cl.run(p, r, verbSockSend, func(t target) error {
+		return t.apply(consistency.Linearizable, len(msg), func(o *object.Object) error {
 			return o.SockSend(end, msg)
 		})
-	}
-	cl.c.BytesMoved += int64(len(msg))
-	return cl.c.grp.Apply(p, cl.node, r.cap.Object(), consistency.Linearizable, len(msg), func(o *object.Object) error {
-		return o.SockSend(end, msg)
 	})
 }
 
 // SockRecv blocks (polling at network cadence) until a message arrives at
 // the given end, the socket closes, or the poll budget runs out.
 func (cl *Client) SockRecv(p *sim.Proc, r Ref, end int) ([]byte, error) {
-	if err := cl.check(r, capability.Read|capability.Write); err != nil {
-		return nil, err
-	}
-	const maxPolls = 100000
-	for i := 0; i < maxPolls; i++ {
-		var msg []byte
-		op := func(o *object.Object) error {
-			m, rerr := o.SockRecv(end)
-			if rerr != nil {
-				return rerr
-			}
-			msg = m
-			return nil
-		}
-		var err error
-		if e, ok := cl.c.ephemOf(r.cap.Object()); ok {
-			err = cl.ephemMutate(p, e, 0, op)
-		} else {
-			err = cl.c.grp.Apply(p, cl.node, r.cap.Object(), consistency.Linearizable, 0, op)
-		}
-		if err == nil {
-			cl.c.BytesMoved += int64(len(msg))
-			return msg, nil
-		}
-		if !errors.Is(err, object.ErrSockEmpty) {
-			return nil, err
-		}
-		p.Sleep(cl.c.net.Profile().BaseRTT)
-	}
-	return nil, errors.New("core: socket receive poll budget exhausted")
+	var msg []byte
+	err := cl.run(p, r, verbSockRecv, func(t target) error {
+		err := t.poll(object.ErrSockEmpty, 100000, func(o *object.Object) error {
+			var rerr error
+			msg, rerr = o.SockRecv(end)
+			return rerr
+		})
+		// Tallied on both paths: a node-local receive asks ephemDo to
+		// move zero bytes, so this is the only count.
+		cl.c.BytesMoved += int64(len(msg))
+		return err
+	})
+	return msg, err
 }
 
 // SockClose closes the connection.
 func (cl *Client) SockClose(p *sim.Proc, r Ref) error {
-	if err := cl.check(r, capability.Write); err != nil {
-		return err
-	}
-	if e, ok := cl.c.ephemOf(r.cap.Object()); ok {
-		return cl.ephemMutate(p, e, 0, func(o *object.Object) error { return o.SockClose() })
-	}
-	return cl.c.grp.Apply(p, cl.node, r.cap.Object(), consistency.Linearizable, 0, func(o *object.Object) error {
-		return o.SockClose()
+	return cl.run(p, r, verbSockClose, func(t target) error {
+		return t.apply(consistency.Linearizable, 0, func(o *object.Object) error { return o.SockClose() })
 	})
 }

@@ -245,8 +245,8 @@ func TestAccessorsAndStrings(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if client.ConsistencyOf(ref) != consistency.Eventual {
-			t.Error("ConsistencyOf mismatch")
+		if ref.Level() != consistency.Eventual {
+			t.Error("Level mismatch")
 		}
 		if ref.String() == "" || ref.Rights() != capability.All {
 			t.Errorf("ref = %v rights = %v", ref, ref.Rights())

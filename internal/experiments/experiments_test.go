@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -28,6 +32,38 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, ok := Get("nope"); ok {
 		t.Error("Get(nope) succeeded")
+	}
+}
+
+// TestDocCountsMatch keeps the counts the prose quotes from drifting: every
+// "<n> experiments" and "<n> [machine-checked|passing] shape
+// checks|assertions" in README, DESIGN and EXPERIMENTS must equal the
+// registry size and the number of [PASS] lines in the committed full run.
+func TestDocCountsMatch(t *testing.T) {
+	read := func(name string) string {
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(strings.Fields(string(data)), " ") // undo line wrapping
+	}
+	quoted := map[*regexp.Regexp]int{
+		regexp.MustCompile(`(\d+) experiments\b`):                                             len(All()),
+		regexp.MustCompile(`(\d+) (?:machine-checked |passing )?shape (?:checks|assertions)`): strings.Count(read("pcsi_bench_output.txt"), "[PASS]"),
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, quotes := read(doc), 0
+		for re, want := range quoted {
+			for _, m := range re.FindAllStringSubmatch(text, -1) {
+				quotes++
+				if got, _ := strconv.Atoi(m[1]); got != want {
+					t.Errorf("%s says %q, want %d", doc, m[0], want)
+				}
+			}
+		}
+		if quotes == 0 {
+			t.Errorf("%s quotes no experiment or shape-check count; the patterns here have drifted from the prose", doc)
+		}
 	}
 }
 

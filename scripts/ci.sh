@@ -42,24 +42,22 @@ go run ./cmd/pcsictl trace -verify /tmp/t.json
 echo '== chaos smoke (seed sweep with fault injection; exits 1 on invariant violation)'
 go run ./cmd/pcsictl chaos E4 -seeds 5
 
-echo '== E13 overload smoke (QoS holds goodput >= 0.9x capacity, sheds under load; exits 1 on FAIL)'
-go run ./cmd/pcsi-bench -run E13 > /tmp/e13-a.txt
-go run ./cmd/pcsi-bench -run E13 > /tmp/e13-b.txt
-cmp /tmp/e13-a.txt /tmp/e13-b.txt || { echo 'E13 not byte-identical across runs' >&2; exit 1; }
-
-echo '== E14 cache smoke (colocated caches beat cache-off under Zipf fan-out; exits 1 on FAIL)'
-go run ./cmd/pcsi-bench -run E14 > /tmp/e14-a.txt
-go run ./cmd/pcsi-bench -run E14 > /tmp/e14-b.txt
-cmp /tmp/e14-a.txt /tmp/e14-b.txt || { echo 'E14 not byte-identical across runs' >&2; exit 1; }
-grep -q '\[PASS\] hot-keys-hit' /tmp/e14-a.txt || { echo 'E14 hit-rate shape check missing' >&2; exit 1; }
-grep -q '\[PASS\] lease-zero-stale' /tmp/e14-a.txt || { echo 'E14 lease coherence check missing' >&2; exit 1; }
-
-echo '== E15 faasfs smoke (transactional POSIX beats NFS and REST under concurrent writers; exits 1 on FAIL)'
-go run ./cmd/pcsi-bench -run E15 > /tmp/e15-a.txt
-go run ./cmd/pcsi-bench -run E15 > /tmp/e15-b.txt
-cmp /tmp/e15-a.txt /tmp/e15-b.txt || { echo 'E15 not byte-identical across runs' >&2; exit 1; }
-grep -q '\[PASS\] faasfs-serializable' /tmp/e15-a.txt || { echo 'E15 serializability check missing' >&2; exit 1; }
-grep -q '\[PASS\] faasfs-beats-rest' /tmp/e15-a.txt || { echo 'E15 faasfs-vs-rest shape check missing' >&2; exit 1; }
+echo '== E13/E14/E15 smokes (byte-identical across runs; required shape checks present; exits 1 on FAIL)'
+# id:required-PASS-labels. pcsi-bench itself exits 1 when any check FAILs;
+# the labels guard against a check silently disappearing.
+for smoke in \
+    E13: \
+    E14:hot-keys-hit,lease-zero-stale \
+    E15:faasfs-serializable,faasfs-beats-rest
+do
+    id=${smoke%%:*}
+    go run ./cmd/pcsi-bench -run "$id" > "/tmp/$id-a.txt"
+    go run ./cmd/pcsi-bench -run "$id" > "/tmp/$id-b.txt"
+    cmp "/tmp/$id-a.txt" "/tmp/$id-b.txt" || { echo "$id not byte-identical across runs" >&2; exit 1; }
+    for label in $(echo "${smoke#*:}" | tr ',' ' '); do
+        grep -q "\[PASS\] $label" "/tmp/$id-a.txt" || { echo "$id shape check $label missing" >&2; exit 1; }
+    done
+done
 
 echo '== dashboard smoke (telemetry plane; HTML + JSON timeline must be byte-identical across re-runs)'
 go run ./cmd/pcsictl dash e13 -seed 1 -o /tmp/dash-a.html 2>/dev/null
@@ -69,12 +67,10 @@ cmp /tmp/dash-a.json /tmp/dash-b.json || { echo 'dash JSON timeline not byte-ide
 cp /tmp/dash-a.html pcsi-dash-e13.html
 cp /tmp/dash-a.json pcsi-dash-e13.json
 
-echo '== engine microbenchmark (regression gate vs committed BENCH_engine.json)'
-# Fails (exit 1) if allocs/event regresses >10% or events/sec drops >10%
-# against the committed baseline. Writes the fresh run as an artifact so a
-# deliberate perf change can be reviewed and the baseline re-committed.
-go run ./cmd/pcsi-bench -engine \
-    -engine-baseline BENCH_engine.json \
-    -engine-out pcsi-bench-engine.json
+echo '== bench harness (smoke, drift, oracle and compare tests; engine-storm event count + golden digest)'
+(cd bench && go test ./...)
+# Exits non-zero unless the pass dispatches exactly 351,402 events with
+# 37,401 peak live procs and matches bench/golden/engine-storm.seed1.
+bash bench/run.sh -workload engine-storm -seed 1 -seconds 5 -trace 0
 
 echo 'CI OK'
