@@ -4,40 +4,15 @@
 //
 //	pcsictl [-addr host:port] <command> [args...]
 //
-// Commands:
-//
-//	create <kind> [consistency] [mutability]   mint an object, print its token
-//	create-ephemeral <kind>                    node-local object
-//	put <token> <data>                         write payload (or - for stdin)
-//	get <token>                                print payload
-//	append <token> <data>                      append payload
-//	freeze <token> <level>                     MUTABLE|APPEND_ONLY|FIXED_SIZE|IMMUTABLE
-//	stat <token>                               print metadata
-//	attenuate <token> <rights>                 e.g. read|write
-//	drop <token>                               release the reference
-//	mkns                                       create a namespace
-//	createat <ns> <path> <kind>                create at path
-//	open <ns> <path> <rights>                  resolve path to a token
-//	ls <ns> [path]                             list entries
-//	rm <ns> <path>                             remove entry
-//	invoke <fn> [-i tok,...] [-o tok,...] [body]
-//	stats                                      deployment counters
-//
-// Three commands run locally, without a daemon, and share the same flag
-// surface (-seed, -o, -faultrate — identical names, defaults, and exit
-// codes everywhere):
-//
-//	trace <experiment> [-seed N] [-o file] [-faultrate R]
-//	                                           run traced, export Chrome JSON
-//	trace -verify <file>                       validate an exported trace
-//	chaos <experiment> [-seed S] [-o file] [-faultrate R] [-seeds N] [-noretry]
-//	                                           seed-sweep with fault injection;
-//	                                           exits 1 on invariant violation
-//	dash <experiment> [-seed N] [-o file.html] [-faultrate R] [-json file]
-//	                                           run under the telemetry plane,
-//	                                           render the HTML dashboard and
-//	                                           JSON timeline (byte-identical
-//	                                           per experiment+seed)
+// Run it with no arguments for the command table — one row per protocol
+// operation, printed from the same table main dispatches on (README.md
+// embeds it). Three commands run locally, without a daemon, and share one
+// flag surface (-seed, -o, -faultrate — identical names, defaults, and
+// exit codes everywhere): trace runs an experiment traced and exports
+// Chrome JSON (or validates one with -verify), chaos seed-sweeps under
+// fault injection and exits 1 on an invariant violation, dash renders the
+// telemetry dashboard and JSON timeline (byte-identical per
+// experiment+seed).
 //
 // The exported trace file loads directly in Perfetto
 // (https://ui.perfetto.dev) or chrome://tracing; the trace command also
@@ -46,6 +21,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -60,8 +36,185 @@ import (
 	"repro/internal/trace"
 )
 
+// verb is one RPC subcommand: its synopsis (<required> [optional]), one
+// line of help, the number of required arguments, and the call it makes.
+type verb struct {
+	name, args, doc string
+	min             int
+	run             func(cl *pcsinet.Client, args []string) error
+}
+
+// printToken adapts a call that returns a token.
+func printToken(tok string, err error) error {
+	if err == nil {
+		fmt.Println(tok)
+	}
+	return err
+}
+
+// payload is a data argument: the literal, or stdin for "-".
+func payload(arg string) ([]byte, error) {
+	if arg == "-" {
+		return io.ReadAll(os.Stdin)
+	}
+	return []byte(arg), nil
+}
+
+// opt returns args[i], or "" when absent.
+func opt(args []string, i int) string {
+	if i < len(args) {
+		return args[i]
+	}
+	return ""
+}
+
+func create(ephemeral bool) func(*pcsinet.Client, []string) error {
+	return func(cl *pcsinet.Client, a []string) error {
+		kind := opt(a, 0)
+		if kind == "" {
+			kind = "regular"
+		}
+		return printToken(cl.Create(kind, opt(a, 1), opt(a, 2), ephemeral))
+	}
+}
+
+// verbs is the command table: main dispatches on it and usage prints it.
+var verbs = []verb{
+	{name: "create", args: "[kind] [consistency] [mutability]", doc: "mint an object, print its token", run: create(false)},
+	{name: "create-ephemeral", args: "[kind]", doc: "mint a node-local object", run: create(true)},
+	{name: "put", args: "<token> <data>", doc: "write payload (- for stdin)", min: 2, run: func(cl *pcsinet.Client, a []string) error {
+		data, err := payload(a[1])
+		if err != nil {
+			return err
+		}
+		return cl.Put(a[0], data)
+	}},
+	{name: "get", args: "<token>", doc: "print payload", min: 1, run: func(cl *pcsinet.Client, a []string) error {
+		data, err := cl.Get(a[0])
+		if err == nil {
+			fmt.Printf("%s\n", data)
+		}
+		return err
+	}},
+	{name: "append", args: "<token> <data>", doc: "append payload (- for stdin)", min: 2, run: func(cl *pcsinet.Client, a []string) error {
+		data, err := payload(a[1])
+		if err != nil {
+			return err
+		}
+		return cl.Append(a[0], data)
+	}},
+	{name: "freeze", args: "<token> <level>", doc: "MUTABLE|APPEND_ONLY|FIXED_SIZE|IMMUTABLE", min: 2, run: func(cl *pcsinet.Client, a []string) error {
+		return cl.Freeze(a[0], a[1])
+	}},
+	{name: "stat", args: "<token>", doc: "print metadata", min: 1, run: func(cl *pcsinet.Client, a []string) error {
+		info, err := cl.Stat(a[0])
+		if err != nil {
+			return err
+		}
+		for _, k := range []string{"kind", "size", "version", "mutability"} {
+			fmt.Printf("%-10s %s\n", k, info[k])
+		}
+		return nil
+	}},
+	{name: "attenuate", args: "<token> <rights>", doc: "derive a narrowed token, e.g. read|write", min: 2, run: func(cl *pcsinet.Client, a []string) error {
+		return printToken(cl.Attenuate(a[0], a[1]))
+	}},
+	{name: "drop", args: "<token>", doc: "release the reference", min: 1, run: func(cl *pcsinet.Client, a []string) error {
+		return cl.Drop(a[0])
+	}},
+	{name: "mkns", doc: "create a namespace, print its token and its root's", run: func(cl *pcsinet.Client, a []string) error {
+		ns, root, err := cl.NewNamespace()
+		if err == nil {
+			fmt.Printf("namespace %s\nroot      %s\n", ns, root)
+		}
+		return err
+	}},
+	{name: "createat", args: "<ns> <path> <kind>", doc: "create at path", min: 3, run: func(cl *pcsinet.Client, a []string) error {
+		return printToken(cl.CreateAt(a[0], a[1], a[2]))
+	}},
+	{name: "open", args: "<ns> <path> <rights>", doc: "resolve path to a token", min: 3, run: func(cl *pcsinet.Client, a []string) error {
+		return printToken(cl.Open(a[0], a[1], a[2]))
+	}},
+	{name: "ls", args: "<ns> [path]", doc: "list entries", min: 1, run: func(cl *pcsinet.Client, a []string) error {
+		names, err := cl.List(a[0], opt(a, 1))
+		for _, n := range names {
+			fmt.Println(n)
+		}
+		return err
+	}},
+	{name: "rm", args: "<ns> <path>", doc: "remove entry", min: 2, run: func(cl *pcsinet.Client, a []string) error {
+		return cl.Remove(a[0], a[1])
+	}},
+	{name: "invoke", args: "<fn> [-i tok,...] [-o tok,...] [body]", doc: "call a function on input/output tokens", min: 1, run: invoke},
+	{name: "socksend", args: "<token> <end> <data>", doc: "enqueue a message at a socket's client|server end", min: 3, run: func(cl *pcsinet.Client, a []string) error {
+		data, err := payload(a[2])
+		if err != nil {
+			return err
+		}
+		return cl.SockSend(a[0], a[1], data)
+	}},
+	{name: "sockrecv", args: "<token> <end>", doc: "dequeue the message arriving at that end", min: 2, run: func(cl *pcsinet.Client, a []string) error {
+		msg, err := cl.SockRecv(a[0], a[1])
+		if err == nil {
+			fmt.Printf("%s\n", msg)
+		}
+		return err
+	}},
+	{name: "sockclose", args: "<token>", doc: "close a socket object", min: 1, run: func(cl *pcsinet.Client, a []string) error {
+		return cl.SockClose(a[0])
+	}},
+	{name: "stats", doc: "deployment counters", run: func(cl *pcsinet.Client, a []string) error {
+		stats, err := cl.Stats()
+		keys := make([]string, 0, len(stats))
+		for k := range stats {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Printf("%-12s %s\n", k, stats[k])
+		}
+		return err
+	}},
+}
+
+// local commands run the experiment harness in-process; no daemon needed.
+var local = map[string]func(args []string){"trace": traceCmd, "chaos": chaosCmd, "dash": dashCmd}
+
+// errUsage is returned by a verb whose arguments do not parse.
+var errUsage = errors.New("bad arguments")
+
+func invoke(cl *pcsinet.Client, a []string) error {
+	fn, rest := a[0], a[1:]
+	var inputs, outputs []string
+	var body []byte
+	for len(rest) > 0 {
+		switch {
+		case rest[0] == "-i" && len(rest) > 1:
+			inputs, rest = strings.Split(rest[1], ","), rest[2:]
+		case rest[0] == "-o" && len(rest) > 1:
+			outputs, rest = strings.Split(rest[1], ","), rest[2:]
+		case rest[0] == "-i" || rest[0] == "-o":
+			return errUsage
+		default:
+			body, rest = []byte(rest[0]), rest[1:]
+		}
+	}
+	return cl.Invoke(fn, inputs, outputs, body)
+}
+
+// usageText renders the command table.
+func usageText() string {
+	var b strings.Builder
+	b.WriteString("usage: pcsictl [-addr host:port] <command> [args...]\n\ncommands:\n")
+	for _, v := range verbs {
+		fmt.Fprintf(&b, "  %-46s %s\n", strings.TrimSpace(v.name+" "+v.args), v.doc)
+	}
+	b.WriteString("\nlocal commands (no daemon; -h lists each one's flags):\n  trace, chaos, dash <experiment> [flags]\n")
+	return b.String()
+}
+
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: pcsictl [-addr host:port] <command> [args...]; see package docs")
+	fmt.Fprint(os.Stderr, usageText())
 	os.Exit(2)
 }
 
@@ -75,199 +228,30 @@ func main() {
 	if len(args) == 0 {
 		usage()
 	}
-	// trace, chaos, and dash run the experiment harness in-process; no
-	// daemon needed.
-	switch args[0] {
-	case "trace":
-		traceCmd(args[1:])
-		return
-	case "chaos":
-		chaosCmd(args[1:])
-		return
-	case "dash":
-		dashCmd(args[1:])
+	if run, ok := local[args[0]]; ok {
+		run(args[1:])
 		return
 	}
-	cl, err := pcsinet.Dial(addr)
-	if err != nil {
-		fatal(err)
+	for _, v := range verbs {
+		if v.name != args[0] {
+			continue
+		}
+		if len(args)-1 < v.min {
+			usage()
+		}
+		cl, err := pcsinet.Dial(addr)
+		if err != nil {
+			fatal(err)
+		}
+		defer cl.Close()
+		if err := v.run(cl, args[1:]); err == errUsage {
+			usage()
+		} else if err != nil {
+			fatal(err)
+		}
+		return
 	}
-	defer cl.Close()
-
-	cmd, rest := args[0], args[1:]
-	switch cmd {
-	case "create", "create-ephemeral":
-		kind := "regular"
-		lvl, mut := "", ""
-		if len(rest) > 0 {
-			kind = rest[0]
-		}
-		if len(rest) > 1 {
-			lvl = rest[1]
-		}
-		if len(rest) > 2 {
-			mut = rest[2]
-		}
-		tok, err := cl.Create(kind, lvl, mut, cmd == "create-ephemeral")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(tok)
-	case "put", "append":
-		if len(rest) < 2 {
-			usage()
-		}
-		data := []byte(rest[1])
-		if rest[1] == "-" {
-			data, err = io.ReadAll(os.Stdin)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		if cmd == "put" {
-			err = cl.Put(rest[0], data)
-		} else {
-			err = cl.Append(rest[0], data)
-		}
-		if err != nil {
-			fatal(err)
-		}
-	case "get":
-		if len(rest) < 1 {
-			usage()
-		}
-		data, err := cl.Get(rest[0])
-		if err != nil {
-			fatal(err)
-		}
-		os.Stdout.Write(data) //nolint:errcheck
-		fmt.Println()
-	case "freeze":
-		if len(rest) < 2 {
-			usage()
-		}
-		if err := cl.Freeze(rest[0], rest[1]); err != nil {
-			fatal(err)
-		}
-	case "stat":
-		if len(rest) < 1 {
-			usage()
-		}
-		info, err := cl.Stat(rest[0])
-		if err != nil {
-			fatal(err)
-		}
-		for _, k := range []string{"kind", "size", "version", "mutability"} {
-			fmt.Printf("%-10s %s\n", k, info[k])
-		}
-	case "attenuate":
-		if len(rest) < 2 {
-			usage()
-		}
-		tok, err := cl.Attenuate(rest[0], rest[1])
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(tok)
-	case "drop":
-		if len(rest) < 1 {
-			usage()
-		}
-		if err := cl.Drop(rest[0]); err != nil {
-			fatal(err)
-		}
-	case "mkns":
-		ns, root, err := cl.NewNamespace()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("namespace %s\nroot      %s\n", ns, root)
-	case "createat":
-		if len(rest) < 3 {
-			usage()
-		}
-		tok, err := cl.CreateAt(rest[0], rest[1], rest[2])
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(tok)
-	case "open":
-		if len(rest) < 3 {
-			usage()
-		}
-		tok, err := cl.Open(rest[0], rest[1], rest[2])
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(tok)
-	case "ls":
-		if len(rest) < 1 {
-			usage()
-		}
-		path := ""
-		if len(rest) > 1 {
-			path = rest[1]
-		}
-		names, err := cl.List(rest[0], path)
-		if err != nil {
-			fatal(err)
-		}
-		for _, n := range names {
-			fmt.Println(n)
-		}
-	case "rm":
-		if len(rest) < 2 {
-			usage()
-		}
-		if err := cl.Remove(rest[0], rest[1]); err != nil {
-			fatal(err)
-		}
-	case "invoke":
-		if len(rest) < 1 {
-			usage()
-		}
-		fn := rest[0]
-		rest = rest[1:]
-		var inputs, outputs []string
-		var body []byte
-		for len(rest) > 0 {
-			switch rest[0] {
-			case "-i":
-				if len(rest) < 2 {
-					usage()
-				}
-				inputs = strings.Split(rest[1], ",")
-				rest = rest[2:]
-			case "-o":
-				if len(rest) < 2 {
-					usage()
-				}
-				outputs = strings.Split(rest[1], ",")
-				rest = rest[2:]
-			default:
-				body = []byte(rest[0])
-				rest = rest[1:]
-			}
-		}
-		if err := cl.Invoke(fn, inputs, outputs, body); err != nil {
-			fatal(err)
-		}
-	case "stats":
-		stats, err := cl.Stats()
-		if err != nil {
-			fatal(err)
-		}
-		keys := make([]string, 0, len(stats))
-		for k := range stats {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Printf("%-12s %s\n", k, stats[k])
-		}
-	default:
-		usage()
-	}
+	usage()
 }
 
 func fatal(err error) {

@@ -84,10 +84,6 @@ type Options struct {
 	// FaaS tuning.
 	IdleTimeout  sim.Duration
 	EvictionProb float64
-	// AntiEntropyInterval > 0 starts background gossip.
-	AntiEntropyInterval sim.Duration
-	// GPUMemMB sizes each GPU node's device memory.
-	GPUMemMB int64
 	// Retry, when set, wraps data/meta/fn operations in the policy (bound
 	// to this cloud's env). Nil keeps the historical fail-immediately
 	// behavior; during an active fault session the session's default
@@ -105,6 +101,9 @@ type Options struct {
 	FnCache *fncache.Config
 }
 
+// gpuMemMB is each GPU node's device memory.
+const gpuMemMB = 16384
+
 // DefaultOptions returns a representative mid-size deployment.
 func DefaultOptions() Options {
 	return Options{
@@ -114,7 +113,6 @@ func DefaultOptions() Options {
 		Replicas:   3,
 		Media:      media.NVMe,
 		Policy:     PlaceColocate,
-		GPUMemMB:   16384,
 	}
 }
 
@@ -184,9 +182,6 @@ func New(opts Options) *Cloud {
 	}
 	if opts.Media.Name == "" {
 		opts.Media = media.NVMe
-	}
-	if opts.GPUMemMB <= 0 {
-		opts.GPUMemMB = 16384
 	}
 	env := sim.NewEnv(opts.Seed)
 	trace.Of(env).SetLabel("pcsi/" + opts.Policy.String())
@@ -308,11 +303,8 @@ func New(opts Options) *Cloud {
 
 	for _, n := range cl.Nodes() {
 		if n.HasGPU() {
-			c.devices[n.ID] = platform.NewDevice(opts.GPUMemMB)
+			c.devices[n.ID] = platform.NewDevice(gpuMemMB)
 		}
-	}
-	if opts.AntiEntropyInterval > 0 {
-		grp.StartAntiEntropy(opts.AntiEntropyInterval)
 	}
 	return c
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"path"
 	"strconv"
 	"strings"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/restbase"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 // E15 reproduces the FaaSFS argument (PAPERS.md): serverless functions
@@ -69,16 +71,10 @@ const (
 	e15REST
 )
 
-func (m e15Mode) String() string {
-	switch m {
-	case e15FaaSFS:
-		return "faasfs"
-	case e15NFS:
-		return "nfs"
-	default:
-		return "rest"
-	}
-}
+// e15Modes lists the arms in report order.
+var e15Modes = []e15Mode{e15FaaSFS, e15NFS, e15REST}
+
+func (m e15Mode) String() string { return [...]string{"faasfs", "nfs", "rest"}[m] }
 
 // e15Arm collects one deployment's trace results.
 type e15Arm struct {
@@ -127,17 +123,58 @@ func e15App() []byte {
 
 func e15Header(n int) []byte { return []byte(fmt.Sprintf("%08d", n)) }
 
-// Chunked POSIX I/O through a faasfs session.
+// e15IO is the file surface the traces are written against: whole-file
+// read and write, publish (create a build output so readers never see it
+// half-written, where the store can), and append. Each arm supplies it
+// through its own storage path; the traces never name one.
+type e15IO interface {
+	read(path string) ([]byte, error)
+	write(path string, data []byte) error
+	publish(path string, data []byte) error
+	append(path string, data []byte) error
+}
 
-func e15ReadFS(p *sim.Proc, s *faasfs.Session, path string) ([]byte, error) {
-	fd, err := s.Open(p, path)
-	if err != nil {
-		return nil, err
+// e15Store is one arm's storage path. setup loads the initial tree; unit
+// runs fn as one unit of application work on the node cl sits on — a
+// transaction where the store has them, re-run from the top when it
+// conflicts. A unit with commit false only reads.
+type e15Store interface {
+	setup(p *sim.Proc, cl *core.Client, files []e15File) error
+	unit(p *sim.Proc, cl *core.Client, commit bool, fn func(e15IO) error) error
+}
+
+// e15File is one entry of the initial tree. Build outputs are
+// pre-created only by the arms whose protocol cannot create a file.
+type e15File struct {
+	path   string
+	data   []byte
+	output bool
+}
+
+// e15Tree lists the initial tree, in the order the NFS and REST arms
+// export it (object IDs, and so placement, follow creation order).
+func e15Tree() []e15File {
+	var files []e15File
+	for i := 0; i < e15Builds; i++ {
+		files = append(files,
+			e15File{path: fmt.Sprintf("src/f%d.c", i), data: e15Src(i)},
+			e15File{path: fmt.Sprintf("obj/f%d.o", i), output: true})
 	}
-	defer s.Close(fd)
+	files = append(files,
+		e15File{path: "bin/app", output: true},
+		e15File{path: "db/header", data: e15Header(0)})
+	for i := 0; i < e15Pages; i++ {
+		files = append(files, e15File{path: fmt.Sprintf("db/page%d", i), data: e15Mutate(0, e15Src(i)[:e15PageSize])})
+	}
+	return append(files, e15File{path: "spool/mbox"})
+}
+
+// e15ReadChunks reads to EOF in e15Chunk-sized calls, as a POSIX
+// application does; next returns the chunk at the given offset.
+func e15ReadChunks(next func(off int64) ([]byte, error)) ([]byte, error) {
 	var out []byte
 	for {
-		b, err := s.Read(p, fd, e15Chunk)
+		b, err := next(int64(len(out)))
 		if err != nil {
 			return nil, err
 		}
@@ -148,52 +185,255 @@ func e15ReadFS(p *sim.Proc, s *faasfs.Session, path string) ([]byte, error) {
 	}
 }
 
-func e15WriteFS(p *sim.Proc, s *faasfs.Session, path string, data []byte) error {
-	fd, err := s.Creat(p, path)
+// e15WriteChunks hands data to put in e15Chunk-sized pieces.
+func e15WriteChunks(data []byte, put func(off int64, chunk []byte) error) error {
+	for off := 0; off < len(data); off += e15Chunk {
+		if err := put(int64(off), data[off:min(off+e15Chunk, len(data))]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// e15OpenStore builds the arm's storage path on a fresh deployment; the
+// faasfs arm leaves its commit telemetry in stats.
+func e15OpenStore(mode e15Mode, cloud *core.Cloud, stats *faasfs.Stats) e15Store {
+	switch mode {
+	case e15FaaSFS:
+		// Conflict retries back off on the scale of a commit, not a
+		// network timeout: the loser should re-run as soon as the winner's
+		// install is visible.
+		pol := (&fault.Policy{
+			MaxAttempts: 500,
+			Backoff: fault.Backoff{
+				Base: 50 * time.Microsecond, Cap: 800 * time.Microsecond,
+				Factor: 2, JitterFrac: 0.5,
+			},
+		}).Bind(cloud.Env())
+		return &e15Sessions{pol: pol, stats: stats}
+	case e15NFS:
+		return e15Mounts{nfsbase.NewServer(cloud.Net(), media.Disk)}
+	default:
+		return e15Gateway{
+			gw:  restbase.NewGateway(cloud.Net(), cloud.Group(), restbase.DefaultConfig()),
+			ids: make(map[string]object.ID),
+		}
+	}
+}
+
+// e15Sessions is the faasfs arm: every unit is one session, absorbing
+// chunked I/O locally and paying one optimistic commit.
+type e15Sessions struct {
+	fs    *faasfs.FS
+	pol   *fault.Policy
+	stats *faasfs.Stats
+}
+
+func (st *e15Sessions) setup(p *sim.Proc, cl *core.Client, files []e15File) error {
+	var err error
+	st.fs, err = faasfs.Mount(p, cl, faasfs.Config{
+		Commits:   metrics.NewCounter("faasfs_commits"),
+		Conflicts: metrics.NewCounter("faasfs_conflicts"),
+		Aborts:    metrics.NewCounter("faasfs_aborts"),
+	})
 	if err != nil {
 		return err
 	}
-	defer s.Close(fd)
-	for off := 0; off < len(data); off += e15Chunk {
-		end := off + e15Chunk
-		if end > len(data) {
-			end = len(data)
+	return st.fs.Run(p, cl, nil, func(s *faasfs.Session) error {
+		// Directories first: object IDs, and so placement, follow creation
+		// order.
+		made := map[string]bool{}
+		for _, f := range files {
+			if dir := "/" + path.Dir(f.path); !made[dir] {
+				made[dir] = true
+				if err := s.Mkdir(p, dir); err != nil {
+					return err
+				}
+			}
 		}
-		if _, err := s.Write(p, fd, data[off:end]); err != nil {
-			return err
+		for _, f := range files {
+			if f.output {
+				continue
+			}
+			if err := s.WriteFile(p, "/"+f.path, f.data); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
-// Chunked POSIX I/O through an NFS mount: every chunk is a round trip
+func (st *e15Sessions) unit(p *sim.Proc, cl *core.Client, commit bool, fn func(e15IO) error) error {
+	if commit {
+		return st.fs.Run(p, cl, st.pol, func(s *faasfs.Session) error { return fn(e15SessionIO{p, s}) })
+	}
+	s := st.fs.Begin(cl)
+	err := fn(e15SessionIO{p, s})
+	// The telemetry is read before this snapshot's own Abort is counted:
+	// after it the table shows one more abort than there were conflicts.
+	*st.stats = st.fs.Stats()
+	s.Abort()
+	return err
+}
+
+type e15SessionIO struct {
+	p *sim.Proc
+	s *faasfs.Session
+}
+
+func (f e15SessionIO) read(path string) ([]byte, error) {
+	fd, err := f.s.Open(f.p, "/"+path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.s.Close(fd)
+	return e15ReadChunks(func(int64) ([]byte, error) { return f.s.Read(f.p, fd, e15Chunk) })
+}
+
+func (f e15SessionIO) write(path string, data []byte) error {
+	fd, err := f.s.Creat(f.p, "/"+path)
+	if err != nil {
+		return err
+	}
+	defer f.s.Close(fd)
+	return e15WriteChunks(data, func(_ int64, chunk []byte) error {
+		_, err := f.s.Write(f.p, fd, chunk)
+		return err
+	})
+}
+
+func (f e15SessionIO) publish(path string, data []byte) error {
+	if err := f.write(path+".tmp", data); err != nil {
+		return err
+	}
+	return f.s.Rename(f.p, "/"+path+".tmp", "/"+path)
+}
+
+func (f e15SessionIO) append(path string, data []byte) error {
+	return f.s.AppendFile(f.p, "/"+path, data)
+}
+
+// e15Mounts is the NFS arm: a disk-backed file server (the §2.1
+// calibration) and one mount per unit, so every chunk is a round trip
 // plus the server's media access.
+type e15Mounts struct{ srv *nfsbase.Server }
 
-func e15ReadNFS(p *sim.Proc, m *nfsbase.Mount, h *nfsbase.Handle) ([]byte, error) {
-	var out []byte
-	for {
-		b, err := m.Read(p, h, int64(len(out)), e15Chunk)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b...)
-		if len(b) < e15Chunk {
-			return out, nil
-		}
-	}
-}
-
-func e15WriteNFS(p *sim.Proc, m *nfsbase.Mount, h *nfsbase.Handle, off int64, data []byte) error {
-	for o := 0; o < len(data); o += e15Chunk {
-		end := o + e15Chunk
-		if end > len(data) {
-			end = len(data)
-		}
-		if err := m.Write(p, h, off+int64(o), data[o:end]); err != nil {
+func (st e15Mounts) setup(p *sim.Proc, cl *core.Client, files []e15File) error {
+	for _, f := range files {
+		if err := st.srv.Export(f.path, f.data); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+func (st e15Mounts) unit(p *sim.Proc, cl *core.Client, commit bool, fn func(e15IO) error) error {
+	m, err := st.srv.Mount(p, cl.Node())
+	if err != nil {
+		return err
+	}
+	return fn(&e15MountIO{p: p, m: m, handles: map[string]*nfsbase.Handle{}})
+}
+
+// e15MountIO keeps the handles a unit has looked up: an application holds
+// its descriptors between a read and the write-back, so each path costs
+// one Lookup per unit.
+type e15MountIO struct {
+	p       *sim.Proc
+	m       *nfsbase.Mount
+	handles map[string]*nfsbase.Handle
+}
+
+func (f *e15MountIO) handle(path string) (*nfsbase.Handle, error) {
+	if h, ok := f.handles[path]; ok {
+		return h, nil
+	}
+	h, err := f.m.Lookup(f.p, path)
+	if err == nil {
+		f.handles[path] = h
+	}
+	return h, err
+}
+
+func (f *e15MountIO) read(path string) ([]byte, error) {
+	h, err := f.handle(path)
+	if err != nil {
+		return nil, err
+	}
+	return e15ReadChunks(func(off int64) ([]byte, error) { return f.m.Read(f.p, h, off, e15Chunk) })
+}
+
+func (f *e15MountIO) write(path string, data []byte) error {
+	h, err := f.handle(path)
+	if err != nil {
+		return err
+	}
+	return e15WriteChunks(data, func(off int64, chunk []byte) error { return f.m.Write(f.p, h, off, chunk) })
+}
+
+// publish writes in place: the protocol has no atomic rename.
+func (f *e15MountIO) publish(path string, data []byte) error { return f.write(path, data) }
+
+// append finds EOF by reading, then writes there: the race the
+// transactional arm does not have.
+func (f *e15MountIO) append(path string, data []byte) error {
+	cur, err := f.read(path)
+	if err != nil {
+		return err
+	}
+	return f.m.Write(f.p, f.handles[path], int64(len(cur)), data)
+}
+
+// e15Gateway is the REST arm: whole-object calls through the stateless
+// gateway, each paying the envelope and a credential check.
+type e15Gateway struct {
+	gw  *restbase.Gateway
+	ids map[string]object.ID
+}
+
+const e15Creds = "e15"
+
+func (st e15Gateway) setup(p *sim.Proc, cl *core.Client, files []e15File) error {
+	node := cl.Node()
+	for _, f := range files {
+		id, err := st.gw.Create(p, node, e15Creds, object.Regular)
+		if err != nil {
+			return err
+		}
+		st.ids[f.path] = id
+		if err := st.gw.Put(p, node, e15Creds, id, f.data, consistency.Linearizable); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (st e15Gateway) unit(p *sim.Proc, cl *core.Client, commit bool, fn func(e15IO) error) error {
+	return fn(e15GatewayIO{st, p, cl.Node()})
+}
+
+type e15GatewayIO struct {
+	e15Gateway
+	p    *sim.Proc
+	node simnet.NodeID
+}
+
+func (f e15GatewayIO) read(path string) ([]byte, error) {
+	return f.gw.Get(f.p, f.node, e15Creds, f.ids[path], consistency.Linearizable)
+}
+
+func (f e15GatewayIO) write(path string, data []byte) error {
+	return f.gw.Put(f.p, f.node, e15Creds, f.ids[path], data, consistency.Linearizable)
+}
+
+func (f e15GatewayIO) publish(path string, data []byte) error { return f.write(path, data) }
+
+func (f e15GatewayIO) append(path string, data []byte) error {
+	cur, err := f.read(path)
+	if err != nil {
+		return err
+	}
+	return f.write(path, append(append([]byte(nil), cur...), data...))
 }
 
 // e15Pair picks writer k's two page indices for round j (distinct).
@@ -214,6 +454,8 @@ func e15Mutate(k int, page []byte) []byte {
 	return out
 }
 
+// e15Run runs the three traces and the audit on one arm. The trace logic
+// is written once, against e15IO; only e15OpenStore knows the arm.
 func e15Run(seed int64, mode e15Mode) *e15Arm {
 	opts := core.DefaultOptions()
 	opts.Seed = seed
@@ -225,277 +467,50 @@ func e15Run(seed int64, mode e15Mode) *e15Arm {
 	client := cloud.NewClient(0)
 	env := cloud.Env()
 	arm := &e15Arm{mode: mode}
+	st := e15OpenStore(mode, cloud, &arm.stats)
 
-	// Arm state, populated during setup.
-	var (
-		fs  *faasfs.FS
-		pol *fault.Policy
-		srv *nfsbase.Server
-		gw  *restbase.Gateway
-		ids map[string]object.ID
-	)
-	const creds = "e15"
-	if mode == e15FaaSFS {
-		// Conflict retries back off on the scale of a commit, not a
-		// network timeout: the loser should re-run as soon as the winner's
-		// install is visible.
-		pol = (&fault.Policy{
-			MaxAttempts: 500,
-			Backoff: fault.Backoff{
-				Base: 50 * time.Microsecond, Cap: 800 * time.Microsecond,
-				Factor: 2, JitterFrac: 0.5,
-			},
-		}).Bind(env)
-	}
-
-	setup := func(p *sim.Proc) error {
-		switch mode {
-		case e15FaaSFS:
-			var err error
-			fs, err = faasfs.Mount(p, client, faasfs.Config{
-				Commits:   metrics.NewCounter("faasfs_commits"),
-				Conflicts: metrics.NewCounter("faasfs_conflicts"),
-				Aborts:    metrics.NewCounter("faasfs_aborts"),
-			})
-			if err != nil {
-				return err
-			}
-			return fs.Run(p, client, nil, func(s *faasfs.Session) error {
-				for _, d := range []string{"/src", "/obj", "/bin", "/db", "/spool"} {
-					if err := s.Mkdir(p, d); err != nil {
-						return err
-					}
-				}
-				for i := 0; i < e15Builds; i++ {
-					if err := s.WriteFile(p, fmt.Sprintf("/src/f%d.c", i), e15Src(i)); err != nil {
-						return err
-					}
-				}
-				if err := s.WriteFile(p, "/db/header", e15Header(0)); err != nil {
-					return err
-				}
-				for i := 0; i < e15Pages; i++ {
-					if err := s.WriteFile(p, fmt.Sprintf("/db/page%d", i), e15Mutate(0, e15Src(i)[:e15PageSize])); err != nil {
-						return err
-					}
-				}
-				return s.WriteFile(p, "/spool/mbox", nil)
-			})
-		case e15NFS:
-			srv = nfsbase.NewServer(cloud.Net(), media.Disk)
-			for i := 0; i < e15Builds; i++ {
-				if err := srv.Export(fmt.Sprintf("src/f%d.c", i), e15Src(i)); err != nil {
-					return err
-				}
-				if err := srv.Export(fmt.Sprintf("obj/f%d.o", i), nil); err != nil {
-					return err
-				}
-			}
-			if err := srv.Export("bin/app", nil); err != nil {
-				return err
-			}
-			if err := srv.Export("db/header", e15Header(0)); err != nil {
-				return err
-			}
-			for i := 0; i < e15Pages; i++ {
-				if err := srv.Export(fmt.Sprintf("db/page%d", i), e15Mutate(0, e15Src(i)[:e15PageSize])); err != nil {
-					return err
-				}
-			}
-			return srv.Export("spool/mbox", nil)
-		default:
-			gw = restbase.NewGateway(cloud.Net(), cloud.Group(), restbase.DefaultConfig())
-			ids = make(map[string]object.ID)
-			node := client.Node()
-			mk := func(name string, data []byte) error {
-				id, err := gw.Create(p, node, creds, object.Regular)
-				if err != nil {
-					return err
-				}
-				ids[name] = id
-				return gw.Put(p, node, creds, id, data, consistency.Linearizable)
-			}
-			for i := 0; i < e15Builds; i++ {
-				if err := mk(fmt.Sprintf("src/f%d.c", i), e15Src(i)); err != nil {
-					return err
-				}
-				if err := mk(fmt.Sprintf("obj/f%d.o", i), nil); err != nil {
-					return err
-				}
-			}
-			if err := mk("bin/app", nil); err != nil {
-				return err
-			}
-			if err := mk("db/header", e15Header(0)); err != nil {
-				return err
-			}
-			for i := 0; i < e15Pages; i++ {
-				if err := mk(fmt.Sprintf("db/page%d", i), e15Mutate(0, e15Src(i)[:e15PageSize])); err != nil {
-					return err
-				}
-			}
-			return mk("spool/mbox", nil)
+	// handler adapts a trace step to a function body: the step is one unit
+	// of work on the invocation's node, given the task's index.
+	handler := func(step func(rp *sim.Proc, i int, io e15IO) error) core.HandlerFunc {
+		return func(fc *core.FnCtx) error {
+			rp, i := fc.Proc(), int(fc.Body[0])
+			return st.unit(rp, fc.Client, true, func(io e15IO) error { return step(rp, i, io) })
 		}
 	}
 
-	// The three handlers. Each switches on the arm's storage path; the
-	// trace logic is identical.
-	compile := func(fc *core.FnCtx) error {
-		i := int(fc.Body[0])
-		rp := fc.Proc()
-		switch mode {
-		case e15FaaSFS:
-			return fs.Run(rp, fc.Client, pol, func(s *faasfs.Session) error {
-				src, err := e15ReadFS(rp, s, fmt.Sprintf("/src/f%d.c", i))
-				if err != nil {
-					return err
-				}
-				out := e15Compile(i, src)
-				rp.Sleep(e15Exec)
-				tmp := fmt.Sprintf("/obj/f%d.o.tmp", i)
-				if err := e15WriteFS(rp, s, tmp, out); err != nil {
-					return err
-				}
-				return s.Rename(rp, tmp, fmt.Sprintf("/obj/f%d.o", i))
-			})
-		case e15NFS:
-			m, err := srv.Mount(rp, fc.Inv.Node())
-			if err != nil {
-				return err
-			}
-			h, err := m.Lookup(rp, fmt.Sprintf("src/f%d.c", i))
-			if err != nil {
-				return err
-			}
-			src, err := e15ReadNFS(rp, m, h)
-			if err != nil {
-				return err
-			}
-			out := e15Compile(i, src)
-			rp.Sleep(e15Exec)
-			// No tmp+rename: the protocol has no atomic rename, so the
-			// build writes objects in place.
-			ho, err := m.Lookup(rp, fmt.Sprintf("obj/f%d.o", i))
-			if err != nil {
-				return err
-			}
-			return e15WriteNFS(rp, m, ho, 0, out)
-		default:
-			node := fc.Inv.Node()
-			src, err := gw.Get(rp, node, creds, ids[fmt.Sprintf("src/f%d.c", i)], consistency.Linearizable)
-			if err != nil {
-				return err
-			}
-			out := e15Compile(i, src)
-			rp.Sleep(e15Exec)
-			return gw.Put(rp, node, creds, ids[fmt.Sprintf("obj/f%d.o", i)], out, consistency.Linearizable)
+	compile := handler(func(rp *sim.Proc, i int, io e15IO) error {
+		src, err := io.read(fmt.Sprintf("src/f%d.c", i))
+		if err != nil {
+			return err
 		}
-	}
+		out := e15Compile(i, src)
+		rp.Sleep(e15Exec)
+		return io.publish(fmt.Sprintf("obj/f%d.o", i), out)
+	})
 
-	link := func(fc *core.FnCtx) error {
-		rp := fc.Proc()
+	link := handler(func(rp *sim.Proc, _ int, io e15IO) error {
 		sum := 0
-		add := func(b []byte) {
+		for i := 0; i < e15Builds; i++ {
+			b, err := io.read(fmt.Sprintf("obj/f%d.o", i))
+			if err != nil {
+				return err
+			}
 			for _, c := range b {
 				sum += int(c)
 			}
 		}
-		switch mode {
-		case e15FaaSFS:
-			return fs.Run(rp, fc.Client, pol, func(s *faasfs.Session) error {
-				sum = 0
-				for i := 0; i < e15Builds; i++ {
-					b, err := e15ReadFS(rp, s, fmt.Sprintf("/obj/f%d.o", i))
-					if err != nil {
-						return err
-					}
-					add(b)
-				}
-				app := []byte(fmt.Sprintf("link %d objs sum=%08x\n", e15Builds, sum))
-				return e15WriteFS(rp, s, "/bin/app", app)
-			})
-		case e15NFS:
-			m, err := srv.Mount(rp, fc.Inv.Node())
-			if err != nil {
-				return err
-			}
-			for i := 0; i < e15Builds; i++ {
-				h, err := m.Lookup(rp, fmt.Sprintf("obj/f%d.o", i))
-				if err != nil {
-					return err
-				}
-				b, err := e15ReadNFS(rp, m, h)
-				if err != nil {
-					return err
-				}
-				add(b)
-			}
-			app := []byte(fmt.Sprintf("link %d objs sum=%08x\n", e15Builds, sum))
-			h, err := m.Lookup(rp, "bin/app")
-			if err != nil {
-				return err
-			}
-			return e15WriteNFS(rp, m, h, 0, app)
-		default:
-			node := fc.Inv.Node()
-			for i := 0; i < e15Builds; i++ {
-				b, err := gw.Get(rp, node, creds, ids[fmt.Sprintf("obj/f%d.o", i)], consistency.Linearizable)
-				if err != nil {
-					return err
-				}
-				add(b)
-			}
-			app := []byte(fmt.Sprintf("link %d objs sum=%08x\n", e15Builds, sum))
-			return gw.Put(rp, node, creds, ids["bin/app"], app, consistency.Linearizable)
-		}
-	}
+		return io.write("bin/app", []byte(fmt.Sprintf("link %d objs sum=%08x\n", e15Builds, sum)))
+	})
 
+	// dbwriter runs e15Rounds transactions, each its own unit: read the
+	// header and two pages, modify them, write back, bump the counter.
 	dbwriter := func(fc *core.FnCtx) error {
 		k := int(fc.Body[0])
-		rp := fc.Proc()
 		for j := 0; j < e15Rounds; j++ {
 			a, b := e15Pair(k, j)
 			pa, pb := fmt.Sprintf("db/page%d", a), fmt.Sprintf("db/page%d", b)
-			switch mode {
-			case e15FaaSFS:
-				err := fs.Run(rp, fc.Client, pol, func(s *faasfs.Session) error {
-					hb, err := s.ReadFile(rp, "/db/header")
-					if err != nil {
-						return err
-					}
-					n, err := strconv.Atoi(string(hb))
-					if err != nil {
-						return err
-					}
-					da, err := e15ReadFS(rp, s, "/"+pa)
-					if err != nil {
-						return err
-					}
-					db, err := e15ReadFS(rp, s, "/"+pb)
-					if err != nil {
-						return err
-					}
-					if err := e15WriteFS(rp, s, "/"+pa, e15Mutate(k, da)); err != nil {
-						return err
-					}
-					if err := e15WriteFS(rp, s, "/"+pb, e15Mutate(k, db)); err != nil {
-						return err
-					}
-					return s.WriteFile(rp, "/db/header", e15Header(n+1))
-				})
-				if err != nil {
-					return err
-				}
-			case e15NFS:
-				m, err := srv.Mount(rp, fc.Inv.Node())
-				if err != nil {
-					return err
-				}
-				hh, err := m.Lookup(rp, "db/header")
-				if err != nil {
-					return err
-				}
-				hb, err := m.Read(rp, hh, 0, 8)
+			err := st.unit(fc.Proc(), fc.Client, true, func(io e15IO) error {
+				hb, err := io.read("db/header")
 				if err != nil {
 					return err
 				}
@@ -503,149 +518,46 @@ func e15Run(seed int64, mode e15Mode) *e15Arm {
 				if err != nil {
 					return err
 				}
-				ha, err := m.Lookup(rp, pa)
+				da, err := io.read(pa)
 				if err != nil {
 					return err
 				}
-				da, err := e15ReadNFS(rp, m, ha)
+				db, err := io.read(pb)
 				if err != nil {
 					return err
 				}
-				hbh, err := m.Lookup(rp, pb)
-				if err != nil {
+				if err := io.write(pa, e15Mutate(k, da)); err != nil {
 					return err
 				}
-				db, err := e15ReadNFS(rp, m, hbh)
-				if err != nil {
+				if err := io.write(pb, e15Mutate(k, db)); err != nil {
 					return err
 				}
-				if err := e15WriteNFS(rp, m, ha, 0, e15Mutate(k, da)); err != nil {
-					return err
-				}
-				if err := e15WriteNFS(rp, m, hbh, 0, e15Mutate(k, db)); err != nil {
-					return err
-				}
-				if err := m.Write(rp, hh, 0, e15Header(n+1)); err != nil {
-					return err
-				}
-			default:
-				node := fc.Inv.Node()
-				hb, err := gw.Get(rp, node, creds, ids["db/header"], consistency.Linearizable)
-				if err != nil {
-					return err
-				}
-				n, err := strconv.Atoi(string(hb))
-				if err != nil {
-					return err
-				}
-				da, err := gw.Get(rp, node, creds, ids[pa], consistency.Linearizable)
-				if err != nil {
-					return err
-				}
-				db, err := gw.Get(rp, node, creds, ids[pb], consistency.Linearizable)
-				if err != nil {
-					return err
-				}
-				if err := gw.Put(rp, node, creds, ids[pa], e15Mutate(k, da), consistency.Linearizable); err != nil {
-					return err
-				}
-				if err := gw.Put(rp, node, creds, ids[pb], e15Mutate(k, db), consistency.Linearizable); err != nil {
-					return err
-				}
-				if err := gw.Put(rp, node, creds, ids["db/header"], e15Header(n+1), consistency.Linearizable); err != nil {
-					return err
-				}
+				return io.write("db/header", e15Header(n+1))
+			})
+			if err != nil {
+				return err
 			}
 		}
 		return nil
 	}
 
-	deliver := func(fc *core.FnCtx) error {
-		d := int(fc.Body[0])
-		rp := fc.Proc()
-		line := []byte(fmt.Sprintf("msg %02d\n", d))
-		switch mode {
-		case e15FaaSFS:
-			return fs.Run(rp, fc.Client, pol, func(s *faasfs.Session) error {
-				return s.AppendFile(rp, "/spool/mbox", line)
-			})
-		case e15NFS:
-			m, err := srv.Mount(rp, fc.Inv.Node())
-			if err != nil {
-				return err
-			}
-			h, err := m.Lookup(rp, "spool/mbox")
-			if err != nil {
-				return err
-			}
-			// Find EOF by reading, then write there: the race the
-			// transactional arm does not have.
-			cur, err := e15ReadNFS(rp, m, h)
-			if err != nil {
-				return err
-			}
-			return m.Write(rp, h, int64(len(cur)), line)
-		default:
-			node := fc.Inv.Node()
-			cur, err := gw.Get(rp, node, creds, ids["spool/mbox"], consistency.Linearizable)
-			if err != nil {
-				return err
-			}
-			return gw.Put(rp, node, creds, ids["spool/mbox"], append(append([]byte(nil), cur...), line...), consistency.Linearizable)
-		}
-	}
+	deliver := handler(func(_ *sim.Proc, d int, io e15IO) error {
+		return io.append("spool/mbox", []byte(fmt.Sprintf("msg %02d\n", d)))
+	})
 
 	// Final-state audit, through the arm's own read path.
-	audit := func(p *sim.Proc) error {
-		var header, mbox, app []byte
-		switch mode {
-		case e15FaaSFS:
-			s := fs.Begin(client)
-			defer s.Abort()
-			var err error
-			if header, err = s.ReadFile(p, "/db/header"); err != nil {
-				return err
-			}
-			if mbox, err = s.ReadFile(p, "/spool/mbox"); err != nil {
-				return err
-			}
-			if app, err = s.ReadFile(p, "/bin/app"); err != nil {
-				return err
-			}
-			arm.stats = fs.Stats()
-		case e15NFS:
-			m, err := srv.Mount(p, client.Node())
-			if err != nil {
-				return err
-			}
-			read := func(name string) ([]byte, error) {
-				h, err := m.Lookup(p, name)
-				if err != nil {
-					return nil, err
-				}
-				return e15ReadNFS(p, m, h)
-			}
-			if header, err = read("db/header"); err != nil {
-				return err
-			}
-			if mbox, err = read("spool/mbox"); err != nil {
-				return err
-			}
-			if app, err = read("bin/app"); err != nil {
-				return err
-			}
-		default:
-			node := client.Node()
-			var err error
-			if header, err = gw.Get(p, node, creds, ids["db/header"], consistency.Linearizable); err != nil {
-				return err
-			}
-			if mbox, err = gw.Get(p, node, creds, ids["spool/mbox"], consistency.Linearizable); err != nil {
-				return err
-			}
-			if app, err = gw.Get(p, node, creds, ids["bin/app"], consistency.Linearizable); err != nil {
-				return err
-			}
+	audit := func(io e15IO) error {
+		header, err := io.read("db/header")
+		if err != nil {
+			return err
+		}
+		mbox, err := io.read("spool/mbox")
+		if err != nil {
+			return err
+		}
+		app, err := io.read("bin/app")
+		if err != nil {
+			return err
 		}
 		arm.headerGot, _ = strconv.Atoi(string(header))
 		arm.spoolGot = strings.Count(string(mbox), "\n")
@@ -654,69 +566,55 @@ func e15Run(seed int64, mode e15Mode) *e15Arm {
 	}
 
 	env.Go("driver", func(p *sim.Proc) {
-		if err := setup(p); err != nil {
+		if err := st.setup(p, client, e15Tree()); err != nil {
 			arm.err = fmt.Errorf("setup: %w", err)
 			return
 		}
-		fnRes := cluster.Resources{MilliCPU: 990, MemMB: 256}
-		reg := func(name string, h core.HandlerFunc) (core.Ref, error) {
-			return client.RegisterFunction(p, core.FnConfig{
-				Name: name, Kind: platform.Wasm, Res: fnRes,
-				TypicalExec: e15Exec, Handler: h,
+		fns := map[string]core.Ref{}
+		for _, f := range []struct {
+			name string
+			h    core.HandlerFunc
+		}{{"compile", compile}, {"link", link}, {"dbwriter", dbwriter}, {"deliver", deliver}} {
+			ref, err := client.RegisterFunction(p, core.FnConfig{
+				Name: f.name, Kind: platform.Wasm, Res: cluster.Resources{MilliCPU: 990, MemMB: 256},
+				TypicalExec: e15Exec, Handler: f.h,
 			})
+			if err != nil {
+				arm.err = err
+				return
+			}
+			fns[f.name] = ref
 		}
-		ccRef, err := reg("compile", compile)
-		if err == nil {
-			var r core.Ref
-			if r, err = reg("link", link); err == nil {
-				ccLink := r
-				var wRef, dRef core.Ref
-				if wRef, err = reg("dbwriter", dbwriter); err == nil {
-					if dRef, err = reg("deliver", deliver); err == nil {
-						runTrace := func(tasks []core.GraphTask) time.Duration {
-							start := p.Now()
-							res, gerr := client.RunGraph(p, tasks)
-							if gerr != nil {
-								arm.failures++
-							}
-							for _, tr := range res {
-								if tr != nil && tr.Err != nil {
-									arm.failures++
-								}
-							}
-							return p.Now().Sub(start)
-						}
-
-						var build []core.GraphTask
-						after := make([]string, 0, e15Builds)
-						for i := 0; i < e15Builds; i++ {
-							name := fmt.Sprintf("cc%d", i)
-							build = append(build, core.GraphTask{Name: name, Fn: ccRef, Body: []byte{byte(i)}})
-							after = append(after, name)
-						}
-						build = append(build, core.GraphTask{Name: "link", Fn: ccLink, Body: []byte{0}, After: after})
-						arm.build = runTrace(build)
-
-						var dbg []core.GraphTask
-						for k := 0; k < e15Writers; k++ {
-							dbg = append(dbg, core.GraphTask{Name: fmt.Sprintf("w%d", k), Fn: wRef, Body: []byte{byte(k)}})
-						}
-						arm.pages = runTrace(dbg)
-
-						var spool []core.GraphTask
-						for d := 0; d < e15Deliver; d++ {
-							spool = append(spool, core.GraphTask{Name: fmt.Sprintf("d%d", d), Fn: dRef, Body: []byte{byte(d)}})
-						}
-						arm.spool = runTrace(spool)
-
-						err = audit(p)
-					}
+		// fanout is n parallel tasks of one function, task i carrying i.
+		fanout := func(prefix, fn string, n int) (tasks []core.GraphTask, names []string) {
+			for i := 0; i < n; i++ {
+				name := prefix + strconv.Itoa(i)
+				tasks = append(tasks, core.GraphTask{Name: name, Fn: fns[fn], Body: []byte{byte(i)}})
+				names = append(names, name)
+			}
+			return tasks, names
+		}
+		runTrace := func(tasks []core.GraphTask) time.Duration {
+			start := p.Now()
+			res, gerr := client.RunGraph(p, tasks)
+			if gerr != nil {
+				arm.failures++
+			}
+			for _, tr := range res {
+				if tr != nil && tr.Err != nil {
+					arm.failures++
 				}
 			}
+			return p.Now().Sub(start)
 		}
-		if err != nil {
-			arm.err = err
-		}
+
+		build, objs := fanout("cc", "compile", e15Builds)
+		arm.build = runTrace(append(build, core.GraphTask{Name: "link", Fn: fns["link"], Body: []byte{0}, After: objs}))
+		dbg, _ := fanout("w", "dbwriter", e15Writers)
+		arm.pages = runTrace(dbg)
+		spool, _ := fanout("d", "deliver", e15Deliver)
+		arm.spool = runTrace(spool)
+		arm.err = st.unit(p, client, false, audit)
 	})
 	env.Run()
 	cloud.Runtime().Drain()
@@ -725,10 +623,11 @@ func e15Run(seed int64, mode e15Mode) *e15Arm {
 
 func runE15(seed int64) *Report {
 	r := &Report{ID: "E15", Title: "FaaSFS shape: transactional POSIX traces — faasfs vs NFS vs REST"}
-	ffs := e15Run(seed, e15FaaSFS)
-	nfs := e15Run(seed, e15NFS)
-	rest := e15Run(seed, e15REST)
-	arms := []*e15Arm{ffs, nfs, rest}
+	var arms []*e15Arm
+	for _, mode := range e15Modes {
+		arms = append(arms, e15Run(seed, mode))
+	}
+	ffs, nfs, rest := arms[0], arms[1], arms[2]
 
 	for _, a := range arms {
 		if a.err != nil {

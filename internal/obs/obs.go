@@ -36,31 +36,23 @@ const DefaultInterval = 50 * time.Millisecond
 // while keeping the flight recorder available.
 const NoSampling = sim.Duration(-1)
 
-// Config parameterises a Session. The zero value gives 50ms sampling,
-// 240-point series rings, and a 512-event / 5s flight recorder.
+// Every plane keeps 240-point series rings (even, so a ring halves
+// cleanly when it downsamples) and a 512-event / 5s flight recorder.
+const (
+	seriesCap      = 240
+	recorderCap    = 512
+	recorderWindow = 5 * time.Second
+)
+
+// Config parameterises a Session. The zero value gives 50ms sampling.
 type Config struct {
-	Interval       sim.Duration // sampling period; 0 = DefaultInterval, NoSampling = off
-	Capacity       int          // max points per series ring; 0 = 240
-	RecorderCap    int          // max flight-recorder events per plane; 0 = 512
-	RecorderWindow sim.Duration // Dump's lookback window; 0 = 5s
-	Objectives     []Objective  // objectives installed on every attached plane
+	Interval   sim.Duration // sampling period; 0 = DefaultInterval, NoSampling = off
+	Objectives []Objective  // objectives installed on every attached plane
 }
 
 func (c Config) withDefaults() Config {
 	if c.Interval == 0 {
 		c.Interval = DefaultInterval
-	}
-	if c.Capacity <= 0 {
-		c.Capacity = 240
-	}
-	if c.Capacity%2 != 0 {
-		c.Capacity++
-	}
-	if c.RecorderCap <= 0 {
-		c.RecorderCap = 512
-	}
-	if c.RecorderWindow <= 0 {
-		c.RecorderWindow = 5 * time.Second
 	}
 	return c
 }
@@ -153,11 +145,10 @@ func (s *Session) Attach(env *sim.Env, reg *trace.Registry, label string) *Plane
 		reg:      reg,
 		label:    label,
 		interval: s.cfg.Interval,
-		capacity: s.cfg.Capacity,
 		byKey:    make(map[string]*Series),
 		prevHist: make(map[string]metrics.HistSnapshot),
 		prevCnt:  make(map[string]metrics.CounterSnapshot),
-		rec:      newRecorder(s.cfg.RecorderCap, s.cfg.RecorderWindow),
+		rec:      newRecorder(recorderCap, recorderWindow),
 	}
 	pl.SetObjectives(s.cfg.Objectives...)
 	s.byEnv[env] = pl
@@ -175,7 +166,6 @@ type Plane struct {
 	reg      *trace.Registry
 	label    string
 	interval sim.Duration
-	capacity int
 
 	series []*Series          // creation order
 	byKey  map[string]*Series // metric+"|"+stat
@@ -306,7 +296,7 @@ func (pl *Plane) seriesFor(metric, stat, unit string, agg aggKind) *Series {
 	if s, ok := pl.byKey[key]; ok {
 		return s
 	}
-	s := &Series{Metric: metric, Stat: stat, Unit: unit, ring: newRing(pl.capacity, agg)}
+	s := &Series{Metric: metric, Stat: stat, Unit: unit, ring: newRing(seriesCap, agg)}
 	pl.byKey[key] = s
 	pl.series = append(pl.series, s)
 	return s

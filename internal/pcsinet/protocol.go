@@ -72,21 +72,37 @@ func WriteFrame(w io.Writer, m *wire.Message) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed message.
+// eagerFrame is the largest payload buffer allocated on the word of the
+// length prefix alone.
+const eagerFrame = 1 << 20
+
+// ReadFrame reads one length-prefixed message. The prefix comes from an
+// unauthenticated peer, so only frames up to eagerFrame get their buffer
+// up front (one exact allocation, no copy); a larger frame's buffer
+// doubles as its bytes arrive, so memory held never exceeds eagerFrame or
+// three times what the peer actually sent, whatever length it claimed.
 func ReadFrame(r io.Reader) (*wire.Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
+	claimed := binary.BigEndian.Uint32(hdr[:])
+	if claimed > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	n := int(claimed)
+	payload := make([]byte, min(n, eagerFrame))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, payload[got:]); err != nil {
+			return nil, err
+		}
+		if got = len(payload); got == n {
+			return codec.Decode(payload)
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, payload)
+		payload = grown
 	}
-	return codec.Decode(payload)
 }
 
 // errResp builds an error response.

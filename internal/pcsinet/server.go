@@ -101,23 +101,47 @@ func newToken(prefix string) string {
 	return prefix + "-" + hex.EncodeToString(b[:])
 }
 
-// runSim executes fn as a simulation process and drives the clock until
-// it finishes. The whole server shares one virtual timeline.
-func (s *Server) runSim(fn func(p *sim.Proc) error) error {
+// call is one request's state: what dispatch resolved for the row, the
+// process the row runs on, and the reply it builds. It is one heap value
+// handed down by pointer, and run (below) makes the row the process body
+// with no closure in between: every request starts on a fresh goroutine
+// stack, and the path from there to core.Client.Get sits at a
+// stack-growth cliff — passing request/reply by value through the row
+// cost +50% per dispatch in runtime.copystack (see DESIGN.md).
+type call struct {
+	s   *Server
+	req *wire.Message
+	p   *sim.Proc // nil for a local row
+	ref core.Ref  // what a ref or fn key names
+	ns  *core.NS  // what an ns key names
+
+	body    []byte
+	headers map[string]string
+	grant   core.Ref // the reference a granting row returns
+
+	err  error
+	done bool
+}
+
+// h returns a request header ("" when absent).
+func (c *call) h(k string) string { return c.req.Headers[k] }
+
+// runSim executes run(c) as a simulation process and drives the clock
+// until it finishes. The whole server shares one virtual timeline.
+func (s *Server) runSim(c *call, run func(*call) error) error {
 	env := s.cloud.Env()
-	var ferr error
-	finished := false
 	env.Go("rpc", func(p *sim.Proc) {
-		ferr = fn(p)
-		finished = true
+		c.p = p
+		c.err = run(c)
+		c.done = true
 	})
-	for !finished && env.Pending() > 0 {
+	for !c.done && env.Pending() > 0 {
 		env.RunUntil(env.Now().Add(10 * time.Millisecond))
 	}
-	if !finished {
+	if !c.done {
 		return errors.New("pcsinet: request did not complete")
 	}
-	return ferr
+	return c.err
 }
 
 // RegisterFunction registers a handler on the deployment and returns the
@@ -125,401 +149,281 @@ func (s *Server) runSim(fn func(p *sim.Proc) error) error {
 func (s *Server) RegisterFunction(cfg core.FnConfig) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var ref core.Ref
-	err := s.runSim(func(p *sim.Proc) error {
-		var rerr error
-		ref, rerr = s.client.RegisterFunction(p, cfg)
-		return rerr
+	c := &call{s: s}
+	err := s.runSim(c, func(c *call) (err error) {
+		c.ref, err = s.client.RegisterFunction(c.p, cfg)
+		return err
 	})
 	if err != nil {
 		return "", err
 	}
 	tok := newToken("fn")
-	s.fns[tok] = ref
+	s.fns[tok] = c.ref
 	return tok, nil
 }
 
-func parseKind(sk string) (object.Kind, error) {
-	switch strings.ToLower(sk) {
-	case "", "regular", "file":
-		return object.Regular, nil
-	case "directory", "dir":
-		return object.Directory, nil
-	case "fifo":
-		return object.FIFO, nil
-	case "socket":
-		return object.Socket, nil
-	case "device":
-		return object.Device, nil
-	default:
-		return 0, fmt.Errorf("unknown kind %q", sk)
+// The protocol's string forms of kinds, consistency levels, mutability
+// levels and rights, matched case-insensitively.
+var (
+	kinds = map[string]object.Kind{
+		"": object.Regular, "regular": object.Regular, "file": object.Regular,
+		"directory": object.Directory, "dir": object.Directory,
+		"fifo": object.FIFO, "socket": object.Socket, "device": object.Device,
 	}
+	levels = map[string]consistency.Level{
+		"": consistency.Linearizable, "linearizable": consistency.Linearizable, "strong": consistency.Linearizable,
+		"eventual": consistency.Eventual, "weak": consistency.Eventual,
+	}
+	mutabilities = map[string]object.Mutability{
+		"": object.Mutable, "mutable": object.Mutable, "append_only": object.AppendOnly,
+		"fixed_size": object.FixedSize, "immutable": object.Immutable,
+	}
+	rights = map[string]capability.Rights{
+		"read": capability.Read, "write": capability.Write, "append": capability.Append,
+		"exec": capability.Exec, "setmut": capability.SetMut, "grant": capability.Grant,
+		"unlink": capability.Unlink, "destroy": capability.Destroy,
+	}
+)
+
+// parse looks s up among the string forms of what.
+func parse[T any](what string, forms map[string]T, s string) (T, error) {
+	v, ok := forms[strings.ToLower(s)]
+	if !ok {
+		return v, fmt.Errorf("unknown %s %q", what, s)
+	}
+	return v, nil
 }
 
-func parseLevel(sl string) (consistency.Level, error) {
-	switch strings.ToLower(sl) {
-	case "", "linearizable", "strong":
-		return consistency.Linearizable, nil
-	case "eventual", "weak":
-		return consistency.Eventual, nil
-	default:
-		return 0, fmt.Errorf("unknown consistency %q", sl)
-	}
-}
-
-func parseMutability(sm string) (object.Mutability, error) {
-	switch strings.ToUpper(sm) {
-	case "", "MUTABLE":
-		return object.Mutable, nil
-	case "APPEND_ONLY":
-		return object.AppendOnly, nil
-	case "FIXED_SIZE":
-		return object.FixedSize, nil
-	case "IMMUTABLE":
-		return object.Immutable, nil
-	default:
-		return 0, fmt.Errorf("unknown mutability %q", sm)
-	}
-}
-
+// parseRights reads "read|write|..."; "" and "all" are every right.
 func parseRights(sr string) (capability.Rights, error) {
 	if sr == "" || sr == "all" {
 		return capability.All, nil
 	}
 	var r capability.Rights
 	for _, part := range strings.Split(sr, "|") {
-		switch strings.ToLower(strings.TrimSpace(part)) {
-		case "read":
-			r |= capability.Read
-		case "write":
-			r |= capability.Write
-		case "append":
-			r |= capability.Append
-		case "exec":
-			r |= capability.Exec
-		case "setmut":
-			r |= capability.SetMut
-		case "grant":
-			r |= capability.Grant
-		case "unlink":
-			r |= capability.Unlink
-		case "destroy":
-			r |= capability.Destroy
-		default:
-			return 0, fmt.Errorf("unknown right %q", part)
+		bit, err := parse("right", rights, strings.TrimSpace(part))
+		if err != nil {
+			return 0, err
 		}
+		r |= bit
 	}
 	return r, nil
 }
 
-func (s *Server) refFor(token string) (core.Ref, error) {
-	ref, ok := s.tokens[token]
-	if !ok {
-		return core.Ref{}, fmt.Errorf("unknown reference token %q", token)
+// sockEnd reads the "end" header of a socket op.
+func (c *call) sockEnd() int {
+	if e := c.h("end"); e == "server" || e == "1" {
+		return core.ServerEnd
 	}
-	return ref, nil
+	return core.ClientEnd
 }
 
-// dispatch handles one request under the server lock (requests share one
-// deterministic timeline, so they serialise).
-func (s *Server) dispatch(req *wire.Message) *wire.Message {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h := func(k string) string {
-		if req.Headers == nil {
-			return ""
+// refs resolves a comma-separated header of reference tokens.
+func (c *call) refs(header string) ([]core.Ref, error) {
+	var out []core.Ref
+	for _, tok := range splitList(c.h(header)) {
+		ref, ok := c.s.tokens[tok]
+		if !ok {
+			return nil, keyRef.unknown(tok)
 		}
-		return req.Headers[k]
+		out = append(out, ref)
 	}
-	switch req.Op {
-	case OpCreate:
-		kind, err := parseKind(h("kind"))
+	return out, nil
+}
+
+// keyKind says what a request's Key must name before its row runs.
+type keyKind string
+
+const (
+	keyNone keyKind = ""
+	keyRef  keyKind = "reference"
+	keyNS   keyKind = "namespace"
+	keyFn   keyKind = "function"
+)
+
+// unknown is the refusal of a token that names nothing of kind k.
+func (k keyKind) unknown(tok string) error { return fmt.Errorf("unknown %s token %q", k, tok) }
+
+// op is one protocol operation: what its Key names, the body that serves
+// it — as a simulation process, or directly when local (the op touches
+// only server-side tables and takes no virtual time) — and the reply
+// header under which dispatch returns a token for the reference the body
+// grants ("" when it grants none).
+type op struct {
+	key    keyKind
+	local  bool
+	grants string
+	run    func(c *call) error
+}
+
+// ops is the protocol. A new operation is a constant in protocol.go, a row
+// here, a Client method and a pcsictl verb; tests range over all four.
+var ops = map[string]op{
+	OpCreate: {grants: "token", run: func(c *call) error {
+		kind, err := parse("kind", kinds, c.h("kind"))
 		if err != nil {
-			return errResp(err)
+			return err
 		}
-		lvl, err := parseLevel(h("consistency"))
+		lvl, err := parse("consistency", levels, c.h("consistency"))
 		if err != nil {
-			return errResp(err)
+			return err
 		}
-		mut, err := parseMutability(h("mutability"))
+		mut, err := parse("mutability", mutabilities, c.h("mutability"))
 		if err != nil {
-			return errResp(err)
+			return err
 		}
 		opts := []core.CreateOpt{core.WithConsistency(lvl), core.WithMutability(mut)}
-		if h("ephemeral") == "true" {
+		if c.h("ephemeral") == "true" {
 			opts = append(opts, core.WithEphemeral())
 		}
-		var ref core.Ref
-		err = s.runSim(func(p *sim.Proc) error {
-			var rerr error
-			ref, rerr = s.client.Create(p, kind, opts...)
-			return rerr
-		})
+		c.grant, err = c.s.client.Create(c.p, kind, opts...)
+		return err
+	}},
+	OpPut:    {key: keyRef, run: func(c *call) error { return c.s.client.Put(c.p, c.ref, c.req.Body) }},
+	OpAppend: {key: keyRef, run: func(c *call) error { return c.s.client.Append(c.p, c.ref, c.req.Body) }},
+	OpGet: {key: keyRef, run: func(c *call) (err error) {
+		c.body, err = c.s.client.Get(c.p, c.ref)
+		return err
+	}},
+	OpFreeze: {key: keyRef, run: func(c *call) error {
+		mut, err := parse("mutability", mutabilities, c.h("level"))
 		if err != nil {
-			return errResp(err)
+			return err
 		}
-		tok := newToken("ref")
-		s.tokens[tok] = ref
-		return okResp(nil, map[string]string{"token": tok})
-
-	case OpPut, OpAppend:
-		ref, err := s.refFor(req.Key)
+		return c.s.client.Freeze(c.p, c.ref, mut)
+	}},
+	OpStat: {key: keyRef, run: func(c *call) error {
+		info, err := c.s.client.Stat(c.p, c.ref)
 		if err != nil {
-			return errResp(err)
+			return err
 		}
-		err = s.runSim(func(p *sim.Proc) error {
-			if req.Op == OpAppend {
-				return s.client.Append(p, ref, req.Body)
-			}
-			return s.client.Put(p, ref, req.Body)
-		})
-		if err != nil {
-			return errResp(err)
-		}
-		return okResp(nil, nil)
-
-	case OpGet:
-		ref, err := s.refFor(req.Key)
-		if err != nil {
-			return errResp(err)
-		}
-		var data []byte
-		err = s.runSim(func(p *sim.Proc) error {
-			var rerr error
-			data, rerr = s.client.Get(p, ref)
-			return rerr
-		})
-		if err != nil {
-			return errResp(err)
-		}
-		return okResp(data, nil)
-
-	case OpFreeze:
-		ref, err := s.refFor(req.Key)
-		if err != nil {
-			return errResp(err)
-		}
-		mut, err := parseMutability(h("level"))
-		if err != nil {
-			return errResp(err)
-		}
-		if err := s.runSim(func(p *sim.Proc) error { return s.client.Freeze(p, ref, mut) }); err != nil {
-			return errResp(err)
-		}
-		return okResp(nil, nil)
-
-	case OpStat:
-		ref, err := s.refFor(req.Key)
-		if err != nil {
-			return errResp(err)
-		}
-		var info core.StatInfo
-		err = s.runSim(func(p *sim.Proc) error {
-			var rerr error
-			info, rerr = s.client.Stat(p, ref)
-			return rerr
-		})
-		if err != nil {
-			return errResp(err)
-		}
-		return okResp(nil, map[string]string{
+		c.headers = map[string]string{
 			"kind":       info.Kind.String(),
 			"size":       strconv.FormatInt(info.Size, 10),
 			"version":    strconv.FormatUint(info.Version, 10),
 			"mutability": info.Mutability.String(),
-		})
-
-	case OpAttenu:
-		ref, err := s.refFor(req.Key)
-		if err != nil {
-			return errResp(err)
 		}
-		rights, err := parseRights(h("rights"))
+		return nil
+	}},
+	OpAttenu: {key: keyRef, local: true, grants: "token", run: func(c *call) error {
+		rights, err := parseRights(c.h("rights"))
 		if err != nil {
-			return errResp(err)
+			return err
 		}
-		nr, err := s.client.Attenuate(ref, rights)
+		c.grant, err = c.s.client.Attenuate(c.ref, rights)
+		return err
+	}},
+	OpDrop: {key: keyRef, local: true, run: func(c *call) error {
+		c.s.client.Drop(c.ref)
+		delete(c.s.tokens, c.req.Key)
+		return nil
+	}},
+	OpMkdirNS: {grants: "root", run: func(c *call) error {
+		ns, root, err := c.s.client.NewNamespace(c.p)
 		if err != nil {
-			return errResp(err)
-		}
-		tok := newToken("ref")
-		s.tokens[tok] = nr
-		return okResp(nil, map[string]string{"token": tok})
-
-	case OpDrop:
-		ref, err := s.refFor(req.Key)
-		if err != nil {
-			return errResp(err)
-		}
-		s.client.Drop(ref)
-		delete(s.tokens, req.Key)
-		return okResp(nil, nil)
-
-	case OpMkdirNS:
-		var ns *core.NS
-		var root core.Ref
-		err := s.runSim(func(p *sim.Proc) error {
-			var rerr error
-			ns, root, rerr = s.client.NewNamespace(p)
-			return rerr
-		})
-		if err != nil {
-			return errResp(err)
+			return err
 		}
 		tok := newToken("ns")
-		s.nss[tok] = ns
-		rootTok := newToken("ref")
-		s.tokens[rootTok] = root
-		return okResp(nil, map[string]string{"token": tok, "root": rootTok})
-
-	case OpCreateAt, OpOpen, OpList, OpRemove:
-		ns, ok := s.nss[req.Key]
-		if !ok {
-			return errResp(fmt.Errorf("unknown namespace token %q", req.Key))
-		}
-		return s.nsOp(ns, req)
-
-	case OpInvoke:
-		fnRef, ok := s.fns[req.Key]
-		if !ok {
-			return errResp(fmt.Errorf("unknown function token %q", req.Key))
-		}
-		var inputs, outputs []core.Ref
-		for _, tok := range splitList(h("inputs")) {
-			ref, err := s.refFor(tok)
-			if err != nil {
-				return errResp(err)
-			}
-			inputs = append(inputs, ref)
-		}
-		for _, tok := range splitList(h("outputs")) {
-			ref, err := s.refFor(tok)
-			if err != nil {
-				return errResp(err)
-			}
-			outputs = append(outputs, ref)
-		}
-		err := s.runSim(func(p *sim.Proc) error {
-			_, ierr := s.client.Invoke(p, fnRef, core.InvokeArgs{Inputs: inputs, Outputs: outputs, Body: req.Body})
-			return ierr
-		})
+		c.s.nss[tok] = ns
+		c.headers = map[string]string{"token": tok}
+		c.grant = root
+		return nil
+	}},
+	OpCreateAt: {key: keyNS, grants: "token", run: func(c *call) error {
+		kind, err := parse("kind", kinds, c.h("kind"))
 		if err != nil {
-			return errResp(err)
+			return err
 		}
-		return okResp(nil, nil)
-
-	case OpSockSend, OpSockRecv, OpSockEnd:
-		ref, err := s.refFor(req.Key)
+		c.grant, err = c.ns.CreateAt(c.p, c.s.client, c.h("path"), kind)
+		return err
+	}},
+	OpOpen: {key: keyNS, grants: "token", run: func(c *call) error {
+		rights, err := parseRights(c.h("rights"))
 		if err != nil {
-			return errResp(err)
+			return err
 		}
-		end := core.ClientEnd
-		if h("end") == "server" || h("end") == "1" {
-			end = core.ServerEnd
+		c.grant, err = c.ns.Open(c.p, c.s.client, c.h("path"), rights)
+		return err
+	}},
+	OpList: {key: keyNS, run: func(c *call) error {
+		names, err := c.ns.List(c.p, c.s.client, c.h("path"))
+		c.body = []byte(strings.Join(names, "\n"))
+		return err
+	}},
+	OpRemove: {key: keyNS, run: func(c *call) error { return c.ns.Remove(c.p, c.s.client, c.h("path")) }},
+	OpInvoke: {key: keyFn, run: func(c *call) error {
+		inputs, err := c.refs("inputs")
+		if err != nil {
+			return err
 		}
-		switch req.Op {
-		case OpSockSend:
-			if err := s.runSim(func(p *sim.Proc) error {
-				return s.client.SockSend(p, ref, end, req.Body)
-			}); err != nil {
-				return errResp(err)
-			}
-			return okResp(nil, nil)
-		case OpSockRecv:
-			var msg []byte
-			if err := s.runSim(func(p *sim.Proc) error {
-				var rerr error
-				msg, rerr = s.client.SockRecv(p, ref, end)
-				return rerr
-			}); err != nil {
-				return errResp(err)
-			}
-			return okResp(msg, nil)
-		default:
-			if err := s.runSim(func(p *sim.Proc) error {
-				return s.client.SockClose(p, ref)
-			}); err != nil {
-				return errResp(err)
-			}
-			return okResp(nil, nil)
+		outputs, err := c.refs("outputs")
+		if err != nil {
+			return err
 		}
-
-	case OpStats:
-		rt := s.cloud.Runtime()
-		return okResp(nil, map[string]string{
-			"invocations": strconv.FormatInt(rt.Invocations.Value(), 10),
-			"cold_starts": strconv.FormatInt(rt.ColdStarts.Value(), 10),
-			"bytes_moved": strconv.FormatInt(s.cloud.BytesMoved, 10),
-			"cache_hits":  strconv.FormatInt(s.cloud.CacheHits, 10),
-			"virtual_now": s.cloud.Env().Now().String(),
-		})
-
-	default:
-		return errResp(fmt.Errorf("unknown op %q", req.Op))
-	}
+		_, err = c.s.client.Invoke(c.p, c.ref, core.InvokeArgs{Inputs: inputs, Outputs: outputs, Body: c.req.Body})
+		return err
+	}},
+	OpSockSend: {key: keyRef, run: func(c *call) error {
+		return c.s.client.SockSend(c.p, c.ref, c.sockEnd(), c.req.Body)
+	}},
+	OpSockRecv: {key: keyRef, run: func(c *call) (err error) {
+		c.body, err = c.s.client.SockRecv(c.p, c.ref, c.sockEnd())
+		return err
+	}},
+	OpSockEnd: {key: keyRef, run: func(c *call) error { return c.s.client.SockClose(c.p, c.ref) }},
+	OpStats: {local: true, run: func(c *call) error {
+		cloud := c.s.cloud
+		c.headers = map[string]string{
+			"invocations": strconv.FormatInt(cloud.Runtime().Invocations.Value(), 10),
+			"cold_starts": strconv.FormatInt(cloud.Runtime().ColdStarts.Value(), 10),
+			"bytes_moved": strconv.FormatInt(cloud.BytesMoved, 10),
+			"cache_hits":  strconv.FormatInt(cloud.CacheHits, 10),
+			"virtual_now": cloud.Env().Now().String(),
+		}
+		return nil
+	}},
 }
 
-func (s *Server) nsOp(ns *core.NS, req *wire.Message) *wire.Message {
-	h := func(k string) string {
-		if req.Headers == nil {
-			return ""
-		}
-		return req.Headers[k]
+// dispatch handles one request under the server lock (requests share one
+// deterministic timeline, so they serialise): look the row up, resolve
+// what its key names, run it, mint a token for a returned reference.
+func (s *Server) dispatch(req *wire.Message) *wire.Message {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	row, ok := ops[req.Op]
+	if !ok {
+		return errResp(fmt.Errorf("unknown op %q", req.Op))
 	}
-	path := h("path")
-	switch req.Op {
-	case OpCreateAt:
-		kind, err := parseKind(h("kind"))
-		if err != nil {
-			return errResp(err)
-		}
-		var ref core.Ref
-		err = s.runSim(func(p *sim.Proc) error {
-			var rerr error
-			ref, rerr = ns.CreateAt(p, s.client, path, kind)
-			return rerr
-		})
-		if err != nil {
-			return errResp(err)
+	c := &call{s: s, req: req}
+	switch row.key {
+	case keyRef:
+		c.ref, ok = s.tokens[req.Key]
+	case keyNS:
+		c.ns, ok = s.nss[req.Key]
+	case keyFn:
+		c.ref, ok = s.fns[req.Key]
+	}
+	if !ok {
+		return errResp(row.key.unknown(req.Key))
+	}
+	var err error
+	if row.local {
+		err = row.run(c)
+	} else {
+		err = s.runSim(c, row.run)
+	}
+	if err != nil {
+		return errResp(err)
+	}
+	if row.grants != "" {
+		if c.headers == nil {
+			c.headers = make(map[string]string, 1)
 		}
 		tok := newToken("ref")
-		s.tokens[tok] = ref
-		return okResp(nil, map[string]string{"token": tok})
-	case OpOpen:
-		rights, err := parseRights(h("rights"))
-		if err != nil {
-			return errResp(err)
-		}
-		var ref core.Ref
-		err = s.runSim(func(p *sim.Proc) error {
-			var rerr error
-			ref, rerr = ns.Open(p, s.client, path, rights)
-			return rerr
-		})
-		if err != nil {
-			return errResp(err)
-		}
-		tok := newToken("ref")
-		s.tokens[tok] = ref
-		return okResp(nil, map[string]string{"token": tok})
-	case OpList:
-		var names []string
-		err := s.runSim(func(p *sim.Proc) error {
-			var rerr error
-			names, rerr = ns.List(p, s.client, path)
-			return rerr
-		})
-		if err != nil {
-			return errResp(err)
-		}
-		return okResp([]byte(strings.Join(names, "\n")), nil)
-	case OpRemove:
-		if err := s.runSim(func(p *sim.Proc) error { return ns.Remove(p, s.client, path) }); err != nil {
-			return errResp(err)
-		}
-		return okResp(nil, nil)
+		s.tokens[tok] = c.grant
+		c.headers[row.grants] = tok
 	}
-	return errResp(errors.New("unreachable"))
+	return okResp(c.body, c.headers)
 }
 
 func splitList(s string) []string {

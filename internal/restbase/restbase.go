@@ -62,8 +62,6 @@ type Config struct {
 	RoutingHops int
 	// PerHopProcess is the service time at each internal hop.
 	PerHopProcess time.Duration
-	// AuthCheck is the service time of the auth service's validation.
-	AuthCheck time.Duration
 	// Book prices requests.
 	Book cost.Book
 	// ReuseConnections enables keep-alive (ablation: isolates the
@@ -91,13 +89,15 @@ type Config struct {
 	RejectCost time.Duration
 }
 
+// authCheck is the service time of the auth service's validation.
+const authCheck = 50 * time.Microsecond
+
 // DefaultConfig returns the REST baseline configuration.
 func DefaultConfig() Config {
 	return Config{
 		Codec:         wire.JSONCodec{},
 		RoutingHops:   2,
 		PerHopProcess: 300 * time.Microsecond,
-		AuthCheck:     50 * time.Microsecond,
 		Book:          cost.DynamoBook,
 	}
 }
@@ -166,7 +166,7 @@ func (g *Gateway) connect(p *sim.Proc, client simnet.NodeID) {
 func (g *Gateway) authenticate(p *sim.Proc, creds string) error {
 	g.AuthChecks++
 	g.net.Send(p, g.node, g.auth, 256)
-	p.Sleep(g.cfg.AuthCheck)
+	p.Sleep(authCheck)
 	g.net.Send(p, g.auth, g.node, 64)
 	if creds == "" {
 		return ErrAuth
@@ -332,7 +332,7 @@ func ProtocolOverhead(cfg Config, bodySize int) time.Duration {
 	if !cfg.ReuseConnections {
 		d += 2 * SocketOverhead
 	}
-	d += cfg.AuthCheck
+	d += authCheck
 	d += time.Duration(cfg.RoutingHops) * cfg.PerHopProcess
 	return d
 }

@@ -163,6 +163,11 @@ func (BinaryCodec) Decode(b []byte) (*Message, error) {
 		return nil, errShort
 	}
 	b = b[k:]
+	// A header is at least two length bytes: refuse a count the bytes
+	// cannot hold before sizing the map by it.
+	if nh > uint64(len(b))/2 {
+		return nil, errShort
+	}
 	if nh > 0 {
 		m.Headers = make(map[string]string, nh)
 		for i := uint64(0); i < nh; i++ {

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +116,16 @@ func TestDecodeGarbage(t *testing.T) {
 		if _, err := (BinaryCodec{}).Decode(full[:cut]); err == nil {
 			t.Errorf("binary accepted truncation at %d", cut)
 		}
+	}
+	// A header count the remaining bytes cannot hold is refused before the
+	// map is sized by it: 2^24 headers claimed in eight bytes.
+	claim := append([]byte{0, 0, 0, 0}, binary.AppendUvarint(nil, 1<<24)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = (BinaryCodec{}).Decode(claim)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; err == nil || grew > 1<<20 {
+		t.Errorf("impossible header count: err %v after allocating %d bytes", err, grew)
 	}
 }
 

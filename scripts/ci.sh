@@ -67,6 +67,38 @@ cmp /tmp/dash-a.json /tmp/dash-b.json || { echo 'dash JSON timeline not byte-ide
 cp /tmp/dash-a.html pcsi-dash-e13.html
 cp /tmp/dash-a.json pcsi-dash-e13.json
 
+echo '== fuzz smoke (10 s each; a finding is written under internal/pcsinet/testdata/fuzz and fails the gate)'
+go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/pcsinet
+go test -run '^$' -fuzz FuzzDispatch -fuzztime 10s ./internal/pcsinet
+
+echo '== pcsid/pcsictl smoke (the two binaries end to end over loopback)'
+smoke=$(mktemp -d)
+go build -o "$smoke/pcsid" ./cmd/pcsid
+go build -o "$smoke/pcsictl" ./cmd/pcsictl
+"$smoke/pcsid" -addr 127.0.0.1:0 > "$smoke/pcsid.log" &
+pcsid_pid=$!
+trap 'kill "$pcsid_pid" 2>/dev/null || true; rm -rf "$smoke"' EXIT
+addr=
+for _ in $(seq 20); do
+    addr=$(sed -n 's/^pcsid serving PCSI on \([^ ]*\) .*/\1/p' "$smoke/pcsid.log")
+    [ -n "$addr" ] && break
+    sleep 0.25
+done
+[ -n "$addr" ] || { echo 'pcsid did not come up' >&2; cat "$smoke/pcsid.log" >&2; exit 1; }
+ctl() { "$smoke/pcsictl" -addr "$addr" "$@"; }
+tok=$(ctl create regular)
+ctl put "$tok" 'smoke payload'
+[ "$(ctl get "$tok")" = 'smoke payload' ] || { echo 'pcsictl get did not return what put wrote' >&2; exit 1; }
+ctl stat "$tok" | grep -q '^size  *13$' || { echo 'pcsictl stat size is not 13' >&2; exit 1; }
+sock=$(ctl create socket)
+ctl socksend "$sock" client ping
+[ "$(ctl sockrecv "$sock" server)" = ping ] || { echo 'socket message did not round-trip' >&2; exit 1; }
+ctl stats | grep -q '^virtual_now' || { echo 'pcsictl stats printed no virtual_now' >&2; exit 1; }
+rc=0
+ctl get ref-bogus 2>/dev/null || rc=$?
+[ "$rc" -eq 1 ] || { echo "pcsictl get <bogus-token> exited $rc, want 1" >&2; exit 1; }
+kill "$pcsid_pid"
+
 echo '== bench harness (smoke, drift, oracle and compare tests; engine-storm event count + golden digest)'
 (cd bench && go test ./...)
 # Exits non-zero unless the pass dispatches exactly 351,402 events with
