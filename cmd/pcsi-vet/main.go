@@ -5,15 +5,8 @@
 //	go run ./cmd/pcsi-vet -checks simtime,layering ./internal/...
 //	go run ./cmd/pcsi-vet -format sarif ./... > pcsi-vet.sarif
 //
-// -checks selects a subset of analyzers by name (-only is an alias kept
-// for compatibility). Packages are analyzed in parallel; output order is
-// deterministic regardless.
-//
-// -fix applies the suggested fixes carried by diagnostics (constructor
-// rewrites, sort insertions, //pcsi:allow stubs) and re-analyzes until a
-// pass produces no more fixes, so applying is idempotent: a second -fix
-// run changes nothing. Diagnostics remaining after the last pass are
-// printed as usual.
+// -checks selects a subset of analyzers by name. Packages are analyzed in
+// parallel; output order is deterministic regardless.
 //
 // -list prints the analyzer table (name, kind, directive, doc); with
 // -format md it prints the markdown check table README.md embeds, so the
@@ -21,10 +14,10 @@
 //
 // It exits 0 when the tree is clean, 1 when any diagnostic fires, and 2 on
 // usage or load errors. With -format text (the default) diagnostics print
-// as file:line:col: check: message; -format json and -format sarif write a
-// machine-readable document to stdout that is byte-identical across runs
-// on identical input. See README.md "Static analysis & invariants" for the
-// checks and the //pcsi:allow directive syntax.
+// as file:line:col: check: message; -format sarif writes a SARIF 2.1.0 log
+// to stdout that is byte-identical across runs on identical input. See
+// README.md "Static analysis & invariants" for the checks and the
+// //pcsi:allow directive syntax.
 package main
 
 import (
@@ -32,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
@@ -40,23 +32,13 @@ import (
 
 func main() {
 	checks := flag.String("checks", "", "comma-separated analyzer names to run (default: all)")
-	only := flag.String("only", "", "alias for -checks")
 	list := flag.Bool("list", false, "list available analyzers and exit")
-	fix := flag.Bool("fix", false, "apply suggested fixes, re-analyzing until none remain")
-	format := flag.String("format", "text", "output format: text, json, or sarif (md with -list)")
+	format := flag.String("format", "text", "output format: text or sarif (md with -list)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pcsi-vet [-checks names] [-format text|json|sarif] [-list] [-fix] [package patterns]\n")
+		fmt.Fprintf(os.Stderr, "usage: pcsi-vet [-checks names] [-format text|sarif] [-list] [package patterns]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *checks != "" && *only != "" && *checks != *only {
-		fmt.Fprintln(os.Stderr, "pcsi-vet: -checks and -only disagree; use one")
-		os.Exit(2)
-	}
-	if *checks == "" {
-		*checks = *only
-	}
 
 	if *list {
 		if *format == "md" {
@@ -69,8 +51,8 @@ func main() {
 		return
 	}
 
-	if *format != "text" && *format != "json" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "pcsi-vet: unknown -format %q (want text, json, or sarif)\n", *format)
+	if *format != "text" && *format != "sarif" {
+		fmt.Fprintf(os.Stderr, "pcsi-vet: unknown -format %q (want text or sarif)\n", *format)
 		os.Exit(2)
 	}
 
@@ -91,52 +73,20 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	// runOnce loads the tree fresh (file contents change under -fix) and
-	// runs the selected analyzers.
-	runOnce := func() (*analysis.Loader, []*analysis.Package, []analysis.Diagnostic) {
-		loader, err := analysis.NewLoader(root)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pcsi-vet:", err)
-			os.Exit(2)
-		}
-		pkgs, err := loader.Load(patterns...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pcsi-vet:", err)
-			os.Exit(2)
-		}
-		return loader, pkgs, analysis.Run(loader, pkgs, analyzers)
+	loader, err := analysis.NewLoader(root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pcsi-vet:", err)
+		os.Exit(2)
 	}
-
-	loader, pkgs, diags := runOnce()
-	if *fix {
-		// Apply and re-analyze until no fixes remain: each pass works on
-		// one consistent snapshot, and the fixpoint makes -fix idempotent.
-		for pass := 0; pass < 5; pass++ {
-			edits := analysis.CollectFixes(diags)
-			if len(edits) == 0 {
-				break
-			}
-			changed, err := analysis.ApplyFixes(edits)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "pcsi-vet: -fix:", err)
-				os.Exit(2)
-			}
-			for _, f := range sortedKeys(changed) {
-				rel := f
-				if r, err := filepath.Rel(root, f); err == nil && !strings.HasPrefix(r, "..") {
-					rel = r
-				}
-				fmt.Fprintf(os.Stderr, "pcsi-vet: fixed %s\n", rel)
-			}
-			loader, pkgs, diags = runOnce()
-		}
+	pkgs, err := loader.Load(patterns...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pcsi-vet:", err)
+		os.Exit(2)
 	}
-	switch *format {
-	case "json":
-		err = analysis.WriteJSON(os.Stdout, root, loader.Module, analyzers, diags)
-	case "sarif":
+	diags := analysis.Run(loader, pkgs, analyzers)
+	if *format == "sarif" {
 		err = analysis.WriteSARIF(os.Stdout, root, analyzers, diags)
-	default:
+	} else {
 		for _, d := range diags {
 			pos := d.Pos
 			if rel, err := filepath.Rel(root, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
@@ -155,20 +105,10 @@ func main() {
 	}
 }
 
-// sortedKeys returns the keys of m in sorted order.
-func sortedKeys(m map[string][]byte) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // selectAnalyzers resolves -checks names against the registry.
-func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
+func selectAnalyzers(checks string) ([]*analysis.Analyzer, error) {
 	all := analysis.All()
-	if only == "" {
+	if checks == "" {
 		return all, nil
 	}
 	byName := make(map[string]*analysis.Analyzer)
@@ -176,7 +116,7 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 		byName[a.Name] = a
 	}
 	var picked []*analysis.Analyzer
-	for _, name := range strings.Split(only, ",") {
+	for _, name := range strings.Split(checks, ",") {
 		a, ok := byName[strings.TrimSpace(name)]
 		if !ok {
 			return nil, fmt.Errorf("unknown analyzer %q", name)

@@ -2,29 +2,21 @@
 // go/types, no golang.org/x/tools) that enforces this repository's design
 // invariants from DESIGN.md §5: deterministic virtual time, seeded
 // randomness, the substrate→state→compute→core layering, and
-// capability-checked object mutation. On top of the shallow AST walks, an
-// intraprocedural CFG builder (cfg.go) and a forward-dataflow framework
-// (dataflow.go) power the path- and flow-sensitive checks: maprange
-// (randomized map-iteration order reaching order-sensitive sinks), obsrand
-// (observer random streams confined to the observer domain), errclass
-// (retry-boundary errors must carry a classification), and spanbalance
-// (every trace span closed on every return and panic path). The
-// cmd/pcsi-vet CLI runs it over any package pattern, and a
-// self-enforcement test keeps the repo itself clean.
+// capability-checked object mutation. The cmd/pcsi-vet CLI runs it over
+// any package pattern, and a self-enforcement test keeps the repo itself
+// clean. `pcsi-vet -list` prints the checks, the machinery behind each
+// (Analyzer.Kind) and its directive keyword; DESIGN.md §5 says why each
+// one is there.
 //
 // Legitimate exceptions are annotated in the source with a directive:
 //
 //	//pcsi:allow <check> [reason...]
 //
-// where <check> is one of the analyzer directive names (wallclock,
-// globalrand, layering, rawmutation, maporder, obsrand, errclass,
-// spanleak, hotpath, goroleak, lockorder, capescape, wrapclass,
-// simblock). A directive suppresses its
-// check on the same line and the
-// following line; a directive in the doc comment of a top-level declaration
-// covers the whole declaration. A directive whose analyzer runs without
-// suppressing anything is itself reported, so stale suppressions cannot
-// accumulate.
+// where <check> is an analyzer's directive keyword. A directive suppresses
+// its check on the same line and the following line; a directive in the
+// doc comment of a top-level declaration covers the whole declaration. A
+// directive whose analyzer runs without suppressing anything is itself
+// reported, so stale suppressions cannot accumulate.
 package analysis
 
 import (
@@ -37,14 +29,11 @@ import (
 	"sync"
 )
 
-// Diagnostic is one finding, positioned in the analyzed source. Fixes, if
-// any, are machine-applicable edits that resolve the finding; pcsi-vet
-// -fix applies them (fix.go).
+// Diagnostic is one finding, positioned in the analyzed source.
 type Diagnostic struct {
 	Pos     token.Position
 	Check   string // analyzer name
 	Message string
-	Fixes   []SuggestedFix
 }
 
 func (d Diagnostic) String() string {
@@ -53,15 +42,16 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -only selections.
+	// Name identifies the analyzer in diagnostics and -checks selections.
 	Name string
 	// Directive is the //pcsi:allow keyword that suppresses this analyzer.
 	Directive string
 	// Doc is a one-line description.
 	Doc string
-	// Kind classifies the machinery behind the check: "syntactic" (shallow
-	// AST walks), "dataflow" (CFG + gen/kill facts within one function), or
-	// "interprocedural" (call graph / taint summaries across the module).
+	// Kind classifies the machinery behind the check: "syntactic" (AST and
+	// declaration walks, no engine), "dataflow" (CFG + gen/kill facts within
+	// one function), or "interprocedural" (call graph / taint summaries
+	// across the module).
 	Kind string
 	// Prepare, if set, runs once before the per-package passes fan out,
 	// with a pass carrying no package. It builds whole-program indexes
@@ -79,8 +69,7 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		SimTime, DetRand, Layering, CapDiscipline,
 		MapRange, ObsRand, ErrClass, SpanBalance,
-		HotPath, GoroLeak, LockOrder,
-		CapEscape, WrapClass, SimBlock,
+		HotPath, WrapClass,
 	}
 }
 
@@ -111,13 +100,9 @@ type allowRange struct {
 	used       bool
 }
 
-// RelPath returns the package path relative to the module ("internal/sim"),
+// relPath returns the package path relative to the module ("internal/sim"),
 // or "." for the module root. External test packages keep their "_test"
 // suffix.
-func (p *Pass) RelPath() string {
-	return relPath(p.Module, p.Pkg.Path)
-}
-
 func relPath(module, path string) string {
 	if path == module {
 		return "."
@@ -130,12 +115,6 @@ func relPath(module, path string) string {
 
 // Report records a diagnostic unless a //pcsi:allow directive covers it.
 func (p *Pass) Report(pos token.Pos, format string, args ...any) {
-	p.ReportWithFix(pos, nil, format, args...)
-}
-
-// ReportWithFix records a diagnostic carrying suggested fixes, unless a
-// //pcsi:allow directive covers it.
-func (p *Pass) ReportWithFix(pos token.Pos, fixes []SuggestedFix, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	for _, r := range p.allows[p.Analyzer.Directive] {
 		if r.file == position.Filename && position.Line >= r.start && position.Line <= r.end {
@@ -147,7 +126,6 @@ func (p *Pass) ReportWithFix(pos token.Pos, fixes []SuggestedFix, format string,
 		Pos:     position,
 		Check:   p.Analyzer.Name,
 		Message: fmt.Sprintf(format, args...),
-		Fixes:   fixes,
 	})
 }
 
@@ -377,7 +355,7 @@ func runPackage(l *Loader, pkg *Package, analyzers []*Analyzer, cache map[string
 		a.Run(pass)
 	}
 	// Stale suppressions: only judged for analyzers that actually ran,
-	// so a -only subset never flags directives it could not exercise.
+	// so a -checks subset never flags directives it could not exercise.
 	keywords := make([]string, 0, len(allows))
 	for k := range allows {
 		keywords = append(keywords, k)

@@ -301,78 +301,6 @@ func TestHotPathExactPositions(t *testing.T) {
 	}
 }
 
-// TestGoroLeakExactPositions pins positions and blamed channels for the
-// goroleak fixture: reports anchor on the go statement.
-func TestGoroLeakExactPositions(t *testing.T) {
-	l, diags := loadFixture(t)
-	var got []string
-	for _, d := range diags {
-		rel, _ := filepath.Rel(l.Root, d.Pos.Filename)
-		if filepath.ToSlash(rel) != "bad/goroleak/goroleak.go" {
-			continue
-		}
-		ch := "?"
-		for _, word := range []string{"ch", "done", "jobs"} {
-			if strings.Contains(d.Message, " "+word+",") {
-				ch = word
-				break
-			}
-		}
-		got = append(got, fmt.Sprintf("%d:%d:%s", d.Pos.Line, d.Pos.Column, ch))
-	}
-	want := []string{
-		"9:2:ch",    // literal receiver, no send/close
-		"17:2:done", // literal sender, unbuffered, no receiver
-		"32:2:jobs", // named worker resolved through the call graph
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("goroleak positions:\n got %v\nwant %v", got, want)
-	}
-}
-
-// TestCapEscapeExactPositions pins positions and sink kinds for the
-// capescape fixture: the type rule and flow rule anchor on the declared
-// name, the body rules on the escaping statement, and flow findings name
-// the origin site inside object.New.
-func TestCapEscapeExactPositions(t *testing.T) {
-	l, diags := loadFixture(t)
-	var got []string
-	for _, d := range diags {
-		rel, _ := filepath.Rel(l.Root, d.Pos.Filename)
-		if filepath.ToSlash(rel) != "internal/pcsinet/pcsinet.go" {
-			continue
-		}
-		kind := "?"
-		for _, k := range []string{"package-level var", "returns a value of type", "may return a raw", "channel send", "exported field"} {
-			if strings.Contains(d.Message, k) {
-				kind = k
-				break
-			}
-		}
-		if kind == "package-level var" && strings.Contains(d.Message, "assignment stores") {
-			kind = "var assignment"
-		}
-		got = append(got, fmt.Sprintf("%d:%d:%s:%s", d.Pos.Line, d.Pos.Column, d.Check, kind))
-	}
-	want := []string{
-		"11:5:capescape:package-level var",       // Cached's declared type
-		"20:6:capescape:returns a value of type", // Fetch's result type
-		"24:6:capescape:may return a raw",        // Opaque's result flow
-		"28:2:capescape:var assignment",          // current = object.New()
-		"33:2:capescape:channel send",            // events <- object.New()
-		"41:2:capescape:exported field",          // c.Last = object.New()
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("capescape positions:\n got %v\nwant %v", got, want)
-	}
-	for _, d := range diags {
-		if d.Check == "capescape" && strings.Contains(d.Message, "may return a raw") &&
-			!strings.Contains(d.Message, "created at object.go:10") {
-			t.Errorf("flow finding does not name the origin site: %s", d.Message)
-		}
-	}
-}
-
 // TestWrapClassExactPositions pins positions, origin kinds, and resolved
 // op strings for the wrapclass fixture: findings anchor on the error
 // construction site and carry the boundary op, including the op resolved
@@ -406,62 +334,5 @@ func TestWrapClassExactPositions(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("wrapclass positions:\n got %v\nwant %v", got, want)
-	}
-}
-
-// TestSimBlockExactPositions pins positions, sinks, and chain rendering
-// for the simblock fixture: direct roots report with no chain, helpers
-// name the hops, and the sim-unreachable Offline stays simblock-quiet.
-func TestSimBlockExactPositions(t *testing.T) {
-	l, diags := loadFixture(t)
-	var got []string
-	for _, d := range diags {
-		rel, _ := filepath.Rel(l.Root, d.Pos.Filename)
-		if filepath.ToSlash(rel) != "bad/simblock/simblock.go" || d.Check != "simblock" {
-			continue
-		}
-		sink := afterPrefix(d.Message, "")
-		chain := ""
-		if strings.Contains(d.Message, " via ") {
-			chain = ":via"
-		}
-		got = append(got, fmt.Sprintf("%d:%d:%s%s", d.Pos.Line, d.Pos.Column, sink, chain))
-	}
-	want := []string{
-		"26:2:time.Sleep",              // Tick's direct sleep, root itself
-		"39:2:sync.WaitGroup.Wait:via", // helper, chained from Drive's closure
-		"40:2:receive:via",             // helper's shared-channel receive
-		"46:2:range",                   // Consume's range over shared channel
-		"48:9:os.ReadFile",             // Consume's real file read
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("simblock positions:\n got %v\nwant %v", got, want)
-	}
-}
-
-// TestLockOrderExactPositions pins positions for the lockorder fixture:
-// inversions report at the lexically later second-acquisition site and
-// name both functions; balance leaks report at the acquisition site.
-func TestLockOrderExactPositions(t *testing.T) {
-	l, diags := loadFixture(t)
-	var got []string
-	for _, d := range diags {
-		rel, _ := filepath.Rel(l.Root, d.Pos.Filename)
-		if filepath.ToSlash(rel) != "bad/lockorder/lockorder.go" {
-			continue
-		}
-		kind := "balance"
-		if strings.Contains(d.Message, "inversion") {
-			kind = "inversion"
-		}
-		got = append(got, fmt.Sprintf("%d:%d:%s", d.Pos.Line, d.Pos.Column, kind))
-	}
-	want := []string{
-		"25:2:inversion", // baPath's mu.Lock vs abPath's mu->nu
-		"45:2:inversion", // reversed's a.Lock vs viaHelper's a->lockB(b)
-		"53:2:balance",   // leaky's mu.Lock, unreleased on the return path
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("lockorder positions:\n got %v\nwant %v", got, want)
 	}
 }

@@ -2,7 +2,8 @@ package analysis
 
 // callgraph.go builds a whole-program call graph over every fully loaded
 // module package, using only go/ast + go/types (no x/tools, no SSA). It is
-// the substrate for the interprocedural analyzers (hotpath, lockorder):
+// the substrate for the interprocedural analyzers (hotpath, and wrapclass
+// through the taint engine):
 // where cfg.go answers "which paths exist inside one function body", the
 // call graph answers "which functions can run downstream of this one".
 //
@@ -513,25 +514,4 @@ func (g *callGraph) nodesIn(pkg *Package) []*funcNode {
 		}
 	}
 	return out
-}
-
-// transitiveCallees returns every node reachable from n (excluding n
-// unless it is part of a cycle), memoized in memo.
-func (g *callGraph) transitiveCallees(n *funcNode, memo map[*funcNode]map[*funcNode]bool) map[*funcNode]bool {
-	if s, ok := memo[n]; ok {
-		return s
-	}
-	seen := make(map[*funcNode]bool)
-	memo[n] = seen // breaks cycles: callees found so far are visible mid-walk
-	var walk func(*funcNode)
-	walk = func(m *funcNode) {
-		for _, e := range m.edges {
-			if !seen[e.callee] {
-				seen[e.callee] = true
-				walk(e.callee)
-			}
-		}
-	}
-	walk(n)
-	return seen
 }

@@ -7,45 +7,10 @@ import (
 	"strings"
 )
 
-// Emitters for machine-readable diagnostics. Both formats are byte-stable:
-// equal inputs produce equal output, file paths are module-root-relative
-// with forward slashes, and every map is marshaled through ordered structs
-// — so CI can diff two runs and archive SARIF artifacts that do not churn.
-
-// jsonReport is the -format json document.
-type jsonReport struct {
-	Module      string           `json:"module"`
-	Checks      []jsonCheck      `json:"checks"`
-	Diagnostics []jsonDiagnostic `json:"diagnostics"`
-}
-
-type jsonCheck struct {
-	Name      string `json:"name"`
-	Kind      string `json:"kind"`
-	Directive string `json:"directive"`
-	Doc       string `json:"doc"`
-}
-
-type jsonDiagnostic struct {
-	File    string    `json:"file"`
-	Line    int       `json:"line"`
-	Column  int       `json:"column"`
-	Check   string    `json:"check"`
-	Message string    `json:"message"`
-	Fixes   []jsonFix `json:"fixes,omitempty"`
-}
-
-type jsonFix struct {
-	Message string     `json:"message"`
-	Edits   []jsonEdit `json:"edits"`
-}
-
-type jsonEdit struct {
-	File    string `json:"file"`
-	Start   int    `json:"start"`
-	End     int    `json:"end"`
-	NewText string `json:"newText"`
-}
+// Emitters. The SARIF log is byte-stable: equal inputs produce equal
+// output, file paths are module-root-relative with forward slashes, and
+// every map is marshaled through ordered structs — so CI can diff two runs
+// and archive artifacts that do not churn.
 
 // emitPath makes a diagnostic filename root-relative with forward slashes;
 // paths outside the root (or already relative) pass through slash-mapped.
@@ -56,40 +21,6 @@ func emitPath(root, file string) string {
 		}
 	}
 	return filepath.ToSlash(file)
-}
-
-// WriteJSON emits the diagnostics as a deterministic JSON document.
-func WriteJSON(w io.Writer, root, module string, analyzers []*Analyzer, diags []Diagnostic) error {
-	rep := jsonReport{
-		Module:      module,
-		Checks:      make([]jsonCheck, 0, len(analyzers)),
-		Diagnostics: make([]jsonDiagnostic, 0, len(diags)),
-	}
-	for _, a := range analyzers {
-		rep.Checks = append(rep.Checks, jsonCheck{Name: a.Name, Kind: a.Kind, Directive: a.Directive, Doc: a.Doc})
-	}
-	for _, d := range diags {
-		jd := jsonDiagnostic{
-			File:    emitPath(root, d.Pos.Filename),
-			Line:    d.Pos.Line,
-			Column:  d.Pos.Column,
-			Check:   d.Check,
-			Message: d.Message,
-		}
-		for _, fix := range d.Fixes {
-			jf := jsonFix{Message: fix.Message}
-			for _, e := range fix.Edits {
-				jf.Edits = append(jf.Edits, jsonEdit{
-					File: emitPath(root, e.File), Start: e.Start, End: e.End, NewText: e.NewText,
-				})
-			}
-			jd.Fixes = append(jd.Fixes, jf)
-		}
-		rep.Diagnostics = append(rep.Diagnostics, jd)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 // MarkdownCheckTable renders the analyzer registry as the README's check
@@ -141,27 +72,6 @@ type sarifResult struct {
 	Level     string          `json:"level"`
 	Message   sarifMessage    `json:"message"`
 	Locations []sarifLocation `json:"locations"`
-	Fixes     []sarifFix      `json:"fixes,omitempty"`
-}
-
-type sarifFix struct {
-	Description     sarifMessage          `json:"description"`
-	ArtifactChanges []sarifArtifactChange `json:"artifactChanges"`
-}
-
-type sarifArtifactChange struct {
-	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Replacements     []sarifReplacement    `json:"replacements"`
-}
-
-type sarifReplacement struct {
-	DeletedRegion   sarifCharRegion `json:"deletedRegion"`
-	InsertedContent sarifMessage    `json:"insertedContent"`
-}
-
-type sarifCharRegion struct {
-	CharOffset int `json:"charOffset"`
-	CharLength int `json:"charLength"`
 }
 
 type sarifLocation struct {
@@ -203,7 +113,7 @@ func WriteSARIF(w io.Writer, root string, analyzers []*Analyzer, diags []Diagnos
 		if line < 1 {
 			line = 1 // typecheck diagnostics may carry a bare directory
 		}
-		res := sarifResult{
+		results = append(results, sarifResult{
 			RuleID:  d.Check,
 			Level:   "error",
 			Message: sarifMessage{Text: d.Message},
@@ -213,30 +123,7 @@ func WriteSARIF(w io.Writer, root string, analyzers []*Analyzer, diags []Diagnos
 					Region:           sarifRegion{StartLine: line, StartColumn: d.Pos.Column},
 				},
 			}},
-		}
-		for _, fix := range d.Fixes {
-			sf := sarifFix{Description: sarifMessage{Text: fix.Message}}
-			// Group edits per file in edit order (edits of one fix rarely
-			// span files, but the import edit may precede the rewrite).
-			byFile := make(map[string]int)
-			for _, e := range fix.Edits {
-				uri := emitPath(root, e.File)
-				i, ok := byFile[uri]
-				if !ok {
-					i = len(sf.ArtifactChanges)
-					byFile[uri] = i
-					sf.ArtifactChanges = append(sf.ArtifactChanges, sarifArtifactChange{
-						ArtifactLocation: sarifArtifactLocation{URI: uri},
-					})
-				}
-				sf.ArtifactChanges[i].Replacements = append(sf.ArtifactChanges[i].Replacements, sarifReplacement{
-					DeletedRegion:   sarifCharRegion{CharOffset: e.Start, CharLength: e.End - e.Start},
-					InsertedContent: sarifMessage{Text: e.NewText},
-				})
-			}
-			res.Fixes = append(res.Fixes, sf)
-		}
-		results = append(results, res)
+		})
 	}
 	log := sarifLog{
 		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",

@@ -26,45 +26,6 @@ func emitInput() (string, []Diagnostic) {
 	return root, diags
 }
 
-// TestWriteJSONShape decodes the JSON document and pins the root-relative
-// forward-slash paths and the field layout CI consumes.
-func TestWriteJSONShape(t *testing.T) {
-	root, diags := emitInput()
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, root, "repro", All(), diags); err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Module      string `json:"module"`
-		Checks      []struct{ Name, Directive, Doc string }
-		Diagnostics []struct {
-			File    string `json:"file"`
-			Line    int    `json:"line"`
-			Column  int    `json:"column"`
-			Check   string `json:"check"`
-			Message string `json:"message"`
-		}
-	}
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if rep.Module != "repro" {
-		t.Errorf("module = %q", rep.Module)
-	}
-	if len(rep.Checks) != len(All()) {
-		t.Errorf("checks = %d, want %d", len(rep.Checks), len(All()))
-	}
-	if len(rep.Diagnostics) != 2 {
-		t.Fatalf("diagnostics = %d, want 2", len(rep.Diagnostics))
-	}
-	if got := rep.Diagnostics[0].File; got != "internal/sim/sim.go" {
-		t.Errorf("file = %q, want root-relative forward-slash path", got)
-	}
-	if rep.Diagnostics[0].Line != 12 || rep.Diagnostics[0].Column != 3 {
-		t.Errorf("position = %d:%d, want 12:3", rep.Diagnostics[0].Line, rep.Diagnostics[0].Column)
-	}
-}
-
 // TestWriteSARIFShape decodes the SARIF log and pins the schema, rule set
 // (analyzers plus the directive/typecheck pseudo-rules), and locations.
 func TestWriteSARIFShape(t *testing.T) {
@@ -135,24 +96,19 @@ func TestWriteSARIFShape(t *testing.T) {
 	}
 }
 
-// TestEmitDeterministic asserts both emitters are byte-identical across
+// TestEmitDeterministic asserts the SARIF emitter is byte-identical across
 // repeated invocations on the same input — the property CI smoke-tests with
-// a double run of pcsi-vet -format json.
+// a double run of pcsi-vet -format sarif.
 func TestEmitDeterministic(t *testing.T) {
 	root, diags := emitInput()
-	for name, write := range map[string]func(*bytes.Buffer) error{
-		"json":  func(b *bytes.Buffer) error { return WriteJSON(b, root, "repro", All(), diags) },
-		"sarif": func(b *bytes.Buffer) error { return WriteSARIF(b, root, All(), diags) },
-	} {
-		var a, b bytes.Buffer
-		if err := write(&a); err != nil {
-			t.Fatal(err)
-		}
-		if err := write(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("%s output differs between two runs on equal input", name)
-		}
+	var a, b bytes.Buffer
+	if err := WriteSARIF(&a, root, All(), diags); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSARIF(&b, root, All(), diags); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("sarif output differs between two runs on equal input")
 	}
 }

@@ -24,7 +24,7 @@ var retryBoundaryPkgs = stringSet(
 // or its type (errors.As target).
 var ErrClass = &Analyzer{
 	Name:      "errclass",
-	Kind:      "dataflow",
+	Kind:      "syntactic",
 	Directive: "errclass",
 	Doc:       "require retry-boundary errors to implement fault.Classified or appear in a classifier",
 	Prepare:   prepareErrClass,
@@ -183,11 +183,7 @@ func checkErrSentinels(pass *Pass, spec *ast.ValueSpec, errorIface, classified *
 		if i < len(spec.Values) && initClassified(pass, spec.Values[i], classified) {
 			continue
 		}
-		var fixes []SuggestedFix
-		if i < len(spec.Values) {
-			fixes = classifyRewriteFixes(pass, spec.Values[i])
-		}
-		pass.ReportWithFix(name.Pos(), fixes,
+		pass.Report(name.Pos(),
 			"error sentinel %s is declared in retry-boundary package %s without a retry classification: construct it with fault.Fatal/fault.Transient, make it implement fault.Classified, or list it in a classifier's errors.Is set",
 			name.Name, relPath(pass.Module, pass.Pkg.Path))
 	}
@@ -213,37 +209,6 @@ func initClassified(pass *Pass, init ast.Expr, classified *types.Interface) bool
 		}
 	}
 	return false
-}
-
-// classifyRewriteFixes builds the constructor-rewrite fix for an
-// unclassified sentinel initializer: errors.New → fault.Transient,
-// fmt.Errorf → fault.Transientf, plus the fault import. Nil when the
-// initializer has no mechanical rewrite.
-func classifyRewriteFixes(pass *Pass, init ast.Expr) []SuggestedFix {
-	call, ok := ast.Unparen(init).(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	fn := calleeFunc(pass.Pkg.Info, call)
-	var to string
-	switch {
-	case isPkgFunc(fn, "errors", "New"):
-		to = "fault.Transient"
-	case isPkgFunc(fn, "fmt", "Errorf") && !errorfWraps(call):
-		to = "fault.Transientf"
-	default:
-		return nil
-	}
-	edits := []TextEdit{editReplace(pass.Fset, call.Fun.Pos(), call.Fun.End(), to)}
-	if f := fileContaining(pass.Pkg, pass.Fset, call.Pos()); f != nil {
-		if imp := importEdit(pass.Fset, f, pass.Module+"/internal/fault"); imp != nil {
-			edits = append(edits, *imp)
-		}
-	}
-	return []SuggestedFix{{
-		Message: "rewrite to " + to + " so the error is classified",
-		Edits:   edits,
-	}}
 }
 
 // checkErrType verifies a concrete named error type declared in a

@@ -31,8 +31,8 @@ var HotPath = &Analyzer{
 }
 
 // prepareCallGraph builds the shared whole-program call graph before the
-// per-package passes fan out (hotpath, goroleak, and lockorder all read
-// it; the first Prepare builds, the rest hit the cache).
+// per-package passes fan out (wrapclass's taint engine reads it too; the
+// first Prepare builds, the second hits the cache).
 func prepareCallGraph(pass *Pass) {
 	buildCallGraph(pass)
 }

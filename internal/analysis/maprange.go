@@ -335,24 +335,20 @@ func checkMapRange(pass *Pass, body *ast.BlockStmt) {
 
 	in := forwardDataflow(g, tf)
 	leaks := make(map[sliceTaint]bool)
-	firstRet := make(map[sliceTaint]*ast.ReturnStmt)
-	collect := func(facts factSet, ret *ast.ReturnStmt) {
+	collect := func(facts factSet) {
 		for f := range facts {
 			if st, ok := f.(sliceTaint); ok {
 				leaks[st] = true
-				if ret != nil && firstRet[st] == nil {
-					firstRet[st] = ret
-				}
 			}
 		}
 	}
 	replay(g, in, tf, func(n ast.Node, before factSet) {
-		if ret, ok := n.(*ast.ReturnStmt); ok {
-			collect(before, ret)
+		if _, ok := n.(*ast.ReturnStmt); ok {
+			collect(before)
 		}
 	})
 	if final := finalFacts(g, in, tf); final != nil {
-		collect(final, nil)
+		collect(final)
 	}
 
 	var sorted []sliceTaint
@@ -373,62 +369,9 @@ func checkMapRange(pass *Pass, body *ast.BlockStmt) {
 			continue
 		}
 		seenPath[st.path] = true
-		pass.ReportWithFix(st.pos, sortBeforeReturnFix(pass, st, firstRet[st]),
+		pass.Report(st.pos,
 			"%s accumulates values from a map range (iteration order is randomized per run) and reaches a return unsorted; sort it before use (append-then-sort) or annotate //pcsi:allow maporder", st.path)
 	}
-}
-
-// sortBeforeReturnFix builds the append-then-sort fix for a rule-3 leak:
-// when the first leaking return returns the accumulated slice directly
-// and its element type is string or int, insert the matching sort call
-// on the line above the return. Other shapes have no mechanical rewrite.
-func sortBeforeReturnFix(pass *Pass, st sliceTaint, ret *ast.ReturnStmt) []SuggestedFix {
-	if ret == nil || strings.Contains(st.path, ".") {
-		return nil
-	}
-	info := pass.Pkg.Info
-	var v *types.Var
-	for _, res := range ret.Results {
-		if id, ok := ast.Unparen(res).(*ast.Ident); ok && id.Name == st.path {
-			v, _ = info.Uses[id].(*types.Var)
-			break
-		}
-	}
-	if v == nil {
-		return nil
-	}
-	slice, ok := v.Type().Underlying().(*types.Slice)
-	if !ok {
-		return nil
-	}
-	basic, ok := slice.Elem().Underlying().(*types.Basic)
-	if !ok {
-		return nil
-	}
-	var sortFn string
-	switch basic.Kind() {
-	case types.String:
-		sortFn = "sort.Strings"
-	case types.Int:
-		sortFn = "sort.Ints"
-	default:
-		return nil
-	}
-	p := pass.Fset.Position(ret.Pos())
-	lineStart := pass.Fset.Position(pass.Fset.File(ret.Pos()).LineStart(p.Line)).Offset
-	edits := []TextEdit{{
-		File: p.Filename, Start: lineStart, End: lineStart,
-		NewText: sortFn + "(" + st.path + ")\n",
-	}}
-	if f := fileContaining(pass.Pkg, pass.Fset, ret.Pos()); f != nil {
-		if imp := importEdit(pass.Fset, f, "sort"); imp != nil {
-			edits = append(edits, *imp)
-		}
-	}
-	return []SuggestedFix{{
-		Message: "insert " + sortFn + " before the return so the order is deterministic",
-		Edits:   edits,
-	}}
 }
 
 // hasSlicePath reports whether facts already track path.

@@ -23,7 +23,7 @@ var obsrandClients = stringSet(
 // to prevent.
 var ObsRand = &Analyzer{
 	Name:      "obsrand",
-	Kind:      "dataflow",
+	Kind:      "syntactic",
 	Directive: "obsrand",
 	Doc:       "restrict sim.Env.ObserverRand to the observer-domain packages (fault, trace, qos)",
 	Run:       runObsRand,

@@ -1,6 +1,6 @@
 package analysis
 
-// taint.go is a whole-module, summary-based interprocedural taint/escape
+// taint.go is a whole-module, summary-based interprocedural taint
 // engine over the call graph of callgraph.go. Where the CFG + dataflow
 // framework answers "which facts hold on which paths inside one body", the
 // taint engine answers "which VALUES can flow from where to where across
@@ -16,8 +16,8 @@ package analysis
 //
 //	flow = (origins ⊆ Origin, params ⊆ Param)
 //
-// where an origin is a source position a spec marked as minting taint (an
-// errors.New call, a raw object.Object composite literal, ...) and a param
+// where an origin is a source position that mints taint (an errors.New
+// call, an unclassified error composite literal, ...) and a param
 // is a *types.Var of some function's parameter: "whatever the caller
 // passes here flows onward". Propagation is flow-insensitive within a
 // function — assignments, returns, composite literals, channel sends, and
@@ -35,13 +35,13 @@ package analysis
 //	          Struct composite literals bind field values the same way,
 //	          but only EXPORTED field values join the composite's own
 //	          flow — a client holding the struct cannot reach unexported
-//	          fields, and neither can the escape analysis through it.
+//	          fields, and neither can a flow through it.
 //
-// A taintSpec parameterizes the engine: what mints an origin, which calls
-// are handled specially (fmt.Errorf("%w", ...) forwards its wrapped
-// error; fault.Fatal launders classification), and how package-var reads
-// are filtered. capescape and wrapclass are two specs over one engine;
-// simblock needs no value flow and uses the call graph directly.
+// wrapclass is the engine's one client and supplies its policy directly
+// (wrapState in wrapclass.go): what mints an origin, which calls are
+// handled specially (fmt.Errorf("%w", ...) forwards its wrapped error;
+// fault.Fatal launders classification), and how package-var reads are
+// filtered.
 //
 // Everything is deterministic: nodes are visited in SCC order derived
 // from the position-sorted graph, merges are monotone over finite sets,
@@ -55,12 +55,12 @@ import (
 	"strings"
 )
 
-// origin is one taint source: a spec-marked expression at a fixed position.
+// origin is one taint source: a minting expression at a fixed position.
 // It is comparable, so origin sets are plain maps.
 type origin struct {
 	pkg  *Package  // package whose source mints the taint
 	pos  token.Pos // the minting expression
-	kind string    // spec tag: "errors.New", "fmt.Errorf", "handle", ...
+	kind string    // "errors.New", "fmt.Errorf", "composite"
 	what string    // short human description for diagnostics
 }
 
@@ -70,8 +70,6 @@ type flow struct {
 	origins map[origin]bool
 	params  map[*types.Var]bool
 }
-
-func (f *flow) isEmpty() bool { return len(f.origins) == 0 && len(f.params) == 0 }
 
 // addOrigin inserts o, reporting growth.
 func (f *flow) addOrigin(o origin) bool {
@@ -145,29 +143,13 @@ type taintCtx struct {
 	pkg  *Package
 }
 
-// taintSpec parameterizes the engine for one analyzer.
-type taintSpec struct {
-	// key namespaces the engine in Pass.Cache ("taint.<key>").
-	key string
-	// callFlow, if set, may fully handle a call's result flow (taint
-	// constructors, laundering wrappers, forwarding wrappers). Returning
-	// handled=false falls back to callee-summary resolution.
-	callFlow func(eng *taintEngine, ctx taintCtx, call *ast.CallExpr) (flow, bool)
-	// exprOrigins, if set, returns origins minted directly by a non-call
-	// expression (typically composite literals).
-	exprOrigins func(eng *taintEngine, ctx taintCtx, e ast.Expr) []origin
-	// globalFilter, if set, filters the flow observed when reading a
-	// package-level var (wrapclass drops classified sentinels here).
-	globalFilter func(eng *taintEngine, v *types.Var, f flow) flow
-}
-
-// taintEngine solves one spec's flows over the whole module.
+// taintEngine solves wrapclass's flows over the whole module.
 type taintEngine struct {
 	module string
 	fset   *token.FileSet
 	loader *Loader
 	g      *callGraph
-	spec   *taintSpec
+	wrap   *wrapState
 
 	order     []*funcNode                // bottom-up SCC order
 	params    map[*funcNode][]*types.Var // receiver-first parameter objects
@@ -184,20 +166,16 @@ type taintEngine struct {
 	changed bool
 }
 
-// buildTaintEngine constructs (once per Run, via the shared cache) a solved
-// engine for spec. It must be called from an analyzer's Prepare hook: it
-// builds the call graph and may trigger lazy loads.
-func buildTaintEngine(pass *Pass, spec *taintSpec) *taintEngine {
-	key := "taint." + spec.key
-	if eng, ok := pass.Cache[key].(*taintEngine); ok {
-		return eng
-	}
+// buildTaintEngine constructs a solved engine. It must be called from an
+// analyzer's Prepare hook: it builds the call graph and may trigger lazy
+// loads.
+func buildTaintEngine(pass *Pass, wrap *wrapState) *taintEngine {
 	eng := &taintEngine{
 		module:    pass.Module,
 		fset:      pass.Fset,
 		loader:    pass.Loader,
 		g:         buildCallGraph(pass),
-		spec:      spec,
+		wrap:      wrap,
 		params:    make(map[*funcNode][]*types.Var),
 		paramHome: make(map[*types.Var]*funcNode),
 		paramIdx:  make(map[*types.Var]int),
@@ -212,7 +190,6 @@ func buildTaintEngine(pass *Pass, spec *taintSpec) *taintEngine {
 	eng.order = eng.sccOrder()
 	eng.seedGlobals()
 	eng.solve()
-	pass.Cache[key] = eng
 	return eng
 }
 
@@ -335,8 +312,8 @@ func (eng *taintEngine) sccOrder() []*funcNode {
 }
 
 // seedGlobals evaluates every package-level var initializer once, so taint
-// minted there (an errors.New sentinel, a handle composite) is visible to
-// every reader before the first sweep.
+// minted there (an errors.New sentinel) is visible to every reader before
+// the first sweep.
 func (eng *taintEngine) seedGlobals() {
 	for _, pkg := range eng.loader.FullPackages() {
 		ctx := taintCtx{pkg: pkg}
@@ -566,16 +543,13 @@ func isPackageLevel(v *types.Var) bool {
 	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
-// globalFlow reads a package-level var through the spec's filter.
+// globalFlow reads a package-level var through wrapclass's filter.
 func (eng *taintEngine) globalFlow(v *types.Var) flow {
 	var f flow
 	if g := eng.globals[v]; g != nil {
 		f.merge(*g)
 	}
-	if eng.spec.globalFilter != nil {
-		return eng.spec.globalFilter(eng, v, f)
-	}
-	return f
+	return eng.wrap.globalFilter(v, f)
 }
 
 // eval computes the flow of one expression in ctx. It is re-run every
@@ -586,10 +560,8 @@ func (eng *taintEngine) eval(ctx taintCtx, e ast.Expr) flow {
 	if e == nil {
 		return out
 	}
-	if eng.spec.exprOrigins != nil {
-		for _, o := range eng.spec.exprOrigins(eng, ctx, e) {
-			out.addOrigin(o)
-		}
+	for _, o := range eng.wrap.exprOrigins(eng, ctx, e) {
+		out.addOrigin(o)
 	}
 	switch e := e.(type) {
 	case *ast.ParenExpr:
@@ -713,15 +685,13 @@ func structOf(info *types.Info, lit *ast.CompositeLit) *types.Struct {
 	return st
 }
 
-// callResults computes the per-result flows of one call: the spec's
-// callFlow hook first (constructors and forwarding wrappers), then the
+// callResults computes the per-result flows of one call: wrapclass's
+// callFlow first (constructors and forwarding wrappers), then the
 // callee summaries of every edge resolved at this site, with summary
 // parameters mapped back to the caller's argument expressions.
 func (eng *taintEngine) callResults(ctx taintCtx, call *ast.CallExpr) []flow {
-	if eng.spec.callFlow != nil {
-		if f, handled := eng.spec.callFlow(eng, ctx, call); handled {
-			return []flow{f}
-		}
+	if f, handled := eng.wrap.callFlow(eng, ctx, call); handled {
+		return []flow{f}
 	}
 	var edges []callEdge
 	if ctx.node != nil {
@@ -801,12 +771,6 @@ func (eng *taintEngine) mapSummaryFlow(ctx taintCtx, callee *funcNode, args []as
 	return out
 }
 
-// evalPost evaluates an expression against the converged solution, for
-// analyzers running sink walks after solve.
-func (eng *taintEngine) evalPost(n *funcNode, e ast.Expr) flow {
-	return eng.eval(taintCtx{node: n, pkg: n.pkg}, e)
-}
-
 // summaryOf returns n's converged summary (never nil).
 func (eng *taintEngine) summaryOf(n *funcNode) *taintSummary {
 	if s := eng.sums[n]; s != nil {
@@ -815,52 +779,16 @@ func (eng *taintEngine) summaryOf(n *funcNode) *taintSummary {
 	return &taintSummary{}
 }
 
-// originSite renders an origin's position as "file.go:17" for messages.
-func (eng *taintEngine) originSite(o origin) string {
-	pos := eng.fset.Position(o.pos)
-	name := pos.Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return name + ":" + itoa(pos.Line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
 // inTestFile reports whether pos sits in a _test.go file — taint minted by
 // test-only code never crosses a runtime boundary.
 func (eng *taintEngine) inTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(eng.fset.Position(pos).Filename, "_test.go")
 }
 
-// resolveFuncArg resolves a function-valued argument expression to the
-// call-graph nodes it may denote: a literal, a declared function or method
-// value, or a local variable assigned one of those anywhere in the
-// enclosing function (flow-insensitive, source order).
-func (eng *taintEngine) resolveFuncArg(encl *funcNode, e ast.Expr) []*funcNode {
-	return resolveFuncExpr(eng.g, encl, e)
-}
-
+// resolveFuncExpr resolves a function-valued expression to the call-graph
+// nodes it may denote: a literal, a declared function or method value, or
+// a local variable assigned one of those anywhere in the enclosing
+// function (flow-insensitive, source order).
 func resolveFuncExpr(g *callGraph, encl *funcNode, e ast.Expr) []*funcNode {
 	info := encl.pkg.Info
 	direct := func(e ast.Expr) *funcNode {

@@ -20,3 +20,9 @@ func Bare() {
 	// want-next: directive
 	//pcsi:allow
 }
+
+// Retired suppresses a check that no longer exists; it must be reported as
+// unknown so the suppression cannot linger silently.
+func Retired() {
+	//pcsi:allow lockorder // want: directive
+}

@@ -16,10 +16,7 @@ package analysis
 // are classified or listed in a classifier's errors.Is set read as clean.
 //
 // Findings are reported at the ORIGIN (that is where the fix goes), with
-// the boundary they reach named in the message. The suggested fix rewrites
-// errors.New → fault.Transient and fmt.Errorf → fault.Transientf (adding
-// the fault import); origins with no mechanical rewrite (composite
-// literals) get a //pcsi:allow stub as a last resort.
+// the boundary they reach named in the message.
 
 import (
 	"fmt"
@@ -49,10 +46,9 @@ var WrapClass = &Analyzer{
 // wrapFinding is one origin→boundary flow, reported by the package owning
 // the origin.
 type wrapFinding struct {
-	pkg   *Package
-	pos   token.Pos
-	msg   string
-	fixes []SuggestedFix
+	pkg *Package
+	pos token.Pos
+	msg string
 }
 
 func prepareWrapClass(pass *Pass) {
@@ -61,38 +57,29 @@ func prepareWrapClass(pass *Pass) {
 		pass.Cache["wrapclass.findings"] = []wrapFinding(nil)
 		return
 	}
-	idx := buildErrClassIndex(pass)
 	st := &wrapState{
 		module:     pass.Module,
 		classified: classified,
-		idx:        idx,
-		fixes:      make(map[origin][]SuggestedFix),
+		idx:        buildErrClassIndex(pass),
 	}
-	eng := buildTaintEngine(pass, &taintSpec{
-		key:          "wrapclass",
-		callFlow:     st.callFlow,
-		exprOrigins:  st.exprOrigins,
-		globalFilter: st.globalFilter,
-	})
-	pass.Cache["wrapclass.findings"] = collectWrapFindings(eng, st)
+	pass.Cache["wrapclass.findings"] = collectWrapFindings(buildTaintEngine(pass, st), st)
 }
 
 func runWrapClass(pass *Pass) {
 	findings, _ := pass.Cache["wrapclass.findings"].([]wrapFinding)
 	for _, f := range findings {
 		if f.pkg == pass.Pkg {
-			pass.ReportWithFix(f.pos, f.fixes, "%s", f.msg)
+			pass.Report(f.pos, "%s", f.msg)
 		}
 	}
 }
 
-// wrapState carries the classification tables and the per-origin fixes
-// built while minting.
+// wrapState carries the classification tables; its methods are the taint
+// engine's minting, laundering and filtering policy.
 type wrapState struct {
 	module     string
 	classified *types.Interface
 	idx        *errClassIndex
-	fixes      map[origin][]SuggestedFix
 }
 
 func (st *wrapState) faultPkg() string { return st.module + "/internal/fault" }
@@ -111,9 +98,7 @@ func (st *wrapState) callFlow(eng *taintEngine, ctx taintCtx, call *ast.CallExpr
 		if isPkgFunc(fn, "errors", "New") {
 			var out flow
 			if st.mintable(eng, ctx, call.Pos()) {
-				o := origin{pkg: ctx.pkg, pos: call.Pos(), kind: "errors.New", what: "errors.New"}
-				out.addOrigin(o)
-				st.rewriteFix(eng, ctx, call, o, "fault.Transient")
+				out.addOrigin(origin{pkg: ctx.pkg, pos: call.Pos(), kind: "errors.New", what: "errors.New"})
 			}
 			return out, true
 		}
@@ -127,9 +112,7 @@ func (st *wrapState) callFlow(eng *taintEngine, ctx taintCtx, call *ast.CallExpr
 			}
 			var out flow
 			if st.mintable(eng, ctx, call.Pos()) {
-				o := origin{pkg: ctx.pkg, pos: call.Pos(), kind: "fmt.Errorf", what: "fmt.Errorf without %w"}
-				out.addOrigin(o)
-				st.rewriteFix(eng, ctx, call, o, "fault.Transientf")
+				out.addOrigin(origin{pkg: ctx.pkg, pos: call.Pos(), kind: "fmt.Errorf", what: "fmt.Errorf without %w"})
 			}
 			return out, true
 		}
@@ -176,15 +159,11 @@ func (st *wrapState) exprOrigins(eng *taintEngine, ctx taintCtx, e ast.Expr) []o
 	if named, ok := t.(*types.Named); ok && st.idx.mentioned[named] {
 		return nil
 	}
-	o := origin{pkg: ctx.pkg, pos: lit.Pos(), kind: "composite", what: types.TypeString(t, nil)}
-	if _, ok := st.fixes[o]; !ok {
-		st.fixes[o] = []SuggestedFix{allowStubFix(eng.fset, lit.Pos(), "wrapclass", "TODO: classify this error type")}
-	}
-	return []origin{o}
+	return []origin{{pkg: ctx.pkg, pos: lit.Pos(), kind: "composite", what: types.TypeString(t, nil)}}
 }
 
 // globalFilter drops flows read from classified package-level sentinels.
-func (st *wrapState) globalFilter(eng *taintEngine, v *types.Var, f flow) flow {
+func (st *wrapState) globalFilter(v *types.Var, f flow) flow {
 	if implementsEither(v.Type(), st.classified) || st.idx.listed[v] {
 		return flow{}
 	}
@@ -198,24 +177,6 @@ func (st *wrapState) mintable(eng *taintEngine, ctx taintCtx, pos token.Pos) boo
 		return false
 	}
 	return ctx.pkg.Path != st.faultPkg()
-}
-
-// rewriteFix records the constructor-rewrite fix for an origin: replace
-// the callee expression with the fault equivalent and import fault.
-func (st *wrapState) rewriteFix(eng *taintEngine, ctx taintCtx, call *ast.CallExpr, o origin, to string) {
-	if _, ok := st.fixes[o]; ok {
-		return
-	}
-	edits := []TextEdit{editReplace(eng.fset, call.Fun.Pos(), call.Fun.End(), to)}
-	if f := fileContaining(ctx.pkg, eng.fset, call.Pos()); f != nil {
-		if imp := importEdit(eng.fset, f, st.faultPkg()); imp != nil {
-			edits = append(edits, *imp)
-		}
-	}
-	st.fixes[o] = []SuggestedFix{{
-		Message: fmt.Sprintf("rewrite to %s so the error is classified", to),
-		Edits:   edits,
-	}}
 }
 
 // collectWrapFindings locates every fault.Policy.Do boundary, resolves the
@@ -294,7 +255,6 @@ func collectWrapFindings(eng *taintEngine, st *wrapState) []wrapFinding {
 			pos: h.o.pos,
 			msg: fmt.Sprintf("unclassified error (%s) can reach the retry boundary %s (op %q): construct it with fault.Fatal/Transient, wrap a classified error with %%w, or list it in a classifier",
 				h.o.what, h.boundary, h.op),
-			fixes: st.fixes[h.o],
 		})
 	}
 	return findings

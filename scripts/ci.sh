@@ -13,16 +13,16 @@ echo '== go vet'
 go vet ./...
 
 echo '== pcsi-vet (invariant analyzers)'
+t0=$(date +%s)
 go run ./cmd/pcsi-vet ./...
+echo "pcsi-vet ./... took $(($(date +%s) - t0)) s"
 
-echo '== pcsi-vet machine formats (SARIF artifact + json determinism)'
-# SARIF for archive/code-scanning upload. pcsi-vet exits 1 when diagnostics
-# fire, but the tree is clean here (the text run above already gated).
+echo '== pcsi-vet SARIF (the uploaded artifact; byte-identical across runs)'
+# pcsi-vet exits 1 when diagnostics fire, but the tree is clean here (the
+# text run above already gated).
 go run ./cmd/pcsi-vet -format sarif ./... > pcsi-vet.sarif
-# The machine formats must be byte-identical across runs on the same tree.
-go run ./cmd/pcsi-vet -format json ./... > /tmp/pcsi-vet-a.json
-go run ./cmd/pcsi-vet -format json ./... > /tmp/pcsi-vet-b.json
-cmp /tmp/pcsi-vet-a.json /tmp/pcsi-vet-b.json || { echo 'pcsi-vet -format json not byte-identical across runs' >&2; exit 1; }
+go run ./cmd/pcsi-vet -format sarif ./... > /tmp/pcsi-vet-b.sarif
+cmp pcsi-vet.sarif /tmp/pcsi-vet-b.sarif || { echo 'pcsi-vet -format sarif not byte-identical across runs' >&2; exit 1; }
 
 echo '== gofmt'
 badfmt=$(gofmt -l . | grep -v '^\.git' || true)
