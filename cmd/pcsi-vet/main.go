@@ -5,8 +5,9 @@
 //	go run ./cmd/pcsi-vet -checks simtime,layering ./internal/...
 //	go run ./cmd/pcsi-vet -format sarif ./... > pcsi-vet.sarif
 //
-// -checks selects a subset of analyzers by name. Packages are analyzed in
-// parallel; output order is deterministic regardless.
+// -checks selects a subset of analyzers by name; a name the registry no
+// longer has (wrapclass, lockorder, ...) is a usage error. Packages are
+// analyzed in parallel; output order is deterministic regardless.
 //
 // -list prints the analyzer table (name, kind, directive, doc); with
 // -format md it prints the markdown check table README.md embeds, so the

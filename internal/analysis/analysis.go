@@ -6,7 +6,11 @@
 // any package pattern, and a self-enforcement test keeps the repo itself
 // clean. `pcsi-vet -list` prints the checks, the machinery behind each
 // (Analyzer.Kind) and its directive keyword; DESIGN.md §5 says why each
-// one is there.
+// one is there. Two engines sit behind them and no more: an
+// intraprocedural CFG with forward gen/kill dataflow (cfg.go, dataflow.go)
+// and a whole-module call graph (callgraph.go). Everything else is an AST
+// or declaration walk, plus errclass's two module-wide facts (the
+// classifier index and the import closure of the fault.Policy.Do callers).
 //
 // Legitimate exceptions are annotated in the source with a directive:
 //
@@ -50,8 +54,8 @@ type Analyzer struct {
 	Doc string
 	// Kind classifies the machinery behind the check: "syntactic" (AST and
 	// declaration walks, no engine), "dataflow" (CFG + gen/kill facts within
-	// one function), or "interprocedural" (call graph / taint summaries
-	// across the module).
+	// one function), or "interprocedural" (the call graph across the
+	// module).
 	Kind string
 	// Prepare, if set, runs once before the per-package passes fan out,
 	// with a pass carrying no package. It builds whole-program indexes
@@ -69,7 +73,7 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		SimTime, DetRand, Layering, CapDiscipline,
 		MapRange, ObsRand, ErrClass, SpanBalance,
-		HotPath, WrapClass,
+		HotPath,
 	}
 }
 

@@ -301,38 +301,34 @@ func TestHotPathExactPositions(t *testing.T) {
 	}
 }
 
-// TestWrapClassExactPositions pins positions, origin kinds, and resolved
-// op strings for the wrapclass fixture: findings anchor on the error
-// construction site and carry the boundary op, including the op resolved
-// through retry's parameter forwarding.
-func TestWrapClassExactPositions(t *testing.T) {
+// TestErrClassExactPositions pins positions and origin kinds for the
+// mint-site rule on the taskgraph fixture: findings anchor on the error
+// construction site, the declaration rule on the type name.
+func TestErrClassExactPositions(t *testing.T) {
 	l, diags := loadFixture(t)
 	var got []string
 	for _, d := range diags {
 		rel, _ := filepath.Rel(l.Root, d.Pos.Filename)
-		if filepath.ToSlash(rel) != "internal/taskgraph/taskgraph.go" || d.Check != "wrapclass" {
+		if filepath.ToSlash(rel) != "internal/taskgraph/taskgraph.go" || d.Check != "errclass" {
 			continue
 		}
-		op := "?"
-		if i := strings.Index(d.Message, "(op "); i >= 0 {
-			op = strings.Trim(afterPrefix(d.Message[i:], "(op "), `"):`)
-		}
 		origin := "?"
-		for _, k := range []string{"errors.New", "fmt.Errorf", "opError"} {
+		for _, k := range []string{"errors.New", "fmt.Errorf", "error type opError", "taskgraph.opError"} {
 			if strings.Contains(d.Message, k) {
 				origin = k
 				break
 			}
 		}
-		got = append(got, fmt.Sprintf("%d:%d:%s:%s", d.Pos.Line, d.Pos.Column, origin, op))
+		got = append(got, fmt.Sprintf("%d:%d:%s", d.Pos.Line, d.Pos.Column, origin))
 	}
 	want := []string{
-		"30:10:errors.New:taskgraph.step",  // step's raw errors.New
-		"33:10:fmt.Errorf:taskgraph.step",  // step's %w-less Errorf
-		"35:10:opError:taskgraph.step",     // step's composite literal
-		"53:10:errors.New:taskgraph.flaky", // op resolved through retry's params
+		"30:10:errors.New",        // step's raw errors.New
+		"33:10:fmt.Errorf",        // step's %w-less Errorf
+		"35:10:taskgraph.opError", // step's composite literal, at the type not the &
+		"40:6:error type opError", // the declaration rule
+		"53:10:errors.New",        // inside the closure handed to retry
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("wrapclass positions:\n got %v\nwant %v", got, want)
+		t.Errorf("errclass positions:\n got %v\nwant %v", got, want)
 	}
 }

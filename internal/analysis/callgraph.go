@@ -2,9 +2,8 @@ package analysis
 
 // callgraph.go builds a whole-program call graph over every fully loaded
 // module package, using only go/ast + go/types (no x/tools, no SSA). It is
-// the substrate for the interprocedural analyzers (hotpath, and wrapclass
-// through the taint engine):
-// where cfg.go answers "which paths exist inside one function body", the
+// the substrate for the one interprocedural analyzer, hotpath: where cfg.go
+// answers "which paths exist inside one function body", the
 // call graph answers "which functions can run downstream of this one".
 //
 // Resolution is CHA-style (class-hierarchy analysis), deliberately
@@ -54,21 +53,10 @@ const hotpathDirective = "//pcsi:hotpath"
 // function literal.
 type funcNode struct {
 	pkg   *Package
-	decl  *ast.FuncDecl // nil for literals
-	lit   *ast.FuncLit  // nil for declared functions
-	obj   *types.Func   // nil for literals
-	name  string        // deterministic printable name
+	name  string // deterministic printable name
 	body  *ast.BlockStmt
 	hot   bool // carries a //pcsi:hotpath directive
 	edges []callEdge
-}
-
-// Pos returns the node's defining position.
-func (n *funcNode) Pos() token.Pos {
-	if n.decl != nil {
-		return n.decl.Pos()
-	}
-	return n.lit.Pos()
 }
 
 // callEdge is one resolved call from a node to a callee.
@@ -164,8 +152,6 @@ func (g *callGraph) collectNodes(pass *Pass, pkg *Package) {
 			obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
 			n := &funcNode{
 				pkg:  pkg,
-				decl: fd,
-				obj:  obj,
 				name: declName(pass.Module, pkg, fd),
 				body: fd.Body,
 				hot:  hotDecls[fd],
@@ -208,7 +194,6 @@ func (g *callGraph) collectLits(pkg *Package, parent string, root ast.Node) {
 		i++
 		node := &funcNode{
 			pkg:  pkg,
-			lit:  lit,
 			name: joinLitName(parent, i),
 			body: lit.Body,
 		}

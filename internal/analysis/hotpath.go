@@ -30,9 +30,8 @@ var HotPath = &Analyzer{
 	Run:       runHotPath,
 }
 
-// prepareCallGraph builds the shared whole-program call graph before the
-// per-package passes fan out (wrapclass's taint engine reads it too; the
-// first Prepare builds, the second hits the cache).
+// prepareCallGraph builds the whole-program call graph before the
+// per-package passes fan out; they read it from the cache.
 func prepareCallGraph(pass *Pass) {
 	buildCallGraph(pass)
 }

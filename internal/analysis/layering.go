@@ -52,11 +52,11 @@ var (
 	// fncacheDeps are the only packages internal/fncache may import: the
 	// colocated function cache keeps coherence bookkeeping over virtual
 	// time, stamps from the consistency layer, and metrics in the registry,
-	// but never touches objects or the store directly — core converts IDs
-	// at the boundary.
+	// and classifies its decode errors through fault, but never touches
+	// objects or the store directly — core converts IDs at the boundary.
 	fncacheDeps = stringSet(
 		"internal/sim", "internal/cluster", "internal/consistency",
-		"internal/trace", "internal/metrics",
+		"internal/trace", "internal/metrics", "internal/fault",
 	)
 
 	// fncacheClients are the only packages that may import internal/fncache:
@@ -207,7 +207,7 @@ func checkImport(pass *Pass, imp *ast.ImportSpec, target, path string) {
 		// The colocated cache sits between state and compute: it may see
 		// the consistency layer's stamps and the substrates, nothing above.
 		if !fncacheDeps[dep] {
-			pass.Report(imp.Pos(), "internal/fncache may not import %s: the colocated cache depends only on internal/sim, internal/cluster, internal/consistency, internal/trace, and internal/metrics (DESIGN.md §3)", dep)
+			pass.Report(imp.Pos(), "internal/fncache may not import %s: the colocated cache depends only on internal/sim, internal/cluster, internal/consistency, internal/trace, internal/metrics, and internal/fault (DESIGN.md §3)", dep)
 			return
 		}
 	case target == "internal/faasfs":

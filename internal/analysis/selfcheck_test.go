@@ -39,7 +39,7 @@ func TestRepoInvariants(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRegistry pins the analyzer roster: all ten checks
+// TestAnalyzerRegistry pins the analyzer roster: all nine checks
 // present, with unique names, unique suppression keywords, kinds, docs,
 // and Run hooks — so a registry edit cannot silently drop a check from
 // pcsi-vet, the CI gate, and TestRepoInvariants at once.
@@ -50,7 +50,7 @@ func TestAnalyzerRegistry(t *testing.T) {
 		{"layering", "syntactic"}, {"capdiscipline", "syntactic"},
 		{"maprange", "dataflow"}, {"obsrand", "syntactic"},
 		{"errclass", "syntactic"}, {"spanbalance", "dataflow"},
-		{"hotpath", "interprocedural"}, {"wrapclass", "interprocedural"},
+		{"hotpath", "interprocedural"},
 	}
 	if len(all) != len(want) {
 		t.Fatalf("All() has %d analyzers, want %d", len(all), len(want))

@@ -21,8 +21,9 @@ func Bare() {
 	//pcsi:allow
 }
 
-// Retired suppresses a check that no longer exists; it must be reported as
+// Retired suppresses checks that no longer exist; each must be reported as
 // unknown so the suppression cannot linger silently.
 func Retired() {
 	//pcsi:allow lockorder // want: directive
+	//pcsi:allow wrapclass // want: directive
 }

@@ -6,7 +6,11 @@
 package faasfs
 
 import (
+	"errors"
+
 	"fixture/internal/core"
+	"fixture/internal/fault"
+	"fixture/internal/sim"
 	"fixture/internal/store" // want: layering
 )
 
@@ -20,3 +24,20 @@ func Attach(cl *core.Client, st *store.Store) *Mount {
 	_ = st.Get(0)
 	return &Mount{cl: cl}
 }
+
+// Run is the only fault.Policy.Do call above core, store and object: it is
+// what puts those three inside errclass's mint-site scope.
+func (m *Mount) Run(p *fault.Policy, proc *sim.Proc, st *store.Store) error {
+	return p.Do(proc, "faasfs.txn", func() error {
+		_, err := st.Take(0)
+		return err
+	})
+}
+
+// retryable is a classifier (func(error) bool): listing store.ErrBusy here
+// is what clears its errors.New initializer.
+func retryable(err error) bool {
+	return errors.Is(err, store.ErrBusy) || fault.Retryable(err)
+}
+
+var _ = retryable

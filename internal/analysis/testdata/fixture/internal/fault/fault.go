@@ -58,8 +58,8 @@ func Transientf(format string, args ...any) error {
 	return classed{msg: fmt.Sprintf(format, args...), retry: true}
 }
 
-// Policy is the retry-boundary stub: wrapclass resolves the function
-// values handed to Do and audits their error results.
+// Policy is the retry-boundary stub: a package that calls Do roots the
+// import closure errclass's mint-site rule covers.
 type Policy struct{}
 
 // Do runs fn under the (stub) retry loop.

@@ -1,7 +1,15 @@
 // Package sim is a miniature stand-in for the real simulation substrate.
 package sim
 
-import "math/rand"
+import (
+	"errors"
+	"math/rand"
+)
+
+// ErrTimeout is unclassified and sits inside a retry boundary's import
+// closure, but sim is a substrate: it cannot import fault, and
+// fault.Retryable's own table classifies it. No errclass finding.
+var ErrTimeout = errors.New("sim: timeout")
 
 // Env is a virtual-time environment stub carrying a seeded random stream.
 type Env struct {

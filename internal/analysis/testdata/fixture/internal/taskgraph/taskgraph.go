@@ -1,7 +1,7 @@
-// Package taskgraph exercises the wrapclass analyzer: it is a
-// retry-boundary package whose fault.Policy.Do closures return errors,
-// and every unclassified origin that can flow into one is flagged at the
-// construction site. The classified paths at the bottom must stay quiet.
+// Package taskgraph exercises errclass's mint-site rule: it calls
+// fault.Policy.Do, so it is a retry boundary and every unclassified error
+// born in it (or in anything it imports) is flagged at the construction
+// site. The classified paths at the bottom must stay quiet.
 package taskgraph
 
 import (
@@ -15,8 +15,8 @@ import (
 // ErrStuck is classified by construction: reads of it stay clean.
 var ErrStuck = fault.Transient("taskgraph: stuck")
 
-// Run drives one step under the retry policy; wrapclass resolves the
-// closure and audits the origins its error result can carry.
+// Run drives one step under the retry policy: the call that makes this
+// package a retry boundary.
 func Run(p *fault.Policy, proc *sim.Proc) error {
 	return p.Do(proc, "taskgraph.step", func() error {
 		return step()
@@ -27,22 +27,22 @@ func Run(p *fault.Policy, proc *sim.Proc) error {
 // where the error is born, not at the boundary.
 func step() error {
 	if cond(1) {
-		return errors.New("taskgraph: raw") // want: wrapclass
+		return errors.New("taskgraph: raw") // want: errclass
 	}
 	if cond(2) {
-		return fmt.Errorf("taskgraph: code %d", 7) // want: wrapclass
+		return fmt.Errorf("taskgraph: code %d", 7) // want: errclass
 	}
-	return &opError{code: 9} // want: wrapclass
+	return &opError{code: 9} // want: errclass
 }
 
 // opError implements error with no classification: errclass flags the
-// declaration, wrapclass flags the literal escaping into the boundary.
+// declaration (here) and every literal of it (above).
 type opError struct{ code int } // want: errclass
 
 func (e *opError) Error() string { return "taskgraph: op" }
 
-// retry forwards op and fn through its parameters; the boundary resolves
-// one caller frame up.
+// retry forwards op and fn through its parameters; the mint-site rule
+// needs no resolution, the closure below is in this package either way.
 func retry(p *fault.Policy, proc *sim.Proc, op string, fn func() error) error {
 	return p.Do(proc, op, fn)
 }
@@ -50,7 +50,7 @@ func retry(p *fault.Policy, proc *sim.Proc, op string, fn func() error) error {
 // Flaky reaches the boundary through retry's parameter forwarding.
 func Flaky(p *fault.Policy, proc *sim.Proc) error {
 	return retry(p, proc, "taskgraph.flaky", func() error {
-		return errors.New("taskgraph: flaky") // want: wrapclass
+		return errors.New("taskgraph: flaky") // want: errclass
 	})
 }
 
@@ -68,7 +68,7 @@ type shed struct{ n int }
 func (s *shed) Error() string   { return "taskgraph: shed" }
 func (s *shed) Retryable() bool { return false }
 
-// newShed's static result type implements Classified: calls launder.
+// newShed's literal is of a type that implements Classified: clean.
 func newShed() *shed { return &shed{n: 1} }
 
 // RunShed returns only classified values: clean.

@@ -102,17 +102,6 @@ func (g *Group) primary(id object.ID) *Replica {
 // replica catches up through anti-entropy.
 func (g *Group) SetDown(i int, down bool) { g.replicas[i].down = down }
 
-// liveCount returns the number of up replicas.
-func (g *Group) liveCount() int {
-	n := 0
-	for _, r := range g.replicas {
-		if !r.down {
-			n++
-		}
-	}
-	return n
-}
-
 // liveFrom returns the number of replicas that are up and network-reachable
 // from the given node (quorum as seen from a primary during a partition).
 func (g *Group) liveFrom(from simnet.NodeID) int {

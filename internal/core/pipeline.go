@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/capability"
 	"repro/internal/consistency"
+	"repro/internal/fault"
 	"repro/internal/fncache"
 	"repro/internal/object"
 	"repro/internal/qos"
@@ -142,13 +143,12 @@ func (cl *Client) admit(p *sim.Proc, v *verb) (qos.Grant, error) {
 }
 
 // opSpan opens the verb's span, nested under whatever the calling process
-// has open (a function's exec span, a task span, ...). Untraced runs skip
-// rendering the attributes, as check does.
+// has open (a function's exec span, a task span, ...).
 func (cl *Client) opSpan(p *sim.Proc, v *verb, obj object.ID) *trace.Span {
-	tr := trace.Of(cl.c.env)
-	if tr == nil || v.noSpan {
+	if v.noSpan {
 		return nil
 	}
+	tr := trace.Of(cl.c.env)
 	origin := trace.Int("origin", int64(cl.node))
 	if v.noRef {
 		return tr.Start(p, v.cat, v.name, origin)
@@ -211,7 +211,7 @@ func (t *target) poll(empty error, budget int, fn func(*object.Object) error) er
 		}
 		t.p.Sleep(t.cl.c.net.Profile().BaseRTT)
 	}
-	return errors.New("core: " + t.v.name + ": poll budget exhausted")
+	return fault.Fatal("core: " + t.v.name + ": poll budget exhausted")
 }
 
 // retry runs one store access as retry(fault → fn): each attempt first

@@ -115,7 +115,7 @@ func (r *ChaosReport) Render(w io.Writer) {
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	e, ok := Get(strings.ToUpper(cfg.Exp))
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q", cfg.Exp)
+		return nil, fault.Fatalf("experiments: unknown experiment %q", cfg.Exp)
 	}
 	if cfg.Seeds <= 0 {
 		cfg.Seeds = 5

@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -15,10 +15,10 @@ import (
 func RunDash(id string, seed int64) (*Report, *obs.Timeline, error) {
 	e, ok := Get(strings.ToUpper(id))
 	if !ok {
-		return nil, nil, fmt.Errorf("experiments: unknown experiment %q", id)
+		return nil, nil, fault.Fatalf("experiments: unknown experiment %q", id)
 	}
 	if obs.ActiveSession() != nil {
-		return nil, nil, fmt.Errorf("experiments: an obs session is already active")
+		return nil, nil, fault.Fatal("experiments: an obs session is already active")
 	}
 	s := obs.Activate(obs.Config{})
 	defer s.Deactivate()

@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -21,7 +21,7 @@ import (
 func RunTraced(id string, seed int64) (*Report, *trace.Data, error) {
 	e, ok := Get(strings.ToUpper(id))
 	if !ok {
-		return nil, nil, fmt.Errorf("experiments: unknown experiment %q", id)
+		return nil, nil, fault.Fatalf("experiments: unknown experiment %q", id)
 	}
 	c := trace.StartCollecting()
 	defer c.Stop()

@@ -9,7 +9,6 @@
 package faas
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -276,10 +275,10 @@ func (rt *Runtime) Cluster() *cluster.Cluster { return rt.cl }
 // Register adds a function. Concurrency defaults to 1.
 func (rt *Runtime) Register(fn *Function) error {
 	if fn.Name == "" || fn.Handler == nil {
-		return errors.New("faas: function needs a name and handler")
+		return fault.Fatal("faas: function needs a name and handler")
 	}
 	if _, dup := rt.fns[fn.Name]; dup {
-		return fmt.Errorf("faas: function %q already registered", fn.Name)
+		return fault.Fatalf("faas: function %q already registered", fn.Name)
 	}
 	if fn.Concurrency <= 0 {
 		fn.Concurrency = 1

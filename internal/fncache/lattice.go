@@ -15,9 +15,10 @@ package fncache
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
+
+	"repro/internal/fault"
 )
 
 // Lattice is a join-semilattice value: Merge is the least upper bound and
@@ -42,7 +43,7 @@ const (
 )
 
 // ErrNotLattice reports a payload that does not decode as a lattice value.
-var ErrNotLattice = errors.New("fncache: payload is not an encoded lattice")
+var ErrNotLattice = fault.Fatal("fncache: payload is not an encoded lattice")
 
 // Mergeable reports whether a payload carries a lattice encoding.
 func Mergeable(b []byte) bool {
@@ -277,18 +278,6 @@ func (s ORSet) Contains(elem string) bool {
 		}
 	}
 	return false
-}
-
-// Elems returns the live elements in sorted order.
-func (s ORSet) Elems() []string {
-	var out []string
-	for e := range s.Adds {
-		if s.Contains(e) {
-			out = append(out, e)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Merge unions adds and tombstones.

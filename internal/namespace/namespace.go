@@ -14,17 +14,18 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/fault"
 	"repro/internal/object"
 	"repro/internal/store"
 )
 
 // Errors returned by namespace operations.
 var (
-	ErrNotDir     = errors.New("namespace: not a directory")
-	ErrNotFound   = errors.New("namespace: no such path")
-	ErrBadPath    = errors.New("namespace: malformed path")
-	ErrReadOnly   = errors.New("namespace: read-only layer")
-	ErrDepthLimit = errors.New("namespace: path too deep")
+	ErrNotDir     = fault.Fatal("namespace: not a directory")
+	ErrNotFound   = fault.Fatal("namespace: no such path")
+	ErrBadPath    = fault.Fatal("namespace: malformed path")
+	ErrReadOnly   = fault.Fatal("namespace: read-only layer")
+	ErrDepthLimit = fault.Fatal("namespace: path too deep")
 )
 
 // MaxDepth bounds path resolution to defend against cycles.
@@ -56,7 +57,7 @@ func NewUnion(st *store.Store, upper object.ID, lower *Namespace) (*Namespace, e
 		return nil, err
 	}
 	if lower.st != st {
-		return nil, errors.New("namespace: union across stores")
+		return nil, fault.Fatal("namespace: union across stores")
 	}
 	layers := append([]object.ID{upper}, lower.layers...)
 	return &Namespace{st: st, layers: layers}, nil

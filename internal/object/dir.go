@@ -237,9 +237,6 @@ func (o *Object) SockPending(end int) int {
 	return len(o.sock[1-end])
 }
 
-// SockStatus returns the connection state.
-func (o *Object) SockStatus() SockState { return o.sockState }
-
 // Device operations.
 
 // SetDriver installs the device driver (once, at creation time).

@@ -62,9 +62,6 @@ func NewLoopbackHTTP(payload []byte) (*LoopbackHTTP, error) {
 	return l, nil
 }
 
-// URL returns the object endpoint.
-func (l *LoopbackHTTP) URL() string { return l.url }
-
 // Get performs one real HTTP GET and returns the body length.
 func (l *LoopbackHTTP) Get() (int, error) {
 	resp, err := l.Client.Get(l.url)

@@ -103,18 +103,18 @@ type Traced struct {
 // Place implements faas.Placer.
 func (s Traced) Place(res cluster.Resources, hints faas.PlacementHints) (*cluster.Node, bool) {
 	node, scavenged := s.Inner.Place(res, hints)
-	if t := trace.Of(s.Env); t != nil {
-		attrs := []trace.Attr{trace.Int("cpu_m", res.MilliCPU), trace.Int("gpus", res.GPUs)}
-		if node != nil {
-			attrs = append(attrs, trace.Int("node", int64(node.ID)))
-		} else {
-			attrs = append(attrs, trace.Str("node", "none"))
-		}
-		if scavenged {
-			attrs = append(attrs, trace.Str("scavenged", "true"))
-		}
-		t.Instant("scheduler", "sched", "place", attrs...)
+	// Capacity for all four up front: the appends below never grow it, so
+	// the slice stays on the stack and an untraced placement allocates nothing.
+	attrs := append(make([]trace.Attr, 0, 4), trace.Int("cpu_m", res.MilliCPU), trace.Int("gpus", res.GPUs))
+	if node != nil {
+		attrs = append(attrs, trace.Int("node", int64(node.ID)))
+	} else {
+		attrs = append(attrs, trace.Str("node", "none"))
 	}
+	if scavenged {
+		attrs = append(attrs, trace.Str("scavenged", "true"))
+	}
+	trace.Of(s.Env).Instant("scheduler", "sched", "place", attrs...)
 	return node, scavenged
 }
 

@@ -153,13 +153,3 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 	q.items = q.items[1:]
 	return v, true
 }
-
-// TryGet removes and returns the head item without blocking.
-func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
-		return v, false
-	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	return v, true
-}

@@ -61,7 +61,7 @@ func (s *Store) Create(kind object.Kind) *object.Object {
 // The object's ID must not collide with an existing one.
 func (s *Store) Insert(o *object.Object) error {
 	if _, ok := s.objects[o.ID()]; ok {
-		return fmt.Errorf("store: duplicate id %v", o.ID())
+		return fault.Fatalf("store: duplicate id %v", o.ID())
 	}
 	s.objects[o.ID()] = o
 	s.used += o.Size()

@@ -10,7 +10,6 @@
 package taskgraph
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/faas"
@@ -63,7 +62,7 @@ func NewGraph() *Graph { return &Graph{tasks: make(map[string]*Task)} }
 // exist by Execute time.
 func (g *Graph) Add(t *Task) error {
 	if t.Name == "" || t.Fn == "" {
-		return errors.New("taskgraph: task needs a name and function")
+		return fault.Fatal("taskgraph: task needs a name and function")
 	}
 	if _, dup := g.tasks[t.Name]; dup {
 		return fmt.Errorf("%w: %q", ErrDupTask, t.Name)
@@ -284,7 +283,7 @@ func (e *Executor) finish(t *Task, r *Result) {
 // the invocation context.
 func (e *Executor) Submit(env *sim.Env, t *Task) (*sim.Event, error) {
 	if e.graph == nil {
-		return nil, errors.New("taskgraph: Submit before Execute")
+		return nil, fault.Fatal("taskgraph: Submit before Execute")
 	}
 	for _, dep := range t.After {
 		if _, ok := e.done[dep]; !ok {
@@ -304,7 +303,7 @@ func (e *Executor) Submit(env *sim.Env, t *Task) (*sim.Event, error) {
 // predecessor — the Figure 2 shape.
 func Pipeline(names []string, fns []string) (*Graph, error) {
 	if len(names) != len(fns) || len(names) == 0 {
-		return nil, errors.New("taskgraph: names and fns must align")
+		return nil, fault.Fatal("taskgraph: names and fns must align")
 	}
 	g := NewGraph()
 	for i := range names {

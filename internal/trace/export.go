@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"strconv"
 )
 
 // The exporter writes Chrome trace_event format JSON: an object with a
@@ -116,7 +117,11 @@ func spanArgs(s *Span) map[string]any {
 		args["parent"] = uint64(s.Parent)
 	}
 	for _, a := range s.Attrs {
-		args[a.Key] = a.Value
+		if a.isNum {
+			args[a.Key] = strconv.FormatInt(a.num, 10)
+		} else {
+			args[a.Key] = a.str
+		}
 	}
 	return args
 }

@@ -70,13 +70,6 @@ func (r *Registry) Len() int {
 	return len(r.byName)
 }
 
-// Each calls fn for every metric in sorted name order.
-func (r *Registry) Each(fn func(Metric)) {
-	for _, name := range r.Names() {
-		fn(r.byName[name])
-	}
-}
-
 // Lookup fetches the metric registered under name as a concrete type,
 // returning the zero value when absent or of a different type.
 func Lookup[T Metric](r *Registry, name string) T {

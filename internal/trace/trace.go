@@ -19,7 +19,6 @@
 package trace
 
 import (
-	"fmt"
 	"math/rand"
 	"strconv"
 
@@ -31,19 +30,21 @@ import (
 // "no span".
 type SpanID uint64
 
-// Attr is one key/value annotation on a span. Values are pre-rendered to
-// strings so spans stay comparable and the export is trivially
-// deterministic.
+// Attr is one key/value annotation on a span. An integer stays unrendered
+// until the exporter asks (spanArgs), so building attributes for a span
+// nobody is collecting costs no formatting and no allocation.
 type Attr struct {
 	Key   string
-	Value string
+	str   string
+	num   int64
+	isNum bool
 }
 
 // Str returns a string attribute.
-func Str(k, v string) Attr { return Attr{Key: k, Value: v} }
+func Str(k, v string) Attr { return Attr{Key: k, str: v} }
 
 // Int returns an integer attribute.
-func Int(k string, v int64) Attr { return Attr{Key: k, Value: fmt.Sprintf("%d", v)} }
+func Int(k string, v int64) Attr { return Attr{Key: k, num: v, isNum: true} }
 
 // Span is one timed (or instant) interval of virtual time. Fields are
 // exported for the exporter and analyzer; instrumentation should only use
@@ -208,7 +209,9 @@ func (t *Tracer) Start(p *sim.Proc, cat, name string, attrs ...Attr) *Span {
 
 // StartSpan opens a span with an explicit parent and causal links. A zero
 // parent nests under the process's current span; parent == NoParent forces
-// a root span even inside an open span context.
+// a root span even inside an open span context. The span keeps a copy of
+// attrs, never the slice itself, so a call site's variadic slice does not
+// escape and an untraced call allocates nothing (Instant and Mark likewise).
 func (t *Tracer) StartSpan(p *sim.Proc, parent SpanID, links []SpanID, cat, name string, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
@@ -221,7 +224,7 @@ func (t *Tracer) StartSpan(p *sim.Proc, parent SpanID, links []SpanID, cat, name
 		Name:   name,
 		Track:  p.Name(),
 		Start:  p.Now(),
-		Attrs:  attrs,
+		Attrs:  append([]Attr(nil), attrs...),
 		seq:    len(t.spans),
 		open:   true,
 	}
@@ -259,7 +262,7 @@ func (t *Tracer) Instant(track, cat, name string, attrs ...Attr) {
 		Track:   track,
 		Start:   now,
 		End:     now,
-		Attrs:   attrs,
+		Attrs:   append([]Attr(nil), attrs...),
 		Instant: true,
 		seq:     len(t.spans),
 	})
@@ -279,7 +282,7 @@ func (t *Tracer) Mark(track, cat, name string, start, end sim.Time, attrs ...Att
 		Track: track,
 		Start: start,
 		End:   end,
-		Attrs: attrs,
+		Attrs: append([]Attr(nil), attrs...),
 		seq:   len(t.spans),
 	}
 	t.spans = append(t.spans, s)
@@ -290,14 +293,6 @@ func (t *Tracer) Mark(track, cat, name string, start, end sim.Time, attrs ...Att
 func Current(p *sim.Proc) *Span {
 	s, _ := p.SpanCtx().(*Span)
 	return s
-}
-
-// CurrentID returns the ID of the process's innermost open span, or 0.
-func CurrentID(p *sim.Proc) SpanID {
-	if s := Current(p); s != nil {
-		return s.ID
-	}
-	return 0
 }
 
 // SpanID returns the span's ID, or 0 for nil — convenient when recording

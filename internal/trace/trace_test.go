@@ -325,3 +325,25 @@ func TestMerge(t *testing.T) {
 		t.Fatalf("Merge = %+v", m.Runs)
 	}
 }
+
+// TestUntracedSpansAllocateNothing pins the cost of instrumentation nobody
+// is collecting: integer attributes stay unrendered and the variadic slice
+// stays on the caller's stack, so the hot call sites (simnet.Send opens
+// exactly this span per message) need no "if tracing" guard of their own.
+func TestUntracedSpansAllocateNothing(t *testing.T) {
+	env := sim.NewEnv(1)
+	env.Go("p", func(p *sim.Proc) {
+		from, to, size := int64(p.Now()), int64(2), int64(4096)
+		if n := testing.AllocsPerRun(100, func() {
+			Of(env).Start(p, "net", "send", Int("from", from), Int("to", to), Int("bytes", size)).Close(p)
+		}); n != 0 {
+			t.Errorf("untraced Start/Close with three attributes: %v allocs, want 0", n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			Of(env).Instant("net", "net", "drop", Int("from", from), Int("to", to), Str("why", "partition"))
+		}); n != 0 {
+			t.Errorf("untraced Instant with three attributes: %v allocs, want 0", n)
+		}
+	})
+	env.Run()
+}

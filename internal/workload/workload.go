@@ -126,16 +126,10 @@ func NewZipf(env *sim.Env, n uint64, s float64) *Zipf {
 // Pick returns an item index; index 0 is the most popular.
 func (z *Zipf) Pick() uint64 { return z.z.Uint64() }
 
-// Sizes yields request payload sizes.
-type Sizes interface {
-	// Next returns the next payload size in bytes.
-	Next() int
-}
-
 // FixedSize always returns the same size.
 type FixedSize int
 
-// Next implements Sizes.
+// Next returns the next payload size in bytes.
 func (f FixedSize) Next() int { return int(f) }
 
 // LogNormalSizes draws sizes from a log-normal distribution (the shape of
@@ -153,7 +147,7 @@ func NewLogNormalSizes(env *sim.Env, median int, sigma float64, min, max int) *L
 	return &LogNormalSizes{rng: env.ForkRand("workload.sizes"), mu: math.Log(float64(median)), sigma: sigma, min: min, max: max}
 }
 
-// Next implements Sizes.
+// Next returns the next payload size in bytes.
 func (l *LogNormalSizes) Next() int {
 	v := math.Exp(l.mu + l.sigma*l.rng.NormFloat64())
 	n := int(v)
