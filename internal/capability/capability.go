@@ -180,24 +180,31 @@ func (s *Space) Drop(r Ref) {
 	delete(s.minted, r.id)
 }
 
-// Registry retains the (object, epoch) of every live reference so the GC
-// can compute reachability roots. PCSI deployments wrap a Space in a
+// Registry retains the object of every live reference, and how many each
+// object has, so the GC can compute reachability roots and an owner can
+// tell when the last reference went. PCSI deployments wrap a Space in a
 // Registry.
 type Registry struct {
 	*Space
 	byRef map[RefID]object.ID
+	live  map[object.ID]int // references recorded and not yet dropped; no zero entries
 }
 
 // NewRegistry returns a registry-backed capability space.
 func NewRegistry() *Registry {
-	return &Registry{Space: NewSpace(), byRef: make(map[RefID]object.ID)}
+	return &Registry{Space: NewSpace(), byRef: make(map[RefID]object.ID), live: make(map[object.ID]int)}
+}
+
+// record notes a freshly minted reference.
+func (g *Registry) record(r Ref) Ref {
+	g.byRef[r.id] = r.obj
+	g.live[r.obj]++
+	return r
 }
 
 // Mint issues and records a reference.
 func (g *Registry) Mint(obj object.ID, rights Rights) Ref {
-	r := g.Space.Mint(obj, rights)
-	g.byRef[r.id] = obj
-	return r
+	return g.record(g.Space.Mint(obj, rights))
 }
 
 // Attenuate derives and records a narrowed reference.
@@ -206,28 +213,32 @@ func (g *Registry) Attenuate(r Ref, mask Rights) (Ref, error) {
 	if err != nil {
 		return Ref{}, err
 	}
-	g.byRef[nr.id] = nr.obj
-	return nr, nil
+	return g.record(nr), nil
 }
 
-// Drop forgets a reference and its registry entry.
+// Drop forgets a reference and its registry entry. Dropping a reference
+// twice, or one the registry never recorded, counts nothing.
 func (g *Registry) Drop(r Ref) {
 	g.Space.Drop(r)
+	obj, ok := g.byRef[r.id]
+	if !ok {
+		return
+	}
 	delete(g.byRef, r.id)
+	if g.live[obj]--; g.live[obj] == 0 {
+		delete(g.live, obj)
+	}
 }
+
+// Live reports how many recorded references to obj have not been dropped.
+// Revocation does not count: a revoked reference is live until dropped.
+func (g *Registry) Live(obj object.ID) int { return g.live[obj] }
 
 // Roots returns the set of objects with live references — the GC root
 // contribution of held capabilities. Sorted for determinism.
 func (g *Registry) Roots() []object.ID {
-	seen := make(map[object.ID]struct{})
-	for id, obj := range g.byRef {
-		if _, minted := g.minted[id]; !minted {
-			continue
-		}
-		seen[obj] = struct{}{}
-	}
-	out := make([]object.ID, 0, len(seen))
-	for obj := range seen {
+	out := make([]object.ID, 0, len(g.live))
+	for obj := range g.live {
 		out = append(out, obj)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -3,6 +3,7 @@ package capability
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -208,3 +209,94 @@ func TestRegistryRootsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryLiveCounts drives mint/attenuate/drop/revoke scripts and, after
+// every step, compares Live and Roots with a brute-force count over the
+// references the script still holds.
+func TestRegistryLiveCounts(t *testing.T) {
+	type step struct {
+		op  byte // m: mint obj n; a: attenuate ref n; d: drop ref n; r: revoke obj n; z: drop the zero Ref
+		n   int
+		err error // a only
+	}
+	type script struct {
+		name  string
+		steps []step
+	}
+	scripts := []script{
+		{"mint then drop", []step{{op: 'm', n: 1}, {op: 'd', n: 0}}},
+		{"double drop counts once", []step{{op: 'm', n: 1}, {op: 'm', n: 1}, {op: 'd', n: 0}, {op: 'd', n: 0}, {op: 'd', n: 1}}},
+		{"attenuated outlives parent", []step{{op: 'm', n: 7}, {op: 'a', n: 0}, {op: 'd', n: 0}, {op: 'a', n: 1}, {op: 'd', n: 1}, {op: 'd', n: 2}}},
+		{"attenuate dropped ref", []step{{op: 'm', n: 3}, {op: 'd', n: 0}, {op: 'a', n: 0, err: ErrUnknown}}},
+		{"revoked is live till drop", []step{{op: 'm', n: 4}, {op: 'a', n: 0}, {op: 'r', n: 4}, {op: 'a', n: 0, err: ErrRevoked}, {op: 'm', n: 4}, {op: 'd', n: 1}, {op: 'd', n: 0}, {op: 'd', n: 2}}},
+		{"zero ref", []step{{op: 'z'}, {op: 'm', n: 2}, {op: 'z'}, {op: 'd', n: 0}, {op: 'z'}}},
+		{"interleaved objects", []step{{op: 'm', n: 9}, {op: 'm', n: 5}, {op: 'a', n: 1}, {op: 'm', n: 9}, {op: 'd', n: 1}, {op: 'd', n: 0}, {op: 'd', n: 3}, {op: 'd', n: 2}}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20; i++ {
+		var s []step
+		refs := 0
+		for j := 0; j < 60; j++ {
+			switch k := rng.Intn(10); {
+			case refs == 0 || k < 3:
+				s = append(s, step{op: 'm', n: 1 + rng.Intn(4)})
+				refs++
+			case k < 5:
+				s = append(s, step{op: 'a', n: rng.Intn(refs), err: errSkip})
+				refs++
+			default:
+				s = append(s, step{op: 'd', n: rng.Intn(refs)})
+			}
+		}
+		scripts = append(scripts, script{"random-" + string(rune('a'+i)), s})
+	}
+	for _, sc := range scripts {
+		name := sc.name
+		g := NewRegistry()
+		var refs []Ref      // every reference the script obtained, by index
+		held := []bool(nil) // whether refs[i] is still undropped
+		for i, st := range sc.steps {
+			switch st.op {
+			case 'm':
+				refs, held = append(refs, g.Mint(object.ID(st.n), All)), append(held, true)
+			case 'a':
+				r, err := g.Attenuate(refs[st.n], Read)
+				if st.err != errSkip && !errors.Is(err, st.err) {
+					t.Fatalf("%s step %d: Attenuate err = %v, want %v", name, i, err, st.err)
+				}
+				// A failed attenuation yields the zero Ref: a placeholder that
+				// keeps later indices stable and is never live.
+				refs, held = append(refs, r), append(held, err == nil)
+			case 'd':
+				g.Drop(refs[st.n])
+				held[st.n] = false
+			case 'r':
+				g.Revoke(object.ID(st.n))
+			case 'z':
+				g.Drop(Ref{})
+			}
+			want := map[object.ID]int{}
+			for j, r := range refs {
+				if held[j] {
+					want[r.Object()]++
+				}
+			}
+			var roots []object.ID
+			for obj := object.ID(0); obj < 12; obj++ {
+				if g.Live(obj) != want[obj] {
+					t.Fatalf("%s step %d: Live(%v) = %d, brute force %d", name, i, obj, g.Live(obj), want[obj])
+				}
+				if want[obj] > 0 {
+					roots = append(roots, obj)
+				}
+			}
+			if got := g.Roots(); !slices.Equal(got, roots) {
+				t.Fatalf("%s step %d: Roots = %v, want %v", name, i, got, roots)
+			}
+		}
+	}
+}
+
+// errSkip marks a generated attenuation whose outcome the script does not
+// predict (its parent may already be dropped).
+var errSkip = errors.New("unpredicted")

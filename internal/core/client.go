@@ -180,7 +180,10 @@ func (cl *Client) Put(p *sim.Proc, r Ref, data []byte) error {
 // Get returns an object's full payload. Reads of frozen objects whose
 // content is cached on the client's node are served locally without
 // touching the network — logical disaggregation without physical
-// disaggregation (§4.1).
+// disaggregation (§4.1). The payload of an IMMUTABLE object comes back as a
+// read-only view of the frozen bytes (object.Read), shared with the store,
+// the node cache and every other reader: the caller must not write into it.
+// Below IMMUTABLE the result is the caller's own copy.
 func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) {
 	var data []byte
 	err := cl.run(p, r, verbGet, func(t target) error {
@@ -207,7 +210,13 @@ func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) {
 		if err == nil && t.e == nil {
 			// Pull-through: remote reads populate the local cache; the entry
 			// is servable immediately when the object is already frozen.
-			cl.c.cacheFor(cl.node)[t.id] = &cacheEntry{data: append([]byte(nil), data...), stable: frozen}
+			// A frozen payload is already a shared view; anything else the
+			// caller may scribble on, so the cache keeps its own copy.
+			cached := data
+			if !frozen {
+				cached = append([]byte(nil), data...)
+			}
+			cl.c.cacheFor(cl.node)[t.id] = &cacheEntry{data: cached, stable: frozen}
 			cl.c.Meter.Charge("read", cost.PCSIBook.ReadCost(int64(len(data)), r.lvl == consistency.Linearizable))
 			if leased && kind == object.Regular {
 				// Fill under the epoch recorded before the read; a write that
@@ -236,7 +245,8 @@ func (cl *Client) cachedGet(t target, leased bool) ([]byte, bool) {
 	if e, ok := cl.c.cacheFor(cl.node)[t.id]; ok && e.stable {
 		cl.c.CacheHits++
 		t.sp.Annotate(trace.Str("cache", "hit"))
-		data = e.data
+		// Stable bytes are never written again: hand out a clipped view.
+		data = e.data[:len(e.data):len(e.data)]
 	} else if !leased {
 		return nil, false
 	} else {
@@ -248,14 +258,16 @@ func (cl *Client) cachedGet(t target, leased bool) ([]byte, bool) {
 			cl.c.fncache.StaleLeaseServes.Inc()
 		}
 		t.sp.Annotate(trace.Str("fncache", "hit"))
+		data = append([]byte(nil), data...) // mutable object: the caller owns its copy
 	}
 	t.p.Sleep(media.DRAM.ReadCost(int64(len(data))))
 	cl.c.Meter.Charge("read", cost.PCSIBook.ReadCost(int64(len(data)), false))
-	return append([]byte(nil), data...), true
+	return data, true
 }
 
 // GetAt reads at a specific consistency level, overriding the reference's
-// default — the per-operation menu of §3.3.
+// default — the per-operation menu of §3.3. As with Get, an IMMUTABLE
+// payload comes back as a read-only view.
 func (cl *Client) GetAt(p *sim.Proc, r Ref, lvl consistency.Level) ([]byte, error) {
 	var data []byte
 	err := cl.run(p, r, verbGetAt, func(t target) error {
@@ -386,8 +398,11 @@ func (cl *Client) Attenuate(r Ref, mask capability.Rights) (Ref, error) {
 }
 
 // Drop releases a reference; the object becomes collectable once
-// unreachable.
-func (cl *Client) Drop(r Ref) { cl.c.caps.Drop(r.cap) }
+// unreachable, and an ephemeral object is freed with its last reference.
+func (cl *Client) Drop(r Ref) {
+	cl.c.caps.Drop(r.cap)
+	cl.c.reapEphem(r.cap.Object())
+}
 
 // Revoke invalidates every outstanding reference to the object behind r.
 // Requires the Grant right (issuer-level authority).

@@ -37,7 +37,7 @@ const (
 // payload was read at, atomically under the primary's per-object lock —
 // the read half of optimistic concurrency control. Always linearizable;
 // bypasses the cache-stable and lease fast paths (they do not carry
-// versions).
+// versions). As with Get, an IMMUTABLE payload is a read-only view.
 func (cl *Client) GetVersioned(p *sim.Proc, r Ref) ([]byte, uint64, error) {
 	var data []byte
 	var ver uint64

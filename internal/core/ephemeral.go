@@ -71,20 +71,24 @@ func (cl *Client) ephemDo(p *sim.Proc, e *ephemObj, send, recv int, fn func(*obj
 	return nil
 }
 
-// sweepEphemeral drops ephemeral objects with no live references.
+// reapEphem frees the ephemeral object behind id once no live reference
+// names it — nothing can reach it again, and nothing else holds it — and
+// reports whether it did. The drop count keeps IDs from being reused.
+func (c *Cloud) reapEphem(id object.ID) bool {
+	if c.ephem[id] == nil || c.caps.Live(id) > 0 {
+		return false
+	}
+	delete(c.ephem, id)
+	c.ephemDrops++
+	return true
+}
+
+// sweepEphemeral reaps the ephemeral objects whose references left the
+// registry without a Client.Drop (which reaps at the last one itself).
 func (c *Cloud) sweepEphemeral() int {
-	if len(c.ephem) == 0 {
-		return 0
-	}
-	live := make(map[object.ID]bool)
-	for _, id := range c.caps.Roots() {
-		live[id] = true
-	}
 	n := 0
 	for id := range c.ephem {
-		if !live[id] {
-			delete(c.ephem, id)
-			c.ephemDrops++
+		if c.reapEphem(id) {
 			n++
 		}
 	}

@@ -150,7 +150,7 @@ func TestEphemeralLifecycle(t *testing.T) {
 	c := testCloud(33)
 	producer := c.NewClient(0)
 	consumer := c.NewClient(1)
-	var ref Ref
+	var ref, lost Ref
 	run(t, c, func(p *sim.Proc) {
 		var err error
 		ref, err = producer.Create(p, object.Regular, WithEphemeral())
@@ -190,9 +190,53 @@ func TestEphemeralLifecycle(t *testing.T) {
 		if err := producer.Put(p, ref, []byte("no")); !errors.Is(err, object.ErrImmutable) {
 			t.Errorf("write to frozen ephemeral = %v", err)
 		}
+		// The last Drop frees an ephemeral at once; no Collect is needed.
+		producer.Drop(ref)
+		if c.EphemeralCount() != 0 {
+			t.Errorf("EphemeralCount = %d after the last Drop", c.EphemeralCount())
+		}
+		producer.Drop(ref) // a second Drop of the same reference is a no-op
+
+		var first, second Ref
+		if first, err = producer.Create(p, object.Regular, WithEphemeral()); err != nil {
+			t.Error(err)
+			return
+		}
+		if second, err = producer.Attenuate(first, capability.Read); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := producer.Put(p, first, []byte("shared")); err != nil {
+			t.Error(err)
+			return
+		}
+		// A second reference keeps the object alive and readable.
+		producer.Drop(first)
+		if c.EphemeralCount() != 1 {
+			t.Errorf("EphemeralCount = %d with an attenuated reference still held", c.EphemeralCount())
+		}
+		if got, err := consumer.Get(p, second); err != nil || string(got) != "shared" {
+			t.Errorf("Get through the surviving reference = %q, %v", got, err)
+		}
+		consumer.Drop(second)
+		if c.EphemeralCount() != 0 {
+			t.Errorf("EphemeralCount = %d after both references dropped", c.EphemeralCount())
+		}
+		// IDs are never reused, freed objects included.
+		if lost, err = producer.Create(p, object.Regular, WithEphemeral()); err != nil {
+			t.Error(err)
+			return
+		}
+		if lost.ObjectID() == first.ObjectID() || lost.ObjectID() == ref.ObjectID() {
+			t.Errorf("ephemeral ID %v reused", lost.ObjectID())
+		}
 	})
-	// GC reclaims dropped ephemerals.
-	producer.Drop(ref)
+	// A reference that left the registry without going through Client.Drop
+	// leaves its ephemeral for the collector, which still sweeps it.
+	c.Caps().Drop(lost.cap)
+	if c.EphemeralCount() != 1 {
+		t.Errorf("EphemeralCount = %d before collect", c.EphemeralCount())
+	}
 	if n := c.Collect(); n < 1 {
 		t.Errorf("Collect reclaimed %d, want >= 1 ephemeral", n)
 	}

@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 )
@@ -242,11 +243,23 @@ func (o *Object) ReadAt(b []byte, off int64) (int, error) {
 	return copy(b, o.data[off:]), nil
 }
 
-// Read returns a copy of the entire payload.
-func (o *Object) Read() []byte {
-	out := make([]byte, len(o.data))
-	copy(out, o.data)
-	return out
+// Read returns the entire payload: a private copy below IMMUTABLE, and a
+// read-only view of the frozen bytes at IMMUTABLE. A payload array may have
+// more than one holder only while its object is IMMUTABLE — the terminal
+// level, where every write is refused and ApplyState installs a slice rather
+// than writing through one — so a view never changes; its capacity is
+// clipped so that a caller's append cannot reach the array. Callers must
+// not write into a view.
+func (o *Object) Read() []byte { return share(o.data, o.mut) }
+
+// share is the one place a payload array gains a holder: data itself,
+// capacity-clipped, when the level it is held at is IMMUTABLE; otherwise a
+// private copy.
+func share(data []byte, mut Mutability) []byte {
+	if mut == Immutable {
+		return data[:len(data):len(data)]
+	}
+	return append([]byte(nil), data...)
 }
 
 // WriteAt writes b at offset off, enforcing the mutability level:
@@ -274,10 +287,13 @@ func (o *Object) WriteAt(b []byte, off int64) (int, error) {
 			return 0, ErrFixedSize
 		}
 	}
-	if end := off + int64(len(b)); end > int64(len(o.data)) {
-		grown := make([]byte, end)
-		copy(grown, o.data)
-		o.data = grown
+	if old, end := int64(len(o.data)), off+int64(len(b)); end > old {
+		// The array has one holder below IMMUTABLE, so it grows in place.
+		// Spare capacity may hold bytes a Truncate cut off: zero the hole.
+		o.data = slices.Grow(o.data, int(end-old))[:end]
+		if off > old {
+			clear(o.data[old:off])
+		}
 	}
 	copy(o.data[off:], b)
 	o.bump()
@@ -333,7 +349,9 @@ func (o *Object) SetData(b []byte) error {
 			return ErrFixedSize
 		}
 	}
-	o.data = append([]byte(nil), b...)
+	// Reuses the object's own array (one holder below IMMUTABLE); append is
+	// a memmove, so b may even overlap it.
+	o.data = append(o.data[:0], b...)
 	o.bump()
 	return nil
 }
@@ -346,12 +364,13 @@ func (o *Object) ContentHash() string {
 
 // Clone returns a deep copy under a new ID, preserving content, kind,
 // mutability, and version; used for copy-up in union namespaces and
-// replica transfer.
+// replica transfer. The clone of an IMMUTABLE object shares its frozen
+// payload (see Read) instead of copying it.
 func (o *Object) Clone(newID ID) *Object {
 	c := New(newID, o.kind)
 	c.mut = o.mut
 	c.version = o.version
-	c.data = append([]byte(nil), o.data...)
+	c.data = o.Read()
 	for k, v := range o.Labels {
 		c.Labels[k] = v
 	}
@@ -378,9 +397,12 @@ func (o *Object) Clone(newID ID) *Object {
 
 // restore support for replication: ApplyState overwrites payload and
 // version wholesale (used by anti-entropy; bypasses mutability because the
-// authoritative replica already enforced it).
+// authoritative replica already enforced it). Installing at IMMUTABLE shares
+// data, which the caller must not write afterwards (see Read); any other
+// level installs a private copy, never reusing the old array, which may
+// have been shared.
 func (o *Object) ApplyState(data []byte, version uint64, mut Mutability) {
-	o.data = append([]byte(nil), data...)
+	o.data = share(data, mut)
 	o.version = version
 	o.mut = mut
 }

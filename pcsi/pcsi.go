@@ -20,6 +20,15 @@
 // and protocol costs, so experiments measure interface-induced overheads
 // exactly as the paper discusses them.
 //
+// Buffers: [Client.Put], [Client.Append] and [Client.WriteAt] copy what they
+// are given, and reads of an object below IMMUTABLE return the caller's own
+// copy. Once an object is frozen to IMMUTABLE its bytes never change, so
+// [Client.Get] (and GetAt, GetVersioned) return a read-only view shared with
+// the store, the node cache and every other reader: do not write into it;
+// copy it first if you need a scratch buffer. An ephemeral object is freed
+// at the last [Client.Drop] of a reference to it; views already handed out
+// stay valid.
+//
 // Quickstart:
 //
 //	cloud := pcsi.New(pcsi.DefaultOptions())

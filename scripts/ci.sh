@@ -106,5 +106,14 @@ echo '== bench harness (smoke, drift, oracle and compare tests; engine-storm eve
 # Exits non-zero unless the pass dispatches exactly 351,402 events with
 # 37,401 peak live procs and matches bench/golden/engine-storm.seed1.
 bash bench/run.sh -workload engine-storm -seed 1 -seconds 5 -trace 0
+# Copy tripwire: an 8 MiB task graph owes one 8 MiB allocation (Put's ingress
+# copy). A second one — 16.0 MiB/graph before frozen bytes were shared — means
+# a copy of IMMUTABLE content crept back in (DESIGN §5, "Who may share a
+# backing array").
+graph=$(bash bench/run.sh -workload graph-bytes -seed 1 -seconds 5 -trace 1 | tail -n 1)
+echo "$graph" | grep -q '"correct":true' || { echo "graph-bytes not correct: $graph" >&2; exit 1; }
+mib=$(echo "$graph" | sed -n 's/.*"object\.alloc_mib_per_graph":{"value":\([0-9.e+-]*\).*/\1/p')
+awk -v v="$mib" 'BEGIN { exit !(v != "" && v + 0 < 9) }' || { echo "graph-bytes object.alloc_mib_per_graph = '$mib', want < 9" >&2; exit 1; }
+echo "graph-bytes object.alloc_mib_per_graph = $mib MiB/graph"
 
 echo 'CI OK'
