@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/capability"
@@ -154,7 +153,8 @@ func (cl *Client) Create(p *sim.Proc, kind object.Kind, opts ...CreateOpt) (Ref,
 	return Ref{cap: cl.c.caps.Mint(id, capability.All), lvl: params.lvl}, nil
 }
 
-// Put replaces an object's payload.
+// Put replaces an object's payload. The writer's node keeps no copy of it,
+// only the version the write produced (cacheEntry.mark).
 func (cl *Client) Put(p *sim.Proc, r Ref, data []byte) error {
 	return cl.run(p, r, verbPut, func(t target) error {
 		t.sp.Annotate(trace.Int("bytes", int64(len(data))))
@@ -164,13 +164,15 @@ func (cl *Client) Put(p *sim.Proc, r Ref, data []byte) error {
 			// locally (§4.1).
 			t.e.owner = cl.node
 		}
+		var ver uint64
 		err := t.apply(r.lvl, len(data), func(o *object.Object) error {
-			return o.SetData(data)
+			// A retried apply runs this again; the run that succeeds is last.
+			err := o.SetData(data)
+			ver = o.Version()
+			return err
 		})
 		if err == nil && t.e == nil {
-			// Stage the written content locally; it becomes servable if the
-			// object is later frozen (cache-stable, §3.3).
-			cl.c.cacheFor(cl.node)[t.id] = &cacheEntry{data: append([]byte(nil), data...)}
+			cl.c.caches[cacheKey{cl.node, t.id}] = cacheEntry{mark: ver}
 			cl.c.Meter.Charge("write", cost.PCSIBook.WriteCost(int64(len(data))))
 		}
 		return err
@@ -186,7 +188,7 @@ func (cl *Client) Put(p *sim.Proc, r Ref, data []byte) error {
 // Below IMMUTABLE the result is the caller's own copy.
 func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) {
 	var data []byte
-	err := cl.run(p, r, verbGet, func(t target) error {
+	err := cl.run(p, r, verbGet, func(t target) (err error) {
 		fc := cl.c.fncache
 		leased := t.e == nil && fc != nil && r.lvl == consistency.Linearizable
 		var epochAtRead uint64
@@ -199,26 +201,18 @@ func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) {
 				epochAtRead = fc.Epoch(fncache.Key(t.id))
 			}
 		}
-		var frozen bool
-		var kind object.Kind
-		err := t.view(r.lvl, whole, func(o *object.Object) error {
-			data = o.Read()
-			frozen = o.Mutability() == object.Immutable
-			kind = o.Kind()
-			return nil
-		})
+		var at StatInfo
+		data, at, err = t.read(r.lvl, whole)
 		if err == nil && t.e == nil {
-			// Pull-through: remote reads populate the local cache; the entry
-			// is servable immediately when the object is already frozen.
-			// A frozen payload is already a shared view; anything else the
-			// caller may scribble on, so the cache keeps its own copy.
-			cached := data
-			if !frozen {
-				cached = append([]byte(nil), data...)
+			// Pull-through: a frozen payload is a shared view, servable at once.
+			// Anything else the node may not serve: it keeps the version read.
+			entry := cacheEntry{mark: at.Version}
+			if at.Mutability == object.Immutable {
+				entry = cacheEntry{stable: true, data: data}
 			}
-			cl.c.cacheFor(cl.node)[t.id] = &cacheEntry{data: cached, stable: frozen}
+			cl.c.caches[cacheKey{cl.node, t.id}] = entry
 			cl.c.Meter.Charge("read", cost.PCSIBook.ReadCost(int64(len(data)), r.lvl == consistency.Linearizable))
-			if leased && kind == object.Regular {
+			if leased && at.Kind == object.Regular {
 				// Fill under the epoch recorded before the read; a write that
 				// slipped in between bumped it and the fill is refused. Only
 				// plain payload objects are cached: FIFOs, sockets, and
@@ -228,7 +222,6 @@ func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) {
 				fc.LeaseFill(int(cl.node), fncache.Key(t.id), data, stamp, epochAtRead, p.Now())
 			}
 		}
-		t.moved(len(data))
 		return err
 	})
 	return data, err
@@ -242,11 +235,10 @@ func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) {
 // is a coherence violation, not a staleness allowance.
 func (cl *Client) cachedGet(t target, leased bool) ([]byte, bool) {
 	var data []byte
-	if e, ok := cl.c.cacheFor(cl.node)[t.id]; ok && e.stable {
+	if e, ok := cl.c.caches[cacheKey{cl.node, t.id}]; ok && e.stable {
 		cl.c.CacheHits++
 		t.sp.Annotate(trace.Str("cache", "hit"))
-		// Stable bytes are never written again: hand out a clipped view.
-		data = e.data[:len(e.data):len(e.data)]
+		data = e.data // never written again, and clipped when the view was taken
 	} else if !leased {
 		return nil, false
 	} else {
@@ -269,15 +261,7 @@ func (cl *Client) cachedGet(t target, leased bool) ([]byte, bool) {
 // default — the per-operation menu of §3.3. As with Get, an IMMUTABLE
 // payload comes back as a read-only view.
 func (cl *Client) GetAt(p *sim.Proc, r Ref, lvl consistency.Level) ([]byte, error) {
-	var data []byte
-	err := cl.run(p, r, verbGetAt, func(t target) error {
-		err := t.view(lvl, whole, func(o *object.Object) error {
-			data = o.Read()
-			return nil
-		})
-		t.moved(len(data))
-		return err
-	})
+	data, _, err := cl.look(p, r, verbGetAt, lvl, whole)
 	return data, err
 }
 
@@ -320,25 +304,29 @@ func (cl *Client) ReadAt(p *sim.Proc, r Ref, off int64, n int) ([]byte, error) {
 	return out, err
 }
 
-// Freeze moves the object along the Figure 1 mutability lattice. Freezing
-// to IMMUTABLE promotes any staged local copy to cache-stable.
+// Freeze moves the object along the Figure 1 mutability lattice. At IMMUTABLE
+// the freezer's node, if its mark is current (it wrote or read exactly the
+// version frozen, so no bytes need move), caches a view of the object it froze,
+// taken with the transition; a stale mark is dropped and the next Get pulls.
 func (cl *Client) Freeze(p *sim.Proc, r Ref, m object.Mutability) error {
 	return cl.run(p, r, verbFreeze, func(t target) error {
 		t.sp.Annotate(trace.Str("to", m.String()))
+		var was uint64
+		var frozen []byte
 		err := t.apply(consistency.Linearizable, 0, func(o *object.Object) error {
-			return o.SetMutability(m)
+			was = o.Version()
+			err := o.SetMutability(m)
+			if err == nil && m == object.Immutable {
+				frozen = o.Read()
+			}
+			return err
 		})
 		if err == nil && t.e == nil && m == object.Immutable {
-			// The staged local copy may be stale (another node could have
-			// written after we staged), so it cannot simply be promoted.
-			// Drop it unless it provably matches the frozen content; the next
-			// Get pulls the authoritative bytes through and caches them.
-			if e, ok := cl.c.cacheFor(cl.node)[t.id]; ok {
-				if o, gerr := cl.c.grp.Primary0Store().Get(t.id); gerr == nil && bytes.Equal(o.Read(), e.data) {
-					e.stable = true
-				} else {
-					delete(cl.c.cacheFor(cl.node), t.id)
-				}
+			k := cacheKey{cl.node, t.id}
+			if e, ok := cl.c.caches[k]; ok && !e.stable && e.mark == was {
+				cl.c.caches[k] = cacheEntry{stable: true, data: frozen}
+			} else if !e.stable {
+				delete(cl.c.caches, k)
 			}
 		}
 		return err
@@ -347,14 +335,8 @@ func (cl *Client) Freeze(p *sim.Proc, r Ref, m object.Mutability) error {
 
 // Mutability reports the object's current level.
 func (cl *Client) Mutability(p *sim.Proc, r Ref) (object.Mutability, error) {
-	var m object.Mutability
-	err := cl.run(p, r, verbMutability, func(t target) error {
-		return t.view(consistency.Linearizable, 0, func(o *object.Object) error {
-			m = o.Mutability()
-			return nil
-		})
-	})
-	return m, err
+	_, info, err := cl.look(p, r, verbMutability, consistency.Linearizable, 0)
+	return info.Mutability, err
 }
 
 // Push enqueues a message on a FIFO object.
@@ -425,12 +407,15 @@ type StatInfo struct {
 
 // Stat fetches object metadata.
 func (cl *Client) Stat(p *sim.Proc, r Ref) (StatInfo, error) {
-	var info StatInfo
-	err := cl.run(p, r, verbStat, func(t target) error {
-		return t.view(consistency.Linearizable, 0, func(o *object.Object) error {
-			info = StatInfo{Kind: o.Kind(), Size: o.Size(), Version: o.Version(), Mutability: o.Mutability()}
-			return nil
-		})
-	})
+	_, info, err := cl.look(p, r, verbStat, consistency.Linearizable, 0)
 	return info, err
+}
+
+// look is the whole of a verb that only reads: one target.read at lvl.
+func (cl *Client) look(p *sim.Proc, r Ref, v *verb, lvl consistency.Level, recv int) (data []byte, at StatInfo, err error) {
+	err = cl.run(p, r, v, func(t target) (err error) {
+		data, at, err = t.read(lvl, recv)
+		return err
+	})
+	return data, at, err
 }

@@ -21,8 +21,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/capability"
@@ -138,12 +140,12 @@ type Cloud struct {
 	nsRoots  map[object.ID]struct{}
 	devices  map[simnet.NodeID]*platform.Device
 
-	// caches holds per-node copies of cache-stable object content (§3.3:
-	// once frozen, "content ... may be safely cached anywhere"). A write
-	// stages the data on the writer's node; freezing to IMMUTABLE promotes
-	// the staged copy, after which same-node reads are served locally —
-	// the mechanism behind §4.1's co-location win.
-	caches map[simnet.NodeID]map[object.ID]*cacheEntry
+	// caches holds what each node may serve: cache-stable content (§3.3: once
+	// frozen, "content ... may be safely cached anywhere") and nothing else.
+	// A whole-object write or read leaves only a version mark; freezing to
+	// IMMUTABLE turns a current mark into a view of the frozen bytes, and
+	// same-node reads are then local — the mechanism of §4.1's co-location win.
+	caches map[cacheKey]cacheEntry
 
 	// ephem holds node-local, unreplicated objects (see ephemeral.go).
 	ephem      map[object.ID]*ephemObj
@@ -170,9 +172,17 @@ type Cloud struct {
 	GraphsFinished int64
 }
 
+type cacheKey struct {
+	node simnet.NodeID
+	id   object.ID
+}
+
+// cacheEntry is what one node holds of one object: the frozen bytes once it
+// is IMMUTABLE, and until then no bytes at all.
 type cacheEntry struct {
-	data   []byte
-	stable bool // frozen IMMUTABLE: safe to serve
+	stable bool   // frozen IMMUTABLE: data is safe to serve
+	data   []byte // a view of the frozen bytes, shared with the store
+	mark   uint64 // until stable: the version this node last wrote or read whole
 }
 
 // New builds a Cloud.
@@ -206,7 +216,7 @@ func New(opts Options) *Cloud {
 		fnRefs:  make(map[string]Ref),
 		nsRoots: make(map[object.ID]struct{}),
 		devices: make(map[simnet.NodeID]*platform.Device),
-		caches:  make(map[simnet.NodeID]map[object.ID]*cacheEntry),
+		caches:  make(map[cacheKey]cacheEntry),
 		reg:     trace.NewRegistry(),
 		Meter:   cost.NewMeter("pcsi"),
 		DataLat: metrics.NewHistogram("pcsi_data_ops"),
@@ -454,24 +464,14 @@ func (c *Cloud) functionRoots() []object.ID {
 	return out
 }
 
-// cacheFor returns (creating) a node's local cache.
-func (c *Cloud) cacheFor(n simnet.NodeID) map[object.ID]*cacheEntry {
-	m, ok := c.caches[n]
-	if !ok {
-		m = make(map[object.ID]*cacheEntry)
-		c.caches[n] = m
-	}
-	return m
-}
-
 // Collect runs a GC cycle over the state layer, propagating sweeps to all
 // replicas and node caches, and returns the number of objects reclaimed.
 func (c *Cloud) Collect() int {
 	n := c.col.Collect()
 	c.grp.Delete(c.col.LastSweptIDs...)
-	for _, cache := range c.caches {
-		for _, id := range c.col.LastSweptIDs {
-			delete(cache, id)
+	for k := range c.caches {
+		if _, swept := slices.BinarySearch(c.col.LastSweptIDs, k.id); swept { // sorted: the sweep walks store.IDs
+			delete(c.caches, k)
 		}
 	}
 	c.dropLeases(c.col.LastSweptIDs...)
@@ -524,6 +524,14 @@ func (c *Cloud) chaosInvariants() []string {
 		v = append(v, fmt.Sprintf("task graphs leaked: %d started, %d finished", c.GraphsStarted, c.GraphsFinished))
 	}
 	st := c.grp.Primary0Store()
+	// The node caches, by code that shares none with the rule that fills them.
+	audited := len(v)
+	for k, e := range c.caches {
+		if o, err := st.Get(k.id); e.stable && err == nil && !bytes.Equal(e.data, o.Read()) {
+			v = append(v, fmt.Sprintf("frozen cache entry on node %d differs from object %v", k.node, k.id))
+		}
+	}
+	sort.Strings(v[audited:])
 	for _, id := range c.caps.Roots() {
 		if !st.Contains(id) && c.ephemOf(id) == nil {
 			v = append(v, fmt.Sprintf("live capability refers to missing object %v", id))

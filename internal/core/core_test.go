@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/consistency"
 	"repro/internal/faas"
+	"repro/internal/fault"
 	"repro/internal/media"
 	"repro/internal/object"
 	"repro/internal/platform"
@@ -584,6 +586,209 @@ func TestCacheStableLocalReads(t *testing.T) {
 			t.Errorf("cached read took %v, want local-memory time", local)
 		}
 	})
+}
+
+// createOffReplica0 creates a Regular object whose primary is not replica 0,
+// so the object stays writable with replica 0 down.
+func createOffReplica0(p *sim.Proc, cl *Client, opts ...CreateOpt) (Ref, int, error) {
+	for {
+		ref, err := cl.Create(p, object.Regular, opts...)
+		prim := int(ref.ObjectID()) % cl.c.grp.N()
+		if err != nil || prim != 0 {
+			return ref, prim, err
+		}
+	}
+}
+
+// Freeze used to compare a copy the node had staged with replica 0's store, so
+// with replica 0 behind it promoted stale bytes as the immutable content.
+func TestFreezeNeverPromotesStaleStagedCopy(t *testing.T) {
+	c := testCloud(41)
+	a, b := c.NewClient(0), c.NewClient(1)
+	run(t, c, func(p *sim.Proc) {
+		ref, _, err := createOffReplica0(p, a)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := a.Put(p, ref, []byte("old")); err != nil {
+			t.Error(err)
+			return
+		}
+		p.Sleep(10 * time.Millisecond) // let "old" reach every replica
+		c.Group().SetDown(0, true)
+		if err := b.Put(p, ref, []byte("new")); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := a.Freeze(p, ref, object.Immutable); err != nil {
+			t.Error(err)
+			return
+		}
+		if got, err := a.Get(p, ref); err != nil || string(got) != "new" {
+			t.Errorf("Get after Freeze = %q, %v; want the frozen content %q", got, err, "new")
+		}
+	})
+}
+
+// The promote rule, whole: after Freeze(IMMUTABLE) returns, every node reads
+// the bytes the primary froze, and the read is local — a cache hit that moves
+// nothing — exactly on the freezer's node when its version mark was current.
+func TestFreezePromotesOnlyACurrentMark(t *testing.T) {
+	type nodes struct{ a, b, rd *Client }
+	// Each script leaves the object holding "new" and returns the freezer;
+	// settle runs after every step so the next one sees its effect.
+	freezers := []struct {
+		name    string
+		script  func(p *sim.Proc, n nodes, ref Ref, settle func()) (*Client, error)
+		current bool
+	}{
+		{"writer", func(p *sim.Proc, n nodes, ref Ref, _ func()) (*Client, error) {
+			return n.a, n.a.Put(p, ref, []byte("new"))
+		}, true},
+		{"stale writer", func(p *sim.Proc, n nodes, ref Ref, settle func()) (*Client, error) {
+			err := n.a.Put(p, ref, []byte("old"))
+			settle()
+			return n.a, errors.Join(err, n.b.Put(p, ref, []byte("new")))
+		}, false},
+		{"other node", func(p *sim.Proc, n nodes, ref Ref, _ func()) (*Client, error) {
+			return n.b, n.a.Put(p, ref, []byte("new"))
+		}, false},
+		{"reader", func(p *sim.Proc, n nodes, ref Ref, settle func()) (*Client, error) {
+			err := n.a.Put(p, ref, []byte("new"))
+			settle()
+			_, gerr := n.rd.Get(p, ref)
+			return n.rd, errors.Join(err, gerr)
+		}, true},
+	}
+	for _, lvl := range []consistency.Level{consistency.Linearizable, consistency.Eventual} {
+		for _, fz := range freezers {
+			for _, down := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%v/%s/replica 0 down=%v", lvl, fz.name, down), func(t *testing.T) {
+					c := testCloud(43)
+					n := nodes{c.NewClient(0), c.NewClient(1), c.NewClient(1)}
+					run(t, c, func(p *sim.Proc) {
+						// Replication is asynchronous past the majority, and an
+						// eventual write reaches the primary only by anti-entropy.
+						settle := func() {
+							p.Sleep(10 * time.Millisecond)
+							if lvl == consistency.Eventual {
+								c.Group().SyncAll()
+							}
+						}
+						ref, prim, err := createOffReplica0(p, n.a, WithConsistency(lvl))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						settle()
+						c.Group().SetDown(0, down)
+						freezer, err := fz.script(p, n, ref, settle)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						settle()
+						if err := freezer.Freeze(p, ref, object.Immutable); err != nil {
+							t.Error(err)
+							return
+						}
+						settle()
+						o, err := c.Group().Replicas()[prim].St.Get(ref.ObjectID())
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						frozen := o.Read()
+						if string(frozen) != "new" {
+							t.Errorf("the primary froze %q, want %q", frozen, "new")
+						}
+						for _, pass := range []string{"first", "second"} {
+							for i, cl := range []*Client{n.a, n.b, n.rd} {
+								hits, moved := c.CacheHits, c.BytesMoved
+								got, err := cl.Get(p, ref)
+								if err != nil || !bytes.Equal(got, frozen) {
+									t.Errorf("%s Get on node %d = %q, %v; want the frozen %q", pass, i, got, err, frozen)
+								}
+								local := c.CacheHits == hits+1 && c.BytesMoved == moved
+								remote := c.CacheHits == hits && c.BytesMoved == moved+int64(len(frozen))
+								// The first remote read pulls the frozen bytes through.
+								wantLocal := pass == "second" || (cl == freezer && fz.current)
+								if local != wantLocal || remote == wantLocal {
+									t.Errorf("%s Get on node %d: local = %v, remote = %v; want local = %v", pass, i, local, remote, wantLocal)
+								}
+							}
+						}
+						// A second Freeze keeps a stable entry.
+						hits := c.CacheHits
+						if err := freezer.Freeze(p, ref, object.Immutable); err != nil {
+							t.Error(err)
+						}
+						if _, err := freezer.Get(p, ref); err != nil || c.CacheHits != hits+1 {
+							t.Errorf("Get after a second Freeze: err = %v, local = %v; want a hit", err, c.CacheHits == hits+1)
+						}
+					})
+				})
+			}
+		}
+	}
+}
+
+// A Put that only lands on a retry still marks the version that landed.
+func TestRetriedPutMarksTheVersionThatLanded(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Retry = &fault.Policy{MaxAttempts: 5}
+	c := New(opts)
+	a := c.NewClient(0)
+	run(t, c, func(p *sim.Proc) {
+		ref, prim, err := createOffReplica0(p, a)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		c.Group().SetDown(prim, true)
+		c.Env().Go("heal", func(hp *sim.Proc) {
+			hp.Sleep(consistency.DownTimeout + time.Millisecond)
+			c.Group().SetDown(prim, false)
+		})
+		if err := a.Put(p, ref, []byte("landed")); err != nil || c.RetryAttempts == 0 {
+			t.Errorf("Put = %v after %d retries; want success on a retry", err, c.RetryAttempts)
+			return
+		}
+		if err := a.Freeze(p, ref, object.Immutable); err != nil {
+			t.Error(err)
+			return
+		}
+		hits := c.CacheHits
+		if got, err := a.Get(p, ref); err != nil || string(got) != "landed" || c.CacheHits != hits+1 {
+			t.Errorf("Get = %q, %v, local = %v; want a local hit on %q", got, err, c.CacheHits == hits+1, "landed")
+		}
+	})
+}
+
+// The chaos audit of the node caches fires on an entry the store disagrees
+// with, and only then.
+func TestChaosInvariantAuditsFrozenCacheEntries(t *testing.T) {
+	c := testCloud(44)
+	a := c.NewClient(0)
+	var ref Ref
+	run(t, c, func(p *sim.Proc) {
+		var err error
+		if ref, err = a.Create(p, object.Regular); err == nil {
+			err = errors.Join(a.Put(p, ref, []byte("frozen")), a.Freeze(p, ref, object.Immutable))
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	if v := c.chaosInvariants(); len(v) != 0 {
+		t.Errorf("violations on a healthy cloud: %v", v)
+	}
+	c.caches[cacheKey{a.node, ref.ObjectID()}] = cacheEntry{stable: true, data: []byte("forged")}
+	want := fmt.Sprintf("frozen cache entry on node %d differs from object %v", a.node, ref.ObjectID())
+	if v := c.chaosInvariants(); len(v) != 1 || v[0] != want {
+		t.Errorf("violations = %v, want [%s]", v, want)
+	}
 }
 
 func TestCachePullThroughOnRemoteNode(t *testing.T) {

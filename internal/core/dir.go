@@ -9,6 +9,7 @@ package core
 // every replica.
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -39,17 +40,8 @@ const (
 // bypasses the cache-stable and lease fast paths (they do not carry
 // versions). As with Get, an IMMUTABLE payload is a read-only view.
 func (cl *Client) GetVersioned(p *sim.Proc, r Ref) ([]byte, uint64, error) {
-	var data []byte
-	var ver uint64
-	err := cl.run(p, r, verbGetVersioned, func(t target) error {
-		err := t.view(consistency.Linearizable, whole, func(o *object.Object) error {
-			data, ver = o.Read(), o.Version()
-			return nil
-		})
-		t.moved(len(data))
-		return err
-	})
-	return data, ver, err
+	data, at, err := cl.look(p, r, verbGetVersioned, consistency.Linearizable, whole)
+	return data, at.Version, err
 }
 
 // ReadDir returns a Directory object's entries together with the version
@@ -177,7 +169,7 @@ func (c *Cloud) QuiescentEntries(r Ref) ([]DirEntry, uint64, error) {
 // SyncAll propagates the result.
 func (c *Cloud) QuiescentPut(r Ref, data []byte) error {
 	return c.grp.QuiescentApply(r.cap.Object(), func(o *object.Object) error {
-		if string(o.Read()) == string(data) {
+		if bytes.Equal(o.Read(), data) {
 			return nil
 		}
 		return o.SetData(data)

@@ -201,6 +201,21 @@ func (t *target) view(lvl consistency.Level, recv int, fn func(*object.Object) e
 	})
 }
 
+// read views the object at lvl and returns the metadata it saw, together with
+// (recv == whole) the payload it saw them with: the caller's own copy below
+// IMMUTABLE, a read-only view at it (object.Read).
+func (t *target) read(lvl consistency.Level, recv int) (data []byte, at StatInfo, err error) {
+	err = t.view(lvl, recv, func(o *object.Object) error {
+		if recv == whole {
+			data = o.Read()
+		}
+		at = StatInfo{Kind: o.Kind(), Size: o.Size(), Version: o.Version(), Mutability: o.Mutability()}
+		return nil
+	})
+	t.moved(len(data))
+	return data, at, err
+}
+
 // poll applies fn until it stops reporting empty, sleeping one network round
 // trip per miss; a positive budget bounds the misses.
 func (t *target) poll(empty error, budget int, fn func(*object.Object) error) error {

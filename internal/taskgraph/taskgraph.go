@@ -44,9 +44,6 @@ type Task struct {
 	// PreferGPUNode hints placement onto a GPU-equipped node even for
 	// CPU work, anticipating an accelerator-bound consumer (§4.1).
 	PreferGPUNode bool
-	// Retries re-invokes the task on failure (preempted scavenged
-	// instances, transient handler errors) up to this many extra times.
-	Retries int
 }
 
 // Graph is a DAG of tasks.
@@ -138,9 +135,8 @@ type Executor struct {
 	Ctx any
 	// MakeCtx, when set, builds a per-task context (overrides Ctx).
 	MakeCtx func(t *Task) any
-	// Retry, when set, replaces the naive immediate-retry loop with a
-	// bound policy (backoff, deadline, error classification) for every
-	// task invocation. Task.Retries is ignored in that case.
+	// Retry, when set, re-invokes a failed task under a bound policy
+	// (backoff, deadline, error classification); nil invokes it once.
 	Retry *fault.Policy
 	// QoS, when set, gates each task launch through the admission
 	// controller (qos.ClassTask) — a concurrency budget separate from the
@@ -242,25 +238,15 @@ func (e *Executor) runTask(p *sim.Proc, t *Task) {
 		ctx = e.MakeCtx(t)
 	}
 	var inst *faas.Instance
-	var err error
-	if e.Retry != nil {
-		err = e.Retry.Do(p, "task:"+t.Name, func() error {
-			var ierr error
-			inst, ierr = e.rt.Invoke(p, t.Fn, t.Body, hints, ctx)
-			if ierr != nil {
-				res.Attempts++
-			}
-			return ierr
-		})
-	} else {
-		for attempt := 0; attempt <= t.Retries; attempt++ {
-			inst, err = e.rt.Invoke(p, t.Fn, t.Body, hints, ctx)
-			if err == nil {
-				break
-			}
+	// p is the task's own process, named "task:<name>" where it was spawned.
+	err := e.Retry.Do(p, p.Name(), func() error {
+		var ierr error
+		inst, ierr = e.rt.Invoke(p, t.Fn, t.Body, hints, ctx)
+		if ierr != nil {
 			res.Attempts++
 		}
-	}
+		return ierr
+	})
 	if res.Attempts > 0 {
 		tsp.Annotate(trace.Int("retries", int64(res.Attempts)))
 	}

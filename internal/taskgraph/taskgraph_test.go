@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/faas"
+	"repro/internal/fault"
 	"repro/internal/platform"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -247,53 +248,44 @@ func TestPipelineHelperValidation(t *testing.T) {
 	}
 }
 
-func TestTaskRetriesRecoverTransientFailures(t *testing.T) {
-	env, rt := testRT(7, false)
-	failures := 2
-	if err := rt.Register(&faas.Function{Name: "flaky", Kind: platform.Wasm,
-		Handler: func(inv *faas.Invocation) error {
-			if failures > 0 {
-				failures--
-				return errors.New("transient")
+// The executor's one retry path: the bound policy re-invokes a failed task,
+// and Attempts counts the failures either way.
+func TestRetryPolicyCountsFailedAttempts(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		failures int
+		wantErr  bool
+	}{
+		{"recovers", 2, false},
+		{"exhausted", 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, rt := testRT(7, false)
+			left := tc.failures
+			if err := rt.Register(&faas.Function{Name: "flaky", Kind: platform.Wasm,
+				Handler: func(*faas.Invocation) error {
+					if left > 0 {
+						left--
+						return errors.New("transient")
+					}
+					return nil
+				}}); err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		}}); err != nil {
-		t.Fatal(err)
+			g := NewGraph()
+			_ = g.Add(&Task{Name: "a", Fn: "flaky"})
+			ex := NewExecutor(rt)
+			ex.Retry = (&fault.Policy{MaxAttempts: 3, Retryable: func(error) bool { return true }}).Bind(env)
+			env.Go("main", func(p *sim.Proc) {
+				results, err := ex.Execute(p, g)
+				if (err != nil) != tc.wantErr {
+					t.Errorf("Execute = %v, want error: %v", err, tc.wantErr)
+				}
+				if results["a"].Attempts != tc.failures {
+					t.Errorf("Attempts = %d, want %d", results["a"].Attempts, tc.failures)
+				}
+			})
+			env.Run()
+		})
 	}
-	g := NewGraph()
-	_ = g.Add(&Task{Name: "a", Fn: "flaky", Retries: 3})
-	ex := NewExecutor(rt)
-	var results map[string]*Result
-	env.Go("main", func(p *sim.Proc) {
-		var err error
-		results, err = ex.Execute(p, g)
-		if err != nil {
-			t.Errorf("Execute with retries failed: %v", err)
-		}
-	})
-	env.Run()
-	if results["a"].Attempts != 2 {
-		t.Errorf("Attempts = %d, want 2", results["a"].Attempts)
-	}
-}
-
-func TestTaskRetriesExhausted(t *testing.T) {
-	env, rt := testRT(8, false)
-	if err := rt.Register(&faas.Function{Name: "dead", Kind: platform.Wasm,
-		Handler: func(*faas.Invocation) error { return errors.New("always") }}); err != nil {
-		t.Fatal(err)
-	}
-	g := NewGraph()
-	_ = g.Add(&Task{Name: "a", Fn: "dead", Retries: 2})
-	ex := NewExecutor(rt)
-	env.Go("main", func(p *sim.Proc) {
-		results, err := ex.Execute(p, g)
-		if err == nil {
-			t.Error("exhausted retries reported success")
-		}
-		if results["a"].Attempts != 3 {
-			t.Errorf("Attempts = %d, want 3", results["a"].Attempts)
-		}
-	})
-	env.Run()
 }

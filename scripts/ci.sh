@@ -115,5 +115,14 @@ echo "$graph" | grep -q '"correct":true' || { echo "graph-bytes not correct: $gr
 mib=$(echo "$graph" | sed -n 's/.*"object\.alloc_mib_per_graph":{"value":\([0-9.e+-]*\).*/\1/p')
 awk -v v="$mib" 'BEGIN { exit !(v != "" && v + 0 < 9) }' || { echo "graph-bytes object.alloc_mib_per_graph = '$mib', want < 9" >&2; exit 1; }
 echo "graph-bytes object.alloc_mib_per_graph = $mib MiB/graph"
+# Copy tripwire for the node cache: a node holds no payload of an object that
+# is not IMMUTABLE, only a version mark, so a cached-read op stays near 2.1
+# allocations (3.355 when Put and Get staged a copy; the metric repeats to
+# four digits). 3.0 or more means a payload copy for the node cache crept back.
+reads=$(bash bench/run.sh -workload data-read -seed 1 -seconds 3 -trace 0 | tail -n 1)
+echo "$reads" | grep -q '"correct":true' || { echo "data-read not correct: $reads" >&2; exit 1; }
+allocs=$(echo "$reads" | sed -n 's/.*"allocs_per_op":{"value":\([0-9.e+-]*\).*/\1/p')
+awk -v v="$allocs" 'BEGIN { exit !(v != "" && v + 0 < 3.0) }' || { echo "data-read allocs_per_op = '$allocs', want < 3.0" >&2; exit 1; }
+echo "data-read allocs_per_op = $allocs"
 
 echo 'CI OK'
