@@ -6,17 +6,21 @@
 //
 // Run it with no arguments for the command table — one row per protocol
 // operation, printed from the same table main dispatches on (README.md
-// embeds it). Three commands run locally, without a daemon, and share one
-// flag surface (-seed, -o, -faultrate — identical names, defaults, and
-// exit codes everywhere): trace runs an experiment traced and exports
-// Chrome JSON (or validates one with -verify), chaos seed-sweeps under
-// fault injection and exits 1 on an invariant violation, dash renders the
-// telemetry dashboard and JSON timeline (byte-identical per
-// experiment+seed).
+// embeds it). Four commands run the experiment harness locally, without a
+// daemon, and share one flag surface (-seed, -o, -faultrate — identical
+// names, defaults, and exit codes everywhere): run reproduces the paper —
+// every selected experiment's tables and shape checks, exiting 1 if any
+// check fails (the committed pcsi_bench_output.txt is `pcsictl run`'s
+// output); trace runs a list of experiments traced and exports one merged
+// Chrome JSON (or validates one with -verify); chaos seed-sweeps one
+// experiment under fault injection and exits 1 on an invariant violation;
+// dash renders one experiment's telemetry dashboard and JSON timeline
+// (byte-identical per experiment+seed).
 //
 // The exported trace file loads directly in Perfetto
 // (https://ui.perfetto.dev) or chrome://tracing; the trace command also
-// prints a per-run critical-path report.
+// prints each experiment's report and per-run critical-path report to
+// stderr. Host time is bench/'s job (bash bench/run.sh).
 package main
 
 import (
@@ -178,7 +182,7 @@ var verbs = []verb{
 }
 
 // local commands run the experiment harness in-process; no daemon needed.
-var local = map[string]func(args []string){"trace": traceCmd, "chaos": chaosCmd, "dash": dashCmd}
+var local = map[string]func(args []string){"run": runCmd, "trace": traceCmd, "chaos": chaosCmd, "dash": dashCmd}
 
 // errUsage is returned by a verb whose arguments do not parse.
 var errUsage = errors.New("bad arguments")
@@ -209,7 +213,8 @@ func usageText() string {
 	for _, v := range verbs {
 		fmt.Fprintf(&b, "  %-46s %s\n", strings.TrimSpace(v.name+" "+v.args), v.doc)
 	}
-	b.WriteString("\nlocal commands (no daemon; -h lists each one's flags):\n  trace, chaos, dash <experiment> [flags]\n")
+	b.WriteString("\nlocal commands (no daemon; -h lists each one's flags):\n" +
+		"  run [E2,E4,...] [flags]\n  trace <E2,E4,...> [flags]\n  chaos, dash <experiment> [flags]\n")
 	return b.String()
 }
 
@@ -260,11 +265,11 @@ func fatal(err error) {
 }
 
 // harnessFlags is the shared flag surface of the local harness commands
-// (trace, chaos, dash): the experiment ID is accepted before or after the
-// flags, and -seed, -o, and -faultrate are spelled, defaulted, and
-// documented identically everywhere. Command-specific flags register on FS
-// before ParseExp. All parse errors and missing-experiment cases exit 2;
-// runtime failures exit 1 via fatal.
+// (run, trace, chaos, dash): the experiment IDs are accepted before or
+// after the flags, and -seed, -o, and -faultrate are spelled, defaulted,
+// and documented identically everywhere. Command-specific flags register
+// on FS before ParseExp. All parse errors and missing or unknown
+// experiments exit 2; runtime failures exit 1 via fatal.
 type harnessFlags struct {
 	FS        *flag.FlagSet
 	Seed      *int64
@@ -288,8 +293,8 @@ func newHarnessFlags(name, seedUsage, outUsage string, defaultRate float64, usag
 	}
 }
 
-// ParseExp parses args and returns the experiment ID, which may appear
-// before or after the flags ("" when absent).
+// ParseExp parses args and returns the experiment ID list, which may
+// appear before or after the flags ("" when absent).
 func (h *harnessFlags) ParseExp(args []string) string {
 	var exp string
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
@@ -302,15 +307,27 @@ func (h *harnessFlags) ParseExp(args []string) string {
 	return exp
 }
 
-// RequireExp is ParseExp for commands where the experiment is mandatory:
-// a missing ID prints usage and exits 2, like any other parse error.
-func (h *harnessFlags) RequireExp(args []string) string {
-	exp := h.ParseExp(args)
-	if exp == "" {
+// Select resolves an ID list through experiments.Select ("" = all); an
+// unknown ID exits 2, like any other parse error.
+func (h *harnessFlags) Select(ids string) []experiments.Experiment {
+	exps, err := experiments.Select(ids)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pcsictl: %v (pcsictl run -list names them all)\n", err)
+		os.Exit(2)
+	}
+	return exps
+}
+
+// RequireExp parses args for the commands that take exactly one
+// experiment: a missing ID or a list prints usage and exits 2, like any
+// other parse error.
+func (h *harnessFlags) RequireExp(args []string) experiments.Experiment {
+	exps := h.Select(h.ParseExp(args))
+	if len(exps) != 1 {
 		h.FS.Usage()
 		os.Exit(2)
 	}
-	return exp
+	return exps[0]
 }
 
 // ActivateFaults turns stochastic fault injection on when -faultrate is
@@ -339,13 +356,45 @@ func (h *harnessFlags) OutWriter() (io.Writer, func()) {
 	return f, func() { f.Close() } //nolint:errcheck
 }
 
-// traceCmd implements `pcsictl trace`: run one experiment with the span
-// tracer on and export the Chrome trace_event JSON, or (with -verify)
-// validate a previously exported file.
+// runCmd implements `pcsictl run`: run the selected experiments (default:
+// all) and print every report, then the trailer pcsi_bench_output.txt
+// ends with. A failing shape check exits 1.
+func runCmd(args []string) {
+	h := newHarnessFlags("run",
+		"simulation seed (same seed ⇒ identical tables)", "write the reports to this file (default stdout)", 0,
+		"usage: pcsictl run [E2,E4,...] [-seed N] [-o file] [-faultrate R] [-list]")
+	list := h.FS.Bool("list", false, "list the experiments instead of running them")
+	exps := h.Select(h.ParseExp(args))
+	w, done := h.OutWriter()
+	defer done()
+	if *list {
+		for _, e := range exps {
+			fmt.Fprintf(w, "%-4s %s\n", e.ID, e.Title)
+		}
+		return
+	}
+	defer h.ActivateFaults()()
+	failures := 0
+	for _, e := range exps {
+		rep := e.Run(*h.Seed)
+		rep.Render(w)
+		if !rep.Passed() {
+			failures++
+		}
+	}
+	if failures > 0 {
+		fatal(fmt.Errorf("%d experiment(s) had failing shape checks", failures))
+	}
+	fmt.Fprintf(w, "all %d experiments reproduced their paper shapes\n", len(exps))
+}
+
+// traceCmd implements `pcsictl trace`: run a list of experiments with the
+// span tracer on and export one merged Chrome trace_event JSON, or (with
+// -verify) validate a previously exported file.
 func traceCmd(args []string) {
 	h := newHarnessFlags("trace",
 		"simulation seed", "write trace JSON to this file (default stdout)", 0,
-		"usage: pcsictl trace <experiment> [-seed N] [-o file] [-faultrate R]",
+		"usage: pcsictl trace <E2,E4,...> [-seed N] [-o file] [-faultrate R]",
 		"       pcsictl trace -verify <file>")
 	verify := h.FS.String("verify", "", "validate an exported trace file instead of running")
 	exp := h.ParseExp(args)
@@ -361,25 +410,26 @@ func traceCmd(args []string) {
 		h.FS.Usage()
 		os.Exit(2)
 	}
+	exps := h.Select(exp)
 	// Faults and retries show up as instants on the "fault" track.
 	defer h.ActivateFaults()()
-	_, data, err := experiments.RunTraced(exp, *h.Seed)
-	if err != nil {
-		fatal(err)
+	// Reports and critical paths go to stderr so stdout stays pure JSON.
+	var traces []*trace.Data
+	for _, e := range exps {
+		rep, data := experiments.RunTraced(e, *h.Seed)
+		rep.Render(os.Stderr)
+		for _, run := range data.Runs {
+			if cp := trace.CriticalPath(run); len(cp.Chain) > 0 {
+				cp.Render(os.Stderr)
+			}
+		}
+		traces = append(traces, data)
 	}
 	w, done := h.OutWriter()
-	if err := trace.Export(w, data); err != nil {
+	if err := trace.Export(w, trace.Merge(traces...)); err != nil {
 		fatal(err)
 	}
 	done()
-	// The critical-path report goes to stderr so stdout stays pure JSON.
-	for _, run := range data.Runs {
-		rep := trace.CriticalPath(run)
-		if len(rep.Chain) == 0 {
-			continue
-		}
-		rep.Render(os.Stderr)
-	}
 	if *h.Out != "" {
 		fmt.Fprintf(os.Stderr, "trace written to %s (load in Perfetto or chrome://tracing)\n", *h.Out)
 	}
@@ -396,9 +446,9 @@ func chaosCmd(args []string) {
 		"usage: pcsictl chaos <experiment> [-seed S] [-o file] [-faultrate R] [-seeds N] [-noretry]")
 	seeds := h.FS.Int("seeds", 5, "number of consecutive seeds to sweep")
 	noretry := h.FS.Bool("noretry", false, "disable the default retry policy")
-	exp := h.RequireExp(args)
+	e := h.RequireExp(args)
 	rep, err := experiments.RunChaos(experiments.ChaosConfig{
-		Exp:       exp,
+		Exp:       e.ID,
 		Seeds:     *seeds,
 		BaseSeed:  *h.Seed,
 		FaultRate: *h.FaultRate,
@@ -424,9 +474,9 @@ func dashCmd(args []string) {
 		"simulation seed", "write the HTML dashboard to this file (default stdout)", 0,
 		"usage: pcsictl dash <experiment> [-seed N] [-o file.html] [-faultrate R] [-json file]")
 	jsonOut := h.FS.String("json", "", "write the JSON timeline to this file (default: -o with a .json extension)")
-	exp := h.RequireExp(args)
+	e := h.RequireExp(args)
 	defer h.ActivateFaults()()
-	rep, tl, err := experiments.RunDash(exp, *h.Seed)
+	rep, tl, err := experiments.RunDash(e, *h.Seed)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -117,6 +119,28 @@ func TestVerbsCoverTheProtocol(t *testing.T) {
 	for op, covered := range known {
 		if !covered {
 			t.Errorf("protocol op %q has no pcsictl verb", op)
+		}
+	}
+}
+
+// TestUnknownExperimentExits2 re-executes the test binary as pcsictl: every
+// local command treats an unknown experiment as a usage error (exit 2), not
+// a runtime failure (exit 1).
+func TestUnknownExperimentExits2(t *testing.T) {
+	if args := os.Getenv("PCSICTL_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"pcsictl"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, cmd := range []string{"run", "trace", "chaos", "dash"} {
+		c := exec.Command(os.Args[0], "-test.run=^TestUnknownExperimentExits2$")
+		c.Env = append(os.Environ(), "PCSICTL_TEST_ARGS="+cmd+" E99")
+		out, err := c.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("pcsictl %s E99: %v, want exit status 2\n%s", cmd, err, out)
+		} else if !strings.Contains(string(out), `unknown experiment "E99"`) {
+			t.Errorf("pcsictl %s E99 printed %q, want it to name E99", cmd, out)
 		}
 	}
 }

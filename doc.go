@@ -4,7 +4,7 @@
 // paper argues against and a harness that regenerates every quantitative
 // artifact in the paper.
 //
-// The public API lives in package repro/pcsi. The experiment harness is
-// cmd/pcsi-bench; a real TCP daemon and CLI are cmd/pcsid and cmd/pcsictl.
+// The public API lives in package repro/pcsi. A real TCP daemon and its CLI
+// are cmd/pcsid and cmd/pcsictl; the experiment harness is `pcsictl run`.
 // See README.md, DESIGN.md, and EXPERIMENTS.md.
 package repro

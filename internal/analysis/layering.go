@@ -42,11 +42,11 @@ var (
 
 	// obsClients are the only packages that may import internal/obs: the
 	// layers that attach planes and record flight events (core, faas,
-	// taskgraph), the facade, the experiment harness, and the binaries that
-	// render dashboards. Everything else observes through the registry.
+	// taskgraph), the facade, the experiment harness, and the binary that
+	// renders dashboards. Everything else observes through the registry.
 	obsClients = stringSet(
 		"internal/core", "internal/faas", "internal/taskgraph",
-		"pcsi", "internal/experiments", "cmd/pcsictl", "cmd/pcsi-bench",
+		"pcsi", "internal/experiments", "cmd/pcsictl",
 	)
 
 	// fncacheDeps are the only packages internal/fncache may import: the

@@ -113,10 +113,14 @@ func (r *ChaosReport) Render(w io.Writer) {
 // experiment builds). The whole sweep is deterministic: identical configs
 // render byte-identical reports.
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
-	e, ok := Get(strings.ToUpper(cfg.Exp))
-	if !ok {
-		return nil, fault.Fatalf("experiments: unknown experiment %q", cfg.Exp)
+	exps, err := Select(cfg.Exp)
+	if err != nil {
+		return nil, err
 	}
+	if len(exps) != 1 {
+		return nil, fault.Fatalf("experiments: a chaos sweep takes one experiment, not %q", cfg.Exp)
+	}
+	e := exps[0]
 	if cfg.Seeds <= 0 {
 		cfg.Seeds = 5
 	}

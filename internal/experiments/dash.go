@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"strings"
-
 	"repro/internal/fault"
 	"repro/internal/obs"
 )
@@ -11,12 +9,8 @@ import (
 // experiment builds gets a telemetry plane — and returns the report plus
 // the exportable timeline for the dashboard renderers. The experiment's
 // own objectives (E13 installs per-arm SLOs) ride along unchanged; runs
-// are byte-identical by (id, seed).
-func RunDash(id string, seed int64) (*Report, *obs.Timeline, error) {
-	e, ok := Get(strings.ToUpper(id))
-	if !ok {
-		return nil, nil, fault.Fatalf("experiments: unknown experiment %q", id)
-	}
+// are byte-identical by (experiment, seed).
+func RunDash(e Experiment, seed int64) (*Report, *obs.Timeline, error) {
 	if obs.ActiveSession() != nil {
 		return nil, nil, fault.Fatal("experiments: an obs session is already active")
 	}

@@ -241,7 +241,7 @@ func runE13(seed int64) *Report {
 	factors := []float64{0.5, 1, 2, 4}
 
 	// The SLO shape checks need the telemetry plane; when no session is
-	// active (plain `pcsi-bench -run E13`), run under a private one.
+	// active (plain `pcsictl run E13`), run under a private one.
 	// Under `pcsictl dash` or the chaos harness the caller's session is
 	// reused so its timeline sees every arm.
 	if obs.ActiveSession() == nil {

@@ -3,15 +3,19 @@
 // comparison, Figure 1's mutability lattice, Figure 2's model-serving
 // pipeline, and the measurable claims of §3–4. Each experiment returns a
 // Report containing rendered tables and machine-checkable shape
-// assertions ("who wins, by roughly what factor"), so both the
-// pcsi-bench binary and the test suite consume the same code.
+// assertions ("who wins, by roughly what factor"), so both `pcsictl run`
+// and the test suite consume the same code.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
+	"repro/internal/fault"
 	"repro/internal/metrics"
 )
 
@@ -104,6 +108,30 @@ func expNum(id string) int {
 func Get(id string) (Experiment, bool) {
 	e, ok := registry[id]
 	return e, ok
+}
+
+// Select resolves a comma-separated, case-insensitive list of experiment
+// IDs to experiments in registry order, each once; "" selects them all.
+// Unknown IDs fail together: the one error names every one of them, sorted.
+func Select(ids string) ([]Experiment, error) {
+	if ids == "" {
+		return All(), nil
+	}
+	want := map[string]bool{}
+	var unknown []string
+	for _, id := range strings.Split(ids, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if _, ok := Get(id); ok {
+			want[id] = true
+		} else {
+			unknown = append(unknown, strconv.Quote(id))
+		}
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		return nil, fault.Fatalf("experiments: unknown experiment %s", strings.Join(slices.Compact(unknown), ", "))
+	}
+	return slices.DeleteFunc(All(), func(e Experiment) bool { return !want[e.ID] }), nil
 }
 
 func ratio(a, b float64) float64 {

@@ -33,6 +33,64 @@ func TestRegistryComplete(t *testing.T) {
 	if _, ok := Get("nope"); ok {
 		t.Error("Get(nope) succeeded")
 	}
+	// Every registered ID resolves through the CLI's selector, any case.
+	for _, e := range all {
+		if got, err := Select(strings.ToLower(e.ID)); err != nil || len(got) != 1 || got[0].ID != e.ID {
+			t.Errorf("Select(%q) = %v, %v; want just %s", strings.ToLower(e.ID), ids(got), err, e.ID)
+		}
+	}
+}
+
+// TestSelect pins the selector every local pcsictl command resolves its
+// experiment list through.
+func TestSelect(t *testing.T) {
+	for _, tc := range []struct {
+		in, want, err string
+	}{
+		{in: "", want: "E1 E2 E3 E4 E5 E6 E7 E8 E9 E10 E11 E12 E13 E14 E15"},
+		{in: "E4", want: "E4"},
+		{in: "e13,E2, e4 ", want: "E2 E4 E13"}, // registry order, any case, spaces trimmed
+		{in: "E4,e4,E2,E4", want: "E2 E4"},     // duplicates once
+		{in: "E99,E2,e0,E99", err: `experiments: unknown experiment "E0", "E99"`},
+		{in: "E2,", err: `experiments: unknown experiment ""`},
+	} {
+		got, err := Select(tc.in)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err || got != nil {
+				t.Errorf("Select(%q) = %v, %v; want error %q", tc.in, ids(got), err, tc.err)
+			}
+			continue
+		}
+		if err != nil || ids(got) != tc.want {
+			t.Errorf("Select(%q) = %q, %v; want %q", tc.in, ids(got), err, tc.want)
+		}
+	}
+}
+
+func ids(exps []Experiment) string {
+	var out []string
+	for _, e := range exps {
+		out = append(out, e.ID)
+	}
+	return strings.Join(out, " ")
+}
+
+// TestDocsNameExistingBinaries: every cmd/<name> the docs cite must be a
+// directory under cmd/, so a folded or renamed binary cannot linger in an
+// instruction. (bench/ is its own module with its own docs.)
+func TestDocsNameExistingBinaries(t *testing.T) {
+	root := filepath.Join("..", "..")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "doc.go", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+		data, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range regexp.MustCompile(`\bcmd/([\w-]+)`).FindAllStringSubmatch(string(data), -1) {
+			if fi, err := os.Stat(filepath.Join(root, "cmd", m[1])); err != nil || !fi.IsDir() {
+				t.Errorf("%s names %s, which is not a directory under cmd/", doc, m[0])
+			}
+		}
+	}
 }
 
 // TestDocCountsMatch keeps the counts the prose quotes from drifting: every
@@ -74,12 +132,22 @@ func itoa(n int) string {
 	return string(rune('0' + n))
 }
 
-func runAndCheck(t *testing.T, id string, retries int) *Report {
+func mustGet(t *testing.T, id string) Experiment {
 	t.Helper()
 	e, ok := Get(id)
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
+	return e
+}
+
+// runAndCheck runs one experiment at seed 1 and requires every shape check
+// to pass and, for the simulated experiments (all but E1, whose rows are
+// measured on the host clock), the report to render byte-for-byte as its
+// section of the committed full run, pcsi_bench_output.txt.
+func runAndCheck(t *testing.T, id string, retries int) *Report {
+	t.Helper()
+	e := mustGet(t, id)
 	var rep *Report
 	for attempt := 0; attempt <= retries; attempt++ {
 		rep = e.Run(1)
@@ -95,7 +163,49 @@ func runAndCheck(t *testing.T, id string, retries int) *Report {
 	if len(rep.Tables) == 0 {
 		t.Errorf("%s produced no tables", id)
 	}
+	if id != "E1" {
+		checkGolden(t, id, render(rep))
+	}
 	return rep
+}
+
+// checkGolden compares got with id's section of pcsi_bench_output.txt:
+// from its "== <id>: " header to the next experiment's header or the
+// trailer.
+func checkGolden(t *testing.T, id, got string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "pcsi_bench_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(data)
+	start := strings.Index(text, "== "+id+": ")
+	if start < 0 {
+		t.Fatalf("pcsi_bench_output.txt has no %s section; regenerate with `go run ./cmd/pcsictl run > pcsi_bench_output.txt`", id)
+	}
+	want := text[start:]
+	if end := regexp.MustCompile(`(?m)^(== E\d+: |all \d+ experiments )`).FindStringIndex(want[1:]); end != nil {
+		want = want[:1+end[0]]
+	}
+	if got == want {
+		return
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; ; i++ {
+		if i >= len(g) || i >= len(w) || g[i] != w[i] {
+			t.Errorf("%s report drifted from pcsi_bench_output.txt at line %d of its section:\n  got:  %q\n  want: %q\n"+
+				"if the change is meant to alter simulated output, regenerate with `go run ./cmd/pcsictl run > pcsi_bench_output.txt`",
+				id, i+1, line(g, i), line(w, i))
+			return
+		}
+	}
+}
+
+func line(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<end of section>"
 }
 
 func TestE1Table1(t *testing.T) {

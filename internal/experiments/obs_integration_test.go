@@ -17,7 +17,7 @@ import (
 // assert that a violated seed carries a flight-recorder dump of the
 // moments before the failure. It is registered per-test (not init) and
 // removed on cleanup so the registry stays E1–E13 for every other test,
-// and it never reaches the pcsi-bench binary.
+// and it never reaches `pcsictl run`.
 func registerEViol(t *testing.T) {
 	t.Helper()
 	register(Experiment{ID: "EVIOL", Title: "synthetic invariant violation (test only)", Run: runEViol})

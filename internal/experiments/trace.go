@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"strings"
-
-	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -18,11 +15,7 @@ import (
 // span that brackets the whole experiment in virtual time — so even
 // experiments that never enter the simulator (E1's wall-clock measurements)
 // export a well-formed, non-empty trace.
-func RunTraced(id string, seed int64) (*Report, *trace.Data, error) {
-	e, ok := Get(strings.ToUpper(id))
-	if !ok {
-		return nil, nil, fault.Fatalf("experiments: unknown experiment %q", id)
-	}
+func RunTraced(e Experiment, seed int64) (*Report, *trace.Data) {
 	c := trace.StartCollecting()
 	defer c.Stop()
 	ht := trace.Of(sim.NewEnv(seed))
@@ -38,5 +31,5 @@ func RunTraced(id string, seed int64) (*Report, *trace.Data, error) {
 	}
 	ht.Mark("experiment", "experiment", "experiment:"+e.ID, 0, end,
 		trace.Str("title", e.Title), trace.Int("seed", seed))
-	return rep, c.Data(), nil
+	return rep, c.Data()
 }

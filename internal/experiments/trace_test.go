@@ -14,10 +14,7 @@ import (
 func TestRunTracedDeterministic(t *testing.T) {
 	var bufs [2]bytes.Buffer
 	for i := range bufs {
-		_, d, err := RunTraced("E4", 42)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, d := RunTraced(mustGet(t, "E4"), 42)
 		if err := trace.Export(&bufs[i], d); err != nil {
 			t.Fatal(err)
 		}
@@ -40,10 +37,7 @@ func TestRunTracedDeterministic(t *testing.T) {
 // PCSI run in the E4 trace must attribute at least 95% of its end-to-end
 // virtual time to named spans on the critical path.
 func TestRunTracedCoverage(t *testing.T) {
-	_, d, err := RunTraced("E4", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, d := RunTraced(mustGet(t, "E4"), 1)
 	checked := 0
 	for _, run := range d.Runs {
 		if !strings.HasPrefix(run.Label, "pcsi/") {
@@ -66,13 +60,10 @@ func TestRunTracedCoverage(t *testing.T) {
 // computes — span IDs come from the observer rand stream, never from the
 // simulation's forked streams.
 func TestRunTracedDoesNotPerturb(t *testing.T) {
-	e, _ := Get("E4")
+	e := mustGet(t, "E4")
 	var plain bytes.Buffer
 	e.Run(9).Render(&plain)
-	rep, _, err := RunTraced("E4", 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := RunTraced(e, 9)
 	var traced bytes.Buffer
 	rep.Render(&traced)
 	if plain.String() != traced.String() {
@@ -83,10 +74,7 @@ func TestRunTracedDoesNotPerturb(t *testing.T) {
 // TestRunTracedHarnessRoot: every trace carries the harness root span, so
 // even wall-clock-only experiments export non-empty traceEvents.
 func TestRunTracedHarnessRoot(t *testing.T) {
-	_, d, err := RunTraced("E2", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, d := RunTraced(mustGet(t, "E2"), 1)
 	if len(d.Runs) == 0 || d.Runs[0].Label != "harness" {
 		t.Fatalf("first run = %+v, want harness", d.Runs)
 	}
@@ -100,11 +88,5 @@ func TestRunTracedHarnessRoot(t *testing.T) {
 	}
 	if total < 2 {
 		t.Fatalf("E2 trace has %d spans, want harness root plus simulated ops", total)
-	}
-}
-
-func TestRunTracedUnknown(t *testing.T) {
-	if _, _, err := RunTraced("E999", 1); err == nil {
-		t.Fatal("RunTraced(E999) did not fail")
 	}
 }

@@ -317,7 +317,8 @@ type Run struct {
 }
 
 // Merge concatenates several traced runs into one Data, preserving order —
-// used by pcsi-bench -trace to emit a single file across experiments.
+// used by `pcsictl trace E2,E4,...` to emit a single file across
+// experiments.
 func Merge(ds ...*Data) *Data {
 	out := &Data{}
 	for _, d := range ds {
