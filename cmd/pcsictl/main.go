@@ -330,17 +330,10 @@ func (h *harnessFlags) RequireExp(args []string) experiments.Experiment {
 	return exps[0]
 }
 
-// ActivateFaults turns stochastic fault injection on when -faultrate is
-// positive. The returned cleanup is safe to defer either way.
-func (h *harnessFlags) ActivateFaults() func() {
-	if *h.FaultRate <= 0 {
-		return func() {}
-	}
-	s := fault.Activate(fault.Spec{
-		Rates: fault.Uniform(*h.FaultRate),
-		Retry: fault.DefaultPolicy(),
-	})
-	return s.Deactivate
+// Faults returns a fresh fault-injection session at -faultrate for one
+// experiment run; at rate 0 it is idle and attaches nothing.
+func (h *harnessFlags) Faults() *fault.Session {
+	return fault.NewSession(fault.Spec{Rates: fault.Uniform(*h.FaultRate), Retry: fault.DefaultPolicy()})
 }
 
 // OutWriter opens the -o file for writing, or returns stdout when unset.
@@ -373,10 +366,9 @@ func runCmd(args []string) {
 		}
 		return
 	}
-	defer h.ActivateFaults()()
 	failures := 0
 	for _, e := range exps {
-		rep := e.Run(*h.Seed)
+		rep := e.RunFaults(*h.Seed, h.Faults())
 		rep.Render(w)
 		if !rep.Passed() {
 			failures++
@@ -411,12 +403,11 @@ func traceCmd(args []string) {
 		os.Exit(2)
 	}
 	exps := h.Select(exp)
-	// Faults and retries show up as instants on the "fault" track.
-	defer h.ActivateFaults()()
 	// Reports and critical paths go to stderr so stdout stays pure JSON.
+	// Faults and retries show up as instants on the "fault" track.
 	var traces []*trace.Data
 	for _, e := range exps {
-		rep, data := experiments.RunTraced(e, *h.Seed)
+		rep, data := experiments.RunTraced(e, *h.Seed, h.Faults())
 		rep.Render(os.Stderr)
 		for _, run := range data.Runs {
 			if cp := trace.CriticalPath(run); len(cp.Chain) > 0 {
@@ -475,11 +466,7 @@ func dashCmd(args []string) {
 		"usage: pcsictl dash <experiment> [-seed N] [-o file.html] [-faultrate R] [-json file]")
 	jsonOut := h.FS.String("json", "", "write the JSON timeline to this file (default: -o with a .json extension)")
 	e := h.RequireExp(args)
-	defer h.ActivateFaults()()
-	rep, tl, err := experiments.RunDash(e, *h.Seed)
-	if err != nil {
-		fatal(err)
-	}
+	rep, tl := experiments.RunDash(e, *h.Seed, h.Faults())
 	// The experiment's own report goes to stderr so stdout stays pure HTML.
 	rep.Render(os.Stderr)
 	w, done := h.OutWriter()

@@ -22,6 +22,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -88,8 +89,7 @@ type Options struct {
 	EvictionProb float64
 	// Retry, when set, wraps data/meta/fn operations in the policy (bound
 	// to this cloud's env). Nil keeps the historical fail-immediately
-	// behavior; during an active fault session the session's default
-	// policy is adopted instead.
+	// behavior, or adopts the Faults session's default policy.
 	Retry *fault.Policy
 	// QoS, when set, builds an admission controller over the cluster and
 	// threads it through data ops, function invocations, and task graphs.
@@ -101,6 +101,12 @@ type Options struct {
 	// merged by anti-entropy. Nil keeps every hook inert and the run
 	// byte-identical to a cache-free build.
 	FnCache *fncache.Config
+	// Observers: Trace collects spans, Faults injects faults and audits
+	// invariants, Obs adds a telemetry plane. Nil keeps each off; an
+	// observed run computes exactly what an unobserved one does.
+	Trace  *trace.Collector
+	Faults *fault.Session
+	Obs    *obs.Session
 }
 
 // gpuMemMB is each GPU node's device memory.
@@ -129,10 +135,10 @@ type Cloud struct {
 	caps *capability.Registry
 	col  *gc.Collector
 
-	inj      *fault.Injector // nil outside chaos sessions
+	inj      *fault.Injector // nil unless Options.Faults injects
 	retry    *fault.Policy   // nil = no retries
 	qos      *qos.Controller // nil = no admission control
-	obsPlane *obs.Plane      // nil outside obs sessions
+	obsPlane *obs.Plane      // nil without Options.Obs
 	fncache  *fncache.Cache  // nil = no colocated caches
 
 	fnRefs   map[string]Ref // function name -> code object ref
@@ -194,6 +200,7 @@ func New(opts Options) *Cloud {
 		opts.Media = media.NVMe
 	}
 	env := sim.NewEnv(opts.Seed)
+	opts.Trace.Attach(env)
 	trace.Of(env).SetLabel("pcsi/" + opts.Policy.String())
 	net := simnet.New(env, opts.NetProfile)
 	cl := cluster.New(env, net, opts.ClusterCfg)
@@ -223,11 +230,11 @@ func New(opts Options) *Cloud {
 	}
 	c.reg.Register(c.DataLat)
 
-	// Telemetry plane (optional): an active obs session samples this
-	// cloud's registry on its own virtual clock. No session ⇒ nil plane ⇒
-	// every hook below is an inert nil check and the run stays
-	// byte-identical to an unobserved one.
-	c.obsPlane = obs.ActiveSession().Attach(env, c.reg, "pcsi/"+opts.Policy.String())
+	// Telemetry plane (optional): the obs session samples this cloud's
+	// registry on its own virtual clock. No session ⇒ nil plane ⇒ every
+	// hook below is an inert nil check and the run stays byte-identical to
+	// an unobserved one.
+	c.obsPlane = opts.Obs.Attach(env, c.reg, "pcsi/"+opts.Policy.String())
 
 	// Colocated function caches (optional): lease coherence for
 	// linearizable objects, lattice merges for eventual ones. The merger
@@ -267,10 +274,11 @@ func New(opts Options) *Cloud {
 		FnCache:      c.fncache,
 	})
 
-	// Fault-injection wiring. Only a non-idle active session yields an
-	// injector; otherwise all of this is inert and the run stays
-	// byte-identical to a fault-free one.
-	if inj := fault.Attach(env, net, cl); inj != nil {
+	// Fault-injection wiring. Only a non-idle session yields an injector;
+	// otherwise all of this is inert and the run stays byte-identical to a
+	// fault-free one.
+	if inj := opts.Faults.Attach(env); inj != nil {
+		inj.Wire(net, cl)
 		c.inj = inj
 		c.rt.SetFailFast(true)
 		inj.Observe(func(n fault.Notice) {
@@ -282,9 +290,7 @@ func New(opts Options) *Cloud {
 				c.rt.FailNode(id)
 			}
 		})
-		if opts.Retry == nil {
-			opts.Retry = fault.ActiveSession().Spec().Retry
-		}
+		opts.Retry = cmp.Or(opts.Retry, opts.Faults.Spec().Retry)
 	}
 	if opts.Retry != nil {
 		c.retry = opts.Retry.Bind(env)
@@ -302,9 +308,7 @@ func New(opts Options) *Cloud {
 			}
 		}
 	}
-	if s := fault.ActiveSession(); s != nil {
-		s.AddCheck("pcsi/"+opts.Policy.String(), c.chaosInvariants)
-	}
+	c.AddCheck("pcsi/"+opts.Policy.String(), c.chaosInvariants)
 
 	c.col = gc.New(grp.Primary0Store())
 	c.col.AddRoots(c.caps)
@@ -379,9 +383,12 @@ func (c *Cloud) instrumentQoS() {
 // without one.
 func (c *Cloud) QoS() *qos.Controller { return c.qos }
 
-// Obs returns the cloud's telemetry plane, or nil when no obs session was
-// active at construction.
+// Obs returns the cloud's telemetry plane, or nil when Options.Obs was nil.
 func (c *Cloud) Obs() *obs.Plane { return c.obsPlane }
+
+// AddCheck registers an end-of-run invariant with the cloud's fault session
+// (fault.Session.AddCheck); without one it does nothing.
+func (c *Cloud) AddCheck(name string, fn func() []string) { c.opts.Faults.AddCheck(name, fn) }
 
 // FnCache returns the colocated function cache, or nil when the deployment
 // runs without one.

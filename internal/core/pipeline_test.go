@@ -149,9 +149,9 @@ func TestVerbTable(t *testing.T) {
 // testVerbHooks checks the front half of the pipeline: refusal before any
 // cost, one admission, one span under the caller's.
 func testVerbHooks(t *testing.T, v *verb, d verbDriver) {
-	col := trace.StartCollecting()
-	defer col.Stop()
+	col := trace.NewCollector()
 	opts := DefaultOptions()
+	opts.Trace = col
 	opts.QoS = &qos.Config{Data: qos.ClassConfig{MaxConcurrency: 4}}
 	c := New(opts)
 	cl := c.NewClient(0)
@@ -229,9 +229,7 @@ func testVerbFaults(t *testing.T, v *verb, d verbDriver) {
 			return
 		}
 		// Arm the injector only now, so building the subjects is not faulted.
-		s := fault.Activate(fault.Spec{Rates: fault.Rates{OpError: 1}})
-		defer s.Deactivate()
-		c.inj = fault.Of(c.env)
+		c.inj = fault.NewSession(fault.Spec{Rates: fault.Rates{OpError: 1}}).Attach(c.env)
 		var rolled []string
 		c.inj.Observe(func(n fault.Notice) { rolled = append(rolled, n.Kind+" "+n.Detail) })
 

@@ -107,8 +107,8 @@ func (r *ChaosReport) Render(w io.Writer) {
 	}
 }
 
-// RunChaos sweeps cfg.Seeds consecutive seeds of one experiment under an
-// active fault session, collecting per-seed outcomes, injected-fault
+// RunChaos sweeps cfg.Seeds consecutive seeds of one experiment, each under
+// its own fault session, collecting per-seed outcomes, injected-fault
 // counters, and end-of-run invariant audits (registered by each Cloud the
 // experiment builds). The whole sweep is deterministic: identical configs
 // render byte-identical reports.
@@ -140,16 +140,10 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 }
 
 func runChaosSeed(e Experiment, seed int64, spec fault.Spec) SeedOutcome {
-	s := fault.Activate(spec)
-	defer s.Deactivate()
+	s := fault.NewSession(spec)
 	// Chaos seeds run with the telemetry plane on so that a violated seed
 	// comes with a flight-recorder dump of the moments before the failure.
-	// An already-active session (nested harnesses, tests) is reused.
-	osess := obs.ActiveSession()
-	if osess == nil {
-		osess = obs.Activate(obs.Config{})
-		defer osess.Deactivate()
-	}
+	osess := obs.NewSession(obs.Config{})
 	out := SeedOutcome{Seed: seed}
 	r := func() (r *Report) {
 		defer func() {
@@ -157,7 +151,7 @@ func runChaosSeed(e Experiment, seed int64, spec fault.Spec) SeedOutcome {
 				out.Panic = fmt.Sprint(v)
 			}
 		}()
-		return e.Run(seed)
+		return e.fn(run{seed: seed, faults: s, obs: osess})
 	}()
 	// Quiescence: heal partitions, then audit every invariant the run's
 	// clouds registered (stale linearizable reads, convergence, graph and

@@ -20,13 +20,12 @@ import (
 // objects — never a reachable one.
 
 func init() {
-	register(Experiment{ID: "E10", Title: "§3.2: automated reclamation of unreachable objects", Run: runE10})
+	register(Experiment{ID: "E10", Title: "§3.2: automated reclamation of unreachable objects", fn: runE10})
 }
 
-func runE10(seed int64) *Report {
+func runE10(rn run) *Report {
 	r := &Report{ID: "E10", Title: "§3.2: automated reclamation of unreachable objects"}
-	opts := core.DefaultOptions()
-	opts.Seed = seed
+	opts := rn.options()
 	opts.Media = media.DRAM
 	cloud := core.New(opts)
 	client := cloud.NewClient(0)

@@ -22,18 +22,12 @@ import (
 // recovery, anti-entropy repairs the returning replica.
 
 func init() {
-	register(Experiment{ID: "E11", Title: "§3.3 (extension): availability across the consistency menu under replica failures", Run: runE11})
+	register(Experiment{ID: "E11", Title: "§3.3 (extension): availability across the consistency menu under replica failures", fn: runE11})
 }
 
-func runE11(seed int64) *Report {
+func runE11(rn run) *Report {
 	r := &Report{ID: "E11", Title: "§3.3 (extension): availability across the consistency menu under replica failures"}
-	env := sim.NewEnv(seed)
-	net := simnet.New(env, simnet.DC2021)
-	var nodes []simnet.NodeID
-	for i := 0; i < 3; i++ {
-		nodes = append(nodes, net.AddNode(i))
-	}
-	g := consistency.NewGroup(env, net, nodes, media.DRAM)
+	env, net, g := rn.replicated(simnet.DC2021, media.DRAM)
 	g.StartAntiEntropy(5 * time.Millisecond)
 	client := net.AddNode(0)
 

@@ -21,7 +21,7 @@ import (
 // hardware with the predicted latency/cost trade.
 
 func init() {
-	register(Experiment{ID: "E12", Title: "§3.1 (extension): one function, multiple implementations, goal-driven choice", Run: runE12})
+	register(Experiment{ID: "E12", Title: "§3.1 (extension): one function, multiple implementations, goal-driven choice", fn: runE12})
 }
 
 const (
@@ -29,7 +29,7 @@ const (
 	e12Calls = 20
 )
 
-func runE12(seed int64) *Report {
+func runE12(rn run) *Report {
 	r := &Report{ID: "E12", Title: "§3.1 (extension): one function, multiple implementations, goal-driven choice"}
 
 	type outcome struct {
@@ -39,8 +39,7 @@ func runE12(seed int64) *Report {
 		usd      float64
 	}
 	runGoal := func(goal faas.Goal) *outcome {
-		opts := core.DefaultOptions()
-		opts.Seed = seed
+		opts := rn.options()
 		cloud := core.New(opts)
 		client := cloud.NewClient(0)
 		out := &outcome{goal: goal, variants: map[string]int{}, lat: metrics.NewHistogram(goal.String())}

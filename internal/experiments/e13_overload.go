@@ -31,7 +31,7 @@ import (
 // §2.1 pathology where overload begets more load.
 
 func init() {
-	register(Experiment{ID: "E13", Title: "§4: overload — admission control vs retry storms and opaque 429s", Run: runE13})
+	register(Experiment{ID: "E13", Title: "§4: overload — admission control vs retry storms and opaque 429s", fn: runE13})
 }
 
 const (
@@ -51,7 +51,7 @@ type e13Arm struct {
 	offered, attempts    int64
 	served, shed, failed int64
 	lat                  *metrics.Histogram
-	plane                *obs.Plane // nil when no obs session is active
+	plane                *obs.Plane
 }
 
 func (a *e13Arm) goodput() float64 { return float64(a.served) / e13Window.Seconds() }
@@ -89,9 +89,8 @@ func e13Objectives() []obs.Objective {
 // the same stock retry policy; the QoS arms never retry because
 // ErrOverload classifies as fatal, while the unguarded arm amplifies each
 // placement failure into a backoff loop.
-func e13PCSI(seed int64, factor float64, withQoS bool) (*e13Arm, qos.Stats) {
-	opts := core.DefaultOptions()
-	opts.Seed = seed
+func e13PCSI(rn run, factor float64, withQoS bool) (*e13Arm, qos.Stats) {
+	opts := rn.options()
 	opts.Policy = core.PlacePacked
 	opts.IdleTimeout = time.Second
 	opts.Retry = fault.DefaultPolicy()
@@ -172,14 +171,8 @@ func e13PCSI(seed int64, factor float64, withQoS bool) (*e13Arm, qos.Stats) {
 // does what real SDKs do with a 429: exponential backoff and retry. The
 // gateway spends RejectCost of worker time producing each 429, so the
 // retries compete with useful work for the same pool.
-func e13Rest(seed int64, factor float64) (*e13Arm, int64) {
-	env := sim.NewEnv(seed)
-	net := simnet.New(env, simnet.DC2021)
-	var nodes []simnet.NodeID
-	for i := 0; i < 3; i++ {
-		nodes = append(nodes, net.AddNode(i))
-	}
-	grp := consistency.NewGroup(env, net, nodes, media.DRAM)
+func e13Rest(rn run, factor float64) (*e13Arm, int64) {
+	env, net, grp := rn.replicated(simnet.DC2021, media.DRAM)
 	cfg := restbase.DefaultConfig()
 	cfg.Workers = e13RestWorkers
 	cfg.AppExec = e13Exec
@@ -236,17 +229,16 @@ func e13Rest(seed int64, factor float64) (*e13Arm, int64) {
 	return arm, gw.Throttled.Value()
 }
 
-func runE13(seed int64) *Report {
+func runE13(rn run) *Report {
 	r := &Report{ID: "E13", Title: "§4: overload — admission control vs retry storms and opaque 429s"}
 	factors := []float64{0.5, 1, 2, 4}
 
-	// The SLO shape checks need the telemetry plane; when no session is
-	// active (plain `pcsictl run E13`), run under a private one.
-	// Under `pcsictl dash` or the chaos harness the caller's session is
-	// reused so its timeline sees every arm.
-	if obs.ActiveSession() == nil {
-		own := obs.Activate(obs.Config{})
-		defer own.Deactivate()
+	// The SLO shape checks need the telemetry plane; an unobserved run
+	// (plain `pcsictl run E13`) observes through a private session. Under
+	// `pcsictl dash` or the chaos harness the run's session is used, so
+	// its timeline sees every arm.
+	if rn.obs == nil {
+		rn.obs = obs.NewSession(obs.Config{})
 	}
 
 	type qosRow struct {
@@ -256,13 +248,13 @@ func runE13(seed int64) *Report {
 	}
 	var sweep []qosRow
 	for _, f := range factors {
-		arm, st := e13PCSI(seed, f, true)
+		arm, st := e13PCSI(rn, f, true)
 		sweep = append(sweep, qosRow{f, arm, st})
 	}
-	noqos, _ := e13PCSI(seed, 2, false)
-	noqos4, _ := e13PCSI(seed, 4, false)
-	rest1, thr1 := e13Rest(seed, 1)
-	rest2, thr2 := e13Rest(seed, 2)
+	noqos, _ := e13PCSI(rn, 2, false)
+	noqos4, _ := e13PCSI(rn, 4, false)
+	rest1, thr1 := e13Rest(rn, 1)
+	rest2, thr2 := e13Rest(rn, 2)
 
 	t1 := metrics.NewTable(
 		fmt.Sprintf("PCSI+QoS, open-loop load sweep (capacity %.0f rps = %d slots × %v)",

@@ -25,7 +25,7 @@ import (
 // (eventual semantics with measured observed staleness).
 
 func init() {
-	register(Experiment{ID: "E14", Title: "Cloudburst shape: colocated caches under Zipf fan-out — leases vs lattices vs none", Run: runE14})
+	register(Experiment{ID: "E14", Title: "Cloudburst shape: colocated caches under Zipf fan-out — leases vs lattices vs none", fn: runE14})
 }
 
 const (
@@ -79,9 +79,8 @@ type e14Arm struct {
 	audit          []string
 }
 
-func e14Run(seed int64, mode e14Mode) *e14Arm {
-	opts := core.DefaultOptions()
-	opts.Seed = seed
+func e14Run(rn run, mode e14Mode) *e14Arm {
+	opts := rn.options()
 	opts.Policy = core.PlacePacked
 	opts.IdleTimeout = time.Second
 	opts.ClusterCfg = cluster.Config{
@@ -215,11 +214,11 @@ func e14Run(seed int64, mode e14Mode) *e14Arm {
 	return arm
 }
 
-func runE14(seed int64) *Report {
+func runE14(rn run) *Report {
 	r := &Report{ID: "E14", Title: "Cloudburst shape: colocated caches under Zipf fan-out — leases vs lattices vs none"}
-	off := e14Run(seed, e14Off)
-	lease := e14Run(seed, e14Lease)
-	lattice := e14Run(seed, e14Lattice)
+	off := e14Run(rn, e14Off)
+	lease := e14Run(rn, e14Lease)
+	lattice := e14Run(rn, e14Lattice)
 	arms := []*e14Arm{off, lease, lattice}
 
 	t1 := metrics.NewTable(

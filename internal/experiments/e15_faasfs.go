@@ -43,7 +43,7 @@ import (
 // the stateless gateway.
 
 func init() {
-	register(Experiment{ID: "E15", Title: "FaaSFS shape: transactional POSIX traces — faasfs vs NFS vs REST", Run: runE15})
+	register(Experiment{ID: "E15", Title: "FaaSFS shape: transactional POSIX traces — faasfs vs NFS vs REST", fn: runE15})
 }
 
 const (
@@ -456,9 +456,8 @@ func e15Mutate(k int, page []byte) []byte {
 
 // e15Run runs the three traces and the audit on one arm. The trace logic
 // is written once, against e15IO; only e15OpenStore knows the arm.
-func e15Run(seed int64, mode e15Mode) *e15Arm {
-	opts := core.DefaultOptions()
-	opts.Seed = seed
+func e15Run(rn run, mode e15Mode) *e15Arm {
+	opts := rn.options()
 	opts.ClusterCfg = cluster.Config{
 		Racks: 2, NodesPerRack: 4,
 		NodeCap: cluster.Resources{MilliCPU: 4000, MemMB: 16384},
@@ -621,11 +620,11 @@ func e15Run(seed int64, mode e15Mode) *e15Arm {
 	return arm
 }
 
-func runE15(seed int64) *Report {
+func runE15(rn run) *Report {
 	r := &Report{ID: "E15", Title: "FaaSFS shape: transactional POSIX traces — faasfs vs NFS vs REST"}
 	var arms []*e15Arm
 	for _, mode := range e15Modes {
-		arms = append(arms, e15Run(seed, mode))
+		arms = append(arms, e15Run(rn, mode))
 	}
 	ffs, nfs, rest := arms[0], arms[1], arms[2]
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/restbase"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -20,7 +19,7 @@ import (
 // the shape checks assert exactly those.
 
 func init() {
-	register(Experiment{ID: "E1", Title: "Table 1: representative operation latencies", Run: runE1})
+	register(Experiment{ID: "E1", Title: "Table 1: representative operation latencies", fn: runE1})
 }
 
 // measure runs fn repeatedly for at least wall time budget and returns the
@@ -42,7 +41,7 @@ func measure(warmup, iters int, fn func()) time.Duration {
 	return time.Since(start) / time.Duration(iters)
 }
 
-func runE1(seed int64) *Report {
+func runE1(rn run) *Report {
 	r := &Report{ID: "E1", Title: "Table 1: representative operation latencies"}
 
 	type row struct {
@@ -55,7 +54,7 @@ func runE1(seed int64) *Report {
 
 	// --- Simulated rows (calibrated profiles) ---
 	simRTT := func(p simnet.Profile) time.Duration {
-		env := sim.NewEnv(seed)
+		env := rn.env()
 		n := simnet.New(env, p)
 		a, b := n.AddNode(0), n.AddNode(1)
 		return n.RTT(a, b)

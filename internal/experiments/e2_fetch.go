@@ -22,16 +22,16 @@ import (
 // takes 4.3 ms and costs 0.18 USD/M."
 
 func init() {
-	register(Experiment{ID: "E2", Title: "§2.1: 1KB fetch — NFS vs DynamoDB (latency & cost)", Run: runE2})
+	register(Experiment{ID: "E2", Title: "§2.1: 1KB fetch — NFS vs DynamoDB (latency & cost)", fn: runE2})
 }
 
-func runE2(seed int64) *Report {
+func runE2(rn run) *Report {
 	r := &Report{ID: "E2", Title: "§2.1: 1KB fetch — NFS vs DynamoDB (latency & cost)"}
 	const reads = 200
 	payload := make([]byte, 1024)
 
 	// --- NFS-style stateful fetch ---
-	envN := sim.NewEnv(seed)
+	envN := rn.env()
 	netN := simnet.New(envN, simnet.DC2021)
 	srv := nfsbase.NewServer(netN, media.Disk)
 	if err := srv.Export("obj", payload); err != nil {
@@ -62,7 +62,7 @@ func runE2(seed int64) *Report {
 	envN.Run()
 
 	// --- DynamoDB-style REST fetch ---
-	envD := sim.NewEnv(seed)
+	envD := rn.env()
 	netD := simnet.New(envD, simnet.DC2021)
 	tbl := dynamo.New(netD, 3, media.Disk)
 	clientD := netD.AddNode(2)
@@ -88,8 +88,7 @@ func runE2(seed int64) *Report {
 	envD.Run()
 
 	// --- PCSI reference fetch on the same media (this work) ---
-	pcsiOpts := core.DefaultOptions()
-	pcsiOpts.Seed = seed
+	pcsiOpts := rn.options()
 	pcsiOpts.Media = media.Disk
 	cloudP := core.New(pcsiOpts)
 	clientP := cloudP.NewClient(0)

@@ -11,10 +11,10 @@ import (
 // each level (what can be written, what is safely cacheable).
 
 func init() {
-	register(Experiment{ID: "E3", Title: "Figure 1: object mutability transition lattice", Run: runE3})
+	register(Experiment{ID: "E3", Title: "Figure 1: object mutability transition lattice", fn: runE3})
 }
 
-func runE3(seed int64) *Report {
+func runE3(rn run) *Report {
 	r := &Report{ID: "E3", Title: "Figure 1: object mutability transition lattice"}
 
 	// Transition matrix.

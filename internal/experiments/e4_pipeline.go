@@ -27,7 +27,7 @@ import (
 // a monolithic server-based service."
 
 func init() {
-	register(Experiment{ID: "E4", Title: "Figure 2 + §4.1: model serving, naive vs co-located", Run: runE4})
+	register(Experiment{ID: "E4", Title: "Figure 2 + §4.1: model serving, naive vs co-located", fn: runE4})
 }
 
 // pipelineStats summarises one policy's run.
@@ -47,10 +47,10 @@ const (
 	e4ResultSize = 1 << 10
 )
 
-func runE4(seed int64) *Report {
+func runE4(rn run) *Report {
 	r := &Report{ID: "E4", Title: "Figure 2 + §4.1: model serving, naive vs co-located"}
-	naive := runPipeline(seed, core.PlaceNaive, r)
-	coloc := runPipeline(seed, core.PlaceColocate, r)
+	naive := runPipeline(rn, core.PlaceNaive, r)
+	coloc := runPipeline(rn, core.PlaceColocate, r)
 	if naive == nil || coloc == nil {
 		return r
 	}
@@ -80,9 +80,8 @@ func runE4(seed int64) *Report {
 	return r
 }
 
-func runPipeline(seed int64, policy core.PlacementPolicy, r *Report) *pipelineStats {
-	opts := core.DefaultOptions()
-	opts.Seed = seed
+func runPipeline(rn run, policy core.PlacementPolicy, r *Report) *pipelineStats {
+	opts := rn.options()
 	opts.Policy = policy
 	opts.Media = media.NVMe
 	cloud := core.New(opts)

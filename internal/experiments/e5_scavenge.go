@@ -29,7 +29,7 @@ import (
 // Metrics: p99 vs a 250 ms SLO, cost, and cluster utilisation.
 
 func init() {
-	register(Experiment{ID: "E5", Title: "§4.2: efficiency — dedicated vs packed vs scavenged", Run: runE5})
+	register(Experiment{ID: "E5", Title: "§4.2: efficiency — dedicated vs packed vs scavenged", fn: runE5})
 }
 
 type e5Stats struct {
@@ -48,7 +48,7 @@ const (
 	e5ExecTime = 40 * time.Millisecond
 )
 
-func runE5(seed int64) *Report {
+func runE5(rn run) *Report {
 	r := &Report{ID: "E5", Title: "§4.2: efficiency — dedicated vs packed vs scavenged"}
 	configs := []struct {
 		name      string
@@ -61,7 +61,7 @@ func runE5(seed int64) *Report {
 	}
 	var stats []*e5Stats
 	for _, cfg := range configs {
-		s := runE5One(seed, cfg.name, cfg.policy, cfg.dedicated, r)
+		s := runE5One(rn, cfg.name, cfg.policy, cfg.dedicated, r)
 		if s == nil {
 			return r
 		}
@@ -93,9 +93,8 @@ func runE5(seed int64) *Report {
 	return r
 }
 
-func runE5One(seed int64, name string, policy core.PlacementPolicy, dedicated bool, r *Report) *e5Stats {
-	opts := core.DefaultOptions()
-	opts.Seed = seed
+func runE5One(rn run, name string, policy core.PlacementPolicy, dedicated bool, r *Report) *e5Stats {
+	opts := rn.options()
 	opts.Policy = policy
 	if dedicated {
 		opts.IdleTimeout = 0 // the provisioned fleet is never torn down

@@ -19,18 +19,12 @@ import (
 // metrics).
 
 func init() {
-	register(Experiment{ID: "E6", Title: "§3.3/§4.3: the consistency menu — linearizable vs eventual", Run: runE6})
+	register(Experiment{ID: "E6", Title: "§3.3/§4.3: the consistency menu — linearizable vs eventual", fn: runE6})
 }
 
-func runE6(seed int64) *Report {
+func runE6(rn run) *Report {
 	r := &Report{ID: "E6", Title: "§3.3/§4.3: the consistency menu — linearizable vs eventual"}
-	env := sim.NewEnv(seed)
-	net := simnet.New(env, simnet.DC2021)
-	var nodes []simnet.NodeID
-	for i := 0; i < 3; i++ {
-		nodes = append(nodes, net.AddNode(i))
-	}
-	grp := consistency.NewGroup(env, net, nodes, media.NVMe)
+	env, net, grp := rn.replicated(simnet.DC2021, media.NVMe)
 	grp.StartAntiEntropy(10 * time.Millisecond)
 	client := net.AddNode(0)
 

@@ -23,12 +23,12 @@ import (
 // below which REST spends most of its time on protocol.
 
 func init() {
-	register(Experiment{ID: "E7", Title: "§2.1: web-service overhead vs operation granularity (fast network)", Run: runE7})
+	register(Experiment{ID: "E7", Title: "§2.1: web-service overhead vs operation granularity (fast network)", fn: runE7})
 }
 
 var e7Sizes = []int{64, 1 << 10, 16 << 10, 256 << 10, 4 << 20}
 
-func runE7(seed int64) *Report {
+func runE7(rn run) *Report {
 	r := &Report{ID: "E7", Title: "§2.1: web-service overhead vs operation granularity (fast network)"}
 
 	type point struct {
@@ -40,13 +40,7 @@ func runE7(seed int64) *Report {
 	for _, size := range e7Sizes {
 		size := size
 		// REST path on the fast network.
-		envR := sim.NewEnv(seed)
-		netR := simnet.New(envR, simnet.FastNet)
-		var nodesR []simnet.NodeID
-		for i := 0; i < 3; i++ {
-			nodesR = append(nodesR, netR.AddNode(i))
-		}
-		grpR := consistency.NewGroup(envR, netR, nodesR, media.DRAM)
+		envR, netR, grpR := rn.replicated(simnet.FastNet, media.DRAM)
 		gwCfg := restbase.DefaultConfig()
 		gwCfg.RawBody = true // object-store style: large bodies stream raw
 		gw := restbase.NewGateway(netR, grpR, gwCfg)
@@ -72,8 +66,7 @@ func runE7(seed int64) *Report {
 		envR.Run()
 
 		// PCSI path on the same network profile.
-		opts := core.DefaultOptions()
-		opts.Seed = seed
+		opts := rn.options()
 		opts.NetProfile = simnet.FastNet
 		opts.Media = media.DRAM
 		cloud := core.New(opts)

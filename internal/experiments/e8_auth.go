@@ -24,10 +24,10 @@ import (
 // the number of operations per open grows.
 
 func init() {
-	register(Experiment{ID: "E8", Title: "§3.2: per-request auth (REST) vs open-once capabilities (PCSI)", Run: runE8})
+	register(Experiment{ID: "E8", Title: "§3.2: per-request auth (REST) vs open-once capabilities (PCSI)", fn: runE8})
 }
 
-func runE8(seed int64) *Report {
+func runE8(rn run) *Report {
 	r := &Report{ID: "E8", Title: "§3.2: per-request auth (REST) vs open-once capabilities (PCSI)"}
 	opsPerObject := []int{1, 10, 100, 1000}
 
@@ -41,13 +41,7 @@ func runE8(seed int64) *Report {
 	for _, nOps := range opsPerObject {
 		nOps := nOps
 		// REST: every read re-authenticates remotely.
-		envR := sim.NewEnv(seed)
-		netR := simnet.New(envR, simnet.DC2021)
-		var nodes []simnet.NodeID
-		for i := 0; i < 3; i++ {
-			nodes = append(nodes, netR.AddNode(i))
-		}
-		grp := consistency.NewGroup(envR, netR, nodes, media.DRAM)
+		envR, netR, grp := rn.replicated(simnet.DC2021, media.DRAM)
 		cfg := restbase.DefaultConfig()
 		cfg.RoutingHops = 0 // isolate the auth path from routing costs
 		gw := restbase.NewGateway(netR, grp, cfg)
@@ -74,8 +68,7 @@ func runE8(seed int64) *Report {
 
 		// PCSI: open once (namespace resolution + capability mint), then
 		// operate through the reference with local checks.
-		opts := core.DefaultOptions()
-		opts.Seed = seed
+		opts := rn.options()
 		opts.Media = media.DRAM
 		cloud := core.New(opts)
 		clientP := cloud.NewClient(0)

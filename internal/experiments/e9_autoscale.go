@@ -20,7 +20,7 @@ import (
 // cost over the same window.
 
 func init() {
-	register(Experiment{ID: "E9", Title: "§3.1/§4.2: autoscaling from zero, pay-per-use", Run: runE9})
+	register(Experiment{ID: "E9", Title: "§3.1/§4.2: autoscaling from zero, pay-per-use", fn: runE9})
 }
 
 const (
@@ -30,10 +30,9 @@ const (
 	e9Exec     = 50 * time.Millisecond
 )
 
-func runE9(seed int64) *Report {
+func runE9(rn run) *Report {
 	r := &Report{ID: "E9", Title: "§3.1/§4.2: autoscaling from zero, pay-per-use"}
-	opts := core.DefaultOptions()
-	opts.Seed = seed
+	opts := rn.options()
 	opts.IdleTimeout = 3 * time.Second
 	opts.Policy = core.PlacePacked
 	// A larger cluster so 100+ concurrent instances fit.

@@ -69,7 +69,7 @@ func (r *Report) Render(w io.Writer) {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(seed int64) *Report
+	fn    func(run) *Report
 }
 
 // registry holds all experiments keyed by ID.

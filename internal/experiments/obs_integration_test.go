@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -20,14 +19,14 @@ import (
 // and it never reaches `pcsictl run`.
 func registerEViol(t *testing.T) {
 	t.Helper()
-	register(Experiment{ID: "EVIOL", Title: "synthetic invariant violation (test only)", Run: runEViol})
+	register(Experiment{ID: "EVIOL", Title: "synthetic invariant violation (test only)", fn: runEViol})
 	t.Cleanup(func() { delete(registry, "EVIOL") })
 }
 
-func runEViol(seed int64) *Report {
+func runEViol(rn run) *Report {
 	r := &Report{ID: "EVIOL", Title: "synthetic invariant violation (test only)"}
-	env := sim.NewEnv(seed)
-	pl := obs.ActiveSession().Attach(env, trace.NewRegistry(), "synthetic")
+	env := rn.env()
+	pl := rn.obs.Attach(env, trace.NewRegistry(), "synthetic")
 	env.Go("work", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
 			p.Sleep(10 * time.Millisecond)
@@ -35,8 +34,8 @@ func runEViol(seed int64) *Report {
 		}
 	})
 	env.Run()
-	if fs := fault.ActiveSession(); fs != nil {
-		fs.AddCheck("synthetic-invariant", func() []string {
+	if rn.faults != nil {
+		rn.faults.AddCheck("synthetic-invariant", func() []string {
 			return []string{"deliberately violated for the flight-recorder test"}
 		})
 	}
@@ -107,18 +106,17 @@ func renderReport(t *testing.T, id string, seed int64) string {
 }
 
 // The telemetry plane must be a pure observer: running an experiment under
-// an active obs session — sampler ticks, SLO evaluation, flight recorder
-// and all — must produce byte-identical report output to running it with
-// obs off.
+// an obs session — sampler ticks, SLO evaluation, flight recorder and all —
+// must produce byte-identical report output to running it with obs off.
 func TestObsDoesNotPerturbExperiments(t *testing.T) {
 	for _, id := range []string{"E2", "E4"} {
 		t.Run(id, func(t *testing.T) {
 			off := renderReport(t, id, 1)
-			s := obs.Activate(obs.Config{})
-			on := renderReport(t, id, 1)
-			planes := len(s.Planes())
-			s.Deactivate()
-			if planes == 0 {
+			s := obs.NewSession(obs.Config{})
+			var buf strings.Builder
+			mustGet(t, id).fn(run{seed: 1, obs: s}).Render(&buf)
+			on := buf.String()
+			if len(s.Planes()) == 0 {
 				t.Error("experiment attached no telemetry planes under an active session")
 			}
 			if on != off {

@@ -14,7 +14,7 @@ import (
 func TestRunTracedDeterministic(t *testing.T) {
 	var bufs [2]bytes.Buffer
 	for i := range bufs {
-		_, d := RunTraced(mustGet(t, "E4"), 42)
+		_, d := RunTraced(mustGet(t, "E4"), 42, nil)
 		if err := trace.Export(&bufs[i], d); err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +37,7 @@ func TestRunTracedDeterministic(t *testing.T) {
 // PCSI run in the E4 trace must attribute at least 95% of its end-to-end
 // virtual time to named spans on the critical path.
 func TestRunTracedCoverage(t *testing.T) {
-	_, d := RunTraced(mustGet(t, "E4"), 1)
+	_, d := RunTraced(mustGet(t, "E4"), 1, nil)
 	checked := 0
 	for _, run := range d.Runs {
 		if !strings.HasPrefix(run.Label, "pcsi/") {
@@ -63,7 +63,7 @@ func TestRunTracedDoesNotPerturb(t *testing.T) {
 	e := mustGet(t, "E4")
 	var plain bytes.Buffer
 	e.Run(9).Render(&plain)
-	rep, _ := RunTraced(e, 9)
+	rep, _ := RunTraced(e, 9, nil)
 	var traced bytes.Buffer
 	rep.Render(&traced)
 	if plain.String() != traced.String() {
@@ -74,7 +74,7 @@ func TestRunTracedDoesNotPerturb(t *testing.T) {
 // TestRunTracedHarnessRoot: every trace carries the harness root span, so
 // even wall-clock-only experiments export non-empty traceEvents.
 func TestRunTracedHarnessRoot(t *testing.T) {
-	_, d := RunTraced(mustGet(t, "E2"), 1)
+	_, d := RunTraced(mustGet(t, "E2"), 1, nil)
 	if len(d.Runs) == 0 || d.Runs[0].Label != "harness" {
 		t.Fatalf("first run = %+v, want harness", d.Runs)
 	}

@@ -145,8 +145,8 @@ type FS struct {
 }
 
 // Mount creates a fresh file system (root directory + journal) on the
-// client's cloud and registers its invariants with any active chaos
-// session.
+// client's cloud and registers its invariants with the cloud's fault
+// session, if it has one.
 func Mount(p *sim.Proc, cl *core.Client, cfg Config) (*FS, error) {
 	root, err := cl.Create(p, core.KindDirectory)
 	if err != nil {
@@ -172,9 +172,7 @@ func Mount(p *sim.Proc, cl *core.Client, cfg Config) (*FS, error) {
 		modelDir: map[uint64]map[string]uint64{uint64(root.ObjectID()): {}},
 		ver:      map[uint64]uint64{},
 	}
-	if s := fault.ActiveSession(); s != nil {
-		s.AddCheck("faasfs", fs.chaosInvariants)
-	}
+	cloud.AddCheck("faasfs", fs.chaosInvariants)
 	return fs, nil
 }
 

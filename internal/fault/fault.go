@@ -1,7 +1,8 @@
 // Package fault is the deterministic fault-injection substrate. A chaos run
-// activates a Session describing stochastic fault rates and/or a declarative
-// schedule of timed events (node crashes, rack power, partitions); domain
-// layers then consult the per-Env Injector at operation boundaries.
+// builds a Session describing stochastic fault rates and/or a declarative
+// schedule of timed events (node crashes, rack power, partitions) and
+// attaches it to each environment it creates; domain layers then consult
+// that environment's Injector (Of) at operation boundaries.
 //
 // Determinism contract: every random draw an Injector makes comes from
 // sim.Env.ObserverRand streams, which are derived from the seed without
@@ -149,49 +150,33 @@ type check struct {
 	fn   func() []string
 }
 
-// Session is a process-global fault-injection activation, mirroring the
-// trace collector: at most one is active at a time.
+// Session is one run's fault injection: the spec its injectors follow, and
+// the invariants registered to audit them.
 type Session struct {
 	spec      Spec
 	injectors []*Injector
-	byEnv     map[*sim.Env]*Injector
 	checks    []check
 }
 
-var active *Session
-
-// Activate installs spec as the process-global fault session. Panics if one
-// is already active.
-func Activate(spec Spec) *Session {
-	if active != nil {
-		panic("fault: a session is already active")
-	}
+// NewSession returns a session injecting per spec.
+func NewSession(spec Spec) *Session {
 	if spec.TimeoutDelay <= 0 {
 		spec.TimeoutDelay = 100 * time.Millisecond
 	}
-	s := &Session{spec: spec, byEnv: make(map[*sim.Env]*Injector)}
-	active = s
-	return s
+	return &Session{spec: spec}
 }
-
-// Deactivate ends the session. Envs created afterwards see no injection.
-func (s *Session) Deactivate() {
-	if active == s {
-		active = nil
-	}
-}
-
-// ActiveSession returns the current session, or nil.
-func ActiveSession() *Session { return active }
 
 // Spec returns the session's spec.
 func (s *Session) Spec() Spec { return s.spec }
 
 // AddCheck registers a named invariant; fn returns one message per
 // violation. Embedding layers register these at construction so the chaos
-// harness can audit end-of-run state it has no direct access to.
+// harness can audit end-of-run state it has no direct access to. Safe on a
+// nil session.
 func (s *Session) AddCheck(name string, fn func() []string) {
-	s.checks = append(s.checks, check{name, fn})
+	if s != nil {
+		s.checks = append(s.checks, check{name, fn})
+	}
 }
 
 // RunChecks runs every registered invariant in registration order.
@@ -250,15 +235,18 @@ type Injector struct {
 	armed      bool
 }
 
-// Of returns the active session's injector for env, creating an
-// operation-only injector on first use. Returns nil when no session is
-// active or the session's spec is idle — the zero-perturbation guarantee.
-func Of(env *sim.Env) *Injector {
-	s := active
-	if s == nil || s.spec.idle() || env == nil {
+type slot int
+
+const injectorSlot slot = 0
+
+// Attach gives env an operation-only injector (once) and returns it. Safe on
+// a nil session; an idle spec attaches nothing and returns nil — the
+// zero-perturbation guarantee.
+func (s *Session) Attach(env *sim.Env) *Injector {
+	if s == nil || s.spec.idle() {
 		return nil
 	}
-	if in, ok := s.byEnv[env]; ok {
+	if in := Of(env); in != nil {
 		return in
 	}
 	in := &Injector{
@@ -268,18 +256,22 @@ func Of(env *sim.Env) *Injector {
 		linkRNG: env.ObserverRand("fault.link"),
 		counts:  make(map[string]int64),
 	}
-	s.byEnv[env] = in
+	env.SetObserver(injectorSlot, in)
 	s.injectors = append(s.injectors, in)
 	return in
 }
 
-// Attach upgrades env's injector with network and cluster wiring: link
-// faults and reachability hooks are installed on net, and the schedule (if
-// any) is armed as a virtual-time process. Returns nil when idle.
-func Attach(env *sim.Env, net *simnet.Network, cl *cluster.Cluster) *Injector {
-	in := Of(env)
+// Of returns env's injector, or nil when no session attached one.
+func Of(env *sim.Env) *Injector {
+	in, _ := env.Observer(injectorSlot).(*Injector)
+	return in
+}
+
+// Wire installs link faults and reachability hooks on net and arms the
+// schedule (if any) as a virtual-time process. Safe on a nil injector.
+func (in *Injector) Wire(net *simnet.Network, cl *cluster.Cluster) {
 	if in == nil {
-		return nil
+		return
 	}
 	if net != nil && in.net == nil {
 		in.net = net
@@ -293,7 +285,6 @@ func Attach(env *sim.Env, net *simnet.Network, cl *cluster.Cluster) *Injector {
 		in.armed = true
 		in.armSchedule()
 	}
-	return in
 }
 
 // Observe registers fn to receive a Notice for every injected fault.

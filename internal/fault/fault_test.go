@@ -20,32 +20,38 @@ func smallCluster(env *sim.Env) (*simnet.Network, *cluster.Cluster) {
 	return net, cl
 }
 
+// attach gives env an injector from s, wired to net and cl.
+func attach(s *Session, env *sim.Env, net *simnet.Network, cl *cluster.Cluster) *Injector {
+	in := s.Attach(env)
+	in.Wire(net, cl)
+	return in
+}
+
 // An idle spec (no rates, no schedule) must attach nothing at all — the
 // zero-perturbation guarantee.
 func TestIdleSpecAttachesNothing(t *testing.T) {
-	s := Activate(Spec{Retry: DefaultPolicy()})
-	defer s.Deactivate()
+	s := NewSession(Spec{Retry: DefaultPolicy()})
 	env := sim.NewEnv(1)
-	if in := Of(env); in != nil {
-		t.Fatal("Of returned an injector for an idle spec")
-	}
-	net, cl := smallCluster(env)
-	if in := Attach(env, net, cl); in != nil {
+	if in := s.Attach(env); in != nil {
 		t.Fatal("Attach returned an injector for an idle spec")
+	}
+	if in := Of(env); in != nil {
+		t.Fatal("Of found an injector for an idle spec")
 	}
 	if len(s.Counters()) != 0 {
 		t.Errorf("idle session has counters: %v", s.Counters())
 	}
 }
 
-// With no session active, Of returns nil and every Injector method is a
+// With no session attached, Of returns nil and every Injector method is a
 // nil-safe no-op.
 func TestNilInjectorSafe(t *testing.T) {
 	env := sim.NewEnv(1)
 	in := Of(env)
 	if in != nil {
-		t.Fatal("Of returned an injector with no active session")
+		t.Fatal("Of returned an injector with no session attached")
 	}
+	in.Wire(nil, nil)
 	in.Observe(func(Notice) {})
 	in.OnNodeDown(func(simnet.NodeID, bool) {})
 	in.Note("x")
@@ -58,29 +64,35 @@ func TestNilInjectorSafe(t *testing.T) {
 	env.Run()
 }
 
-func TestDoubleActivatePanics(t *testing.T) {
-	s := Activate(Spec{Rates: Uniform(0.1)})
-	defer s.Deactivate()
-	defer func() {
-		if recover() == nil {
-			t.Error("second Activate did not panic")
-		}
-	}()
-	Activate(Spec{})
+// Sessions are values: each injects only into the environments attached to
+// it, and attaching one environment twice keeps its first injector.
+func TestSessionsAreIndependent(t *testing.T) {
+	a, b := NewSession(Spec{Rates: Uniform(0.1)}), NewSession(Spec{Rates: Uniform(0.1)})
+	ea, eb, none := sim.NewEnv(1), sim.NewEnv(1), sim.NewEnv(1)
+	ina := a.Attach(ea)
+	if ina == nil || a.Attach(ea) != ina || b.Attach(eb) == ina || Of(ea) != ina {
+		t.Fatal("an environment's injector is not its own session's")
+	}
+	if Of(none) != nil {
+		t.Fatal("an unattached environment has an injector")
+	}
+	ina.Note("x")
+	if len(a.Counters()) != 1 || len(b.Counters()) != 0 {
+		t.Fatalf("counters leaked across sessions: %v / %v", a.Counters(), b.Counters())
+	}
 }
 
 // Injected faults draw only from observer streams: the env's shared random
 // stream yields the same sequence whether or not injection is active.
 func TestInjectionDoesNotPerturbSharedStream(t *testing.T) {
 	sample := func(inject bool) []float64 {
-		if inject {
-			s := Activate(Spec{Rates: Uniform(0.5)})
-			defer s.Deactivate()
-		}
 		env := sim.NewEnv(42)
-		in := Of(env)
+		var in *Injector
+		if inject {
+			in = NewSession(Spec{Rates: Uniform(0.5)}).Attach(env)
+		}
 		if inject && in == nil {
-			t.Fatal("no injector under active session")
+			t.Fatal("no injector attached")
 		}
 		env.Go("ops", func(p *sim.Proc) {
 			for i := 0; i < 200; i++ {
@@ -113,13 +125,12 @@ func TestUniformRates(t *testing.T) {
 // OpFault injects errors and timeouts at roughly the configured rates, and
 // injected timeouts consume TimeoutDelay of virtual time.
 func TestOpFaultRatesAndTimeoutDelay(t *testing.T) {
-	s := Activate(Spec{
+	s := NewSession(Spec{
 		Rates:        Rates{OpError: 0.2, OpTimeout: 0.1},
 		TimeoutDelay: 7 * time.Millisecond,
 	})
-	defer s.Deactivate()
 	env := sim.NewEnv(3)
-	in := Of(env)
+	in := s.Attach(env)
 	var nerr, ntimeout int
 	env.Go("ops", func(p *sim.Proc) {
 		for i := 0; i < 1000; i++ {
@@ -149,15 +160,14 @@ func TestOpFaultRatesAndTimeoutDelay(t *testing.T) {
 
 // A declarative schedule crashes and recovers nodes at exact virtual times.
 func TestScheduleCrashRecover(t *testing.T) {
-	s := Activate(Spec{Schedule: []Event{
+	s := NewSession(Spec{Schedule: []Event{
 		// Deliberately out of order: armSchedule must sort by At.
 		{At: 30 * time.Millisecond, Action: RecoverNode, Node: 1},
 		{At: 10 * time.Millisecond, Action: CrashNode, Node: 1},
 	}})
-	defer s.Deactivate()
 	env := sim.NewEnv(5)
 	net, cl := smallCluster(env)
-	if in := Attach(env, net, cl); in == nil {
+	if in := attach(s, env, net, cl); in == nil {
 		t.Fatal("Attach returned nil for a scheduled spec")
 	}
 	n := cl.Node(1)
@@ -177,14 +187,13 @@ func TestScheduleCrashRecover(t *testing.T) {
 
 // Rack power events fail and restore every node in the rack.
 func TestScheduleRackPower(t *testing.T) {
-	s := Activate(Spec{Schedule: []Event{
+	s := NewSession(Spec{Schedule: []Event{
 		{At: 10 * time.Millisecond, Action: RackPower, Rack: 1},
 		{At: 20 * time.Millisecond, Action: RackRestore, Rack: 1},
 	}})
-	defer s.Deactivate()
 	env := sim.NewEnv(5)
 	net, cl := smallCluster(env)
-	Attach(env, net, cl)
+	attach(s, env, net, cl)
 	env.RunUntil(sim.Time(0).Add(15 * time.Millisecond))
 	for _, n := range cl.Nodes() {
 		if want := n.Rack == 1; n.Down() != want {
@@ -202,15 +211,14 @@ func TestScheduleRackPower(t *testing.T) {
 // Partitions make cross-group pairs unreachable (unlisted nodes fall into
 // group 0) and heal on schedule; HealAll clears any still-active partition.
 func TestSchedulePartitionHeal(t *testing.T) {
-	s := Activate(Spec{Schedule: []Event{
+	s := NewSession(Spec{Schedule: []Event{
 		{At: 10 * time.Millisecond, Action: Partition, Groups: [][]simnet.NodeID{{0, 1}, {2}}},
 		{At: 30 * time.Millisecond, Action: Heal},
 		{At: 40 * time.Millisecond, Action: Partition, Groups: [][]simnet.NodeID{{0}, {1, 2, 3}}},
 	}})
-	defer s.Deactivate()
 	env := sim.NewEnv(5)
 	net, cl := smallCluster(env)
-	Attach(env, net, cl)
+	attach(s, env, net, cl)
 	env.RunUntil(sim.Time(0).Add(15 * time.Millisecond))
 	if net.Reachable(0, 2) || net.Reachable(2, 0) {
 		t.Error("partitioned pair 0↔2 still reachable")
@@ -237,14 +245,13 @@ func TestSchedulePartitionHeal(t *testing.T) {
 
 // Node crash/recover notifications reach OnNodeDown hooks and observers.
 func TestObserversAndOnNodeDown(t *testing.T) {
-	s := Activate(Spec{Schedule: []Event{
+	s := NewSession(Spec{Schedule: []Event{
 		{At: 10 * time.Millisecond, Action: CrashNode, Node: 0},
 		{At: 20 * time.Millisecond, Action: RecoverNode, Node: 0},
 	}})
-	defer s.Deactivate()
 	env := sim.NewEnv(5)
 	net, cl := smallCluster(env)
-	in := Attach(env, net, cl)
+	in := attach(s, env, net, cl)
 	var kinds []string
 	in.Observe(func(n Notice) { kinds = append(kinds, n.Kind) })
 	var downs, ups int
@@ -268,11 +275,10 @@ func TestObserversAndOnNodeDown(t *testing.T) {
 // counters — the whole-sweep determinism the chaos harness relies on.
 func TestSessionCountersDeterministic(t *testing.T) {
 	run := func() []Counter {
-		s := Activate(Spec{Rates: Uniform(0.2)})
-		defer s.Deactivate()
+		s := NewSession(Spec{Rates: Uniform(0.2)})
 		env := sim.NewEnv(13)
 		net, cl := smallCluster(env)
-		in := Attach(env, net, cl)
+		in := attach(s, env, net, cl)
 		in.Note("retry.attempt")
 		env.Go("traffic", func(p *sim.Proc) {
 			for i := 0; i < 100; i++ {

@@ -9,14 +9,15 @@
 // reads metrics without mutating them, and reschedules itself only while
 // the environment still has foreign events pending — an attached plane
 // therefore never keeps a drain alive and never changes the order or
-// content of workload events. With no Session active the package costs one
-// nil check per call site, and every output it produces is a pure function
-// of (seed, workload), byte-identical across re-runs.
+// content of workload events. A cloud built without a Session has a nil
+// Plane, so the package costs one nil check per call site, and every output
+// it produces is a pure function of (seed, workload), byte-identical across
+// re-runs.
 //
 // Layering: obs may import only internal/sim, internal/metrics, and
-// internal/trace (the layering analyzer enforces this). It deliberately
-// does not use sim.Env's ObserverContext — that slot belongs to the
-// tracer — and instead keeps its own env→plane table in the Session.
+// internal/trace (the layering analyzer enforces this). Like the tracer and
+// the fault injector, a plane is found through its environment's observer
+// slot, never through package state.
 package obs
 
 import (
@@ -57,44 +58,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Session collects the telemetry planes of every environment attached
-// while it is active — the same process-global discipline as
-// trace.StartCollecting and fault.Activate, and safe for the same reason:
-// the engine runs one process at a time.
+// Session collects the telemetry planes of every environment attached to
+// it. It is a plain value: a run owns its session, and concurrent runs each
+// observe through their own.
 type Session struct {
 	cfg    Config
 	planes []*Plane
-	byEnv  map[*sim.Env]*Plane
 	labels map[string]int
 }
 
-// activeSession is the process-wide session, or nil when obs is off.
-var activeSession *Session
-
-// Activate turns the telemetry plane on. Exactly one session may be active
-// at a time; the caller must Deactivate when done.
-func Activate(cfg Config) *Session {
-	if activeSession != nil {
-		panic("obs: a session is already active")
-	}
-	activeSession = &Session{
+// NewSession returns a session with no planes yet.
+func NewSession(cfg Config) *Session {
+	return &Session{
 		cfg:    cfg.withDefaults(),
-		byEnv:  make(map[*sim.Env]*Plane),
 		labels: make(map[string]int),
 	}
-	return activeSession
 }
-
-// Deactivate turns the telemetry plane off. Attached planes keep their
-// data. Safe to call on an already-deactivated session.
-func (s *Session) Deactivate() {
-	if activeSession == s {
-		activeSession = nil
-	}
-}
-
-// ActiveSession returns the active session, or nil when obs is off.
-func ActiveSession() *Session { return activeSession }
 
 // Planes returns the attached planes in attach order.
 func (s *Session) Planes() []*Plane {
@@ -123,15 +102,19 @@ func (s *Session) FlightDump() string {
 	return b.String()
 }
 
+type slot int
+
+const planeSlot slot = 0
+
 // Attach creates a telemetry plane for env, sampling reg at the session's
-// interval. Attaching the same environment twice returns the existing
-// plane. Safe on a nil session, returning a nil plane on which every
-// method is a no-op.
+// interval. An environment has one plane: attaching it again returns that
+// plane. Safe on a nil session, returning a nil plane on which every method
+// is a no-op.
 func (s *Session) Attach(env *sim.Env, reg *trace.Registry, label string) *Plane {
 	if s == nil || env == nil {
 		return nil
 	}
-	if pl, ok := s.byEnv[env]; ok {
+	if pl, ok := env.Observer(planeSlot).(*Plane); ok {
 		return pl
 	}
 	// Arms of a sweep often share a label ("pcsi/packed"); suffix repeats
@@ -151,7 +134,7 @@ func (s *Session) Attach(env *sim.Env, reg *trace.Registry, label string) *Plane
 		rec:      newRecorder(recorderCap, recorderWindow),
 	}
 	pl.SetObjectives(s.cfg.Objectives...)
-	s.byEnv[env] = pl
+	env.SetObserver(planeSlot, pl)
 	s.planes = append(s.planes, pl)
 	if pl.interval > 0 {
 		env.After(pl.interval, pl.tick)

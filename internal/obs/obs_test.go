@@ -28,8 +28,7 @@ func runSynthetic(t *testing.T, seed int64) (*obs.Plane, *obs.Session) {
 	reg.Register(lat)
 	reg.Register(util)
 
-	s := obs.Activate(obs.Config{Interval: 10 * time.Millisecond})
-	defer s.Deactivate()
+	s := obs.NewSession(obs.Config{Interval: 10 * time.Millisecond})
 	pl := s.Attach(env, reg, "synthetic")
 	pl.SetObjectives(obs.Objective{
 		Name:       "goodput-floor",
@@ -121,8 +120,7 @@ func TestLatencyObjective(t *testing.T) {
 	reg := trace.NewRegistry()
 	lat := metrics.NewHistogram("op_latency")
 	reg.Register(lat)
-	s := obs.Activate(obs.Config{Interval: 10 * time.Millisecond})
-	defer s.Deactivate()
+	s := obs.NewSession(obs.Config{Interval: 10 * time.Millisecond})
 	pl := s.Attach(env, reg, "lat")
 	pl.SetObjectives(obs.Objective{
 		Name:       "p99-slow",
@@ -153,8 +151,7 @@ func TestObjectiveEvaluationBounds(t *testing.T) {
 	failed := metrics.NewCounter("failed")
 	reg.Register(metrics.NewCounter("served"))
 	reg.Register(failed)
-	s := obs.Activate(obs.Config{Interval: 10 * time.Millisecond})
-	defer s.Deactivate()
+	s := obs.NewSession(obs.Config{Interval: 10 * time.Millisecond})
 	pl := s.Attach(env, reg, "bounds")
 	pl.SetObjectives(obs.Objective{
 		Name:       "gated",
@@ -210,8 +207,7 @@ func TestTimelineRendersDeterministically(t *testing.T) {
 func TestAttachIdempotentAndNilSafe(t *testing.T) {
 	env := sim.NewEnv(1)
 	reg := trace.NewRegistry()
-	s := obs.Activate(obs.Config{})
-	defer s.Deactivate()
+	s := obs.NewSession(obs.Config{})
 	if p1, p2 := s.Attach(env, reg, "a"), s.Attach(env, reg, "b"); p1 != p2 {
 		t.Fatal("second Attach on the same env must return the existing plane")
 	}
@@ -223,8 +219,5 @@ func TestAttachIdempotentAndNilSafe(t *testing.T) {
 	pl.Record("k", "n", "d") // must not panic
 	if pl.Samples() != 0 || pl.SeriesList() != nil || pl.Alerts() != nil {
 		t.Fatal("nil plane accessors must be inert")
-	}
-	if obs.ActiveSession() != s {
-		t.Fatal("ActiveSession should return the active session")
 	}
 }

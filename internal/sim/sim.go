@@ -131,8 +131,10 @@ type Env struct {
 	seed       int64
 	forks      uint64
 	rng        *rand.Rand
-	obs        any // observer context (e.g. a tracer); opaque to the engine
+	observers  []observer // SetObserver's slots; opaque to the engine
 }
+
+type observer struct{ key, val any }
 
 // NewEnv returns a fresh environment whose clock reads zero. The seed fixes
 // the environment's random stream; equal seeds give identical runs.
@@ -179,13 +181,21 @@ func (e *Env) ObserverRand(label string) *rand.Rand {
 	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
 
-// SetObserverContext attaches an opaque observer (e.g. a tracer) to the
-// environment. The engine never inspects it; it exists so cross-cutting
-// instrumentation can find its per-environment state without globals.
-func (e *Env) SetObserverContext(v any) { e.obs = v }
+// SetObserver attaches v under key, so cross-cutting instrumentation
+// (tracer, fault injector, telemetry plane) finds its per-environment state
+// without globals. Each package keys its slot with a constant of a private
+// type, and sets it once: a key keeps its first value.
+func (e *Env) SetObserver(key, v any) { e.observers = append(e.observers, observer{key, v}) }
 
-// ObserverContext returns the value set by SetObserverContext, or nil.
-func (e *Env) ObserverContext() any { return e.obs }
+// Observer returns the first value SetObserver attached under key, or nil.
+func (e *Env) Observer(key any) any {
+	for _, o := range e.observers {
+		if o.key == key {
+			return o.val
+		}
+	}
+	return nil
+}
 
 // schedule enqueues fn to run at time t (>= now).
 //

@@ -6,11 +6,11 @@
 // ObserverRand) rather than a global counter, so two runs with the same
 // seed produce byte-identical traces.
 //
-// Tracing is opt-in per process: instrumentation calls trace.Of(env), which
-// returns nil unless a Collector is active, and every method is safe on a
-// nil Tracer or nil Span. An untraced run therefore pays only a nil check
-// and — because ObserverRand does not touch the environment's fork counter —
-// draws exactly the same random numbers as a traced one.
+// Tracing is opt-in per environment: instrumentation calls trace.Of(env),
+// which returns nil unless a Collector was attached to env, and every method
+// is safe on a nil Tracer or nil Span. An untraced run therefore pays only a
+// nil check and — because ObserverRand does not touch the environment's
+// fork counter — draws exactly the same random numbers as a traced one.
 //
 // The package also hosts Registry, a unified directory of named metrics
 // (see registry.go), the Chrome trace_event exporter (export.go), and the
@@ -95,39 +95,47 @@ func (s *Span) Duration() sim.Duration { return s.End.Sub(s.Start) }
 // one process row ("pid") in the Chrome export.
 type Tracer struct {
 	env   *sim.Env
+	c     *Collector
 	label string
 	rng   *rand.Rand
 	used  map[SpanID]bool
 	spans []*Span
 }
 
-// Collector gathers the tracers of every environment created while it is
-// active. Exactly one collector may be active per process at a time; the
-// experiment harness brackets a run with StartCollecting/Stop.
+// Collector gathers the tracers of the environments attached to it, in the
+// order each is first traced. Each run owns its collector.
 type Collector struct {
 	tracers []*Tracer
 }
 
-// active is the process-wide collector, or nil when tracing is off. The
-// engine's one-process-at-a-time discipline makes unsynchronized access
-// safe: environments run sequentially under a single Run loop.
-var active *Collector
+// NewCollector returns an empty collector.
+func NewCollector() *Collector { return &Collector{} }
 
-// StartCollecting turns tracing on and returns the collector that will
-// receive every environment's tracer until Stop.
-func StartCollecting() *Collector {
-	if active != nil {
-		panic("trace: a collector is already active")
+// Attach makes c trace env from its first Of on. Safe on a nil collector.
+func (c *Collector) Attach(env *sim.Env) {
+	if c != nil {
+		env.SetObserver(tracerSlot, &Tracer{env: env, c: c})
 	}
-	active = &Collector{}
-	return active
 }
 
-// Stop turns tracing off. Already-attached tracers keep their spans; Data
-// remains callable.
+// collecting is the process default that only pcsi.New reads, via
+// Collecting; it serves callers not yet moved to Options.Trace.
+var collecting *Collector
+
+// StartCollecting installs a new collector as the process default, until
+// Stop, and returns it.
+func StartCollecting() *Collector {
+	collecting = NewCollector()
+	return collecting
+}
+
+// Collecting returns the process default collector, or nil.
+func Collecting() *Collector { return collecting }
+
+// Stop uninstalls c as the process default, if it is.
 func (c *Collector) Stop() {
-	if active == c {
-		active = nil
+	if collecting == c {
+		collecting = nil
 	}
 }
 
@@ -151,28 +159,24 @@ func (c *Collector) Data() *Data {
 	return d
 }
 
-// Of returns the tracer attached to env, creating and registering one if a
-// collector is active, and nil otherwise. All instrumentation goes through
-// Of, so it costs one interface assertion when tracing is off.
+type slot int
+
+const tracerSlot slot = 0
+
+// Of returns env's tracer, registering it with its collector on first use,
+// or nil when env is untraced. All instrumentation goes through Of, so an
+// untraced call costs one slot lookup and allocates nothing.
 func Of(env *sim.Env) *Tracer {
 	if env == nil {
 		return nil
 	}
-	if t, ok := env.ObserverContext().(*Tracer); ok {
-		return t
+	t, _ := env.Observer(tracerSlot).(*Tracer)
+	if t != nil && t.rng == nil {
+		t.label = "run" + strconv.Itoa(len(t.c.tracers)+1)
+		t.rng = env.ObserverRand("trace.spanid")
+		t.used = make(map[SpanID]bool)
+		t.c.tracers = append(t.c.tracers, t)
 	}
-	c := active
-	if c == nil {
-		return nil
-	}
-	t := &Tracer{
-		env:   env,
-		label: "run" + strconv.Itoa(len(c.tracers)+1),
-		rng:   env.ObserverRand("trace.spanid"),
-		used:  make(map[SpanID]bool),
-	}
-	env.SetObserverContext(t)
-	c.tracers = append(c.tracers, t)
 	return t
 }
 

@@ -20,19 +20,23 @@ type fakeHistogram struct{ name string }
 
 func (h *fakeHistogram) Name() string { return h.name }
 
-// collect brackets fn with a fresh collector and returns its data.
-func collect(t *testing.T, fn func()) *Data {
+// collect hands fn a constructor of environments traced by a fresh
+// collector and returns the collector's data.
+func collect(t *testing.T, fn func(newEnv func(seed int64) *sim.Env)) *Data {
 	t.Helper()
-	c := StartCollecting()
-	defer c.Stop()
-	fn()
+	c := NewCollector()
+	fn(func(seed int64) *sim.Env {
+		env := sim.NewEnv(seed)
+		c.Attach(env)
+		return env
+	})
 	return c.Data()
 }
 
 func TestOfWithoutCollectorIsNil(t *testing.T) {
 	env := sim.NewEnv(1)
 	if tr := Of(env); tr != nil {
-		t.Fatalf("Of with no active collector = %v, want nil", tr)
+		t.Fatalf("Of with no collector attached = %v, want nil", tr)
 	}
 	if tr := Of(nil); tr != nil {
 		t.Fatalf("Of(nil) = %v, want nil", tr)
@@ -64,8 +68,8 @@ func TestNilSafety(t *testing.T) {
 
 func TestNestingAndTrackInheritance(t *testing.T) {
 	var outer, inner, root *Span
-	d := collect(t, func() {
-		env := sim.NewEnv(1)
+	d := collect(t, func(newEnv func(int64) *sim.Env) {
+		env := newEnv(1)
 		env.Go("driver", func(p *sim.Proc) {
 			tr := Of(env)
 			outer = tr.Start(p, "a", "outer")
@@ -107,8 +111,8 @@ func TestNestingAndTrackInheritance(t *testing.T) {
 //
 //pcsi:allow spanleak the leak is the behavior under test
 func TestDataClosesOpenSpans(t *testing.T) {
-	d := collect(t, func() {
-		env := sim.NewEnv(1)
+	d := collect(t, func(newEnv func(int64) *sim.Env) {
+		env := newEnv(1)
 		env.Go("p", func(p *sim.Proc) {
 			Of(env).Start(p, "cat", "leaked")
 			p.Sleep(time.Millisecond)
@@ -124,15 +128,39 @@ func TestDataClosesOpenSpans(t *testing.T) {
 	}
 }
 
-func TestDoubleCollectorPanics(t *testing.T) {
+// Collectors are values: two of them trace their own environments and
+// nothing else, and the process default exists only between
+// StartCollecting and Stop.
+func TestCollectorsAreIndependent(t *testing.T) {
+	a, b := NewCollector(), NewCollector()
+	ea, eb, none := sim.NewEnv(1), sim.NewEnv(1), sim.NewEnv(1)
+	a.Attach(ea)
+	b.Attach(eb)
+	var nilCollector *Collector
+	nilCollector.Attach(none)
+	Of(ea).SetLabel("a")
+	Of(eb).SetLabel("b")
+	if Of(none) != nil || Of(ea) == Of(eb) {
+		t.Fatal("a collector traced an environment it was not attached to")
+	}
+	if da, db := a.Data(), b.Data(); len(da.Runs) != 1 || da.Runs[0].Label != "a" || len(db.Runs) != 1 || db.Runs[0].Label != "b" {
+		t.Fatalf("runs = %+v / %+v, want one each", da.Runs, db.Runs)
+	}
+	if Collecting() != nil {
+		t.Fatal("a process default exists before StartCollecting")
+	}
 	c := StartCollecting()
-	defer c.Stop()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second StartCollecting did not panic")
-		}
-	}()
-	StartCollecting()
+	if Collecting() != c {
+		t.Fatal("StartCollecting did not install its collector")
+	}
+	a.Stop()
+	if Collecting() != c {
+		t.Fatal("stopping another collector uninstalled the default")
+	}
+	c.Stop()
+	if Collecting() != nil {
+		t.Fatal("Stop left the default installed")
+	}
 }
 
 func TestRegistry(t *testing.T) {
@@ -164,8 +192,8 @@ func TestRegistry(t *testing.T) {
 
 // runWorkload drives a small two-process workload and returns its trace.
 func runWorkload(t *testing.T, seed int64) *Data {
-	return collect(t, func() {
-		env := sim.NewEnv(seed)
+	return collect(t, func(newEnv func(int64) *sim.Env) {
+		env := newEnv(seed)
 		tr := Of(env)
 		tr.SetLabel("workload")
 		done := env.NewEvent()
@@ -332,6 +360,7 @@ func TestMerge(t *testing.T) {
 // exactly this span per message) need no "if tracing" guard of their own.
 func TestUntracedSpansAllocateNothing(t *testing.T) {
 	env := sim.NewEnv(1)
+	env.SetObserver("another package's slot", 1) // the lookup skips it
 	env.Go("p", func(p *sim.Proc) {
 		from, to, size := int64(p.Now()), int64(2), int64(4096)
 		if n := testing.AllocsPerRun(100, func() {

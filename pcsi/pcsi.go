@@ -43,6 +43,8 @@
 package pcsi
 
 import (
+	"cmp"
+
 	"repro/internal/capability"
 	"repro/internal/cluster"
 	"repro/internal/consistency"
@@ -56,6 +58,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/qos"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Core types, re-exported for downstream users.
@@ -108,7 +111,8 @@ type (
 	FaultRates = fault.Rates
 	// FaultEvent is one entry of a declarative fault schedule.
 	FaultEvent = fault.Event
-	// FaultSession is an active fault-injection session.
+	// FaultSession is a fault-injection session (NewFaultSession); set
+	// Options.Faults to inject into a cloud and audit its invariants.
 	FaultSession = fault.Session
 	// QoSConfig configures the admission controller (per-tenant WFQ
 	// weights + per-class limits). Set Options.QoS to enable it; nil
@@ -122,10 +126,10 @@ type (
 	QoSStats = qos.Stats
 	// ObsConfig configures the virtual-time telemetry plane (sampling
 	// interval, series capacity, flight recorder, default SLOs). Pass it
-	// to ActivateObs; clouds built while the session is active each get a
-	// telemetry Plane (Cloud.Obs()).
+	// to NewObsSession.
 	ObsConfig = obs.Config
-	// ObsSession is an active telemetry session.
+	// ObsSession is a telemetry session (NewObsSession); each cloud built
+	// with it in Options.Obs gets a telemetry Plane (Cloud.Obs()).
 	ObsSession = obs.Session
 	// ObsPlane is one deployment's telemetry: sampled series, SLO alert
 	// log, and flight recorder. All methods are safe on a nil plane, so
@@ -208,14 +212,33 @@ const (
 	QoSClassTask   = qos.ClassTask
 )
 
-// ActivateFaults installs a process-global fault-injection session; clouds
-// built while it is active inject per spec. Deactivate it when done.
-func ActivateFaults(spec FaultSpec) *FaultSession { return fault.Activate(spec) }
+// NewFaultSession returns a fault-injection session for Options.Faults.
+func NewFaultSession(spec FaultSpec) *FaultSession { return fault.NewSession(spec) }
 
-// ActivateObs installs a process-global telemetry session; clouds built
-// while it is active sample their metrics on virtual time, evaluate SLO
-// burn rates, and keep a flight recorder. Deactivate it when done.
-func ActivateObs(cfg ObsConfig) *ObsSession { return obs.Activate(cfg) }
+// NewObsSession returns a telemetry session for Options.Obs: its clouds
+// sample metrics on virtual time, alert on SLO burn, and keep a flight recorder.
+func NewObsSession(cfg ObsConfig) *ObsSession { return obs.NewSession(cfg) }
+
+// obsDefault is the session ActivateObs installed, or nil; only New reads it.
+var obsDefault *ObsSession
+
+// ObsActivation is the session ActivateObs installed as New's default.
+type ObsActivation struct{ *ObsSession }
+
+// ActivateObs installs a new telemetry session as New's default for clouds
+// whose Options.Obs is nil, until Deactivate. It serves callers not yet
+// moved to Options.Obs.
+func ActivateObs(cfg ObsConfig) ObsActivation {
+	obsDefault = obs.NewSession(cfg)
+	return ObsActivation{obsDefault}
+}
+
+// Deactivate uninstalls the session as New's default, if it still is.
+func (a ObsActivation) Deactivate() {
+	if obsDefault == a.ObsSession {
+		obsDefault = nil
+	}
+}
 
 // DefaultRetryPolicy is the stock chaos-mode retry policy.
 func DefaultRetryPolicy() *RetryPolicy { return fault.DefaultPolicy() }
@@ -240,8 +263,13 @@ const (
 	GoalCost    = faas.GoalCost
 )
 
-// New builds a Cloud.
-func New(opts Options) *Cloud { return core.New(opts) }
+// New builds a Cloud. A nil Options.Trace or Options.Obs falls back to the
+// collector trace.StartCollecting or the session ActivateObs installed.
+func New(opts Options) *Cloud {
+	opts.Trace = cmp.Or(opts.Trace, trace.Collecting())
+	opts.Obs = cmp.Or(opts.Obs, obsDefault)
+	return core.New(opts)
+}
 
 // DefaultOptions returns a representative deployment configuration.
 func DefaultOptions() Options { return core.DefaultOptions() }
