@@ -221,7 +221,7 @@ func TestE1Table1(t *testing.T) {
 		rep = runAndCheck(t, "E1", 2)
 	}
 	out := render(rep)
-	for _, want := range []string{"2021 data center network RTT", "WebAssembly", "hypervisor"} {
+	for _, want := range []string{"2021 data center network RTT", "PCSI binary protocol", "WebAssembly", "hypervisor"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 1 missing row %q", want)
 		}

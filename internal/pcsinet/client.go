@@ -1,6 +1,7 @@
 package pcsinet
 
 import (
+	"bufio"
 	"net"
 	"strings"
 
@@ -12,6 +13,7 @@ import (
 // interface it carries).
 type Client struct {
 	conn net.Conn
+	r    *bufio.Reader // conn's read side: a reply's prefix and payload in one read
 }
 
 // Dial connects to a server.
@@ -20,7 +22,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn}, nil
+	return &Client{conn: conn, r: bufio.NewReader(conn)}, nil
 }
 
 // Close closes the connection.
@@ -32,7 +34,7 @@ func (c *Client) call(op, key string, headers map[string]string, body []byte) (*
 	if err := WriteFrame(c.conn, req); err != nil {
 		return nil, err
 	}
-	resp, err := ReadFrame(c.conn)
+	resp, err := ReadFrame(c.r)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,11 @@ package pcsinet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/media"
@@ -254,6 +257,85 @@ func TestMultipleConnections(t *testing.T) {
 	got, err := cl2.Get(tok)
 	if err != nil || string(got) != "shared" {
 		t.Fatalf("cross-connection Get = %q, %v", got, err)
+	}
+}
+
+// closeWithin closes srv and fails the test unless Close returns within 5 s.
+//
+//pcsi:allow wallclock a shutdown deadline on real sockets.
+func closeWithin(t *testing.T, srv *Server) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close did not return: a connection goroutine outlived it")
+	}
+}
+
+func TestCloseDrainsConnections(t *testing.T) {
+	srv, cl1 := startServer(t)
+	cl2, err := Dial(srv.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl2.Close()
+	// One call each, so both connections are being served, then idle.
+	for _, cl := range []*Client{cl1, cl2} {
+		if _, err := cl.Stats(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closeWithin(t, srv)
+	for i, cl := range []*Client{cl1, cl2} {
+		if _, err := cl.Stats(); err == nil {
+			t.Errorf("client %d: call after Close succeeded", i+1)
+		}
+	}
+}
+
+// TestStalledPeerHoldsOnlyItsConnection: a peer that sends part of a frame
+// and stops blocks only its own connection's read (frame reads happen
+// outside the server lock); another client is served meanwhile, and Close
+// still drains the stalled connection.
+func TestStalledPeerHoldsOnlyItsConnection(t *testing.T) {
+	srv, _ := startServer(t)
+	addr := srv.ln.Addr().String()
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	partial := append(binary.BigEndian.AppendUint32(nil, 100), make([]byte, 10)...)
+	if _, err := raw.Write(partial); err != nil {
+		t.Fatal(err)
+	}
+	// Dialed after raw: the server accepts in order, so once cl is answered
+	// the stalled connection is being served too.
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	tok, err := cl.Create("regular", "", "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Put(tok, []byte("not blocked")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cl.Get(tok); err != nil || string(got) != "not blocked" {
+		t.Fatalf("Get beside a stalled peer = %q, %v", got, err)
+	}
+	// Close has returned, so the stalled connection's goroutine has too,
+	// having closed its end (EOF, or a reset if the 10 bytes were unread).
+	closeWithin(t, srv)
+	if _, err := raw.Read(make([]byte, 1)); err == nil {
+		t.Error("stalled connection still open after Close")
 	}
 }
 

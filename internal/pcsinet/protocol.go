@@ -11,10 +11,9 @@ package pcsinet
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"io"
 
+	"repro/internal/fault"
 	"repro/internal/wire"
 )
 
@@ -50,25 +49,20 @@ const (
 const MaxFrame = 64 << 20
 
 // ErrFrameTooLarge is returned for oversized frames.
-var ErrFrameTooLarge = errors.New("pcsinet: frame exceeds MaxFrame")
+var ErrFrameTooLarge = fault.Fatal("pcsinet: frame exceeds MaxFrame")
 
 var codec = wire.BinaryCodec{}
 
-// WriteFrame writes one length-prefixed message.
+// WriteFrame writes one length-prefixed message in a single Write (one
+// syscall on a net.Conn): the encoding is appended after a reserved prefix.
 func WriteFrame(w io.Writer, m *wire.Message) error {
-	payload, err := codec.Encode(m)
-	if err != nil {
-		return err
-	}
-	if len(payload) > MaxFrame {
+	buf := codec.Append(make([]byte, 4, 4+64+len(m.Body)), m)
+	n := len(buf) - 4
+	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
+	binary.BigEndian.PutUint32(buf, uint32(n))
+	_, err := w.Write(buf)
 	return err
 }
 
@@ -81,6 +75,8 @@ const eagerFrame = 1 << 20
 // up front (one exact allocation, no copy); a larger frame's buffer
 // doubles as its bytes arrive, so memory held never exceeds eagerFrame or
 // three times what the peer actually sent, whatever length it claimed.
+// Each frame's buffer is its own and the returned Body aliases it, so the
+// caller owns those bytes. On a connection, pass a bufio.Reader.
 func ReadFrame(r io.Reader) (*wire.Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -110,18 +106,13 @@ func errResp(err error) *wire.Message {
 	return &wire.Message{Status: StatusError, Headers: map[string]string{"error": err.Error()}}
 }
 
-// okResp builds a success response.
-func okResp(body []byte, headers map[string]string) *wire.Message {
-	return &wire.Message{Status: StatusOK, Body: body, Headers: headers}
-}
-
 // RespError extracts the error from a response, if any.
 func RespError(m *wire.Message) error {
 	if m.Status == StatusOK {
 		return nil
 	}
 	if m.Headers != nil && m.Headers["error"] != "" {
-		return fmt.Errorf("pcsinet: %s", m.Headers["error"])
+		return fault.Fatalf("pcsinet: %s", m.Headers["error"])
 	}
-	return fmt.Errorf("pcsinet: status %d", m.Status)
+	return fault.Fatalf("pcsinet: status %d", m.Status)
 }

@@ -1,10 +1,9 @@
 package pcsinet
 
 import (
+	"bufio"
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
-	"fmt"
 	"net"
 	"strconv"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/capability"
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/object"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -31,7 +31,10 @@ type Server struct {
 	tokens map[string]core.Ref
 	nss    map[string]*core.NS
 	fns    map[string]core.Ref
-	done   chan struct{}
+
+	connMu  sync.Mutex            // guards conns; frame I/O never takes mu
+	conns   map[net.Conn]struct{} // live connections; nil once Close has run
+	serving sync.WaitGroup        // the accept loop and one per connection
 }
 
 // NewServer wraps a deployment. Functions registered through
@@ -43,7 +46,6 @@ func NewServer(cloud *core.Cloud) *Server {
 		tokens: make(map[string]core.Ref),
 		nss:    make(map[string]*core.NS),
 		fns:    make(map[string]core.Ref),
-		done:   make(chan struct{}),
 	}
 }
 
@@ -54,34 +56,62 @@ func (s *Server) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.ln = ln
+	s.ln, s.conns = ln, make(map[net.Conn]struct{})
+	s.serving.Add(1)
 	go s.acceptLoop()
 	return ln.Addr().String(), nil
 }
 
-// Close stops the server.
+// Close closes the listener and every connection, then waits for the
+// accept loop and each connection's goroutine to return. A request already
+// in dispatch finishes first; its reply is lost with its connection.
 func (s *Server) Close() error {
-	close(s.done)
+	var err error
 	if s.ln != nil {
-		return s.ln.Close()
+		err = s.ln.Close()
 	}
-	return nil
+	s.connMu.Lock()
+	for conn := range s.conns {
+		conn.Close()
+	}
+	s.conns = nil
+	s.connMu.Unlock()
+	s.serving.Wait()
+	return err
 }
 
 func (s *Server) acceptLoop() {
+	defer s.serving.Done()
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			return
 		}
-		go s.serveConn(conn)
+		s.connMu.Lock()
+		if s.conns == nil { // accepted as Close ran
+			conn.Close()
+		} else {
+			s.conns[conn] = struct{}{}
+			s.serving.Add(1)
+			go s.serveConn(conn)
+		}
+		s.connMu.Unlock()
 	}
 }
 
+// serveConn answers a connection's frames in order. It reads outside mu,
+// through a bufio.Reader: a frame's prefix and payload arrive in one read.
 func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
+	defer func() {
+		s.connMu.Lock()
+		delete(s.conns, conn)
+		s.connMu.Unlock()
+		conn.Close()
+		s.serving.Done()
+	}()
+	r := bufio.NewReader(conn)
 	for {
-		req, err := ReadFrame(conn)
+		req, err := ReadFrame(r)
 		if err != nil {
 			return
 		}
@@ -139,7 +169,7 @@ func (s *Server) runSim(c *call, run func(*call) error) error {
 		env.RunUntil(env.Now().Add(10 * time.Millisecond))
 	}
 	if !c.done {
-		return errors.New("pcsinet: request did not complete")
+		return fault.Fatal("pcsinet: request did not complete")
 	}
 	return c.err
 }
@@ -189,7 +219,7 @@ var (
 func parse[T any](what string, forms map[string]T, s string) (T, error) {
 	v, ok := forms[strings.ToLower(s)]
 	if !ok {
-		return v, fmt.Errorf("unknown %s %q", what, s)
+		return v, fault.Fatalf("unknown %s %q", what, s)
 	}
 	return v, nil
 }
@@ -221,7 +251,10 @@ func (c *call) sockEnd() int {
 // refs resolves a comma-separated header of reference tokens.
 func (c *call) refs(header string) ([]core.Ref, error) {
 	var out []core.Ref
-	for _, tok := range splitList(c.h(header)) {
+	for _, tok := range strings.Split(c.h(header), ",") {
+		if tok = strings.TrimSpace(tok); tok == "" {
+			continue
+		}
 		ref, ok := c.s.tokens[tok]
 		if !ok {
 			return nil, keyRef.unknown(tok)
@@ -242,7 +275,7 @@ const (
 )
 
 // unknown is the refusal of a token that names nothing of kind k.
-func (k keyKind) unknown(tok string) error { return fmt.Errorf("unknown %s token %q", k, tok) }
+func (k keyKind) unknown(tok string) error { return fault.Fatalf("unknown %s token %q", k, tok) }
 
 // op is one protocol operation: what its Key names, the body that serves
 // it — as a simulation process, or directly when local (the op touches
@@ -392,7 +425,7 @@ func (s *Server) dispatch(req *wire.Message) *wire.Message {
 	defer s.mu.Unlock()
 	row, ok := ops[req.Op]
 	if !ok {
-		return errResp(fmt.Errorf("unknown op %q", req.Op))
+		return errResp(fault.Fatalf("unknown op %q", req.Op))
 	}
 	c := &call{s: s, req: req}
 	switch row.key {
@@ -423,19 +456,5 @@ func (s *Server) dispatch(req *wire.Message) *wire.Message {
 		s.tokens[tok] = c.grant
 		c.headers[row.grants] = tok
 	}
-	return okResp(c.body, c.headers)
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+	return &wire.Message{Status: StatusOK, Body: c.body, Headers: c.headers}
 }

@@ -117,8 +117,13 @@ func getString(b []byte) (string, []byte, error) {
 }
 
 // Encode implements Codec.
-func (BinaryCodec) Encode(m *Message) ([]byte, error) {
-	buf := make([]byte, 0, 64+len(m.Body))
+func (c BinaryCodec) Encode(m *Message) ([]byte, error) {
+	return c.Append(make([]byte, 0, 64+len(m.Body)), m), nil
+}
+
+// Append appends m's encoding to buf and returns the extended buffer, so a
+// caller can lay a frame header and the message out in one allocation.
+func (BinaryCodec) Append(buf []byte, m *Message) []byte {
 	buf = putString(buf, m.Op)
 	buf = putString(buf, m.Key)
 	buf = putString(buf, m.Auth)
@@ -135,11 +140,11 @@ func (BinaryCodec) Encode(m *Message) ([]byte, error) {
 		buf = putString(buf, m.Headers[k])
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(m.Body)))
-	buf = append(buf, m.Body...)
-	return buf, nil
+	return append(buf, m.Body...)
 }
 
-// Decode implements Codec.
+// Decode implements Codec. The returned Body aliases b, capacity clipped,
+// rather than copying it: the caller hands b over and must not reuse it.
 func (BinaryCodec) Decode(b []byte) (*Message, error) {
 	m := &Message{}
 	var err error
@@ -185,7 +190,10 @@ func (BinaryCodec) Decode(b []byte) (*Message, error) {
 	if k <= 0 || uint64(len(b)-k) < nb {
 		return nil, errShort
 	}
-	m.Body = append([]byte(nil), b[k:k+int(nb)]...)
+	if nb > 0 {
+		end := k + int(nb)
+		m.Body = b[k:end:end]
+	}
 	return m, nil
 }
 

@@ -93,7 +93,17 @@ ctl stats | grep -q '^virtual_now' || { echo 'pcsictl stats printed no virtual_n
 rc=0
 ctl get ref-bogus 2>/dev/null || rc=$?
 [ "$rc" -eq 1 ] || { echo "pcsictl get <bogus-token> exited $rc, want 1" >&2; exit 1; }
-kill "$pcsid_pid"
+# SIGINT is the signal pcsid handles: it must drain (Server.Close) and exit 0.
+kill -INT "$pcsid_pid"
+for _ in $(seq 20); do
+    kill -0 "$pcsid_pid" 2>/dev/null || break
+    sleep 0.25
+done
+kill -0 "$pcsid_pid" 2>/dev/null && { echo 'pcsid did not exit within 5 s of SIGINT' >&2; exit 1; }
+rc=0
+wait "$pcsid_pid" || rc=$?
+[ "$rc" -eq 0 ] || { echo "pcsid exited $rc after SIGINT, want 0" >&2; cat "$smoke/pcsid.log" >&2; exit 1; }
+grep -q '^pcsid: shutting down$' "$smoke/pcsid.log" || { echo 'pcsid log lacks "pcsid: shutting down"' >&2; exit 1; }
 
 echo '== bench harness (smoke, drift, oracle and compare tests; engine-storm event count + golden digest)'
 (cd bench && go test ./...)
