@@ -21,10 +21,11 @@ var (
 	faultDeps = stringSet("internal/sim", "internal/simnet", "internal/cluster")
 
 	// qosDeps are the only packages internal/qos may import: the admission
-	// controller schedules over virtual time and cluster capacity and emits
-	// trace events, but must not know about metrics (it takes interfaces),
-	// the state layer, or compute — the layers it gates wire it in.
-	qosDeps = stringSet("internal/sim", "internal/cluster", "internal/fault", "internal/trace")
+	// controller schedules over virtual time and cluster capacity, emits
+	// trace events and registers its own metrics, but must not know about
+	// the telemetry plane, the state layer, or compute — the layers it gates
+	// wire it in.
+	qosDeps = stringSet("internal/sim", "internal/cluster", "internal/fault", "internal/trace", "internal/metrics")
 
 	// qosClients are the only packages that may import internal/qos: the
 	// admission-controlled layers (core's data plane, faas invoke,
@@ -190,9 +191,9 @@ func checkImport(pass *Pass, imp *ast.ImportSpec, target, path string) {
 		// The admission controller gates the data plane and the invoke path
 		// but depends only on the scheduling substrate: virtual time, the
 		// cluster it derives capacity from, the fault layer's error
-		// classification, and the tracer. Metrics arrive as interfaces.
+		// classification, the tracer, and the metrics it registers.
 		if !qosDeps[dep] {
-			pass.Report(imp.Pos(), "internal/qos may not import %s: the admission controller depends only on internal/sim, internal/cluster, internal/fault, and internal/trace; metrics are wired in as interfaces (DESIGN.md §3)", dep)
+			pass.Report(imp.Pos(), "internal/qos may not import %s: the admission controller depends only on internal/sim, internal/cluster, internal/fault, internal/trace, and internal/metrics; it registers its own metrics in the registry it is given (DESIGN.md §3)", dep)
 			return
 		}
 	case target == "internal/obs":

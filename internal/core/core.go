@@ -257,12 +257,15 @@ func New(opts Options) *Cloud {
 		plc = scheduler.GPUAware{C: cl, Inner: scheduler.Colocate{C: cl}}
 	}
 	// Admission control (optional): the controller derives concurrency
-	// limits from this cluster and exports per-class queue metrics into
-	// the cloud's registry. Nil config ⇒ nil controller ⇒ every Admit is
-	// an inlined no-op and the run is byte-identical to a pre-QoS build.
+	// limits from this cluster and registers its per-class and per-tenant
+	// metrics in the cloud's registry; sheds also land in the flight
+	// recorder. Nil config ⇒ nil controller ⇒ every Admit is an inlined
+	// no-op and the run is byte-identical to a pre-QoS build.
 	if opts.QoS != nil {
-		c.qos = qos.New(env, cl, *opts.QoS)
-		c.instrumentQoS()
+		c.qos = qos.New(env, cl, *opts.QoS, c.reg)
+		c.qos.OnShed(func(label, tenant, reason string) {
+			c.obsPlane.Record("shed", label, tenant+" "+reason)
+		})
 	}
 
 	c.rt = faas.NewRuntime(cl, scheduler.Traced{Env: env, Inner: plc}, faas.Config{
@@ -321,62 +324,6 @@ func New(opts Options) *Cloud {
 		}
 	}
 	return c
-}
-
-// instrumentQoS registers per-class queue-depth/in-flight gauges, a
-// queue-delay histogram, and admit/shed counters in the cloud's metrics
-// registry and hands them to the controller. metrics.Gauge, Histogram,
-// and Counter satisfy the qos metric interfaces structurally — qos itself
-// never imports internal/metrics.
-func (c *Cloud) instrumentQoS() {
-	for _, class := range []qos.Class{qos.ClassData, qos.ClassInvoke, qos.ClassTask} {
-		if !c.qos.Enabled(class) {
-			continue
-		}
-		depth := metrics.NewGauge("qos_" + class.String() + "_queue_depth")
-		inflight := metrics.NewGauge("qos_" + class.String() + "_inflight")
-		delay := metrics.NewHistogram("qos_" + class.String() + "_queue_delay")
-		admitted := metrics.NewCounter("qos_" + class.String() + "_admitted")
-		shed := metrics.NewCounter("qos_" + class.String() + "_shed")
-		c.reg.Register(depth)
-		c.reg.Register(inflight)
-		c.reg.Register(delay)
-		c.reg.Register(admitted)
-		c.reg.Register(shed)
-		// Per-tenant accounting: counters created lazily at first sight of
-		// a tenant, cached so the admission hot path pays one map lookup.
-		// The name concatenation runs once per (class, tenant).
-		prefix := "qos_" + class.String() + "_tenant_"
-		qlabel := "qos_" + class.String()
-		admitByTenant := make(map[string]*metrics.Counter)
-		shedByTenant := make(map[string]*metrics.Counter)
-		c.qos.Instrument(class, qos.Instruments{
-			QueueDepth: depth,
-			InFlight:   inflight,
-			QueueDelay: delay,
-			Admitted:   admitted,
-			Shed:       shed,
-			OnAdmit: func(now sim.Time, tenant string, delay sim.Duration) {
-				m := admitByTenant[tenant]
-				if m == nil {
-					m = metrics.NewCounter(prefix + tenant + "_admitted")
-					c.reg.Register(m)
-					admitByTenant[tenant] = m
-				}
-				m.Inc()
-			},
-			OnShed: func(now sim.Time, tenant, reason string) {
-				m := shedByTenant[tenant]
-				if m == nil {
-					m = metrics.NewCounter(prefix + tenant + "_shed")
-					c.reg.Register(m)
-					shedByTenant[tenant] = m
-				}
-				m.Inc()
-				c.obsPlane.Record("shed", qlabel, tenant+" "+reason)
-			},
-		})
-	}
 }
 
 // QoS returns the admission controller, or nil when the deployment runs

@@ -1,0 +1,90 @@
+package core
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/fncache"
+	"repro/internal/object"
+	"repro/internal/platform"
+	"repro/internal/qos"
+	"repro/internal/sim"
+)
+
+// TestRegistryNames pins every metric name a QoS+FnCache cloud registers
+// once two tenants have run data ops, an invocation and a shed. Each layer
+// registers its own metrics, so a renamed, dropped or doubled metric shows
+// here before it moves a dashboard series or an SLO.
+func TestRegistryNames(t *testing.T) {
+	opts := DefaultOptions()
+	opts.QoS = &qos.Config{
+		Data:   qos.ClassConfig{MaxConcurrency: 1, MaxQueue: 1},
+		Invoke: qos.ClassConfig{MaxConcurrency: 2},
+	}
+	opts.FnCache = &fncache.Config{}
+	c := New(opts)
+	owner := c.NewClient(0)
+	sheds := 0
+	run(t, c, func(p *sim.Proc) {
+		r, err := owner.Create(p, object.Regular)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		fn, err := owner.RegisterFunction(p, FnConfig{Name: "noop", Kind: platform.Wasm, Handler: func(*FnCtx) error { return nil }})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := owner.WithTenant("gold").Invoke(p, fn, InvokeArgs{}); err != nil {
+			t.Error(err)
+			return
+		}
+		// One data slot and a one-deep queue per tenant: gold's put is
+		// admitted, bronze's first queues and its second is shed.
+		for _, tenant := range []string{"gold", "bronze", "bronze"} {
+			cl := owner.WithTenant(tenant)
+			c.Env().Go("put", func(p *sim.Proc) {
+				if err := cl.Put(p, r, []byte(tenant)); err != nil {
+					sheds++
+				}
+			})
+		}
+	})
+	if sheds != 1 {
+		t.Fatalf("sheds = %d, want 1", sheds)
+	}
+	want := []string{
+		"cold_starts",
+		"fncache_hits",
+		"fncache_invalidations",
+		"fncache_lattice_merges",
+		"fncache_misses",
+		"fncache_stale_reads",
+		"fncache_stale_serves",
+		"invocations",
+		"invoke_failures",
+		"invoke_latency",
+		"pcsi_data_ops",
+		"preemptions",
+		"qos_data_admitted",
+		"qos_data_inflight",
+		"qos_data_queue_delay",
+		"qos_data_queue_depth",
+		"qos_data_shed",
+		"qos_data_tenant_bronze_admitted",
+		"qos_data_tenant_bronze_shed",
+		"qos_data_tenant_default_admitted",
+		"qos_data_tenant_gold_admitted",
+		"qos_invoke_admitted",
+		"qos_invoke_inflight",
+		"qos_invoke_queue_delay",
+		"qos_invoke_queue_depth",
+		"qos_invoke_shed",
+		"qos_invoke_tenant_gold_admitted",
+		"warm_starts",
+	}
+	if got := c.Metrics().Names(); !slices.Equal(got, want) {
+		t.Errorf("registered metrics:\n%q\nwant:\n%q", got, want)
+	}
+}

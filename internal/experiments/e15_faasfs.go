@@ -231,11 +231,7 @@ type e15Sessions struct {
 
 func (st *e15Sessions) setup(p *sim.Proc, cl *core.Client, files []e15File) error {
 	var err error
-	st.fs, err = faasfs.Mount(p, cl, faasfs.Config{
-		Commits:   metrics.NewCounter("faasfs_commits"),
-		Conflicts: metrics.NewCounter("faasfs_conflicts"),
-		Aborts:    metrics.NewCounter("faasfs_aborts"),
-	})
+	st.fs, err = faasfs.Mount(p, cl, faasfs.Config{})
 	if err != nil {
 		return err
 	}

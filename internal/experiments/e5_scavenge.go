@@ -177,8 +177,6 @@ func runE5One(rn run, name string, policy core.PlacementPolicy, dedicated bool, 
 		// at on-demand rates.
 		s.costUSD = 16 * float64(e5Duration.Hours()) * (0.048*2 + 0.0053)
 	} else {
-		s.costUSD = float64(rt.Meter.Total())
-		_ = s.costUSD
 		// Serverless billing: instance-seconds actually held.
 		perInstHour := 0.048*2 + 0.0053
 		discount := 1.0

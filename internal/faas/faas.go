@@ -170,12 +170,6 @@ type Config struct {
 	// system; NewRuntime creates a private one when nil. The runtime's
 	// counters and histograms register themselves there.
 	Metrics *trace.Registry
-	// FailFast races each handler against its node's failure event so an
-	// invocation on a machine that dies mid-call fails at the fault time
-	// instead of running to completion. Off by default: the extra handler
-	// process changes event interleaving, so fault-free runs keep the
-	// historical inline path byte-identical. Chaos runs switch it on.
-	FailFast bool
 	// QoS optionally gates invocations through an admission controller
 	// (qos.ClassInvoke). Nil = no admission control, byte-identical to the
 	// pre-QoS runtime.
@@ -200,6 +194,9 @@ type Runtime struct {
 	// optimizer's promotion rule.
 	fnInvokes map[string]int64
 	reg       *trace.Registry
+	// failFast races each handler against its node's failure event (see
+	// SetFailFast).
+	failFast bool
 
 	// Metrics. The fields alias entries in Metrics() — the registry owns
 	// the canonical directory; the fields keep call sites terse.
@@ -340,7 +337,7 @@ func (rt *Runtime) Invoke(p *sim.Proc, name string, body []byte, hints Placement
 	busyFrom := p.Now()
 	xsp := trace.Of(rt.env).Start(p, "fn", fn.Name)
 	var herr error
-	if rt.cfg.FailFast {
+	if rt.failFast {
 		herr = rt.runFailFast(p, fn, inv, inst)
 	} else {
 		herr = fn.Handler(inv)
@@ -364,8 +361,12 @@ func (rt *Runtime) Invoke(p *sim.Proc, name string, body []byte, hints Placement
 	return inst, herr
 }
 
-// SetFailFast toggles Config.FailFast after construction (chaos wiring).
-func (rt *Runtime) SetFailFast(on bool) { rt.cfg.FailFast = on }
+// SetFailFast makes each handler race its node's failure event, so an
+// invocation on a machine that dies mid-call fails at the fault time
+// instead of running to completion. Off by default: the extra handler
+// process changes event interleaving, so fault-free runs keep the inline
+// path byte-identical. Core's chaos wiring switches it on.
+func (rt *Runtime) SetFailFast(on bool) { rt.failFast = on }
 
 // runFailFast executes the handler in a child process and races it against
 // the hosting node's failure event. On node failure the invocation returns

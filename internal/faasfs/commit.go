@@ -39,7 +39,7 @@ func (fs *FS) Begin(cl *core.Client) *Session {
 // installed, so abort leaves no partial state by construction.
 func (s *Session) fail() {
 	s.done = true
-	s.fs.countAbort()
+	s.fs.stats.Aborts++
 	for _, id := range sortedKeys(s.newRefs) {
 		s.cl.Drop(s.newRefs[id])
 	}
@@ -88,7 +88,7 @@ func (s *Session) Commit(p *sim.Proc) error {
 	}
 
 	conflict := func(format string, args ...any) error {
-		fs.countConflict()
+		fs.stats.Conflicts++
 		s.fail()
 		sp.Annotate(trace.Str("outcome", "conflict"))
 		return fmt.Errorf("%w: "+format, append([]any{ErrConflict}, args...)...)
@@ -175,7 +175,7 @@ func (s *Session) Commit(p *sim.Proc) error {
 	// log guarantees installation even if this process gets no further.
 	s.done = true
 	fs.commitSeq++
-	fs.countCommit()
+	fs.stats.Commits++
 	var redo []redoOp
 	for _, id := range sortedKeys(s.local) {
 		lo := s.local[id]

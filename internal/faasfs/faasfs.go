@@ -59,21 +59,9 @@ var (
 	ErrInvalidPath = fault.Fatal("faasfs: invalid path")
 )
 
-// Counter is the structural instrument faasfs increments; callers pass
-// real registry metrics (e.g. *metrics.Counter) so the telemetry plane
-// samples them. A nil Counter is inert.
-type Counter interface{ Inc() }
-
-// Config parameterises a mount. All fields are optional.
-type Config struct {
-	// Commits/Conflicts/Aborts/Replays are incremented on every committed
-	// session, failed validation, aborted session, and replayed redo
-	// operation respectively.
-	Commits   Counter
-	Conflicts Counter
-	Aborts    Counter
-	Replays   Counter
-}
+// Config parameterises a mount. It has no fields: a mount's transaction
+// counters are its Stats.
+type Config struct{}
 
 // Stats is a snapshot of a mount's transaction counters.
 type Stats struct {
@@ -110,7 +98,6 @@ type FS struct {
 	env     *sim.Env
 	root    core.Ref
 	journal core.Ref
-	cfg     Config
 
 	// commitMu serialises validation+install; sim.Resource queueing keeps
 	// commit order deterministic.
@@ -147,7 +134,7 @@ type FS struct {
 // Mount creates a fresh file system (root directory + journal) on the
 // client's cloud and registers its invariants with the cloud's fault
 // session, if it has one.
-func Mount(p *sim.Proc, cl *core.Client, cfg Config) (*FS, error) {
+func Mount(p *sim.Proc, cl *core.Client, _ Config) (*FS, error) {
 	root, err := cl.Create(p, core.KindDirectory)
 	if err != nil {
 		return nil, fmt.Errorf("faasfs: mount root: %w", err)
@@ -164,7 +151,6 @@ func Mount(p *sim.Proc, cl *core.Client, cfg Config) (*FS, error) {
 		env:      cloud.Env(),
 		root:     root,
 		journal:  journal,
-		cfg:      cfg,
 		commitMu: cloud.Env().NewResource("faasfs.commit", 1),
 		refs:     map[uint64]core.Ref{uint64(root.ObjectID()): root},
 		isDir:    map[uint64]bool{uint64(root.ObjectID()): true},
@@ -186,36 +172,6 @@ func (fs *FS) Stats() Stats { return fs.stats }
 func (fs *FS) ref(id uint64) (core.Ref, bool) {
 	r, ok := fs.refs[id]
 	return r, ok
-}
-
-// countCommit and friends bump both the internal stats and any caller
-// instruments.
-func (fs *FS) countCommit() {
-	fs.stats.Commits++
-	if fs.cfg.Commits != nil {
-		fs.cfg.Commits.Inc()
-	}
-}
-
-func (fs *FS) countConflict() {
-	fs.stats.Conflicts++
-	if fs.cfg.Conflicts != nil {
-		fs.cfg.Conflicts.Inc()
-	}
-}
-
-func (fs *FS) countAbort() {
-	fs.stats.Aborts++
-	if fs.cfg.Aborts != nil {
-		fs.cfg.Aborts.Inc()
-	}
-}
-
-func (fs *FS) countReplay() {
-	fs.stats.Replays++
-	if fs.cfg.Replays != nil {
-		fs.cfg.Replays.Inc()
-	}
 }
 
 // Run executes fn as one transaction: Begin, body, Commit; on any error
@@ -246,7 +202,7 @@ func (fs *FS) replay(p *sim.Proc, cl *core.Client) error {
 		if err := fs.install(p, cl, op); err != nil {
 			return err
 		}
-		fs.countReplay()
+		fs.stats.Replays++
 		fs.pending = fs.pending[1:]
 	}
 	return nil
@@ -339,7 +295,7 @@ func (fs *FS) chaosInvariants() []string {
 			continue
 		}
 		fs.ver[op.id]++
-		fs.countReplay()
+		fs.stats.Replays++
 	}
 	fs.pending = nil
 	grp.SyncAll()

@@ -33,10 +33,6 @@ import (
 // DefaultInterval is the sampling period used when Config.Interval is zero.
 const DefaultInterval = 50 * time.Millisecond
 
-// NoSampling disables the time-series sampler (and with it SLO evaluation)
-// while keeping the flight recorder available.
-const NoSampling = sim.Duration(-1)
-
 // Every plane keeps 240-point series rings (even, so a ring halves
 // cleanly when it downsamples) and a 512-event / 5s flight recorder.
 const (
@@ -46,9 +42,9 @@ const (
 )
 
 // Config parameterises a Session. The zero value gives 50ms sampling.
+// Objectives are installed per plane (Plane.SetObjectives).
 type Config struct {
-	Interval   sim.Duration // sampling period; 0 = DefaultInterval, NoSampling = off
-	Objectives []Objective  // objectives installed on every attached plane
+	Interval sim.Duration // sampling period; 0 = DefaultInterval
 }
 
 func (c Config) withDefaults() Config {
@@ -133,7 +129,6 @@ func (s *Session) Attach(env *sim.Env, reg *trace.Registry, label string) *Plane
 		prevCnt:  make(map[string]metrics.CounterSnapshot),
 		rec:      newRecorder(recorderCap, recorderWindow),
 	}
-	pl.SetObjectives(s.cfg.Objectives...)
 	env.SetObserver(planeSlot, pl)
 	s.planes = append(s.planes, pl)
 	if pl.interval > 0 {

@@ -36,6 +36,7 @@ import (
 	"strconv"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -156,51 +157,14 @@ type Stats struct {
 	MaxQueued     int
 }
 
-// Gauge is the subset of metrics.Gauge the controller drives. The
-// controller takes interfaces rather than importing internal/metrics so
-// its import surface stays at sim/cluster/fault/trace (DESIGN.md §3); the
-// embedding layer wires concrete metrics in via Instrument.
-type Gauge interface {
-	Add(nowNS int64, delta float64)
-}
-
-// Observer is the subset of metrics.Histogram the controller drives.
-type Observer interface {
-	Observe(d sim.Duration)
-}
-
-// Counter is the subset of metrics.Counter the controller drives.
-type Counter interface {
-	Inc()
-}
-
-// Instruments are the per-class metrics the embedding system provides.
-// Any field may be nil.
-type Instruments struct {
-	// QueueDepth tracks the total queued requests of the class over time.
-	QueueDepth Gauge
-	// InFlight tracks admitted, not-yet-released operations over time.
-	InFlight Gauge
-	// QueueDelay observes the queueing delay of each admitted request.
-	QueueDelay Observer
-	// Admitted and Shed count admission outcomes.
-	Admitted Counter
-	Shed     Counter
-	// OnAdmit, when set, is called after each admission with the tenant
-	// and the request's queueing delay — the hook the telemetry plane
-	// uses for per-tenant accounting without qos importing it.
-	OnAdmit func(now sim.Time, tenant string, delay sim.Duration)
-	// OnShed, when set, is called after each shed with the tenant and
-	// the reason ("queue-full" | "deadline" | "codel").
-	OnShed func(now sim.Time, tenant, reason string)
-}
-
 // Controller is the admission-control plane of one deployment. A nil
 // Controller is valid and fully inert.
 type Controller struct {
 	env     *sim.Env
+	reg     *trace.Registry
 	classes [numClasses]*classQ
 	weights map[string]float64
+	onShed  func(label, tenant, reason string)
 }
 
 // waiter is one queued admission request.
@@ -213,17 +177,21 @@ type waiter struct {
 	seq    uint64
 }
 
-// tenantQ is one tenant's FIFO within a class.
+// tenantQ is one tenant's FIFO within a class, with its admission counters
+// (created at the tenant's first admit and first shed).
 type tenantQ struct {
 	name       string
 	weight     float64
 	lastFinish float64
 	q          []*waiter
+	admitted   *metrics.Counter
+	shed       *metrics.Counter
 }
 
 // classQ is the WFQ scheduler state of one class.
 type classQ struct {
 	class    Class
+	label    string // "qos_<class>": the prefix of every metric of the class
 	cfg      ClassConfig
 	limit    int
 	inflight int
@@ -236,16 +204,24 @@ type classQ struct {
 	// ewmaServiceNS estimates per-operation service time for the
 	// arrival-time wait estimate (deadline-aware early rejection).
 	ewmaServiceNS float64
-	ins           Instruments
 	stats         Stats
+
+	// depthGauge and inflightGauge track queued and admitted-not-released
+	// requests over time; delayHist observes each admission's wait.
+	depthGauge, inflightGauge *metrics.Gauge
+	delayHist                 *metrics.Histogram
+	admitted, shed            *metrics.Counter
 }
 
 // New builds a Controller over env. Classes whose resolved concurrency
 // limit is zero stay disabled. cl (may be nil) supplies the capacity that
-// PerOp-configured classes derive their limits from.
-func New(env *sim.Env, cl *cluster.Cluster, cfg Config) *Controller {
-	q := &Controller{env: env, weights: cfg.Weights}
-	for class, cc := range map[Class]ClassConfig{ClassData: cfg.Data, ClassInvoke: cfg.Invoke, ClassTask: cfg.Task} {
+// PerOp-configured classes derive their limits from. Each enabled class
+// registers its metrics in reg (which may be nil): qos_<class>_queue_depth,
+// _inflight, _queue_delay, _admitted and _shed, and per tenant
+// qos_<class>_tenant_<t>_admitted and _shed at its first admit or shed.
+func New(env *sim.Env, cl *cluster.Cluster, cfg Config, reg *trace.Registry) *Controller {
+	q := &Controller{env: env, reg: reg, weights: cfg.Weights}
+	for class, cc := range [numClasses]ClassConfig{ClassData: cfg.Data, ClassInvoke: cfg.Invoke, ClassTask: cfg.Task} {
 		limit := cc.MaxConcurrency
 		if limit == 0 && cl != nil {
 			limit = Capacity(cl, cc.PerOp)
@@ -256,15 +232,38 @@ func New(env *sim.Env, cl *cluster.Cluster, cfg Config) *Controller {
 		if cc.CoDelTarget > 0 && cc.CoDelInterval <= 0 {
 			cc.CoDelInterval = 100 * sim.Duration(1e6) // 100ms
 		}
-		q.classes[class] = &classQ{
-			class:   class,
-			cfg:     cc,
-			limit:   limit,
-			tenants: make(map[string]*tenantQ),
-			cd:      codel{target: cc.CoDelTarget, interval: cc.CoDelInterval},
+		label := "qos_" + Class(class).String()
+		c := &classQ{
+			class:         Class(class),
+			label:         label,
+			cfg:           cc,
+			limit:         limit,
+			tenants:       make(map[string]*tenantQ),
+			cd:            codel{target: cc.CoDelTarget, interval: cc.CoDelInterval},
+			depthGauge:    metrics.NewGauge(label + "_queue_depth"),
+			inflightGauge: metrics.NewGauge(label + "_inflight"),
+			delayHist:     metrics.NewHistogram(label + "_queue_delay"),
+			admitted:      metrics.NewCounter(label + "_admitted"),
+			shed:          metrics.NewCounter(label + "_shed"),
 		}
+		reg.Register(c.depthGauge)
+		reg.Register(c.inflightGauge)
+		reg.Register(c.delayHist)
+		reg.Register(c.admitted)
+		reg.Register(c.shed)
+		q.classes[class] = c
 	}
 	return q
+}
+
+// OnShed installs fn, called after every shed with the class's metric
+// prefix ("qos_<class>"), the tenant and the reason — the hook the flight
+// recorder uses without qos importing the telemetry plane. No-op on a nil
+// controller.
+func (q *Controller) OnShed(fn func(label, tenant, reason string)) {
+	if q != nil {
+		q.onShed = fn
+	}
 }
 
 // Capacity returns how many operations of footprint res the cluster can
@@ -319,15 +318,6 @@ func (q *Controller) Limit(class Class) int {
 	return q.classes[class].limit
 }
 
-// Instrument wires metrics into a class. No-op on nil controllers and
-// disabled classes.
-func (q *Controller) Instrument(class Class, ins Instruments) {
-	if !q.Enabled(class) {
-		return
-	}
-	q.classes[class].ins = ins
-}
-
 // ClassStats snapshots a class's admission counters.
 func (q *Controller) ClassStats(class Class) Stats {
 	if !q.Enabled(class) {
@@ -369,7 +359,7 @@ func (q *Controller) Admit(p *sim.Proc, req Request) (Grant, error) {
 		start := math.Max(c.vtime, t.lastFinish)
 		t.lastFinish = start + 1/t.weight
 		c.vtime = start
-		return q.admitNow(c, now, t.name, 0), nil
+		return q.admitNow(c, now, t, 0), nil
 	}
 
 	if c.cfg.MaxQueue > 0 && len(t.q) >= c.cfg.MaxQueue {
@@ -389,7 +379,7 @@ func (q *Controller) Admit(p *sim.Proc, req Request) (Grant, error) {
 	if c.queued > c.stats.MaxQueued {
 		c.stats.MaxQueued = c.queued
 	}
-	gaugeAdd(c.ins.QueueDepth, now, 1)
+	c.depthGauge.Add(int64(now), 1)
 
 	sp := trace.Of(q.env).Start(p, "qos", "queue",
 		trace.Str("class", c.class.String()), trace.Str("tenant", t.name))
@@ -413,7 +403,7 @@ func (g Grant) Release() {
 	now := g.q.env.Now()
 	c := g.c
 	c.inflight--
-	gaugeAdd(c.ins.InFlight, now, -1)
+	c.inflightGauge.Add(int64(now), -1)
 	// Deterministic EWMA of observed service time feeds the arrival-time
 	// wait estimate.
 	const alpha = 0.2
@@ -427,18 +417,26 @@ func (g Grant) Release() {
 }
 
 // admitNow books an in-flight slot at time now.
-func (q *Controller) admitNow(c *classQ, now sim.Time, tenant string, delay sim.Duration) Grant {
+func (q *Controller) admitNow(c *classQ, now sim.Time, t *tenantQ, delay sim.Duration) Grant {
 	c.inflight++
 	c.stats.Admitted++
-	counterInc(c.ins.Admitted)
-	gaugeAdd(c.ins.InFlight, now, 1)
-	if c.ins.QueueDelay != nil {
-		c.ins.QueueDelay.Observe(delay)
+	c.admitted.Inc()
+	c.inflightGauge.Add(int64(now), 1)
+	c.delayHist.Observe(delay)
+	if t.admitted == nil {
+		t.admitted = q.tenantCounter(c, t, "_admitted")
 	}
-	if c.ins.OnAdmit != nil {
-		c.ins.OnAdmit(now, tenant, delay)
-	}
+	t.admitted.Inc()
 	return Grant{q: q, c: c, admitAt: now}
+}
+
+// tenantCounter registers one of a tenant's admission counters; it runs
+// once per (class, tenant, outcome), so the name concatenation stays off the
+// per-op path.
+func (q *Controller) tenantCounter(c *classQ, t *tenantQ, suffix string) *metrics.Counter {
+	m := metrics.NewCounter(c.label + "_tenant_" + t.name + suffix)
+	q.reg.Register(m)
+	return m
 }
 
 // dispatch admits queued requests in virtual-finish-tag order while slots
@@ -452,7 +450,7 @@ func (q *Controller) dispatch(c *classQ) {
 		if w == nil {
 			return
 		}
-		gaugeAdd(c.ins.QueueDepth, now, -1)
+		c.depthGauge.Add(int64(now), -1)
 		sojourn := now.Sub(w.enq)
 		if c.cfg.MaxQueueDelay > 0 && sojourn > c.cfg.MaxQueueDelay {
 			q.shedQueued(c, w, "deadline")
@@ -466,7 +464,7 @@ func (q *Controller) dispatch(c *classQ) {
 		// The grant travels back through Admit's own return, not the
 		// completion value; completing with nil avoids boxing a Grant
 		// into the event's any slot on every dispatch.
-		q.admitNow(c, now, w.tenant.name, sojourn)
+		q.admitNow(c, now, w.tenant, sojourn)
 		w.ev.Complete(nil)
 	}
 }
@@ -530,18 +528,18 @@ func (c *classQ) tenant(q *Controller, name string) *tenantQ {
 // shedArrival rejects a request at the admission gate.
 func (q *Controller) shedArrival(c *classQ, t *tenantQ, reason string) error {
 	err := &OverloadError{Tenant: t.name, Class: c.class, Reason: reason}
-	q.recordShed(c, t.name, reason)
+	q.recordShed(c, t, reason)
 	return err
 }
 
 // shedQueued rejects a request that was already queued; the parked
 // process resumes with the overload error.
 func (q *Controller) shedQueued(c *classQ, w *waiter, reason string) {
-	q.recordShed(c, w.tenant.name, reason)
+	q.recordShed(c, w.tenant, reason)
 	w.ev.Fail(&OverloadError{Tenant: w.tenant.name, Class: c.class, Reason: reason})
 }
 
-func (q *Controller) recordShed(c *classQ, tenant, reason string) {
+func (q *Controller) recordShed(c *classQ, t *tenantQ, reason string) {
 	c.stats.Shed++
 	switch reason {
 	case "queue-full":
@@ -551,23 +549,15 @@ func (q *Controller) recordShed(c *classQ, tenant, reason string) {
 	case "codel":
 		c.stats.ShedCoDel++
 	}
-	counterInc(c.ins.Shed)
-	if c.ins.OnShed != nil {
-		c.ins.OnShed(q.env.Now(), tenant, reason)
+	c.shed.Inc()
+	if t.shed == nil {
+		t.shed = q.tenantCounter(c, t, "_shed")
+	}
+	t.shed.Inc()
+	if q.onShed != nil {
+		q.onShed(c.label, t.name, reason)
 	}
 	trace.Of(q.env).Instant("qos", "qos", "shed",
-		trace.Str("class", c.class.String()), trace.Str("tenant", tenant),
+		trace.Str("class", c.class.String()), trace.Str("tenant", t.name),
 		trace.Str("reason", reason))
-}
-
-func gaugeAdd(g Gauge, now sim.Time, delta float64) {
-	if g != nil {
-		g.Add(int64(now), delta)
-	}
-}
-
-func counterInc(c Counter) {
-	if c != nil {
-		c.Inc()
-	}
 }

@@ -2,19 +2,23 @@ package qos
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	//pcsi:allow layering tests need a real cluster, whose constructor takes a network; simnet never reaches non-test qos code
 	"repro/internal/simnet"
 )
 
-// one controller with a single invoke-class limit, no cluster derivation.
+// one controller with a single invoke-class limit, no cluster derivation
+// and no registry.
 func testController(env *sim.Env, cc ClassConfig, weights map[string]float64) *Controller {
-	return New(env, nil, Config{Invoke: cc, Weights: weights})
+	return New(env, nil, Config{Invoke: cc, Weights: weights}, nil)
 }
 
 func TestNilControllerIsInert(t *testing.T) {
@@ -36,7 +40,7 @@ func TestNilControllerIsInert(t *testing.T) {
 	if q.Enabled(ClassInvoke) || q.Limit(ClassInvoke) != 0 {
 		t.Error("nil controller reports enabled")
 	}
-	q.Instrument(ClassInvoke, Instruments{})
+	q.OnShed(func(label, tenant, reason string) {})
 	if q.ClassStats(ClassInvoke) != (Stats{}) {
 		t.Error("nil controller has stats")
 	}
@@ -235,7 +239,7 @@ func TestCapacityDerivation(t *testing.T) {
 	if Capacity(cl, cluster.Resources{}) != 0 {
 		t.Error("zero footprint capacity != 0")
 	}
-	q := New(env, cl, Config{Invoke: ClassConfig{PerOp: cluster.Resources{MilliCPU: 1000, MemMB: 1024}}})
+	q := New(env, cl, Config{Invoke: ClassConfig{PerOp: cluster.Resources{MilliCPU: 1000, MemMB: 1024}}}, nil)
 	if q.Limit(ClassInvoke) != 16 {
 		t.Errorf("derived limit = %d, want 16", q.Limit(ClassInvoke))
 	}
@@ -279,18 +283,21 @@ func TestCoDelShedsStandingQueue(t *testing.T) {
 	}
 }
 
+// TestInstrumentsWired reads what the controller registered: the class's
+// five metrics at construction, a tenant's counters from its first admit
+// and first shed, and the shed callback once per shed.
 func TestInstrumentsWired(t *testing.T) {
 	env := sim.NewEnv(1)
-	q := testController(env, ClassConfig{MaxConcurrency: 1, MaxQueue: 1}, nil)
-	var depth, inflight fakeGauge
-	var delays []sim.Duration
-	var admits, sheds int
-	q.Instrument(ClassInvoke, Instruments{
-		QueueDepth: &depth,
-		InFlight:   &inflight,
-		QueueDelay: observerFunc(func(d sim.Duration) { delays = append(delays, d) }),
-		Admitted:   counterFunc(func() { admits++ }),
-		Shed:       counterFunc(func() { sheds++ }),
+	reg := trace.NewRegistry()
+	q := New(env, nil, Config{Invoke: ClassConfig{MaxConcurrency: 1, MaxQueue: 1}}, reg)
+	want := []string{"qos_invoke_admitted", "qos_invoke_inflight", "qos_invoke_queue_delay",
+		"qos_invoke_queue_depth", "qos_invoke_shed"}
+	if got := reg.Names(); !slices.Equal(got, want) {
+		t.Fatalf("registered at construction = %v, want %v", got, want)
+	}
+	var shedNotes []string
+	q.OnShed(func(label, tenant, reason string) {
+		shedNotes = append(shedNotes, label+" "+tenant+" "+reason)
 	})
 	for i := 0; i < 4; i++ {
 		env.Go("op", func(p *sim.Proc) {
@@ -303,36 +310,34 @@ func TestInstrumentsWired(t *testing.T) {
 		})
 	}
 	env.Run()
-	if admits != 2 || sheds != 2 {
-		t.Errorf("admits=%d sheds=%d, want 2/2", admits, sheds)
+	counter := func(name string) int64 {
+		m := trace.Lookup[*metrics.Counter](reg, name)
+		if m == nil {
+			t.Fatalf("counter %s not registered", name)
+		}
+		return m.Value()
 	}
-	if len(delays) != 2 || delays[0] != 0 || delays[1] != time.Millisecond {
-		t.Errorf("delays = %v, want [0 1ms]", delays)
+	if a, s := counter("qos_invoke_admitted"), counter("qos_invoke_shed"); a != 2 || s != 2 {
+		t.Errorf("admitted=%d shed=%d, want 2/2", a, s)
 	}
-	if inflight.level != 0 || inflight.max != 1 {
-		t.Errorf("inflight level=%v max=%v, want 0/1", inflight.level, inflight.max)
+	if a, s := counter("qos_invoke_tenant_default_admitted"), counter("qos_invoke_tenant_default_shed"); a != 2 || s != 2 {
+		t.Errorf("tenant admitted=%d shed=%d, want 2/2", a, s)
 	}
-	if depth.level != 0 || depth.max != 1 {
-		t.Errorf("depth level=%v max=%v, want 0/1", depth.level, depth.max)
+	delay := trace.Lookup[*metrics.Histogram](reg, "qos_invoke_queue_delay")
+	if delay.Count() != 2 || delay.Min() != 0 || delay.Max() != time.Millisecond {
+		t.Errorf("delays n=%d min=%v max=%v, want 2 in [0, 1ms]", delay.Count(), delay.Min(), delay.Max())
+	}
+	for _, name := range []string{"qos_invoke_inflight", "qos_invoke_queue_depth"} {
+		g := trace.Lookup[*metrics.Gauge](reg, name)
+		if g.Level() != 0 || g.Max() != 1 {
+			t.Errorf("%s level=%v max=%v, want 0/1", name, g.Level(), g.Max())
+		}
+	}
+	wantNotes := []string{"qos_invoke default queue-full", "qos_invoke default queue-full"}
+	if !slices.Equal(shedNotes, wantNotes) {
+		t.Errorf("shed callbacks = %v, want %v", shedNotes, wantNotes)
 	}
 }
-
-type fakeGauge struct{ level, max float64 }
-
-func (g *fakeGauge) Add(_ int64, d float64) {
-	g.level += d
-	if g.level > g.max {
-		g.max = g.level
-	}
-}
-
-type observerFunc func(sim.Duration)
-
-func (f observerFunc) Observe(d sim.Duration) { f(d) }
-
-type counterFunc func()
-
-func (f counterFunc) Inc() { f() }
 
 func TestClassString(t *testing.T) {
 	if ClassData.String() != "data" || ClassInvoke.String() != "invoke" || ClassTask.String() != "task" {

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -60,27 +59,6 @@ func TestBurstyAlternates(t *testing.T) {
 	}
 }
 
-func TestDiurnalRateVaries(t *testing.T) {
-	env := sim.NewEnv(3)
-	d := NewDiurnal(env, 10, 100, 24*time.Hour)
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for h := 0; h < 24; h++ {
-		r := d.RateAt(sim.Time(time.Duration(h) * time.Hour))
-		if r < lo {
-			lo = r
-		}
-		if r > hi {
-			hi = r
-		}
-	}
-	if lo < 10-0.5 || hi > 100+0.5 {
-		t.Errorf("rate range [%.1f, %.1f] outside [10, 100]", lo, hi)
-	}
-	if hi-lo < 50 {
-		t.Errorf("diurnal swing too small: [%.1f, %.1f]", lo, hi)
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	env := sim.NewEnv(4)
 	z := NewZipf(env, 1000, 1.2)
@@ -92,29 +70,6 @@ func TestZipfSkew(t *testing.T) {
 	// Head item should dominate the 100th item by a wide margin.
 	if counts[0] < 10*counts[100]+1 {
 		t.Errorf("head %d vs item-100 %d: insufficient skew", counts[0], counts[100])
-	}
-}
-
-func TestLogNormalSizesClamped(t *testing.T) {
-	env := sim.NewEnv(5)
-	s := NewLogNormalSizes(env, 4096, 1.5, 64, 1<<20)
-	var sum float64
-	for i := 0; i < 10000; i++ {
-		n := s.Next()
-		if n < 64 || n > 1<<20 {
-			t.Fatalf("size %d outside clamp", n)
-		}
-		sum += float64(n)
-	}
-	mean := sum / 10000
-	if mean < 1024 || mean > 128*1024 {
-		t.Errorf("mean size %.0f implausible for median 4096", mean)
-	}
-}
-
-func TestFixedSize(t *testing.T) {
-	if FixedSize(777).Next() != 777 {
-		t.Error("FixedSize broken")
 	}
 }
 

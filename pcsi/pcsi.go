@@ -124,9 +124,9 @@ type (
 	QoSClassConfig = qos.ClassConfig
 	// QoSStats snapshots one class's admission counters.
 	QoSStats = qos.Stats
-	// ObsConfig configures the virtual-time telemetry plane (sampling
-	// interval, series capacity, flight recorder, default SLOs). Pass it
-	// to NewObsSession.
+	// ObsConfig configures the virtual-time telemetry plane (its sampling
+	// interval). Pass it to NewObsSession; install SLOs per plane with
+	// ObsPlane.SetObjectives.
 	ObsConfig = obs.Config
 	// ObsSession is a telemetry session (NewObsSession); each cloud built
 	// with it in Options.Obs gets a telemetry Plane (Cloud.Obs()).
@@ -182,7 +182,7 @@ type (
 	// FaaSFS: a POSIX surface (Open/Creat/Read/Write/Seek/Close, Mkdir,
 	// Unlink, Rename, ReadDir, Stat) plus Commit/Abort.
 	FaaSFSSession = faasfs.Session
-	// FaaSFSConfig parameterises a mount (transaction counters).
+	// FaaSFSConfig parameterises a mount; it has no fields.
 	FaaSFSConfig = faasfs.Config
 	// FaaSFSStats snapshots a mount's commit/conflict/abort/replay
 	// counters (FaaSFS.Stats()).

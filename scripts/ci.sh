@@ -62,6 +62,10 @@ cmp /tmp/dash-a.html /tmp/dash-b.html || { echo 'dash HTML not byte-identical ac
 cmp /tmp/dash-a.json /tmp/dash-b.json || { echo 'dash JSON timeline not byte-identical across runs' >&2; exit 1; }
 cp /tmp/dash-a.html pcsi-dash-e13.html
 cp /tmp/dash-a.json pcsi-dash-e13.json
+# E13's SLOs and the dashboard read series that qos registers itself.
+for m in qos_invoke_shed qos_invoke_tenant_default_admitted; do
+    grep -q "\"metric\": \"$m\"" pcsi-dash-e13.json || { echo "pcsi-dash-e13.json has no $m series" >&2; exit 1; }
+done
 
 echo '== fuzz smoke (10 s each; a finding is written under internal/pcsinet/testdata/fuzz and fails the gate)'
 go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/pcsinet
