@@ -28,6 +28,7 @@ func init() {
 func runE11(rn run) *Report {
 	r := &Report{ID: "E11", Title: "§3.3 (extension): availability across the consistency menu under replica failures"}
 	env, net, g := rn.replicated(simnet.DC2021, media.DRAM)
+	defer env.Close() // RunUntil stops with processes still parked
 	g.StartAntiEntropy(5 * time.Millisecond)
 	client := net.AddNode(0)
 

@@ -110,6 +110,7 @@ func e13PCSI(rn run, factor float64, withQoS bool) (*e13Arm, qos.Stats) {
 	cloud := core.New(opts)
 	client := cloud.NewClient(0)
 	env := cloud.Env()
+	defer env.Close() // RunUntil stops with processes still parked
 	arm := &e13Arm{lat: metrics.NewHistogram("invoke"), plane: cloud.Obs()}
 	if withQoS {
 		arm.plane.SetLabel(fmt.Sprintf("pcsi+qos @%.1fx", factor))
@@ -173,6 +174,7 @@ func e13PCSI(rn run, factor float64, withQoS bool) (*e13Arm, qos.Stats) {
 // retries compete with useful work for the same pool.
 func e13Rest(rn run, factor float64) (*e13Arm, int64) {
 	env, net, grp := rn.replicated(simnet.DC2021, media.DRAM)
+	defer env.Close() // RunUntil stops with processes still parked
 	cfg := restbase.DefaultConfig()
 	cfg.Workers = e13RestWorkers
 	cfg.AppExec = e13Exec

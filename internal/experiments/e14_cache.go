@@ -94,6 +94,7 @@ func e14Run(rn run, mode e14Mode) *e14Arm {
 	client := cloud.NewClient(0)
 	trainer := cloud.NewClient(1)
 	env := cloud.Env()
+	defer env.Close() // RunUntil stops with processes still parked
 	arm := &e14Arm{
 		mode:      mode,
 		readLat:   metrics.NewHistogram("model_read"),

@@ -25,6 +25,7 @@ func init() {
 func runE6(rn run) *Report {
 	r := &Report{ID: "E6", Title: "§3.3/§4.3: the consistency menu — linearizable vs eventual"}
 	env, net, grp := rn.replicated(simnet.DC2021, media.NVMe)
+	defer env.Close() // RunUntil stops with processes still parked
 	grp.StartAntiEntropy(10 * time.Millisecond)
 	client := net.AddNode(0)
 

@@ -44,6 +44,7 @@ func runE9(rn run) *Report {
 	cloud := core.New(opts)
 	client := cloud.NewClient(0)
 	env := cloud.Env()
+	defer env.Close() // RunUntil stops with processes still parked
 	rt := cloud.Runtime()
 
 	lat := metrics.NewHistogram("invoke")

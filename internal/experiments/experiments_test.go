@@ -4,9 +4,12 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // Every experiment must run green: the shape checks ARE the reproduction
@@ -150,7 +153,7 @@ func runAndCheck(t *testing.T, id string, retries int) *Report {
 	e := mustGet(t, id)
 	var rep *Report
 	for attempt := 0; attempt <= retries; attempt++ {
-		rep = e.Run(1)
+		rep = runNoLeak(t, e)
 		if rep.Passed() {
 			break
 		}
@@ -201,6 +204,25 @@ func checkGolden(t *testing.T, id, got string) {
 	}
 }
 
+// runNoLeak runs e at seed 1 and requires the goroutine count to return to
+// where it was: an environment left parked by RunUntil and never closed
+// keeps a goroutine, and a pooled worker, per parked process. Idle pooled
+// workers are suspended goroutines too, so they are not counted.
+func runNoLeak(t *testing.T, e Experiment) *Report {
+	t.Helper()
+	live := func() int { return runtime.NumGoroutine() - sim.IdleWorkers() }
+	before := live()
+	rep := e.Run(1)
+	// E1's loopback servers stop goroutines that exit asynchronously.
+	for i := 0; i < 10000 && live() > before; i++ {
+		runtime.Gosched()
+	}
+	if after := live(); after != before {
+		t.Errorf("%s left %d goroutines behind (%d before, %d after)", e.ID, after-before, before, after)
+	}
+	return rep
+}
+
 func line(lines []string, i int) string {
 	if i < len(lines) {
 		return lines[i]
@@ -216,7 +238,7 @@ func TestE1Table1(t *testing.T) {
 	// the table's rows are checked, not the shape checks built on them.
 	var rep *Report
 	if raceEnabled {
-		rep = mustGet(t, "E1").Run(1)
+		rep = runNoLeak(t, mustGet(t, "E1"))
 	} else {
 		rep = runAndCheck(t, "E1", 2)
 	}

@@ -2,10 +2,12 @@
 //
 // The engine advances a virtual clock through a queue of timestamped events.
 // Simulated activities are written as ordinary Go functions ("processes")
-// that run on their own goroutines but execute strictly one at a time: a
-// process runs until it parks (Sleep, Wait, Acquire, ...) and only then does
-// the engine dispatch the next event. This gives deterministic, race-free
-// simulations with natural sequential code.
+// that run as coroutines and execute strictly one at a time: the engine
+// switches to a process, which runs until it parks (Sleep, Wait, Acquire,
+// ...) and switches back, and only then does the engine dispatch the next
+// event. This gives deterministic, race-free simulations with natural
+// sequential code. A process runs on a pooled worker coroutine (worker.go),
+// so a spawn costs no goroutine and a switch no trip through the scheduler.
 //
 // Virtual time is completely decoupled from wall-clock time: a Sleep of ten
 // simulated minutes costs only one event dispatch.
@@ -41,16 +43,15 @@ var ErrAborted = errors.New("sim: environment shut down")
 
 // event is a scheduled wake-up. Events with equal times fire in scheduling
 // order (seq breaks ties), which keeps runs deterministic. The common cases
-// — resuming a parked process and starting a fresh one — are encoded in the
-// proc/start fields rather than a closure, so the per-event allocation is
-// just the heap slot itself (amortized by the backing array); fn is only
+// — resuming a parked process and starting a fresh one — name the process
+// rather than capture it in a closure, so the per-event allocation is just
+// the heap slot itself (amortized by the backing array); fn is only
 // non-nil for At/After callbacks.
 type event struct {
-	t     Time
-	seq   uint64
-	proc  *Proc  // non-nil: resume (or, with start, launch) this process
-	start bool   // with proc: first dispatch, launch the goroutine
-	fn    func() // engine-context callback; nil when proc is set
+	t    Time
+	seq  uint64
+	proc *Proc  // non-nil: start or resume this process
+	fn   func() // engine-context callback; nil when proc is set
 }
 
 // eventHeap is a binary min-heap of events ordered by (t, seq), stored by
@@ -118,11 +119,10 @@ type Env struct {
 	now        Time
 	queue      eventHeap
 	seq        uint64
-	dispatched uint64        // events popped and run, for benchmarking
-	yield      chan struct{} // signalled by a process when it parks or exits
-	procs      int           // live processes
+	dispatched uint64 // events popped and run, for benchmarking
+	procs      int    // live processes
 	// Parked processes form an intrusive doubly-linked list in park order
-	// (head = oldest), so parking and unparking are O(1) and shutdown still
+	// (head = oldest), so parking and unparking are O(1) and Close still
 	// aborts deterministically oldest-first.
 	parkedHead *Proc
 	parkedTail *Proc
@@ -139,11 +139,7 @@ type observer struct{ key, val any }
 // NewEnv returns a fresh environment whose clock reads zero. The seed fixes
 // the environment's random stream; equal seeds give identical runs.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		seed:  seed,
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	return &Env{seed: seed, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -208,17 +204,17 @@ func (e *Env) schedule(t Time, fn func()) {
 	e.seq++
 }
 
-// scheduleProc enqueues a process resume (or, with start, a process launch)
-// at time t (>= now). Unlike schedule it captures nothing: the event names
-// the process directly, so the engine's hottest operations — Sleep, wake,
-// spawn — cost zero closure allocations.
+// scheduleProc enqueues a process start or resume at time t (>= now).
+// Unlike schedule it captures nothing: the event names the process
+// directly, so the engine's hottest operations — Sleep, wake, spawn — cost
+// zero closure allocations.
 //
 //pcsi:hotpath
-func (e *Env) scheduleProc(t Time, p *Proc, start bool) {
+func (e *Env) scheduleProc(t Time, p *Proc) {
 	if t < e.now {
 		t = e.now
 	}
-	e.queue.push(event{t: t, seq: e.seq, proc: p, start: start})
+	e.queue.push(event{t: t, seq: e.seq, proc: p})
 	e.seq++
 }
 
@@ -231,12 +227,12 @@ func (e *Env) After(d Duration, fn func()) { e.schedule(e.now.Add(d), fn) }
 
 // Proc is the handle a process uses to interact with virtual time.
 type Proc struct {
-	env    *Env
-	name   string
-	fn     func(p *Proc) // the process body, run by main on first dispatch
-	resume chan struct{}
-	dead   bool
-	span   any // current-span context, maintained by instrumentation
+	env  *Env
+	name string
+	fn   func(p *Proc) // the process body, run by main on first dispatch
+	w    *worker       // the coroutine running the body; nil before start
+	dead bool
+	span any // current-span context, maintained by instrumentation
 
 	// Intrusive links in the environment's parked list; nil when running.
 	parkedPrev *Proc
@@ -269,23 +265,22 @@ func (e *Env) Go(name string, fn func(p *Proc)) {
 	if e.closed {
 		return
 	}
-	p := &Proc{env: e, name: name, fn: fn, resume: make(chan struct{})}
 	e.procs++
-	e.scheduleProc(e.now, p, true)
+	e.scheduleProc(e.now, &Proc{env: e, name: name, fn: fn})
 }
 
-// main is the goroutine body of a process: run the user function, then
-// tear down in exit. Both are methods rather than closures so a spawn
-// allocates nothing beyond the Proc, its resume channel, and the
-// goroutine itself.
+// main runs the process body on its worker, then tears down in exit. Both
+// are methods rather than closures so a spawn allocates nothing beyond the
+// Proc.
 func (p *Proc) main() {
 	defer p.exit()
 	p.fn(p)
 }
 
-// exit marks the process dead and hands control back to the engine. It is
-// the deferred frame of main, so recover here intercepts the ErrAborted
-// panic that shutdown delivers to parked processes.
+// exit marks the process dead. It is the deferred frame of main, so
+// recover here intercepts the ErrAborted panic that Close delivers to
+// parked processes; any other panic leaves the worker and reaches the
+// engine's caller.
 func (p *Proc) exit() {
 	e := p.env
 	p.dead = true
@@ -295,7 +290,6 @@ func (p *Proc) exit() {
 			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 		}
 	}
-	e.yield <- struct{}{}
 }
 
 // park suspends the calling process until the engine resumes it.
@@ -310,8 +304,7 @@ func (p *Proc) park() {
 		e.parkedHead = p
 	}
 	e.parkedTail = p
-	e.yield <- struct{}{}
-	<-p.resume
+	p.w.yield(struct{}{}) // back to the engine until it dispatches p again
 	if p.parkedPrev != nil {
 		p.parkedPrev.parkedNext = p.parkedNext
 	} else {
@@ -332,7 +325,7 @@ func (p *Proc) park() {
 //
 //pcsi:hotpath
 func (e *Env) wake(p *Proc, t Time) {
-	e.scheduleProc(t, p, false)
+	e.scheduleProc(t, p)
 }
 
 // wakeNow schedules p to resume at the current time.
@@ -361,8 +354,8 @@ func (e *Env) Run() Time { return e.runUntil(-1) }
 func (e *Env) RunUntil(t Time) Time { return e.runUntil(t) }
 
 // runUntil is the dispatch loop: pop the earliest event, advance the
-// clock, and run it. Process events (the common case) resume or launch
-// their goroutine directly; only At/After events call through fn.
+// clock, and run it. Process events (the common case) switch to the
+// process directly; only At/After events call through fn.
 //
 //pcsi:hotpath
 func (e *Env) runUntil(limit Time) Time {
@@ -379,19 +372,14 @@ func (e *Env) runUntil(limit Time) Time {
 		ev := e.queue.pop()
 		e.now = ev.t
 		e.dispatched++
-		switch {
-		case ev.proc == nil:
+		if ev.proc != nil {
+			ev.proc.dispatch()
+		} else {
 			ev.fn()
-		case ev.start:
-			go ev.proc.main()
-			<-e.yield // wait until the new process parks or exits
-		default:
-			ev.proc.resume <- struct{}{}
-			<-e.yield
 		}
 	}
 	if limit < 0 {
-		e.shutdown()
+		e.Close()
 	} else if limit > e.now {
 		e.now = limit
 	}
@@ -400,15 +388,15 @@ func (e *Env) runUntil(limit Time) Time {
 
 func (e *Env) stopRunning() { e.running = false }
 
-// shutdown aborts every parked process, oldest park first. Each resumed
-// process removes itself from the parked list (in park) before it panics
-// with ErrAborted.
-func (e *Env) shutdown() {
+// Close aborts every parked process, oldest park first, and spawns no more:
+// each resumed process removes itself from the parked list (in park) and
+// unwinds with ErrAborted, freeing its worker. Run closes the environment
+// when its queue drains; call Close once done with an environment that
+// RunUntil stopped. It must not be called while the environment runs.
+func (e *Env) Close() {
 	e.closed = true
 	for e.parkedHead != nil {
-		p := e.parkedHead
-		p.resume <- struct{}{}
-		<-e.yield
+		e.parkedHead.dispatch()
 	}
 }
 

@@ -548,3 +548,96 @@ func TestGoAfterShutdownIsNoop(t *testing.T) {
 		t.Error("process spawned after shutdown ran")
 	}
 }
+
+func TestCloseAbortsWhatRunUntilLeft(t *testing.T) {
+	e := NewEnv(1)
+	never := e.NewEvent()
+	for i := 0; i < 3; i++ {
+		e.Go("stuck", func(p *Proc) { p.Wait(never) }) //nolint:errcheck
+	}
+	e.RunUntil(10)
+	if e.LiveProcs() != 3 {
+		t.Fatalf("LiveProcs = %d after RunUntil, want 3", e.LiveProcs())
+	}
+	idle := IdleWorkers()
+	e.Close()
+	if e.LiveProcs() != 0 {
+		t.Errorf("LiveProcs = %d after Close, want 0", e.LiveProcs())
+	}
+	if got := IdleWorkers(); got != idle+3 {
+		t.Errorf("IdleWorkers = %d after Close, want %d: an aborted process kept its worker", got, idle+3)
+	}
+}
+
+// pooled reports whether w is on the free list.
+func pooled(w *worker) bool {
+	workers.Lock()
+	defer workers.Unlock()
+	for _, f := range workers.free {
+		if f == w {
+			return true
+		}
+	}
+	return false
+}
+
+func TestProcessPanicSurfacesFromRun(t *testing.T) {
+	e := NewEnv(1)
+	var w *worker
+	e.Go("bad", func(p *Proc) {
+		w = p.w
+		p.Yield()
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if want := `sim: process "bad" panicked: boom`; msg != want {
+				t.Errorf("Run panicked with %q, want %q", msg, want)
+			}
+		}()
+		e.Run()
+		t.Error("Run returned normally")
+	}()
+	if w == nil || pooled(w) {
+		t.Fatal("the panicked process's worker went back to the pool")
+	}
+
+	f := NewEnv(2)
+	ran := 0
+	for i := 0; i < 3; i++ {
+		f.Go("ok", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			ran++
+		})
+	}
+	if end := f.Run(); ran != 3 || end != Time(time.Millisecond) || f.LiveProcs() != 0 {
+		t.Errorf("fresh env after a panic: ran %d of 3, ended at %v, %d live", ran, end, f.LiveProcs())
+	}
+	if pooled(w) {
+		t.Error("the panicked process's worker was reused")
+	}
+}
+
+func parkOnce(p *Proc) { p.Yield() }
+
+// A worker outlives its environment, so after one warm-up a fresh
+// environment spawns without starting coroutines: iter.Pull costs about a
+// dozen allocations, and a pool per environment would pay them for every
+// process live at once.
+func TestSpawnAllocationsAcrossEnvs(t *testing.T) {
+	const n = 1000
+	spawn := func() {
+		e := NewEnv(1)
+		for i := 0; i < n; i++ {
+			e.Go("p", parkOnce) // every process parks once, so all n hold a worker at once
+		}
+		e.Run()
+	}
+	spawn()
+	// One allocation per spawn is the Proc; one more is allowed, which
+	// also covers the environment and the event queue's growth.
+	if got := testing.AllocsPerRun(3, spawn); got > 2*n {
+		t.Errorf("a fresh env spawning %d procs made %.0f allocations, want ≤ %d", n, got, 2*n)
+	}
+}

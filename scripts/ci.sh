@@ -6,6 +6,14 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo '== go directive (go.mod and bench/go.mod agree)'
+# bench/run.sh builds the bench module with GOFLAGS=-mod=readonly. A root
+# go line newer than bench/go.mod's makes that build want to rewrite
+# bench/go.mod, which it may not, so every benchmark run would fail.
+root_go=$(sed -n 's/^go //p' go.mod)
+bench_go=$(sed -n 's/^go //p' bench/go.mod)
+[ "$root_go" = "$bench_go" ] || { echo "go.mod says go $root_go but bench/go.mod says go $bench_go: bench/run.sh builds with -mod=readonly and would fail; change both go lines together" >&2; exit 1; }
+
 echo '== go build'
 go build ./...
 
