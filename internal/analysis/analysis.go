@@ -9,8 +9,8 @@
 // one is there. Two engines sit behind them and no more: an
 // intraprocedural CFG with forward gen/kill dataflow (cfg.go, dataflow.go)
 // and a whole-module call graph (callgraph.go). Everything else is an AST
-// or declaration walk, plus errclass's two module-wide facts (the
-// classifier index and the import closure of the fault.Policy.Do callers).
+// or declaration walk, plus errclass's one module-wide fact (the import
+// closure of the fault.Policy.Do callers).
 //
 // Legitimate exceptions are annotated in the source with a directive:
 //
@@ -59,7 +59,7 @@ type Analyzer struct {
 	Kind string
 	// Prepare, if set, runs once before the per-package passes fan out,
 	// with a pass carrying no package. It builds whole-program indexes
-	// (the call graph, the classifier index) into the shared Cache and may
+	// (the call graph, errclass's import closure) into the shared Cache and may
 	// trigger lazy package loads; because the per-package passes then run
 	// in parallel, ALL Cache writes and Loader loads must happen here.
 	// Prepare must not report diagnostics.

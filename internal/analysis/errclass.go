@@ -20,18 +20,15 @@ var retryBoundaryPkgs = stringSet(
 
 // ErrClass checks two things. Declarations: every error sentinel and
 // concrete error type declared in a retry-boundary package is classified —
-// constructed with fault.Fatal/fault.Transient, implementing
-// fault.Classified, or listed in a known classifier, a func(error) bool
-// anywhere in the analyzed module that mentions the sentinel (errors.Is
-// table, == comparison, switch case) or its type (errors.As target). Mint
-// sites: in every package inside the import closure of a package that calls
+// constructed with fault.Fatal/Transient/Fatalf, or of a type implementing
+// fault.Classified, the one thing fault.Retryable reads. Mint sites: in
+// every package inside the import closure of a package that calls
 // fault.Policy.Do, no unclassified error value is born — no errors.New, no
 // fmt.Errorf whose format drops %w, no composite literal of an unclassified
-// error type — except as the initializer of a sentinel a classifier lists.
-// layering.go's substrate and baseline tiers are exempt: fault sits on top
-// of the substrates it perturbs and classifies their errors in its own
-// table (fault.Retryable), and the baselines model foreign systems whose
-// errors are opaque by design (§2.1).
+// error type. layering.go's substrate and baseline tiers are exempt: the
+// substrates sit below fault and cannot build its sentinels (a substrate
+// transient implements Classified with a local type instead), and the
+// baselines model foreign systems whose errors are opaque by design (§2.1).
 var ErrClass = &Analyzer{
 	Name:      "errclass",
 	Kind:      "syntactic",
@@ -48,10 +45,8 @@ var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Inte
 // triggers a lazy package load); the parallel per-package passes only read
 // it.
 type errClassFacts struct {
-	classified *types.Interface      // fault.Classified
-	listed     map[types.Object]bool // sentinels mentioned in a classifier
-	mentioned  map[*types.Named]bool // error types mentioned in a classifier
-	minting    map[string]bool       // import closure of the fault.Policy.Do callers
+	classified *types.Interface // fault.Classified
+	minting    map[string]bool  // import closure of the fault.Policy.Do callers
 }
 
 func prepareErrClass(pass *Pass) {
@@ -61,8 +56,6 @@ func prepareErrClass(pass *Pass) {
 	}
 	facts := &errClassFacts{
 		classified: classified,
-		listed:     make(map[types.Object]bool),
-		mentioned:  make(map[*types.Named]bool),
 		minting:    make(map[string]bool),
 	}
 	// The retry boundaries (packages whose non-test code calls Policy.Do)
@@ -72,7 +65,6 @@ func prepareErrClass(pass *Pass) {
 	for _, pkg := range pass.Loader.FullPackages() {
 		byPath[pkg.Path] = pkg
 		for _, f := range pkg.Files {
-			facts.indexClassifiers(pkg.Info, f)
 			if !isTestFile(pass.Fset, f) && callsPolicyDo(pass, pkg.Info, f) {
 				work = append(work, pkg.Path)
 			}
@@ -166,65 +158,15 @@ func callsPolicyDo(pass *Pass, info *types.Info, f *ast.File) bool {
 	return found
 }
 
-// indexClassifiers records the package-level error sentinels and error types
-// mentioned by f's classifier functions — any func(error) bool.
-func (facts *errClassFacts) indexClassifiers(info *types.Info, f *ast.File) {
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil || !isClassifierSig(info, fd) {
-			continue
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			switch obj := info.Uses[id].(type) {
-			case *types.Var:
-				if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() &&
-					types.Implements(obj.Type(), errorIface) {
-					facts.listed[obj] = true
-				}
-			case *types.TypeName:
-				if named, ok := obj.Type().(*types.Named); ok {
-					if implementsEither(named, errorIface) {
-						facts.mentioned[named] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// isClassifierSig reports whether fd declares a func(error) bool (the shape
-// of fault.Retryable, core.DefaultRetryable, and Policy.Retryable hooks).
-func isClassifierSig(info *types.Info, fd *ast.FuncDecl) bool {
-	fn, ok := info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Params().Len() != 1 || sig.Results().Len() != 1 {
-		return false
-	}
-	return types.Identical(sig.Params().At(0).Type(), types.Universe.Lookup("error").Type()) &&
-		types.Identical(sig.Results().At(0).Type(), types.Typ[types.Bool])
-}
-
 // implementsEither reports whether T or *T implements iface.
 func implementsEither(t types.Type, iface *types.Interface) bool {
 	return types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)
 }
 
-// unclassified reports whether t is a concrete error type that neither
-// implements fault.Classified nor is an errors.As target of a classifier.
+// unclassified reports whether t is an error type that does not implement
+// fault.Classified.
 func (facts *errClassFacts) unclassified(t types.Type) bool {
-	if !implementsEither(t, errorIface) || implementsEither(t, facts.classified) {
-		return false
-	}
-	named, ok := t.(*types.Named)
-	return !ok || !facts.mentioned[named]
+	return implementsEither(t, errorIface) && !implementsEither(t, facts.classified)
 }
 
 // checkErrSentinels verifies each error-typed package var in the spec.
@@ -235,30 +177,27 @@ func checkErrSentinels(pass *Pass, spec *ast.ValueSpec, facts *errClassFacts) {
 		if !ok || obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
 			continue
 		}
-		if !implementsEither(obj.Type(), errorIface) {
-			continue
-		}
-		if implementsEither(obj.Type(), facts.classified) || facts.listed[obj] {
+		if !facts.unclassified(obj.Type()) {
 			continue
 		}
 		if i < len(spec.Values) && initClassified(pass, spec.Values[i], facts.classified) {
 			continue
 		}
 		pass.Report(name.Pos(),
-			"error sentinel %s is declared in retry-boundary package %s without a retry classification: construct it with fault.Fatal/fault.Transient, make it implement fault.Classified, or list it in a classifier's errors.Is set",
+			"error sentinel %s is declared in retry-boundary package %s without a retry classification: construct it with fault.Fatal/fault.Transient or make it implement fault.Classified",
 			name.Name, relPath(pass.Module, pass.Pkg.Path))
 	}
 }
 
 // initClassified reports whether an initializer expression yields a
-// classified error: a fault.Fatal/Transient call, or a value whose static
-// type implements fault.Classified.
+// classified error: a fault.Fatal/Transient/Fatalf call, or a value whose
+// static type implements fault.Classified.
 func initClassified(pass *Pass, init ast.Expr, classified *types.Interface) bool {
 	init = ast.Unparen(init)
 	if call, ok := init.(*ast.CallExpr); ok {
 		fn := calleeFunc(pass.Pkg.Info, call)
 		faultPkg := pass.Module + "/internal/fault"
-		for _, name := range [...]string{"Fatal", "Transient", "Fatalf", "Transientf"} {
+		for _, name := range [...]string{"Fatal", "Transient", "Fatalf"} {
 			if isPkgFunc(fn, faultPkg, name) {
 				return true
 			}
@@ -290,35 +229,23 @@ func checkErrType(pass *Pass, spec *ast.TypeSpec, facts *errClassFacts) {
 		return
 	}
 	pass.Report(spec.Name.Pos(),
-		"error type %s is declared in retry-boundary package %s without a retry classification: give it a Retryable() bool method (fault.Classified) or target it with errors.As in a classifier",
+		"error type %s is declared in retry-boundary package %s without a retry classification: give it a Retryable() bool method (fault.Classified)",
 		spec.Name.Name, relPath(pass.Module, pass.Pkg.Path))
 }
 
 // checkMintSites flags every expression in f that gives birth to an
-// unclassified error value. fault.Fatal/Transient/Fatalf/Transientf are the
-// classified constructors and so never match; a %w chain forwards whatever
+// unclassified error value. fault.Fatal/Transient/Fatalf are the classified
+// constructors and so never match; a %w chain forwards whatever
 // classification its operand carries.
 func checkMintSites(pass *Pass, f *ast.File, facts *errClassFacts) {
 	info := pass.Pkg.Info
-	listedInit := make(map[ast.Node]bool)
 	report := func(pos token.Pos, what string) {
 		pass.Report(pos,
-			"unclassified error (%s) is minted in %s, inside the import closure of a fault.Policy.Do retry boundary: construct it with fault.Fatal/Transient, wrap a classified error with %%w, or list its sentinel in a classifier",
+			"unclassified error (%s) is minted in %s, inside the import closure of a fault.Policy.Do retry boundary: construct it with fault.Fatal/Transient or wrap a classified error with %%w",
 			what, relPath(pass.Module, pass.Pkg.Path))
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
-		if listedInit[n] {
-			return false
-		}
 		switch n := n.(type) {
-		case *ast.ValueSpec:
-			// The initializer of a sentinel a classifier lists IS that
-			// sentinel; Inspect reaches it after this spec.
-			for i, name := range n.Names {
-				if i < len(n.Values) && facts.listed[info.Defs[name]] {
-					listedInit[n.Values[i]] = true
-				}
-			}
 		case *ast.CallExpr:
 			fn := calleeFunc(info, n)
 			if isPkgFunc(fn, "errors", "New") {

@@ -1,6 +1,7 @@
 // Package core is a miniature stand-in for the capability-checked core.
-// It is a retry-boundary package: every error below is classified one of
-// the sanctioned ways, so the errclass analyzer stays quiet.
+// It is a retry-boundary package inside the import closure of faasfs's
+// fault.Policy.Do call, and the errors below are listed only by a
+// classifier function, which classifies nothing: errclass flags both.
 package core
 
 import (
@@ -11,15 +12,17 @@ import (
 	"fixture/internal/store"
 )
 
-// ErrDenied is cleared by the errors.Is mention in Classify.
-var ErrDenied = errors.New("core: rights check failed")
+// ErrDenied is flagged twice despite the errors.Is mention in Classify:
+// as an unclassified declaration and as an errors.New mint site.
+var ErrDenied = errors.New("core: rights check failed") // want: errclass errclass
 
-// RefError is cleared by the errors.As target in Classify.
-type RefError struct{ ID int }
+// RefError is flagged despite the errors.As target in Classify.
+type RefError struct{ ID int } // want: errclass
 
 func (e *RefError) Error() string { return "core: bad ref" }
 
-// Classify is a classifier (func(error) bool) listing the errors above.
+// Classify is a classifier (func(error) bool) listing the errors above; a
+// listing is not a classification.
 func Classify(err error) bool {
 	var re *RefError
 	if errors.As(err, &re) {

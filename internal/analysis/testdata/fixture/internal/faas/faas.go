@@ -18,8 +18,9 @@ var (
 	ErrTransientOK = fault.Transient("faas: transient ok")
 )
 
-// ErrListed passes because DefaultRetryable below mentions it.
-var ErrListed = errors.New("faas: listed in a classifier")
+// ErrListed is flagged although DefaultRetryable below mentions it: a
+// classifier's errors.Is table classifies nothing, only the value does.
+var ErrListed = errors.New("faas: listed in a classifier") // want: errclass
 
 // ErrOops carries no classification anywhere: flagged.
 var ErrOops = errors.New("faas: unclassified") // want: errclass
@@ -36,7 +37,7 @@ type PlainError struct{ Code int } // want: errclass
 func (e *PlainError) Error() string { return "faas: plain" }
 
 // DefaultRetryable is a classifier (func(error) bool); mentioning ErrListed
-// here is what clears it above.
+// here does not clear it above.
 func DefaultRetryable(err error) bool {
 	if errors.Is(err, ErrListed) {
 		return true

@@ -35,7 +35,7 @@ func (m *Mount) Run(p *fault.Policy, proc *sim.Proc, st *store.Store) error {
 }
 
 // retryable is a classifier (func(error) bool): listing store.ErrBusy here
-// is what clears its errors.New initializer.
+// does not clear its errors.New initializer.
 func retryable(err error) bool {
 	return errors.Is(err, store.ErrBusy) || fault.Retryable(err)
 }

@@ -53,11 +53,6 @@ func Fatalf(format string, args ...any) error {
 	return classed{msg: fmt.Sprintf(format, args...)}
 }
 
-// Transientf returns a formatted retryable sentinel.
-func Transientf(format string, args ...any) error {
-	return classed{msg: fmt.Sprintf(format, args...), retry: true}
-}
-
 // Policy is the retry-boundary stub: a package that calls Do roots the
 // import closure errclass's mint-site rule covers.
 type Policy struct{}

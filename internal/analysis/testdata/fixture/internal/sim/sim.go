@@ -7,8 +7,9 @@ import (
 )
 
 // ErrTimeout is unclassified and sits inside a retry boundary's import
-// closure, but sim is a substrate: it cannot import fault, and
-// fault.Retryable's own table classifies it. No errclass finding.
+// closure, but sim is a substrate below fault, where errclass does not
+// look: a substrate error that should be retried implements
+// fault.Classified with a local type. No errclass finding.
 var ErrTimeout = errors.New("sim: timeout")
 
 // Env is a virtual-time environment stub carrying a seeded random stream.

@@ -9,13 +9,12 @@ import (
 	"fixture/internal/object"
 )
 
-// ErrMissing is classified by construction; ErrBusy is cleared by the
-// classifier in faasfs that lists it (as consistency.ErrUnavailable is in
-// the real tree). Neither is a finding, and neither is the %w chain or the
-// fault.Fatalf in Take below.
+// ErrMissing is classified by construction, and so are the %w chain and
+// the fault.Fatalf in Take below. ErrBusy is a mint site although the
+// classifier in faasfs lists it: only the value can say it is retryable.
 var (
 	ErrMissing = fault.Fatal("store: no such object")
-	ErrBusy    = errors.New("store: busy")
+	ErrBusy    = errors.New("store: busy") // want: errclass
 )
 
 // dupError is an error type nothing classifies. store is not a

@@ -48,11 +48,18 @@ func (r Resources) String() string {
 	return fmt.Sprintf("cpu=%dm mem=%dMB gpu=%d", r.MilliCPU, r.MemMB, r.GPUs)
 }
 
+// transient is a retryable error sentinel. cluster sits below fault and
+// cannot build fault.Transient, so it satisfies fault.Classified itself.
+type transient string
+
+func (e transient) Error() string   { return string(e) }
+func (e transient) Retryable() bool { return true }
+
 // ErrNoCapacity is returned when an allocation cannot be satisfied.
-var ErrNoCapacity = errors.New("cluster: insufficient capacity")
+var ErrNoCapacity error = transient("cluster: insufficient capacity")
 
 // ErrNodeDown is returned when allocating on a failed machine.
-var ErrNodeDown = errors.New("cluster: node is down")
+var ErrNodeDown error = transient("cluster: node is down")
 
 // Node is one machine.
 type Node struct {

@@ -2,7 +2,6 @@ package consistency
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -19,7 +18,7 @@ import (
 var (
 	ErrNoReplicas  = fault.Fatal("consistency: group has no replicas")
 	ErrNotFound    = fault.Fatal("consistency: object not found")
-	ErrUnavailable = errors.New("consistency: operation unavailable (insufficient live replicas)")
+	ErrUnavailable = fault.Transient("consistency: operation unavailable (insufficient live replicas)")
 )
 
 // DownTimeout is how long a client waits on an unresponsive replica
@@ -34,9 +33,6 @@ type Replica struct {
 	meta  map[object.ID]*objMeta
 	down  bool
 }
-
-// Down reports whether the replica is failed (unreachable).
-func (r *Replica) Down() bool { return r.down }
 
 type objMeta struct {
 	stamp Stamp

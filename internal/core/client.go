@@ -53,9 +53,6 @@ func (cl *Client) WithTenant(name string) *Client {
 	return &c2
 }
 
-// Tenant returns the client's tenant name ("" = default).
-func (cl *Client) Tenant() string { return cl.tenant }
-
 // CreateOpt mutates creation parameters.
 type CreateOpt func(*createParams)
 

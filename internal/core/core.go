@@ -23,7 +23,6 @@ package core
 import (
 	"bytes"
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -80,10 +79,8 @@ type Options struct {
 	Seed       int64
 	NetProfile simnet.Profile
 	ClusterCfg cluster.Config
-	// Replicas is the state replication factor (one per rack by default).
-	Replicas int
-	Media    media.Profile
-	Policy   PlacementPolicy
+	Media      media.Profile
+	Policy     PlacementPolicy
 	// FaaS tuning.
 	IdleTimeout  sim.Duration
 	EvictionProb float64
@@ -92,7 +89,8 @@ type Options struct {
 	// behavior, or adopts the Faults session's default policy.
 	Retry *fault.Policy
 	// QoS, when set, builds an admission controller over the cluster and
-	// threads it through data ops, function invocations, and task graphs.
+	// threads it through data ops and function invocations, task-graph
+	// tasks included.
 	// Nil keeps the historical unguarded paths byte-identical.
 	QoS *qos.Config
 	// FnCache, when set, colocates a function cache with the executors
@@ -112,13 +110,15 @@ type Options struct {
 // gpuMemMB is each GPU node's device memory.
 const gpuMemMB = 16384
 
+// replicas is the state replication factor, one storage node per rack.
+const replicas = 3
+
 // DefaultOptions returns a representative mid-size deployment.
 func DefaultOptions() Options {
 	return Options{
 		Seed:       1,
 		NetProfile: simnet.DC2021,
 		ClusterCfg: cluster.DefaultConfig,
-		Replicas:   3,
 		Media:      media.NVMe,
 		Policy:     PlaceColocate,
 	}
@@ -193,9 +193,6 @@ type cacheEntry struct {
 
 // New builds a Cloud.
 func New(opts Options) *Cloud {
-	if opts.Replicas <= 0 {
-		opts.Replicas = 3
-	}
 	if opts.Media.Name == "" {
 		opts.Media = media.NVMe
 	}
@@ -207,7 +204,7 @@ func New(opts Options) *Cloud {
 
 	// Storage replicas spread across racks on dedicated storage nodes.
 	var storageNodes []simnet.NodeID
-	for i := 0; i < opts.Replicas; i++ {
+	for i := range replicas {
 		rack := i % max(opts.ClusterCfg.Racks, 1)
 		storageNodes = append(storageNodes, net.AddNode(rack))
 	}
@@ -297,9 +294,6 @@ func New(opts Options) *Cloud {
 	}
 	if opts.Retry != nil {
 		c.retry = opts.Retry.Bind(env)
-		if c.retry.Retryable == nil {
-			c.retry.Retryable = DefaultRetryable
-		}
 		if c.retry.OnAttempt == nil {
 			c.retry.OnAttempt = func(op string, attempt int, err error, delay sim.Duration) {
 				c.RetryAttempts++
@@ -446,15 +440,6 @@ func (c *Cloud) dropLeases(ids ...object.ID) {
 
 // Collector exposes GC statistics.
 func (c *Cloud) Collector() *gc.Collector { return c.col }
-
-// DefaultRetryable extends the substrate classifier with PCSI-level
-// transients: consistency unavailability and placement pressure are worth
-// retrying; not-found, invalid references, and capability denials are not.
-func DefaultRetryable(err error) bool {
-	return fault.Retryable(err) ||
-		errors.Is(err, consistency.ErrUnavailable) ||
-		errors.Is(err, faas.ErrNoPlacement)
-}
 
 // chaosInvariants audits end-of-run state for the chaos harness. Runs
 // after the harness heals partitions; SyncAll forces quiescent

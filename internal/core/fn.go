@@ -130,8 +130,7 @@ type InvokeArgs struct {
 	Outputs []Ref
 	Body    []byte
 	// Goal selects among the function's variants (§3.1's optimizer).
-	Goal  faas.Goal
-	Hints faas.PlacementHints
+	Goal faas.Goal
 }
 
 // Invoke calls the function behind fnRef, blocking until it returns.
@@ -148,13 +147,7 @@ func (cl *Client) Invoke(p *sim.Proc, fnRef Ref, args InvokeArgs) (*faas.Instanc
 	}
 	sp := trace.Of(cl.c.env).Start(p, v.cat, v.name, trace.Str("fn", name))
 	defer sp.Close(p)
-	hints := args.Hints
-	if args.Goal != faas.GoalDefault {
-		hints.Goal = args.Goal
-	}
-	if hints.Tenant == "" {
-		hints.Tenant = cl.tenant
-	}
+	hints := faas.PlacementHints{Goal: args.Goal, Tenant: cl.tenant}
 	var inst *faas.Instance
 	t := target{cl: cl, p: p, v: v, op: v.fault + ":" + name}
 	err := t.retry(func() error {
@@ -213,7 +206,6 @@ func (cl *Client) RunGraph(p *sim.Proc, tasks []GraphTask) (map[string]*taskgrap
 	ex := taskgraph.NewExecutor(cl.c.rt)
 	ex.MakeCtx = func(t *taskgraph.Task) any { return argsByName[t.Name] }
 	ex.Retry = cl.c.retry
-	ex.QoS = cl.c.qos
 	ex.Tenant = cl.tenant
 	// Bracketing counters: Execute returns on both success and clean
 	// failure, so a mismatch means a graph leaked mid-flight (chaos

@@ -30,13 +30,12 @@ import (
 // data layer.
 const MaxBodySize = 4096
 
-// Errors returned by the runtime. All three classify as fatal at this
-// layer; core.DefaultRetryable overrides ErrNoPlacement to retryable,
-// because a full cluster drains as instances are reaped.
+// Errors returned by the runtime. ErrNoPlacement is transient, because a
+// full cluster drains as instances are reaped; the other two are answers.
 var (
 	ErrUnknownFunction = fault.Fatal("faas: unknown function")
 	ErrBodyTooLarge    = fault.Fatal("faas: request body exceeds MaxBodySize")
-	ErrNoPlacement     = fault.Fatal("faas: no node can host the function")
+	ErrNoPlacement     = fault.Transient("faas: no node can host the function")
 )
 
 // PlacementHints guide the Placer for one instance start.
@@ -282,12 +281,6 @@ func (rt *Runtime) Register(fn *Function) error {
 	}
 	rt.fns[fn.Name] = fn
 	return nil
-}
-
-// Lookup returns a registered function.
-func (rt *Runtime) Lookup(name string) (*Function, bool) {
-	fn, ok := rt.fns[name]
-	return fn, ok
 }
 
 // Invoke runs fn with the given body, blocking the calling process until

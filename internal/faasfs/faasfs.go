@@ -162,9 +162,6 @@ func Mount(p *sim.Proc, cl *core.Client, _ Config) (*FS, error) {
 	return fs, nil
 }
 
-// Root returns the mount's root directory reference.
-func (fs *FS) Root() core.Ref { return fs.root }
-
 // Stats snapshots the mount's transaction counters.
 func (fs *FS) Stats() Stats { return fs.stats }
 

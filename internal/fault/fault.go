@@ -19,7 +19,6 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -30,13 +29,13 @@ import (
 	"repro/internal/simnet"
 )
 
-// Injected operation failures. Callers classify both as retryable.
+// Injected operation failures. Both are transient.
 var (
 	// ErrInjected is the base error for injected operation failures.
-	ErrInjected = errors.New("fault: injected error")
+	ErrInjected = Transient("fault: injected error")
 	// ErrInjectedTimeout marks an injected timeout; the faulting operation
 	// blocks for Spec.TimeoutDelay of virtual time before returning it.
-	ErrInjectedTimeout = errors.New("fault: injected timeout")
+	ErrInjectedTimeout = Transient("fault: injected timeout")
 )
 
 // Rates are per-decision probabilities for stochastic injection. All zero

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
@@ -68,7 +67,8 @@ type Policy struct {
 	MaxAttempts int          // total tries including the first; default 3
 	Deadline    sim.Duration // budget across all attempts; 0 = unlimited
 	Backoff     Backoff
-	// Retryable classifies errors; nil means the package default.
+	// Retryable classifies errors; nil means Retryable, which asks the
+	// error itself.
 	Retryable func(error) bool
 	// OnAttempt runs before each backoff sleep, after attempt `attempt`
 	// (1-based) failed with err and the next try is delay away.
@@ -141,19 +141,20 @@ func (p *Policy) Do(proc *sim.Proc, op string, fn func() error) error {
 	}
 }
 
-// Classified is implemented by errors that carry their own retry
-// classification. Typed rejections from higher layers (e.g. QoS overload
-// sheds) classify themselves as fatal through this interface, so the
-// fault layer never has to import them: a shed is an answer, and
-// retrying it re-offers the load the system just refused.
+// Classified is implemented by every error that carries a retry
+// classification, and it is the only place a retry decision is made:
+// Fatal and Transient sentinels, typed rejections from higher layers
+// (e.g. QoS overload sheds, which say "do not retry" because retrying
+// re-offers the load the system just refused), and the substrates' own
+// transients, which cannot import this package and so declare a local
+// type with the same method.
 type Classified interface {
 	Retryable() bool
 }
 
 // classed is a comparable classified sentinel: errors.Is matches it by
 // value through any fmt.Errorf("%w") wrapping, and Retryable answers the
-// classifier directly, so a sentinel built from Fatal or Transient never
-// needs an entry in a classifier's errors.Is table.
+// classifier directly.
 type classed struct {
 	msg   string
 	retry bool
@@ -181,30 +182,10 @@ func Fatalf(format string, args ...any) error {
 	return classed{msg: fmt.Sprintf(format, args...)}
 }
 
-// Transientf is Transient with fmt.Sprintf formatting; see Fatalf.
-func Transientf(format string, args ...any) error {
-	return classed{msg: fmt.Sprintf(format, args...), retry: true}
-}
-
-// Retryable is the substrate-level error classifier: injected faults,
-// timeouts, and node/capacity transients are retryable; everything else
-// (not-found, invalid refs, capability denials, handler bugs) is fatal.
-// Errors implementing Classified override the table. Embedding layers
-// wrap this to add their own transient errors.
+// Retryable is the one retry classifier: err is retryable exactly when
+// the first Classified error in its chain says so. Unclassified errors
+// (and nil) are fatal.
 func Retryable(err error) bool {
 	var c Classified
-	if errors.As(err, &c) {
-		return c.Retryable()
-	}
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, ErrInjected),
-		errors.Is(err, ErrInjectedTimeout),
-		errors.Is(err, sim.ErrTimeout),
-		errors.Is(err, cluster.ErrNodeDown),
-		errors.Is(err, cluster.ErrNoCapacity):
-		return true
-	}
-	return false
+	return errors.As(err, &c) && c.Retryable()
 }

@@ -234,7 +234,6 @@ func TestRetryableClassification(t *testing.T) {
 	for _, err := range []error{
 		ErrInjected,
 		ErrInjectedTimeout,
-		sim.ErrTimeout,
 		cluster.ErrNodeDown,
 		cluster.ErrNoCapacity,
 		// Wrapped transients stay retryable.

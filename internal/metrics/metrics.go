@@ -136,11 +136,8 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.max
 }
 
-// P50, P95, P99 are convenience quantile accessors.
+// P50 returns the median.
 func (h *Histogram) P50() time.Duration { return h.Quantile(0.50) }
-
-// P95 returns the 95th percentile.
-func (h *Histogram) P95() time.Duration { return h.Quantile(0.95) }
 
 // P99 returns the 99th percentile.
 func (h *Histogram) P99() time.Duration { return h.Quantile(0.99) }

@@ -162,14 +162,6 @@ type Plane struct {
 	samples    int
 }
 
-// Label returns the plane's display label.
-func (pl *Plane) Label() string {
-	if pl == nil {
-		return ""
-	}
-	return pl.label
-}
-
 // SetLabel renames the plane — experiments use it to tell sweep arms
 // apart. Safe on a nil plane.
 func (pl *Plane) SetLabel(label string) {
@@ -179,28 +171,12 @@ func (pl *Plane) SetLabel(label string) {
 	pl.label = label
 }
 
-// Interval returns the sampling period.
-func (pl *Plane) Interval() sim.Duration {
-	if pl == nil {
-		return 0
-	}
-	return pl.interval
-}
-
 // Samples returns the number of sampler ticks taken so far.
 func (pl *Plane) Samples() int {
 	if pl == nil {
 		return 0
 	}
 	return pl.samples
-}
-
-// Recorder returns the plane's flight recorder (nil on a nil plane).
-func (pl *Plane) Recorder() *Recorder {
-	if pl == nil {
-		return nil
-	}
-	return pl.rec
 }
 
 // Record appends a flight-recorder event stamped with the environment's

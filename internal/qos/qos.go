@@ -66,15 +66,15 @@ func (e *OverloadError) Error() string {
 	return fmt.Sprintf("qos: overloaded (%s, tenant %q, class %s)", e.Reason, e.Tenant, e.Class)
 }
 
-// Is matches the ErrOverload sentinel.
-func (e *OverloadError) Is(target error) bool { return target == ErrOverload }
+// Unwrap puts the ErrOverload sentinel in the chain, so errors.Is matches it.
+func (e *OverloadError) Unwrap() error { return ErrOverload }
 
 // Retryable marks shed responses fatal for fault.Policy classification.
 func (e *OverloadError) Retryable() bool { return false }
 
 // Class separates the admission-controlled paths; each class has its own
-// concurrency budget and queues, so task-level and invocation-level
-// admission compose without double-counting.
+// concurrency budget and queues, so data and invocation admission compose
+// without double-counting.
 type Class uint8
 
 // The admission classes.
@@ -83,8 +83,6 @@ const (
 	ClassData Class = iota
 	// ClassInvoke gates function invocations in the FaaS runtime.
 	ClassInvoke
-	// ClassTask gates task-graph task launches.
-	ClassTask
 	numClasses
 )
 
@@ -95,8 +93,6 @@ func (c Class) String() string {
 		return "data"
 	case ClassInvoke:
 		return "invoke"
-	case ClassTask:
-		return "task"
 	default:
 		// Admission tracing stringifies the class per shed/queue span, so
 		// avoid the fmt machinery on this path.
@@ -136,8 +132,8 @@ type Config struct {
 	// Weights maps tenant name to WFQ weight. Unknown tenants (and the
 	// "" tenant, recorded as "default") get weight 1.
 	Weights map[string]float64
-	// Data, Invoke, and Task configure the three admission classes.
-	Data, Invoke, Task ClassConfig
+	// Data and Invoke configure the two admission classes.
+	Data, Invoke ClassConfig
 }
 
 // Request asks for admission of one operation.
@@ -221,7 +217,7 @@ type classQ struct {
 // qos_<class>_tenant_<t>_admitted and _shed at its first admit or shed.
 func New(env *sim.Env, cl *cluster.Cluster, cfg Config, reg *trace.Registry) *Controller {
 	q := &Controller{env: env, reg: reg, weights: cfg.Weights}
-	for class, cc := range [numClasses]ClassConfig{ClassData: cfg.Data, ClassInvoke: cfg.Invoke, ClassTask: cfg.Task} {
+	for class, cc := range [numClasses]ClassConfig{ClassData: cfg.Data, ClassInvoke: cfg.Invoke} {
 		limit := cc.MaxConcurrency
 		if limit == 0 && cl != nil {
 			limit = Capacity(cl, cc.PerOp)

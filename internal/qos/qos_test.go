@@ -340,7 +340,7 @@ func TestInstrumentsWired(t *testing.T) {
 }
 
 func TestClassString(t *testing.T) {
-	if ClassData.String() != "data" || ClassInvoke.String() != "invoke" || ClassTask.String() != "task" {
+	if ClassData.String() != "data" || ClassInvoke.String() != "invoke" {
 		t.Error("class names wrong")
 	}
 	if Class(9).String() == "" {

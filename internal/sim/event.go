@@ -1,10 +1,5 @@
 package sim
 
-import "errors"
-
-// ErrTimeout is returned from waits that exceed their deadline.
-var ErrTimeout = errors.New("sim: wait timed out")
-
 // Event is a one-shot completion that processes can wait on. It carries an
 // arbitrary value or an error. Completing an already-completed event is a
 // no-op, which makes race-to-complete patterns (timeouts, first-of) simple.
@@ -92,20 +87,6 @@ func (p *Proc) Wait(ev *Event) (any, error) {
 		p.park()
 	}
 	return ev.val, ev.err
-}
-
-// WaitTimeout waits for the event for at most d of virtual time. On timeout
-// it returns ErrTimeout; the event itself stays pending.
-func (p *Proc) WaitTimeout(ev *Event, d Duration) (any, error) {
-	if ev.done {
-		return ev.val, ev.err
-	}
-	timer := p.env.NewEvent()
-	p.env.After(d, func() { timer.Complete(nil) })
-	fired := p.env.NewEvent()
-	ev.OnComplete(func(v any, err error) { fired.finish(v, err) })
-	timer.OnComplete(func(any, error) { fired.finish(nil, ErrTimeout) })
-	return p.Wait(fired)
 }
 
 // WaitAll waits for every event and returns the first error seen, if any.

@@ -28,9 +28,6 @@ func (e *Env) NewResource(name string, capacity int64) *Resource {
 	return &Resource{env: e, name: name, cap: capacity}
 }
 
-// Capacity returns the total capacity.
-func (r *Resource) Capacity() int64 { return r.cap }
-
 // InUse returns the currently acquired amount.
 func (r *Resource) InUse() int64 { return r.used }
 
@@ -112,9 +109,6 @@ type Queue[T any] struct {
 
 // NewQueue returns an empty queue.
 func NewQueue[T any](e *Env) *Queue[T] { return &Queue[T]{env: e} }
-
-// Len returns the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) }
 
 // Put appends an item and wakes one waiting receiver. It never blocks.
 func (q *Queue[T]) Put(v T) {

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
+
+// errBoom is an arbitrary failure for events to carry.
+var errBoom = errors.New("sim test: boom")
 
 func TestClockStartsAtZero(t *testing.T) {
 	e := NewEnv(1)
@@ -129,7 +133,7 @@ func TestEventDoubleCompleteIgnored(t *testing.T) {
 	ev := e.NewEvent()
 	ev.Complete(1)
 	ev.Complete(2)
-	ev.Fail(ErrTimeout)
+	ev.Fail(errBoom)
 	v, err := ev.Value()
 	if v != 1 || err != nil {
 		t.Fatalf("Value() = %v, %v; want 1, nil", v, err)
@@ -152,37 +156,6 @@ func TestWaitOnCompletedEventReturnsImmediately(t *testing.T) {
 	e.Run()
 }
 
-func TestWaitTimeout(t *testing.T) {
-	e := NewEnv(1)
-	never := e.NewEvent()
-	var err error
-	var at Time
-	e.Go("w", func(p *Proc) {
-		_, err = p.WaitTimeout(never, 9)
-		at = p.Now()
-	})
-	e.Run()
-	if err != ErrTimeout {
-		t.Errorf("err = %v, want ErrTimeout", err)
-	}
-	if at != 9 {
-		t.Errorf("timed out at %v, want 9", at)
-	}
-}
-
-func TestWaitTimeoutCompletesFirst(t *testing.T) {
-	e := NewEnv(1)
-	ev := e.NewEvent()
-	e.At(3, func() { ev.Complete("x") })
-	var v any
-	var err error
-	e.Go("w", func(p *Proc) { v, err = p.WaitTimeout(ev, 100) })
-	e.Run()
-	if v != "x" || err != nil {
-		t.Errorf("WaitTimeout = %v, %v; want x, nil", v, err)
-	}
-}
-
 func TestWaitAny(t *testing.T) {
 	e := NewEnv(1)
 	a, b, c := e.NewEvent(), e.NewEvent(), e.NewEvent()
@@ -200,13 +173,13 @@ func TestWaitAny(t *testing.T) {
 func TestWaitAllCollectsFirstError(t *testing.T) {
 	e := NewEnv(1)
 	a, b := e.NewEvent(), e.NewEvent()
-	e.At(1, func() { a.Fail(ErrTimeout) })
+	e.At(1, func() { a.Fail(errBoom) })
 	e.At(2, func() { b.Complete(nil) })
 	var err error
 	e.Go("w", func(p *Proc) { err = p.WaitAll(a, b) })
 	e.Run()
-	if err != ErrTimeout {
-		t.Errorf("WaitAll err = %v, want ErrTimeout", err)
+	if err != errBoom {
+		t.Errorf("WaitAll err = %v, want errBoom", err)
 	}
 }
 
@@ -498,12 +471,11 @@ func TestOnCompleteAfterDoneRunsImmediately(t *testing.T) {
 func TestEventFailPropagates(t *testing.T) {
 	e := NewEnv(1)
 	ev := e.NewEvent()
-	boom := ErrTimeout
-	e.At(3, func() { ev.Fail(boom) })
+	e.At(3, func() { ev.Fail(errBoom) })
 	var err error
 	e.Go("w", func(p *Proc) { _, err = p.Wait(ev) })
 	e.Run()
-	if err != boom {
+	if err != errBoom {
 		t.Errorf("Wait err = %v, want failure", err)
 	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/faas"
 	"repro/internal/fault"
-	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -131,20 +130,13 @@ type Result struct {
 // Executor runs graphs on a FaaS runtime.
 type Executor struct {
 	rt *faas.Runtime
-	// Ctx is passed through to every invocation (PCSI data context).
-	Ctx any
-	// MakeCtx, when set, builds a per-task context (overrides Ctx).
+	// MakeCtx, when set, builds each task's invocation context (the PCSI
+	// data context).
 	MakeCtx func(t *Task) any
 	// Retry, when set, re-invokes a failed task under a bound policy
 	// (backoff, deadline, error classification); nil invokes it once.
 	Retry *fault.Policy
-	// QoS, when set, gates each task launch through the admission
-	// controller (qos.ClassTask) — a concurrency budget separate from the
-	// per-invocation class, so graph fan-out is bounded before it floods
-	// the invoke path. Overload sheds surface as task errors.
-	QoS *qos.Controller
-	// Tenant names the workload for QoS admission and propagates into
-	// each task's placement hints.
+	// Tenant propagates into each task's placement hints.
 	Tenant string
 
 	results map[string]*Result
@@ -222,18 +214,9 @@ func (e *Executor) runTask(p *sim.Proc, t *Task) {
 			hints.HasNear = true
 		}
 	}
-	// Dependencies resolved: ask the task class for admission. Shed tasks
-	// fail cleanly (dependents see the overload error) instead of piling
-	// onto the invoke path.
-	grant, qerr := e.QoS.Admit(p, qos.Request{Tenant: e.Tenant, Class: qos.ClassTask})
-	if qerr != nil {
-		e.finish(t, &Result{Task: t, Err: fmt.Errorf("taskgraph: %q rejected: %w", t.Name, qerr)})
-		return
-	}
-	defer grant.Release()
 	res := &Result{Task: t, Start: p.Now()}
 	tsp := tr.StartSpan(p, e.gspan, links, "task", t.Name, trace.Str("fn", t.Fn))
-	ctx := e.Ctx
+	var ctx any
 	if e.MakeCtx != nil {
 		ctx = e.MakeCtx(t)
 	}

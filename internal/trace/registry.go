@@ -62,14 +62,6 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.byName)
-}
-
 // Lookup fetches the metric registered under name as a concrete type,
 // returning the zero value when absent or of a different type.
 func Lookup[T Metric](r *Registry, name string) T {

@@ -189,9 +189,6 @@ func (t *Tracer) SetLabel(label string) {
 	t.label = label
 }
 
-// Label returns the tracer's display label.
-func (t *Tracer) Label() string { return t.label }
-
 // newID draws a fresh nonzero 32-bit span ID from the observer stream,
 // retrying the (vanishingly rare) collisions so IDs are unique per tracer.
 func (t *Tracer) newID() SpanID {

@@ -209,7 +209,6 @@ func MountFaaSFS(p *Proc, cl *Client, cfg FaaSFSConfig) (*FaaSFS, error) {
 const (
 	QoSClassData   = qos.ClassData
 	QoSClassInvoke = qos.ClassInvoke
-	QoSClassTask   = qos.ClassTask
 )
 
 // NewFaultSession returns a fault-injection session for Options.Faults.

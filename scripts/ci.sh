@@ -59,7 +59,7 @@ echo '== E13/E14/E15 smoke (exits 1 on FAIL; required shape checks present)'
 # committed pcsi_bench_output.txt, so the labels are grepped there: they
 # guard against a check silently disappearing from the golden itself.
 go run ./cmd/pcsictl run E13,E14,E15 > /dev/null
-for label in hot-keys-hit lease-zero-stale faasfs-serializable faasfs-beats-rest; do
+for label in qos-kills-retry-storm noqos-retry-storm hot-keys-hit lease-zero-stale faasfs-serializable faasfs-beats-rest; do
     grep -q "\[PASS\] $label" pcsi_bench_output.txt || { echo "shape check $label missing from pcsi_bench_output.txt" >&2; exit 1; }
 done
 
