@@ -54,9 +54,7 @@ var moduleSinks = map[sinkKey]bool{
 	{"internal/sim", "Proc", "Sleep"}:            true,
 	{"internal/sim", "Proc", "Wait"}:             true,
 	{"internal/sim", "Proc", "WaitAny"}:          true,
-	{"internal/sim", "Proc", "Yield"}:            true,
 	{"internal/sim", "Env", "Go"}:                true,
-	{"internal/sim", "Env", "At"}:                true,
 	{"internal/sim", "Env", "After"}:             true,
 	{"internal/trace", "Tracer", "Start"}:        true,
 	{"internal/trace", "Tracer", "StartSpan"}:    true,

@@ -1,0 +1,320 @@
+package analysis
+
+import (
+	"fmt"
+	"go/ast"
+	"go/types"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// reach_test.go holds the module to "every line is reachable": a
+// declaration in runtime code earns its place only when something a user
+// can run reaches it. The walk starts from the roots
+//
+//   - every main and init function, and every top-level blank var (its
+//     initializer runs at init);
+//   - every declaration under bench/, test files included: the benchmark
+//     harness is the contract runtime changes may not edit;
+//   - every exported package-level name of the pcsi facade;
+//   - every declaration reachExempt names,
+//
+// and follows types.Info.Uses from each live declaration to the
+// declarations it names. A method nobody names directly stays live when
+// its type is live and its name is a method of an interface type that live
+// code mentions (a call through that interface may land on it), or one of
+// dynamicMethods, which the standard library calls on values it is handed.
+// What is left over in non-test files under internal/, cmd/ and pcsi/ is
+// dead code.
+
+// reachExempt lists the declarations kept although no root reaches them,
+// each with its reason. A key is an import path relative to the module
+// ("internal/posix": the whole package) or a declaration in it
+// ("internal/sim.IdleWorkers"; a type covers its methods). Each entry is
+// a root, so what it reaches stays live with it.
+//
+// An entry is allowed only for code that a pending decision keeps, or for
+// a declaration a named tier-1 test uses to check the behaviour of
+// reachable code. Never add one to silence a finding: delete the
+// declaration instead.
+var reachExempt = map[string]string{
+	"internal/posix":                  "ROADMAP item 8(c) decides it: the POSIX matrix's reference model, or deleted",
+	"internal/consistency.History":    "ROADMAP item 8(a) decides it, with the HistOp and OpKind it holds: the one history checker, or deleted",
+	"internal/sim.IdleWorkers":        "tier-1's goroutine-leak checks (runNoLeak in internal/experiments) subtract it",
+	"internal/core.Client.WithTenant": "the only way to name a QoS tenant; removing it is a qos decision",
+	"internal/core.Client.Mutability": "TestVerbTable drives it as the pipeline's one bare linearizable probe row (no admission, fault op or retry)",
+	// faasfs's commit is checked against a model by property tests that
+	// drive the whole POSIX surface of a Session, not only what E15 runs.
+	"internal/faasfs.Session.Unlink":  "TestPropSerializableAgainstModel and TestPropAbortLeavesNoPartialState unlink in their transactions",
+	"internal/faasfs.Session.ReadDir": "the faasfs tests' tree walk reads committed directories with it",
+	"internal/faasfs.Session.Stat":    "the faasfs tests' tree walk reads committed file sizes with it",
+	"internal/faasfs.Session.Seek":    "TestSparseWriteHole and TestPosixSurface position writes and reads with it",
+	"internal/obs.Plane.SeriesData":   "Example_dashboards, which README quotes, and TestSamplerSeriesAndTermination read the sampler's series with it",
+}
+
+// dynamicMethods are the method names that fmt, errors, sort, container/heap
+// and encoding/json call on values handed to them, by dynamic type.
+var dynamicMethods = map[string]bool{
+	"String": true, "GoString": true, "Format": true, "Error": true, // fmt
+	"Unwrap": true, "Is": true, "As": true, // errors
+	"Len": true, "Less": true, "Swap": true, // sort
+	"Push": true, "Pop": true, // container/heap
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true, // encoding/json
+}
+
+// reachDecl is one top-level declaration: a function, method, type, var or
+// const (a var or const spec with several names is one declaration).
+type reachDecl struct {
+	objs   []types.Object
+	name   string // "internal/sim.IdleWorkers", "internal/core.Client.WithTenant"
+	file   string // slash path relative to the module root
+	line   int
+	test   bool            // declared in a _test.go file
+	uses   []types.Object  // the declarations it names
+	ifaces []string        // method names of the interface types it mentions
+	recv   *types.TypeName // a method's receiver type
+}
+
+// unreachable walks pkgs of l from the roots and returns "file:line name"
+// for every dead declaration in a non-test file whose path starts with one
+// of scope.
+func unreachable(l *Loader, pkgs []*Package, exempt map[string]string, scope ...string) []string {
+	decls := make(map[types.Object]*reachDecl)
+	methods := make(map[*types.TypeName][]*reachDecl)
+	var all, roots []*reachDecl
+	for _, p := range pkgs {
+		rel := strings.TrimSuffix(strings.TrimPrefix(strings.TrimPrefix(p.Path, l.Module), "/"), "_test")
+		for _, f := range p.Files {
+			file, _ := filepath.Rel(l.Root, l.Fset.Position(f.Pos()).Filename)
+			file = filepath.ToSlash(file)
+			test := strings.HasSuffix(file, "_test.go")
+			add := func(node ast.Node, objs []types.Object, recv *types.TypeName, name string, root bool) {
+				d := &reachDecl{objs: objs, name: rel + "." + name, file: file,
+					line: l.Fset.Position(node.Pos()).Line, test: test, recv: recv}
+				ast.Inspect(node, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && p.Info.Uses[id] != nil {
+						d.uses = append(d.uses, origin(p.Info.Uses[id]))
+					}
+					if e, ok := n.(ast.Expr); ok && p.Info.Types[e].Type != nil {
+						d.ifaces = appendIfaceMethods(d.ifaces, p.Info.Types[e].Type)
+					}
+					return true
+				})
+				for _, obj := range objs {
+					decls[obj] = d
+				}
+				if recv != nil {
+					methods[recv] = append(methods[recv], d)
+				}
+				root = root || strings.HasPrefix(file, "bench/")
+				for key := range exempt {
+					root = root || d.name == key || strings.HasPrefix(d.name, key+".")
+				}
+				if root {
+					roots = append(roots, d)
+				}
+				all = append(all, d)
+			}
+			for _, decl := range f.Decls {
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					fn, _ := p.Info.Defs[decl.Name].(*types.Func)
+					if fn == nil {
+						continue
+					}
+					name := decl.Name.Name
+					if decl.Recv == nil {
+						root := !test && (name == "init" || name == "main" && p.Types.Name() == "main" ||
+							rel == "pcsi" && ast.IsExported(name))
+						add(decl, []types.Object{fn}, nil, name, root)
+					} else if recv := recvTypeName(fn); recv != nil {
+						add(decl, []types.Object{fn}, recv, recv.Name()+"."+name, false)
+					}
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						var ids []*ast.Ident
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							ids = []*ast.Ident{spec.Name}
+						case *ast.ValueSpec:
+							ids = spec.Names
+						default:
+							continue
+						}
+						var objs []types.Object
+						var names []string
+						root := false
+						for _, id := range ids {
+							if id.Name == "_" {
+								// A blank var's initializer runs at init.
+								root = !test
+							} else if obj := p.Info.Defs[id]; obj != nil {
+								objs = append(objs, obj)
+								names = append(names, id.Name)
+								root = root || !test && rel == "pcsi" && ast.IsExported(id.Name)
+							}
+						}
+						if len(objs) > 0 || root {
+							add(spec, objs, nil, strings.Join(names, ","), root)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	live := make(map[*reachDecl]bool)
+	called := make(map[string]bool) // method names a dynamic call may land on
+	for name := range dynamicMethods {
+		called[name] = true
+	}
+	waiting := make(map[string][]*reachDecl) // methods of live types, by name
+	var queue []*reachDecl
+	mark := func(d *reachDecl) {
+		if d != nil && !live[d] {
+			live[d] = true
+			queue = append(queue, d)
+		}
+	}
+	for _, d := range roots {
+		mark(d)
+	}
+	for len(queue) > 0 {
+		d := queue[0]
+		queue = queue[1:]
+		for _, obj := range d.uses {
+			mark(decls[obj])
+		}
+		if d.recv != nil {
+			mark(decls[d.recv]) // a method keeps its type live
+		}
+		for _, name := range d.ifaces {
+			if !called[name] {
+				called[name] = true
+				for _, m := range waiting[name] {
+					mark(m)
+				}
+				delete(waiting, name)
+			}
+		}
+		for _, obj := range d.objs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok {
+				continue
+			}
+			for _, m := range methods[tn] {
+				if name := m.objs[0].Name(); called[name] {
+					mark(m)
+				} else {
+					waiting[name] = append(waiting[name], m)
+				}
+			}
+		}
+	}
+
+	var dead []string
+	for _, d := range all {
+		if live[d] || d.test || len(d.objs) == 0 {
+			continue
+		}
+		for _, s := range scope {
+			if strings.HasPrefix(d.file, s) {
+				dead = append(dead, fmt.Sprintf("%s:%d %s", d.file, d.line, d.name))
+				break
+			}
+		}
+	}
+	sort.Strings(dead)
+	return dead
+}
+
+// appendIfaceMethods appends the method names of t if it is an interface,
+// and of every interface parameter if it is a function: an argument passed
+// to one (http.Serve's Handler, io.Copy's Writer) has those methods called.
+func appendIfaceMethods(names []string, t types.Type) []string {
+	switch u := t.Underlying().(type) {
+	case *types.Interface:
+		for i := 0; i < u.NumMethods(); i++ {
+			names = append(names, u.Method(i).Name())
+		}
+	case *types.Signature:
+		for i := 0; i < u.Params().Len(); i++ {
+			if types.IsInterface(u.Params().At(i).Type()) {
+				names = appendIfaceMethods(names, u.Params().At(i).Type())
+			}
+		}
+	}
+	return names
+}
+
+// origin maps an instantiated generic function, method or field to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch obj := obj.(type) {
+	case *types.Func:
+		return obj.Origin()
+	case *types.Var:
+		return obj.Origin()
+	}
+	return obj
+}
+
+// recvTypeName returns the named type a method is declared on.
+func recvTypeName(fn *types.Func) *types.TypeName {
+	t := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Origin().Obj()
+	}
+	return nil
+}
+
+// TestEveryDeclarationReachable fails on every declaration in runtime code
+// that no main, init, bench/ or pcsi export reaches. Each failure line is
+// "file:line name". Delete the declaration (and any test that exercised
+// only it); an entry in reachExempt is for the cases its comment allows.
+func TestEveryDeclarationReachable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-repo type check is not short")
+	}
+	l, err := NewLoader(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatalf("NewLoader(repo root): %v", err)
+	}
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		t.Fatalf("Load repo: %v", err)
+	}
+	for _, p := range pkgs {
+		if len(p.TypeErrors) > 0 {
+			t.Fatalf("%s: %v", p.Path, p.TypeErrors[0])
+		}
+	}
+	for _, line := range unreachable(l, pkgs, reachExempt, "internal/", "cmd/", "pcsi/") {
+		t.Errorf("unreachable: %s", line)
+	}
+}
+
+// TestReachabilityFixture runs the walk on a package with one live
+// function, one method kept only by the interface it satisfies, and one
+// planted dead function: it must report exactly the planted one.
+func TestReachabilityFixture(t *testing.T) {
+	l, err := NewLoader(filepath.Join("testdata", "fixture"))
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkgs, err := l.Load("./reach")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	got := unreachable(l, pkgs, nil, "reach/")
+	want := []string{"reach/reach.go:23 reach.planted"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("unreachable = %q, want %q", got, want)
+	}
+}

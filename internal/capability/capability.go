@@ -4,13 +4,10 @@
 // References make the PCSI API stateful — the paper's explicit contrast
 // with REST — and provide capability-oriented security in the style of
 // Capsicum: a holder can attenuate (narrow) a reference's rights and pass
-// it on, but can never amplify them; there is no ambient authority. An
-// object's issuer can revoke all outstanding references by bumping the
-// object's revocation epoch.
+// it on, but can never amplify them; there is no ambient authority.
 package capability
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -36,9 +33,6 @@ const (
 
 // All is every right.
 const All = Read | Write | Append | Exec | SetMut | Grant | Unlink | Destroy
-
-// ReadOnly is the common attenuation for sharing data.
-const ReadOnly = Read
 
 // Has reports whether r includes every right in need.
 func (r Rights) Has(need Rights) bool { return r&need == need }
@@ -67,9 +61,7 @@ func (r Rights) String() string {
 // Errors returned by capability checks.
 var (
 	ErrDenied  = fault.Fatal("capability: required right not held")
-	ErrRevoked = fault.Fatal("capability: reference revoked")
 	ErrAmplify = fault.Fatal("capability: attenuation cannot add rights")
-	ErrNoGrant = fault.Fatal("capability: grant right required")
 	ErrUnknown = fault.Fatal("capability: unknown reference")
 )
 
@@ -77,12 +69,11 @@ var (
 type RefID uint64
 
 // Ref is a capability: an object ID plus a rights mask, bound to the
-// issuing Space and the object's revocation epoch at mint time.
+// issuing Space.
 type Ref struct {
 	id     RefID
 	obj    object.ID
 	rights Rights
-	epoch  uint64
 	space  *Space
 }
 
@@ -101,11 +92,10 @@ func (r Ref) String() string {
 	return fmt.Sprintf("ref(%v, %v)", r.obj, r.rights)
 }
 
-// Space tracks the references and revocation epochs of one trust domain
-// (typically one PCSI deployment).
+// Space tracks the references of one trust domain (typically one PCSI
+// deployment).
 type Space struct {
 	next   RefID
-	epochs map[object.ID]uint64
 	minted map[RefID]struct{}
 	// Checks counts capability validations, for experiment E8.
 	Checks int64
@@ -113,14 +103,14 @@ type Space struct {
 
 // NewSpace returns an empty capability space.
 func NewSpace() *Space {
-	return &Space{next: 1, epochs: make(map[object.ID]uint64), minted: make(map[RefID]struct{})}
+	return &Space{next: 1, minted: make(map[RefID]struct{})}
 }
 
 // Mint issues a fresh reference to obj with the given rights. Only the
 // system (object creator) calls Mint; user code obtains references from
 // creation calls or by attenuation.
 func (s *Space) Mint(obj object.ID, rights Rights) Ref {
-	r := Ref{id: s.next, obj: obj, rights: rights, epoch: s.epochs[obj], space: s}
+	r := Ref{id: s.next, obj: obj, rights: rights, space: s}
 	s.minted[r.id] = struct{}{}
 	s.next++
 	return r
@@ -139,18 +129,7 @@ func (s *Space) Attenuate(r Ref, mask Rights) (Ref, error) {
 	return s.Mint(r.obj, r.rights&mask), nil
 }
 
-// Delegate mints a copy of r for another holder; requires the Grant right.
-func (s *Space) Delegate(r Ref, mask Rights) (Ref, error) {
-	if err := s.Check(r, Grant); err != nil {
-		if errors.Is(err, ErrDenied) {
-			return Ref{}, ErrNoGrant
-		}
-		return Ref{}, err
-	}
-	return s.Attenuate(r, mask)
-}
-
-// Check validates that r is live (minted here, not revoked) and carries
+// Check validates that r is live (minted here, not dropped) and carries
 // every right in need.
 func (s *Space) Check(r Ref, need Rights) error {
 	s.Checks++
@@ -160,19 +139,10 @@ func (s *Space) Check(r Ref, need Rights) error {
 	if _, ok := s.minted[r.id]; !ok {
 		return ErrUnknown
 	}
-	if r.epoch != s.epochs[r.obj] {
-		return ErrRevoked
-	}
 	if !r.rights.Has(need) {
 		return fmt.Errorf("%w: need %v, have %v", ErrDenied, need, r.rights)
 	}
 	return nil
-}
-
-// Revoke invalidates every outstanding reference to obj by advancing its
-// epoch. New references minted afterwards are valid.
-func (s *Space) Revoke(obj object.ID) {
-	s.epochs[obj]++
 }
 
 // Drop forgets a single reference; subsequent checks on it fail.
@@ -231,7 +201,6 @@ func (g *Registry) Drop(r Ref) {
 }
 
 // Live reports how many recorded references to obj have not been dropped.
-// Revocation does not count: a revoked reference is live until dropped.
 func (g *Registry) Live(obj object.ID) int { return g.live[obj] }
 
 // Roots returns the set of objects with live references — the GC root

@@ -110,32 +110,6 @@ func TestDelegateRequiresGrant(t *testing.T) {
 	}
 }
 
-func TestRevokeInvalidatesOutstanding(t *testing.T) {
-	s := NewSpace()
-	r1 := s.Mint(object.ID(7), All)
-	r2, err := s.Attenuate(r1, Read)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := s.Mint(object.ID(8), All)
-	s.Revoke(object.ID(7))
-	if err := s.Check(r1, Read); !errors.Is(err, ErrRevoked) {
-		t.Errorf("r1 after revoke = %v, want ErrRevoked", err)
-	}
-	if err := s.Check(r2, Read); !errors.Is(err, ErrRevoked) {
-		t.Errorf("r2 after revoke = %v, want ErrRevoked", err)
-	}
-	// References to other objects are untouched.
-	if err := s.Check(other, Read); err != nil {
-		t.Errorf("unrelated ref revoked: %v", err)
-	}
-	// New references minted after the revocation are valid.
-	fresh := s.Mint(object.ID(7), Read)
-	if err := s.Check(fresh, Read); err != nil {
-		t.Errorf("fresh ref after revoke invalid: %v", err)
-	}
-}
-
 func TestDropForgetsSingleRef(t *testing.T) {
 	s := NewSpace()
 	r := s.Mint(object.ID(1), Read)
@@ -210,12 +184,12 @@ func TestRegistryRootsDeterministic(t *testing.T) {
 	}
 }
 
-// TestRegistryLiveCounts drives mint/attenuate/drop/revoke scripts and, after
+// TestRegistryLiveCounts drives mint/attenuate/drop scripts and, after
 // every step, compares Live and Roots with a brute-force count over the
 // references the script still holds.
 func TestRegistryLiveCounts(t *testing.T) {
 	type step struct {
-		op  byte // m: mint obj n; a: attenuate ref n; d: drop ref n; r: revoke obj n; z: drop the zero Ref
+		op  byte // m: mint obj n; a: attenuate ref n; d: drop ref n; z: drop the zero Ref
 		n   int
 		err error // a only
 	}
@@ -228,7 +202,6 @@ func TestRegistryLiveCounts(t *testing.T) {
 		{"double drop counts once", []step{{op: 'm', n: 1}, {op: 'm', n: 1}, {op: 'd', n: 0}, {op: 'd', n: 0}, {op: 'd', n: 1}}},
 		{"attenuated outlives parent", []step{{op: 'm', n: 7}, {op: 'a', n: 0}, {op: 'd', n: 0}, {op: 'a', n: 1}, {op: 'd', n: 1}, {op: 'd', n: 2}}},
 		{"attenuate dropped ref", []step{{op: 'm', n: 3}, {op: 'd', n: 0}, {op: 'a', n: 0, err: ErrUnknown}}},
-		{"revoked is live till drop", []step{{op: 'm', n: 4}, {op: 'a', n: 0}, {op: 'r', n: 4}, {op: 'a', n: 0, err: ErrRevoked}, {op: 'm', n: 4}, {op: 'd', n: 1}, {op: 'd', n: 0}, {op: 'd', n: 2}}},
 		{"zero ref", []step{{op: 'z'}, {op: 'm', n: 2}, {op: 'z'}, {op: 'd', n: 0}, {op: 'z'}}},
 		{"interleaved objects", []step{{op: 'm', n: 9}, {op: 'm', n: 5}, {op: 'a', n: 1}, {op: 'm', n: 9}, {op: 'd', n: 1}, {op: 'd', n: 0}, {op: 'd', n: 3}, {op: 'd', n: 2}}},
 	}
@@ -270,8 +243,6 @@ func TestRegistryLiveCounts(t *testing.T) {
 			case 'd':
 				g.Drop(refs[st.n])
 				held[st.n] = false
-			case 'r':
-				g.Revoke(object.ID(st.n))
 			case 'z':
 				g.Drop(Ref{})
 			}

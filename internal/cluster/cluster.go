@@ -40,9 +40,6 @@ func (r Resources) Fits(c Resources) bool {
 	return r.MilliCPU <= c.MilliCPU && r.MemMB <= c.MemMB && r.GPUs <= c.GPUs
 }
 
-// IsZero reports whether all fields are zero.
-func (r Resources) IsZero() bool { return r == Resources{} }
-
 // String renders the bundle compactly.
 func (r Resources) String() string {
 	return fmt.Sprintf("cpu=%dm mem=%dMB gpu=%d", r.MilliCPU, r.MemMB, r.GPUs)
@@ -74,9 +71,6 @@ type Node struct {
 	allocs map[*Alloc]struct{}
 }
 
-// Down reports whether the machine has failed.
-func (n *Node) Down() bool { return n.down }
-
 // FailEvent returns an event that fails (with ErrNodeDown) the moment the
 // node goes down, letting in-flight work race completion against machine
 // failure. Recovered nodes hand out a fresh, pending event.
@@ -89,9 +83,6 @@ func (n *Node) FailEvent() *sim.Event {
 	}
 	return n.failEv
 }
-
-// Used returns currently allocated resources.
-func (n *Node) Used() Resources { return n.used }
 
 // Free returns remaining capacity.
 func (n *Node) Free() Resources { return n.Cap.Sub(n.used) }
@@ -230,25 +221,6 @@ func (c *Cluster) Release(a *Alloc) error {
 	return nil
 }
 
-// FirstFit returns the first node (lowest ID) with room for res, preferring
-// non-GPU nodes for GPU-less requests so accelerators stay available.
-func (c *Cluster) FirstFit(res Resources) *Node {
-	var fallback *Node
-	for _, n := range c.nodes {
-		if n.down || !res.Fits(n.Free()) {
-			continue
-		}
-		if res.GPUs == 0 && n.HasGPU() {
-			if fallback == nil {
-				fallback = n
-			}
-			continue
-		}
-		return n
-	}
-	return fallback
-}
-
 // BestFit returns the feasible node with the least free CPU after placement
 // (tightest packing), preferring non-GPU nodes for GPU-less requests.
 func (c *Cluster) BestFit(res Resources) *Node {
@@ -325,24 +297,6 @@ func (c *Cluster) SetDown(id simnet.NodeID, down bool) {
 	} else {
 		n.failEv = nil // next FailEvent() call mints a fresh pending event
 	}
-}
-
-// TotalCapacity sums capacity across nodes.
-func (c *Cluster) TotalCapacity() Resources {
-	var t Resources
-	for _, n := range c.nodes {
-		t = t.Add(n.Cap)
-	}
-	return t
-}
-
-// TotalUsed sums current allocations across nodes.
-func (c *Cluster) TotalUsed() Resources {
-	var t Resources
-	for _, n := range c.nodes {
-		t = t.Add(n.used)
-	}
-	return t
 }
 
 // AvgUtilization returns the mean time-weighted CPU utilisation across all

@@ -43,9 +43,9 @@ func TestClusterLayout(t *testing.T) {
 		t.Errorf("GPU nodes = %d, want 2 (1 per rack)", gpus)
 	}
 	// Racks must be reflected on the network for RTT purposes.
-	a, b := c.Nodes()[0], c.Nodes()[4]
-	if c.Net().Rack(a.ID) == c.Net().Rack(b.ID) {
-		t.Error("nodes from different racks report the same network rack")
+	a, b, same := c.Nodes()[0], c.Nodes()[4], c.Nodes()[1]
+	if c.Net().RTT(a.ID, b.ID) == c.Net().RTT(a.ID, same.ID) {
+		t.Error("nodes from different racks see the same RTT as rack mates")
 	}
 }
 
@@ -64,9 +64,6 @@ func TestResourcesArithmetic(t *testing.T) {
 	if a.Fits(b) {
 		t.Error("a should not fit in b")
 	}
-	if !(Resources{}).IsZero() {
-		t.Error("zero value not IsZero")
-	}
 }
 
 func TestAllocateRelease(t *testing.T) {
@@ -76,8 +73,8 @@ func TestAllocateRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Used().MilliCPU != 4000 {
-		t.Errorf("Used = %v", n.Used())
+	if n.used.MilliCPU != 4000 {
+		t.Errorf("Used = %v", n.used)
 	}
 	if n.Free().MilliCPU != 4000 {
 		t.Errorf("Free = %v", n.Free())
@@ -85,8 +82,8 @@ func TestAllocateRelease(t *testing.T) {
 	if err := c.Release(a); err != nil {
 		t.Fatal(err)
 	}
-	if !n.Used().IsZero() {
-		t.Errorf("Used after release = %v, want zero", n.Used())
+	if n.used != (Resources{}) {
+		t.Errorf("Used after release = %v, want zero", n.used)
 	}
 }
 
@@ -112,8 +109,8 @@ func TestAllocateOverCapacityFails(t *testing.T) {
 	if _, err := c.Allocate(n, Resources{MilliCPU: 100, MemMB: 1 << 30}); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("err = %v, want ErrNoCapacity", err)
 	}
-	if !n.Used().IsZero() {
-		t.Errorf("failed allocation left usage %v", n.Used())
+	if n.used != (Resources{}) {
+		t.Errorf("failed allocation left usage %v", n.used)
 	}
 }
 
@@ -222,18 +219,25 @@ func TestUtilizationTimeWeighted(t *testing.T) {
 
 func TestTotals(t *testing.T) {
 	_, c := newCluster(t, small())
-	cap := c.TotalCapacity()
+	var cap, used Resources
+	sum := func() {
+		cap, used = Resources{}, Resources{}
+		for _, n := range c.Nodes() {
+			cap, used = cap.Add(n.Cap), used.Add(n.used)
+		}
+	}
+	sum()
 	if cap.MilliCPU != 8*8000 {
-		t.Errorf("TotalCapacity CPU = %d", cap.MilliCPU)
+		t.Errorf("total capacity CPU = %d", cap.MilliCPU)
 	}
 	if cap.GPUs != 4 {
-		t.Errorf("TotalCapacity GPUs = %d, want 4", cap.GPUs)
+		t.Errorf("total capacity GPUs = %d, want 4", cap.GPUs)
 	}
 	if _, err := c.Allocate(c.Nodes()[2], Resources{MilliCPU: 123}); err != nil {
 		t.Fatal(err)
 	}
-	if c.TotalUsed().MilliCPU != 123 {
-		t.Errorf("TotalUsed = %v", c.TotalUsed())
+	if sum(); used.MilliCPU != 123 {
+		t.Errorf("total used = %v", used)
 	}
 }
 
@@ -299,7 +303,7 @@ func TestFailEventLifecycle(t *testing.T) {
 		t.Error("recovery did not mint a fresh pending event")
 	}
 	c.SetDown(n.ID, false) // redundant recovery is a no-op
-	if n.Down() {
+	if n.down {
 		t.Error("node still down after recovery")
 	}
 }
@@ -325,7 +329,7 @@ func TestAllocationInvariantProperty(t *testing.T) {
 					return false
 				}
 			}
-			u := n.Used()
+			u := n.used
 			if u.MilliCPU < 0 || u.MemMB < 0 || !u.Fits(n.Cap) {
 				return false
 			}

@@ -447,15 +447,6 @@ func (g *Group) PrimaryStamp(id object.ID) (Stamp, bool) {
 	return m.stamp, true
 }
 
-// StampAt returns the version stamp a replica holds for id (tests/metrics).
-func (g *Group) StampAt(replica int, id object.ID) (Stamp, bool) {
-	m, ok := g.replicas[replica].meta[id]
-	if !ok {
-		return Stamp{}, false
-	}
-	return m.stamp, true
-}
-
 // Mirror synchronously copies the current replica-0 state of the given
 // objects to every other replica, creating them where missing. The PCSI
 // core uses this to keep metadata (directories, code objects) replicated

@@ -170,7 +170,7 @@ func (cl *Client) Put(p *sim.Proc, r Ref, data []byte) error {
 		})
 		if err == nil && t.e == nil {
 			cl.c.caches[cacheKey{cl.node, t.id}] = cacheEntry{mark: ver}
-			cl.c.Meter.Charge("write", cost.PCSIBook.WriteCost(int64(len(data))))
+			cl.c.Meter.Charge(cost.PCSIBook.WriteCost(int64(len(data))))
 		}
 		return err
 	})
@@ -208,7 +208,7 @@ func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) {
 				entry = cacheEntry{stable: true, data: data}
 			}
 			cl.c.caches[cacheKey{cl.node, t.id}] = entry
-			cl.c.Meter.Charge("read", cost.PCSIBook.ReadCost(int64(len(data)), r.lvl == consistency.Linearizable))
+			cl.c.Meter.Charge(cost.PCSIBook.ReadCost(int64(len(data)), r.lvl == consistency.Linearizable))
 			if leased && at.Kind == object.Regular {
 				// Fill under the epoch recorded before the read; a write that
 				// slipped in between bumped it and the fill is refused. Only
@@ -250,7 +250,7 @@ func (cl *Client) cachedGet(t target, leased bool) ([]byte, bool) {
 		data = append([]byte(nil), data...) // mutable object: the caller owns its copy
 	}
 	t.p.Sleep(media.DRAM.ReadCost(int64(len(data))))
-	cl.c.Meter.Charge("read", cost.PCSIBook.ReadCost(int64(len(data)), false))
+	cl.c.Meter.Charge(cost.PCSIBook.ReadCost(int64(len(data)), false))
 	return data, true
 }
 
@@ -381,16 +381,6 @@ func (cl *Client) Attenuate(r Ref, mask capability.Rights) (Ref, error) {
 func (cl *Client) Drop(r Ref) {
 	cl.c.caps.Drop(r.cap)
 	cl.c.reapEphem(r.cap.Object())
-}
-
-// Revoke invalidates every outstanding reference to the object behind r.
-// Requires the Grant right (issuer-level authority).
-func (cl *Client) Revoke(r Ref) error {
-	if err := cl.check(r, capability.Grant); err != nil {
-		return err
-	}
-	cl.c.caps.Revoke(r.cap.Object())
-	return nil
 }
 
 // Stat returns kind, size, version and mutability without payload

@@ -370,9 +370,6 @@ type Ref struct {
 // Valid reports whether the reference was issued by a Cloud.
 func (r Ref) Valid() bool { return r.cap.Valid() }
 
-// Rights returns the reference's rights.
-func (r Ref) Rights() capability.Rights { return r.cap.Rights() }
-
 // ObjectID exposes the referenced object's ID (diagnostics).
 func (r Ref) ObjectID() object.ID { return r.cap.Object() }
 

@@ -88,30 +88,6 @@ func TestCapabilityGatesOperations(t *testing.T) {
 	})
 }
 
-func TestRevocation(t *testing.T) {
-	c := testCloud(3)
-	client := c.NewClient(0)
-	run(t, c, func(p *sim.Proc) {
-		ref, err := client.Create(p, object.Regular)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		shared, err := client.Attenuate(ref, capability.Read)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := client.Revoke(ref); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := client.Get(p, shared); err == nil {
-			t.Error("revoked reference still works")
-		}
-	})
-}
-
 func TestMutabilityThroughAPI(t *testing.T) {
 	c := testCloud(4)
 	client := c.NewClient(0)
@@ -132,9 +108,9 @@ func TestMutabilityThroughAPI(t *testing.T) {
 		if err := client.Put(p, ref, []byte("v2")); !errors.Is(err, object.ErrImmutable) {
 			t.Errorf("write to frozen object err = %v", err)
 		}
-		m, err := client.Mutability(p, ref)
-		if err != nil || m != object.Immutable {
-			t.Errorf("Mutability = %v, %v", m, err)
+		st, err := client.Stat(p, ref)
+		if err != nil || st.Mutability != object.Immutable {
+			t.Errorf("Stat mutability = %v, %v", st.Mutability, err)
 		}
 	})
 }
@@ -228,8 +204,8 @@ func TestUnionNamespaceLayering(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if upper.Layers() != 2 {
-			t.Errorf("Layers = %d", upper.Layers())
+		if upper.ns.Layers() != 2 {
+			t.Errorf("Layers = %d", upper.ns.Layers())
 		}
 		// Write through the union: copy-up; base unchanged.
 		wRef, err := upper.Open(p, client, "etc/conf", capability.Read|capability.Write)

@@ -94,6 +94,3 @@ func (c *Cloud) sweepEphemeral() int {
 	}
 	return n
 }
-
-// EphemeralCount reports live ephemeral objects (tests/diagnostics).
-func (c *Cloud) EphemeralCount() int { return len(c.ephem) }

@@ -29,9 +29,6 @@ type FnCtx struct {
 // Proc returns the simulation process the function runs in.
 func (fc *FnCtx) Proc() *sim.Proc { return fc.Inv.Proc() }
 
-// Cloud returns the deployment.
-func (fc *FnCtx) Cloud() *Cloud { return fc.Client.c }
-
 // Device returns the GPU memory of the node the function runs on, or nil.
 func (fc *FnCtx) Device() *platform.Device {
 	return fc.Client.c.Device(fc.Inv.Node())

@@ -69,12 +69,6 @@ func (cl *Client) Union(p *sim.Proc, lower *NS) (*NS, Ref, error) {
 // less-trusted functions).
 func (n *NS) Freeze() *NS { return &NS{c: n.c, ns: n.ns.Freeze()} }
 
-// Layers reports the union stack depth.
-func (n *NS) Layers() int { return n.ns.Layers() }
-
-// Root returns the top layer's root directory ID.
-func (n *NS) Root() object.ID { return n.ns.Root() }
-
 // DropRoot unregisters the namespace from the GC root set; its objects
 // become collectable once no references remain.
 func (n *NS) DropRoot() { delete(n.c.nsRoots, n.ns.Root()) }

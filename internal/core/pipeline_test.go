@@ -164,7 +164,7 @@ func testVerbHooks(t *testing.T, v *verb, d verbDriver) {
 			return
 		}
 		if !v.noRef {
-			weak, err := cl.Attenuate(r, r.Rights()&^v.need)
+			weak, err := cl.Attenuate(r, r.cap.Rights()&^v.need)
 			if err != nil {
 				t.Error(err)
 				return

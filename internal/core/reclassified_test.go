@@ -28,8 +28,6 @@ func TestReclassifiedErrorsKeepTheirAnswer(t *testing.T) {
 	if err := st.Insert(dup); err != nil {
 		t.Fatal(err)
 	}
-	_, unaligned := taskgraph.Pipeline([]string{"a"}, nil)
-	_, early := taskgraph.NewExecutor(nil).Submit(nil, &taskgraph.Task{})
 	for _, c := range []struct {
 		err  error
 		want string
@@ -42,8 +40,6 @@ func TestReclassifiedErrorsKeepTheirAnswer(t *testing.T) {
 		{fncache.ErrNotLattice, "fncache: payload is not an encoded lattice"},
 		{st.Insert(dup), "store: duplicate id obj-7"},
 		{taskgraph.NewGraph().Add(&taskgraph.Task{}), "taskgraph: task needs a name and function"},
-		{unaligned, "taskgraph: names and fns must align"},
-		{early, "taskgraph: Submit before Execute"},
 	} {
 		if c.err == nil || c.err.Error() != c.want {
 			t.Errorf("error = %v, want %q", c.err, c.want)

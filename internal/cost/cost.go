@@ -155,40 +155,26 @@ func (b Book) ComputeCost(milliCPU, memMB, gpus int64, d time.Duration, scavenge
 	return c
 }
 
-// StorageCost prices size bytes stored for d.
-func (b Book) StorageCost(size int64, d time.Duration) USD {
-	const month = 30 * 24 * time.Hour
-	return b.PerGBMonthStored * USD(float64(size)/1e9) * USD(float64(d)/float64(month))
-}
-
 // Meter accumulates charges.
 type Meter struct {
 	Name  string
 	total USD
 	ops   int64
-	lines map[string]USD
 }
 
 // NewMeter returns an empty meter.
 func NewMeter(name string) *Meter {
-	return &Meter{Name: name, lines: make(map[string]USD)}
+	return &Meter{Name: name}
 }
 
-// Charge adds an amount under a line item and counts one operation.
-func (m *Meter) Charge(line string, amount USD) {
+// Charge adds an amount and counts one operation.
+func (m *Meter) Charge(amount USD) {
 	m.total += amount
 	m.ops++
-	m.lines[line] += amount
 }
 
 // Total returns the accumulated charge.
 func (m *Meter) Total() USD { return m.total }
-
-// Ops returns the number of charged operations.
-func (m *Meter) Ops() int64 { return m.ops }
-
-// Line returns the accumulated charge for one line item.
-func (m *Meter) Line(line string) USD { return m.lines[line] }
 
 // PerMillionOps returns the average cost per million operations.
 func (m *Meter) PerMillionOps() USD {

@@ -78,14 +78,13 @@ func TestStorageCost(t *testing.T) {
 
 func TestMeter(t *testing.T) {
 	m := NewMeter("svc")
-	m.Charge("read", 0.001)
-	m.Charge("read", 0.001)
-	m.Charge("write", 0.01)
-	if m.Ops() != 3 {
-		t.Errorf("Ops = %d", m.Ops())
+	m.Charge(0.001)
+	m.Charge(0.001)
+	m.Charge(0.01)
+	if m.ops != 3 {
+		t.Errorf("Ops = %d", m.ops)
 	}
 	approx(t, "total", m.Total(), 0.012, 0.001)
-	approx(t, "line read", m.Line("read"), 0.002, 0.001)
 	approx(t, "per-M", m.PerMillionOps(), 0.012/3*1e6, 0.001)
 	empty := NewMeter("e")
 	if empty.PerMillionOps() != 0 {

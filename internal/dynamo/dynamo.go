@@ -57,9 +57,6 @@ func New(net *simnet.Network, nReplicas int, media media.Profile) *Table {
 	return t
 }
 
-// Gateway exposes the REST front door (metrics).
-func (t *Table) Gateway() *restbase.Gateway { return t.gw }
-
 // PutItem stores value under key.
 func (t *Table) PutItem(p *sim.Proc, client simnet.NodeID, creds, key string, value []byte) error {
 	sp := trace.Of(t.env).Start(p, "dynamo", "put_item",

@@ -119,7 +119,7 @@ func TestAuthCheckedPerRequest(t *testing.T) {
 	})
 	env.Run()
 	// 1 create + 1 put + 3 gets = 5 auth checks.
-	if got := tbl.Gateway().AuthChecks; got != 5 {
+	if got := tbl.gw.AuthChecks; got != 5 {
 		t.Errorf("AuthChecks = %d, want 5", got)
 	}
 }

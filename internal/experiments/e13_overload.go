@@ -89,7 +89,7 @@ func e13Objectives() []obs.Objective {
 // the same stock retry policy; the QoS arms never retry because
 // ErrOverload classifies as fatal, while the unguarded arm amplifies each
 // placement failure into a backoff loop.
-func e13PCSI(rn run, factor float64, withQoS bool) (*e13Arm, qos.Stats) {
+func e13PCSI(rn run, factor float64, withQoS bool) *e13Arm {
 	opts := rn.options()
 	opts.Policy = core.PlacePacked
 	opts.IdleTimeout = time.Second
@@ -161,11 +161,7 @@ func e13PCSI(rn run, factor float64, withQoS bool) (*e13Arm, qos.Stats) {
 	env.RunUntil(sim.Time(e13Window + 5*time.Second))
 	cloud.Runtime().Drain()
 	arm.attempts = arm.offered + cloud.RetryAttempts
-	var st qos.Stats
-	if q := cloud.QoS(); q != nil {
-		st = q.ClassStats(qos.ClassInvoke)
-	}
-	return arm, st
+	return arm
 }
 
 // e13Rest drives the REST gateway at factor × its capacity. The client
@@ -246,15 +242,13 @@ func runE13(rn run) *Report {
 	type qosRow struct {
 		factor float64
 		arm    *e13Arm
-		st     qos.Stats
 	}
 	var sweep []qosRow
 	for _, f := range factors {
-		arm, st := e13PCSI(rn, f, true)
-		sweep = append(sweep, qosRow{f, arm, st})
+		sweep = append(sweep, qosRow{f, e13PCSI(rn, f, true)})
 	}
-	noqos, _ := e13PCSI(rn, 2, false)
-	noqos4, _ := e13PCSI(rn, 4, false)
+	noqos := e13PCSI(rn, 2, false)
+	noqos4 := e13PCSI(rn, 4, false)
 	rest1, thr1 := e13Rest(rn, 1)
 	rest2, thr2 := e13Rest(rn, 2)
 

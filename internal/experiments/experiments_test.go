@@ -213,10 +213,6 @@ func runNoLeak(t *testing.T, e Experiment) *Report {
 	live := func() int { return runtime.NumGoroutine() - sim.IdleWorkers() }
 	before := live()
 	rep := e.Run(1)
-	// E1's loopback servers stop goroutines that exit asynchronously.
-	for i := 0; i < 10000 && live() > before; i++ {
-		runtime.Gosched()
-	}
 	if after := live(); after != before {
 		t.Errorf("%s left %d goroutines behind (%d before, %d after)", e.ID, after-before, before, after)
 	}

@@ -116,7 +116,7 @@ func TestObsDoesNotPerturbExperiments(t *testing.T) {
 			var buf strings.Builder
 			mustGet(t, id).fn(run{seed: 1, obs: s}).Render(&buf)
 			on := buf.String()
-			if len(s.Planes()) == 0 {
+			if len(s.Timeline(id, 1).Planes) == 0 {
 				t.Error("experiment attached no telemetry planes under an active session")
 			}
 			if on != off {

@@ -48,8 +48,6 @@ type PlacementHints struct {
 	// CPU-only work — §4.1's forward-looking placement of a producer next
 	// to its accelerator-bound consumer.
 	PreferGPUNode bool
-	// Scavenge requests harvested idle capacity (§4.2).
-	Scavenge bool
 	// Goal selects among a function's variants (§3.1's optimizer).
 	Goal Goal
 	// Tenant names the workload for QoS admission and weighted-fair
@@ -259,15 +257,6 @@ func NewRuntime(cl *cluster.Cluster, plc Placer, cfg Config) *Runtime {
 	return rt
 }
 
-// Metrics returns the registry holding every runtime metric.
-func (rt *Runtime) Metrics() *trace.Registry { return rt.reg }
-
-// Env returns the runtime's simulation environment.
-func (rt *Runtime) Env() *sim.Env { return rt.env }
-
-// Cluster returns the backing cluster.
-func (rt *Runtime) Cluster() *cluster.Cluster { return rt.cl }
-
 // Register adds a function. Concurrency defaults to 1.
 func (rt *Runtime) Register(fn *Function) error {
 	if fn.Name == "" || fn.Handler == nil {
@@ -348,7 +337,7 @@ func (rt *Runtime) Invoke(p *sim.Proc, name string, body []byte, hints Placement
 	rt.Invocations.Inc()
 	rt.InvokeLat.Observe(p.Now().Sub(start))
 	fp := variantFootprint(inst.Variant())
-	rt.Meter.Charge("compute", cost.ComputeBook.ComputeCost(
+	rt.Meter.Charge(cost.ComputeBook.ComputeCost(
 		fp.MilliCPU, fp.MemMB, fp.GPUs, took, inst.Scavenged()))
 	sp.Close(p)
 	return inst, herr

@@ -21,7 +21,7 @@ func (r randomPlacer) Place(res cluster.Resources, hints PlacementHints) (*clust
 			return n, false
 		}
 	}
-	return r.c.FirstFit(res), false
+	return r.c.BestFit(res), false
 }
 
 func testRuntime(seed int64, cfg Config) (*sim.Env, *Runtime) {
@@ -199,8 +199,10 @@ func TestIdleReaperShrinksToZero(t *testing.T) {
 		t.Errorf("warm count = %d after idle timeout, want 0 (scale to zero)", rt.WarmCount("f"))
 	}
 	// Resources must have been released.
-	if used := rt.Cluster().TotalUsed(); !used.IsZero() {
-		t.Errorf("cluster still holds %v after reap", used)
+	for _, n := range rt.cl.Nodes() {
+		if n.Free() != n.Cap {
+			t.Errorf("node %d still holds %v after reap", n.ID, n.Cap.Sub(n.Free()))
+		}
 	}
 }
 
@@ -238,7 +240,7 @@ func TestPlacementHintHonoured(t *testing.T) {
 	if err := rt.Register(wasmFn("f", sleeper(time.Millisecond))); err != nil {
 		t.Fatal(err)
 	}
-	target := rt.Cluster().Nodes()[3]
+	target := rt.cl.Nodes()[3]
 	env.Go("c", func(p *sim.Proc) {
 		inst, err := rt.Invoke(p, "f", nil, PlacementHints{NearNode: target.ID, HasNear: true}, nil)
 		if err != nil {
@@ -349,8 +351,8 @@ func TestFailNodeKillsInstancesAndReplaces(t *testing.T) {
 		t.Errorf("NodeFailKills = %d", rt.NodeFailKills)
 	}
 	// Resources of the dead instances were released.
-	if used := rt.Cluster().Node(firstNode).Used(); !used.IsZero() {
-		t.Errorf("failed node still holds %v", used)
+	if n := rt.cl.Node(firstNode); n.Free() != n.Cap {
+		t.Errorf("failed node still holds %v", n.Cap.Sub(n.Free()))
 	}
 }
 
@@ -376,7 +378,7 @@ func TestFailNodeDuringInflightCallDoesNotResurrect(t *testing.T) {
 	})
 	env.Go("killer", func(p *sim.Proc) {
 		p.Sleep(5 * time.Millisecond) // mid-flight
-		for _, n := range rt.Cluster().Nodes() {
+		for _, n := range rt.cl.Nodes() {
 			rt.FailNode(n.ID)
 		}
 	})
@@ -389,9 +391,9 @@ func TestFailNodeDuringInflightCallDoesNotResurrect(t *testing.T) {
 		t.Errorf("WarmCount = %d after node failure, want 0", rt.WarmCount("slow"))
 	}
 	// Accounting must be consistent: exactly one destroy, resources freed.
-	for _, n := range rt.Cluster().Nodes() {
-		if !n.Used().IsZero() {
-			t.Errorf("node %d still holds %v", n.ID, n.Used())
+	for _, n := range rt.cl.Nodes() {
+		if n.Free() != n.Cap {
+			t.Errorf("node %d still holds %v", n.ID, n.Cap.Sub(n.Free()))
 		}
 	}
 }
@@ -414,7 +416,7 @@ func TestFailFastInterruptsAtFaultTime(t *testing.T) {
 	})
 	env.Go("killer", func(p *sim.Proc) {
 		p.Sleep(50 * time.Millisecond) // mid-handler
-		for _, n := range rt.Cluster().Nodes() {
+		for _, n := range rt.cl.Nodes() {
 			rt.FailNode(n.ID)
 		}
 	})
@@ -447,7 +449,7 @@ func TestFailFastOffRunsToCompletion(t *testing.T) {
 	})
 	env.Go("killer", func(p *sim.Proc) {
 		p.Sleep(50 * time.Millisecond)
-		for _, n := range rt.Cluster().Nodes() {
+		for _, n := range rt.cl.Nodes() {
 			rt.FailNode(n.ID)
 		}
 	})

@@ -172,15 +172,15 @@ func TestScheduleCrashRecover(t *testing.T) {
 	}
 	n := cl.Node(1)
 	env.RunUntil(sim.Time(0).Add(5 * time.Millisecond))
-	if n.Down() {
+	if n.FailEvent().Done() {
 		t.Error("node down before the scheduled crash")
 	}
 	env.RunUntil(sim.Time(0).Add(15 * time.Millisecond))
-	if !n.Down() {
+	if !n.FailEvent().Done() {
 		t.Error("node not down after the scheduled crash")
 	}
 	env.RunUntil(sim.Time(0).Add(35 * time.Millisecond))
-	if n.Down() {
+	if n.FailEvent().Done() {
 		t.Error("node still down after the scheduled recovery")
 	}
 }
@@ -196,13 +196,13 @@ func TestScheduleRackPower(t *testing.T) {
 	attach(s, env, net, cl)
 	env.RunUntil(sim.Time(0).Add(15 * time.Millisecond))
 	for _, n := range cl.Nodes() {
-		if want := n.Rack == 1; n.Down() != want {
-			t.Errorf("node %d (rack %d) down = %v at 15ms", n.ID, n.Rack, n.Down())
+		if want := n.Rack == 1; n.FailEvent().Done() != want {
+			t.Errorf("node %d (rack %d) down = %v at 15ms", n.ID, n.Rack, n.FailEvent().Done())
 		}
 	}
 	env.RunUntil(sim.Time(0).Add(25 * time.Millisecond))
 	for _, n := range cl.Nodes() {
-		if n.Down() {
+		if n.FailEvent().Done() {
 			t.Errorf("node %d still down after rack restore", n.ID)
 		}
 	}

@@ -30,9 +30,6 @@ func (f RootsFunc) Roots() []object.ID { return f() }
 type Collector struct {
 	st      *store.Store
 	sources []RootSource
-	// Pinned objects are never collected regardless of reachability
-	// (system objects such as function code during execution).
-	pinned map[object.ID]int
 
 	// Stats from the most recent collection.
 	LastMarked    int
@@ -44,23 +41,11 @@ type Collector struct {
 
 // New returns a collector for st.
 func New(st *store.Store) *Collector {
-	return &Collector{st: st, pinned: make(map[object.ID]int)}
+	return &Collector{st: st}
 }
 
 // AddRoots registers a root source (capability registry, namespace table).
 func (c *Collector) AddRoots(src RootSource) { c.sources = append(c.sources, src) }
-
-// Pin protects id from collection until a matching Unpin. Pins nest.
-func (c *Collector) Pin(id object.ID) { c.pinned[id]++ }
-
-// Unpin removes one pin from id.
-func (c *Collector) Unpin(id object.ID) {
-	if c.pinned[id] <= 1 {
-		delete(c.pinned, id)
-		return
-	}
-	c.pinned[id]--
-}
 
 // Collect runs a full mark-and-sweep and returns the number of objects
 // reclaimed.
@@ -77,9 +62,6 @@ func (c *Collector) Collect() int {
 		for _, id := range src.Roots() {
 			push(id)
 		}
-	}
-	for id := range c.pinned {
-		push(id)
 	}
 	// Trace: directories reach their entries; other kinds are leaves.
 	for len(stack) > 0 {

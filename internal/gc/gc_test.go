@@ -89,25 +89,6 @@ func TestDroppedReferenceMakesGarbage(t *testing.T) {
 	}
 }
 
-func TestPinProtects(t *testing.T) {
-	st := store.New(media.DRAM, 0)
-	c := New(st)
-	o := st.Create(object.Regular)
-	c.Pin(o.ID())
-	c.Pin(o.ID())
-	if swept := c.Collect(); swept != 0 {
-		t.Fatalf("pinned object swept")
-	}
-	c.Unpin(o.ID())
-	if swept := c.Collect(); swept != 0 {
-		t.Fatalf("nested pin not honoured")
-	}
-	c.Unpin(o.ID())
-	if swept := c.Collect(); swept != 1 {
-		t.Errorf("swept = %d after unpin, want 1", swept)
-	}
-}
-
 func TestCycleCollected(t *testing.T) {
 	// Two directories referencing each other but unreachable from roots
 	// must still be collected — mark & sweep handles cycles.

@@ -95,12 +95,6 @@ func (h *Histogram) Mean() time.Duration {
 	return h.sum / time.Duration(h.total)
 }
 
-// Min returns the smallest observation.
-func (h *Histogram) Min() time.Duration { return h.min }
-
-// Max returns the largest observation.
-func (h *Histogram) Max() time.Duration { return h.max }
-
 // Quantile returns an approximation of the q-th quantile (0 <= q <= 1).
 // Exact min/max are returned at the extremes.
 func (h *Histogram) Quantile(q float64) time.Duration {
@@ -142,21 +136,10 @@ func (h *Histogram) P50() time.Duration { return h.Quantile(0.50) }
 // P99 returns the 99th percentile.
 func (h *Histogram) P99() time.Duration { return h.Quantile(0.99) }
 
-// Summary renders a one-line summary.
-func (h *Histogram) Summary() string {
-	if h.total == 0 {
-		return fmt.Sprintf("%s: no data", h.name)
-	}
-	return fmt.Sprintf("%s: n=%d mean=%v p50=%v p99=%v max=%v",
-		h.name, h.total, FmtDuration(h.Mean()), FmtDuration(h.P50()),
-		FmtDuration(h.P99()), FmtDuration(h.max))
-}
-
-// Counter is a monotonically increasing count with an optional byte tally.
+// Counter is a monotonically increasing count.
 type Counter struct {
-	name  string
-	n     int64
-	bytes int64
+	name string
+	n    int64
 }
 
 // NewCounter returns a zeroed counter.
@@ -168,14 +151,8 @@ func (c *Counter) Inc() { c.n++ }
 // Add adds n occurrences.
 func (c *Counter) Add(n int64) { c.n += n }
 
-// AddBytes adds one occurrence of b bytes.
-func (c *Counter) AddBytes(b int64) { c.n++; c.bytes += b }
-
 // Value returns the occurrence count.
 func (c *Counter) Value() int64 { return c.n }
-
-// Bytes returns the byte tally.
-func (c *Counter) Bytes() int64 { return c.bytes }
 
 // Name returns the counter's label.
 func (c *Counter) Name() string { return c.name }
@@ -215,12 +192,6 @@ func (g *Gauge) Set(nowNS int64, level float64) {
 
 // Add adjusts the level by delta at time nowNS.
 func (g *Gauge) Add(nowNS int64, delta float64) { g.Set(nowNS, g.level+delta) }
-
-// Level returns the current level.
-func (g *Gauge) Level() float64 { return g.level }
-
-// Max returns the highest level seen.
-func (g *Gauge) Max() float64 { return g.maxLevel }
 
 // Avg returns the time-weighted average level from the first Set through
 // endNS. A zero-duration window (endNS == the first update, e.g. a burst

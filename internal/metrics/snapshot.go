@@ -102,17 +102,6 @@ func (s HistSnapshot) Delta(prev HistSnapshot) HistSnapshot {
 	return out
 }
 
-// Count returns the number of observations in the window.
-func (s HistSnapshot) Count() int64 { return s.Total }
-
-// Mean returns the average observation in the window, or 0 when empty.
-func (s HistSnapshot) Mean() time.Duration {
-	if s.Total == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Total)
-}
-
 // Quantile approximates the q-th quantile of the window from bucket
 // midpoints (no exact min/max clamping — see the package comment).
 func (s HistSnapshot) Quantile(q float64) time.Duration {
@@ -144,19 +133,18 @@ func (s HistSnapshot) P99() time.Duration { return s.Quantile(0.99) }
 
 // CounterSnapshot is a point-in-time copy of a Counter.
 type CounterSnapshot struct {
-	N     int64
-	Bytes int64
+	N int64
 }
 
 // Snapshot copies the counter's current state.
 func (c *Counter) Snapshot() CounterSnapshot {
-	return CounterSnapshot{N: c.n, Bytes: c.bytes}
+	return CounterSnapshot{N: c.n}
 }
 
 // Delta returns the window s minus prev (an earlier snapshot of the same
 // counter).
 func (s CounterSnapshot) Delta(prev CounterSnapshot) CounterSnapshot {
-	return CounterSnapshot{N: s.N - prev.N, Bytes: s.Bytes - prev.Bytes}
+	return CounterSnapshot{N: s.N - prev.N}
 }
 
 // GaugeSnapshot is a point-in-time copy of a Gauge's level and peak.

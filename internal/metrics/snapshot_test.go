@@ -134,11 +134,11 @@ func TestHistSnapshotQuantileAccuracy(t *testing.T) {
 			t.Errorf("q=%v: got %v, want within 10%% of %v", tc.q, got, tc.exact)
 		}
 	}
-	if got := s.Mean(); got != h.Mean() {
+	if got := s.Sum / time.Duration(s.Total); got != h.Mean() {
 		t.Errorf("snapshot mean %v != histogram mean %v", got, h.Mean())
 	}
-	if s.Count() != 1000 {
-		t.Errorf("count = %d, want 1000", s.Count())
+	if s.Total != 1000 {
+		t.Errorf("count = %d, want 1000", s.Total)
 	}
 }
 
@@ -162,13 +162,11 @@ func TestHistSnapshotZeroAndEmpty(t *testing.T) {
 func TestCounterSnapshotDelta(t *testing.T) {
 	c := NewCounter("c")
 	c.Add(3)
-	c.AddBytes(100)
 	before := c.Snapshot()
 	c.Add(5)
-	c.AddBytes(50)
 	d := c.Snapshot().Delta(before)
-	if d.N != 6 || d.Bytes != 50 {
-		t.Errorf("delta = %+v, want N=6 Bytes=50", d)
+	if d.N != 5 {
+		t.Errorf("delta = %+v, want N=5", d)
 	}
 }
 

@@ -70,9 +70,6 @@ func (ns *Namespace) Freeze() *Namespace {
 	return &dup
 }
 
-// ReadOnly reports whether the namespace rejects writes.
-func (ns *Namespace) ReadOnly() bool { return ns.readOnly }
-
 // Root returns the top layer's root directory ID.
 func (ns *Namespace) Root() object.ID { return ns.layers[0] }
 
@@ -186,15 +183,6 @@ func (ns *Namespace) Resolve(path string) (object.ID, error) {
 		return object.NilID, err
 	}
 	return ns.lookupIn(dirs, parts[len(parts)-1])
-}
-
-// Stat resolves path and returns the object.
-func (ns *Namespace) Stat(path string) (*object.Object, error) {
-	id, err := ns.Resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	return ns.st.Get(id)
 }
 
 // ensureUpperDir guarantees the top layer contains the directory chain for

@@ -158,7 +158,7 @@ func TestList(t *testing.T) {
 func TestFreezeRejectsWrites(t *testing.T) {
 	_, ns := newNS(t)
 	ro := ns.Freeze()
-	if !ro.ReadOnly() {
+	if !ro.readOnly {
 		t.Fatal("Freeze not read-only")
 	}
 	if _, err := ro.Create("x", object.Regular); !errors.Is(err, ErrReadOnly) {

@@ -28,7 +28,6 @@ import (
 // Errors returned by the protocol.
 var (
 	ErrStaleHandle = errors.New("nfsbase: stale file handle")
-	ErrNotMounted  = errors.New("nfsbase: not mounted")
 	ErrUnreachable = errors.New("nfsbase: server unreachable")
 )
 
@@ -65,9 +64,6 @@ func NewServer(net *simnet.Network, media media.Profile) *Server {
 	}
 }
 
-// Node returns the server's network node.
-func (s *Server) Node() simnet.NodeID { return s.node }
-
 // Export creates a file with the given content.
 func (s *Server) Export(name string, content []byte) error {
 	o := s.st.Create(object.Regular)
@@ -77,9 +73,6 @@ func (s *Server) Export(name string, content []byte) error {
 	s.files[name] = o.ID()
 	return nil
 }
-
-// SetReachable toggles the server's availability.
-func (s *Server) SetReachable(ok bool) { s.reachable = ok }
 
 // Handle is an open-file handle: the protocol state the paper's REST
 // baseline cannot keep.
@@ -156,7 +149,7 @@ func (m *Mount) Read(p *sim.Proc, h *Handle, off int64, n int) ([]byte, error) {
 	m.srv.net.Send(p, m.srv.node, m.client, 64+got)
 	m.srv.Ops.Inc()
 	m.srv.Lat.Observe(p.Now().Sub(start))
-	m.Meter.Charge("read", cost.NFSBook.ReadCost(int64(got), false))
+	m.Meter.Charge(cost.NFSBook.ReadCost(int64(got), false))
 	return buf[:got], nil
 }
 
@@ -188,6 +181,6 @@ func (m *Mount) Write(p *sim.Proc, h *Handle, off int64, data []byte) error {
 	m.srv.net.Send(p, m.srv.node, m.client, 64)
 	m.srv.Ops.Inc()
 	m.srv.Lat.Observe(p.Now().Sub(start))
-	m.Meter.Charge("write", cost.NFSBook.WriteCost(int64(len(data))))
+	m.Meter.Charge(cost.NFSBook.WriteCost(int64(len(data))))
 	return nil
 }

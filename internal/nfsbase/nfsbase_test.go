@@ -154,11 +154,11 @@ func TestUnreachableServerErrors(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		srv.SetReachable(false)
+		srv.reachable = false
 		if _, err := m.Read(p, h, 0, 1); !errors.Is(err, ErrUnreachable) {
 			t.Errorf("read from dead server err = %v", err)
 		}
-		srv.SetReachable(true)
+		srv.reachable = true
 		if _, err := m.Read(p, h, 0, 1); err != nil {
 			t.Errorf("recovered read err = %v", err)
 		}

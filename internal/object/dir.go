@@ -86,9 +86,6 @@ func (o *Object) Entries() []string {
 	return names
 }
 
-// EntryCount returns the number of entries.
-func (o *Object) EntryCount() int { return len(o.entries) }
-
 // Whiteout records that name is deleted in this (upper) layer, hiding any
 // same-named entry in lower layers. The entry itself, if present, is
 // removed.
@@ -170,9 +167,6 @@ func (o *Object) Pop() ([]byte, error) {
 	return msg, nil
 }
 
-// QueueLen returns the number of queued FIFO messages.
-func (o *Object) QueueLen() int { return len(o.fifo) }
-
 // Socket operations: a bidirectional message pipe, the "TCP Connection"
 // object of Figure 2. End 0 is the client side, end 1 the server side;
 // SockSend(end, m) enqueues toward the opposite end.
@@ -229,24 +223,7 @@ func (o *Object) SockClose() error {
 	return nil
 }
 
-// SockPending reports queued messages toward the given end.
-func (o *Object) SockPending(end int) int {
-	if o.kind != Socket || !validEnd(end) {
-		return 0
-	}
-	return len(o.sock[1-end])
-}
-
 // Device operations.
-
-// SetDriver installs the device driver (once, at creation time).
-func (o *Object) SetDriver(d DeviceDriver) error {
-	if o.kind != Device {
-		return ErrWrongKind
-	}
-	o.driver = d
-	return nil
-}
 
 // Ioctl invokes the device driver.
 func (o *Object) Ioctl(op string, arg []byte) ([]byte, error) {

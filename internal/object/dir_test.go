@@ -23,8 +23,8 @@ func TestDirectoryLinkLookupUnlink(t *testing.T) {
 	if _, err := d.Lookup("a"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Lookup after unlink err = %v", err)
 	}
-	if d.EntryCount() != 1 {
-		t.Errorf("EntryCount = %d, want 1", d.EntryCount())
+	if len(d.entries) != 1 {
+		t.Errorf("EntryCount = %d, want 1", len(d.entries))
 	}
 }
 
@@ -160,8 +160,8 @@ func TestFIFOOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.QueueLen() != 3 {
-		t.Errorf("QueueLen = %d", f.QueueLen())
+	if len(f.fifo) != 3 {
+		t.Errorf("QueueLen = %d", len(f.fifo))
 	}
 	for _, want := range []string{"one", "two", "three"} {
 		m, err := f.Pop()
@@ -200,9 +200,7 @@ func TestDeviceIoctl(t *testing.T) {
 		t.Errorf("driverless ioctl err = %v", err)
 	}
 	drv := &echoDriver{}
-	if err := d.SetDriver(drv); err != nil {
-		t.Fatal(err)
-	}
+	d.driver = drv
 	out, err := d.Ioctl("ping", []byte("x"))
 	if err != nil || string(out) != "ping:x" {
 		t.Errorf("Ioctl = %q, %v", out, err)
@@ -294,13 +292,13 @@ func TestSocketBadEndAndKind(t *testing.T) {
 	if err := f.SockSend(0, nil); !errors.Is(err, ErrWrongKind) {
 		t.Errorf("wrong kind = %v", err)
 	}
-	if s.SockPending(1) != 0 {
-		t.Errorf("pending = %d", s.SockPending(1))
+	if len(s.sock[0]) != 0 {
+		t.Errorf("pending = %d", len(s.sock[0]))
 	}
 	if err := s.SockSend(0, []byte("m")); err != nil {
 		t.Fatal(err)
 	}
-	if s.SockPending(1) != 1 {
-		t.Errorf("pending = %d, want 1", s.SockPending(1))
+	if len(s.sock[0]) != 1 {
+		t.Errorf("pending = %d, want 1", len(s.sock[0]))
 	}
 }

@@ -11,8 +11,6 @@
 package object
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"slices"
 
@@ -39,7 +37,6 @@ const (
 	FIFO
 	Socket
 	Device
-	numKinds
 )
 
 // String names the kind.
@@ -58,15 +55,6 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
-}
-
-// Kinds returns all object kinds.
-func Kinds() []Kind {
-	ks := make([]Kind, 0, numKinds)
-	for k := Kind(0); k < numKinds; k++ {
-		ks = append(ks, k)
-	}
-	return ks
 }
 
 // Mutability is an object's position in the Figure 1 lattice.
@@ -135,7 +123,6 @@ var (
 	ErrFIFOEmpty      = fault.Fatal("object: fifo empty")
 	ErrExists         = fault.Fatal("object: directory entry exists")
 	ErrNotFound       = fault.Fatal("object: not found")
-	ErrNotEmpty       = fault.Fatal("object: directory not empty")
 	ErrInvalidName    = fault.Fatal("object: invalid entry name")
 	ErrDeviceNoDriver = fault.Fatal("object: device has no driver")
 	ErrSockClosed     = fault.Fatal("object: socket closed")
@@ -149,7 +136,6 @@ type SockState uint8
 // Socket states.
 const (
 	SockOpen SockState = iota
-	SockHalfClosed
 	SockClosed
 )
 
@@ -354,12 +340,6 @@ func (o *Object) SetData(b []byte) error {
 	o.data = append(o.data[:0], b...)
 	o.bump()
 	return nil
-}
-
-// ContentHash returns the hex SHA-256 of the payload.
-func (o *Object) ContentHash() string {
-	h := sha256.Sum256(o.data)
-	return hex.EncodeToString(h[:])
 }
 
 // Clone returns a deep copy under a new ID, preserving content, kind,

@@ -71,14 +71,6 @@ func NewSession(cfg Config) *Session {
 	}
 }
 
-// Planes returns the attached planes in attach order.
-func (s *Session) Planes() []*Plane {
-	if s == nil {
-		return nil
-	}
-	return s.planes
-}
-
 // FlightDump concatenates every plane's recent flight-recorder window into
 // one text block — the capture attached to chaos invariant violations.
 // Empty when nothing was recorded; safe on a nil session.
@@ -159,7 +151,6 @@ type Plane struct {
 	objectives []*objectiveState
 	alerts     []Alert
 	rec        *Recorder
-	samples    int
 }
 
 // SetLabel renames the plane — experiments use it to tell sweep arms
@@ -169,14 +160,6 @@ func (pl *Plane) SetLabel(label string) {
 		return
 	}
 	pl.label = label
-}
-
-// Samples returns the number of sampler ticks taken so far.
-func (pl *Plane) Samples() int {
-	if pl == nil {
-		return 0
-	}
-	return pl.samples
 }
 
 // Record appends a flight-recorder event stamped with the environment's
@@ -206,7 +189,6 @@ func (pl *Plane) tick() {
 
 // sample snapshots every registry metric into the plane's series rings.
 func (pl *Plane) sample(now sim.Time) {
-	pl.samples++
 	if pl.lastDelta == nil {
 		pl.lastDelta = make(map[string]float64)
 		pl.lastWindow = make(map[string]metrics.HistSnapshot)

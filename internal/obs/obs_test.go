@@ -58,9 +58,6 @@ func runSynthetic(t *testing.T, seed int64) (*obs.Plane, *obs.Session) {
 
 func TestSamplerSeriesAndTermination(t *testing.T) {
 	pl, _ := runSynthetic(t, 1)
-	if pl.Samples() == 0 {
-		t.Fatal("sampler never ticked")
-	}
 	// env.Run returned, so the sampler did not livelock the drain.
 	rate := pl.SeriesData("served", "rate")
 	if len(rate) == 0 {
@@ -217,7 +214,7 @@ func TestAttachIdempotentAndNilSafe(t *testing.T) {
 	}
 	var pl *obs.Plane
 	pl.Record("k", "n", "d") // must not panic
-	if pl.Samples() != 0 || pl.SeriesList() != nil || pl.Alerts() != nil {
+	if pl.SeriesList() != nil || pl.Alerts() != nil {
 		t.Fatal("nil plane accessors must be inert")
 	}
 }

@@ -268,10 +268,9 @@ func (c *call) refs(header string) ([]core.Ref, error) {
 type keyKind string
 
 const (
-	keyNone keyKind = ""
-	keyRef  keyKind = "reference"
-	keyNS   keyKind = "namespace"
-	keyFn   keyKind = "function"
+	keyRef keyKind = "reference"
+	keyNS  keyKind = "namespace"
+	keyFn  keyKind = "function"
 )
 
 // unknown is the refusal of a token that names nothing of kind k.

@@ -72,7 +72,7 @@ func TestRowsResolveTheirKey(t *testing.T) {
 		row := ops[name]
 		before := env.Dispatched()
 		resp := srv.dispatch(&wire.Message{Op: name, Key: "bogus"})
-		if row.key == keyNone {
+		if row.key == "" {
 			if e := resp.Headers["error"]; strings.Contains(e, "token") {
 				t.Errorf("%s: names no key but looked one up: %s", name, e)
 			}

@@ -26,7 +26,6 @@ const (
 	Unikernel             // single-purpose library OS on a hypervisor
 	Wasm                  // WebAssembly instance inside a shared runtime
 	GPU                   // accelerator-resident kernel
-	numKinds
 )
 
 // String names the kind.
@@ -47,15 +46,6 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
-}
-
-// Kinds returns all platform kinds.
-func Kinds() []Kind {
-	ks := make([]Kind, 0, numKinds)
-	for k := Kind(0); k < numKinds; k++ {
-		ks = append(ks, k)
-	}
-	return ks
 }
 
 // Spec describes a platform's cost model.
@@ -138,9 +128,6 @@ func (d *Device) Resident(key string) bool {
 	_, ok := d.resident[key]
 	return ok
 }
-
-// UsedMB returns occupied device memory.
-func (d *Device) UsedMB() int64 { return d.usedMB }
 
 // Ensure makes key's data (size bytes) resident, returning the transfer
 // time required: zero if already resident, one copy otherwise. When memory

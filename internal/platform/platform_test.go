@@ -3,6 +3,8 @@ package platform
 import (
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 func TestTable1Calibration(t *testing.T) {
@@ -19,7 +21,7 @@ func TestTable1Calibration(t *testing.T) {
 }
 
 func TestAllKindsHaveSpecs(t *testing.T) {
-	for _, k := range Kinds() {
+	for _, k := range []Kind{Process, Container, MicroVM, Unikernel, Wasm, GPU} {
 		s := Specs(k)
 		if s.Kind != k {
 			t.Errorf("Specs(%v).Kind = %v", k, s.Kind)
@@ -27,7 +29,7 @@ func TestAllKindsHaveSpecs(t *testing.T) {
 		if s.ColdStart <= 0 || s.InvokeOverhead <= 0 {
 			t.Errorf("%v has non-positive timings: %+v", k, s)
 		}
-		if s.Footprint.IsZero() {
+		if s.Footprint == (cluster.Resources{}) {
 			t.Errorf("%v has zero footprint", k)
 		}
 		if k.String() == "" {
@@ -85,12 +87,12 @@ func TestDeviceEviction(t *testing.T) {
 	d.Ensure("a", 100<<20)
 	d.Ensure("b", 100<<20)
 	d.Ensure("c", 100<<20)
-	if d.UsedMB() != 300 {
-		t.Fatalf("UsedMB = %d, want 300", d.UsedMB())
+	if d.usedMB != 300 {
+		t.Fatalf("UsedMB = %d, want 300", d.usedMB)
 	}
 	d.Ensure("d", 100<<20) // must evict something
-	if d.UsedMB() > 300 {
-		t.Errorf("UsedMB = %d exceeds capacity", d.UsedMB())
+	if d.usedMB > 300 {
+		t.Errorf("UsedMB = %d exceeds capacity", d.usedMB)
 	}
 	if !d.Resident("d") {
 		t.Error("newly ensured object not resident")
@@ -104,8 +106,8 @@ func TestDeviceInvalidate(t *testing.T) {
 	if d.Resident("x") {
 		t.Error("invalidated object still resident")
 	}
-	if d.UsedMB() != 0 {
-		t.Errorf("UsedMB = %d after invalidate, want 0", d.UsedMB())
+	if d.usedMB != 0 {
+		t.Errorf("UsedMB = %d after invalidate, want 0", d.usedMB)
 	}
 	d.Invalidate("never-there") // must not panic
 }

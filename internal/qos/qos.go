@@ -306,14 +306,6 @@ func (q *Controller) Enabled(class Class) bool {
 	return q != nil && class < numClasses && q.classes[class] != nil
 }
 
-// Limit returns the class's resolved concurrency limit (0 if disabled).
-func (q *Controller) Limit(class Class) int {
-	if !q.Enabled(class) {
-		return 0
-	}
-	return q.classes[class].limit
-}
-
 // ClassStats snapshots a class's admission counters.
 func (q *Controller) ClassStats(class Class) Stats {
 	if !q.Enabled(class) {

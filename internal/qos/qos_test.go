@@ -37,7 +37,7 @@ func TestNilControllerIsInert(t *testing.T) {
 	if !done {
 		t.Fatal("proc did not run")
 	}
-	if q.Enabled(ClassInvoke) || q.Limit(ClassInvoke) != 0 {
+	if q.Enabled(ClassInvoke) {
 		t.Error("nil controller reports enabled")
 	}
 	q.OnShed(func(label, tenant, reason string) {})
@@ -240,8 +240,8 @@ func TestCapacityDerivation(t *testing.T) {
 		t.Error("zero footprint capacity != 0")
 	}
 	q := New(env, cl, Config{Invoke: ClassConfig{PerOp: cluster.Resources{MilliCPU: 1000, MemMB: 1024}}}, nil)
-	if q.Limit(ClassInvoke) != 16 {
-		t.Errorf("derived limit = %d, want 16", q.Limit(ClassInvoke))
+	if got := q.classes[ClassInvoke].limit; got != 16 {
+		t.Errorf("derived limit = %d, want 16", got)
 	}
 }
 
@@ -324,13 +324,13 @@ func TestInstrumentsWired(t *testing.T) {
 		t.Errorf("tenant admitted=%d shed=%d, want 2/2", a, s)
 	}
 	delay := trace.Lookup[*metrics.Histogram](reg, "qos_invoke_queue_delay")
-	if delay.Count() != 2 || delay.Min() != 0 || delay.Max() != time.Millisecond {
-		t.Errorf("delays n=%d min=%v max=%v, want 2 in [0, 1ms]", delay.Count(), delay.Min(), delay.Max())
+	if lo, hi := delay.Quantile(0), delay.Quantile(1); delay.Count() != 2 || lo != 0 || hi != time.Millisecond {
+		t.Errorf("delays n=%d min=%v max=%v, want 2 in [0, 1ms]", delay.Count(), lo, hi)
 	}
 	for _, name := range []string{"qos_invoke_inflight", "qos_invoke_queue_depth"} {
 		g := trace.Lookup[*metrics.Gauge](reg, name)
-		if g.Level() != 0 || g.Max() != 1 {
-			t.Errorf("%s level=%v max=%v, want 0/1", name, g.Level(), g.Max())
+		if s := g.Snapshot(); s.Level != 0 || s.Max != 1 {
+			t.Errorf("%s level=%v max=%v, want 0/1", name, s.Level, s.Max)
 		}
 	}
 	wantNotes := []string{"qos_invoke default queue-full", "qos_invoke default queue-full"}

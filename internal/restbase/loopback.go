@@ -15,15 +15,18 @@ import (
 // HTTP-protocol and socket-overhead rows without a testbed.
 
 // LoopbackHTTP is a real net/http server on 127.0.0.1 serving an
-// in-memory object.
+// in-memory object, and a keep-alive net/http client bound to it. Close
+// returns only once the goroutines the server started have exited.
 type LoopbackHTTP struct {
 	srv  *http.Server
-	ln   net.Listener
 	mu   sync.RWMutex
 	data []byte
-	// Client is a keep-alive HTTP client bound to the server.
+	// Client is a keep-alive HTTP client bound to the server, with a
+	// transport of its own so Close can drop its idle connections.
 	Client *http.Client
+	tr     *http.Transport
 	url    string
+	wg     sync.WaitGroup // the accept loop and one per server connection
 }
 
 // NewLoopbackHTTP starts the server with the given object payload.
@@ -32,7 +35,7 @@ func NewLoopbackHTTP(payload []byte) (*LoopbackHTTP, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &LoopbackHTTP{ln: ln, data: append([]byte(nil), payload...)}
+	l := &LoopbackHTTP{data: append([]byte(nil), payload...)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/object", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
@@ -55,10 +58,24 @@ func NewLoopbackHTTP(payload []byte) (*LoopbackHTTP, error) {
 			http.Error(w, "method", http.StatusMethodNotAllowed)
 		}
 	})
-	l.srv = &http.Server{Handler: mux}
+	l.srv = &http.Server{Handler: mux, ConnState: func(_ net.Conn, st http.ConnState) {
+		// The accept loop reports StateNew before it starts a connection's
+		// goroutine, and that goroutine reports StateClosed as it ends.
+		switch st {
+		case http.StateNew:
+			l.wg.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			l.wg.Done()
+		}
+	}}
 	l.url = fmt.Sprintf("http://%s/object", ln.Addr())
-	l.Client = &http.Client{}
-	go l.srv.Serve(ln) //nolint:errcheck
+	l.tr = &http.Transport{}
+	l.Client = &http.Client{Transport: l.tr}
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		l.srv.Serve(ln) //nolint:errcheck
+	}()
 	return l, nil
 }
 
@@ -73,14 +90,22 @@ func (l *LoopbackHTTP) Get() (int, error) {
 	return int(n), err
 }
 
-// Close shuts the server down.
-func (l *LoopbackHTTP) Close() error { return l.srv.Close() }
+// Close shuts the server down, drops the client's idle connections and
+// waits for the server's goroutines.
+func (l *LoopbackHTTP) Close() error {
+	err := l.srv.Close()
+	l.tr.CloseIdleConnections()
+	l.wg.Wait()
+	return err
+}
 
 // LoopbackTCP is a raw TCP echo server for measuring socket round trips
-// without HTTP framing.
+// without HTTP framing. Close returns only once its accept loop and echo
+// goroutines have exited.
 type LoopbackTCP struct {
 	ln   net.Listener
 	conn net.Conn // persistent client connection
+	wg   sync.WaitGroup
 }
 
 // NewLoopbackTCP starts the echo server and opens one client connection.
@@ -90,13 +115,17 @@ func NewLoopbackTCP() (*LoopbackTCP, error) {
 		return nil, err
 	}
 	l := &LoopbackTCP{ln: ln}
+	l.wg.Add(1)
 	go func() {
+		defer l.wg.Done()
 		for {
 			c, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			l.wg.Add(1)
 			go func(c net.Conn) {
+				defer l.wg.Done()
 				defer c.Close()
 				buf := make([]byte, 64*1024)
 				for {
@@ -114,6 +143,7 @@ func NewLoopbackTCP() (*LoopbackTCP, error) {
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		ln.Close() //nolint:errcheck
+		l.wg.Wait()
 		return nil, err
 	}
 	l.conn = conn
@@ -137,32 +167,11 @@ func (l *LoopbackTCP) RoundTrip(payload, buf []byte) error {
 	return nil
 }
 
-// DialRoundTrip opens a fresh connection for a single round trip — the
-// stateless pattern, measuring connection setup cost.
-func (l *LoopbackTCP) DialRoundTrip(payload, buf []byte) error {
-	c, err := net.Dial("tcp", l.ln.Addr().String())
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	if _, err := c.Write(payload); err != nil {
-		return err
-	}
-	total := 0
-	for total < len(payload) {
-		n, err := c.Read(buf[total:len(payload)])
-		if err != nil {
-			return err
-		}
-		total += n
-	}
-	return nil
-}
-
-// Close shuts everything down.
+// Close shuts everything down: closing the client connection ends its
+// echo goroutine, closing the listener ends the accept loop.
 func (l *LoopbackTCP) Close() error {
-	if l.conn != nil {
-		l.conn.Close() //nolint:errcheck
-	}
-	return l.ln.Close()
+	l.conn.Close() //nolint:errcheck
+	err := l.ln.Close()
+	l.wg.Wait()
+	return err
 }

@@ -148,9 +148,6 @@ func NewGateway(net *simnet.Network, grp *consistency.Group, cfg Config) *Gatewa
 	return g
 }
 
-// Node returns the gateway's front-door node.
-func (g *Gateway) Node() simnet.NodeID { return g.node }
-
 // connect pays connection establishment unless keep-alive is on.
 func (g *Gateway) connect(p *sim.Proc, client simnet.NodeID) {
 	if g.cfg.ReuseConnections {
@@ -275,7 +272,7 @@ func (g *Gateway) Get(p *sim.Proc, client simnet.NodeID, creds string, id object
 		return rerr
 	})
 	if err == nil {
-		g.Meter.Charge("read", g.cfg.Book.ReadCost(int64(len(data)), lvl == consistency.Linearizable))
+		g.Meter.Charge(g.cfg.Book.ReadCost(int64(len(data)), lvl == consistency.Linearizable))
 	}
 	return data, err
 }
@@ -288,7 +285,7 @@ func (g *Gateway) Put(p *sim.Proc, client simnet.NodeID, creds string, id object
 		})
 	})
 	if err == nil {
-		g.Meter.Charge("write", g.cfg.Book.WriteCost(int64(len(data))))
+		g.Meter.Charge(g.cfg.Book.WriteCost(int64(len(data))))
 	}
 	return err
 }
@@ -309,13 +306,6 @@ func (g *Gateway) sizeOf(id object.ID) int {
 		return int(o.Size())
 	}
 	return 0
-}
-
-// ProtocolOverhead returns the modelled fixed protocol cost of one request
-// with the given body size, excluding network propagation and storage —
-// the quantity §2.1 argues becomes prohibitive on fast networks.
-func (g *Gateway) ProtocolOverhead(bodySize int) time.Duration {
-	return ProtocolOverhead(g.cfg, bodySize)
 }
 
 // ProtocolOverhead computes the fixed per-request protocol cost of a

@@ -89,17 +89,6 @@ func (p *Proc) Wait(ev *Event) (any, error) {
 	return ev.val, ev.err
 }
 
-// WaitAll waits for every event and returns the first error seen, if any.
-func (p *Proc) WaitAll(evs ...*Event) error {
-	var first error
-	for _, ev := range evs {
-		if _, err := p.Wait(ev); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // WaitAny waits until at least one event completes and returns its index
 // and result.
 func (p *Proc) WaitAny(evs ...*Event) (int, any, error) {

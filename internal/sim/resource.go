@@ -52,15 +52,6 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	r.totalWait += r.env.now.Sub(start)
 }
 
-// TryAcquire takes n units if immediately available and reports success.
-func (r *Resource) TryAcquire(n int64) bool {
-	if len(r.q) == 0 && r.used+n <= r.cap {
-		r.used += n
-		return true
-	}
-	return false
-}
-
 // Release returns n units and admits queued acquirers in FIFO order.
 func (r *Resource) Release(n int64) {
 	r.used -= n
@@ -80,22 +71,6 @@ func (r *Resource) admit() {
 		r.q = r.q[1:]
 		r.env.wakeNow(w.p)
 	}
-}
-
-// AvgWait returns the mean queueing delay across all completed acquisitions
-// that had to wait.
-func (r *Resource) AvgWait() Duration {
-	if r.waits == 0 {
-		return 0
-	}
-	return r.totalWait / Duration(r.waits)
-}
-
-// Use acquires n units, runs fn, and releases them.
-func (r *Resource) Use(p *Proc, n int64, fn func()) {
-	r.Acquire(p, n)
-	defer r.Release(n)
-	fn()
 }
 
 // Queue is an unbounded FIFO of items with blocking receive, modelling

@@ -145,9 +145,6 @@ func NewEnv(seed int64) *Env {
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
-// Seed returns the seed the environment was created with.
-func (e *Env) Seed() int64 { return e.seed }
-
 // Rand returns the environment's shared deterministic random stream.
 // Components whose draws must not depend on what else runs in the
 // environment should hold their own stream from ForkRand instead.
@@ -217,10 +214,6 @@ func (e *Env) scheduleProc(t Time, p *Proc) {
 	e.queue.push(event{t: t, seq: e.seq, proc: p})
 	e.seq++
 }
-
-// At schedules fn to run in engine context at absolute time t.
-// fn must not block; use Go for blocking activities.
-func (e *Env) At(t Time, fn func()) { e.schedule(t, fn) }
 
 // After schedules fn to run in engine context d from now.
 func (e *Env) After(d Duration, fn func()) { e.schedule(e.now.Add(d), fn) }
@@ -339,10 +332,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.env.wake(p, p.env.now.Add(d))
 	p.park()
 }
-
-// Yield lets every other runnable activity scheduled for the current instant
-// run before the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // Run drains the event queue, advancing the clock, and returns the final
 // time. After the queue drains, any processes still parked (waiting on

@@ -47,9 +47,9 @@ func TestEventOrderingDeterministic(t *testing.T) {
 	e := NewEnv(1)
 	var order []int
 	// Same timestamp: must fire in scheduling order.
-	e.At(10, func() { order = append(order, 1) })
-	e.At(10, func() { order = append(order, 2) })
-	e.At(5, func() { order = append(order, 0) })
+	e.schedule(10, func() { order = append(order, 1) })
+	e.schedule(10, func() { order = append(order, 2) })
+	e.schedule(5, func() { order = append(order, 0) })
 	e.Run()
 	want := []int{0, 1, 2}
 	for i := range want {
@@ -159,8 +159,8 @@ func TestWaitOnCompletedEventReturnsImmediately(t *testing.T) {
 func TestWaitAny(t *testing.T) {
 	e := NewEnv(1)
 	a, b, c := e.NewEvent(), e.NewEvent(), e.NewEvent()
-	e.At(5, func() { b.Complete("b") })
-	e.At(9, func() { a.Complete("a") })
+	e.schedule(5, func() { b.Complete("b") })
+	e.schedule(9, func() { a.Complete("a") })
 	var idx int
 	var v any
 	e.Go("w", func(p *Proc) { idx, v, _ = p.WaitAny(a, b, c) })
@@ -173,8 +173,8 @@ func TestWaitAny(t *testing.T) {
 func TestWaitAllCollectsFirstError(t *testing.T) {
 	e := NewEnv(1)
 	a, b := e.NewEvent(), e.NewEvent()
-	e.At(1, func() { a.Fail(errBoom) })
-	e.At(2, func() { b.Complete(nil) })
+	e.schedule(1, func() { a.Fail(errBoom) })
+	e.schedule(2, func() { b.Complete(nil) })
 	var err error
 	e.Go("w", func(p *Proc) { err = p.WaitAll(a, b) })
 	e.Run()
@@ -204,8 +204,8 @@ func TestBarrier(t *testing.T) {
 func TestRunUntilStopsEarly(t *testing.T) {
 	e := NewEnv(1)
 	var fired []Time
-	e.At(10, func() { fired = append(fired, 10) })
-	e.At(20, func() { fired = append(fired, 20) })
+	e.schedule(10, func() { fired = append(fired, 10) })
+	e.schedule(20, func() { fired = append(fired, 20) })
 	now := e.RunUntil(15)
 	if now != 15 {
 		t.Errorf("RunUntil returned %v, want 15", now)
@@ -403,7 +403,7 @@ func TestYieldRunsSameInstantEvents(t *testing.T) {
 	var seq []string
 	e.Go("a", func(p *Proc) {
 		seq = append(seq, "a-before")
-		p.Yield()
+		p.Sleep(0) // yield: run what else is due at this instant
 		seq = append(seq, "a-after")
 	})
 	e.Go("b", func(p *Proc) { seq = append(seq, "b") })
@@ -443,7 +443,7 @@ func TestAtInThePastClampsToNow(t *testing.T) {
 	var firedAt Time = -1
 	e.Go("driver", func(p *Proc) {
 		p.Sleep(100)
-		e.At(5, func() { firedAt = e.Now() }) // 5 < now: clamp
+		e.schedule(5, func() { firedAt = e.Now() }) // 5 < now: clamp
 		p.Sleep(1)
 	})
 	e.Run()
@@ -471,7 +471,7 @@ func TestOnCompleteAfterDoneRunsImmediately(t *testing.T) {
 func TestEventFailPropagates(t *testing.T) {
 	e := NewEnv(1)
 	ev := e.NewEvent()
-	e.At(3, func() { ev.Fail(errBoom) })
+	e.schedule(3, func() { ev.Fail(errBoom) })
 	var err error
 	e.Go("w", func(p *Proc) { _, err = p.Wait(ev) })
 	e.Run()
@@ -558,7 +558,7 @@ func TestProcessPanicSurfacesFromRun(t *testing.T) {
 	var w *worker
 	e.Go("bad", func(p *Proc) {
 		w = p.w
-		p.Yield()
+		p.Sleep(0)
 		panic("boom")
 	})
 	func() {
@@ -591,7 +591,7 @@ func TestProcessPanicSurfacesFromRun(t *testing.T) {
 	}
 }
 
-func parkOnce(p *Proc) { p.Yield() }
+func parkOnce(p *Proc) { p.Sleep(0) }
 
 // A worker outlives its environment, so after one warm-up a fresh
 // environment spawns without starting coroutines: iter.Pull costs about a

@@ -102,9 +102,6 @@ func (n *Network) AddNode(rack int) NodeID {
 	return id
 }
 
-// Rack returns the rack a node lives in.
-func (n *Network) Rack(id NodeID) int { return n.racks[id] }
-
 // SetLinkFaultFunc installs a per-message fault hook consulted by Send.
 // A nil hook (the default) injects nothing.
 func (n *Network) SetLinkFaultFunc(f func(a, b NodeID, size int) LinkFault) { n.faultFn = f }
@@ -122,9 +119,6 @@ func (n *Network) Reachable(a, b NodeID) bool {
 	}
 	return n.reachFn(a, b)
 }
-
-// Nodes returns the number of registered nodes.
-func (n *Network) Nodes() int { return len(n.racks) }
 
 func (n *Network) factor(a, b NodeID) float64 {
 	switch {

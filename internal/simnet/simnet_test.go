@@ -143,11 +143,11 @@ func TestNodeRegistration(t *testing.T) {
 	_, net := newNet(t, DC2021)
 	a := net.AddNode(3)
 	b := net.AddNode(7)
-	if net.Nodes() != 2 {
-		t.Errorf("Nodes = %d, want 2", net.Nodes())
+	if len(net.racks) != 2 {
+		t.Errorf("Nodes = %d, want 2", len(net.racks))
 	}
-	if net.Rack(a) != 3 || net.Rack(b) != 7 {
-		t.Errorf("racks = %d,%d want 3,7", net.Rack(a), net.Rack(b))
+	if net.racks[a] != 3 || net.racks[b] != 7 {
+		t.Errorf("racks = %d,%d want 3,7", net.racks[a], net.racks[b])
 	}
 	if a == b {
 		t.Error("AddNode returned duplicate IDs")

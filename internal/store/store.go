@@ -43,9 +43,6 @@ func New(m media.Profile, quota int64) *Store {
 // Media returns the store's medium profile.
 func (s *Store) Media() media.Profile { return s.media }
 
-// Used returns bytes of payload currently stored.
-func (s *Store) Used() int64 { return s.used }
-
 // Len returns the number of stored objects.
 func (s *Store) Len() int { return len(s.objects) }
 
@@ -121,23 +118,6 @@ func (s *Store) SetData(id object.ID, data []byte) error {
 		return err
 	}
 	s.used += delta
-	s.Writes++
-	return nil
-}
-
-// Append appends through the store with quota enforcement.
-func (s *Store) Append(id object.ID, data []byte) error {
-	o, err := s.Get(id)
-	if err != nil {
-		return err
-	}
-	if s.quota > 0 && s.used+int64(len(data)) > s.quota {
-		return fmt.Errorf("%w: used %d + %d > %d", ErrQuota, s.used, int64(len(data)), s.quota)
-	}
-	if err := o.Append(data); err != nil {
-		return err
-	}
-	s.used += int64(len(data))
 	s.Writes++
 	return nil
 }

@@ -44,8 +44,8 @@ func TestQuotaEnforcedAtomically(t *testing.T) {
 	if o.Size() != 60 {
 		t.Errorf("size = %d after failed write, want 60", o.Size())
 	}
-	if s.Used() != 60 {
-		t.Errorf("Used = %d, want 60", s.Used())
+	if s.used != 60 {
+		t.Errorf("Used = %d, want 60", s.used)
 	}
 }
 
@@ -58,27 +58,13 @@ func TestQuotaAccountsShrink(t *testing.T) {
 	if err := s.SetData(o.ID(), make([]byte, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Used() != 10 {
-		t.Errorf("Used = %d, want 10", s.Used())
+	if s.used != 10 {
+		t.Errorf("Used = %d, want 10", s.used)
 	}
 	// Space freed by the shrink must be reusable.
 	o2 := s.Create(object.Regular)
 	if err := s.SetData(o2.ID(), make([]byte, 80)); err != nil {
 		t.Errorf("reuse of freed space failed: %v", err)
-	}
-}
-
-func TestAppendQuota(t *testing.T) {
-	s := New(media.DRAM, 10)
-	o := s.Create(object.Regular)
-	if err := s.Append(o.ID(), make([]byte, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(o.ID(), make([]byte, 8)); !errors.Is(err, ErrQuota) {
-		t.Fatalf("err = %v, want ErrQuota", err)
-	}
-	if o.Size() != 8 {
-		t.Errorf("size = %d, want 8", o.Size())
 	}
 }
 
@@ -91,8 +77,8 @@ func TestDeleteReclaims(t *testing.T) {
 	if err := s.Delete(o.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if s.Used() != 0 || s.Len() != 0 {
-		t.Errorf("Used=%d Len=%d after delete", s.Used(), s.Len())
+	if s.used != 0 || s.Len() != 0 {
+		t.Errorf("Used=%d Len=%d after delete", s.used, s.Len())
 	}
 	if err := s.Delete(o.ID()); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double delete err = %v", err)

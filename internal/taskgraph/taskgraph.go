@@ -2,11 +2,10 @@
 // functions whose structure is visible to the system, "which opens up
 // optimization opportunities such as pipelining or physical co-location."
 //
-// Graphs may be specified ahead of time (Cloudburst-style) or grown
-// dynamically from running tasks (Ray/Ciel-style) via Executor.Submit.
-// The executor runs every task whose dependencies have completed, so
-// independent branches pipeline naturally, and passes each task a
-// placement hint pointing at the node its first dependency ran on.
+// Graphs are specified ahead of time (Cloudburst-style). The executor runs
+// every task whose dependencies have completed, so independent branches
+// pipeline naturally, and passes each task a placement hint pointing at the
+// node its first dependency ran on.
 package taskgraph
 
 import (
@@ -22,10 +21,9 @@ import (
 // defects in the submitted graph — fatal, since resubmitting the same
 // shape can never succeed.
 var (
-	ErrCycle     = fault.Fatal("taskgraph: dependency cycle")
-	ErrDupTask   = fault.Fatal("taskgraph: duplicate task name")
-	ErrUnknown   = fault.Fatal("taskgraph: unknown dependency")
-	ErrNotLinear = fault.Fatal("taskgraph: graph is not a linear pipeline")
+	ErrCycle   = fault.Fatal("taskgraph: dependency cycle")
+	ErrDupTask = fault.Fatal("taskgraph: duplicate task name")
+	ErrUnknown = fault.Fatal("taskgraph: unknown dependency")
 )
 
 // Task is one node in a graph.
@@ -141,7 +139,6 @@ type Executor struct {
 
 	results map[string]*Result
 	done    map[string]*sim.Event
-	graph   *Graph
 	gspan   trace.SpanID // current graph/run span; task spans parent here
 }
 
@@ -157,7 +154,6 @@ func (e *Executor) Execute(p *sim.Proc, g *Graph) (map[string]*Result, error) {
 		return nil, err
 	}
 	env := p.Env()
-	e.graph = g
 	e.results = make(map[string]*Result, g.Len())
 	e.done = make(map[string]*sim.Event, g.Len())
 	gsp := trace.Of(env).Start(p, "graph", "run", trace.Int("tasks", int64(g.Len())))
@@ -244,45 +240,4 @@ func (e *Executor) runTask(p *sim.Proc, t *Task) {
 func (e *Executor) finish(t *Task, r *Result) {
 	e.results[t.Name] = r
 	e.done[t.Name].Complete(r)
-}
-
-// Submit dynamically adds a task to a running graph (Ray/Ciel-style) and
-// returns its completion event. The task may depend on any task already
-// in the graph. Call from within a handler via the executor captured in
-// the invocation context.
-func (e *Executor) Submit(env *sim.Env, t *Task) (*sim.Event, error) {
-	if e.graph == nil {
-		return nil, fault.Fatal("taskgraph: Submit before Execute")
-	}
-	for _, dep := range t.After {
-		if _, ok := e.done[dep]; !ok {
-			return nil, fmt.Errorf("%w: %q", ErrUnknown, dep)
-		}
-	}
-	if err := e.graph.Add(t); err != nil {
-		return nil, err
-	}
-	ev := env.NewEvent()
-	e.done[t.Name] = ev
-	env.Go("task:"+t.Name, func(tp *sim.Proc) { e.runTask(tp, t) })
-	return ev, nil
-}
-
-// Pipeline builds a linear chain of tasks, each colocated with its
-// predecessor — the Figure 2 shape.
-func Pipeline(names []string, fns []string) (*Graph, error) {
-	if len(names) != len(fns) || len(names) == 0 {
-		return nil, fault.Fatal("taskgraph: names and fns must align")
-	}
-	g := NewGraph()
-	for i := range names {
-		t := &Task{Name: names[i], Fn: fns[i], Colocate: true}
-		if i > 0 {
-			t.After = []string{names[i-1]}
-		}
-		if err := g.Add(t); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
 }

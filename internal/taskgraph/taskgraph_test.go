@@ -196,45 +196,6 @@ func TestDependencyFailureShortCircuits(t *testing.T) {
 	}
 }
 
-func TestDynamicSubmit(t *testing.T) {
-	env, rt := testRT(5, false)
-	ex := NewExecutor(rt)
-	// The root task dynamically spawns a child, Ciel-style.
-	if err := rt.Register(&faas.Function{Name: "root", Kind: platform.Wasm,
-		Handler: func(inv *faas.Invocation) error {
-			inv.Proc().Sleep(time.Millisecond)
-			_, err := ex.Submit(inv.Proc().Env(), &Task{Name: "child", Fn: "leaf", After: []string{"root"}})
-			return err
-		}}); err != nil {
-		t.Fatal(err)
-	}
-	childRan := false
-	if err := rt.Register(&faas.Function{Name: "leaf", Kind: platform.Wasm,
-		Handler: func(inv *faas.Invocation) error { childRan = true; return nil }}); err != nil {
-		t.Fatal(err)
-	}
-	g := NewGraph()
-	_ = g.Add(&Task{Name: "root", Fn: "root"})
-	env.Go("main", func(p *sim.Proc) {
-		if _, err := ex.Execute(p, g); err != nil {
-			t.Error(err)
-		}
-	})
-	env.Run()
-	if !childRan {
-		t.Error("dynamically submitted task never ran")
-	}
-}
-
-func TestSubmitBeforeExecuteFails(t *testing.T) {
-	_, rt := testRT(6, false)
-	ex := NewExecutor(rt)
-	env := rt.Env()
-	if _, err := ex.Submit(env, &Task{Name: "x", Fn: "f"}); err == nil {
-		t.Error("Submit before Execute accepted")
-	}
-}
-
 func TestPipelineHelperValidation(t *testing.T) {
 	if _, err := Pipeline([]string{"a"}, []string{"f", "g"}); err == nil {
 		t.Error("mismatched lengths accepted")

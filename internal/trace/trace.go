@@ -290,12 +290,6 @@ func (t *Tracer) Mark(track, cat, name string, start, end sim.Time, attrs ...Att
 	return s
 }
 
-// Current returns the process's innermost open span, or nil.
-func Current(p *sim.Proc) *Span {
-	s, _ := p.SpanCtx().(*Span)
-	return s
-}
-
 // SpanID returns the span's ID, or 0 for nil — convenient when recording
 // the span of an operation that may not have been traced.
 func (s *Span) SpanID() SpanID {

@@ -75,12 +75,12 @@ func TestNestingAndTrackInheritance(t *testing.T) {
 			outer = tr.Start(p, "a", "outer")
 			p.Sleep(10 * time.Millisecond)
 			inner = tr.Start(p, "b", "inner")
-			if got := Current(p); got != inner {
+			if got := current(p); got != inner {
 				t.Errorf("Current = %v, want inner", got)
 			}
 			p.Sleep(5 * time.Millisecond)
 			inner.Close(p)
-			if got := Current(p); got != outer {
+			if got := current(p); got != outer {
 				t.Errorf("after inner close Current = %v, want outer", got)
 			}
 			root = tr.StartSpan(p, NoParent, nil, "c", "root")
@@ -375,4 +375,10 @@ func TestUntracedSpansAllocateNothing(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// current returns the process's innermost open span, or nil.
+func current(p *sim.Proc) *Span {
+	s, _ := p.SpanCtx().(*Span)
+	return s
 }

@@ -30,8 +30,6 @@ type Message struct {
 
 // Codec serialises messages.
 type Codec interface {
-	// Name identifies the codec in experiment output.
-	Name() string
 	Encode(*Message) ([]byte, error)
 	Decode([]byte) (*Message, error)
 	// ModelCost returns the simulated CPU time to encode+decode a message
@@ -53,9 +51,6 @@ type jsonEnvelope struct {
 	Body    string            `json:"body,omitempty"`
 	Status  int               `json:"status,omitempty"`
 }
-
-// Name implements Codec.
-func (JSONCodec) Name() string { return "json" }
 
 // Encode implements Codec.
 func (JSONCodec) Encode(m *Message) ([]byte, error) {
@@ -97,9 +92,6 @@ func (JSONCodec) ModelCost(size int) time.Duration {
 // and no body transformation — the kind of protocol a stateful cloud
 // system interface would use.
 type BinaryCodec struct{}
-
-// Name implements Codec.
-func (BinaryCodec) Name() string { return "binary" }
 
 var errShort = errors.New("wire: short binary message")
 

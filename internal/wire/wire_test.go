@@ -27,21 +27,21 @@ func TestRoundTrip(t *testing.T) {
 		m := sample()
 		enc, err := c.Encode(m)
 		if err != nil {
-			t.Fatalf("%s encode: %v", c.Name(), err)
+			t.Fatalf("%T encode: %v", c, err)
 		}
 		got, err := c.Decode(enc)
 		if err != nil {
-			t.Fatalf("%s decode: %v", c.Name(), err)
+			t.Fatalf("%T decode: %v", c, err)
 		}
 		if got.Op != m.Op || got.Key != m.Key || got.Auth != m.Auth || got.Status != m.Status {
-			t.Errorf("%s: fields mismatch: %+v", c.Name(), got)
+			t.Errorf("%T: fields mismatch: %+v", c, got)
 		}
 		if !bytes.Equal(got.Body, m.Body) {
-			t.Errorf("%s: body mismatch", c.Name())
+			t.Errorf("%T: body mismatch", c)
 		}
 		for k, v := range m.Headers {
 			if got.Headers[k] != v {
-				t.Errorf("%s: header %q = %q, want %q", c.Name(), k, got.Headers[k], v)
+				t.Errorf("%T: header %q = %q, want %q", c, k, got.Headers[k], v)
 			}
 		}
 	}
@@ -51,14 +51,14 @@ func TestEmptyMessage(t *testing.T) {
 	for _, c := range codecs {
 		enc, err := c.Encode(&Message{})
 		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
+			t.Fatalf("%T: %v", c, err)
 		}
 		got, err := c.Decode(enc)
 		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
+			t.Fatalf("%T: %v", c, err)
 		}
 		if got.Op != "" || len(got.Body) != 0 {
-			t.Errorf("%s: %+v", c.Name(), got)
+			t.Errorf("%T: %+v", c, got)
 		}
 	}
 }
@@ -81,7 +81,7 @@ func TestRoundTripProperty(t *testing.T) {
 				got.Status == int(status) && bytes.Equal(got.Body, body)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
-			t.Errorf("%s: %v", c.Name(), err)
+			t.Errorf("%T: %v", c, err)
 		}
 	}
 }
@@ -104,7 +104,7 @@ func TestBinaryMoreCompactThanJSON(t *testing.T) {
 func TestDecodeGarbage(t *testing.T) {
 	for _, c := range codecs {
 		if _, err := c.Decode([]byte("{{{{not-valid")); err == nil {
-			t.Errorf("%s accepted garbage", c.Name())
+			t.Errorf("%T accepted garbage", c)
 		}
 	}
 	// Truncated binary message.

@@ -28,9 +28,8 @@ func TestProcessDefaultsReachNew(t *testing.T) {
 	opts := pcsi.DefaultOptions()
 	opts.Obs = own
 	pcsi.New(opts)
-	if len(own.Planes()) != 1 || len(act.Planes()) != 1 {
-		t.Errorf("Options.Obs lost to the default: own %d planes, default %d; want 1 and 1",
-			len(own.Planes()), len(act.Planes()))
+	if o, a := len(own.Timeline("", 0).Planes), len(act.Timeline("", 0).Planes); o != 1 || a != 1 {
+		t.Errorf("Options.Obs lost to the default: own %d planes, default %d; want 1 and 1", o, a)
 	}
 	col.Stop()
 	act.Deactivate()

@@ -167,13 +167,6 @@ type (
 	Lattice = fncache.Lattice
 	// LWWReg is a last-writer-wins register lattice.
 	LWWReg = fncache.LWWReg
-	// GCounter is a grow-only counter lattice.
-	GCounter = fncache.GCounter
-	// ORSet is an observed-remove set lattice (add wins over concurrent
-	// remove).
-	ORSet = fncache.ORSet
-	// LMap is a map-of-lattices; entries join pointwise.
-	LMap = fncache.LMap
 	// FaaSFS is a shared, transactional, POSIX-shaped file system over
 	// PCSI objects. Mount one with MountFaaSFS; each function invocation
 	// opens a snapshot-isolated FaaSFSSession and commits optimistically.

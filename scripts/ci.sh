@@ -75,9 +75,10 @@ for m in qos_invoke_shed qos_invoke_tenant_default_admitted; do
     grep -q "\"metric\": \"$m\"" pcsi-dash-e13.json || { echo "pcsi-dash-e13.json has no $m series" >&2; exit 1; }
 done
 
-echo '== fuzz smoke (10 s each; a finding is written under internal/pcsinet/testdata/fuzz and fails the gate)'
+echo '== fuzz smoke (10 s each; a finding is written under testdata/fuzz in its package and fails the gate)'
 go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/pcsinet
 go test -run '^$' -fuzz FuzzDispatch -fuzztime 10s ./internal/pcsinet
+go test -run '^$' -fuzz FuzzLatticePayload -fuzztime 10s ./internal/fncache
 
 echo '== pcsid/pcsictl smoke (the two binaries end to end over loopback)'
 smoke=$(mktemp -d)
