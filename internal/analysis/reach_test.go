@@ -44,7 +44,6 @@ var reachExempt = map[string]string{
 	"internal/posix":                  "ROADMAP item 8(c) decides it: the POSIX matrix's reference model, or deleted",
 	"internal/consistency.History":    "ROADMAP item 8(a) decides it, with the HistOp and OpKind it holds: the one history checker, or deleted",
 	"internal/sim.IdleWorkers":        "tier-1's goroutine-leak checks (runNoLeak in internal/experiments) subtract it",
-	"internal/core.Client.WithTenant": "the only way to name a QoS tenant; removing it is a qos decision",
 	"internal/core.Client.Mutability": "TestVerbTable drives it as the pipeline's one bare linearizable probe row (no admission, fault op or retry)",
 	// faasfs's commit is checked against a model by property tests that
 	// drive the whole POSIX surface of a Session, not only what E15 runs.
@@ -69,7 +68,7 @@ var dynamicMethods = map[string]bool{
 // const (a var or const spec with several names is one declaration).
 type reachDecl struct {
 	objs   []types.Object
-	name   string // "internal/sim.IdleWorkers", "internal/core.Client.WithTenant"
+	name   string // "internal/sim.IdleWorkers", "internal/core.Client.Mutability"
 	file   string // slash path relative to the module root
 	line   int
 	test   bool            // declared in a _test.go file

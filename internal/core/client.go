@@ -21,9 +21,6 @@ import (
 type Client struct {
 	c    *Cloud
 	node simnet.NodeID
-	// tenant names the workload for QoS admission; "" is the default
-	// tenant. Inert when the cloud runs without a controller.
-	tenant string
 }
 
 // NewClient returns a client homed on a fresh node in the given rack.
@@ -42,16 +39,6 @@ func (cl *Client) Node() simnet.NodeID { return cl.node }
 
 // Cloud returns the owning deployment.
 func (cl *Client) Cloud() *Cloud { return cl.c }
-
-// WithTenant returns a copy of the client attributed to the named tenant:
-// its operations queue in (and are weighted by) that tenant's WFQ queues
-// when the cloud has a QoS controller, and its function invocations carry
-// the tenant in their placement hints.
-func (cl *Client) WithTenant(name string) *Client {
-	c2 := *cl
-	c2.tenant = name
-	return &c2
-}
 
 // CreateOpt mutates creation parameters.
 type CreateOpt func(*createParams)

@@ -254,14 +254,14 @@ func New(opts Options) *Cloud {
 		plc = scheduler.GPUAware{C: cl, Inner: scheduler.Colocate{C: cl}}
 	}
 	// Admission control (optional): the controller derives concurrency
-	// limits from this cluster and registers its per-class and per-tenant
-	// metrics in the cloud's registry; sheds also land in the flight
-	// recorder. Nil config ⇒ nil controller ⇒ every Admit is an inlined
-	// no-op and the run is byte-identical to a pre-QoS build.
+	// limits from this cluster and registers its per-class metrics in the
+	// cloud's registry; sheds also land in the flight recorder. Nil config
+	// ⇒ nil controller ⇒ every Admit is an inlined no-op and the run is
+	// byte-identical to a pre-QoS build.
 	if opts.QoS != nil {
 		c.qos = qos.New(env, cl, *opts.QoS, c.reg)
-		c.qos.OnShed(func(label, tenant, reason string) {
-			c.obsPlane.Record("shed", label, tenant+" "+reason)
+		c.qos.OnShed(func(label, reason string) {
+			c.obsPlane.Record("shed", label, reason)
 		})
 	}
 

@@ -144,7 +144,7 @@ func (cl *Client) Invoke(p *sim.Proc, fnRef Ref, args InvokeArgs) (*faas.Instanc
 	}
 	sp := trace.Of(cl.c.env).Start(p, v.cat, v.name, trace.Str("fn", name))
 	defer sp.Close(p)
-	hints := faas.PlacementHints{Goal: args.Goal, Tenant: cl.tenant}
+	hints := faas.PlacementHints{Goal: args.Goal}
 	var inst *faas.Instance
 	t := target{cl: cl, p: p, v: v, op: v.fault + ":" + name}
 	err := t.retry(func() error {
@@ -203,7 +203,6 @@ func (cl *Client) RunGraph(p *sim.Proc, tasks []GraphTask) (map[string]*taskgrap
 	ex := taskgraph.NewExecutor(cl.c.rt)
 	ex.MakeCtx = func(t *taskgraph.Task) any { return argsByName[t.Name] }
 	ex.Retry = cl.c.retry
-	ex.Tenant = cl.tenant
 	// Bracketing counters: Execute returns on both success and clean
 	// failure, so a mismatch means a graph leaked mid-flight (chaos
 	// invariant).

@@ -139,7 +139,7 @@ func (cl *Client) admit(p *sim.Proc, v *verb) (qos.Grant, error) {
 	if v.noAdmit {
 		return qos.Grant{}, nil
 	}
-	return cl.c.qos.Admit(p, qos.Request{Tenant: cl.tenant, Class: qos.ClassData})
+	return cl.c.qos.Admit(p, qos.ClassData)
 }
 
 // opSpan opens the verb's span, nested under whatever the calling process

@@ -12,7 +12,7 @@ import (
 )
 
 // TestRegistryNames pins every metric name a QoS+FnCache cloud registers
-// once two tenants have run data ops, an invocation and a shed. Each layer
+// once it has run data ops, an invocation and a shed. Each layer
 // registers its own metrics, so a renamed, dropped or doubled metric shows
 // here before it moves a dashboard series or an SLO.
 func TestRegistryNames(t *testing.T) {
@@ -36,16 +36,15 @@ func TestRegistryNames(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if _, err := owner.WithTenant("gold").Invoke(p, fn, InvokeArgs{}); err != nil {
+		if _, err := owner.Invoke(p, fn, InvokeArgs{}); err != nil {
 			t.Error(err)
 			return
 		}
-		// One data slot and a one-deep queue per tenant: gold's put is
-		// admitted, bronze's first queues and its second is shed.
-		for _, tenant := range []string{"gold", "bronze", "bronze"} {
-			cl := owner.WithTenant(tenant)
+		// One data slot and a one-deep queue: the first put is admitted,
+		// the second queues and the third is shed.
+		for i := 0; i < 3; i++ {
 			c.Env().Go("put", func(p *sim.Proc) {
-				if err := cl.Put(p, r, []byte(tenant)); err != nil {
+				if err := owner.Put(p, r, []byte("x")); err != nil {
 					sheds++
 				}
 			})
@@ -72,16 +71,11 @@ func TestRegistryNames(t *testing.T) {
 		"qos_data_queue_delay",
 		"qos_data_queue_depth",
 		"qos_data_shed",
-		"qos_data_tenant_bronze_admitted",
-		"qos_data_tenant_bronze_shed",
-		"qos_data_tenant_default_admitted",
-		"qos_data_tenant_gold_admitted",
 		"qos_invoke_admitted",
 		"qos_invoke_inflight",
 		"qos_invoke_queue_delay",
 		"qos_invoke_queue_depth",
 		"qos_invoke_shed",
-		"qos_invoke_tenant_gold_admitted",
 		"warm_starts",
 	}
 	if got := c.Metrics().Names(); !slices.Equal(got, want) {

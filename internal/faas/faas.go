@@ -50,10 +50,6 @@ type PlacementHints struct {
 	PreferGPUNode bool
 	// Goal selects among a function's variants (§3.1's optimizer).
 	Goal Goal
-	// Tenant names the workload for QoS admission and weighted-fair
-	// queueing ("" = the default tenant). Ignored when the runtime has no
-	// QoS controller.
-	Tenant string
 }
 
 // Placer chooses a node for a new instance. Implementations live in
@@ -284,10 +280,10 @@ func (rt *Runtime) Invoke(p *sim.Proc, name string, body []byte, hints Placement
 	}
 	sp := trace.Of(rt.env).Start(p, "faas", "invoke", trace.Str("fn", name))
 	start := p.Now()
-	// Admission control: park in the tenant's weighted-fair queue (or shed
-	// under overload) before any placement work happens. A nil controller
-	// admits inline with zero overhead.
-	grant, err := rt.cfg.QoS.Admit(p, qos.Request{Tenant: hints.Tenant, Class: qos.ClassInvoke})
+	// Admission control: park in the invoke class's queue (or shed under
+	// overload) before any placement work happens. A nil controller admits
+	// inline with zero overhead.
+	grant, err := rt.cfg.QoS.Admit(p, qos.ClassInvoke)
 	if err != nil {
 		sp.Annotate(trace.Str("err", err.Error()))
 		sp.Close(p)

@@ -25,11 +25,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Errors returned by the protocol.
-var (
-	ErrStaleHandle = errors.New("nfsbase: stale file handle")
-	ErrUnreachable = errors.New("nfsbase: server unreachable")
-)
+// ErrStaleHandle is returned for a handle the mount did not open or whose
+// file is gone.
+var ErrStaleHandle = errors.New("nfsbase: stale file handle")
 
 // framingOverhead is the per-op XDR-style framing cost — small, fixed,
 // and binary, unlike the REST envelope.
@@ -42,9 +40,6 @@ type Server struct {
 	net  *simnet.Network
 	// files maps exported names to object IDs.
 	files map[string]object.ID
-	// reachable models a server that can disappear (the §2.2 failure
-	// mode local-assumption interfaces handle badly).
-	reachable bool
 
 	Ops *metrics.Counter
 	Lat *metrics.Histogram
@@ -54,13 +49,12 @@ type Server struct {
 func NewServer(net *simnet.Network, media media.Profile) *Server {
 	trace.Of(net.Env()).SetLabel("nfs")
 	return &Server{
-		node:      net.AddNode(0),
-		st:        store.New(media, 0),
-		net:       net,
-		files:     make(map[string]object.ID),
-		reachable: true,
-		Ops:       metrics.NewCounter("nfs_ops"),
-		Lat:       metrics.NewHistogram("nfs_latency"),
+		node:  net.AddNode(0),
+		st:    store.New(media, 0),
+		net:   net,
+		files: make(map[string]object.ID),
+		Ops:   metrics.NewCounter("nfs_ops"),
+		Lat:   metrics.NewHistogram("nfs_latency"),
 	}
 }
 
@@ -91,9 +85,6 @@ type Mount struct {
 
 // Mount establishes a session: one authentication, once.
 func (s *Server) Mount(p *sim.Proc, client simnet.NodeID) (*Mount, error) {
-	if !s.reachable {
-		return nil, ErrUnreachable
-	}
 	// Session setup: handshake + one-time auth.
 	p.Sleep(s.net.RTT(client, s.node))
 	p.Sleep(50 * time.Microsecond)
@@ -102,9 +93,6 @@ func (s *Server) Mount(p *sim.Proc, client simnet.NodeID) (*Mount, error) {
 
 // Lookup resolves a name to a handle (one round trip).
 func (m *Mount) Lookup(p *sim.Proc, name string) (*Handle, error) {
-	if !m.srv.reachable {
-		return nil, ErrUnreachable
-	}
 	m.srv.net.Send(p, m.client, m.srv.node, 128)
 	id, ok := m.srv.files[name]
 	m.srv.net.Send(p, m.srv.node, m.client, 64)
@@ -120,10 +108,6 @@ func (m *Mount) Lookup(p *sim.Proc, name string) (*Handle, error) {
 func (m *Mount) Read(p *sim.Proc, h *Handle, off int64, n int) ([]byte, error) {
 	if h == nil || h.mount != m {
 		return nil, ErrStaleHandle
-	}
-	if !m.srv.reachable {
-		// The remote failure a local-looking API must surface somehow.
-		return nil, ErrUnreachable
 	}
 	sp := trace.Of(m.srv.net.Env()).Start(p, "nfs", "read",
 		trace.Int("off", off), trace.Int("n", int64(n)))
@@ -157,9 +141,6 @@ func (m *Mount) Read(p *sim.Proc, h *Handle, off int64, n int) ([]byte, error) {
 func (m *Mount) Write(p *sim.Proc, h *Handle, off int64, data []byte) error {
 	if h == nil || h.mount != m {
 		return ErrStaleHandle
-	}
-	if !m.srv.reachable {
-		return ErrUnreachable
 	}
 	sp := trace.Of(m.srv.net.Env()).Start(p, "nfs", "write",
 		trace.Int("off", off), trace.Int("bytes", int64(len(data))))

@@ -138,34 +138,6 @@ func TestWriteAndReadBack(t *testing.T) {
 	env.Run()
 }
 
-func TestUnreachableServerErrors(t *testing.T) {
-	env, srv, client := testServer(5)
-	if err := srv.Export("f", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	env.Go("c", func(p *sim.Proc) {
-		m, err := srv.Mount(p, client)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		h, err := m.Lookup(p, "f")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		srv.reachable = false
-		if _, err := m.Read(p, h, 0, 1); !errors.Is(err, ErrUnreachable) {
-			t.Errorf("read from dead server err = %v", err)
-		}
-		srv.reachable = true
-		if _, err := m.Read(p, h, 0, 1); err != nil {
-			t.Errorf("recovered read err = %v", err)
-		}
-	})
-	env.Run()
-}
-
 func TestStaleHandle(t *testing.T) {
 	env, srv, client := testServer(6)
 	if err := srv.Export("f", []byte("x")); err != nil {

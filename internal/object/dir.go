@@ -222,16 +222,3 @@ func (o *Object) SockClose() error {
 	o.bump()
 	return nil
 }
-
-// Device operations.
-
-// Ioctl invokes the device driver.
-func (o *Object) Ioctl(op string, arg []byte) ([]byte, error) {
-	if o.kind != Device {
-		return nil, ErrWrongKind
-	}
-	if o.driver == nil {
-		return nil, ErrDeviceNoDriver
-	}
-	return o.driver.Ioctl(op, arg)
-}

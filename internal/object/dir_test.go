@@ -187,29 +187,6 @@ func TestFIFOImmutableFreeze(t *testing.T) {
 	}
 }
 
-type echoDriver struct{ calls int }
-
-func (e *echoDriver) Ioctl(op string, arg []byte) ([]byte, error) {
-	e.calls++
-	return append([]byte(op+":"), arg...), nil
-}
-
-func TestDeviceIoctl(t *testing.T) {
-	d := New(1, Device)
-	if _, err := d.Ioctl("ping", nil); !errors.Is(err, ErrDeviceNoDriver) {
-		t.Errorf("driverless ioctl err = %v", err)
-	}
-	drv := &echoDriver{}
-	d.driver = drv
-	out, err := d.Ioctl("ping", []byte("x"))
-	if err != nil || string(out) != "ping:x" {
-		t.Errorf("Ioctl = %q, %v", out, err)
-	}
-	if drv.calls != 1 {
-		t.Errorf("driver calls = %d", drv.calls)
-	}
-}
-
 func TestDirectoryCloneIndependent(t *testing.T) {
 	d := New(1, Directory)
 	if err := d.Link("a", 10); err != nil {

@@ -114,20 +114,19 @@ func (m Mutability) CacheStable() bool { return m == Immutable || m == AppendOnl
 
 // Errors returned by object operations.
 var (
-	ErrImmutable      = fault.Fatal("object: write to immutable object")
-	ErrAppendOnly     = fault.Fatal("object: overwrite of append-only content")
-	ErrFixedSize      = fault.Fatal("object: resize of fixed-size object")
-	ErrBadTransition  = fault.Fatal("object: mutability transition not allowed")
-	ErrOutOfRange     = fault.Fatal("object: offset out of range")
-	ErrWrongKind      = fault.Fatal("object: operation not supported for kind")
-	ErrFIFOEmpty      = fault.Fatal("object: fifo empty")
-	ErrExists         = fault.Fatal("object: directory entry exists")
-	ErrNotFound       = fault.Fatal("object: not found")
-	ErrInvalidName    = fault.Fatal("object: invalid entry name")
-	ErrDeviceNoDriver = fault.Fatal("object: device has no driver")
-	ErrSockClosed     = fault.Fatal("object: socket closed")
-	ErrSockEmpty      = fault.Fatal("object: socket direction empty")
-	ErrBadEnd         = fault.Fatal("object: socket end must be 0 (client) or 1 (server)")
+	ErrImmutable     = fault.Fatal("object: write to immutable object")
+	ErrAppendOnly    = fault.Fatal("object: overwrite of append-only content")
+	ErrFixedSize     = fault.Fatal("object: resize of fixed-size object")
+	ErrBadTransition = fault.Fatal("object: mutability transition not allowed")
+	ErrOutOfRange    = fault.Fatal("object: offset out of range")
+	ErrWrongKind     = fault.Fatal("object: operation not supported for kind")
+	ErrFIFOEmpty     = fault.Fatal("object: fifo empty")
+	ErrExists        = fault.Fatal("object: directory entry exists")
+	ErrNotFound      = fault.Fatal("object: not found")
+	ErrInvalidName   = fault.Fatal("object: invalid entry name")
+	ErrSockClosed    = fault.Fatal("object: socket closed")
+	ErrSockEmpty     = fault.Fatal("object: socket direction empty")
+	ErrBadEnd        = fault.Fatal("object: socket end must be 0 (client) or 1 (server)")
 )
 
 // SockState is a socket object's connection state.
@@ -160,18 +159,8 @@ type Object struct {
 	sock      [2][][]byte
 	sockState SockState
 
-	// Device state (kind == Device): a driver invoked on Ioctl.
-	driver DeviceDriver
-
 	// Labels are free-form metadata (consistency level, content type, ...).
 	Labels map[string]string
-}
-
-// DeviceDriver handles operations on a Device object — the paper's
-// "device interfaces to system services".
-type DeviceDriver interface {
-	// Ioctl performs a device-specific operation.
-	Ioctl(op string, arg []byte) ([]byte, error)
 }
 
 // New creates an object of the given kind, initially MUTABLE, version 1.
@@ -371,7 +360,6 @@ func (o *Object) Clone(newID ID) *Object {
 		}
 	}
 	c.sockState = o.sockState
-	c.driver = o.driver
 	return c
 }
 

@@ -378,9 +378,6 @@ func TestWrongKindOperations(t *testing.T) {
 	if err := r.Push([]byte("m")); !errors.Is(err, ErrWrongKind) {
 		t.Errorf("file Push err = %v", err)
 	}
-	if _, err := r.Ioctl("op", nil); !errors.Is(err, ErrWrongKind) {
-		t.Errorf("file Ioctl err = %v", err)
-	}
 }
 
 func TestKindAndLevelStrings(t *testing.T) {

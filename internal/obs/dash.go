@@ -43,7 +43,6 @@ type PointData struct {
 // ObjectiveStatus summarises one objective's outcome.
 type ObjectiveStatus struct {
 	Name      string `json:"name"`
-	Tenant    string `json:"tenant,omitempty"`
 	Target    string `json:"target"`
 	Fires     int    `json:"fires"`
 	FirstFire int64  `json:"first_fire_ns"` // -1 when it never fired
@@ -53,7 +52,6 @@ type ObjectiveStatus struct {
 type AlertData struct {
 	T         int64   `json:"t"`
 	Objective string  `json:"objective"`
-	Tenant    string  `json:"tenant,omitempty"`
 	Kind      string  `json:"kind"`
 	ShortBurn float64 `json:"short_burn"`
 	LongBurn  float64 `json:"long_burn"`
@@ -90,7 +88,7 @@ func (pl *Plane) timeline() PlaneTimeline {
 		pt.Series = append(pt.Series, sd)
 	}
 	for _, o := range pl.Objectives() {
-		st := ObjectiveStatus{Name: o.Name, Tenant: o.Tenant, Target: o.Target(), FirstFire: -1}
+		st := ObjectiveStatus{Name: o.Name, Target: o.Target(), FirstFire: -1}
 		for _, a := range pl.alerts {
 			if a.Objective != o.Name || a.Kind != "fire" {
 				continue
@@ -104,7 +102,7 @@ func (pl *Plane) timeline() PlaneTimeline {
 	}
 	for _, a := range pl.alerts {
 		pt.Alerts = append(pt.Alerts, AlertData{
-			T: int64(a.At), Objective: a.Objective, Tenant: a.Tenant,
+			T: int64(a.At), Objective: a.Objective,
 			Kind: a.Kind, ShortBurn: a.ShortBurn, LongBurn: a.LongBurn,
 		})
 	}

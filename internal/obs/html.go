@@ -56,7 +56,7 @@ func writeSLOPanel(b *strings.Builder, pt *PlaneTimeline) {
 	if len(pt.Objectives) == 0 {
 		return
 	}
-	b.WriteString("<table class=\"slo\">\n<thead><tr><th>objective</th><th>tenant</th><th>target</th><th>status</th><th>first fire</th></tr></thead>\n<tbody>\n")
+	b.WriteString("<table class=\"slo\">\n<thead><tr><th>objective</th><th>target</th><th>status</th><th>first fire</th></tr></thead>\n<tbody>\n")
 	for _, o := range pt.Objectives {
 		status := "<span class=\"ok\">&#10003; ok</span>"
 		first := "&mdash;"
@@ -64,14 +64,8 @@ func writeSLOPanel(b *strings.Builder, pt *PlaneTimeline) {
 			status = fmt.Sprintf("<span class=\"fired\">&#10007; fired &times;%d</span>", o.Fires)
 			first = html.EscapeString(fmtNS(o.FirstFire))
 		}
-		tenant := o.Tenant
-		if tenant == "" {
-			tenant = "&mdash;"
-		} else {
-			tenant = html.EscapeString(tenant)
-		}
-		fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td class=\"target\">%s</td><td>%s</td><td class=\"num\">%s</td></tr>\n",
-			html.EscapeString(o.Name), tenant, html.EscapeString(o.Target), status, first)
+		fmt.Fprintf(b, "<tr><td>%s</td><td class=\"target\">%s</td><td>%s</td><td class=\"num\">%s</td></tr>\n",
+			html.EscapeString(o.Name), html.EscapeString(o.Target), status, first)
 	}
 	b.WriteString("</tbody>\n</table>\n")
 }

@@ -15,8 +15,7 @@ import (
 // burn rate reach Threshold — the short window gives fast detection, the
 // long window keeps one bad tick from paging.
 type Objective struct {
-	Name   string
-	Tenant string // display only; "" for whole-plane objectives
+	Name string
 
 	Latency *LatencyTarget
 	Goodput *GoodputFloor
@@ -122,7 +121,6 @@ func (o Objective) longTicks() int {
 type Alert struct {
 	At        sim.Time
 	Objective string
-	Tenant    string
 	Kind      string // "fire" | "resolve"
 	ShortBurn float64
 	LongBurn  float64
@@ -219,7 +217,6 @@ func (pl *Plane) evaluate(now sim.Time) {
 			a := Alert{
 				At:        now,
 				Objective: st.obj.Name,
-				Tenant:    st.obj.Tenant,
 				Kind:      kind,
 				ShortBurn: st.avg(st.obj.shortTicks()),
 				LongBurn:  st.avg(st.obj.longTicks()),
@@ -228,7 +225,7 @@ func (pl *Plane) evaluate(now sim.Time) {
 			detail := fmt.Sprintf("burn short=%.2f long=%.2f", a.ShortBurn, a.LongBurn)
 			pl.Record("alert", kind+":"+st.obj.Name, detail)
 			trace.Of(pl.env).Instant("obs", "obs.slo", "slo:"+st.obj.Name+":"+kind,
-				trace.Str("detail", detail), trace.Str("tenant", st.obj.Tenant))
+				trace.Str("detail", detail))
 		}
 	}
 }

@@ -1,18 +1,14 @@
-// Package qos implements admission control, weighted-fair queueing, and
-// overload protection for the PCSI data plane and FaaS invocation path.
+// Package qos implements admission control and overload protection for the
+// PCSI data plane and FaaS invocation path.
 //
 // The paper's §4 performance claim is that an explicit OS-style interface
 // lets the provider schedule and isolate work predictably, where REST
 // clouds expose only opaque throttling (429s) that clients answer with
 // retries. This package is the scheduling half of that claim:
 //
-//   - Per-tenant weighted-fair queueing: start-time-fair virtual-time tags
-//     over sim.Time decide dispatch order, so each backlogged tenant
-//     receives service proportional to its weight within one operation of
-//     its weighted share.
 //   - Concurrency limits derived from cluster capacity ([Capacity]), so
 //     admitted work never dives into the placement layer just to fail.
-//   - Bounded per-tenant queues with deadline-aware load shedding:
+//   - One bounded FIFO queue per class with deadline-aware load shedding:
 //     requests that would (or did) wait longer than the class's queue-delay
 //     budget are rejected early with a typed [ErrOverload] that the retry
 //     layer classifies as fatal — overload rejections are an answer, not a
@@ -22,17 +18,16 @@
 //     increasing frequency until the queue drains to target.
 //
 // Every decision is a pure function of virtual time and deterministic
-// arrival order (tie-breaks by tenant name, then sequence number) — the
-// same property as sim.Env.ObserverRand streams, only stronger: no
-// randomness is consumed at all. A nil *Controller is fully inert: every
-// method no-ops without touching the event queue, so a QoS-disabled run is
-// byte-identical to one built before this package existed.
+// arrival order — the same property as sim.Env.ObserverRand streams, only
+// stronger: no randomness is consumed at all. A nil *Controller is fully
+// inert: every method no-ops without touching the event queue, so a
+// QoS-disabled run is byte-identical to one built before this package
+// existed.
 package qos
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 
 	"repro/internal/cluster"
@@ -55,15 +50,14 @@ func (overloadSentinel) Retryable() bool { return false }
 // OverloadError is the typed rejection returned to shed requests. It
 // matches ErrOverload under errors.Is and classifies as non-retryable.
 type OverloadError struct {
-	Tenant string
-	Class  Class
+	Class Class
 	// Reason is "queue-full", "deadline", or "codel".
 	Reason string
 }
 
 // Error renders the rejection.
 func (e *OverloadError) Error() string {
-	return fmt.Sprintf("qos: overloaded (%s, tenant %q, class %s)", e.Reason, e.Tenant, e.Class)
+	return fmt.Sprintf("qos: overloaded (%s, class %s)", e.Reason, e.Class)
 }
 
 // Unwrap puts the ErrOverload sentinel in the chain, so errors.Is matches it.
@@ -73,7 +67,7 @@ func (e *OverloadError) Unwrap() error { return ErrOverload }
 func (e *OverloadError) Retryable() bool { return false }
 
 // Class separates the admission-controlled paths; each class has its own
-// concurrency budget and queues, so data and invocation admission compose
+// concurrency budget and queue, so data and invocation admission compose
 // without double-counting.
 type Class uint8
 
@@ -110,7 +104,7 @@ type ClassConfig struct {
 	// PerOp is the resource footprint one admitted operation occupies,
 	// used to derive MaxConcurrency from the cluster.
 	PerOp cluster.Resources
-	// MaxQueue bounds each tenant's queue; arrivals beyond it are shed
+	// MaxQueue bounds the class's queue; arrivals beyond it are shed
 	// with reason "queue-full". 0 = unbounded.
 	MaxQueue int
 	// MaxQueueDelay is the queue-delay budget: arrivals whose estimated
@@ -129,18 +123,8 @@ type ClassConfig struct {
 
 // Config configures a Controller.
 type Config struct {
-	// Weights maps tenant name to WFQ weight. Unknown tenants (and the
-	// "" tenant, recorded as "default") get weight 1.
-	Weights map[string]float64
 	// Data and Invoke configure the two admission classes.
 	Data, Invoke ClassConfig
-}
-
-// Request asks for admission of one operation.
-type Request struct {
-	// Tenant is the workload the operation belongs to ("" = "default").
-	Tenant string
-	Class  Class
 }
 
 // Stats is a snapshot of one class's admission counters.
@@ -157,45 +141,24 @@ type Stats struct {
 // Controller is valid and fully inert.
 type Controller struct {
 	env     *sim.Env
-	reg     *trace.Registry
 	classes [numClasses]*classQ
-	weights map[string]float64
-	onShed  func(label, tenant, reason string)
+	onShed  func(label, reason string)
 }
 
 // waiter is one queued admission request.
 type waiter struct {
-	tenant *tenantQ
-	ev     *sim.Event
-	enq    sim.Time
-	start  float64 // virtual start tag
-	finish float64 // virtual finish tag
-	seq    uint64
+	ev  *sim.Event
+	enq sim.Time
 }
 
-// tenantQ is one tenant's FIFO within a class, with its admission counters
-// (created at the tenant's first admit and first shed).
-type tenantQ struct {
-	name       string
-	weight     float64
-	lastFinish float64
-	q          []*waiter
-	admitted   *metrics.Counter
-	shed       *metrics.Counter
-}
-
-// classQ is the WFQ scheduler state of one class.
+// classQ is the admission state of one class: its slots and its FIFO queue.
 type classQ struct {
 	class    Class
 	label    string // "qos_<class>": the prefix of every metric of the class
 	cfg      ClassConfig
 	limit    int
 	inflight int
-	queued   int
-	vtime    float64
-	seq      uint64
-	tenants  map[string]*tenantQ
-	names    []string // sorted tenant names, for deterministic scans
+	q        []waiter
 	cd       codel
 	// ewmaServiceNS estimates per-operation service time for the
 	// arrival-time wait estimate (deadline-aware early rejection).
@@ -213,10 +176,9 @@ type classQ struct {
 // limit is zero stay disabled. cl (may be nil) supplies the capacity that
 // PerOp-configured classes derive their limits from. Each enabled class
 // registers its metrics in reg (which may be nil): qos_<class>_queue_depth,
-// _inflight, _queue_delay, _admitted and _shed, and per tenant
-// qos_<class>_tenant_<t>_admitted and _shed at its first admit or shed.
+// _inflight, _queue_delay, _admitted and _shed.
 func New(env *sim.Env, cl *cluster.Cluster, cfg Config, reg *trace.Registry) *Controller {
-	q := &Controller{env: env, reg: reg, weights: cfg.Weights}
+	q := &Controller{env: env}
 	for class, cc := range [numClasses]ClassConfig{ClassData: cfg.Data, ClassInvoke: cfg.Invoke} {
 		limit := cc.MaxConcurrency
 		if limit == 0 && cl != nil {
@@ -234,7 +196,6 @@ func New(env *sim.Env, cl *cluster.Cluster, cfg Config, reg *trace.Registry) *Co
 			label:         label,
 			cfg:           cc,
 			limit:         limit,
-			tenants:       make(map[string]*tenantQ),
 			cd:            codel{target: cc.CoDelTarget, interval: cc.CoDelInterval},
 			depthGauge:    metrics.NewGauge(label + "_queue_depth"),
 			inflightGauge: metrics.NewGauge(label + "_inflight"),
@@ -253,10 +214,9 @@ func New(env *sim.Env, cl *cluster.Cluster, cfg Config, reg *trace.Registry) *Co
 }
 
 // OnShed installs fn, called after every shed with the class's metric
-// prefix ("qos_<class>"), the tenant and the reason — the hook the flight
-// recorder uses without qos importing the telemetry plane. No-op on a nil
-// controller.
-func (q *Controller) OnShed(fn func(label, tenant, reason string)) {
+// prefix ("qos_<class>") and the reason — the hook the flight recorder uses
+// without qos importing the telemetry plane. No-op on a nil controller.
+func (q *Controller) OnShed(fn func(label, reason string)) {
 	if q != nil {
 		q.onShed = fn
 	}
@@ -323,54 +283,44 @@ type Grant struct {
 	admitAt sim.Time
 }
 
-// Admit runs the admission gate for one operation, parking the calling
-// process in the tenant's weighted-fair queue while the class is at its
-// concurrency limit. It returns an error matching ErrOverload when the
+// Admit runs the admission gate for one operation of the class, parking the
+// calling process at the tail of the class's queue while the class is at
+// its concurrency limit. It returns an error matching ErrOverload when the
 // request is shed (queue full, deadline exceeded, or CoDel backpressure).
 // On nil controllers and disabled classes it admits immediately with zero
 // overhead.
 //
 //pcsi:hotpath
-func (q *Controller) Admit(p *sim.Proc, req Request) (Grant, error) {
-	if q == nil || req.Class >= numClasses {
+func (q *Controller) Admit(p *sim.Proc, class Class) (Grant, error) {
+	if q == nil || class >= numClasses {
 		return Grant{}, nil
 	}
-	c := q.classes[req.Class]
+	c := q.classes[class]
 	if c == nil {
 		return Grant{}, nil
 	}
 	now := q.env.Now()
-	t := c.tenant(q, req.Tenant)
 
 	// Fast path: free slot and empty queue — admit without parking.
-	if c.queued == 0 && c.inflight < c.limit {
-		start := math.Max(c.vtime, t.lastFinish)
-		t.lastFinish = start + 1/t.weight
-		c.vtime = start
-		return q.admitNow(c, now, t, 0), nil
+	if len(c.q) == 0 && c.inflight < c.limit {
+		return q.admitNow(c, now, 0), nil
 	}
 
-	if c.cfg.MaxQueue > 0 && len(t.q) >= c.cfg.MaxQueue {
-		return Grant{}, q.shedArrival(c, t, "queue-full")
+	if c.cfg.MaxQueue > 0 && len(c.q) >= c.cfg.MaxQueue {
+		return Grant{}, q.shed(c, "queue-full")
 	}
 	if c.cfg.MaxQueueDelay > 0 && c.estWait() > c.cfg.MaxQueueDelay {
-		return Grant{}, q.shedArrival(c, t, "deadline")
+		return Grant{}, q.shed(c, "deadline")
 	}
 
-	c.seq++
-	w := &waiter{tenant: t, ev: q.env.NewEvent(), enq: now, seq: c.seq}
-	w.start = math.Max(c.vtime, t.lastFinish)
-	w.finish = w.start + 1/t.weight
-	t.lastFinish = w.finish
-	t.q = append(t.q, w)
-	c.queued++
-	if c.queued > c.stats.MaxQueued {
-		c.stats.MaxQueued = c.queued
+	w := waiter{ev: q.env.NewEvent(), enq: now}
+	c.q = append(c.q, w)
+	if len(c.q) > c.stats.MaxQueued {
+		c.stats.MaxQueued = len(c.q)
 	}
 	c.depthGauge.Add(int64(now), 1)
 
-	sp := trace.Of(q.env).Start(p, "qos", "queue",
-		trace.Str("class", c.class.String()), trace.Str("tenant", t.name))
+	sp := trace.Of(q.env).Start(p, "qos", "queue", trace.Str("class", c.class.String()))
 	q.dispatch(c)
 	_, err := p.Wait(w.ev)
 	sp.Close(p)
@@ -405,82 +355,40 @@ func (g Grant) Release() {
 }
 
 // admitNow books an in-flight slot at time now.
-func (q *Controller) admitNow(c *classQ, now sim.Time, t *tenantQ, delay sim.Duration) Grant {
+func (q *Controller) admitNow(c *classQ, now sim.Time, delay sim.Duration) Grant {
 	c.inflight++
 	c.stats.Admitted++
 	c.admitted.Inc()
 	c.inflightGauge.Add(int64(now), 1)
 	c.delayHist.Observe(delay)
-	if t.admitted == nil {
-		t.admitted = q.tenantCounter(c, t, "_admitted")
-	}
-	t.admitted.Inc()
 	return Grant{q: q, c: c, admitAt: now}
 }
 
-// tenantCounter registers one of a tenant's admission counters; it runs
-// once per (class, tenant, outcome), so the name concatenation stays off the
-// per-op path.
-func (q *Controller) tenantCounter(c *classQ, t *tenantQ, suffix string) *metrics.Counter {
-	m := metrics.NewCounter(c.label + "_tenant_" + t.name + suffix)
-	q.reg.Register(m)
-	return m
-}
-
-// dispatch admits queued requests in virtual-finish-tag order while slots
-// are free, applying deadline and CoDel shedding to queue heads.
+// dispatch admits queued requests in arrival order while slots are free,
+// applying deadline and CoDel shedding to the queue head.
 //
 //pcsi:hotpath
 func (q *Controller) dispatch(c *classQ) {
 	now := q.env.Now()
-	for c.inflight < c.limit {
-		w := c.popMinFinish()
-		if w == nil {
-			return
-		}
+	for c.inflight < c.limit && len(c.q) > 0 {
+		w := c.q[0]
+		c.q = c.q[1:]
 		c.depthGauge.Add(int64(now), -1)
 		sojourn := now.Sub(w.enq)
 		if c.cfg.MaxQueueDelay > 0 && sojourn > c.cfg.MaxQueueDelay {
-			q.shedQueued(c, w, "deadline")
+			w.ev.Fail(q.shed(c, "deadline"))
 			continue
 		}
 		if c.cd.onDispatch(now, sojourn) {
-			q.shedQueued(c, w, "codel")
+			w.ev.Fail(q.shed(c, "codel"))
 			continue
 		}
-		c.vtime = math.Max(c.vtime, w.start)
 		// The grant travels back through Admit's own return, not the
 		// completion value; completing with nil avoids boxing a Grant
 		// into the event's any slot on every dispatch.
-		q.admitNow(c, now, w.tenant, sojourn)
+		q.admitNow(c, now, sojourn)
 		w.ev.Complete(nil)
 	}
-}
-
-// popMinFinish removes and returns the queue-head waiter with the
-// smallest virtual finish tag; ties break on sequence number. Tenants are
-// scanned in sorted-name order, so the choice is deterministic.
-//
-//pcsi:hotpath
-func (c *classQ) popMinFinish() *waiter {
-	var best *tenantQ
-	for _, name := range c.names {
-		t := c.tenants[name]
-		if len(t.q) == 0 {
-			continue
-		}
-		if best == nil || t.q[0].finish < best.q[0].finish ||
-			(t.q[0].finish == best.q[0].finish && t.q[0].seq < best.q[0].seq) {
-			best = t
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	w := best.q[0]
-	best.q = best.q[1:]
-	c.queued--
-	return w
 }
 
 // estWait estimates a new arrival's queueing delay from the current
@@ -489,45 +397,12 @@ func (c *classQ) estWait() sim.Duration {
 	if c.ewmaServiceNS == 0 {
 		return 0
 	}
-	return sim.Duration(float64(c.queued+1) * c.ewmaServiceNS / float64(c.limit))
+	return sim.Duration(float64(len(c.q)+1) * c.ewmaServiceNS / float64(c.limit))
 }
 
-// tenant returns (creating) the named tenant's queue.
-func (c *classQ) tenant(q *Controller, name string) *tenantQ {
-	if name == "" {
-		name = "default"
-	}
-	t, ok := c.tenants[name]
-	if !ok {
-		w := q.weights[name]
-		if w <= 0 {
-			w = 1
-		}
-		t = &tenantQ{name: name, weight: w}
-		c.tenants[name] = t
-		i := sort.SearchStrings(c.names, name)
-		c.names = append(c.names, "")
-		copy(c.names[i+1:], c.names[i:])
-		c.names[i] = name
-	}
-	return t
-}
-
-// shedArrival rejects a request at the admission gate.
-func (q *Controller) shedArrival(c *classQ, t *tenantQ, reason string) error {
-	err := &OverloadError{Tenant: t.name, Class: c.class, Reason: reason}
-	q.recordShed(c, t, reason)
-	return err
-}
-
-// shedQueued rejects a request that was already queued; the parked
-// process resumes with the overload error.
-func (q *Controller) shedQueued(c *classQ, w *waiter, reason string) {
-	q.recordShed(c, w.tenant, reason)
-	w.ev.Fail(&OverloadError{Tenant: w.tenant.name, Class: c.class, Reason: reason})
-}
-
-func (q *Controller) recordShed(c *classQ, t *tenantQ, reason string) {
+// shed records one rejection, at arrival or of a queued request, and returns
+// the error the shed request sees.
+func (q *Controller) shed(c *classQ, reason string) error {
 	c.stats.Shed++
 	switch reason {
 	case "queue-full":
@@ -538,14 +413,10 @@ func (q *Controller) recordShed(c *classQ, t *tenantQ, reason string) {
 		c.stats.ShedCoDel++
 	}
 	c.shed.Inc()
-	if t.shed == nil {
-		t.shed = q.tenantCounter(c, t, "_shed")
-	}
-	t.shed.Inc()
 	if q.onShed != nil {
-		q.onShed(c.label, t.name, reason)
+		q.onShed(c.label, reason)
 	}
 	trace.Of(q.env).Instant("qos", "qos", "shed",
-		trace.Str("class", c.class.String()), trace.Str("tenant", t.name),
-		trace.Str("reason", reason))
+		trace.Str("class", c.class.String()), trace.Str("reason", reason))
+	return &OverloadError{Class: c.class, Reason: reason}
 }

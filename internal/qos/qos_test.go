@@ -17,8 +17,8 @@ import (
 
 // one controller with a single invoke-class limit, no cluster derivation
 // and no registry.
-func testController(env *sim.Env, cc ClassConfig, weights map[string]float64) *Controller {
-	return New(env, nil, Config{Invoke: cc, Weights: weights}, nil)
+func testController(env *sim.Env, cc ClassConfig) *Controller {
+	return New(env, nil, Config{Invoke: cc}, nil)
 }
 
 func TestNilControllerIsInert(t *testing.T) {
@@ -26,7 +26,7 @@ func TestNilControllerIsInert(t *testing.T) {
 	var q *Controller
 	done := false
 	env.Go("op", func(p *sim.Proc) {
-		g, err := q.Admit(p, Request{Tenant: "a", Class: ClassInvoke})
+		g, err := q.Admit(p, ClassInvoke)
 		if err != nil {
 			t.Errorf("nil controller Admit err = %v", err)
 		}
@@ -40,7 +40,7 @@ func TestNilControllerIsInert(t *testing.T) {
 	if q.Enabled(ClassInvoke) {
 		t.Error("nil controller reports enabled")
 	}
-	q.OnShed(func(label, tenant, reason string) {})
+	q.OnShed(func(label, reason string) {})
 	if q.ClassStats(ClassInvoke) != (Stats{}) {
 		t.Error("nil controller has stats")
 	}
@@ -48,12 +48,12 @@ func TestNilControllerIsInert(t *testing.T) {
 
 func TestDisabledClassPassesThrough(t *testing.T) {
 	env := sim.NewEnv(1)
-	q := testController(env, ClassConfig{MaxConcurrency: 1}, nil)
+	q := testController(env, ClassConfig{MaxConcurrency: 1})
 	if q.Enabled(ClassData) {
 		t.Fatal("data class should be disabled")
 	}
 	env.Go("op", func(p *sim.Proc) {
-		g, err := q.Admit(p, Request{Class: ClassData})
+		g, err := q.Admit(p, ClassData)
 		if err != nil {
 			t.Errorf("disabled class Admit err = %v", err)
 		}
@@ -64,11 +64,11 @@ func TestDisabledClassPassesThrough(t *testing.T) {
 
 func TestConcurrencyLimitEnforced(t *testing.T) {
 	env := sim.NewEnv(1)
-	q := testController(env, ClassConfig{MaxConcurrency: 2}, nil)
+	q := testController(env, ClassConfig{MaxConcurrency: 2})
 	var peak, cur int
 	for i := 0; i < 6; i++ {
 		env.Go("op", func(p *sim.Proc) {
-			g, err := q.Admit(p, Request{Class: ClassInvoke})
+			g, err := q.Admit(p, ClassInvoke)
 			if err != nil {
 				t.Errorf("Admit: %v", err)
 				return
@@ -94,11 +94,11 @@ func TestConcurrencyLimitEnforced(t *testing.T) {
 
 func TestQueueFullSheds(t *testing.T) {
 	env := sim.NewEnv(1)
-	q := testController(env, ClassConfig{MaxConcurrency: 1, MaxQueue: 2}, nil)
+	q := testController(env, ClassConfig{MaxConcurrency: 1, MaxQueue: 2})
 	var admitted, shed int
 	for i := 0; i < 6; i++ {
 		env.Go("op", func(p *sim.Proc) {
-			g, err := q.Admit(p, Request{Class: ClassInvoke})
+			g, err := q.Admit(p, ClassInvoke)
 			if err != nil {
 				if !errors.Is(err, ErrOverload) {
 					t.Errorf("shed error %v does not match ErrOverload", err)
@@ -123,7 +123,7 @@ func TestQueueFullSheds(t *testing.T) {
 	var oe *OverloadError
 	env.Go("late", func(p *sim.Proc) {
 		// Queue drained; this admits.
-		g, err := q.Admit(p, Request{Class: ClassInvoke})
+		g, err := q.Admit(p, ClassInvoke)
 		if err != nil {
 			t.Errorf("post-drain Admit: %v", err)
 		}
@@ -134,7 +134,7 @@ func TestQueueFullSheds(t *testing.T) {
 }
 
 func TestOverloadErrorClassification(t *testing.T) {
-	err := error(&OverloadError{Tenant: "a", Class: ClassData, Reason: "queue-full"})
+	err := error(&OverloadError{Class: ClassData, Reason: "queue-full"})
 	if !errors.Is(err, ErrOverload) {
 		t.Error("OverloadError does not match ErrOverload")
 	}
@@ -155,10 +155,10 @@ func TestOverloadErrorClassification(t *testing.T) {
 
 func TestDeadlineShedsStaleQueuedWork(t *testing.T) {
 	env := sim.NewEnv(1)
-	q := testController(env, ClassConfig{MaxConcurrency: 1, MaxQueueDelay: 5 * time.Millisecond}, nil)
+	q := testController(env, ClassConfig{MaxConcurrency: 1, MaxQueueDelay: 5 * time.Millisecond})
 	var order []string
 	env.Go("hog", func(p *sim.Proc) {
-		g, err := q.Admit(p, Request{Class: ClassInvoke})
+		g, err := q.Admit(p, ClassInvoke)
 		if err != nil {
 			t.Errorf("hog: %v", err)
 			return
@@ -169,7 +169,7 @@ func TestDeadlineShedsStaleQueuedWork(t *testing.T) {
 	})
 	env.Go("victim", func(p *sim.Proc) {
 		p.Sleep(time.Microsecond) // queue behind the hog
-		_, err := q.Admit(p, Request{Class: ClassInvoke})
+		_, err := q.Admit(p, ClassInvoke)
 		if !errors.Is(err, ErrOverload) {
 			t.Errorf("victim err = %v, want overload", err)
 		}
@@ -188,37 +188,40 @@ func TestDeadlineShedsStaleQueuedWork(t *testing.T) {
 	}
 }
 
-func TestWFQRespectsWeights(t *testing.T) {
-	// Two tenants, weight 3:1, limit 1, both keep a continuous backlog.
+// TestFIFOArrivalOrder: a limit-1 class admits the procs parked behind a
+// busy slot in the order they arrived, not the order they were spawned.
+func TestFIFOArrivalOrder(t *testing.T) {
 	env := sim.NewEnv(1)
-	q := testController(env, ClassConfig{MaxConcurrency: 1},
-		map[string]float64{"gold": 3, "bronze": 1})
-	served := map[string]int{}
-	for _, tenant := range []string{"gold", "bronze"} {
-		tenant := tenant
-		for i := 0; i < 4; i++ { // 4 closed-loop workers per tenant
-			env.Go(tenant, func(p *sim.Proc) {
-				for {
-					g, err := q.Admit(p, Request{Tenant: tenant, Class: ClassInvoke})
-					if err != nil {
-						return
-					}
-					p.Sleep(time.Millisecond)
-					served[tenant]++
-					g.Release()
-					if p.Now() > sim.Time(200*time.Millisecond) {
-						return
-					}
-				}
-			})
+	q := testController(env, ClassConfig{MaxConcurrency: 1})
+	env.Go("hog", func(p *sim.Proc) {
+		g, err := q.Admit(p, ClassInvoke)
+		if err != nil {
+			t.Errorf("hog: %v", err)
+			return
 		}
+		p.Sleep(10 * time.Millisecond)
+		g.Release()
+	})
+	var order []int
+	for _, at := range []int{3, 1, 4, 5, 2} {
+		env.Go("op", func(p *sim.Proc) {
+			p.Sleep(sim.Duration(at) * time.Microsecond)
+			g, err := q.Admit(p, ClassInvoke)
+			if err != nil {
+				t.Errorf("op %d: %v", at, err)
+				return
+			}
+			order = append(order, at)
+			p.Sleep(time.Millisecond)
+			g.Release()
+		})
 	}
-	env.RunUntil(sim.Time(200 * time.Millisecond))
-	total := served["gold"] + served["bronze"]
-	goldShare := float64(served["gold"]) / float64(total)
-	if goldShare < 0.70 || goldShare > 0.80 {
-		t.Errorf("gold share = %.3f (gold=%d bronze=%d), want ~0.75",
-			goldShare, served["gold"], served["bronze"])
+	env.Run()
+	if want := []int{1, 2, 3, 4, 5}; !slices.Equal(order, want) {
+		t.Errorf("admission order = %v, want %v", order, want)
+	}
+	if st := q.ClassStats(ClassInvoke); st.MaxQueued != 5 {
+		t.Errorf("MaxQueued = %d, want 5", st.MaxQueued)
 	}
 }
 
@@ -254,13 +257,13 @@ func TestCoDelShedsStandingQueue(t *testing.T) {
 		MaxConcurrency: 1,
 		CoDelTarget:    2 * time.Millisecond,
 		CoDelInterval:  20 * time.Millisecond,
-	}, nil)
+	})
 	var admitted, shed int
 	for i := 0; i < 40; i++ {
 		i := i
 		env.Go("op", func(p *sim.Proc) {
 			p.Sleep(sim.Duration(i) * time.Millisecond) // 1/ms arrival ramp
-			g, err := q.Admit(p, Request{Class: ClassInvoke})
+			g, err := q.Admit(p, ClassInvoke)
 			if err != nil {
 				shed++
 				return
@@ -284,8 +287,7 @@ func TestCoDelShedsStandingQueue(t *testing.T) {
 }
 
 // TestInstrumentsWired reads what the controller registered: the class's
-// five metrics at construction, a tenant's counters from its first admit
-// and first shed, and the shed callback once per shed.
+// five metrics at construction and the shed callback once per shed.
 func TestInstrumentsWired(t *testing.T) {
 	env := sim.NewEnv(1)
 	reg := trace.NewRegistry()
@@ -296,12 +298,12 @@ func TestInstrumentsWired(t *testing.T) {
 		t.Fatalf("registered at construction = %v, want %v", got, want)
 	}
 	var shedNotes []string
-	q.OnShed(func(label, tenant, reason string) {
-		shedNotes = append(shedNotes, label+" "+tenant+" "+reason)
+	q.OnShed(func(label, reason string) {
+		shedNotes = append(shedNotes, label+" "+reason)
 	})
 	for i := 0; i < 4; i++ {
 		env.Go("op", func(p *sim.Proc) {
-			g, err := q.Admit(p, Request{Class: ClassInvoke})
+			g, err := q.Admit(p, ClassInvoke)
 			if err != nil {
 				return
 			}
@@ -320,9 +322,6 @@ func TestInstrumentsWired(t *testing.T) {
 	if a, s := counter("qos_invoke_admitted"), counter("qos_invoke_shed"); a != 2 || s != 2 {
 		t.Errorf("admitted=%d shed=%d, want 2/2", a, s)
 	}
-	if a, s := counter("qos_invoke_tenant_default_admitted"), counter("qos_invoke_tenant_default_shed"); a != 2 || s != 2 {
-		t.Errorf("tenant admitted=%d shed=%d, want 2/2", a, s)
-	}
 	delay := trace.Lookup[*metrics.Histogram](reg, "qos_invoke_queue_delay")
 	if lo, hi := delay.Quantile(0), delay.Quantile(1); delay.Count() != 2 || lo != 0 || hi != time.Millisecond {
 		t.Errorf("delays n=%d min=%v max=%v, want 2 in [0, 1ms]", delay.Count(), lo, hi)
@@ -333,7 +332,7 @@ func TestInstrumentsWired(t *testing.T) {
 			t.Errorf("%s level=%v max=%v, want 0/1", name, s.Level, s.Max)
 		}
 	}
-	wantNotes := []string{"qos_invoke default queue-full", "qos_invoke default queue-full"}
+	wantNotes := []string{"qos_invoke queue-full", "qos_invoke queue-full"}
 	if !slices.Equal(shedNotes, wantNotes) {
 		t.Errorf("shed callbacks = %v, want %v", shedNotes, wantNotes)
 	}

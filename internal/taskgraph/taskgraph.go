@@ -134,8 +134,6 @@ type Executor struct {
 	// Retry, when set, re-invokes a failed task under a bound policy
 	// (backoff, deadline, error classification); nil invokes it once.
 	Retry *fault.Policy
-	// Tenant propagates into each task's placement hints.
-	Tenant string
 
 	results map[string]*Result
 	done    map[string]*sim.Event
@@ -188,7 +186,7 @@ func (e *Executor) Execute(p *sim.Proc, g *Graph) (map[string]*Result, error) {
 // dependency's span.
 func (e *Executor) runTask(p *sim.Proc, t *Task) {
 	tr := trace.Of(p.Env())
-	hints := faas.PlacementHints{PreferGPUNode: t.PreferGPUNode, Tenant: e.Tenant}
+	hints := faas.PlacementHints{PreferGPUNode: t.PreferGPUNode}
 	var links []trace.SpanID
 	for i, dep := range t.After {
 		wsp := tr.Start(p, "task.wait", "wait:"+dep)

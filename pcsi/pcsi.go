@@ -114,9 +114,9 @@ type (
 	// FaultSession is a fault-injection session (NewFaultSession); set
 	// Options.Faults to inject into a cloud and audit its invariants.
 	FaultSession = fault.Session
-	// QoSConfig configures the admission controller (per-tenant WFQ
-	// weights + per-class limits). Set Options.QoS to enable it; nil
-	// keeps the unguarded data and invoke paths.
+	// QoSConfig configures the admission controller: one limit and queue
+	// per class. Set Options.QoS to enable it; nil keeps the unguarded
+	// data and invoke paths.
 	QoSConfig = qos.Config
 	// QoSClassConfig configures one admission class: concurrency limit
 	// (or a per-op footprint it is derived from), queue bound, queue-delay

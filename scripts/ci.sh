@@ -71,7 +71,7 @@ cmp /tmp/dash-a.json /tmp/dash-b.json || { echo 'dash JSON timeline not byte-ide
 cp /tmp/dash-a.html pcsi-dash-e13.html
 cp /tmp/dash-a.json pcsi-dash-e13.json
 # E13's SLOs and the dashboard read series that qos registers itself.
-for m in qos_invoke_shed qos_invoke_tenant_default_admitted; do
+for m in qos_invoke_shed qos_invoke_admitted; do
     grep -q "\"metric\": \"$m\"" pcsi-dash-e13.json || { echo "pcsi-dash-e13.json has no $m series" >&2; exit 1; }
 done
 
