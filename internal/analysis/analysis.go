@@ -6,11 +6,10 @@
 // any package pattern, and a self-enforcement test keeps the repo itself
 // clean. `pcsi-vet -list` prints the checks, the machinery behind each
 // (Analyzer.Kind) and its directive keyword; DESIGN.md §5 says why each
-// one is there. Two engines sit behind them and no more: an
-// intraprocedural CFG with forward gen/kill dataflow (cfg.go, dataflow.go)
-// and a whole-module call graph (callgraph.go). Everything else is an AST
-// or declaration walk, plus errclass's one module-wide fact (the import
-// closure of the fault.Policy.Do callers).
+// one is there. One engine sits behind them and no more: an
+// intraprocedural CFG with forward gen/kill dataflow (cfg.go, dataflow.go).
+// Everything else is an AST or declaration walk, plus errclass's one
+// module-wide fact (the import closure of the fault.Policy.Do callers).
 //
 // Legitimate exceptions are annotated in the source with a directive:
 //
@@ -53,15 +52,14 @@ type Analyzer struct {
 	// Doc is a one-line description.
 	Doc string
 	// Kind classifies the machinery behind the check: "syntactic" (AST and
-	// declaration walks, no engine), "dataflow" (CFG + gen/kill facts within
-	// one function), or "interprocedural" (the call graph across the
-	// module).
+	// declaration walks, no engine) or "dataflow" (CFG + gen/kill facts
+	// within one function).
 	Kind string
 	// Prepare, if set, runs once before the per-package passes fan out,
 	// with a pass carrying no package. It builds whole-program indexes
-	// (the call graph, errclass's import closure) into the shared Cache and may
-	// trigger lazy package loads; because the per-package passes then run
-	// in parallel, ALL Cache writes and Loader loads must happen here.
+	// (errclass's import closure) into the shared Cache and may trigger
+	// lazy package loads; because the per-package passes then run in
+	// parallel, ALL Cache writes and Loader loads must happen here.
 	// Prepare must not report diagnostics.
 	Prepare func(*Pass)
 	// Run inspects one package and reports findings through the pass.
@@ -73,7 +71,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		SimTime, DetRand, Layering, CapDiscipline,
 		MapRange, ObsRand, ErrClass, SpanBalance,
-		HotPath,
 	}
 }
 
@@ -178,8 +175,9 @@ func directiveKeywords() map[string]bool {
 }
 
 // collectAllows scans a package's comments for //pcsi:allow directives and
-// returns the suppressed line ranges per keyword. Unknown keywords are
-// reported as diagnostics so typos cannot silently disable a check.
+// returns the suppressed line ranges per keyword. Unknown keywords, and any
+// //pcsi: directive other than allow, are reported as diagnostics so typos
+// and retired directives cannot silently linger.
 func collectAllows(fset *token.FileSet, pkg *Package, diags *[]Diagnostic) map[string][]*allowRange {
 	known := directiveKeywords()
 	keywords := make([]string, 0, len(known))
@@ -227,11 +225,20 @@ func collectAllows(fset *token.FileSet, pkg *Package, diags *[]Diagnostic) map[s
 		})
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, "//pcsi:allow")
+				rest, ok := strings.CutPrefix(c.Text, "//pcsi:")
 				if !ok {
 					continue
 				}
 				fields := strings.Fields(rest)
+				if len(fields) == 0 || fields[0] != "allow" {
+					*diags = append(*diags, Diagnostic{
+						Pos:     fset.Position(c.Pos()),
+						Check:   "directive",
+						Message: "unknown directive: the only //pcsi: directive is //pcsi:allow <check>",
+					})
+					continue
+				}
+				fields = fields[1:]
 				if len(fields) == 0 {
 					*diags = append(*diags, Diagnostic{
 						Pos:     fset.Position(c.Pos()),

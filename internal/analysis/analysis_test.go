@@ -272,32 +272,28 @@ func TestMapOrderExactPositions(t *testing.T) {
 	}
 }
 
-// TestHotPathExactPositions pins file:line:column for the hotpath fixture:
-// each rule must anchor on the offending expression or statement (the
-// closure literal, the defer keyword, the append call, the concatenation,
-// the Sprintf call, the boxed argument, the stray directive).
-func TestHotPathExactPositions(t *testing.T) {
+// TestDirectiveExactPositions pins file:line:column for the directive
+// fixture: every malformed, unknown or retired directive is reported at the
+// comment itself, including a //pcsi: word other than allow.
+func TestDirectiveExactPositions(t *testing.T) {
 	l, diags := loadFixture(t)
 	var got []string
 	for _, d := range diags {
 		rel, _ := filepath.Rel(l.Root, d.Pos.Filename)
-		if filepath.ToSlash(rel) != "bad/hotpath/hotpath.go" {
+		if filepath.ToSlash(rel) != "bad/directive/directive.go" || d.Check != "directive" {
 			continue
 		}
 		got = append(got, fmt.Sprintf("%d:%d", d.Pos.Line, d.Pos.Column))
 	}
 	want := []string{
-		"18:9",  // rule 1: closure capture, at the func literal
-		"26:3",  // rule 2: defer in loop, at the defer keyword
-		"31:9",  // rule 3: unpreallocated append, at the append call
-		"43:7",  // rule 5: concatenation, at the outermost BinaryExpr
-		"47:3",  // rule 5: string +=, at the statement
-		"51:10", // rule 6: Sprintf off the error path, at the call
-		"54:10", // rule 4: boxing, at the boxed argument
-		"78:1",  // stray directive, at the comment
+		"14:2", // misspelled check name
+		"21:2", // //pcsi:allow with no check name
+		"27:2", // retired check lockorder
+		"28:2", // retired check wrapclass
+		"34:1", // a //pcsi: word other than allow
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("hotpath positions:\n got %v\nwant %v", got, want)
+		t.Errorf("directive positions:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -24,9 +24,12 @@ import (
 //
 // and follows types.Info.Uses from each live declaration to the
 // declarations it names. A method nobody names directly stays live when
-// its type is live and its name is a method of an interface type that live
-// code mentions (a call through that interface may land on it), or one of
-// dynamicMethods, which the standard library calls on values it is handed.
+// its type is live and the type, or a pointer to it, implements an
+// interface type that live code mentions and that has the method (a call
+// through that interface may land on it). For a generic type the test is
+// made on each instantiation live code mentions. A method named in
+// dynamicMethods, which the standard library calls on values it is handed,
+// stays live with its type.
 // What is left over in non-test files under internal/, cmd/ and pcsi/ is
 // dead code.
 
@@ -71,10 +74,11 @@ type reachDecl struct {
 	name   string // "internal/sim.IdleWorkers", "internal/core.Client.Mutability"
 	file   string // slash path relative to the module root
 	line   int
-	test   bool            // declared in a _test.go file
-	uses   []types.Object  // the declarations it names
-	ifaces []string        // method names of the interface types it mentions
-	recv   *types.TypeName // a method's receiver type
+	test   bool               // declared in a _test.go file
+	uses   []types.Object     // the declarations it names
+	ifaces []*types.Interface // the interface types it mentions
+	insts  []*types.Named     // the instantiated generic types it mentions
+	recv   *types.TypeName    // a method's receiver type
 }
 
 // unreachable walks pkgs of l from the roots and returns "file:line name"
@@ -98,7 +102,14 @@ func unreachable(l *Loader, pkgs []*Package, exempt map[string]string, scope ...
 						d.uses = append(d.uses, origin(p.Info.Uses[id]))
 					}
 					if e, ok := n.(ast.Expr); ok && p.Info.Types[e].Type != nil {
-						d.ifaces = appendIfaceMethods(d.ifaces, p.Info.Types[e].Type)
+						t := p.Info.Types[e].Type
+						d.ifaces = appendIfaces(d.ifaces, t)
+						if ptr, ok := t.(*types.Pointer); ok {
+							t = ptr.Elem()
+						}
+						if named, ok := t.(*types.Named); ok && named.TypeArgs().Len() > 0 {
+							d.insts = append(d.insts, named)
+						}
 					}
 					return true
 				})
@@ -166,11 +177,9 @@ func unreachable(l *Loader, pkgs []*Package, exempt map[string]string, scope ...
 	}
 
 	live := make(map[*reachDecl]bool)
-	called := make(map[string]bool) // method names a dynamic call may land on
-	for name := range dynamicMethods {
-		called[name] = true
-	}
-	waiting := make(map[string][]*reachDecl) // methods of live types, by name
+	ifaces := make(map[string][]*types.Interface)   // live interfaces, by method name
+	insts := make(map[*types.TypeName][]types.Type) // live instantiations of generic types
+	var waiting []*reachDecl                        // unnamed methods of live types
 	var queue []*reachDecl
 	mark := func(d *reachDecl) {
 		if d != nil && !live[d] {
@@ -178,40 +187,62 @@ func unreachable(l *Loader, pkgs []*Package, exempt map[string]string, scope ...
 			queue = append(queue, d)
 		}
 	}
+	// implemented reports whether m's receiver type, or for a generic type
+	// one of its live instantiations, implements a live interface that has
+	// m.
+	implemented := func(m *reachDecl) bool {
+		recvs := []types.Type{m.recv.Type()}
+		if m.recv.Type().(*types.Named).TypeParams().Len() > 0 {
+			recvs = insts[m.recv]
+		}
+		for _, it := range ifaces[m.objs[0].Name()] {
+			for _, t := range recvs {
+				if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+					return true
+				}
+			}
+		}
+		return false
+	}
 	for _, d := range roots {
 		mark(d)
 	}
 	for len(queue) > 0 {
-		d := queue[0]
-		queue = queue[1:]
-		for _, obj := range d.uses {
-			mark(decls[obj])
-		}
-		if d.recv != nil {
-			mark(decls[d.recv]) // a method keeps its type live
-		}
-		for _, name := range d.ifaces {
-			if !called[name] {
-				called[name] = true
-				for _, m := range waiting[name] {
-					mark(m)
+		for len(queue) > 0 {
+			d := queue[0]
+			queue = queue[1:]
+			for _, obj := range d.uses {
+				mark(decls[obj])
+			}
+			if d.recv != nil {
+				mark(decls[d.recv]) // a method keeps its type live
+			}
+			for _, it := range d.ifaces {
+				for i := 0; i < it.NumMethods(); i++ {
+					ifaces[it.Method(i).Name()] = append(ifaces[it.Method(i).Name()], it)
 				}
-				delete(waiting, name)
 			}
-		}
-		for _, obj := range d.objs {
-			tn, ok := obj.(*types.TypeName)
-			if !ok {
-				continue
+			for _, n := range d.insts {
+				insts[n.Origin().Obj()] = append(insts[n.Origin().Obj()], n)
 			}
-			for _, m := range methods[tn] {
-				if name := m.objs[0].Name(); called[name] {
-					mark(m)
-				} else {
-					waiting[name] = append(waiting[name], m)
+			for _, obj := range d.objs {
+				if tn, ok := obj.(*types.TypeName); ok {
+					waiting = append(waiting, methods[tn]...)
 				}
 			}
 		}
+		// What the walk has found so far may make a waiting method live.
+		still := waiting[:0]
+		for _, m := range waiting {
+			switch {
+			case live[m]:
+			case dynamicMethods[m.objs[0].Name()] || implemented(m):
+				mark(m)
+			default:
+				still = append(still, m)
+			}
+		}
+		waiting = still
 	}
 
 	var dead []string
@@ -230,23 +261,21 @@ func unreachable(l *Loader, pkgs []*Package, exempt map[string]string, scope ...
 	return dead
 }
 
-// appendIfaceMethods appends the method names of t if it is an interface,
-// and of every interface parameter if it is a function: an argument passed
-// to one (http.Serve's Handler, io.Copy's Writer) has those methods called.
-func appendIfaceMethods(names []string, t types.Type) []string {
+// appendIfaces appends t if it is an interface, and every interface
+// parameter if it is a function: an argument passed to one (http.Serve's
+// Handler, io.Copy's Writer) has that interface's methods called.
+func appendIfaces(ifaces []*types.Interface, t types.Type) []*types.Interface {
 	switch u := t.Underlying().(type) {
 	case *types.Interface:
-		for i := 0; i < u.NumMethods(); i++ {
-			names = append(names, u.Method(i).Name())
+		if u.NumMethods() > 0 {
+			ifaces = append(ifaces, u)
 		}
 	case *types.Signature:
 		for i := 0; i < u.Params().Len(); i++ {
-			if types.IsInterface(u.Params().At(i).Type()) {
-				names = appendIfaceMethods(names, u.Params().At(i).Type())
-			}
+			ifaces = appendIfaces(ifaces, u.Params().At(i).Type())
 		}
 	}
-	return names
+	return ifaces
 }
 
 // origin maps an instantiated generic function, method or field to its
@@ -300,8 +329,10 @@ func TestEveryDeclarationReachable(t *testing.T) {
 }
 
 // TestReachabilityFixture runs the walk on a package with one live
-// function, one method kept only by the interface it satisfies, and one
-// planted dead function: it must report exactly the planted one.
+// function, two methods kept only by the interface they satisfy (one on a
+// generic type), a method whose name matches that interface on a type that
+// does not implement it, and one planted dead function: it must report
+// exactly the mismatched method and the planted function.
 func TestReachabilityFixture(t *testing.T) {
 	l, err := NewLoader(filepath.Join("testdata", "fixture"))
 	if err != nil {
@@ -312,7 +343,7 @@ func TestReachabilityFixture(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	got := unreachable(l, pkgs, nil, "reach/")
-	want := []string{"reach/reach.go:23 reach.planted"}
+	want := []string{"reach/reach.go:23 reach.decoy.name", "reach/reach.go:37 reach.planted"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("unreachable = %q, want %q", got, want)
 	}

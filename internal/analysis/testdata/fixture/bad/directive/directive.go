@@ -27,3 +27,9 @@ func Retired() {
 	//pcsi:allow lockorder // want: directive
 	//pcsi:allow wrapclass // want: directive
 }
+
+// Stray carries a directive word that was never or is no longer recognized;
+// only //pcsi:allow exists.
+//
+//pcsi:hotpath // want: directive
+func Stray() {}

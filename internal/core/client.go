@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/capability"
 	"repro/internal/consistency"
-	"repro/internal/cost"
 	"repro/internal/fncache"
 	"repro/internal/media"
 	"repro/internal/object"
@@ -157,7 +156,6 @@ func (cl *Client) Put(p *sim.Proc, r Ref, data []byte) error {
 		})
 		if err == nil && t.e == nil {
 			cl.c.caches[cacheKey{cl.node, t.id}] = cacheEntry{mark: ver}
-			cl.c.Meter.Charge(cost.PCSIBook.WriteCost(int64(len(data))))
 		}
 		return err
 	})
@@ -195,7 +193,6 @@ func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) {
 				entry = cacheEntry{stable: true, data: data}
 			}
 			cl.c.caches[cacheKey{cl.node, t.id}] = entry
-			cl.c.Meter.Charge(cost.PCSIBook.ReadCost(int64(len(data)), r.lvl == consistency.Linearizable))
 			if leased && at.Kind == object.Regular {
 				// Fill under the epoch recorded before the read; a write that
 				// slipped in between bumped it and the fill is refused. Only
@@ -237,7 +234,6 @@ func (cl *Client) cachedGet(t target, leased bool) ([]byte, bool) {
 		data = append([]byte(nil), data...) // mutable object: the caller owns its copy
 	}
 	t.p.Sleep(media.DRAM.ReadCost(int64(len(data))))
-	cl.c.Meter.Charge(cost.PCSIBook.ReadCost(int64(len(data)), false))
 	return data, true
 }
 

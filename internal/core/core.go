@@ -30,7 +30,6 @@ import (
 	"repro/internal/capability"
 	"repro/internal/cluster"
 	"repro/internal/consistency"
-	"repro/internal/cost"
 	"repro/internal/faas"
 	"repro/internal/fault"
 	"repro/internal/fncache"
@@ -161,8 +160,7 @@ type Cloud struct {
 	// alias its entries for terse call sites.
 	reg *trace.Registry
 
-	// Meters and counters shared by experiments.
-	Meter   *cost.Meter
+	// Counters shared by experiments.
 	DataLat *metrics.Histogram
 	// BytesMoved tallies payload bytes that crossed the network on data
 	// operations (E4's data-movement metric).
@@ -222,7 +220,6 @@ func New(opts Options) *Cloud {
 		devices: make(map[simnet.NodeID]*platform.Device),
 		caches:  make(map[cacheKey]cacheEntry),
 		reg:     trace.NewRegistry(),
-		Meter:   cost.NewMeter("pcsi"),
 		DataLat: metrics.NewHistogram("pcsi_data_ops"),
 	}
 	c.reg.Register(c.DataLat)

@@ -44,7 +44,6 @@ func New(net *simnet.Network, nReplicas int, media media.Profile) *Table {
 	// on top of the plain gateway path.
 	cfg.RoutingHops = 2
 	cfg.PerHopProcess = 800 * time.Microsecond
-	cfg.Book = cost.DynamoBook
 	t := &Table{
 		env:  net.Env(),
 		gw:   restbase.NewGateway(net, grp, cfg),

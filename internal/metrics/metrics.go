@@ -84,9 +84,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.total }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() time.Duration { return h.sum }
-
 // Mean returns the average observation, or 0 when empty.
 func (h *Histogram) Mean() time.Duration {
 	if h.total == 0 {

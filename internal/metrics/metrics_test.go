@@ -295,8 +295,8 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	if h.min != 0 {
 		t.Errorf("Min = %v, want 0 (negative observation clamped)", h.min)
 	}
-	if h.Sum() != time.Millisecond {
-		t.Errorf("Sum = %v, want 1ms", h.Sum())
+	if sum := h.Snapshot().Sum; sum != time.Millisecond {
+		t.Errorf("Sum = %v, want 1ms", sum)
 	}
 	if got := h.Quantile(0.25); got != 0 {
 		t.Errorf("Quantile(0.25) = %v, want 0", got)

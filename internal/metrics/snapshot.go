@@ -1,15 +1,13 @@
-// Snapshot types: immutable, mergeable copies of the live metrics, built
-// for the observability sampler (internal/obs). A sampler that runs at a
-// fixed virtual-time interval wants three operations the live types do not
-// offer: a cheap point-in-time copy (Snapshot), the difference of two
-// copies to isolate one window (Delta), and recombination of windows into
-// larger ones (Merge).
+// Snapshot types: immutable copies of the live metrics, built for the
+// observability sampler (internal/obs). A sampler that runs at a fixed
+// virtual-time interval wants two operations the live types do not offer:
+// a cheap point-in-time copy (Snapshot) and the difference of two copies
+// to isolate one window (Delta).
 //
 // HistSnapshot deliberately drops the exact min/max the live Histogram
 // tracks: quantiles are answered from bucket midpoints alone. That loses
-// the end-point clamping Histogram.Quantile performs but buys algebraic
-// closure — Merge is associative and Delta(prev) is exact, which the
-// property tests in snapshot_test.go pin down.
+// the end-point clamping Histogram.Quantile performs but makes Delta(prev)
+// exact, which the property tests in snapshot_test.go pin down.
 package metrics
 
 import (
@@ -51,38 +49,9 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Merge returns the combination of two windows: counts added bucket-wise,
-// totals and sums added. Merge is associative and commutative, with the
-// empty snapshot as identity.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	out := HistSnapshot{Total: s.Total + o.Total, Sum: s.Sum + o.Sum}
-	out.Buckets = make([]Bucket, 0, len(s.Buckets)+len(o.Buckets))
-	i, j := 0, 0
-	for i < len(s.Buckets) && j < len(o.Buckets) {
-		a, b := s.Buckets[i], o.Buckets[j]
-		switch {
-		case a.B < b.B:
-			out.Buckets = append(out.Buckets, a)
-			i++
-		case a.B > b.B:
-			out.Buckets = append(out.Buckets, b)
-			j++
-		default:
-			out.Buckets = append(out.Buckets, Bucket{B: a.B, N: a.N + b.N})
-			i, j = i+1, j+1
-		}
-	}
-	out.Buckets = append(out.Buckets, s.Buckets[i:]...)
-	out.Buckets = append(out.Buckets, o.Buckets[j:]...)
-	if len(out.Buckets) == 0 {
-		out.Buckets = nil
-	}
-	return out
-}
-
 // Delta returns the window s minus prev, where prev must be an earlier
 // snapshot of the same histogram (every prev bucket count <= the matching
-// s count). It is the inverse of Merge: prev.Merge(s.Delta(prev)) == s.
+// s count).
 func (s HistSnapshot) Delta(prev HistSnapshot) HistSnapshot {
 	out := HistSnapshot{Total: s.Total - prev.Total, Sum: s.Sum - prev.Sum}
 	j := 0

@@ -13,6 +13,11 @@ func quickCfg() *quick.Config {
 	return &quick.Config{Rand: rand.New(rand.NewSource(7)), MaxCount: 200}
 }
 
+// concat returns a's observations followed by b's, in a fresh slice.
+func concat(a, b []time.Duration) []time.Duration {
+	return append(append([]time.Duration(nil), a...), b...)
+}
+
 func histSnap(ds []time.Duration) HistSnapshot {
 	h := NewHistogram("h")
 	for _, d := range ds {
@@ -21,40 +26,9 @@ func histSnap(ds []time.Duration) HistSnapshot {
 	return h.Snapshot()
 }
 
-func TestHistSnapshotMergeAssociative(t *testing.T) {
-	prop := func(a, b, c []time.Duration) bool {
-		sa, sb, sc := histSnap(a), histSnap(b), histSnap(c)
-		return reflect.DeepEqual(sa.Merge(sb).Merge(sc), sa.Merge(sb.Merge(sc)))
-	}
-	if err := quick.Check(prop, quickCfg()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistSnapshotMergeCommutative(t *testing.T) {
-	prop := func(a, b []time.Duration) bool {
-		sa, sb := histSnap(a), histSnap(b)
-		return reflect.DeepEqual(sa.Merge(sb), sb.Merge(sa))
-	}
-	if err := quick.Check(prop, quickCfg()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Merging the windows of two observation streams must be indistinguishable
-// from observing the concatenated stream in one histogram.
-func TestHistSnapshotMergeEqualsConcatenation(t *testing.T) {
-	prop := func(a, b []time.Duration) bool {
-		both := append(append([]time.Duration(nil), a...), b...)
-		return reflect.DeepEqual(histSnap(a).Merge(histSnap(b)), histSnap(both))
-	}
-	if err := quick.Check(prop, quickCfg()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Delta is the inverse of Merge: snapshotting before and after a batch of
-// observations and differencing recovers exactly the batch's window.
+// Delta inverts combining windows: snapshotting before and after a batch
+// of observations and differencing recovers exactly the batch's window,
+// and the later snapshot is the one of both streams observed in order.
 func TestHistSnapshotDeltaInvertsMerge(t *testing.T) {
 	prop := func(a, b []time.Duration) bool {
 		h := NewHistogram("h")
@@ -68,24 +42,25 @@ func TestHistSnapshotDeltaInvertsMerge(t *testing.T) {
 		after := h.Snapshot()
 		window := after.Delta(before)
 		return reflect.DeepEqual(window, histSnap(b)) &&
-			reflect.DeepEqual(before.Merge(window), after)
+			reflect.DeepEqual(after, histSnap(concat(a, b)))
 	}
 	if err := quick.Check(prop, quickCfg()); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Quantiles must be monotone in q, and the quantile of a merged window must
-// sit between the matching quantiles of its parts. The bracketing half of
+// Quantiles must be monotone in q, and the quantile of a combined window
+// (both streams observed in one histogram) must sit between the matching
+// quantiles of its parts. The bracketing half of
 // the property is checked at dyadic quantiles only: ceil(q*n) is computed
 // in float64, and for non-dyadic q (0.95, 0.99) representation error can
-// shift the rank by one, which is a rounding artifact, not a merge bug.
+// shift the rank by one, which is a rounding artifact, not a bucketing bug.
 func TestHistSnapshotQuantileMonotoneAcrossMerge(t *testing.T) {
 	monotone := []float64{0, 0.25, 0.50, 0.90, 0.95, 0.99, 1}
 	dyadic := []float64{0, 0.25, 0.50, 0.75, 1}
 	prop := func(a, b []time.Duration) bool {
 		sa, sb := histSnap(a), histSnap(b)
-		m := sa.Merge(sb)
+		m := histSnap(concat(a, b))
 		prev := time.Duration(-1)
 		for _, q := range monotone {
 			v := m.Quantile(q)
@@ -147,8 +122,8 @@ func TestHistSnapshotZeroAndEmpty(t *testing.T) {
 	if got := empty.Quantile(0.5); got != 0 {
 		t.Errorf("empty quantile = %v, want 0", got)
 	}
-	if !reflect.DeepEqual(empty.Merge(empty), empty) {
-		t.Error("empty.Merge(empty) != empty")
+	if !reflect.DeepEqual(histSnap(concat(nil, nil)), empty) {
+		t.Error("snapshot of no observations != the zero snapshot")
 	}
 	h := NewHistogram("h")
 	h.Observe(0)

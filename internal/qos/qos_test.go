@@ -346,3 +346,52 @@ func TestClassString(t *testing.T) {
 		t.Error("unknown class renders empty")
 	}
 }
+
+// Admission allocates nothing per operation in steady state: neither the
+// fast path through a free slot nor a queued Admit that a Release's
+// dispatch admits. Counts are measured by testing.AllocsPerRun inside a
+// running process; its first, unmeasured call grows every backing array.
+func TestAdmitReleaseAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv(1)
+	q := testController(env, ClassConfig{MaxConcurrency: 1})
+	var free float64
+	env.Go("op", func(p *sim.Proc) {
+		free = testing.AllocsPerRun(100, func() {
+			g, _ := q.Admit(p, ClassInvoke)
+			g.Release()
+		})
+	})
+	env.Run()
+	if free != 0 {
+		t.Errorf("Admit+Release on a free slot: %v allocations per call, want 0", free)
+	}
+
+	// holder and op take turns at the one slot, so each of op's Admits
+	// queues behind holder and is admitted by holder's Release.
+	env = sim.NewEnv(1)
+	q = testController(env, ClassConfig{MaxConcurrency: 1})
+	done := false
+	env.Go("holder", func(p *sim.Proc) {
+		for !done {
+			g, _ := q.Admit(p, ClassInvoke)
+			p.Sleep(time.Microsecond)
+			g.Release()
+		}
+	})
+	var queued float64
+	env.Go("op", func(p *sim.Proc) {
+		queued = testing.AllocsPerRun(100, func() {
+			g, _ := q.Admit(p, ClassInvoke)
+			p.Sleep(time.Microsecond)
+			g.Release()
+		})
+		done = true
+	})
+	env.Run()
+	if queued != 0 {
+		t.Errorf("queued Admit admitted by dispatch: %v allocations per call, want 0", queued)
+	}
+	if st := q.ClassStats(ClassInvoke); st.MaxQueued != 1 || st.Admitted < 2*101 {
+		t.Errorf("stats = %+v, want every Admit queued behind the other process", st)
+	}
+}

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/consistency"
-	"repro/internal/cost"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/object"
@@ -62,8 +61,6 @@ type Config struct {
 	RoutingHops int
 	// PerHopProcess is the service time at each internal hop.
 	PerHopProcess time.Duration
-	// Book prices requests.
-	Book cost.Book
 	// ReuseConnections enables keep-alive (ablation: isolates the
 	// connection-setup share of the overhead).
 	ReuseConnections bool
@@ -98,7 +95,6 @@ func DefaultConfig() Config {
 		Codec:         wire.JSONCodec{},
 		RoutingHops:   2,
 		PerHopProcess: 300 * time.Microsecond,
-		Book:          cost.DynamoBook,
 	}
 }
 
@@ -117,7 +113,6 @@ type Gateway struct {
 	// Metrics.
 	Requests *metrics.Counter
 	Lat      *metrics.Histogram
-	Meter    *cost.Meter
 	// Throttled counts 429 responses (E13's overload baseline).
 	Throttled *metrics.Counter
 	// AuthChecks counts remote credential validations (E8).
@@ -139,7 +134,6 @@ func NewGateway(net *simnet.Network, grp *consistency.Group, cfg Config) *Gatewa
 		auth:      net.AddNode(1),
 		Requests:  metrics.NewCounter("rest_requests"),
 		Lat:       metrics.NewHistogram("rest_latency"),
-		Meter:     cost.NewMeter("rest"),
 		Throttled: metrics.NewCounter("rest_throttled"),
 	}
 	if cfg.Workers > 0 {
@@ -271,9 +265,6 @@ func (g *Gateway) Get(p *sim.Proc, client simnet.NodeID, creds string, id object
 		data, rerr = g.grp.Read(p, g.node, id, lvl)
 		return rerr
 	})
-	if err == nil {
-		g.Meter.Charge(g.cfg.Book.ReadCost(int64(len(data)), lvl == consistency.Linearizable))
-	}
 	return data, err
 }
 
@@ -284,9 +275,6 @@ func (g *Gateway) Put(p *sim.Proc, client simnet.NodeID, creds string, id object
 			return o.SetData(data)
 		})
 	})
-	if err == nil {
-		g.Meter.Charge(g.cfg.Book.WriteCost(int64(len(data))))
-	}
 	return err
 }
 

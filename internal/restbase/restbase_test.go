@@ -155,30 +155,6 @@ func TestGetMissingObject(t *testing.T) {
 	env.Run()
 }
 
-func TestMeterCharges(t *testing.T) {
-	env, gw, client := testGateway(6, DefaultConfig())
-	env.Go("c", func(p *sim.Proc) {
-		id, err := gw.Create(p, client, "tok", object.Regular)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := gw.Put(p, client, "tok", id, make([]byte, 1024), consistency.Linearizable); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := gw.Get(p, client, "tok", id, consistency.Linearizable); err != nil {
-			t.Error(err)
-		}
-	})
-	env.Run()
-	// One linearizable read and one write of 1 KiB, priced by the book.
-	book := gw.cfg.Book
-	if got, want := gw.Meter.Total(), book.ReadCost(1024, true)+book.WriteCost(1024); got != want {
-		t.Errorf("meter total = %v, want %v", got, want)
-	}
-}
-
 func TestLoopbackHTTPRealRoundTrip(t *testing.T) {
 	srv, err := NewLoopbackHTTP(make([]byte, 1024))
 	if err != nil {

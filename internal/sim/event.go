@@ -31,10 +31,14 @@ func (ev *Event) Value() (any, error) { return ev.val, ev.err }
 // the current virtual time. Subsequent completions are ignored.
 func (ev *Event) Complete(v any) { ev.finish(v, nil) }
 
+// Reset re-arms a completed event, so a caller that is done with one can
+// use it again instead of allocating another. Nothing may still wait on it
+// or expect its old result.
+func (ev *Event) Reset() { ev.done, ev.val, ev.err = false, nil, nil }
+
 // Fail finishes the event with an error.
 func (ev *Event) Fail(err error) { ev.finish(nil, err) }
 
-//pcsi:hotpath
 func (ev *Event) finish(v any, err error) {
 	if ev.done {
 		return
@@ -75,8 +79,6 @@ func (ev *Event) OnComplete(fn func(v any, err error)) {
 }
 
 // Wait parks the process until the event completes and returns its result.
-//
-//pcsi:hotpath
 func (p *Proc) Wait(ev *Event) (any, error) {
 	for !ev.done {
 		if ev.waiter0 == nil && len(ev.waiters) == 0 {

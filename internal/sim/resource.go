@@ -68,7 +68,7 @@ func (r *Resource) admit() {
 			return
 		}
 		r.used += w.n
-		r.q = r.q[1:]
+		popFront(&r.q)
 		r.env.wakeNow(w.p)
 	}
 }
@@ -92,9 +92,7 @@ func (q *Queue[T]) Put(v T) {
 	}
 	q.items = append(q.items, v)
 	if len(q.waiters) > 0 {
-		p := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.env.wakeNow(p)
+		q.env.wakeNow(popFront(&q.waiters))
 	}
 }
 
@@ -118,7 +116,22 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 		q.waiters = append(q.waiters, p)
 		p.park()
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return popFront(&q.items), true
+}
+
+// popFront removes and returns the head of a FIFO slice. It zeroes the
+// vacated slot, so the slice keeps no reference to what it handed out, and
+// a slice it empties keeps its backing array, so a FIFO that drains and
+// refills does not allocate.
+func popFront[T any](s *[]T) T {
+	q := *s
+	v := q[0]
+	var zero T
+	q[0] = zero
+	if len(q) == 1 {
+		*s = q[:0]
+	} else {
+		*s = q[1:]
+	}
+	return v
 }

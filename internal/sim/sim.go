@@ -62,7 +62,6 @@ type event struct {
 // engine's hottest path.
 type eventHeap []event
 
-//pcsi:hotpath
 func (h eventHeap) less(i, j int) bool {
 	if h[i].t != h[j].t {
 		return h[i].t < h[j].t
@@ -70,7 +69,6 @@ func (h eventHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-//pcsi:hotpath
 func (h *eventHeap) push(ev event) {
 	q := append(*h, ev)
 	*h = q
@@ -84,7 +82,6 @@ func (h *eventHeap) push(ev event) {
 	}
 }
 
-//pcsi:hotpath
 func (h *eventHeap) pop() event {
 	q := *h
 	ev := q[0]
@@ -191,8 +188,6 @@ func (e *Env) Observer(key any) any {
 }
 
 // schedule enqueues fn to run at time t (>= now).
-//
-//pcsi:hotpath
 func (e *Env) schedule(t Time, fn func()) {
 	if t < e.now {
 		t = e.now
@@ -205,8 +200,6 @@ func (e *Env) schedule(t Time, fn func()) {
 // Unlike schedule it captures nothing: the event names the process
 // directly, so the engine's hottest operations — Sleep, wake, spawn — cost
 // zero closure allocations.
-//
-//pcsi:hotpath
 func (e *Env) scheduleProc(t Time, p *Proc) {
 	if t < e.now {
 		t = e.now
@@ -252,8 +245,6 @@ func (p *Proc) SetSpanCtx(v any) { p.span = v }
 // is dispatched through the event queue, so a caller inside another process
 // keeps running until it parks. Safe to call both before Run and from
 // within running processes or event callbacks.
-//
-//pcsi:hotpath
 func (e *Env) Go(name string, fn func(p *Proc)) {
 	if e.closed {
 		return
@@ -286,8 +277,6 @@ func (p *Proc) exit() {
 }
 
 // park suspends the calling process until the engine resumes it.
-//
-//pcsi:hotpath
 func (p *Proc) park() {
 	e := p.env
 	p.parkedPrev = e.parkedTail
@@ -315,8 +304,6 @@ func (p *Proc) park() {
 }
 
 // wake schedules the parked process p to resume at time t.
-//
-//pcsi:hotpath
 func (e *Env) wake(p *Proc, t Time) {
 	e.scheduleProc(t, p)
 }
@@ -345,8 +332,6 @@ func (e *Env) RunUntil(t Time) Time { return e.runUntil(t) }
 // runUntil is the dispatch loop: pop the earliest event, advance the
 // clock, and run it. Process events (the common case) switch to the
 // process directly; only At/After events call through fn.
-//
-//pcsi:hotpath
 func (e *Env) runUntil(limit Time) Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")

@@ -613,3 +613,122 @@ func TestSpawnAllocationsAcrossEnvs(t *testing.T) {
 		t.Errorf("a fresh env spawning %d procs made %.0f allocations, want ≤ %d", n, got, 2*n)
 	}
 }
+
+// allocsInProc returns what op allocates per call in steady state,
+// measured by testing.AllocsPerRun from inside a running process of e.
+// AllocsPerRun's first, unmeasured call grows every backing array op
+// touches, so a nonzero count is an allocation on every call.
+func allocsInProc(e *Env, op func(p *Proc)) float64 {
+	var n float64
+	e.Go("measure", func(p *Proc) {
+		n = testing.AllocsPerRun(100, func() { op(p) })
+	})
+	e.Run()
+	return n
+}
+
+// The engine's per-event path allocates nothing: scheduling, the heap push
+// and pop, park, wake and the dispatch loop. Only a spawn allocates (the
+// Proc; TestSpawnAllocationsAcrossEnvs).
+func TestSleepAllocatesNothing(t *testing.T) {
+	if n := allocsInProc(NewEnv(1), func(p *Proc) { p.Sleep(time.Microsecond) }); n != 0 {
+		t.Errorf("Proc.Sleep: %v allocations per call, want 0", n)
+	}
+}
+
+func TestAfterAllocatesNothing(t *testing.T) {
+	e := NewEnv(1)
+	fired := 0
+	cb := func() { fired++ }
+	n := allocsInProc(e, func(p *Proc) {
+		e.After(time.Microsecond, cb)
+		p.Sleep(2 * time.Microsecond) // the callback runs before Sleep returns
+	})
+	if n != 0 {
+		t.Errorf("Env.After: %v allocations per call, want 0", n)
+	}
+	if fired != 101 {
+		t.Errorf("callback ran %d times, want 101", fired)
+	}
+}
+
+// newEvents preallocates the one-shot events an allocation test completes:
+// AllocsPerRun(100, ...) calls its function 101 times.
+func newEvents(e *Env) []*Event {
+	evs := make([]*Event, 101)
+	for i := range evs {
+		evs[i] = e.NewEvent()
+	}
+	return evs
+}
+
+func TestEventCompletionToWaiterAllocatesNothing(t *testing.T) {
+	e := NewEnv(1)
+	evs := newEvents(e)
+	woken := 0
+	e.Go("waiter", func(p *Proc) {
+		for _, ev := range evs {
+			p.Wait(ev) //nolint:errcheck // completed with nil
+			woken++
+		}
+	})
+	i := 0
+	n := allocsInProc(e, func(p *Proc) {
+		evs[i].Complete(nil)
+		i++
+		p.Sleep(0) // the waiter resumes and parks on the next event
+	})
+	if n != 0 {
+		t.Errorf("Event completion to a parked Wait: %v allocations per call, want 0", n)
+	}
+	if woken != len(evs) {
+		t.Errorf("waiter woke %d times, want %d", woken, len(evs))
+	}
+}
+
+func TestEventCompletionToCallbackAllocatesNothing(t *testing.T) {
+	e := NewEnv(1)
+	evs := newEvents(e)
+	called := 0
+	cb := func(any, error) { called++ }
+	i := 0
+	n := allocsInProc(e, func(*Proc) {
+		evs[i].OnComplete(cb)
+		evs[i].Complete(nil)
+		i++
+	})
+	if n != 0 {
+		t.Errorf("Event completion to OnComplete: %v allocations per call, want 0", n)
+	}
+	if called != len(evs) {
+		t.Errorf("callback ran %d times, want %d", called, len(evs))
+	}
+}
+
+// A queue that drains keeps its backing arrays, so steady-state Put/Get,
+// with or without a parked receiver, allocates nothing.
+func TestQueuePutGetAllocatesNothing(t *testing.T) {
+	e := NewEnv(1)
+	q := NewQueue[int](e)
+	if n := allocsInProc(e, func(p *Proc) {
+		q.Put(1)
+		q.Get(p)
+	}); n != 0 {
+		t.Errorf("Queue Put then Get: %v allocations per call, want 0", n)
+	}
+
+	e = NewEnv(1)
+	req, resp := NewQueue[int](e), NewQueue[int](e)
+	e.Go("echo", func(p *Proc) {
+		for {
+			v, _ := req.Get(p)
+			resp.Put(v)
+		}
+	})
+	if n := allocsInProc(e, func(p *Proc) {
+		req.Put(1)
+		resp.Get(p) // parks until echo answers; echo parks on req again
+	}); n != 0 {
+		t.Errorf("Queue Put/Get to a parked receiver: %v allocations per call, want 0", n)
+	}
+}

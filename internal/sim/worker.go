@@ -72,8 +72,6 @@ func (w *worker) loop(yield func(struct{}) bool) {
 
 // dispatch hands p the CPU until it parks or exits, starting it on a
 // worker first if it has none yet.
-//
-//pcsi:hotpath
 func (p *Proc) dispatch() {
 	if p.w == nil {
 		p.w = getWorker()

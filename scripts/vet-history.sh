@@ -9,13 +9,22 @@
 # old binary reports and today's does not: what a rewrite of a check lost.
 # Empty output means nothing was.
 #
+# --checks <names> passes -checks <names> to every pcsi-vet it runs, so one
+# row replays alone: vet-history.sh --checks simtime.
+#
 # A developer script, not a CI step: CI clones are shallow.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+usage="usage: vet-history.sh [--against <ref>] [--checks <names>]"
 against=
-if [ "${1:-}" = --against ]; then
-    against=${2:?usage: vet-history.sh [--against <ref>]}
-fi
+checks=()
+while [ $# -gt 0 ]; do
+    case $1 in
+    --against) against=${2:?$usage}; shift 2 ;;
+    --checks) checks=(-checks "${2:?$usage}"); shift 2 ;;
+    *) echo "$usage" >&2; exit 2 ;;
+    esac
+done
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/pcsi-vet" ./cmd/pcsi-vet
@@ -26,7 +35,7 @@ if [ -n "$against" ]; then
 fi
 # findings <binary>: the diagnostics of one binary over $tmp/tree.
 findings() {
-    (cd "$tmp/tree" && "$1" ./... 2>/dev/null | grep -v testdata/ || true)
+    (cd "$tmp/tree" && "$1" "${checks[@]}" ./... 2>/dev/null | grep -v testdata/ || true)
 }
 for c in $(git log --reverse --format=%h); do
     mkdir "$tmp/tree"
