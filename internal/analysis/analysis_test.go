@@ -328,3 +328,28 @@ func TestErrClassExactPositions(t *testing.T) {
 		t.Errorf("errclass positions:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestCapDisciplineExactPositions pins file:line:column and the method named
+// for every raw mutation in the mutation fixture, so a mutator dropped from
+// objectMutators or storeMutators (TakeData included) goes unreported here.
+func TestCapDisciplineExactPositions(t *testing.T) {
+	l, diags := loadFixture(t)
+	var got []string
+	for _, d := range diags {
+		rel, _ := filepath.Rel(l.Root, d.Pos.Filename)
+		if filepath.ToSlash(rel) != "bad/mutation/mutation.go" || d.Check != "capdiscipline" {
+			continue
+		}
+		method := strings.Fields(d.Message)[3] // "raw <layer> mutation <method> outside ..."
+		got = append(got, fmt.Sprintf("%d:%d:%s", d.Pos.Line, d.Pos.Column, method))
+	}
+	want := []string{
+		"13:2:object.Object.SetData",
+		"14:2:object.Object.Append",
+		"15:2:object.Object.TakeData",
+		"16:2:store.Store.Insert",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("capdiscipline positions:\n got %v\nwant %v", got, want)
+	}
+}

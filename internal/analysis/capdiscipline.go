@@ -10,13 +10,13 @@ import (
 // Reads (ReadAt, Read, ContentHash, ...) and construction (New, Clone) are
 // unrestricted.
 var objectMutators = stringSet(
-	"SetData", "WriteAt", "Append", "Truncate", "SetMutability", "ApplyState",
+	"SetData", "TakeData", "WriteAt", "Append", "Truncate", "SetMutability", "ApplyState",
 )
 
 // storeMutators are the internal/store methods that create, change, or
 // delete stored objects or their accounting.
 var storeMutators = stringSet(
-	"Create", "Insert", "AllocID", "UpdateAccounting", "SetData", "Append", "Delete",
+	"Create", "Insert", "AllocID", "CountWrite", "SetData", "Append", "Delete",
 )
 
 // mutationClients are the packages allowed to mutate objects and stores

@@ -22,6 +22,9 @@ func New() *Object { return &Object{} }
 // SetData replaces the content.
 func (o *Object) SetData(b []byte) { o.data = append(o.data[:0], b...) }
 
+// TakeData installs b itself as the content.
+func (o *Object) TakeData(b []byte) { o.data = b }
+
 // Append adds b to the content.
 func (o *Object) Append(b []byte) { o.data = append(o.data, b...) }
 

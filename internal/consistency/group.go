@@ -75,7 +75,7 @@ func NewGroup(env *sim.Env, net *simnet.Network, nodes []simnet.NodeID, media me
 		g.replicas = append(g.replicas, &Replica{
 			Index: i,
 			Node:  n,
-			St:    store.New(media, 0),
+			St:    store.New(media),
 			meta:  make(map[object.ID]*objMeta),
 		})
 	}
@@ -213,6 +213,12 @@ func (g *Group) awaitMajority(p *sim.Proc, acks *sim.Queue[int]) {
 // Apply performs a mutation on an object at the given level. The mutate
 // closure must be deterministic: it runs once per replica that applies the
 // update. size is the payload size involved, used for transfer costs.
+//
+// Apply cannot fail once mutate has succeeded: every refusal (unavailable,
+// not found) comes before it, and nothing after it reports an error. So a
+// caller retrying Apply never runs a mutate again after one succeeded,
+// which is what lets mutate hand the object a buffer it takes
+// (object.TakeData) under a retry loop.
 func (g *Group) Apply(p *sim.Proc, client simnet.NodeID, id object.ID, lvl Level, size int, mutate func(*object.Object) error) error {
 	switch lvl {
 	case Linearizable:
@@ -241,14 +247,11 @@ func (g *Group) applyLinearizable(p *sim.Proc, client simnet.NodeID, id object.I
 		g.net.Send(p, prim.Node, client, 64)
 		return fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
-	before := o.Size()
 	if err := mutate(o); err != nil {
 		g.net.Send(p, prim.Node, client, 64)
 		return err
 	}
-	if err := prim.St.UpdateAccounting(o.Size() - before); err != nil {
-		return err
-	}
+	prim.St.CountWrite()
 	stamp := g.nextStamp(prim.Index)
 	m := prim.meta[id]
 	m.stamp = stamp
@@ -293,9 +296,8 @@ func (g *Group) applyState(r *Replica, id object.ID, kind object.Kind, data []by
 		m.vc.Merge(vc)
 		return
 	}
-	delta := int64(len(data)) - o.Size()
 	o.ApplyState(data, ver, mut)
-	_ = r.St.UpdateAccounting(delta)
+	r.St.CountWrite()
 	m.stamp = stamp
 	m.vc.Merge(vc)
 }
@@ -312,14 +314,11 @@ func (g *Group) applyEventual(p *sim.Proc, client simnet.NodeID, id object.ID, s
 		g.net.Send(p, r.Node, client, 64)
 		return fmt.Errorf("%w: %v on replica %d", ErrNotFound, id, r.Index)
 	}
-	before := o.Size()
 	if err := mutate(o); err != nil {
 		g.net.Send(p, r.Node, client, 64)
 		return err
 	}
-	if err := r.St.UpdateAccounting(o.Size() - before); err != nil {
-		return err
-	}
+	r.St.CountWrite()
 	m := r.meta[id]
 	m.stamp = g.nextStamp(r.Index)
 	m.vc.Tick(r.Index)
@@ -421,11 +420,10 @@ func (g *Group) QuiescentApply(id object.ID, fn func(*object.Object) error) erro
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
-	before := o.Size()
 	if err := fn(o); err != nil {
 		return err
 	}
-	_ = src.St.UpdateAccounting(o.Size() - before)
+	src.St.CountWrite()
 	m, ok := src.meta[id]
 	if !ok {
 		m = &objMeta{vc: NewVClock(len(g.replicas))}

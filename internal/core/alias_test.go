@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/capability"
 	"repro/internal/consistency"
+	"repro/internal/fault"
 	"repro/internal/object"
 	"repro/internal/sim"
 )
@@ -46,8 +47,9 @@ func (ac *aliasCase) fail(format string, args ...any) {
 // before the next step reads or builds on them.
 func (ac *aliasCase) settle() { ac.c.Group().SyncAll() }
 
-// write performs one write verb with a buffer it then scribbles on; the
-// model follows the verb's own verdict.
+// write performs one write verb with a buffer it then scribbles on — except
+// after put_owned, which hands the buffer to the object, so the test never
+// touches it again; the model follows the verb's own verdict.
 func (ac *aliasCase) write(verb string, data []byte, off int64) error {
 	buf := append([]byte(nil), data...)
 	var err error
@@ -56,6 +58,11 @@ func (ac *aliasCase) write(verb string, data []byte, off int64) error {
 		if err = ac.a.Put(ac.p, ac.ref, buf); err == nil {
 			ac.model = append([]byte(nil), data...)
 		}
+	case "put_owned":
+		if err = ac.a.PutOwned(ac.p, ac.ref, buf); err == nil {
+			ac.model = append([]byte(nil), data...)
+		}
+		buf = nil // handed over: never touched again
 	case "append":
 		if err = ac.b.Append(ac.p, ac.ref, buf); err == nil {
 			ac.model = append(ac.model, data...)
@@ -79,6 +86,7 @@ func (ac *aliasCase) write(verb string, data []byte, off int64) error {
 // views, kept in ac.frozen and re-verified by every later check.
 func (ac *aliasCase) check(step string, immutable bool) {
 	ac.t.Helper()
+	ac.oneHolder(step)
 	for _, v := range ac.frozen {
 		if !bytes.Equal(v, ac.model) {
 			ac.fail("after %s: a view handed out earlier changed to %q, want %q", step, v, ac.model)
@@ -115,6 +123,14 @@ func (ac *aliasCase) check(step string, immutable bool) {
 	}
 }
 
+// oneHolder asserts the one-holder rule over the whole cloud.
+func (ac *aliasCase) oneHolder(step string) {
+	ac.t.Helper()
+	for _, s := range ac.c.sharedBelowImmutable() {
+		ac.fail("after %s: a payload array is shared below IMMUTABLE: %s", step, s)
+	}
+}
+
 func (ac *aliasCase) run(lvl object.Mutability, bindable bool, rng *rand.Rand) {
 	payload := func(n int) []byte {
 		b := make([]byte, n)
@@ -127,6 +143,11 @@ func (ac *aliasCase) run(lvl object.Mutability, bindable bool, rng *rand.Rand) {
 		return
 	}
 	ac.check("put", false)
+	if err := ac.write("put_owned", payload(1+rng.Intn(64)), 0); err != nil {
+		ac.fail("put_owned: %v", err)
+		return
+	}
+	ac.check("put_owned", false)
 	if err := ac.write("append", payload(1+rng.Intn(64)), 0); err != nil {
 		ac.fail("append: %v", err)
 		return
@@ -160,6 +181,7 @@ func (ac *aliasCase) run(lvl object.Mutability, bindable bool, rng *rand.Rand) {
 		off  int64
 	}{
 		{"put", payload(len(ac.model)), 0}, // same size: FIXED_SIZE accepts it
+		{"put_owned", payload(len(ac.model)), 0},
 		{"append", payload(1 + rng.Intn(16)), 0},
 		{"write_at", payload(1), int64(rng.Intn(len(ac.model)))},
 		{"write_at", payload(3), int64(len(ac.model))}, // at EOF: APPEND_ONLY accepts it
@@ -230,6 +252,7 @@ func (ac *aliasCase) run(lvl object.Mutability, bindable bool, rng *rand.Rand) {
 
 	// The views outlive the last reference.
 	ac.a.Drop(ac.ref)
+	ac.oneHolder("the last Drop")
 	for _, v := range ac.frozen {
 		if !bytes.Equal(v, ac.model) {
 			ac.fail("a view changed after the last Drop: %q, want %q", v, ac.model)
@@ -240,8 +263,11 @@ func (ac *aliasCase) run(lvl object.Mutability, bindable bool, rng *rand.Rand) {
 // Property: for every mutability level and every storage flavour, buffers
 // passed to Put/Append/WriteAt and (below IMMUTABLE) slices returned by
 // Get/GetAt/ReadAt are never the object's content, and IMMUTABLE content is
-// shared as capacity-clipped views that no later operation changes. Run it
-// under -race: the engine's processes are goroutines.
+// shared as capacity-clipped views that no later operation changes. A buffer
+// handed over with PutOwned becomes the content of one object only; after
+// every step no payload array has two holders below IMMUTABLE
+// (sharedBelowImmutable). Run it under -race: the engine's processes are
+// goroutines.
 func TestPayloadAliasingProperty(t *testing.T) {
 	flavours := []struct {
 		name string
@@ -273,5 +299,45 @@ func TestPayloadAliasingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 6, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPutOwnedRetriedUnderFaults hands buffers over through a retrying client
+// while half the attempts fail, on both replicated flavours. A retry that
+// re-ran a mutate which had already taken the buffer — possible only if
+// Group.Apply could fail after its mutate succeeded — would leave the array
+// with two replicas below IMMUTABLE, which the one-holder oracle reports.
+func TestPutOwnedRetriedUnderFaults(t *testing.T) {
+	for _, lvl := range []consistency.Level{consistency.Linearizable, consistency.Eventual} {
+		opts := DefaultOptions()
+		opts.Retry = &fault.Policy{MaxAttempts: 8}
+		c := New(opts)
+		a, b := c.NewClient(0), c.NewClient(1)
+		run(t, c, func(p *sim.Proc) {
+			ref, err := a.Create(p, object.Regular, WithConsistency(lvl))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			c.inj = fault.NewSession(fault.Spec{Rates: fault.Rates{OpError: 0.5}}).Attach(c.env)
+			var want []byte
+			for i := 0; i < 40; i++ {
+				buf := bytes.Repeat([]byte{byte(i)}, 1+i)
+				if err := a.PutOwned(p, ref, buf); err == nil {
+					want = bytes.Repeat([]byte{byte(i)}, 1+i)
+				}
+				c.Group().SyncAll()
+				for _, s := range c.sharedBelowImmutable() {
+					t.Errorf("%v, put %d: a payload array is shared below IMMUTABLE: %s", lvl, i, s)
+				}
+			}
+			c.inj = nil
+			if got, err := b.Get(p, ref); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%v: Get = %q, %v; want %q", lvl, got, err, want)
+			}
+		})
+		if c.RetryAttempts == 0 {
+			t.Errorf("%v: no attempt was retried; the test exercised nothing", lvl)
+		}
 	}
 }

@@ -136,9 +136,24 @@ func (cl *Client) Create(p *sim.Proc, kind object.Kind, opts ...CreateOpt) (Ref,
 	return Ref{cap: cl.c.caps.Mint(id, capability.All), lvl: params.lvl}, nil
 }
 
-// Put replaces an object's payload. The writer's node keeps no copy of it,
-// only the version the write produced (cacheEntry.mark).
+// Put replaces an object's payload with a copy of data, which stays the
+// caller's. The writer's node keeps no copy of it, only the version the
+// write produced (cacheEntry.mark).
 func (cl *Client) Put(p *sim.Proc, r Ref, data []byte) error {
+	return cl.put(p, r, data, (*object.Object).SetData)
+}
+
+// PutOwned is Put without the ingress copy: the object takes data itself
+// (object.TakeData). data must be the caller's own array, not a view
+// returned by Get, and the caller must neither read nor write it
+// afterwards. It is the same verb as Put: the same span, fault op, rights,
+// admission, coherence write and virtual-time charges.
+func (cl *Client) PutOwned(p *sim.Proc, r Ref, data []byte) error {
+	return cl.put(p, r, data, (*object.Object).TakeData)
+}
+
+// put is Put's body; set is the object method that installs data.
+func (cl *Client) put(p *sim.Proc, r Ref, data []byte, set func(*object.Object, []byte) error) error {
 	return cl.run(p, r, verbPut, func(t target) error {
 		t.sp.Annotate(trace.Int("bytes", int64(len(data))))
 		if t.e != nil {
@@ -149,8 +164,9 @@ func (cl *Client) Put(p *sim.Proc, r Ref, data []byte) error {
 		}
 		var ver uint64
 		err := t.apply(r.lvl, len(data), func(o *object.Object) error {
-			// A retried apply runs this again; the run that succeeds is last.
-			err := o.SetData(data)
+			// A retried apply runs this again only after it failed, so a taken
+			// buffer is taken once (Group.Apply); the run that succeeds is last.
+			err := set(o, data)
 			ver = o.Version()
 			return err
 		})

@@ -73,6 +73,19 @@ var verbDrivers = map[*verb]verbDriver{
 	}},
 }
 
+// entryDrivers are Client methods that run an existing row instead of one of
+// their own; each must pass that row's hooks and fault subtests exactly as
+// the row's own driver does.
+var entryDrivers = []struct {
+	name string
+	v    *verb
+	d    verbDriver
+}{
+	{"put_owned", verbPut, verbDriver{local: true, call: func(cl *Client, p *sim.Proc, r Ref) error {
+		return cl.PutOwned(p, r, []byte("v"))
+	}}},
+}
+
 // subject builds the object (or function) a row's driver acts on.
 func (d verbDriver) subject(v *verb, cl *Client, p *sim.Proc, opts ...CreateOpt) (Ref, error) {
 	if v == verbInvoke {
@@ -143,6 +156,10 @@ func TestVerbTable(t *testing.T) {
 		}
 		t.Run(v.name+"/hooks", func(t *testing.T) { testVerbHooks(t, v, d) })
 		t.Run(v.name+"/faults", func(t *testing.T) { testVerbFaults(t, v, d) })
+	}
+	for _, e := range entryDrivers {
+		t.Run(e.name+"/hooks", func(t *testing.T) { testVerbHooks(t, e.v, e.d) })
+		t.Run(e.name+"/faults", func(t *testing.T) { testVerbFaults(t, e.v, e.d) })
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // each Error() string is the literal it had before, and the classifier
 // still answers "do not retry" — which is what unclassified already meant.
 func TestReclassifiedErrorsKeepTheirAnswer(t *testing.T) {
-	st := store.New(media.DRAM, 0)
+	st := store.New(media.DRAM)
 	dup := object.New(7, object.Regular)
 	if err := st.Insert(dup); err != nil {
 		t.Fatal(err)

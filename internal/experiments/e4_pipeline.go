@@ -100,7 +100,7 @@ func runPipeline(rn run, policy core.PlacementPolicy, r *Report) *pipelineStats 
 			fail(err)
 			return
 		}
-		if err := client.Put(p, weights, make([]byte, 1<<16)); err != nil { // stand-in payload
+		if err := client.PutOwned(p, weights, make([]byte, 1<<16)); err != nil { // stand-in payload
 			fail(err)
 			return
 		}
@@ -128,7 +128,7 @@ func runPipeline(rn run, policy core.PlacementPolicy, r *Report) *pipelineStats 
 			Handler: func(fc *core.FnCtx) error {
 				fc.Proc().Sleep(2 * time.Millisecond) // HTTP decode CPU time
 				upload := fc.Outputs[0]
-				if err := fc.Client.Put(fc.Proc(), upload, make([]byte, e4UploadSize)); err != nil {
+				if err := fc.Client.PutOwned(fc.Proc(), upload, make([]byte, e4UploadSize)); err != nil {
 					return err
 				}
 				// Single-use intermediate: freeze so downstream reads are
@@ -158,7 +158,7 @@ func runPipeline(rn run, policy core.PlacementPolicy, r *Report) *pipelineStats 
 					fc.Proc().Sleep(dev.Ensure(key, int64(len(upload))))
 				}
 				fc.Proc().Sleep(5 * time.Millisecond) // GPU kernel time
-				if err := fc.Client.Put(fc.Proc(), fc.Outputs[0], make([]byte, e4ResultSize)); err != nil {
+				if err := fc.Client.PutOwned(fc.Proc(), fc.Outputs[0], make([]byte, e4ResultSize)); err != nil {
 					return err
 				}
 				return fc.Client.Freeze(fc.Proc(), fc.Outputs[0], object.Immutable)

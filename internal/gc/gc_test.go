@@ -12,7 +12,7 @@ import (
 )
 
 func TestUnreferencedObjectCollected(t *testing.T) {
-	st := store.New(media.DRAM, 0)
+	st := store.New(media.DRAM)
 	reg := capability.NewRegistry()
 	c := New(st)
 	c.AddRoots(reg)
@@ -40,7 +40,7 @@ func TestUnreferencedObjectCollected(t *testing.T) {
 }
 
 func TestDirectoryKeepsChildrenAlive(t *testing.T) {
-	st := store.New(media.DRAM, 0)
+	st := store.New(media.DRAM)
 	reg := capability.NewRegistry()
 	c := New(st)
 	c.AddRoots(reg)
@@ -74,7 +74,7 @@ func TestDirectoryKeepsChildrenAlive(t *testing.T) {
 }
 
 func TestDroppedReferenceMakesGarbage(t *testing.T) {
-	st := store.New(media.DRAM, 0)
+	st := store.New(media.DRAM)
 	reg := capability.NewRegistry()
 	c := New(st)
 	c.AddRoots(reg)
@@ -92,7 +92,7 @@ func TestDroppedReferenceMakesGarbage(t *testing.T) {
 func TestCycleCollected(t *testing.T) {
 	// Two directories referencing each other but unreachable from roots
 	// must still be collected — mark & sweep handles cycles.
-	st := store.New(media.DRAM, 0)
+	st := store.New(media.DRAM)
 	c := New(st)
 	a := st.Create(object.Directory)
 	b := st.Create(object.Directory)
@@ -108,7 +108,7 @@ func TestCycleCollected(t *testing.T) {
 }
 
 func TestMultipleRootSources(t *testing.T) {
-	st := store.New(media.DRAM, 0)
+	st := store.New(media.DRAM)
 	c := New(st)
 	a := st.Create(object.Regular)
 	b := st.Create(object.Regular)
@@ -124,7 +124,7 @@ func TestMultipleRootSources(t *testing.T) {
 }
 
 func TestStaleRootIgnored(t *testing.T) {
-	st := store.New(media.DRAM, 0)
+	st := store.New(media.DRAM)
 	c := New(st)
 	c.AddRoots(RootsFunc(func() []object.ID { return []object.ID{object.ID(999)} }))
 	st.Create(object.Regular)
@@ -138,7 +138,7 @@ func TestStaleRootIgnored(t *testing.T) {
 // completeness of the collector).
 func TestCollectExactnessProperty(t *testing.T) {
 	f := func(links []uint8, rootPick uint8) bool {
-		st := store.New(media.DRAM, 0)
+		st := store.New(media.DRAM)
 		c := New(st)
 		const n = 10
 		var objs []*object.Object
@@ -186,7 +186,7 @@ func TestCollectExactnessProperty(t *testing.T) {
 }
 
 func TestCollectionStats(t *testing.T) {
-	st := store.New(media.DRAM, 0)
+	st := store.New(media.DRAM)
 	c := New(st)
 	st.Create(object.Regular)
 	c.Collect()

@@ -11,7 +11,7 @@ import (
 
 func newNS(t *testing.T) (*store.Store, *Namespace) {
 	t.Helper()
-	st := store.New(media.DRAM, 0)
+	st := store.New(media.DRAM)
 	root := st.Create(object.Directory)
 	ns, err := New(st, root.ID())
 	if err != nil {
@@ -21,7 +21,7 @@ func newNS(t *testing.T) (*store.Store, *Namespace) {
 }
 
 func TestNewRequiresDirectory(t *testing.T) {
-	st := store.New(media.DRAM, 0)
+	st := store.New(media.DRAM)
 	f := st.Create(object.Regular)
 	if _, err := New(st, f.ID()); !errors.Is(err, ErrNotDir) {
 		t.Fatalf("err = %v, want ErrNotDir", err)

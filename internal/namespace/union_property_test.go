@@ -32,7 +32,7 @@ func TestUnionMatchesModelProperty(t *testing.T) {
 	paths := []string{"a", "b", "dir/x", "dir/y", "deep/er/z"}
 
 	f := func(baseFiles []byte, ops []op) bool {
-		st := store.New(media.DRAM, 0)
+		st := store.New(media.DRAM)
 		rootObj := st.Create(object.Directory)
 		lower, err := New(st, rootObj.ID())
 		if err != nil {

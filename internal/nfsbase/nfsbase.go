@@ -50,7 +50,7 @@ func NewServer(net *simnet.Network, media media.Profile) *Server {
 	trace.Of(net.Env()).SetLabel("nfs")
 	return &Server{
 		node:  net.AddNode(0),
-		st:    store.New(media, 0),
+		st:    store.New(media),
 		net:   net,
 		files: make(map[string]object.ID),
 		Ops:   metrics.NewCounter("nfs_ops"),

@@ -308,9 +308,37 @@ func (o *Object) Truncate(n int64) error {
 	return nil
 }
 
-// SetData replaces the entire payload (a whole-object put). Allowed only
-// at MUTABLE, or FIXED_SIZE when the size is unchanged.
+// SetData replaces the entire payload (a whole-object put) with a copy of b.
+// Allowed only at MUTABLE, or FIXED_SIZE when the size is unchanged.
 func (o *Object) SetData(b []byte) error {
+	if err := o.canReplace(len(b)); err != nil {
+		return err
+	}
+	// Reuses the object's own array (one holder below IMMUTABLE); append is
+	// a memmove, so b may even overlap it.
+	o.data = append(o.data[:0], b...)
+	o.bump()
+	return nil
+}
+
+// TakeData is SetData without the copy: the object takes b itself as its
+// payload. b must be the caller's own array — never a view from Read — and
+// the caller must neither read nor write it once TakeData succeeds, since
+// below IMMUTABLE the object writes into it in place. On a refusal, which
+// comes exactly where SetData refuses, b is untouched and still the
+// caller's.
+func (o *Object) TakeData(b []byte) error {
+	if err := o.canReplace(len(b)); err != nil {
+		return err
+	}
+	o.data = b
+	o.bump()
+	return nil
+}
+
+// canReplace returns nil when the whole payload may become n bytes of new
+// content, and otherwise the error saying why not.
+func (o *Object) canReplace(n int) error {
 	if o.kind == Directory {
 		return fmt.Errorf("%w: put on %v", ErrWrongKind, o.kind)
 	}
@@ -320,14 +348,10 @@ func (o *Object) SetData(b []byte) error {
 	case AppendOnly:
 		return ErrAppendOnly
 	case FixedSize:
-		if int64(len(b)) != int64(len(o.data)) {
+		if int64(n) != int64(len(o.data)) {
 			return ErrFixedSize
 		}
 	}
-	// Reuses the object's own array (one holder below IMMUTABLE); append is
-	// a memmove, so b may even overlap it.
-	o.data = append(o.data[:0], b...)
-	o.bump()
 	return nil
 }
 

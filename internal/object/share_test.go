@@ -169,3 +169,42 @@ func TestAppendAndSetDataReuseTheArray(t *testing.T) {
 		t.Error("SetData aliased the caller's buffer")
 	}
 }
+
+// TakeData refuses exactly where SetData refuses, with the same error and no
+// change to the object; where SetData copies, TakeData installs the caller's
+// array itself.
+func TestTakeDataRefusesWhereSetDataRefuses(t *testing.T) {
+	for _, kind := range []Kind{Regular, Directory, FIFO} {
+		for _, lvl := range Levels() {
+			for _, size := range []int{4, 9} { // the current size, and a resize
+				build := func() *Object {
+					o := New(1, kind)
+					if kind != Directory {
+						if _, err := o.WriteAt([]byte("abcd"), 0); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := o.SetMutability(lvl); err != nil {
+						t.Fatal(err)
+					}
+					return o
+				}
+				copied, taken := build(), build()
+				buf := bytes.Repeat([]byte{'n'}, size)
+				setErr := copied.SetData(bytes.Repeat([]byte{'n'}, size))
+				takeErr := taken.TakeData(buf)
+				name := kind.String() + "/" + lvl.String()
+				if (setErr == nil) != (takeErr == nil) || (setErr != nil && setErr.Error() != takeErr.Error()) {
+					t.Errorf("%s, %d bytes: SetData = %v, TakeData = %v", name, size, setErr, takeErr)
+				}
+				if !bytes.Equal(copied.data, taken.data) || copied.Version() != taken.Version() {
+					t.Errorf("%s, %d bytes: SetData left %q v%d, TakeData %q v%d",
+						name, size, copied.data, copied.Version(), taken.data, taken.Version())
+				}
+				if held := sameArray(taken.data, buf); held != (takeErr == nil) {
+					t.Errorf("%s, %d bytes: object holds the taken buffer = %v, want %v", name, size, held, takeErr == nil)
+				}
+			}
+		}
+	}
+}

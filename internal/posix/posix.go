@@ -58,7 +58,7 @@ type fd struct {
 // NewLocal returns a purely local FS on the given node.
 func NewLocal(net *simnet.Network, node simnet.NodeID) *FS {
 	return &FS{
-		st: store.New(media.NVMe, 0), net: net, local: node,
+		st: store.New(media.NVMe), net: net, local: node,
 		reachable: true,
 		files:     make(map[string][]byte),
 		fds:       make(map[int]*fd),

@@ -1,10 +1,10 @@
 // Package store implements the node-local object store that backs PCSI
-// state replicas: an ID-allocating in-memory extent store with quota
-// accounting and simulated media access costs (internal/media).
+// state replicas: an ID-allocating in-memory extent store with simulated
+// media access costs (internal/media).
 //
 // A Store represents one storage server's worth of objects. Replication and
 // consistency live a layer up (internal/consistency); this layer only
-// guarantees local atomicity and tracks space.
+// holds the objects and counts accesses to them.
 package store
 
 import (
@@ -16,28 +16,22 @@ import (
 	"repro/internal/object"
 )
 
-// Errors returned by the store.
-var (
-	ErrNotFound = fault.Fatal("store: object not found")
-	ErrQuota    = fault.Fatal("store: quota exceeded")
-)
+// ErrNotFound is returned for an ID the store does not hold.
+var ErrNotFound = fault.Fatal("store: object not found")
 
 // Store is a single node's object store.
 type Store struct {
 	media   media.Profile
 	objects map[object.ID]*object.Object
 	nextID  object.ID
-	quota   int64 // bytes; 0 = unlimited
-	used    int64
 	// Reads/Writes count operations for experiment accounting.
 	Reads  int64
 	Writes int64
 }
 
-// New returns an empty store on the given medium with a byte quota
-// (0 = unlimited).
-func New(m media.Profile, quota int64) *Store {
-	return &Store{media: m, objects: make(map[object.ID]*object.Object), nextID: 1, quota: quota}
+// New returns an empty store on the given medium.
+func New(m media.Profile) *Store {
+	return &Store{media: m, objects: make(map[object.ID]*object.Object), nextID: 1}
 }
 
 // Media returns the store's medium profile.
@@ -61,7 +55,6 @@ func (s *Store) Insert(o *object.Object) error {
 		return fault.Fatalf("store: duplicate id %v", o.ID())
 	}
 	s.objects[o.ID()] = o
-	s.used += o.Size()
 	if o.ID() >= s.nextID {
 		s.nextID = o.ID() + 1
 	}
@@ -92,43 +85,27 @@ func (s *Store) Contains(id object.ID) bool {
 	return ok
 }
 
-// UpdateAccounting must be called around mutations so quota tracking stays
-// correct: pass the object's size delta.
-func (s *Store) UpdateAccounting(delta int64) error {
-	if s.quota > 0 && s.used+delta > s.quota {
-		return fmt.Errorf("%w: used %d + %d > %d", ErrQuota, s.used, delta, s.quota)
-	}
-	s.used += delta
-	s.Writes++
-	return nil
-}
+// CountWrite records a mutation of an object the caller got from Get.
+func (s *Store) CountWrite() { s.Writes++ }
 
-// SetData replaces an object's payload through the store so quota is
-// enforced atomically: on quota failure the object is unchanged.
+// SetData replaces an object's payload with a copy of data.
 func (s *Store) SetData(id object.ID, data []byte) error {
 	o, err := s.Get(id)
 	if err != nil {
 		return err
 	}
-	delta := int64(len(data)) - o.Size()
-	if s.quota > 0 && s.used+delta > s.quota {
-		return fmt.Errorf("%w: used %d + %d > %d", ErrQuota, s.used, delta, s.quota)
-	}
 	if err := o.SetData(data); err != nil {
 		return err
 	}
-	s.used += delta
 	s.Writes++
 	return nil
 }
 
-// Delete removes an object, reclaiming its space. Used by the GC.
+// Delete removes an object. Used by the GC.
 func (s *Store) Delete(id object.ID) error {
-	o, ok := s.objects[id]
-	if !ok {
+	if _, ok := s.objects[id]; !ok {
 		return fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
-	s.used -= o.Size()
 	delete(s.objects, id)
 	return nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestCreateAllocatesDistinctIDs(t *testing.T) {
-	s := New(media.DRAM, 0)
+	s := New(media.DRAM)
 	a := s.Create(object.Regular)
 	b := s.Create(object.Directory)
 	if a.ID() == b.ID() {
@@ -25,51 +25,14 @@ func TestCreateAllocatesDistinctIDs(t *testing.T) {
 }
 
 func TestGetMissing(t *testing.T) {
-	s := New(media.DRAM, 0)
+	s := New(media.DRAM)
 	if _, err := s.Get(999); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v, want ErrNotFound", err)
 	}
 }
 
-func TestQuotaEnforcedAtomically(t *testing.T) {
-	s := New(media.DRAM, 100)
-	o := s.Create(object.Regular)
-	if err := s.SetData(o.ID(), make([]byte, 60)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetData(o.ID(), make([]byte, 150)); !errors.Is(err, ErrQuota) {
-		t.Fatalf("err = %v, want ErrQuota", err)
-	}
-	// Object must be unchanged after quota failure.
-	if o.Size() != 60 {
-		t.Errorf("size = %d after failed write, want 60", o.Size())
-	}
-	if s.used != 60 {
-		t.Errorf("Used = %d, want 60", s.used)
-	}
-}
-
-func TestQuotaAccountsShrink(t *testing.T) {
-	s := New(media.DRAM, 100)
-	o := s.Create(object.Regular)
-	if err := s.SetData(o.ID(), make([]byte, 90)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetData(o.ID(), make([]byte, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if s.used != 10 {
-		t.Errorf("Used = %d, want 10", s.used)
-	}
-	// Space freed by the shrink must be reusable.
-	o2 := s.Create(object.Regular)
-	if err := s.SetData(o2.ID(), make([]byte, 80)); err != nil {
-		t.Errorf("reuse of freed space failed: %v", err)
-	}
-}
-
 func TestDeleteReclaims(t *testing.T) {
-	s := New(media.DRAM, 0)
+	s := New(media.DRAM)
 	o := s.Create(object.Regular)
 	if err := s.SetData(o.ID(), make([]byte, 42)); err != nil {
 		t.Fatal(err)
@@ -77,8 +40,8 @@ func TestDeleteReclaims(t *testing.T) {
 	if err := s.Delete(o.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if s.used != 0 || s.Len() != 0 {
-		t.Errorf("Used=%d Len=%d after delete", s.used, s.Len())
+	if s.Len() != 0 || s.Contains(o.ID()) {
+		t.Errorf("Len=%d after delete", s.Len())
 	}
 	if err := s.Delete(o.ID()); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double delete err = %v", err)
@@ -86,7 +49,7 @@ func TestDeleteReclaims(t *testing.T) {
 }
 
 func TestInsertRejectsDuplicates(t *testing.T) {
-	s := New(media.DRAM, 0)
+	s := New(media.DRAM)
 	o := s.Create(object.Regular)
 	dup := object.New(o.ID(), object.Regular)
 	if err := s.Insert(dup); err == nil {
@@ -104,7 +67,7 @@ func TestInsertRejectsDuplicates(t *testing.T) {
 }
 
 func TestIDsSorted(t *testing.T) {
-	s := New(media.DRAM, 0)
+	s := New(media.DRAM)
 	for i := 0; i < 10; i++ {
 		s.Create(object.Regular)
 	}
@@ -133,7 +96,7 @@ func TestMediaCosts(t *testing.T) {
 }
 
 func TestReadWriteCounters(t *testing.T) {
-	s := New(media.DRAM, 0)
+	s := New(media.DRAM)
 	o := s.Create(object.Regular)
 	if err := s.SetData(o.ID(), []byte("x")); err != nil {
 		t.Fatal(err)
@@ -150,7 +113,7 @@ func TestReadWriteCounters(t *testing.T) {
 }
 
 func TestContains(t *testing.T) {
-	s := New(media.DRAM, 0)
+	s := New(media.DRAM)
 	o := s.Create(object.Regular)
 	if !s.Contains(o.ID()) {
 		t.Error("Contains = false for stored object")
