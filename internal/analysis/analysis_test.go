@@ -331,7 +331,8 @@ func TestErrClassExactPositions(t *testing.T) {
 
 // TestCapDisciplineExactPositions pins file:line:column and the method named
 // for every raw mutation in the mutation fixture, so a mutator dropped from
-// objectMutators or storeMutators (TakeData included) goes unreported here.
+// objectMutators or storeMutators (TakeData and Snapshot included) goes
+// unreported here.
 func TestCapDisciplineExactPositions(t *testing.T) {
 	l, diags := loadFixture(t)
 	var got []string
@@ -347,7 +348,8 @@ func TestCapDisciplineExactPositions(t *testing.T) {
 		"13:2:object.Object.SetData",
 		"14:2:object.Object.Append",
 		"15:2:object.Object.TakeData",
-		"16:2:store.Store.Insert",
+		"16:6:object.Object.Snapshot",
+		"17:2:store.Store.Insert",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("capdiscipline positions:\n got %v\nwant %v", got, want)

@@ -7,10 +7,11 @@ import (
 )
 
 // objectMutators are the internal/object methods that change object state.
-// Reads (ReadAt, Read, ContentHash, ...) and construction (New, Clone) are
-// unrestricted.
+// Snapshot is one: it moves the object's shared mark and hands out its array
+// uncopied. Reads (ReadAt, Read, ContentHash, ...) and construction (New,
+// Clone) are unrestricted.
 var objectMutators = stringSet(
-	"SetData", "TakeData", "WriteAt", "Append", "Truncate", "SetMutability", "ApplyState",
+	"SetData", "TakeData", "WriteAt", "Append", "Truncate", "SetMutability", "ApplyState", "Snapshot",
 )
 
 // storeMutators are the internal/store methods that create, change, or

@@ -13,6 +13,7 @@ func Scribble(st *store.Store) {
 	o.SetData([]byte("x"))  // want: capdiscipline
 	o.Append([]byte("y"))   // want: capdiscipline
 	o.TakeData([]byte("z")) // want: capdiscipline
+	_ = o.Snapshot()        // want: capdiscipline
 	st.Insert(1, o)         // want: capdiscipline
 	_ = o.Len()
 }

@@ -25,6 +25,9 @@ func (o *Object) SetData(b []byte) { o.data = append(o.data[:0], b...) }
 // TakeData installs b itself as the content.
 func (o *Object) TakeData(b []byte) { o.data = b }
 
+// Snapshot hands out the content uncopied.
+func (o *Object) Snapshot() []byte { return o.data }
+
 // Append adds b to the content.
 func (o *Object) Append(b []byte) { o.data = append(o.data, b...) }
 

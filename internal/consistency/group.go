@@ -257,8 +257,9 @@ func (g *Group) applyLinearizable(p *sim.Proc, client simnet.NodeID, id object.I
 	m.stamp = stamp
 	m.vc.Tick(prim.Index)
 	vc := m.vc.Clone()
-	// Synchronously copy the new state to a majority.
-	data, ver, mut := o.Read(), o.Version(), o.Mutability()
+	// Synchronously send the new state to a majority. The replicas install
+	// the primary's bytes uncopied; whichever holder writes next copies.
+	data, ver, mut := o.Snapshot(), o.Version(), o.Mutability()
 	acks := sim.NewQueue[int](g.env)
 	p.Sleep(prim.St.Media().WriteCost(int64(size)))
 	acks.Put(prim.Index)
@@ -627,7 +628,7 @@ func (g *Group) pullInto(dst, src *Replica) {
 				continue
 			}
 		}
-		g.applyState(dst, id, so.Kind(), so.Read(), so.Version(), so.Mutability(), sm.stamp, sm.vc)
+		g.applyState(dst, id, so.Kind(), so.Snapshot(), so.Version(), so.Mutability(), sm.stamp, sm.vc)
 	}
 }
 

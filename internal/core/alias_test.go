@@ -36,6 +36,7 @@ type aliasCase struct {
 	name   string
 	model  []byte // what the object must hold
 	frozen [][]byte
+	seen   seenShared
 }
 
 func (ac *aliasCase) fail(format string, args ...any) {
@@ -86,7 +87,7 @@ func (ac *aliasCase) write(verb string, data []byte, off int64) error {
 // views, kept in ac.frozen and re-verified by every later check.
 func (ac *aliasCase) check(step string, immutable bool) {
 	ac.t.Helper()
-	ac.oneHolder(step)
+	ac.markedShares(step)
 	for _, v := range ac.frozen {
 		if !bytes.Equal(v, ac.model) {
 			ac.fail("after %s: a view handed out earlier changed to %q, want %q", step, v, ac.model)
@@ -123,11 +124,11 @@ func (ac *aliasCase) check(step string, immutable bool) {
 	}
 }
 
-// oneHolder asserts the one-holder rule over the whole cloud.
-func (ac *aliasCase) oneHolder(step string) {
+// markedShares asserts the shared-prefix rule over the whole cloud.
+func (ac *aliasCase) markedShares(step string) {
 	ac.t.Helper()
-	for _, s := range ac.c.sharedBelowImmutable() {
-		ac.fail("after %s: a payload array is shared below IMMUTABLE: %s", step, s)
+	for _, s := range ac.c.sharedPastMark(ac.seen) {
+		ac.fail("after %s: a payload array is shared past a writer's mark: %s", step, s)
 	}
 }
 
@@ -252,7 +253,7 @@ func (ac *aliasCase) run(lvl object.Mutability, bindable bool, rng *rand.Rand) {
 
 	// The views outlive the last reference.
 	ac.a.Drop(ac.ref)
-	ac.oneHolder("the last Drop")
+	ac.markedShares("the last Drop")
 	for _, v := range ac.frozen {
 		if !bytes.Equal(v, ac.model) {
 			ac.fail("a view changed after the last Drop: %q, want %q", v, ac.model)
@@ -265,8 +266,8 @@ func (ac *aliasCase) run(lvl object.Mutability, bindable bool, rng *rand.Rand) {
 // Get/GetAt/ReadAt are never the object's content, and IMMUTABLE content is
 // shared as capacity-clipped views that no later operation changes. A buffer
 // handed over with PutOwned becomes the content of one object only; after
-// every step no payload array has two holders below IMMUTABLE
-// (sharedBelowImmutable). Run it under -race: the engine's processes are
+// every step no holder below IMMUTABLE may write bytes another holder of its
+// array sees (sharedPastMark). Run it under -race: the engine's processes are
 // goroutines.
 func TestPayloadAliasingProperty(t *testing.T) {
 	flavours := []struct {
@@ -289,7 +290,7 @@ func TestPayloadAliasingProperty(t *testing.T) {
 						t.Errorf("%s: create: %v", fl.name, err)
 						continue
 					}
-					ac := &aliasCase{t: t, c: c, p: p, a: a, b: b, ref: ref,
+					ac := &aliasCase{t: t, c: c, p: p, a: a, b: b, ref: ref, seen: seenShared{},
 						name: fmt.Sprintf("seed %d %s/%v", seed, fl.name, lvl)}
 					ac.run(lvl, fl.name != "ephemeral", rng)
 				}
@@ -306,7 +307,8 @@ func TestPayloadAliasingProperty(t *testing.T) {
 // while half the attempts fail, on both replicated flavours. A retry that
 // re-ran a mutate which had already taken the buffer — possible only if
 // Group.Apply could fail after its mutate succeeded — would leave the array
-// with two replicas below IMMUTABLE, which the one-holder oracle reports.
+// with two replicas below IMMUTABLE and neither marking it shared, which the
+// shared-prefix oracle reports.
 func TestPutOwnedRetriedUnderFaults(t *testing.T) {
 	for _, lvl := range []consistency.Level{consistency.Linearizable, consistency.Eventual} {
 		opts := DefaultOptions()
@@ -321,14 +323,15 @@ func TestPutOwnedRetriedUnderFaults(t *testing.T) {
 			}
 			c.inj = fault.NewSession(fault.Spec{Rates: fault.Rates{OpError: 0.5}}).Attach(c.env)
 			var want []byte
+			seen := seenShared{}
 			for i := 0; i < 40; i++ {
 				buf := bytes.Repeat([]byte{byte(i)}, 1+i)
 				if err := a.PutOwned(p, ref, buf); err == nil {
 					want = bytes.Repeat([]byte{byte(i)}, 1+i)
 				}
 				c.Group().SyncAll()
-				for _, s := range c.sharedBelowImmutable() {
-					t.Errorf("%v, put %d: a payload array is shared below IMMUTABLE: %s", lvl, i, s)
+				for _, s := range c.sharedPastMark(seen) {
+					t.Errorf("%v, put %d: a payload array is shared past a writer's mark: %s", lvl, i, s)
 				}
 			}
 			c.inj = nil

@@ -295,10 +295,15 @@ func New(opts Options) *Cloud {
 			c.retry.OnAttempt = func(op string, attempt int, err error, delay sim.Duration) {
 				c.RetryAttempts++
 				c.inj.Note("retry.attempt")
-				c.obsPlane.Record("retry", op, err.Error())
-				trace.Of(env).Instant("fault", "retry", op,
+				t := trace.Of(env)
+				if c.obsPlane == nil && t == nil {
+					return // nothing records err: leave it unformatted
+				}
+				msg := err.Error()
+				c.obsPlane.Record("retry", op, msg)
+				t.Instant("fault", "retry", op,
 					trace.Int("attempt", int64(attempt)),
-					trace.Str("err", err.Error()), trace.Str("delay", delay.String()))
+					trace.Str("err", msg), trace.Str("delay", delay.String()))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"unsafe"
@@ -19,49 +20,87 @@ func arrayOf(b []byte) *byte {
 	return unsafe.SliceData(b)
 }
 
-// payloadArray returns the backing array of o's payload. It reads the
-// object's unexported field directly, so the oracle below depends on nothing
-// the object package offers for sharing (Read, share, Clone).
-func payloadArray(o *object.Object) *byte {
-	f := reflect.ValueOf(o).Elem().FieldByName("data")
-	return arrayOf(*(*[]byte)(unsafe.Pointer(f.UnsafeAddr())))
+// payload returns o's payload and its shared mark. It reads the object's
+// unexported fields directly, so the oracle below depends on nothing the
+// object package offers for sharing (Read, Snapshot, Clone).
+func payload(o *object.Object) (data []byte, shared int) {
+	v := reflect.ValueOf(o).Elem()
+	f := v.FieldByName("data")
+	return *(*[]byte)(unsafe.Pointer(f.UnsafeAddr())), int(v.FieldByName("shared").Int())
 }
 
-// sharedBelowImmutable is the one-holder oracle of DESIGN §5 ("a payload
-// array may have more than one holder only while its object is IMMUTABLE").
-// It lists every backing array that two or more holders — replica objects,
-// ephemeral objects and node-cache entries — hold while one of them belongs
-// to an object below IMMUTABLE. Empty means the rule holds.
-func (c *Cloud) sharedBelowImmutable() []string {
-	held := make(map[*byte][]string) // array -> its holders
-	below := make(map[*byte]bool)    // array -> some holder is below IMMUTABLE
-	add := func(arr *byte, name string, mut object.Mutability) {
-		if arr != nil {
-			held[arr] = append(held[arr], fmt.Sprintf("%s at %v", name, mut))
-			below[arr] = below[arr] || mut != object.Immutable
+// seenShared remembers, from one sharedPastMark audit to the next, the bytes
+// of each array that two or more of its holders saw. No holder may write
+// those bytes in place, so they must read the same at the next audit.
+type seenShared map[*byte][]byte
+
+// sharedPastMark is the shared-prefix oracle of DESIGN §5 ("a holder below
+// IMMUTABLE writes its array in place only past its shared mark, and the
+// mark covers every byte another holder of that array sees"), over every
+// holder of a payload array: replica objects, ephemeral objects and
+// node-cache entries. It reports each array some holder below IMMUTABLE
+// could write in place although another holder sees those bytes (its mark
+// is less than that holder's length), and each array whose bytes two
+// holders saw at the previous audit (seen) have changed since; then it
+// records what two holders see now in seen. Empty means the rule holds.
+func (c *Cloud) sharedPastMark(seen seenShared) []string {
+	type holder struct {
+		name      string
+		n, shared int
+		mayWrite  bool // below IMMUTABLE
+	}
+	held := make(map[*byte][]holder) // array -> its holders
+	add := func(data []byte, shared int, name string, mut object.Mutability) {
+		if arr := arrayOf(data); arr != nil {
+			held[arr] = append(held[arr], holder{fmt.Sprintf("%s at %v (len %d, shared %d)", name, mut, len(data), shared),
+				len(data), shared, mut != object.Immutable})
 		}
 	}
 	for _, r := range c.grp.Replicas() {
 		reads := r.St.Reads
 		for _, id := range r.St.IDs() {
 			o, _ := r.St.Get(id)
-			add(payloadArray(o), fmt.Sprintf("replica %d %v", r.Index, id), o.Mutability())
+			data, shared := payload(o)
+			add(data, shared, fmt.Sprintf("replica %d %v", r.Index, id), o.Mutability())
 		}
 		r.St.Reads = reads // an audit is not a read
 	}
 	for id, e := range c.ephem {
-		add(payloadArray(e.obj), fmt.Sprintf("ephemeral %v", id), e.obj.Mutability())
+		data, shared := payload(e.obj)
+		add(data, shared, fmt.Sprintf("ephemeral %v", id), e.obj.Mutability())
 	}
 	for k, e := range c.caches {
 		// Only a stable entry holds bytes, a view taken at IMMUTABLE, which
 		// is terminal.
-		add(arrayOf(e.data), fmt.Sprintf("node %d cache of %v", k.node, k.id), object.Immutable)
+		add(e.data, 0, fmt.Sprintf("node %d cache of %v", k.node, k.id), object.Immutable)
 	}
 	var out []string
+	for arr, want := range seen {
+		got := unsafe.Slice(arr, len(want))
+		for i := range want {
+			if got[i] != want[i] {
+				out = append(out, fmt.Sprintf("byte %d of %d that two holders saw changed in place", i, len(want)))
+				break
+			}
+		}
+	}
+	clear(seen)
 	for arr, hs := range held {
-		if len(hs) > 1 && below[arr] {
-			sort.Strings(hs)
-			out = append(out, strings.Join(hs, ", "))
+		names := make([]string, len(hs))
+		lens := make([]int, len(hs))
+		bad := false
+		for i, w := range hs {
+			names[i], lens[i] = w.name, w.n
+			for j, r := range hs {
+				bad = bad || (i != j && w.mayWrite && w.shared < r.n)
+			}
+		}
+		if bad {
+			sort.Strings(names)
+			out = append(out, strings.Join(names, ", "))
+		}
+		if sort.Ints(lens); len(lens) > 1 && lens[len(lens)-2] > 0 {
+			seen[arr] = slices.Clone(unsafe.Slice(arr, lens[len(lens)-2]))
 		}
 	}
 	sort.Strings(out)

@@ -38,6 +38,23 @@ var (
 	ErrNoPlacement     = fault.Transient("faas: no node can host the function")
 )
 
+// noPlacement is ErrNoPlacement for one function and footprint. A full
+// cluster refuses many starts that a retry absorbs, so the message is
+// formatted only when asked for.
+type noPlacement struct {
+	fn  string
+	res cluster.Resources
+}
+
+func (e noPlacement) Error() string {
+	return fmt.Sprintf("%v: %q needs %v", ErrNoPlacement, e.fn, e.res)
+}
+
+func (e noPlacement) Unwrap() error { return ErrNoPlacement }
+
+// Retryable classifies it as ErrNoPlacement is classified (fault.Classified).
+func (e noPlacement) Retryable() bool { return ErrNoPlacement.(fault.Classified).Retryable() }
+
 // PlacementHints guide the Placer for one instance start.
 type PlacementHints struct {
 	// NearNode requests co-location with a specific node (task-graph
@@ -285,7 +302,9 @@ func (rt *Runtime) Invoke(p *sim.Proc, name string, body []byte, hints Placement
 	// inline with zero overhead.
 	grant, err := rt.cfg.QoS.Admit(p, qos.ClassInvoke)
 	if err != nil {
-		sp.Annotate(trace.Str("err", err.Error()))
+		if sp != nil { // an untraced run leaves err unformatted
+			sp.Annotate(trace.Str("err", err.Error()))
+		}
 		sp.Close(p)
 		return nil, err
 	}
@@ -295,7 +314,9 @@ func (rt *Runtime) Invoke(p *sim.Proc, name string, body []byte, hints Placement
 	qsp.Close(p)
 	if err != nil {
 		rt.InvokeFails.Inc()
-		sp.Annotate(trace.Str("err", err.Error()))
+		if sp != nil { // an untraced run leaves err unformatted
+			sp.Annotate(trace.Str("err", err.Error()))
+		}
 		sp.Close(p)
 		return nil, err
 	}
@@ -427,7 +448,7 @@ func (rt *Runtime) coldStart(p *sim.Proc, fn *Function, variant int, hints Place
 	defer sp.Close(p)
 	node, scavenge := rt.plc.Place(res, hints)
 	if node == nil {
-		return nil, fmt.Errorf("%w: %q needs %v", ErrNoPlacement, fn.Name, res)
+		return nil, noPlacement{fn.Name, res}
 	}
 	sp.Annotate(trace.Int("node", int64(node.ID)))
 	if scavenge {

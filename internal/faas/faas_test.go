@@ -2,10 +2,12 @@ package faas
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -104,6 +106,25 @@ func TestBodySizeLimit(t *testing.T) {
 		_, err := rt.Invoke(p, "f", make([]byte, MaxBodySize+1), PlacementHints{}, nil)
 		if !errors.Is(err, ErrBodyTooLarge) {
 			t.Errorf("err = %v", err)
+		}
+	})
+	env.Run()
+}
+
+// A function no node can host fails with an error that matches
+// ErrNoPlacement, is retryable, and reads as the wrapped sentinel did.
+func TestNoPlacementError(t *testing.T) {
+	env, rt := testRuntime(1, Config{})
+	fn := wasmFn("huge", sleeper(0))
+	fn.Res = cluster.Resources{MemMB: 1 << 30}
+	if err := rt.Register(fn); err != nil {
+		t.Fatal(err)
+	}
+	env.Go("c", func(p *sim.Proc) {
+		_, err := rt.Invoke(p, "huge", nil, PlacementHints{}, nil)
+		want := fmt.Errorf("%w: %q needs %v", ErrNoPlacement, "huge", variantFootprint(variants(fn)[0]))
+		if !errors.Is(err, ErrNoPlacement) || !fault.Retryable(err) || err.Error() != want.Error() {
+			t.Errorf("err = %v (retryable %v), want %v", err, fault.Retryable(err), want)
 		}
 	})
 	env.Run()

@@ -146,6 +146,9 @@ type Object struct {
 	mut     Mutability
 	version uint64
 	data    []byte
+	// shared is how many leading bytes of data's array another holder may
+	// see (see Snapshot); a write reaching below it copies first.
+	shared int
 
 	// Directory state (kind == Directory).
 	entries   map[string]ID
@@ -219,22 +222,25 @@ func (o *Object) ReadAt(b []byte, off int64) (int, error) {
 }
 
 // Read returns the entire payload: a private copy below IMMUTABLE, and a
-// read-only view of the frozen bytes at IMMUTABLE. A payload array may have
-// more than one holder only while its object is IMMUTABLE — the terminal
-// level, where every write is refused and ApplyState installs a slice rather
-// than writing through one — so a view never changes; its capacity is
-// clipped so that a caller's append cannot reach the array. Callers must
-// not write into a view.
-func (o *Object) Read() []byte { return share(o.data, o.mut) }
-
-// share is the one place a payload array gains a holder: data itself,
-// capacity-clipped, when the level it is held at is IMMUTABLE; otherwise a
-// private copy.
-func share(data []byte, mut Mutability) []byte {
-	if mut == Immutable {
-		return data[:len(data):len(data)]
+// read-only view of the frozen bytes at IMMUTABLE, capacity-clipped so that
+// a caller's append cannot reach the array. IMMUTABLE is terminal — every
+// write is refused and ApplyState installs a slice rather than writing
+// through one — so a view never changes. Callers must not write into it.
+func (o *Object) Read() []byte {
+	if o.mut == Immutable {
+		return o.data[:len(o.data):len(o.data)]
 	}
-	return append([]byte(nil), data...)
+	return append([]byte(nil), o.data...)
+}
+
+// Snapshot returns the payload without copying it, for the replication
+// paths that install it at another replica (ApplyState): the object's own
+// array, capacity-clipped, at any level. The object marks those bytes
+// shared, so its later writes below the mark go to a private copy and the
+// snapshot never changes. Callers must not write into it.
+func (o *Object) Snapshot() []byte {
+	o.shared = max(o.shared, len(o.data))
+	return o.data[:len(o.data):len(o.data)]
 }
 
 // WriteAt writes b at offset off, enforcing the mutability level:
@@ -262,9 +268,19 @@ func (o *Object) WriteAt(b []byte, off int64) (int, error) {
 			return 0, ErrFixedSize
 		}
 	}
-	if old, end := int64(len(o.data)), off+int64(len(b)); end > old {
-		// The array has one holder below IMMUTABLE, so it grows in place.
-		// Spare capacity may hold bytes a Truncate cut off: zero the hole.
+	old, end := int64(len(o.data)), off+int64(len(b))
+	if min(off, old) < int64(o.shared) {
+		// Another holder sees bytes this write reaches (the zeroed hole
+		// past EOF included): write into a private copy instead.
+		o.data, o.shared = slices.Clone(o.data), 0
+	}
+	if end > old {
+		// Spare capacity past the shared prefix is this object's alone, so
+		// the array grows in place; it may hold bytes a Truncate cut off,
+		// so zero the hole.
+		if end > int64(cap(o.data)) {
+			o.shared = 0 // reallocates
+		}
 		o.data = slices.Grow(o.data, int(end-old))[:end]
 		if off > old {
 			clear(o.data[old:off])
@@ -298,11 +314,11 @@ func (o *Object) Truncate(n int64) error {
 		return ErrFixedSize
 	}
 	if n <= int64(len(o.data)) {
-		o.data = o.data[:n]
+		o.data = o.data[:n] // keeps the mark: the cut bytes may be shared
 	} else {
 		grown := make([]byte, n)
 		copy(grown, o.data)
-		o.data = grown
+		o.data, o.shared = grown, 0
 	}
 	o.bump()
 	return nil
@@ -314,24 +330,29 @@ func (o *Object) SetData(b []byte) error {
 	if err := o.canReplace(len(b)); err != nil {
 		return err
 	}
-	// Reuses the object's own array (one holder below IMMUTABLE); append is
-	// a memmove, so b may even overlap it.
-	o.data = append(o.data[:0], b...)
+	if o.shared > 0 {
+		// Another holder sees the array: leave it to them.
+		o.data, o.shared = append([]byte(nil), b...), 0
+	} else {
+		// Reuses the object's own array; append is a memmove, so b may
+		// even overlap it.
+		o.data = append(o.data[:0], b...)
+	}
 	o.bump()
 	return nil
 }
 
 // TakeData is SetData without the copy: the object takes b itself as its
-// payload. b must be the caller's own array — never a view from Read — and
-// the caller must neither read nor write it once TakeData succeeds, since
-// below IMMUTABLE the object writes into it in place. On a refusal, which
-// comes exactly where SetData refuses, b is untouched and still the
-// caller's.
+// payload. b must be the caller's own array — never a view from Read or
+// Snapshot, and never one handed to another object — and the caller must
+// neither read nor write it once TakeData succeeds, since below IMMUTABLE
+// the object writes into it in place. On a refusal, which comes exactly
+// where SetData refuses, b is untouched and still the caller's.
 func (o *Object) TakeData(b []byte) error {
 	if err := o.canReplace(len(b)); err != nil {
 		return err
 	}
-	o.data = b
+	o.data, o.shared = b, 0
 	o.bump()
 	return nil
 }
@@ -387,14 +408,15 @@ func (o *Object) Clone(newID ID) *Object {
 	return c
 }
 
-// restore support for replication: ApplyState overwrites payload and
-// version wholesale (used by anti-entropy; bypasses mutability because the
-// authoritative replica already enforced it). Installing at IMMUTABLE shares
-// data, which the caller must not write afterwards (see Read); any other
-// level installs a private copy, never reusing the old array, which may
-// have been shared.
+// ApplyState overwrites payload and version wholesale, for replication
+// (used by anti-entropy and union copy-up; bypasses mutability because the
+// authoritative replica already enforced it). It installs data itself,
+// capacity-clipped, and marks all of it shared, so the object copies before
+// its first write into those bytes and never writes through the array it
+// held before. data may be shared — a Snapshot, or a Read view at IMMUTABLE
+// — and the caller must not write it afterwards.
 func (o *Object) ApplyState(data []byte, version uint64, mut Mutability) {
-	o.data = share(data, mut)
+	o.data, o.shared = data[:len(data):len(data)], len(data)
 	o.version = version
 	o.mut = mut
 }

@@ -79,6 +79,7 @@ echo '== fuzz smoke (10 s each; a finding is written under testdata/fuzz in its 
 go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/pcsinet
 go test -run '^$' -fuzz FuzzDispatch -fuzztime 10s ./internal/pcsinet
 go test -run '^$' -fuzz FuzzLatticePayload -fuzztime 10s ./internal/fncache
+go test -run '^$' -fuzz FuzzPayloadHolders -fuzztime 10s ./internal/object
 
 echo '== pcsid/pcsictl smoke (the two binaries end to end over loopback)'
 smoke=$(mktemp -d)
