@@ -9,7 +9,7 @@
 // longer has (wrapclass, lockorder, ...) is a usage error. Packages are
 // analyzed in parallel; output order is deterministic regardless.
 //
-// -list prints the analyzer table (name, kind, directive, doc); with
+// -list prints the analyzer table (name, directive, doc); with
 // -format md it prints the markdown check table README.md embeds, so the
 // docs are generated from the registry.
 //
@@ -47,7 +47,7 @@ func main() {
 			return
 		}
 		for _, a := range analysis.All() {
-			fmt.Printf("%-14s %-16s //pcsi:allow %-11s %s\n", a.Name, a.Kind, a.Directive, a.Doc)
+			fmt.Printf("%-14s //pcsi:allow %-11s %s\n", a.Name, a.Directive, a.Doc)
 		}
 		return
 	}

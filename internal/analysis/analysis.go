@@ -4,12 +4,12 @@
 // randomness, the substrate→state→compute→core layering, and
 // capability-checked object mutation. The cmd/pcsi-vet CLI runs it over
 // any package pattern, and a self-enforcement test keeps the repo itself
-// clean. `pcsi-vet -list` prints the checks, the machinery behind each
-// (Analyzer.Kind) and its directive keyword; DESIGN.md §5 says why each
-// one is there. One engine sits behind them and no more: an
-// intraprocedural CFG with forward gen/kill dataflow (cfg.go, dataflow.go).
-// Everything else is an AST or declaration walk, plus errclass's one
-// module-wide fact (the import closure of the fault.Policy.Do callers).
+// clean. `pcsi-vet -list` prints the checks and their directive keywords;
+// DESIGN.md §5 says why each one is there. No engine sits behind them:
+// every check is an AST or declaration walk within one function or
+// package, plus errclass's one module-wide fact (the import closure of the
+// fault.Policy.Do callers). maprange and spanbalance share one question
+// about exits (exits.go) in place of a control-flow graph.
 //
 // Legitimate exceptions are annotated in the source with a directive:
 //
@@ -23,10 +23,12 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -51,10 +53,6 @@ type Analyzer struct {
 	Directive string
 	// Doc is a one-line description.
 	Doc string
-	// Kind classifies the machinery behind the check: "syntactic" (AST and
-	// declaration walks, no engine) or "dataflow" (CFG + gen/kill facts
-	// within one function).
-	Kind string
 	// Prepare, if set, runs once before the per-package passes fan out,
 	// with a pass carrying no package. It builds whole-program indexes
 	// (errclass's import closure) into the shared Cache and may trigger
@@ -70,7 +68,7 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		SimTime, DetRand, Layering, CapDiscipline,
-		MapRange, ObsRand, ErrClass, SpanBalance,
+		MapRange, ErrClass, SpanBalance,
 	}
 }
 
@@ -165,26 +163,19 @@ func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
 	return fn.Pkg().Path() == pkgPath && receiverNamed(fn) == nil
 }
 
-// directiveKeywords are the recognized //pcsi:allow arguments.
-func directiveKeywords() map[string]bool {
-	m := make(map[string]bool)
-	for _, a := range All() {
-		m[a.Directive] = true
-	}
-	return m
-}
-
 // collectAllows scans a package's comments for //pcsi:allow directives and
 // returns the suppressed line ranges per keyword. Unknown keywords, and any
 // //pcsi: directive other than allow, are reported as diagnostics so typos
 // and retired directives cannot silently linger.
 func collectAllows(fset *token.FileSet, pkg *Package, diags *[]Diagnostic) map[string][]*allowRange {
-	known := directiveKeywords()
-	keywords := make([]string, 0, len(known))
-	for k := range known {
-		keywords = append(keywords, k)
+	var keywords []string // the recognized //pcsi:allow arguments
+	for _, a := range All() {
+		keywords = append(keywords, a.Directive)
 	}
 	sort.Strings(keywords)
+	bad := func(c *ast.Comment, format string, args ...any) {
+		*diags = append(*diags, Diagnostic{Pos: fset.Position(c.Pos()), Check: "directive", Message: fmt.Sprintf(format, args...)})
+	}
 	allows := make(map[string][]*allowRange)
 	for _, f := range pkg.Files {
 		// Doc-comment directives cover their whole declaration.
@@ -231,29 +222,17 @@ func collectAllows(fset *token.FileSet, pkg *Package, diags *[]Diagnostic) map[s
 				}
 				fields := strings.Fields(rest)
 				if len(fields) == 0 || fields[0] != "allow" {
-					*diags = append(*diags, Diagnostic{
-						Pos:     fset.Position(c.Pos()),
-						Check:   "directive",
-						Message: "unknown directive: the only //pcsi: directive is //pcsi:allow <check>",
-					})
+					bad(c, "unknown directive: the only //pcsi: directive is //pcsi:allow <check>")
 					continue
 				}
 				fields = fields[1:]
 				if len(fields) == 0 {
-					*diags = append(*diags, Diagnostic{
-						Pos:     fset.Position(c.Pos()),
-						Check:   "directive",
-						Message: fmt.Sprintf("//pcsi:allow needs a check name (%s)", strings.Join(keywords, ", ")),
-					})
+					bad(c, "//pcsi:allow needs a check name (%s)", strings.Join(keywords, ", "))
 					continue
 				}
 				keyword := fields[0]
-				if !known[keyword] {
-					*diags = append(*diags, Diagnostic{
-						Pos:     fset.Position(c.Pos()),
-						Check:   "directive",
-						Message: fmt.Sprintf("unknown //pcsi:allow check %q", keyword),
-					})
+				if !slices.Contains(keywords, keyword) {
+					bad(c, "unknown //pcsi:allow check %q", keyword)
 					continue
 				}
 				r, ok := declRange[c]
@@ -321,18 +300,9 @@ func Run(l *Loader, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	for _, d := range perPkg {
 		diags = append(diags, d...)
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Check < b.Check
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(cmp.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column), cmp.Compare(a.Check, b.Check), cmp.Compare(a.Message, b.Message))
 	})
 	return diags
 }

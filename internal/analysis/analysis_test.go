@@ -7,21 +7,42 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// loadFixture type-checks the fixture module under testdata and runs every
-// analyzer over all of its packages.
+// module is one module type-checked once per test binary: every test
+// that needs it shares the loader and its packages.
+type module struct {
+	once sync.Once
+	l    *Loader
+	pkgs []*Package
+	err  error
+}
+
+// fixtureModule is the fixture module under testdata; repoModule is this
+// repository.
+var fixtureModule, repoModule module
+
+// load returns the module rooted at root, loading "./..." on first use.
+func (m *module) load(t *testing.T, root string) (*Loader, []*Package) {
+	t.Helper()
+	m.once.Do(func() {
+		if m.l, m.err = NewLoader(root); m.err == nil {
+			m.pkgs, m.err = m.l.Load("./...")
+		}
+	})
+	if m.err != nil {
+		t.Fatalf("load %s: %v", root, m.err)
+	}
+	return m.l, m.pkgs
+}
+
+// loadFixture runs every analyzer over all of the fixture module's
+// packages.
 func loadFixture(t *testing.T) (*Loader, []Diagnostic) {
 	t.Helper()
-	l, err := NewLoader(filepath.Join("testdata", "fixture"))
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := l.Load("./...")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
+	l, pkgs := fixtureModule.load(t, filepath.Join("testdata", "fixture"))
 	return l, Run(l, pkgs, All())
 }
 
@@ -144,10 +165,7 @@ func afterPrefix(s, prefix string) string {
 // TestXTestPackagesLoaded asserts the external test package of the wallclock
 // fixture loads as its own "_test" package and is analyzed.
 func TestXTestPackagesLoaded(t *testing.T) {
-	l, err := NewLoader(filepath.Join("testdata", "fixture"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, _ := fixtureModule.load(t, filepath.Join("testdata", "fixture"))
 	pkgs, err := l.Load("./bad/wallclock")
 	if err != nil {
 		t.Fatal(err)
@@ -168,10 +186,7 @@ func TestXTestPackagesLoaded(t *testing.T) {
 // TestOnlySelectedAnalyzers asserts Run honors the analyzer subset: with
 // only detrand, the wallclock fixture produces no diagnostics.
 func TestOnlySelectedAnalyzers(t *testing.T) {
-	l, err := NewLoader(filepath.Join("testdata", "fixture"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, _ := fixtureModule.load(t, filepath.Join("testdata", "fixture"))
 	pkgs, err := l.Load("./bad/wallclock")
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,6 @@ var mutationClients = union(statePkgs, baselinePkgs, stringSet("internal/core"))
 // reference carries.
 var CapDiscipline = &Analyzer{
 	Name:      "capdiscipline",
-	Kind:      "syntactic",
 	Directive: "rawmutation",
 	Doc:       "forbid raw object/store mutation outside capability-checked layers",
 	Run:       runCapDiscipline,
@@ -46,8 +45,6 @@ func runCapDiscipline(pass *Pass) {
 	if mutationClients[target] {
 		return
 	}
-	objPkg := pass.Module + "/internal/object"
-	storePkg := pass.Module + "/internal/store"
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -58,23 +55,16 @@ func runCapDiscipline(pass *Pass) {
 			if !ok {
 				return true
 			}
-			fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
-			if !ok {
-				return true
-			}
-			recv := receiverNamed(fn)
-			if recv == nil || recv.Obj().Pkg() == nil {
-				return true
-			}
+			fn, name := calleeFunc(pass.Pkg.Info, call), sel.Sel.Name
 			switch {
-			case recv.Obj().Pkg().Path() == objPkg && recv.Obj().Name() == "Object" && objectMutators[sel.Sel.Name]:
+			case objectMutators[name] && isModuleMethod(pass, fn, "internal/object", "Object", name):
 				pass.Report(sel.Pos(),
 					"raw object mutation object.Object.%s outside the capability-checked layers; go through core.Client/pcsi (rights-checked) or annotate //pcsi:allow rawmutation",
-					sel.Sel.Name)
-			case recv.Obj().Pkg().Path() == storePkg && recv.Obj().Name() == "Store" && storeMutators[sel.Sel.Name]:
+					name)
+			case storeMutators[name] && isModuleMethod(pass, fn, "internal/store", "Store", name):
 				pass.Report(sel.Pos(),
 					"raw store mutation store.Store.%s outside the state layer; go through core.Client/pcsi (rights-checked) or annotate //pcsi:allow rawmutation",
-					sel.Sel.Name)
+					name)
 			}
 			return true
 		})

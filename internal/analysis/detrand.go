@@ -9,22 +9,17 @@ import (
 // the shared, unseedable-per-experiment global source. rand.New,
 // rand.NewSource, rand.NewZipf and the type names stay legal: RNGs must be
 // constructed from a plumbed seed and injected.
-var globalRandFuncs = map[string]bool{
-	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
-	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
-	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
-	"Perm": true, "Shuffle": true, "Read": true, "Seed": true,
-}
+var globalRandFuncs = stringSet(
+	"Int", "Intn", "Int31", "Int31n", "Int63", "Int63n", "Uint32", "Uint64",
+	"Float32", "Float64", "ExpFloat64", "NormFloat64", "Perm", "Shuffle", "Read", "Seed",
+)
 
 // globalRandV2Funcs is the same list for math/rand/v2, should it ever be
 // adopted: every top-level draw uses the global ChaCha8 source.
-var globalRandV2Funcs = map[string]bool{
-	"Int": true, "IntN": true, "Int32": true, "Int32N": true,
-	"Int64": true, "Int64N": true, "Uint": true, "UintN": true,
-	"Uint32": true, "Uint32N": true, "Uint64": true, "Uint64N": true,
-	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
-	"Perm": true, "Shuffle": true, "N": true,
-}
+var globalRandV2Funcs = stringSet(
+	"Int", "IntN", "Int32", "Int32N", "Int64", "Int64N", "Uint", "UintN", "Uint32", "Uint32N",
+	"Uint64", "Uint64N", "Float32", "Float64", "ExpFloat64", "NormFloat64", "Perm", "Shuffle", "N",
+)
 
 // DetRand enforces DESIGN.md §5's determinism invariant on randomness:
 // no draws from the global math/rand source, and no unseeded testing/quick
@@ -32,7 +27,6 @@ var globalRandV2Funcs = map[string]bool{
 // or a literal in tests) so that "same seed ⇒ identical output tables".
 var DetRand = &Analyzer{
 	Name:      "detrand",
-	Kind:      "syntactic",
 	Directive: "globalrand",
 	Doc:       "forbid global math/rand draws and unseeded testing/quick configs",
 	Run:       runDetRand,

@@ -28,10 +28,10 @@ func emitPath(root, file string) string {
 // (pcsi-vet -list -format md prints it; a test diffs it against README.md).
 func MarkdownCheckTable(analyzers []*Analyzer) string {
 	var b strings.Builder
-	b.WriteString("| check | kind | suppress with | enforces |\n")
-	b.WriteString("|---|---|---|---|\n")
+	b.WriteString("| check | suppress with | enforces |\n")
+	b.WriteString("|---|---|---|\n")
 	for _, a := range analyzers {
-		b.WriteString("| `" + a.Name + "` | " + a.Kind + " | `//pcsi:allow " + a.Directive + "` | " + a.Doc + " |\n")
+		b.WriteString("| `" + a.Name + "` | `//pcsi:allow " + a.Directive + "` | " + a.Doc + " |\n")
 	}
 	return b.String()
 }

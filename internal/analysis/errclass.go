@@ -31,7 +31,6 @@ var retryBoundaryPkgs = stringSet(
 // baselines model foreign systems whose errors are opaque by design (§2.1).
 var ErrClass = &Analyzer{
 	Name:      "errclass",
-	Kind:      "syntactic",
 	Directive: "errclass",
 	Doc:       "require errors declared in a retry-boundary package, or minted inside the import closure of a fault.Policy.Do caller, to carry a retry classification",
 	Prepare:   prepareErrClass,
@@ -195,37 +194,20 @@ func checkErrSentinels(pass *Pass, spec *ast.ValueSpec, facts *errClassFacts) {
 func initClassified(pass *Pass, init ast.Expr, classified *types.Interface) bool {
 	init = ast.Unparen(init)
 	if call, ok := init.(*ast.CallExpr); ok {
-		fn := calleeFunc(pass.Pkg.Info, call)
-		faultPkg := pass.Module + "/internal/fault"
-		for _, name := range [...]string{"Fatal", "Transient", "Fatalf"} {
-			if isPkgFunc(fn, faultPkg, name) {
-				return true
-			}
-		}
-	}
-	if tv, ok := pass.Pkg.Info.Types[init]; ok && tv.Type != nil {
-		if implementsEither(tv.Type, classified) {
+		fn, faultPkg := calleeFunc(pass.Pkg.Info, call), pass.Module+"/internal/fault"
+		if isPkgFunc(fn, faultPkg, "Fatal") || isPkgFunc(fn, faultPkg, "Transient") || isPkgFunc(fn, faultPkg, "Fatalf") {
 			return true
 		}
 	}
-	return false
+	t := pass.Pkg.Info.TypeOf(init)
+	return t != nil && implementsEither(t, classified)
 }
 
 // checkErrType verifies a concrete named error type declared in a
 // retry-boundary package.
 func checkErrType(pass *Pass, spec *ast.TypeSpec, facts *errClassFacts) {
 	obj, ok := pass.Pkg.Info.Defs[spec.Name].(*types.TypeName)
-	if !ok {
-		return
-	}
-	named, ok := obj.Type().(*types.Named)
-	if !ok {
-		return
-	}
-	if _, isIface := named.Underlying().(*types.Interface); isIface {
-		return
-	}
-	if !facts.unclassified(named) {
+	if !ok || types.IsInterface(obj.Type()) || !facts.unclassified(obj.Type()) {
 		return
 	}
 	pass.Report(spec.Name.Pos(),

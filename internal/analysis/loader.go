@@ -260,10 +260,9 @@ func (l *Loader) check(path, dir string, names []string, xtest bool) (*Package, 
 		return nil, err
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Uses:  make(map[*ast.Ident]types.Object),
+		Defs:  make(map[*ast.Ident]types.Object),
 	}
 	p := &Package{Path: path, Dir: dir, Files: files, Info: info, XTest: xtest}
 	conf := types.Config{

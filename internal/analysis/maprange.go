@@ -4,202 +4,130 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// MapRange flags nondeterministic map iteration: Go randomizes map order
-// per run, so map-range values flowing into an order-sensitive sink break
-// the "same seed ⇒ byte-identical output" contract. Three rules, all
-// intraprocedural:
+// MapRange flags nondeterministic map iteration, which breaks the "same
+// seed ⇒ byte-identical output" contract. Three rules within one function:
 //
-//  1. Arbitrary pick: a map-range body that can never reach the loop's back
-//     edge (it always breaks/returns on its first pass) while binding and
-//     using the key or value consumes one arbitrary element.
-//  2. Ordered effects in the body: calling a scheduling, tracing, metrics,
-//     or printing sink inside a map-range body emits effects in randomized
-//     order, whether or not the arguments are tainted.
-//  3. Unsorted accumulation: appending map-derived values to a slice that
-//     reaches a return without an intervening sort.* call hands randomized
-//     order to the caller. The sanctioned append-then-sort idiom kills the
-//     taint; keyed stores (m[k] = append(...)) are exempt because lookup
-//     order, not insertion order, determines later reads.
+//  1. Arbitrary pick: a map-range body that ends in a return, break or
+//     panic, with no continue targeting the loop, and uses the key or
+//     value consumes one arbitrary element.
+//  2. Ordered effects: a scheduling, tracing, metrics, or printing sink
+//     called inside a map-range body emits effects in randomized order.
+//  3. Unsorted accumulation: a slice appended map-derived values needs a
+//     sort.* or slices.Sort* call of it covering each return, and the end
+//     of its scope, after the append (exits.go). Keyed stores
+//     (m[k] = append(...)) are exempt: lookup order, not insertion order,
+//     determines later reads.
 //
-// Taint propagates through locals via the forward-dataflow lattice: range
-// Key/Value bindings (and ranges over already-tainted slices) gen variable
-// taint, assignments propagate it, and sorting kills slice taint.
+// Taint is closed over the function's assignments in any order: the
+// bindings of a map range, or of a range over an accumulated slice not yet
+// sorted there, and every variable assigned an expression mentioning a
+// tainted one.
 var MapRange = &Analyzer{
 	Name:      "maprange",
-	Kind:      "dataflow",
 	Directive: "maporder",
 	Doc:       "flag map iteration whose randomized order reaches an order-sensitive sink",
-	Run:       runMapRange,
+	Run:       eachBody(checkMapRange),
 }
 
-// varTaint marks a variable holding a value derived from map iteration.
-type varTaint struct{ v *types.Var }
-
-// sliceTaint marks a canonical lvalue (e.g. "out", "rep.Components")
-// accumulating map-derived appends, first appended at pos, not yet sorted.
-type sliceTaint struct {
-	path string
-	pos  token.Pos
-}
-
-// mapRangeSinks are order-sensitive callees for rule 2, keyed by module
-// package, receiver type ("" for package functions), and method name.
-type sinkKey struct{ pkg, recv, name string }
-
-var moduleSinks = map[sinkKey]bool{
-	{"internal/sim", "Proc", "Sleep"}:            true,
-	{"internal/sim", "Proc", "Wait"}:             true,
-	{"internal/sim", "Proc", "WaitAny"}:          true,
-	{"internal/sim", "Env", "Go"}:                true,
-	{"internal/sim", "Env", "After"}:             true,
-	{"internal/trace", "Tracer", "Start"}:        true,
-	{"internal/trace", "Tracer", "StartSpan"}:    true,
-	{"internal/trace", "Tracer", "Instant"}:      true,
-	{"internal/trace", "Tracer", "Mark"}:         true,
-	{"internal/trace", "Span", "Close"}:          true,
-	{"internal/metrics", "Gauge", "Add"}:         true,
-	{"internal/metrics", "Gauge", "Set"}:         true,
-	{"internal/metrics", "Histogram", "Observe"}: true,
-}
-
-// fmtSinks are the stdlib printing functions that emit in call order.
-var fmtSinks = stringSet(
-	"Print", "Printf", "Println", "Fprint", "Fprintf", "Fprintln",
+// orderSinks are rule 2's callees: module methods as
+// "<package>.<receiver>.<method>", and fmt's printing functions.
+var orderSinks = stringSet(
+	"internal/sim.Proc.Sleep", "internal/sim.Proc.Wait", "internal/sim.Proc.WaitAny",
+	"internal/sim.Env.Go", "internal/sim.Env.After",
+	"internal/trace.Tracer.Start", "internal/trace.Tracer.StartSpan",
+	"internal/trace.Tracer.Instant", "internal/trace.Tracer.Mark", "internal/trace.Span.Close",
+	"internal/metrics.Gauge.Add", "internal/metrics.Gauge.Set", "internal/metrics.Histogram.Observe",
+	"fmt.Print", "fmt.Printf", "fmt.Println", "fmt.Fprint", "fmt.Fprintf", "fmt.Fprintln",
 )
-
-func runMapRange(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		funcBodies(f, func(_ string, body *ast.BlockStmt) {
-			checkMapRange(pass, body)
-		})
-	}
-}
 
 // isMapRange reports whether rs ranges over a map.
 func isMapRange(info *types.Info, rs *ast.RangeStmt) bool {
-	tv, ok := info.Types[rs.X]
-	if !ok || tv.Type == nil {
+	t := info.TypeOf(rs.X)
+	if t == nil {
 		return false
 	}
-	_, isMap := tv.Type.Underlying().(*types.Map)
-	return isMap
+	_, ok := t.Underlying().(*types.Map)
+	return ok
 }
 
-// isOrderSink reports whether call invokes an order-sensitive effect.
-func isOrderSink(pass *Pass, call *ast.CallExpr) (string, bool) {
+// orderSink returns the name of the order-sensitive effect call invokes,
+// or "".
+func orderSink(pass *Pass, call *ast.CallExpr) string {
 	fn := calleeFunc(pass.Pkg.Info, call)
-	if fn == nil {
-		return "", false
+	if fn == nil || fn.Pkg() == nil {
+		return ""
 	}
-	if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" && fmtSinks[fn.Name()] && receiverNamed(fn) == nil {
-		return "fmt." + fn.Name(), true
+	name, recv := fn.Name(), receiverNamed(fn)
+	if recv != nil {
+		name = recv.Obj().Name() + "." + name
 	}
-	recv := receiverNamed(fn)
-	if recv == nil || recv.Obj().Pkg() == nil {
-		return "", false
+	switch key := relPath(pass.Module, fn.Pkg().Path()) + "." + name; {
+	case !orderSinks[key]:
+		return ""
+	case recv == nil:
+		return key
 	}
-	pkg := relPath(pass.Module, recv.Obj().Pkg().Path())
-	if moduleSinks[sinkKey{pkg, recv.Obj().Name(), fn.Name()}] {
-		return recv.Obj().Name() + "." + fn.Name(), true
-	}
-	return "", false
+	return name
 }
 
-// rangeVars returns the non-blank key/value variables a range binds.
-func rangeVars(info *types.Info, rs *ast.RangeStmt) []*types.Var {
-	var vars []*types.Var
-	for _, e := range []ast.Expr{rs.Key, rs.Value} {
-		id, ok := e.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		obj := info.Defs[id]
-		if obj == nil {
-			obj = info.Uses[id]
-		}
-		if v, ok := obj.(*types.Var); ok {
-			vars = append(vars, v)
-		}
-	}
-	return vars
-}
-
-// lvaluePath renders an assignable expression as a canonical dotted path
-// ("out", "rep.Components"), or "" for non-canonical targets — index
-// expressions, dereferences, calls — which rule 3 exempts.
-func lvaluePath(info *types.Info, e ast.Expr) string {
-	switch e := e.(type) {
+// lvalue renders an identifier or a chain of field selections on one as a
+// path ("out", "rep.Components") with the variable it hangs off. Index
+// expressions, dereferences and calls have no path (""), which exempts
+// them from rule 3.
+func lvalue(info *types.Info, e ast.Expr) (string, *types.Var) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		obj := info.Uses[e]
-		if obj == nil {
-			obj = info.Defs[e]
-		}
-		if _, ok := obj.(*types.Var); ok {
-			return e.Name
+		if v := varOf(info, e); v != nil {
+			return e.Name, v
 		}
 	case *ast.SelectorExpr:
-		if base := lvaluePath(info, e.X); base != "" {
-			return base + "." + e.Sel.Name
+		if base, v := lvalue(info, e.X); v != nil {
+			return base + "." + e.Sel.Name, v
 		}
-	case *ast.ParenExpr:
-		return lvaluePath(info, e.X)
 	}
-	return ""
+	return "", nil
 }
 
-// exprTainted reports whether e mentions a tainted variable (outside nested
+// mentions reports whether e refers to a variable in vars (outside nested
 // function literals).
-func exprTainted(info *types.Info, e ast.Expr, in factSet) bool {
-	tainted := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if tainted {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
+func mentions(info *types.Info, e ast.Node, vars func(*types.Var) bool) bool {
+	found := false
+	inspectShallow(e, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
-			if v, ok := info.Uses[id].(*types.Var); ok && in[varTaint{v}] {
-				tainted = true
+			if v, ok := info.Uses[id].(*types.Var); ok && vars(v) {
+				found = true
 			}
 		}
-		return true
+		return !found
 	})
-	return tainted
+	return found
 }
 
-// pathTainted reports whether e is a canonical path carrying slice taint.
-func pathTainted(info *types.Info, e ast.Expr, in factSet) bool {
-	path := lvaluePath(info, e)
-	if path == "" {
+// sortsPath reports whether st is a sort.* or slices.Sort* call with path
+// among its arguments.
+func sortsPath(info *types.Info, st ast.Stmt, path string) bool {
+	var call *ast.CallExpr
+	if es, ok := st.(*ast.ExprStmt); ok {
+		call, _ = es.X.(*ast.CallExpr)
+	}
+	if call == nil || !isSortCall(info, call) {
 		return false
 	}
-	for f := range in {
-		if st, ok := f.(sliceTaint); ok && st.path == path {
-			return true
-		}
-	}
-	return false
-}
-
-// killSlicePath removes all slice-taint facts for path (clone-on-write).
-func killSlicePath(in factSet, path string) factSet {
-	out := in
-	copied := false
-	for f := range in {
-		if st, ok := f.(sliceTaint); ok && st.path == path {
-			if !copied {
-				out = in.clone()
-				copied = true
+	found := false
+	for _, arg := range call.Args {
+		ast.Inspect(arg, func(n ast.Node) bool {
+			if e, ok := n.(ast.Expr); ok {
+				p, _ := lvalue(info, e)
+				found = found || p == path
 			}
-			delete(out, f)
-		}
+			return !found
+		})
 	}
-	return out
+	return found
 }
 
 // isSortCall reports whether call is a sort.* or slices.Sort* invocation.
@@ -208,224 +136,114 @@ func isSortCall(info *types.Info, call *ast.CallExpr) bool {
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
-	switch fn.Pkg().Path() {
-	case "sort":
-		return true
-	case "slices":
-		return strings.HasPrefix(fn.Name(), "Sort")
-	}
-	return false
+	path := fn.Pkg().Path()
+	return path == "sort" || path == "slices" && strings.HasPrefix(fn.Name(), "Sort")
 }
 
 func checkMapRange(pass *Pass, body *ast.BlockStmt) {
 	info := pass.Pkg.Info
-	g := buildCFG(body, info)
 
-	// Rules 1 and 2: structural checks per map range. Function literals are
-	// skipped — funcBodies analyzes each as its own function.
-	reported := make(map[token.Pos]bool)
-	inspectShallowStmts(body, func(n ast.Node) bool {
+	// Rules 1 and 2: structural checks per map range. A sink call inside
+	// nested map ranges is reported once.
+	continued := make(map[ast.Node]bool)
+	jumps(body, func(br *ast.BranchStmt, to ast.Node) {
+		continued[to] = continued[to] || br.Tok == token.CONTINUE
+	})
+	sinks := make(map[token.Pos]bool)
+	inspectShallow(body, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
 		if !ok || !isMapRange(info, rs) {
 			return true
 		}
-		ri := g.ranges[rs]
-		vars := rangeVars(info, rs)
-		if ri != nil && !ri.backEdge && len(vars) > 0 && usesAny(info, rs.Body, vars) {
-			if !reported[rs.For] {
-				reported[rs.For] = true
-				pass.Report(rs.For,
-					"map range executes its body at most once, consuming an arbitrary element of a randomized iteration order; pick deterministically (e.g. the smallest key) or annotate //pcsi:allow maporder")
-			}
+		_, key := lvalue(info, rs.Key)
+		_, value := lvalue(info, rs.Value)
+		bound := func(v *types.Var) bool { return v == key || v == value }
+		if endsAbruptly(info, rs.Body.List) && !continued[rs] && mentions(info, rs.Body, bound) {
+			pass.Report(rs.For,
+				"map range executes its body at most once, consuming an arbitrary element of a randomized iteration order; pick deterministically (e.g. the smallest key) or annotate //pcsi:allow maporder")
 		}
-		inspectShallowStmts(rs.Body, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if name, ok := isOrderSink(pass, call); ok && !reported[call.Pos()] {
-				reported[call.Pos()] = true
-				pass.Report(call.Pos(),
-					"%s inside a map range emits effects in randomized map-iteration order; iterate a sorted key slice instead, or annotate //pcsi:allow maporder", name)
+		inspectShallow(rs.Body, func(m ast.Node) bool {
+			if call, ok := m.(*ast.CallExpr); ok && !sinks[call.Pos()] {
+				if name := orderSink(pass, call); name != "" {
+					sinks[call.Pos()] = true
+					pass.Report(call.Pos(),
+						"%s inside a map range emits effects in randomized map-iteration order; iterate a sorted key slice instead, or annotate //pcsi:allow maporder", name)
+				}
 			}
 			return true
 		})
 		return true
 	})
 
-	// Rule 3: dataflow — unsorted map-derived accumulation reaching a return.
-	tf := func(n ast.Node, in factSet) factSet {
-		out := in
-		// Sorting a path discharges its taint wherever the call appears.
-		inspectShallow(n, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok || !isSortCall(info, call) {
-				return true
+	// Rule 3: close taint over the function's assignments. sites holds
+	// each path's tainted appends, and the copies of a tainted path into
+	// it; roots the variable each path hangs off.
+	tainted := make(map[*types.Var]bool)
+	sites := make(map[string][]token.Pos)
+	roots := make(map[string]*types.Var)
+	sorted := func(path string) func(ast.Stmt) bool {
+		return func(st ast.Stmt) bool { return sortsPath(info, st, path) }
+	}
+	// unsortedAt reports whether e is a path some site before x leaves
+	// unsorted at x.
+	unsortedAt := func(e ast.Expr, x token.Pos) bool {
+		path, _ := lvalue(info, e)
+		return slices.ContainsFunc(sites[path], func(a token.Pos) bool { return a < x && !covered(body, a, x, sorted(path)) })
+	}
+	changed := true
+	taint := func(e ast.Expr) {
+		if id, ok := e.(*ast.Ident); ok {
+			if v := varOf(info, id); v != nil && !tainted[v] {
+				tainted[v], changed = true, true
 			}
-			for _, arg := range call.Args {
-				ast.Inspect(arg, func(a ast.Node) bool {
-					if e, ok := a.(ast.Expr); ok {
-						if path := lvaluePath(info, e); path != "" {
-							out = killSlicePath(out, path)
+		}
+	}
+	addSite := func(lhs ast.Expr, a token.Pos) {
+		if path, root := lvalue(info, lhs); root != nil && !slices.Contains(sites[path], a) {
+			sites[path] = append(sites[path], a)
+			roots[path], changed = root, true
+		}
+	}
+	isTainted := func(v *types.Var) bool { return tainted[v] }
+	for changed {
+		changed = false
+		inspectShallow(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.RangeStmt:
+				if isMapRange(info, n) || mentions(info, n.X, isTainted) || unsortedAt(n.X, n.Pos()) {
+					taint(n.Key)
+					taint(n.Value)
+				}
+			case *ast.AssignStmt:
+				for i := 0; len(n.Lhs) == len(n.Rhs) && i < len(n.Lhs); i++ {
+					lhs, rhs := n.Lhs[i], n.Rhs[i]
+					switch {
+					case builtinCall(info, rhs) == "append":
+						if mentions(info, rhs, isTainted) {
+							addSite(lhs, ast.Unparen(rhs).Pos())
 						}
+					case unsortedAt(rhs, n.Pos()):
+						addSite(lhs, rhs.Pos())
+						taint(lhs)
+					case mentions(info, rhs, isTainted):
+						taint(lhs)
 					}
-					return true
-				})
+				}
 			}
 			return true
 		})
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			// Header: ranging a map — or an already-tainted slice — taints
-			// the key/value bindings.
-			if isMapRange(info, n) || exprTainted(info, n.X, out) || pathTainted(info, n.X, out) {
-				for _, v := range rangeVars(info, n) {
-					out = out.clone()
-					out[varTaint{v}] = true
-				}
-			}
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
+	}
+
+	// Report each path once, at its first site that an exit leaves
+	// unsorted. Run sorts what is reported.
+	for path, as := range sites {
+		slices.Sort(as)
+		for _, a := range as {
+			if len(unmet(info, body, roots[path], a, false, sorted(path))) > 0 {
+				pass.Report(a,
+					"%s accumulates values from a map range (iteration order is randomized per run) and reaches a return unsorted; sort it before use (append-then-sort) or annotate //pcsi:allow maporder", path)
 				break
 			}
-			for i, lhs := range n.Lhs {
-				rhs := n.Rhs[i]
-				path := lvaluePath(info, lhs)
-				tainted := exprTainted(info, rhs, out) || pathTainted(info, rhs, out)
-				if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isAppendCall(info, call) {
-					if path == "" {
-						continue // keyed/indexed store: exempt
-					}
-					if tainted {
-						if !hasSlicePath(out, path) {
-							out = out.clone()
-							out[sliceTaint{path: path, pos: call.Pos()}] = true
-						}
-					}
-					continue // untainted append leaves existing taint as is
-				}
-				if path != "" && !tainted {
-					out = killSlicePath(out, path)
-				}
-				if id, ok := lhs.(*ast.Ident); ok {
-					obj := info.Defs[id]
-					if obj == nil {
-						obj = info.Uses[id]
-					}
-					if v, ok := obj.(*types.Var); ok {
-						out = out.clone()
-						if tainted {
-							out[varTaint{v}] = true
-						} else {
-							delete(out, varTaint{v})
-						}
-						// A tainted slice flowing into a fresh name stays
-						// tainted under the new path.
-						if pathTainted(info, rhs, out) && path != "" && !hasSlicePath(out, path) {
-							out[sliceTaint{path: path, pos: rhs.Pos()}] = true
-						}
-					}
-				}
-			}
-		}
-		return out
-	}
-
-	in := forwardDataflow(g, tf)
-	leaks := make(map[sliceTaint]bool)
-	collect := func(facts factSet) {
-		for f := range facts {
-			if st, ok := f.(sliceTaint); ok {
-				leaks[st] = true
-			}
 		}
 	}
-	replay(g, in, tf, func(n ast.Node, before factSet) {
-		if _, ok := n.(*ast.ReturnStmt); ok {
-			collect(before)
-		}
-	})
-	if final := finalFacts(g, in, tf); final != nil {
-		collect(final)
-	}
-
-	var sorted []sliceTaint
-	for st := range leaks {
-		sorted = append(sorted, st)
-	}
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].pos != sorted[j].pos {
-			return sorted[i].pos < sorted[j].pos
-		}
-		return sorted[i].path < sorted[j].path
-	})
-	// Report each accumulation once, at its first append, keeping only the
-	// earliest fact per path.
-	seenPath := make(map[string]bool)
-	for _, st := range sorted {
-		if seenPath[st.path] {
-			continue
-		}
-		seenPath[st.path] = true
-		pass.Report(st.pos,
-			"%s accumulates values from a map range (iteration order is randomized per run) and reaches a return unsorted; sort it before use (append-then-sort) or annotate //pcsi:allow maporder", st.path)
-	}
-}
-
-// hasSlicePath reports whether facts already track path.
-func hasSlicePath(in factSet, path string) bool {
-	for f := range in {
-		if st, ok := f.(sliceTaint); ok && st.path == path {
-			return true
-		}
-	}
-	return false
-}
-
-// isAppendCall reports whether call is the append builtin.
-func isAppendCall(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	bi, ok := info.Uses[id].(*types.Builtin)
-	return ok && bi.Name() == "append"
-}
-
-// usesAny reports whether body mentions any of vars outside nested function
-// literals.
-func usesAny(info *types.Info, body ast.Node, vars []*types.Var) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			obj := info.Uses[id]
-			for _, v := range vars {
-				if obj == v {
-					found = true
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// inspectShallowStmts walks a statement subtree skipping nested function
-// literal bodies (they execute later, under their own analysis).
-func inspectShallowStmts(root ast.Node, f func(ast.Node) bool) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		return f(n)
-	})
 }

@@ -46,7 +46,6 @@ import (
 var reachExempt = map[string]string{
 	"internal/posix":                  "ROADMAP item 8(c) decides it: the POSIX matrix's reference model, or deleted",
 	"internal/consistency.History":    "ROADMAP item 8(a) decides it, with the HistOp and OpKind it holds: the one history checker, or deleted",
-	"internal/sim.IdleWorkers":        "tier-1's goroutine-leak checks (runNoLeak in internal/experiments) subtract it",
 	"internal/core.Client.Mutability": "TestVerbTable drives it as the pipeline's one bare linearizable probe row (no admission, fault op or retry)",
 	// faasfs's commit is checked against a model by property tests that
 	// drive the whole POSIX surface of a Session, not only what E15 runs.
@@ -310,14 +309,7 @@ func TestEveryDeclarationReachable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-repo type check is not short")
 	}
-	l, err := NewLoader(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("NewLoader(repo root): %v", err)
-	}
-	pkgs, err := l.Load("./...")
-	if err != nil {
-		t.Fatalf("Load repo: %v", err)
-	}
+	l, pkgs := repoModule.load(t, filepath.Join("..", ".."))
 	for _, p := range pkgs {
 		if len(p.TypeErrors) > 0 {
 			t.Fatalf("%s: %v", p.Path, p.TypeErrors[0])
@@ -334,10 +326,7 @@ func TestEveryDeclarationReachable(t *testing.T) {
 // does not implement it, and one planted dead function: it must report
 // exactly the mismatched method and the planted function.
 func TestReachabilityFixture(t *testing.T) {
-	l, err := NewLoader(filepath.Join("testdata", "fixture"))
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	l, _ := fixtureModule.load(t, filepath.Join("testdata", "fixture"))
 	pkgs, err := l.Load("./reach")
 	if err != nil {
 		t.Fatalf("Load: %v", err)

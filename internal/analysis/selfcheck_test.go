@@ -16,16 +16,9 @@ func TestRepoInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-repo type check is not short")
 	}
-	l, err := NewLoader(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("NewLoader(repo root): %v", err)
-	}
+	l, pkgs := repoModule.load(t, filepath.Join("..", ".."))
 	if l.Module != "repro" {
 		t.Fatalf("loaded module %q; test must run from internal/analysis", l.Module)
-	}
-	pkgs, err := l.Load("./...")
-	if err != nil {
-		t.Fatalf("Load repo: %v", err)
 	}
 	if len(pkgs) < 20 {
 		t.Fatalf("only %d packages loaded; repo walk looks broken", len(pkgs))
@@ -39,26 +32,21 @@ func TestRepoInvariants(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRegistry pins the analyzer roster: all eight checks
-// present, with unique names, unique suppression keywords, kinds, docs,
-// and Run hooks — so a registry edit cannot silently drop a check from
-// pcsi-vet, the CI gate, and TestRepoInvariants at once.
+// TestAnalyzerRegistry pins the analyzer roster: all seven checks
+// present, with unique names, unique suppression keywords, docs, and Run
+// hooks — so a registry edit cannot silently drop a check from pcsi-vet,
+// the CI gate, and TestRepoInvariants at once.
 func TestAnalyzerRegistry(t *testing.T) {
 	all := All()
-	want := []struct{ name, kind string }{
-		{"simtime", "syntactic"}, {"detrand", "syntactic"},
-		{"layering", "syntactic"}, {"capdiscipline", "syntactic"},
-		{"maprange", "dataflow"}, {"obsrand", "syntactic"},
-		{"errclass", "syntactic"}, {"spanbalance", "dataflow"},
-	}
+	want := []string{"simtime", "detrand", "layering", "capdiscipline", "maprange", "errclass", "spanbalance"}
 	if len(all) != len(want) {
 		t.Fatalf("All() has %d analyzers, want %d", len(all), len(want))
 	}
 	names := make(map[string]bool)
 	directives := make(map[string]bool)
 	for i, a := range all {
-		if a.Name != want[i].name || a.Kind != want[i].kind {
-			t.Errorf("All()[%d] = %s (%s), want %s (%s)", i, a.Name, a.Kind, want[i].name, want[i].kind)
+		if a.Name != want[i] {
+			t.Errorf("All()[%d] = %s, want %s", i, a.Name, want[i])
 		}
 		if names[a.Name] || directives[a.Directive] {
 			t.Errorf("duplicate analyzer name/directive %q/%q", a.Name, a.Directive)

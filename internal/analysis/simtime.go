@@ -8,17 +8,9 @@ import (
 // wallClockFuncs are the package time functions that read or wait on the
 // machine clock. Durations, formatting, and construction (time.Duration,
 // time.Unix, ...) are fine everywhere — only clock access is domain-bound.
-var wallClockFuncs = map[string]bool{
-	"Now":       true,
-	"Sleep":     true,
-	"Since":     true,
-	"Until":     true,
-	"After":     true,
-	"AfterFunc": true,
-	"Tick":      true,
-	"NewTimer":  true,
-	"NewTicker": true,
-}
+var wallClockFuncs = stringSet(
+	"Now", "Sleep", "Since", "Until", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker",
+)
 
 // SimTime forbids wall-clock access in simulation-domain code. DESIGN.md §5:
 // all cloud-side latencies advance the deterministic sim.Env clock, so a
@@ -27,7 +19,6 @@ var wallClockFuncs = map[string]bool{
 // //pcsi:allow wallclock.
 var SimTime = &Analyzer{
 	Name:      "simtime",
-	Kind:      "syntactic",
 	Directive: "wallclock",
 	Doc:       "forbid wall-clock time.Now/Sleep/... outside annotated real-measurement code",
 	Run:       runSimTime,

@@ -4,242 +4,123 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
-// SpanBalance is the CFG path check for trace spans: every span a function
-// opens with Tracer.Start/StartSpan must be closed (directly or via defer)
-// on every return and explicit-panic path. A span left open corrupts the
-// critical-path analysis silently — the Collector closes leaked spans at
-// the environment's final time, stretching them to the end of the run.
-//
-// The check is intraprocedural and tracks only spans held in locals whose
-// every use is a method receiver (sp.Close(p), sp.Annotate(...)). A span
-// that escapes — returned, passed as an argument, stored in a field — is
-// the consumer's responsibility and is not tracked; helpers that hand spans
-// to their callers (e.g. core.Client's op helper) opt out by construction.
-// A Close inside any function literal (deferred or not) counts as closing.
+// SpanBalance requires a trace span a function opens with
+// Tracer.Start/StartSpan to be closed on every way out — each return,
+// explicit panic, branch out of the span variable's scope, and the scope's
+// end — by a Close directly in a block enclosing it (exits.go), or by a
+// deferred Close. A leaked span silently stretches to the end of the run
+// and corrupts the critical-path analysis. Only spans held in locals whose
+// every use is a method receiver, an assignment target or a nil comparison
+// are tracked: a span returned, passed on or stored is its consumer's to
+// close.
 var SpanBalance = &Analyzer{
 	Name:      "spanbalance",
-	Kind:      "dataflow",
 	Directive: "spanleak",
 	Doc:       "require every trace span Start to be Closed on all return and panic paths",
-	Run:       runSpanBalance,
+	Run:       eachBody(checkSpanBalance),
 }
 
-// spanFact marks variable v as holding a span opened at pos and not yet
-// closed on some path reaching the current point.
-type spanFact struct {
-	v   *types.Var
-	pos token.Pos
-}
-
-func runSpanBalance(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		funcBodies(f, func(_ string, body *ast.BlockStmt) {
-			checkSpanBalance(pass, body)
-		})
+// isSpanStart reports whether e is a call opening a trace span.
+func isSpanStart(pass *Pass, e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
 	}
-}
-
-// isSpanStart reports whether call opens a trace span.
-func isSpanStart(pass *Pass, call *ast.CallExpr) bool {
 	fn := calleeFunc(pass.Pkg.Info, call)
 	return isModuleMethod(pass, fn, "internal/trace", "Tracer", "Start") ||
 		isModuleMethod(pass, fn, "internal/trace", "Tracer", "StartSpan")
 }
 
-// isSpanClose reports whether call closes a trace span on an identifier
-// receiver, returning the receiver's object.
-func isSpanClose(pass *Pass, call *ast.CallExpr) types.Object {
-	fn := calleeFunc(pass.Pkg.Info, call)
-	if !isModuleMethod(pass, fn, "internal/trace", "Span", "Close") {
+// closedVar returns the variable whose span n closes, when n is a Close
+// call on an identifier, or nil.
+func closedVar(pass *Pass, n ast.Node) *types.Var {
+	call, ok := n.(*ast.CallExpr)
+	if !ok || !isModuleMethod(pass, calleeFunc(pass.Pkg.Info, call), "internal/trace", "Span", "Close") {
 		return nil
 	}
-	sel := call.Fun.(*ast.SelectorExpr)
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	return pass.Pkg.Info.Uses[id]
+	id, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr).X.(*ast.Ident)
+	return varOf(pass.Pkg.Info, id)
 }
+
+const discarded = "trace span is started and immediately discarded; bind it and Close it on every path, or annotate //pcsi:allow spanleak"
 
 func checkSpanBalance(pass *Pass, body *ast.BlockStmt) {
 	info := pass.Pkg.Info
 
-	// Report discarded span results: a Start whose span is never bound
-	// cannot be closed at all. (Function literals are skipped — they are
-	// checked as their own functions.)
-	inspectShallow(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ExprStmt:
-			if call, ok := n.X.(*ast.CallExpr); ok && isSpanStart(pass, call) {
-				pass.Report(call.Pos(), "trace span is started and immediately discarded; bind it and Close it on every path, or annotate //pcsi:allow spanleak")
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name != "_" || i >= len(n.Rhs) {
-					continue
-				}
-				if call, ok := n.Rhs[i].(*ast.CallExpr); ok && isSpanStart(pass, call) {
-					pass.Report(call.Pos(), "trace span is started and immediately discarded; bind it and Close it on every path, or annotate //pcsi:allow spanleak")
-				}
-			}
-		}
-		return true
-	})
-
-	// Escape analysis: a candidate span variable is tracked only while its
-	// every use is a method receiver or an assignment target. Any other use
+	// A span variable is tracked only while its every use is a method
+	// receiver, an assignment target or a nil comparison. Any other use
 	// (argument, return value, field store, composite literal) hands the
-	// close obligation to someone else.
-	recvUse := make(map[*ast.Ident]bool)
-	lhsUse := make(map[*ast.Ident]bool)
+	// close obligation to someone else. Each Start bound to a tracked
+	// local is one obligation, unless a Close of that local is deferred.
+	kept := make(map[ast.Expr]bool)
+	untracked := make(map[*types.Var]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			if id, ok := n.X.(*ast.Ident); ok {
-				recvUse[id] = true
-			}
+			kept[n.X] = true
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					lhsUse[id] = true
-				}
+				kept[lhs] = true
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				kept[n.X] = kept[n.X] || info.Types[n.Y].IsNil()
+				kept[n.Y] = kept[n.Y] || info.Types[n.X].IsNil()
+			}
+		case *ast.DeferStmt:
+			ast.Inspect(n, func(m ast.Node) bool {
+				untracked[closedVar(pass, m)] = true
+				return true
+			})
+		case *ast.Ident:
+			if v, ok := info.Uses[n].(*types.Var); ok && !kept[n] {
+				untracked[v] = true
 			}
 		}
 		return true
 	})
-	escaped := make(map[types.Object]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || recvUse[id] || lhsUse[id] {
-			return true
-		}
-		if obj := info.Uses[id]; obj != nil {
-			escaped[obj] = true
-		}
-		return true
-	})
-
-	// spanVar resolves an assignment target to a trackable span variable.
-	spanVar := func(lhs ast.Expr) *types.Var {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return nil
-		}
-		obj := info.Defs[id]
-		if obj == nil {
-			obj = info.Uses[id]
-		}
-		v, ok := obj.(*types.Var)
-		if !ok || escaped[v] {
-			return nil
-		}
-		return v
-	}
-
-	killVar := func(facts factSet, obj types.Object) factSet {
-		out := facts
-		copied := false
-		for f := range facts {
-			if sf, ok := f.(spanFact); ok && sf.v == obj {
-				if !copied {
-					out = facts.clone()
-					copied = true
-				}
-				delete(out, f)
-			}
-		}
-		return out
-	}
-
-	tf := func(n ast.Node, in factSet) factSet {
-		out := in
-		// Kills: any sp.Close(...) within the node, including inside defer
-		// statements and function literals (a closure that closes the span
-		// discharges the obligation on whichever path runs it).
-		ast.Inspect(n, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok {
-				if obj := isSpanClose(pass, call); obj != nil {
-					out = killVar(out, obj)
-				}
-			}
-			return true
-		})
-		// Gens: binding a fresh span to a tracked local.
+	inspectShallow(body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				if i >= len(n.Rhs) {
-					break
-				}
-				call, ok := n.Rhs[i].(*ast.CallExpr)
-				if !ok || !isSpanStart(pass, call) {
-					continue
-				}
-				if v := spanVar(lhs); v != nil {
-					out = killVar(out, v)
-					out = out.clone()
-					out[spanFact{v: v, pos: call.Pos()}] = true
-				}
-			}
-		case *ast.DeclStmt:
-			if gd, ok := n.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					for i, name := range vs.Names {
-						if i >= len(vs.Values) {
-							break
-						}
-						call, ok := vs.Values[i].(*ast.CallExpr)
-						if !ok || !isSpanStart(pass, call) {
-							continue
-						}
-						if v := spanVar(name); v != nil {
-							out = killVar(out, v)
-							out = out.clone()
-							out[spanFact{v: v, pos: call.Pos()}] = true
-						}
-					}
-				}
-			}
-		}
-		return out
-	}
-
-	g := buildCFG(body, info)
-	in := forwardDataflow(g, tf)
-
-	reportOpen := func(pos token.Pos, facts factSet, where string) {
-		var open []spanFact
-		for f := range facts {
-			if sf, ok := f.(spanFact); ok {
-				open = append(open, sf)
-			}
-		}
-		sort.Slice(open, func(i, j int) bool { return open[i].pos < open[j].pos })
-		for _, sf := range open {
-			pass.Report(pos, "trace span %s opened at line %d may still be open on this %s; Close it (or defer its Close) on every path, or annotate //pcsi:allow spanleak",
-				sf.v.Name(), pass.Fset.Position(sf.pos).Line, where)
-		}
-	}
-
-	replay(g, in, tf, func(n ast.Node, before factSet) {
-		switch n := n.(type) {
-		case *ast.ReturnStmt:
-			reportOpen(n.Pos(), before, "return path")
 		case *ast.ExprStmt:
-			if isPanicCall(info, n.X) {
-				reportOpen(n.Pos(), before, "panic path")
+			if isSpanStart(pass, n.X) {
+				pass.Report(n.X.Pos(), discarded)
+			}
+		case *ast.AssignStmt:
+			for i := 0; len(n.Lhs) == len(n.Rhs) && i < len(n.Lhs); i++ {
+				checkSpanBinding(pass, body, n.Lhs[i], n.Rhs[i], untracked)
+			}
+		case *ast.ValueSpec:
+			for i := range n.Values {
+				checkSpanBinding(pass, body, n.Names[i], n.Values[i], untracked)
 			}
 		}
+		return true
 	})
-	if final := finalFacts(g, in, tf); len(final) > 0 {
-		reportOpen(body.Rbrace, final, "fall-off-the-end path")
+}
+
+// checkSpanBinding reports the exits that leave a span bound by lhs = rhs
+// open.
+func checkSpanBinding(pass *Pass, body *ast.BlockStmt, lhs, rhs ast.Expr, untracked map[*types.Var]bool) {
+	id, _ := lhs.(*ast.Ident)
+	if id == nil || !isSpanStart(pass, rhs) {
+		return
+	}
+	if id.Name == "_" {
+		pass.Report(rhs.Pos(), discarded)
+		return
+	}
+	v := varOf(pass.Pkg.Info, id)
+	if v == nil || untracked[v] {
+		return
+	}
+	closed := func(st ast.Stmt) bool {
+		es, ok := st.(*ast.ExprStmt)
+		return ok && closedVar(pass, es.X) == v
+	}
+	for _, x := range unmet(pass.Pkg.Info, body, v, rhs.Pos(), true, closed) {
+		pass.Report(x.pos, "trace span %s opened at line %d may still be open on this %s; Close it (or defer its Close) on every path, or annotate //pcsi:allow spanleak",
+			v.Name(), pass.Fset.Position(rhs.Pos()).Line, x.what)
 	}
 }

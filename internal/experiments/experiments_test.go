@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // Every experiment must run green: the shape checks ARE the reproduction
@@ -204,29 +202,53 @@ func checkGolden(t *testing.T, id, got string) {
 	}
 }
 
-// runNoLeak runs e at seed 1 and requires the goroutine count to return to
-// where it was: an environment left parked by RunUntil and never closed
-// keeps a goroutine, and a pooled worker, per parked process. Idle pooled
-// workers are suspended goroutines too, so they are not counted.
+// runNoLeak runs e at seed 1 and requires it to leave no goroutine
+// behind: an environment left parked by RunUntil and never closed keeps a
+// goroutine, and a pooled worker, per parked process. It compares the
+// goroutine IDs of one stack dump taken before the run with one taken
+// after, so a goroutine that exits meanwhile cannot cancel one that
+// leaked. Workers idle in the sim pool are suspended goroutines the next
+// run reuses, and a goroutine in runtime.goexit1 has already returned;
+// neither is a leak.
 func runNoLeak(t *testing.T, e Experiment) *Report {
 	t.Helper()
-	live := func() int { return runtime.NumGoroutine() - sim.IdleWorkers() - exiting() }
-	before := live()
+	before := goroutines()
 	rep := e.Run(1)
-	if after := live(); after != before {
-		t.Errorf("%s left %d goroutines behind (%d before, %d after)", e.ID, after-before, before, after)
+	for id, stack := range goroutines() {
+		if _, ok := before[id]; !ok && !idleWorker(stack) && !strings.Contains(stack, "\nruntime.goexit1(") {
+			t.Errorf("%s left goroutine %s behind:\n%s", e.ID, id, stack)
+		}
 	}
 	return rep
 }
 
-// exiting counts goroutines that have returned and only wait to be torn
-// down (runtime.goexit1 on top of the stack). A test's goroutine signals
-// that it is done before it exits, so on a loaded machine one can still be
-// among these on either side of the run. A goroutine the run leaves behind
-// is parked, never in goexit1, so not counting these hides no leak.
-func exiting() int {
+// goroutines maps the ID of every goroutine to its stack, from one
+// runtime.Stack snapshot.
+func goroutines() map[string]string {
 	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "]:\nruntime.goexit1(")
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	m := make(map[string]string)
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if rest, ok := strings.CutPrefix(g, "goroutine "); ok {
+			id, _, _ := strings.Cut(rest, " ")
+			m[id] = g
+		}
+	}
+	return m
+}
+
+// idleWorker reports whether stack is a sim pool worker waiting for a
+// process: it is in the worker loop, and runs no process body.
+func idleWorker(stack string) bool {
+	return strings.Contains(stack, "repro/internal/sim.(*worker).loop(") &&
+		!strings.Contains(stack, "repro/internal/sim.(*Proc).main(")
 }
 
 func line(lines []string, i int) string {
@@ -270,6 +292,10 @@ func TestE12Variants(t *testing.T)     { runAndCheck(t, "E12", 0) }
 func TestE13Overload(t *testing.T)     { runAndCheck(t, "E13", 0) }
 func TestE14Cache(t *testing.T)        { runAndCheck(t, "E14", 0) }
 func TestE15FaaSFS(t *testing.T)       { runAndCheck(t, "E15", 0) }
+
+// simulated returns every experiment but E1, whose rows are measured on
+// the host clock.
+func simulated() []Experiment { return All()[1:] }
 
 func render(r *Report) string {
 	var b strings.Builder

@@ -213,12 +213,13 @@ func (e *Env) After(d Duration, fn func()) { e.schedule(e.now.Add(d), fn) }
 
 // Proc is the handle a process uses to interact with virtual time.
 type Proc struct {
-	env  *Env
-	name string
-	fn   func(p *Proc) // the process body, run by main on first dispatch
-	w    *worker       // the coroutine running the body; nil before start
-	dead bool
-	span any // current-span context, maintained by instrumentation
+	env     *Env
+	name    string
+	fn      func(p *Proc) // the process body, run by main on first dispatch
+	w       *worker       // the coroutine running the body; nil before start
+	dead    bool
+	aborted bool // Close unwound the body: it did not return
+	span    any  // current-span context, maintained by instrumentation
 
 	// Intrusive links in the environment's parked list; nil when running.
 	parkedPrev *Proc
@@ -240,6 +241,10 @@ func (p *Proc) SpanCtx() any { return p.span }
 
 // SetSpanCtx replaces the process's current-span context.
 func (p *Proc) SetSpanCtx(v any) { p.span = v }
+
+// Returned reports whether the process body has returned, as opposed to
+// still running or parked, or having been aborted by Close.
+func (p *Proc) Returned() bool { return p.dead && !p.aborted }
 
 // Go spawns a process. The function starts at the current virtual time but
 // is dispatched through the event queue, so a caller inside another process
@@ -273,6 +278,7 @@ func (p *Proc) exit() {
 		if r != ErrAborted {
 			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 		}
+		p.aborted = true
 	}
 }
 

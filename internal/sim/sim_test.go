@@ -531,14 +531,39 @@ func TestCloseAbortsWhatRunUntilLeft(t *testing.T) {
 	if e.LiveProcs() != 3 {
 		t.Fatalf("LiveProcs = %d after RunUntil, want 3", e.LiveProcs())
 	}
-	idle := IdleWorkers()
+	idle := idleWorkers()
 	e.Close()
 	if e.LiveProcs() != 0 {
 		t.Errorf("LiveProcs = %d after Close, want 0", e.LiveProcs())
 	}
-	if got := IdleWorkers(); got != idle+3 {
-		t.Errorf("IdleWorkers = %d after Close, want %d: an aborted process kept its worker", got, idle+3)
+	if got := idleWorkers(); got != idle+3 {
+		t.Errorf("%d idle workers after Close, want %d: an aborted process kept its worker", got, idle+3)
 	}
+}
+
+// Returned tells a body that returned from one Close aborted, and from
+// one still parked.
+func TestReturnedTellsReturnFromAbort(t *testing.T) {
+	e := NewEnv(1)
+	never := e.NewEvent()
+	var done, stuck *Proc
+	e.Go("done", func(p *Proc) { done = p })
+	e.Go("stuck", func(p *Proc) { stuck = p; p.Wait(never) }) //nolint:errcheck
+	e.RunUntil(10)
+	if !done.Returned() || stuck.Returned() {
+		t.Fatalf("after RunUntil: done.Returned = %v, stuck.Returned = %v; want true, false", done.Returned(), stuck.Returned())
+	}
+	e.Close()
+	if stuck.Returned() {
+		t.Error("a process aborted by Close reports that it returned")
+	}
+}
+
+// idleWorkers reports how many workers are on the free list.
+func idleWorkers() int {
+	workers.Lock()
+	defer workers.Unlock()
+	return len(workers.free)
 }
 
 // pooled reports whether w is on the free list.

@@ -51,15 +51,6 @@ func putWorker(w *worker) {
 	workers.Unlock()
 }
 
-// IdleWorkers reports how many pooled workers wait for a process. Each is a
-// suspended goroutine, so a leak check subtracts it from
-// runtime.NumGoroutine.
-func IdleWorkers() int {
-	workers.Lock()
-	defer workers.Unlock()
-	return len(workers.free)
-}
-
 // loop is the coroutine body. A panic other than ErrAborted leaves it
 // (through Proc.exit), ends the coroutine and surfaces from next.
 func (w *worker) loop(yield func(struct{}) bool) {

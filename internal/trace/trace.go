@@ -63,7 +63,8 @@ type Span struct {
 
 	seq  int // creation order within the tracer; tiebreaker everywhere
 	open bool
-	prev *Span // span context to restore on Close
+	prev *Span     // span context to restore on Close
+	proc *sim.Proc // the opening process, until Close
 }
 
 // Close ends the span at the process's current virtual time and pops it
@@ -75,6 +76,7 @@ func (s *Span) Close(p *sim.Proc) {
 	}
 	s.open = false
 	s.End = p.Now()
+	s.proc = nil
 	if cur, ok := p.SpanCtx().(*Span); ok && cur == s {
 		p.SetSpanCtx(s.prev)
 	}
@@ -140,8 +142,10 @@ func (c *Collector) Stop() {
 }
 
 // Data snapshots the collected spans as one run per tracer, in tracer
-// creation order. Spans still open (processes aborted at shutdown) are
-// closed at their environment's final virtual time.
+// creation order. Spans still open are closed at their environment's final
+// virtual time. That is legal for a process still parked or aborted at
+// shutdown; a span whose process returned without closing it is also
+// listed in Leaked.
 func (c *Collector) Data() *Data {
 	d := &Data{}
 	for _, t := range c.tracers {
@@ -152,6 +156,9 @@ func (c *Collector) Data() *Data {
 				if s.End < s.Start {
 					s.End = s.Start
 				}
+			}
+			if s.proc != nil && s.proc.Returned() {
+				d.Leaked = append(d.Leaked, s)
 			}
 		}
 		d.Runs = append(d.Runs, Run{Label: t.label, Spans: t.spans})
@@ -228,6 +235,7 @@ func (t *Tracer) StartSpan(p *sim.Proc, parent SpanID, links []SpanID, cat, name
 		Attrs:  append([]Attr(nil), attrs...),
 		seq:    len(t.spans),
 		open:   true,
+		proc:   p,
 	}
 	if cur, ok := p.SpanCtx().(*Span); ok && cur != nil {
 		if parent == 0 {
@@ -303,6 +311,8 @@ func (s *Span) SpanID() SpanID {
 // environment, in creation order.
 type Data struct {
 	Runs []Run
+	// Leaked are the spans whose process returned before closing them.
+	Leaked []*Span
 }
 
 // Run is the span set of one environment plus its display label.

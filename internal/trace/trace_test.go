@@ -107,7 +107,7 @@ func TestNestingAndTrackInheritance(t *testing.T) {
 }
 
 // TestDataClosesOpenSpans leaks a span on purpose to prove Data closes
-// still-open spans at collection time.
+// still-open spans at collection time, and reports the leak.
 //
 //pcsi:allow spanleak the leak is the behavior under test
 func TestDataClosesOpenSpans(t *testing.T) {
@@ -125,6 +125,33 @@ func TestDataClosesOpenSpans(t *testing.T) {
 	}
 	if s.End.Sub(s.Start) != time.Millisecond {
 		t.Fatalf("leaked span closed at %v after start, want 1ms (env final time)", s.End.Sub(s.Start))
+	}
+	if len(d.Leaked) != 1 || d.Leaked[0] != s {
+		t.Fatalf("Leaked = %v, want the span whose process returned", d.Leaked)
+	}
+}
+
+// A span left open by a process that Close aborted, or that closed it, is
+// not a leak.
+func TestAbortedSpanIsNoLeak(t *testing.T) {
+	d := collect(t, func(newEnv func(int64) *sim.Env) {
+		env := newEnv(1)
+		never := env.NewEvent()
+		env.Go("stuck", func(p *sim.Proc) {
+			sp := Of(env).Start(p, "cat", "aborted")
+			p.Wait(never) //nolint:errcheck
+			sp.Close(p)
+		})
+		env.Go("tidy", func(p *sim.Proc) {
+			sp := Of(env).Start(p, "cat", "closed")
+			p.Sleep(time.Millisecond)
+			sp.Close(p)
+		})
+		env.RunUntil(sim.Time(time.Second))
+		env.Close()
+	})
+	if len(d.Runs[0].Spans) != 2 || len(d.Leaked) != 0 {
+		t.Fatalf("%d spans, Leaked = %v; want 2 spans and no leak", len(d.Runs[0].Spans), d.Leaked)
 	}
 }
 
