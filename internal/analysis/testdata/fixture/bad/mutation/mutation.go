@@ -10,11 +10,12 @@ import (
 // Scribble mutates objects and the store without a rights check.
 func Scribble(st *store.Store) {
 	o := object.New()
-	o.SetData([]byte("x"))  // want: capdiscipline
-	o.Append([]byte("y"))   // want: capdiscipline
-	o.TakeData([]byte("z")) // want: capdiscipline
-	_ = o.Snapshot()        // want: capdiscipline
-	st.Insert(1, o)         // want: capdiscipline
+	o.SetData([]byte("x"))   // want: capdiscipline
+	o.Append([]byte("y"))    // want: capdiscipline
+	o.TakeData([]byte("z"))  // want: capdiscipline
+	o.ShareData([]byte("s")) // want: capdiscipline
+	_ = o.Snapshot()         // want: capdiscipline
+	st.Insert(1, o)          // want: capdiscipline
 	_ = o.Len()
 }
 

@@ -25,6 +25,9 @@ func (o *Object) SetData(b []byte) { o.data = append(o.data[:0], b...) }
 // TakeData installs b itself as the content.
 func (o *Object) TakeData(b []byte) { o.data = b }
 
+// ShareData installs b itself as the content, shared with its caller.
+func (o *Object) ShareData(b []byte) { o.data = b[:len(b):len(b)] }
+
 // Snapshot hands out the content uncopied.
 func (o *Object) Snapshot() []byte { return o.data }
 

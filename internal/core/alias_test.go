@@ -37,6 +37,7 @@ type aliasCase struct {
 	model  []byte // what the object must hold
 	frozen [][]byte
 	seen   seenShared
+	shared []byte // the one buffer put_shared puts, into every case of a seed
 }
 
 func (ac *aliasCase) fail(format string, args ...any) {
@@ -50,7 +51,8 @@ func (ac *aliasCase) settle() { ac.c.Group().SyncAll() }
 
 // write performs one write verb with a buffer it then scribbles on — except
 // after put_owned, which hands the buffer to the object, so the test never
-// touches it again; the model follows the verb's own verdict.
+// touches it again, and put_shared, which puts ac.shared itself (data is
+// unused); the model follows the verb's own verdict.
 func (ac *aliasCase) write(verb string, data []byte, off int64) error {
 	buf := append([]byte(nil), data...)
 	var err error
@@ -64,6 +66,11 @@ func (ac *aliasCase) write(verb string, data []byte, off int64) error {
 			ac.model = append([]byte(nil), data...)
 		}
 		buf = nil // handed over: never touched again
+	case "put_shared":
+		if err = ac.a.PutShared(ac.p, ac.ref, ac.shared); err == nil {
+			ac.model = append([]byte(nil), ac.shared...)
+		}
+		buf = nil // ac.shared is never written
 	case "append":
 		if err = ac.b.Append(ac.p, ac.ref, buf); err == nil {
 			ac.model = append(ac.model, data...)
@@ -149,6 +156,19 @@ func (ac *aliasCase) run(lvl object.Mutability, bindable bool, rng *rand.Rand) {
 		return
 	}
 	ac.check("put_owned", false)
+	if err := ac.write("put_shared", nil, 0); err != nil {
+		ac.fail("put_shared: %v", err)
+		return
+	}
+	ac.check("put_shared", false)
+	// An overwrite inside the shared bytes, the one write a holder could
+	// make in place.
+	off := rng.Intn(len(ac.model))
+	if err := ac.write("write_at", payload(1+rng.Intn(len(ac.model)-off)), int64(off)); err != nil {
+		ac.fail("write_at inside the shared bytes: %v", err)
+		return
+	}
+	ac.check("write_at inside the shared bytes", false)
 	if err := ac.write("append", payload(1+rng.Intn(64)), 0); err != nil {
 		ac.fail("append: %v", err)
 		return
@@ -183,6 +203,7 @@ func (ac *aliasCase) run(lvl object.Mutability, bindable bool, rng *rand.Rand) {
 	}{
 		{"put", payload(len(ac.model)), 0}, // same size: FIXED_SIZE accepts it
 		{"put_owned", payload(len(ac.model)), 0},
+		{"put_shared", nil, 0},
 		{"append", payload(1 + rng.Intn(16)), 0},
 		{"write_at", payload(1), int64(rng.Intn(len(ac.model)))},
 		{"write_at", payload(3), int64(len(ac.model))}, // at EOF: APPEND_ONLY accepts it
@@ -265,9 +286,11 @@ func (ac *aliasCase) run(lvl object.Mutability, bindable bool, rng *rand.Rand) {
 // passed to Put/Append/WriteAt and (below IMMUTABLE) slices returned by
 // Get/GetAt/ReadAt are never the object's content, and IMMUTABLE content is
 // shared as capacity-clipped views that no later operation changes. A buffer
-// handed over with PutOwned becomes the content of one object only; after
-// every step no holder below IMMUTABLE may write bytes another holder of its
-// array sees (sharedPastMark). Run it under -race: the engine's processes are
+// handed over with PutOwned becomes the content of one object only; one
+// buffer put with PutShared becomes the content of every object of a seed,
+// each then written, and stays byte-for-byte what it was. After every step
+// no holder below IMMUTABLE may write bytes another holder of its array sees
+// (sharedPastMark). Run it under -race: the engine's processes are
 // goroutines.
 func TestPayloadAliasingProperty(t *testing.T) {
 	flavours := []struct {
@@ -282,6 +305,10 @@ func TestPayloadAliasingProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := testCloud(seed)
 		a, b := c.NewClient(0), c.NewClient(1)
+		n := 1 + rng.Intn(64)
+		shared := make([]byte, n, n+64) // spare capacity no holder may append into
+		rng.Read(shared)
+		sharedWant := bytes.Clone(shared)
 		run(t, c, func(p *sim.Proc) {
 			for _, fl := range flavours {
 				for _, lvl := range object.Levels() {
@@ -290,12 +317,15 @@ func TestPayloadAliasingProperty(t *testing.T) {
 						t.Errorf("%s: create: %v", fl.name, err)
 						continue
 					}
-					ac := &aliasCase{t: t, c: c, p: p, a: a, b: b, ref: ref, seen: seenShared{},
+					ac := &aliasCase{t: t, c: c, p: p, a: a, b: b, ref: ref, seen: seenShared{}, shared: shared,
 						name: fmt.Sprintf("seed %d %s/%v", seed, fl.name, lvl)}
 					ac.run(lvl, fl.name != "ephemeral", rng)
 				}
 			}
 		})
+		if !bytes.Equal(shared, sharedWant) {
+			t.Errorf("seed %d: the buffer put with PutShared changed to %q, want %q", seed, shared, sharedWant)
+		}
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 6, Rand: rand.New(rand.NewSource(1))}); err != nil {
@@ -342,5 +372,63 @@ func TestPutOwnedRetriedUnderFaults(t *testing.T) {
 		if c.RetryAttempts == 0 {
 			t.Errorf("%v: no attempt was retried; the test exercised nothing", lvl)
 		}
+	}
+}
+
+// TestPutSharedRetriedUnderFaults puts one buffer into 40 objects through a
+// retrying client while half the attempts fail, on both replicated flavours,
+// then writes each object. However often an attempt is re-run, no holder may
+// write the shared bytes (sharedPastMark), and the buffer stays unchanged.
+func TestPutSharedRetriedUnderFaults(t *testing.T) {
+	shared := bytes.Repeat([]byte("shared "), 9)
+	for _, lvl := range []consistency.Level{consistency.Linearizable, consistency.Eventual} {
+		opts := DefaultOptions()
+		opts.Retry = &fault.Policy{MaxAttempts: 8}
+		c := New(opts)
+		a, b := c.NewClient(0), c.NewClient(1)
+		run(t, c, func(p *sim.Proc) {
+			seen, landed := seenShared{}, 0
+			refs := make([]Ref, 40)
+			want := make([][]byte, len(refs))
+			for i := range refs {
+				ref, err := a.Create(p, object.Regular, WithConsistency(lvl))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				refs[i] = ref
+			}
+			c.inj = fault.NewSession(fault.Spec{Rates: fault.Rates{OpError: 0.5}}).Attach(c.env)
+			for i, ref := range refs {
+				if err := a.PutShared(p, ref, shared); err == nil {
+					want[i] = bytes.Clone(shared)
+					landed++
+				}
+				c.Group().SyncAll() // an eventual append from b must follow the put
+				tail := []byte{byte(i)}
+				if err := b.Append(p, ref, tail); err == nil {
+					want[i] = append(want[i], tail...)
+				}
+				c.Group().SyncAll()
+				for _, s := range c.sharedPastMark(seen) {
+					t.Errorf("%v, object %d: a payload array is shared past a writer's mark: %s", lvl, i, s)
+				}
+			}
+			c.inj = nil
+			if landed == 0 {
+				t.Errorf("%v: no put landed; the test exercised nothing", lvl)
+			}
+			for i, ref := range refs {
+				if got, err := b.Get(p, ref); err != nil || !bytes.Equal(got, want[i]) {
+					t.Errorf("%v, object %d: Get = %q, %v; want %q", lvl, i, got, err, want[i])
+				}
+			}
+		})
+		if c.RetryAttempts == 0 {
+			t.Errorf("%v: no attempt was retried; the test exercised nothing", lvl)
+		}
+	}
+	if want := bytes.Repeat([]byte("shared "), 9); !bytes.Equal(shared, want) {
+		t.Errorf("the buffer put with PutShared changed to %q", shared)
 	}
 }

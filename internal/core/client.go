@@ -152,6 +152,14 @@ func (cl *Client) PutOwned(p *sim.Proc, r Ref, data []byte) error {
 	return cl.put(p, r, data, (*object.Object).TakeData)
 }
 
+// PutShared is Put without the ingress copy for a buffer the caller keeps
+// reading: the object installs data as shared (object.ShareData) and copies
+// before it ever writes into it, so one buffer may be put into any number
+// of objects. Nobody may write data afterwards. It is the same verb as Put.
+func (cl *Client) PutShared(p *sim.Proc, r Ref, data []byte) error {
+	return cl.put(p, r, data, (*object.Object).ShareData)
+}
+
 // put is Put's body; set is the object method that installs data.
 func (cl *Client) put(p *sim.Proc, r Ref, data []byte, set func(*object.Object, []byte) error) error {
 	return cl.run(p, r, verbPut, func(t target) error {

@@ -295,15 +295,12 @@ func New(opts Options) *Cloud {
 			c.retry.OnAttempt = func(op string, attempt int, err error, delay sim.Duration) {
 				c.RetryAttempts++
 				c.inj.Note("retry.attempt")
-				t := trace.Of(env)
-				if c.obsPlane == nil && t == nil {
-					return // nothing records err: leave it unformatted
+				c.obsPlane.RecordErr("retry", op, err) // formatted only if still held when read
+				if t := trace.Of(env); t != nil {
+					t.Instant("fault", "retry", op,
+						trace.Int("attempt", int64(attempt)),
+						trace.Str("err", err.Error()), trace.Str("delay", delay.String()))
 				}
-				msg := err.Error()
-				c.obsPlane.Record("retry", op, msg)
-				t.Instant("fault", "retry", op,
-					trace.Int("attempt", int64(attempt)),
-					trace.Str("err", msg), trace.Str("delay", delay.String()))
 			}
 		}
 	}

@@ -84,6 +84,9 @@ var entryDrivers = []struct {
 	{"put_owned", verbPut, verbDriver{local: true, call: func(cl *Client, p *sim.Proc, r Ref) error {
 		return cl.PutOwned(p, r, []byte("v"))
 	}}},
+	{"put_shared", verbPut, verbDriver{local: true, call: func(cl *Client, p *sim.Proc, r Ref) error {
+		return cl.PutShared(p, r, []byte("v"))
+	}}},
 }
 
 // subject builds the object (or function) a row's driver acts on.

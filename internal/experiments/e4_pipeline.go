@@ -49,8 +49,13 @@ const (
 
 func runE4(rn run) *Report {
 	r := &Report{ID: "E4", Title: "Figure 2 + §4.1: model serving, naive vs co-located"}
-	naive := runPipeline(rn, core.PlaceNaive, r)
-	coloc := runPipeline(rn, core.PlaceColocate, r)
+	// No stage looks at the upload bytes and none writes them, so every
+	// request of both arms puts this one buffer (PutShared). It is per run,
+	// not package-level: a buffer live for the whole process raises the GC's
+	// heap goal for every later experiment (DESIGN §5).
+	upload := make([]byte, e4UploadSize)
+	naive := runPipeline(rn, core.PlaceNaive, upload, r)
+	coloc := runPipeline(rn, core.PlaceColocate, upload, r)
 	if naive == nil || coloc == nil {
 		return r
 	}
@@ -80,7 +85,7 @@ func runE4(rn run) *Report {
 	return r
 }
 
-func runPipeline(rn run, policy core.PlacementPolicy, r *Report) *pipelineStats {
+func runPipeline(rn run, policy core.PlacementPolicy, uploadData []byte, r *Report) *pipelineStats {
 	opts := rn.options()
 	opts.Policy = policy
 	opts.Media = media.NVMe
@@ -128,7 +133,7 @@ func runPipeline(rn run, policy core.PlacementPolicy, r *Report) *pipelineStats 
 			Handler: func(fc *core.FnCtx) error {
 				fc.Proc().Sleep(2 * time.Millisecond) // HTTP decode CPU time
 				upload := fc.Outputs[0]
-				if err := fc.Client.PutOwned(fc.Proc(), upload, make([]byte, e4UploadSize)); err != nil {
+				if err := fc.Client.PutShared(fc.Proc(), upload, uploadData); err != nil {
 					return err
 				}
 				// Single-use intermediate: freeze so downstream reads are

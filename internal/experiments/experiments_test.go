@@ -293,6 +293,22 @@ func TestE13Overload(t *testing.T)     { runAndCheck(t, "E13", 0) }
 func TestE14Cache(t *testing.T)        { runAndCheck(t, "E14", 0) }
 func TestE15FaaSFS(t *testing.T)       { runAndCheck(t, "E15", 0) }
 
+// TestE4AllocatesOneUpload: no stage looks at or writes E4's upload bytes,
+// so both arms put one shared buffer (PutShared). A fresh 8 MiB buffer per
+// request would allocate 480 MiB per run. It must not run in parallel:
+// TotalAlloc counts the whole process.
+func TestE4AllocatesOneUpload(t *testing.T) {
+	e := mustGet(t, "E4")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.Run(1)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 32<<20 {
+		t.Errorf("one E4 run allocated %.1f MiB, want < 32 MiB: an upload buffer per request crept back",
+			float64(got)/(1<<20))
+	}
+}
+
 // simulated returns every experiment but E1, whose rows are measured on
 // the host clock.
 func simulated() []Experiment { return All()[1:] }

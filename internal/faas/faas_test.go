@@ -3,6 +3,7 @@ package faas
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -128,6 +129,44 @@ func TestNoPlacementError(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// A retry policy that gives up on a placement failure returns an error that
+// still matches ErrNoPlacement and classifies as the %w-wrapped text it
+// replaced did, whether the attempts or the deadline ran out.
+func TestNoPlacementThroughGiveUp(t *testing.T) {
+	env, rt := testRuntime(1, Config{})
+	fn := wasmFn("huge", sleeper(0))
+	fn.Res = cluster.Resources{MemMB: 1 << 30}
+	if err := rt.Register(fn); err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []*fault.Policy{
+		{MaxAttempts: 3, Backoff: fault.Backoff{Base: time.Millisecond}},
+		{MaxAttempts: 100, Deadline: 10 * time.Millisecond, Backoff: fault.Backoff{Base: time.Millisecond}},
+	} {
+		q := pol.Bind(env)
+		env.Go("c", func(p *sim.Proc) {
+			var last error
+			err := q.Do(p, "faas.invoke", func() error {
+				_, last = rt.Invoke(p, "huge", nil, PlacementHints{}, nil)
+				return last
+			})
+			old := fmt.Errorf("fault: %s failed after %d attempts: %w", "faas.invoke", 3, last)
+			gaveUp := "faas.invoke failed after 3 attempts"
+			if pol.Deadline > 0 {
+				gaveUp = "faas.invoke retry deadline 10ms exhausted"
+			}
+			if !strings.Contains(fmt.Sprint(err), gaveUp) {
+				t.Errorf("err = %v, want it to say %q", err, gaveUp)
+			}
+			if !errors.Is(err, ErrNoPlacement) || fault.Retryable(err) != fault.Retryable(old) {
+				t.Errorf("deadline %v: err = %v (retryable %v), want ErrNoPlacement in the chain, retryable %v",
+					pol.Deadline, err, fault.Retryable(err), fault.Retryable(old))
+			}
+		})
+		env.Run()
+	}
 }
 
 func TestWarmReuse(t *testing.T) {

@@ -127,12 +127,11 @@ func (p *Policy) Do(proc *sim.Proc, op string, fn func() error) error {
 			return err
 		}
 		if attempt >= max {
-			return fmt.Errorf("fault: %s failed after %d attempts: %w", op, attempt, err)
+			return gaveUp{op: op, attempts: attempt, err: err}
 		}
 		delay := p.Backoff.Delay(attempt-1, p.rng)
 		if p.Deadline > 0 && proc.Now().Sub(start)+delay > p.Deadline {
-			return fmt.Errorf("fault: %s retry deadline %v exhausted after %d attempts: %w",
-				op, p.Deadline, attempt, err)
+			return gaveUp{op: op, deadline: p.Deadline, attempts: attempt, err: err}
 		}
 		if p.OnAttempt != nil {
 			p.OnAttempt(op, attempt, err, delay)
@@ -140,6 +139,27 @@ func (p *Policy) Do(proc *sim.Proc, op string, fn func() error) error {
 		proc.Sleep(delay)
 	}
 }
+
+// gaveUp is Do's error once it stops retrying: out of attempts, or (with a
+// deadline) out of time. Exhausted invocations are common under chaos and
+// their errors are mostly dropped, so the message is formatted only when
+// asked for.
+type gaveUp struct {
+	op       string
+	deadline sim.Duration // 0: the attempts ran out
+	attempts int
+	err      error
+}
+
+func (e gaveUp) Error() string {
+	if e.deadline > 0 {
+		return fmt.Sprintf("fault: %s retry deadline %v exhausted after %d attempts: %v",
+			e.op, e.deadline, e.attempts, e.err)
+	}
+	return fmt.Sprintf("fault: %s failed after %d attempts: %v", e.op, e.attempts, e.err)
+}
+
+func (e gaveUp) Unwrap() error { return e.err }
 
 // Classified is implemented by every error that carries a retry
 // classification, and it is the only place a retry decision is made:

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -246,6 +247,39 @@ func TestRetryableClassification(t *testing.T) {
 	for _, err := range []error{nil, errors.New("no such object")} {
 		if Retryable(err) {
 			t.Errorf("Retryable(%v) = true, want false", err)
+		}
+	}
+}
+
+// TestGaveUpReadsAsErrorfDid pins Do's two give-up errors byte for byte
+// against the fmt.Errorf text they replace, and their chains against its:
+// errors.Is, Unwrap and Retryable answer as they did.
+func TestGaveUpReadsAsErrorfDid(t *testing.T) {
+	for _, cause := range []error{
+		ErrInjected,
+		Transient("store: busy"),
+		fmt.Errorf("replica 2: %w", ErrInjectedTimeout),
+		errors.Join(errors.New("ctx"), cluster.ErrNodeDown),
+		Fatal("no such object"),
+	} {
+		for _, c := range []struct {
+			name      string
+			got, want error
+		}{
+			{"attempts", gaveUp{op: "core.put", attempts: 4, err: cause},
+				fmt.Errorf("fault: %s failed after %d attempts: %w", "core.put", 4, cause)},
+			{"deadline", gaveUp{op: "faas.invoke", deadline: 2 * time.Second, attempts: 3, err: cause},
+				fmt.Errorf("fault: %s retry deadline %v exhausted after %d attempts: %w", "faas.invoke", 2*time.Second, 3, cause)},
+		} {
+			if got, want := c.got.Error(), c.want.Error(); got != want {
+				t.Errorf("%s over %q:\n got %q\nwant %q", c.name, cause, got, want)
+			}
+			if errors.Unwrap(c.got) != cause || !errors.Is(c.got, cause) {
+				t.Errorf("%s over %q: the cause is not in the chain", c.name, cause)
+			}
+			if Retryable(c.got) != Retryable(c.want) {
+				t.Errorf("%s over %q: Retryable = %v, fmt.Errorf's was %v", c.name, cause, Retryable(c.got), Retryable(c.want))
+			}
 		}
 	}
 }

@@ -11,11 +11,15 @@ import (
 // as a plain []byte per holder, updated by slice operations that share no
 // code with the object package. views are the bytes handed out so far that
 // must never change: every Snapshot, and every Read taken at IMMUTABLE.
+// shared is the one buffer ShareData puts into any holder, which no holder
+// may ever write; sharedWant is its content.
 type holders struct {
-	objs  [3]*object.Object
-	want  [3][]byte
-	views []view
-	fill  byte
+	objs       [3]*object.Object
+	want       [3][]byte
+	views      []view
+	shared     []byte
+	sharedWant []byte
+	fill       byte
 }
 
 type view struct {
@@ -53,7 +57,7 @@ func (h *holders) step(i int, s []byte) {
 	x, a, b := int(s[1])%3, int(s[2]), int(s[3])
 	o, want := h.objs[x], h.want[x]
 	levels := object.Levels()
-	switch s[0] % 8 {
+	switch s[0] % 9 {
 	case 0: // WriteAt, possibly past EOF
 		off, buf := a%(len(want)+32), h.fresh(1+b%24)
 		if _, err := o.WriteAt(buf, int64(off)); err == nil {
@@ -107,6 +111,15 @@ func (h *holders) step(i int, s []byte) {
 		} else {
 			scribble(r)
 		}
+	case 8: // ShareData puts a prefix of the one shared buffer
+		if h.shared == nil {
+			h.shared = h.fresh(40)
+			h.sharedWant = bytes.Clone(h.shared)
+		}
+		buf := h.shared[:a%(len(h.shared)+1)]
+		if err := o.ShareData(buf); err == nil {
+			want = bytes.Clone(buf)
+		}
 	}
 	h.want[x] = want
 }
@@ -123,23 +136,28 @@ func (h *holders) check(t *testing.T, i int) {
 			t.Fatalf("after step %d: the view handed out at step %d changed to %v, want %v", i, v.step, v.got, v.want)
 		}
 	}
+	if !bytes.Equal(h.shared, h.sharedWant) {
+		t.Fatalf("after step %d: the buffer shared with ShareData changed to %v, want %v", i, h.shared, h.sharedWant)
+	}
 }
 
 // FuzzPayloadHolders runs random WriteAt, Append, SetData, TakeData,
-// Truncate, SetMutability, Snapshot→ApplyState and Read steps over three
-// holders and, after every step, compares each holder's Read, and every view
-// handed out so far, with the plain model. The seeds are the shared-prefix
-// rule's known breaks: a write below the mark that skips the copy, a
-// Snapshot that does not raise the mark, a write into the zeroed hole past a
-// truncated EOF, and one buffer taken by two holders (which the object
-// cannot refuse: only a caller that hands a buffer over twice gets it).
+// Truncate, SetMutability, Snapshot→ApplyState, Read and ShareData steps over
+// three holders and, after every step, compares each holder's Read, every
+// view handed out so far, and the one buffer ShareData shares, with the plain
+// model. The seeds are the shared-prefix rule's known breaks: a write below
+// the mark that skips the copy, a Snapshot that does not raise the mark, a
+// write into the zeroed hole past a truncated EOF, one buffer taken by two
+// holders (which the object cannot refuse: only a caller that hands a buffer
+// over twice gets it), and one buffer shared by two holders that both write.
 func FuzzPayloadHolders(f *testing.F) {
 	for _, seed := range [][]byte{
-		{1, 0, 8, 0, 6, 0, 1, 4, 0, 0, 0, 3},                          // append, replicate 0→1, overwrite at 0
-		{2, 0, 16, 0, 6, 0, 1, 4, 2, 0, 16, 0},                        // put, replicate 0→1, put again
-		{1, 0, 8, 0, 6, 0, 1, 4, 4, 0, 2, 0, 0, 0, 12, 0, 1, 0, 3, 0}, // replicate, truncate, write past EOF, append
-		{3, 0, 16, 0, 3, 1, 16, 0, 0, 0, 0, 3},                        // take on 0, take on 1, overwrite 0
-		{1, 0, 8, 0, 5, 0, 3, 0, 7, 0, 0, 0, 6, 0, 1, 0, 0, 1, 0, 3},  // freeze, view, thaw into 1, overwrite 1
+		{1, 0, 8, 0, 6, 0, 1, 4, 0, 0, 0, 3},                                        // append, replicate 0→1, overwrite at 0
+		{2, 0, 16, 0, 6, 0, 1, 4, 2, 0, 16, 0},                                      // put, replicate 0→1, put again
+		{1, 0, 8, 0, 6, 0, 1, 4, 4, 0, 2, 0, 0, 0, 12, 0, 1, 0, 3, 0},               // replicate, truncate, write past EOF, append
+		{3, 0, 16, 0, 3, 1, 16, 0, 0, 0, 0, 3},                                      // take on 0, take on 1, overwrite 0
+		{1, 0, 8, 0, 5, 0, 3, 0, 7, 0, 0, 0, 6, 0, 1, 0, 0, 1, 0, 3},                // freeze, view, thaw into 1, overwrite 1
+		{8, 0, 16, 0, 8, 1, 24, 0, 0, 0, 0, 3, 1, 1, 4, 0, 4, 0, 8, 0, 0, 0, 10, 3}, // share on 0 and 1, overwrite 0, append 1, truncate 0, write past EOF
 	} {
 		f.Add(seed)
 	}

@@ -357,6 +357,21 @@ func (o *Object) TakeData(b []byte) error {
 	return nil
 }
 
+// ShareData is TakeData for a buffer other holders keep reading: the object
+// installs b itself, capacity-clipped, with every byte marked shared (as
+// ApplyState does), so it copies before its first write into those bytes
+// and never writes through b. One b may be shared with any number of
+// objects; nobody may write it afterwards. It refuses exactly where SetData
+// refuses.
+func (o *Object) ShareData(b []byte) error {
+	if err := o.canReplace(len(b)); err != nil {
+		return err
+	}
+	o.data, o.shared = b[:len(b):len(b)], len(b)
+	o.bump()
+	return nil
+}
+
 // canReplace returns nil when the whole payload may become n bytes of new
 // content, and otherwise the error saying why not.
 func (o *Object) canReplace(n int) error {

@@ -172,9 +172,10 @@ func TestAppendAndSetDataReuseTheArray(t *testing.T) {
 	}
 }
 
-// TakeData refuses exactly where SetData refuses, with the same error and no
-// change to the object; where SetData copies, TakeData installs the caller's
-// array itself.
+// TakeData and ShareData refuse exactly where SetData refuses, with the same
+// error and no change to the object; where SetData copies, TakeData installs
+// the caller's array itself, and ShareData installs it capacity-clipped with
+// every byte marked shared.
 func TestTakeDataRefusesWhereSetDataRefuses(t *testing.T) {
 	for _, kind := range []Kind{Regular, Directory, FIFO} {
 		for _, lvl := range Levels() {
@@ -191,20 +192,36 @@ func TestTakeDataRefusesWhereSetDataRefuses(t *testing.T) {
 					}
 					return o
 				}
-				copied, taken := build(), build()
+				copied, taken, shared := build(), build(), build()
 				buf := bytes.Repeat([]byte{'n'}, size)
+				kept := make([]byte, size, size+8) // spare capacity the object must not reach
+				copy(kept, buf)
 				setErr := copied.SetData(bytes.Repeat([]byte{'n'}, size))
 				takeErr := taken.TakeData(buf)
+				shareErr := shared.ShareData(kept)
 				name := kind.String() + "/" + lvl.String()
-				if (setErr == nil) != (takeErr == nil) || (setErr != nil && setErr.Error() != takeErr.Error()) {
-					t.Errorf("%s, %d bytes: SetData = %v, TakeData = %v", name, size, setErr, takeErr)
-				}
-				if !bytes.Equal(copied.data, taken.data) || copied.Version() != taken.Version() {
-					t.Errorf("%s, %d bytes: SetData left %q v%d, TakeData %q v%d",
-						name, size, copied.data, copied.Version(), taken.data, taken.Version())
+				for _, other := range []struct {
+					verb string
+					o    *Object
+					err  error
+				}{{"TakeData", taken, takeErr}, {"ShareData", shared, shareErr}} {
+					if (setErr == nil) != (other.err == nil) || (setErr != nil && setErr.Error() != other.err.Error()) {
+						t.Errorf("%s, %d bytes: SetData = %v, %s = %v", name, size, setErr, other.verb, other.err)
+					}
+					if !bytes.Equal(copied.data, other.o.data) || copied.Version() != other.o.Version() {
+						t.Errorf("%s, %d bytes: SetData left %q v%d, %s %q v%d",
+							name, size, copied.data, copied.Version(), other.verb, other.o.data, other.o.Version())
+					}
 				}
 				if held := sameArray(taken.data, buf); held != (takeErr == nil) {
 					t.Errorf("%s, %d bytes: object holds the taken buffer = %v, want %v", name, size, held, takeErr == nil)
+				}
+				if held := sameArray(shared.data, kept); held != (shareErr == nil) {
+					t.Errorf("%s, %d bytes: object holds the shared buffer = %v, want %v", name, size, held, shareErr == nil)
+				}
+				if shareErr == nil && (cap(shared.data) != size || shared.shared != size) {
+					t.Errorf("%s, %d bytes: ShareData left cap %d and mark %d, want both %d",
+						name, size, cap(shared.data), shared.shared, size)
 				}
 			}
 		}

@@ -172,6 +172,17 @@ func (pl *Plane) Record(kind, name, detail string) {
 	pl.rec.Record(FlightEvent{At: pl.env.Now(), Kind: kind, Name: name, Detail: detail})
 }
 
+// RecordErr is Record with err as the detail, kept unformatted: the
+// recorder calls err.Error() only for an event still in its ring when its
+// events are read, so err must not change after it is recorded. Safe on a
+// nil plane.
+func (pl *Plane) RecordErr(kind, name string, err error) {
+	if pl == nil {
+		return
+	}
+	pl.rec.Record(FlightEvent{At: pl.env.Now(), Kind: kind, Name: name, err: err})
+}
+
 // tick runs one sampling round in engine context and reschedules itself
 // while the environment still has other work queued. The pending check
 // runs after this tick's event was popped and before the next one is

@@ -14,6 +14,8 @@ type FlightEvent struct {
 	Kind   string // "shed" | "fault" | "alert" | ...
 	Name   string
 	Detail string
+
+	err error // Detail not yet formatted: Events formats it (Plane.RecordErr)
 }
 
 func (e FlightEvent) String() string {
@@ -71,14 +73,20 @@ func (r *Recorder) Dropped() int64 {
 	return r.dropped
 }
 
-// Events returns the buffered events oldest-first.
+// Events returns the buffered events oldest-first. An event recorded with
+// an error gets its Detail here, formatted once: only what the ring still
+// holds is ever formatted.
 func (r *Recorder) Events() []FlightEvent {
 	if r == nil {
 		return nil
 	}
 	out := make([]FlightEvent, 0, r.n)
 	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(r.start+i)%r.capacity])
+		ev := &r.buf[(r.start+i)%r.capacity]
+		if ev.err != nil {
+			ev.Detail, ev.err = ev.err.Error(), nil
+		}
+		out = append(out, *ev)
 	}
 	return out
 }

@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestRingDownsamplesToCapacity(t *testing.T) {
@@ -95,5 +97,40 @@ func TestRecorderNilSafe(t *testing.T) {
 	r.Record(FlightEvent{})
 	if r.Len() != 0 || r.Dump(0) != "" || r.Events() != nil {
 		t.Fatal("nil recorder must be inert")
+	}
+}
+
+// countingErr counts the calls to its Error method.
+type countingErr struct{ calls *int }
+
+func (e countingErr) Error() string {
+	*e.calls++
+	return "counted"
+}
+
+// TestRecordErrFormatsOnlyWhatTheRingKeeps: an error recorded through
+// RecordErr is formatted when the recorder's events are read, once, and only
+// while the ring still holds it.
+func TestRecordErrFormatsOnlyWhatTheRingKeeps(t *testing.T) {
+	env := sim.NewEnv(1)
+	pl := NewSession(Config{}).Attach(env, trace.NewRegistry(), "lazy")
+	calls := 0
+	for i := 0; i < 600; i++ {
+		pl.RecordErr("retry", "op", countingErr{&calls})
+	}
+	if calls != 0 {
+		t.Fatalf("600 recorded errors were formatted %d times before any read, want 0", calls)
+	}
+	evs := pl.rec.Events()
+	if calls != recorderCap || len(evs) != recorderCap {
+		t.Fatalf("reading %d events formatted %d errors, want %d", len(evs), calls, recorderCap)
+	}
+	for _, ev := range evs {
+		if ev.Kind != "retry" || ev.Name != "op" || ev.Detail != "counted" {
+			t.Fatalf("event = %+v, want retry/op with detail %q", ev, "counted")
+		}
+	}
+	if dump := pl.rec.Dump(env.Now()); !strings.Contains(dump, "retry  op (counted)") || calls != recorderCap {
+		t.Fatalf("a second read formatted again (%d calls) or lost the detail:\n%s", calls, dump)
 	}
 }

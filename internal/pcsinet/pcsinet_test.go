@@ -49,6 +49,38 @@ func TestCreatePutGetOverTCP(t *testing.T) {
 	}
 }
 
+// TestPutHandsTheFrameOver: OpPut gives the request frame's own array to the
+// object, so the object's later appends, and the frames read after it on the
+// same connection, must leave each object's bytes exact.
+func TestPutHandsTheFrameOver(t *testing.T) {
+	_, cl := startServer(t)
+	first, err := cl.Create("regular", "", "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := cl.Create("regular", "", "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Put(first, []byte("first payload")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Append(first, []byte("+tail")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cl.Get(first); err != nil || string(got) != "first payload+tail" {
+		t.Fatalf("Get after put and append = %q, %v", got, err)
+	}
+	if err := cl.Put(second, []byte("SECOND PAYLOAD")); err != nil {
+		t.Fatal(err)
+	}
+	for tok, want := range map[string]string{first: "first payload+tail", second: "SECOND PAYLOAD"} {
+		if got, err := cl.Get(tok); err != nil || string(got) != want {
+			t.Errorf("Get after a second put = %q, %v; want %q", got, err, want)
+		}
+	}
+}
+
 func TestStatAndFreeze(t *testing.T) {
 	_, cl := startServer(t)
 	tok, err := cl.Create("regular", "", "", false)

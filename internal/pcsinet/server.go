@@ -311,7 +311,8 @@ var ops = map[string]op{
 		c.grant, err = c.s.client.Create(c.p, kind, opts...)
 		return err
 	}},
-	OpPut:    {key: keyRef, run: func(c *call) error { return c.s.client.Put(c.p, c.ref, c.req.Body) }},
+	// The body is the frame's own array (ReadFrame, Decode): hand it over.
+	OpPut:    {key: keyRef, run: func(c *call) error { return c.s.client.PutOwned(c.p, c.ref, c.req.Body) }},
 	OpAppend: {key: keyRef, run: func(c *call) error { return c.s.client.Append(c.p, c.ref, c.req.Body) }},
 	OpGet: {key: keyRef, run: func(c *call) (err error) {
 		c.body, err = c.s.client.Get(c.p, c.ref)
