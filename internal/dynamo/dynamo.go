@@ -77,6 +77,7 @@ func (t *Table) PutItem(p *sim.Proc, client simnet.NodeID, creds, key string, va
 }
 
 // GetItem fetches key's value; strong selects a strongly consistent read.
+// The value is a read-only view (restbase.Gateway.Get): do not write into it.
 func (t *Table) GetItem(p *sim.Proc, client simnet.NodeID, creds, key string, strong bool) ([]byte, error) {
 	sp := trace.Of(t.env).Start(p, "dynamo", "get_item",
 		trace.Str("key", key), trace.Str("consistency", consistencyName(strong)))

@@ -128,14 +128,17 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		cfg.BaseSeed = 1
 	}
 	rep := &ChaosReport{Exp: e.ID, Title: e.Title, FaultRate: cfg.FaultRate}
-	for i := 0; i < cfg.Seeds; i++ {
-		seed := cfg.BaseSeed + int64(i)
+	rep.Outcomes = make([]SeedOutcome, cfg.Seeds)
+	// Each seed owns its sessions, so the sweep itself is an unobserved
+	// run whose arms are the seeds.
+	run{}.fan(cfg.Seeds, func(i int) bool {
 		spec := fault.Spec{Rates: fault.Uniform(cfg.FaultRate), Schedule: cfg.Schedule}
 		if !cfg.NoRetry {
 			spec.Retry = fault.DefaultPolicy()
 		}
-		rep.Outcomes = append(rep.Outcomes, runChaosSeed(e, seed, spec))
-	}
+		rep.Outcomes[i] = runChaosSeed(e, cfg.BaseSeed+int64(i), spec)
+		return true
+	})
 	return rep, nil
 }
 

@@ -104,6 +104,18 @@ func TestChaosE15FaaSFSInvariants(t *testing.T) {
 	}
 }
 
+// An E5 seed whose first deployment completes nothing sets no later one
+// up: the seed's counters hold only the first deployment's failed setup op,
+// as when the configs ran in a loop that returned at the first failure.
+func TestChaosE5StopsAtFailedDeployment(t *testing.T) {
+	out := renderChaos(t, ChaosConfig{Exp: "E5", Seeds: 2, FaultRate: 0.5, NoRetry: true})
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, "seed ") && !strings.HasSuffix(l, "experiment fail (setup-dedicated, completed-dedicated) | op.error=1") {
+			t.Errorf("want only the dedicated deployment's failed setup, got %q", l)
+		}
+	}
+}
+
 // Different base seeds explore different fault interleavings: at a hefty
 // fault rate the injected-fault counters must differ across seeds while
 // invariants still hold on every one.

@@ -231,26 +231,44 @@ func runE13(rn run) *Report {
 	r := &Report{ID: "E13", Title: "§4: overload — admission control vs retry storms and opaque 429s"}
 	factors := []float64{0.5, 1, 2, 4}
 
-	// The SLO shape checks need the telemetry plane; an unobserved run
-	// (plain `pcsictl run E13`) observes through a private session. Under
-	// `pcsictl dash` or the chaos harness the run's session is used, so
-	// its timeline sees every arm.
-	if rn.obs == nil {
-		rn.obs = obs.NewSession(obs.Config{})
+	// The SLO shape checks need the telemetry plane. Under `pcsictl dash`
+	// or the chaos harness the run's session is used, so its timeline sees
+	// every arm, and the arms run in order. An unobserved run (plain
+	// `pcsictl run E13`) gives each PCSI arm a private session, so the arms
+	// fan out: each arm labels its plane and reads only that plane.
+	pcsi := func(f float64, withQoS bool) *e13Arm {
+		own := rn
+		if own.obs == nil {
+			own.obs = obs.NewSession(obs.Config{})
+		}
+		return e13PCSI(own, f, withQoS)
 	}
+
+	// Today's arm order, which an observed run keeps: the QoS sweep, no-QoS
+	// at 2x and 4x, then REST at 1x and 2x.
+	var jobs []func() *e13Arm
+	for _, f := range factors {
+		jobs = append(jobs, func() *e13Arm { return pcsi(f, true) })
+	}
+	var thr1, thr2 int64
+	jobs = append(jobs,
+		func() *e13Arm { return pcsi(2, false) },
+		func() *e13Arm { return pcsi(4, false) },
+		func() (a *e13Arm) { a, thr1 = e13Rest(rn, 1); return a },
+		func() (a *e13Arm) { a, thr2 = e13Rest(rn, 2); return a },
+	)
+	arms := make([]*e13Arm, len(jobs))
+	rn.fan(len(jobs), func(i int) bool { arms[i] = jobs[i](); return true })
 
 	type qosRow struct {
 		factor float64
 		arm    *e13Arm
 	}
 	var sweep []qosRow
-	for _, f := range factors {
-		sweep = append(sweep, qosRow{f, e13PCSI(rn, f, true)})
+	for i, f := range factors {
+		sweep = append(sweep, qosRow{f, arms[i]})
 	}
-	noqos := e13PCSI(rn, 2, false)
-	noqos4 := e13PCSI(rn, 4, false)
-	rest1, thr1 := e13Rest(rn, 1)
-	rest2, thr2 := e13Rest(rn, 2)
+	noqos, noqos4, rest1, rest2 := arms[4], arms[5], arms[6], arms[7]
 
 	t1 := metrics.NewTable(
 		fmt.Sprintf("PCSI+QoS, open-loop load sweep (capacity %.0f rps = %d slots × %v)",

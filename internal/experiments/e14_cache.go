@@ -217,10 +217,10 @@ func e14Run(rn run, mode e14Mode) *e14Arm {
 
 func runE14(rn run) *Report {
 	r := &Report{ID: "E14", Title: "Cloudburst shape: colocated caches under Zipf fan-out — leases vs lattices vs none"}
-	off := e14Run(rn, e14Off)
-	lease := e14Run(rn, e14Lease)
-	lattice := e14Run(rn, e14Lattice)
-	arms := []*e14Arm{off, lease, lattice}
+	modes := []e14Mode{e14Off, e14Lease, e14Lattice}
+	arms := make([]*e14Arm, len(modes))
+	rn.fan(len(modes), func(i int) bool { arms[i] = e14Run(rn, modes[i]); return true })
+	off, lease, lattice := arms[0], arms[1], arms[2]
 
 	t1 := metrics.NewTable(
 		fmt.Sprintf("Predict serving: %d models × %d B, Zipf s=%.1f, %.0f rps offered (%dx), trainer rewriting hot models every %v",

@@ -618,10 +618,8 @@ func e15Run(rn run, mode e15Mode) *e15Arm {
 
 func runE15(rn run) *Report {
 	r := &Report{ID: "E15", Title: "FaaSFS shape: transactional POSIX traces — faasfs vs NFS vs REST"}
-	var arms []*e15Arm
-	for _, mode := range e15Modes {
-		arms = append(arms, e15Run(rn, mode))
-	}
+	arms := make([]*e15Arm, len(e15Modes))
+	rn.fan(len(e15Modes), func(i int) bool { arms[i] = e15Run(rn, e15Modes[i]); return true })
 	ffs, nfs, rest := arms[0], arms[1], arms[2]
 
 	for _, a := range arms {

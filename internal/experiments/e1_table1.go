@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"syscall"
 	"time"
 
@@ -24,8 +25,13 @@ func init() {
 	register(Experiment{ID: "E1", Title: "Table 1: representative operation latencies", fn: runE1})
 }
 
-// measure runs fn repeatedly for at least wall time budget and returns the
-// per-iteration latency.
+// measureBatches is how many batches measure splits its iterations into.
+const measureBatches = 25
+
+// measure runs fn warmup times, then iters times in measureBatches timed
+// batches, and returns the median batch's per-iteration latency. A host
+// stall lands in one batch and leaves the median where it was, while a
+// function that is slow every time is slow in every batch.
 //
 // This is the harness for Table 1's real-measurement rows (marshaling,
 // loopback HTTP/TCP, getpid, indirect call), which are wall-clock by design:
@@ -36,11 +42,20 @@ func measure(warmup, iters int, fn func()) time.Duration {
 	for i := 0; i < warmup; i++ {
 		fn()
 	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		fn()
+	per := make([]time.Duration, 0, measureBatches)
+	for b := 0; b < measureBatches; b++ {
+		n := iters*(b+1)/measureBatches - iters*b/measureBatches
+		if n == 0 {
+			continue
+		}
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			fn()
+		}
+		per = append(per, time.Since(start)/time.Duration(n))
 	}
-	return time.Since(start) / time.Duration(iters)
+	slices.Sort(per)
+	return per[len(per)/2]
 }
 
 // loopbackPCSIGet times a Get of a 1 KiB object through an in-process

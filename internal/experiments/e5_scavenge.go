@@ -59,13 +59,20 @@ func runE5(rn run) *Report {
 		{"packed", core.PlacePacked, false},
 		{"scavenge", core.PlaceScavenge, false},
 	}
-	var stats []*e5Stats
-	for _, cfg := range configs {
-		s := runE5One(rn, cfg.name, cfg.policy, cfg.dedicated, r)
-		if s == nil {
+	stats := make([]*e5Stats, len(configs))
+	fails := make([][]Check, len(configs))
+	// A deployment that completes nothing ends the run: fan hands out no
+	// config after it, so at width 1 none after it is even set up.
+	rn.fan(len(configs), func(i int) bool {
+		cfg := configs[i]
+		stats[i], fails[i] = runE5One(rn, cfg.name, cfg.policy, cfg.dedicated)
+		return stats[i] != nil
+	})
+	for i := range configs {
+		if stats[i] == nil {
+			r.Checks = append(r.Checks, fails[i]...)
 			return r
 		}
-		stats = append(stats, s)
 	}
 
 	t := metrics.NewTable(fmt.Sprintf("Bursty workload for %v, SLO p99 ≤ %v", e5Duration, e5SLO),
@@ -93,7 +100,9 @@ func runE5(rn run) *Report {
 	return r
 }
 
-func runE5One(rn run, name string, policy core.PlacementPolicy, dedicated bool, r *Report) *e5Stats {
+// runE5One serves the workload on one deployment. It returns nil stats and
+// the failed checks that say why when the deployment completed nothing.
+func runE5One(rn run, name string, policy core.PlacementPolicy, dedicated bool) (*e5Stats, []Check) {
 	opts := rn.options()
 	opts.Policy = policy
 	if dedicated {
@@ -107,6 +116,7 @@ func runE5One(rn run, name string, policy core.PlacementPolicy, dedicated bool, 
 	cloud := core.New(opts)
 	client := cloud.NewClient(0)
 	s := &e5Stats{name: name, lat: metrics.NewHistogram(name)}
+	fail := &Report{}
 	env := cloud.Env()
 
 	var fnRef core.Ref
@@ -122,7 +132,7 @@ func runE5One(rn run, name string, policy core.PlacementPolicy, dedicated bool, 
 			},
 		})
 		if err != nil {
-			r.Check("setup-"+name, false, "register: %v", err)
+			fail.Check("setup-"+name, false, "register: %v", err)
 			return
 		}
 		if dedicated {
@@ -164,8 +174,8 @@ func runE5One(rn run, name string, policy core.PlacementPolicy, dedicated bool, 
 	})
 	env.Run()
 	if s.reqs == 0 {
-		r.Check("completed-"+name, false, "no requests completed")
-		return nil
+		fail.Check("completed-"+name, false, "no requests completed")
+		return nil, fail.Checks
 	}
 	s.slo /= float64(s.reqs)
 	rt := cloud.Runtime()
@@ -185,5 +195,5 @@ func runE5One(rn run, name string, policy core.PlacementPolicy, dedicated bool, 
 		}
 		s.costUSD = rt.InstanceSeconds / 3600 * perInstHour * discount
 	}
-	return s
+	return s, nil
 }

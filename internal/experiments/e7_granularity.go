@@ -35,10 +35,11 @@ func runE7(rn run) *Report {
 		size       int
 		rest, pcsi time.Duration
 	}
-	var points []point
-
-	for _, size := range e7Sizes {
-		size := size
+	// One job per size runs both sides one after the other, so the two
+	// 4 MiB halves are never live at once.
+	points := make([]point, len(e7Sizes))
+	rn.fan(len(e7Sizes), func(i int) bool {
+		size := e7Sizes[i]
 		// REST path on the fast network.
 		envR, netR, grpR := rn.replicated(simnet.FastNet, media.DRAM)
 		gwCfg := restbase.DefaultConfig()
@@ -90,8 +91,9 @@ func runE7(rn run) *Report {
 			pcsiLat = p.Now().Sub(t0) / n
 		})
 		cloud.Env().Run()
-		points = append(points, point{size, restLat, pcsiLat})
-	}
+		points[i] = point{size, restLat, pcsiLat}
+		return true
+	})
 
 	t := metrics.NewTable("1 µs-RTT network: eventual read latency by size",
 		"Size", "REST", "PCSI", "REST/PCSI", "REST protocol share")

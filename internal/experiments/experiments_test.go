@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -8,6 +9,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 // Every experiment must run green: the shape checks ARE the reproduction
@@ -188,16 +193,20 @@ func checkGolden(t *testing.T, id, got string) {
 	if end := regexp.MustCompile(`(?m)^(== E\d+: |all \d+ experiments )`).FindStringIndex(want[1:]); end != nil {
 		want = want[:1+end[0]]
 	}
-	if got == want {
-		return
+	if got != want {
+		t.Errorf("%s report drifted from pcsi_bench_output.txt at %s\n"+
+			"if the change is meant to alter simulated output, regenerate with `go run ./cmd/pcsictl run > pcsi_bench_output.txt`",
+			id, firstDiff(got, want))
 	}
+}
+
+// firstDiff names the first line, counted from 1, at which got and want
+// differ.
+func firstDiff(got, want string) string {
 	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
 	for i := 0; ; i++ {
 		if i >= len(g) || i >= len(w) || g[i] != w[i] {
-			t.Errorf("%s report drifted from pcsi_bench_output.txt at line %d of its section:\n  got:  %q\n  want: %q\n"+
-				"if the change is meant to alter simulated output, regenerate with `go run ./cmd/pcsictl run > pcsi_bench_output.txt`",
-				id, i+1, line(g, i), line(w, i))
-			return
+			return fmt.Sprintf("line %d:\n  got:  %q\n  want: %q", i+1, line(g, i), line(w, i))
 		}
 	}
 }
@@ -208,18 +217,30 @@ func checkGolden(t *testing.T, id, got string) {
 // goroutine IDs of one stack dump taken before the run with one taken
 // after, so a goroutine that exits meanwhile cannot cancel one that
 // leaked. Workers idle in the sim pool are suspended goroutines the next
-// run reuses, and a goroutine in runtime.goexit1 has already returned;
-// neither is a leak.
+// run reuses, a goroutine in runtime.goexit1 has already returned, and a
+// helper that run.fan started has passed its last wg.Done, since fan
+// returns only after that; none of them is a leak.
 func runNoLeak(t *testing.T, e Experiment) *Report {
 	t.Helper()
 	before := goroutines()
 	rep := e.Run(1)
-	for id, stack := range goroutines() {
-		if _, ok := before[id]; !ok && !idleWorker(stack) && !strings.Contains(stack, "\nruntime.goexit1(") {
-			t.Errorf("%s left goroutine %s behind:\n%s", e.ID, id, stack)
-		}
+	for id, stack := range newGoroutines(before) {
+		t.Errorf("%s left goroutine %s behind:\n%s", e.ID, id, stack)
 	}
 	return rep
+}
+
+// newGoroutines returns the goroutines running now that are not in before
+// and are not idle workers, exiting, or fan helpers.
+func newGoroutines(before map[string]string) map[string]string {
+	left := map[string]string{}
+	for id, stack := range goroutines() {
+		if _, ok := before[id]; !ok && !idleWorker(stack) && !fanHelper(stack) &&
+			!strings.Contains(stack, "\nruntime.goexit1(") {
+			left[id] = stack
+		}
+	}
+	return left
 }
 
 // goroutines maps the ID of every goroutine to its stack, from one
@@ -251,6 +272,11 @@ func idleWorker(stack string) bool {
 		!strings.Contains(stack, "repro/internal/sim.(*Proc).main(")
 }
 
+// fanHelper reports whether stack is a goroutine run.fan started.
+func fanHelper(stack string) bool {
+	return strings.Contains(stack, "\ncreated by repro/internal/experiments.run.fan in goroutine ")
+}
+
 func line(lines []string, i int) string {
 	if i < len(lines) {
 		return lines[i]
@@ -275,6 +301,34 @@ func TestE1Table1(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 1 missing row %q", want)
 		}
+	}
+}
+
+// TestMeasureIgnoresOneStall: E1's measured rows report the median batch,
+// so one host stall does not move a row, while a function that is slow
+// every time reads slow and still fails rtt-dominates-today.
+//
+//pcsi:allow wallclock plants a host stall in E1's wall-clock estimator.
+func TestMeasureIgnoresOneStall(t *testing.T) {
+	const iters = 300 // E1's HTTP row
+	const stall = 5 * time.Millisecond
+	calls := 0
+	got := measure(0, iters, func() {
+		if calls++; calls == iters/2 {
+			time.Sleep(stall)
+		}
+	})
+	// A mean over all iterations moves by stall/iters, 16.7µs.
+	if limit := stall / iters / 4; got >= limit {
+		t.Errorf("a no-op with one %v stall measured %v per call, want < %v", stall, got, limit)
+	}
+
+	env := sim.NewEnv(1)
+	net := simnet.New(env, simnet.DC2021)
+	rtt := net.RTT(net.AddNode(0), net.AddNode(1))
+	const slow = 250 * time.Microsecond
+	if got := measure(0, 50, func() { time.Sleep(slow) }); got < slow || got <= rtt {
+		t.Errorf("a call that always takes %v measured %v, want at least that and above the 2021 RTT %v", slow, got, rtt)
 	}
 }
 
@@ -319,15 +373,27 @@ func render(r *Report) string {
 	return b.String()
 }
 
-// Determinism: simulated experiments must render identically for the same
-// seed. (E1 is excluded: it measures wall-clock time.)
+// Determinism: every simulated experiment, and a chaos sweep, must render
+// identically for the same seed, at two seeds. (E1 is excluded: it
+// measures wall-clock time.)
 func TestDeterministicBySeed(t *testing.T) {
-	for _, id := range []string{"E2", "E4", "E6", "E7", "E13", "E14", "E15"} {
-		e, _ := Get(id)
-		a := render(e.Run(42))
-		b := render(e.Run(42))
-		if a != b {
-			t.Errorf("%s not deterministic for fixed seed", id)
+	chaos := func(seed int64) string {
+		rep, err := RunChaos(ChaosConfig{Exp: "E4", Seeds: 2, BaseSeed: seed, FaultRate: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		rep.Render(&b)
+		return b.String()
+	}
+	for _, seed := range []int64{42, 7} {
+		for _, e := range simulated() {
+			if a, b := render(e.Run(seed)), render(e.Run(seed)); a != b {
+				t.Errorf("%s not deterministic at seed %d:\n%s", e.ID, seed, firstDiff(b, a))
+			}
+		}
+		if a, b := chaos(seed), chaos(seed); a != b {
+			t.Errorf("chaos E4 not deterministic at base seed %d:\n%s", seed, firstDiff(b, a))
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"runtime"
+	"sync"
+
 	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -48,6 +51,83 @@ func (rn run) options() core.Options {
 	opts.Seed = rn.seed
 	opts.Trace, opts.Faults, opts.Obs = rn.trace, rn.faults, rn.obs
 	return opts
+}
+
+// fan runs arm(0) … arm(n-1), a run's independent arms, at most
+// runtime.GOMAXPROCS(0) at once, handing out indices in order. Each arm
+// writes only its own index's slot of the caller's result slices, so a
+// report never depends on which arm finished first.
+//
+// An arm that returns false or panics stops the fan: no index after it is
+// handed out. Arms handed out before it still finish, so above width 1 a
+// few arms past the stopping one may have run; the caller reads results
+// only up to it. If the lowest stopping arm panicked, fan re-panics in the
+// caller with its value; the re-panic's stack starts at fan, so the value
+// is what names the fault (a sim process's panic names the process).
+//
+// An observed run keeps width 1, so it runs exactly the arms, in the order,
+// of a loop that stops at the first failed arm, because every session
+// records in attach order and without a lock: trace.Of names each tracer
+// "run<N>" as it registers it, obs.Session.Attach counts labels, and
+// fault.Session.Attach and AddCheck append.
+func (rn run) fan(n int, arm func(i int) bool) {
+	width := runtime.GOMAXPROCS(0)
+	if rn.trace != nil || rn.faults != nil || rn.obs != nil {
+		width = 1
+	}
+	var (
+		mu       sync.Mutex
+		next     int
+		stop     = n // lowest index whose arm stopped the fan; n: none
+		panicked bool
+		value    any // what arm stop panicked with
+	)
+	work := func() {
+		for {
+			mu.Lock()
+			i := next
+			if i >= stop {
+				mu.Unlock()
+				return
+			}
+			next++
+			mu.Unlock()
+			if ok, p, v := runArm(arm, i); !ok {
+				mu.Lock()
+				if i < stop {
+					stop, panicked, value = i, p, v
+				}
+				mu.Unlock()
+			}
+		}
+	}
+	// The caller is one of the workers. runNoLeak relies on fan returning
+	// only after every helper has passed wg.Done.
+	var wg sync.WaitGroup
+	for w := 1; w < min(width, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if panicked {
+		panic(value)
+	}
+}
+
+// runArm runs arm(i) and returns its result, or false, true and the value
+// it panicked with.
+func runArm(arm func(int) bool, i int) (ok, panicked bool, v any) {
+	panicked = true
+	defer func() {
+		if panicked {
+			v = recover()
+		}
+	}()
+	return arm(i), false, nil
 }
 
 // Run runs the experiment at seed, unobserved.

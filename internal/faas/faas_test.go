@@ -131,6 +131,27 @@ func TestNoPlacementError(t *testing.T) {
 	env.Run()
 }
 
+// fault.Retryable classifies a placement failure as errors.As with a
+// fault.Classified target did, bare, wrapped and joined, and allocates
+// nothing doing so.
+func TestNoPlacementClassifiedAsErrorsAsDid(t *testing.T) {
+	np := noPlacement{"huge", cluster.Resources{MemMB: 1 << 30}}
+	for _, err := range []error{
+		np,
+		fmt.Errorf("invoke: %w", np),
+		errors.Join(errors.New("ctx"), np),
+	} {
+		var c fault.Classified
+		want := errors.As(err, &c) && c.Retryable()
+		if got := fault.Retryable(err); got != want || !got {
+			t.Errorf("Retryable(%v) = %v, errors.As says %v", err, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { fault.Retryable(err) }); n != 0 {
+			t.Errorf("Retryable(%v) allocates %v times", err, n)
+		}
+	}
+}
+
 // A retry policy that gives up on a placement failure returns an error that
 // still matches ErrNoPlacement and classifies as the %w-wrapped text it
 // replaced did, whether the attempts or the deadline ran out.

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -203,9 +202,33 @@ func Fatalf(format string, args ...any) error {
 }
 
 // Retryable is the one retry classifier: err is retryable exactly when
-// the first Classified error in its chain says so. Unclassified errors
-// (and nil) are fatal.
+// the first Classified error in its chain says so, the one errors.As would
+// find. Unclassified errors (and nil) are fatal.
 func Retryable(err error) bool {
-	var c Classified
-	return errors.As(err, &c) && c.Retryable()
+	c, ok := classifier(err)
+	return ok && c.Retryable()
+}
+
+// classifier walks err's tree in errors.As order (depth first, each
+// joined error in turn) with type assertions, so it allocates nothing.
+func classifier(err error) (Classified, bool) {
+	for err != nil {
+		if c, ok := err.(Classified); ok {
+			return c, true
+		}
+		switch u := err.(type) {
+		case interface{ Unwrap() error }:
+			err = u.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, e := range u.Unwrap() {
+				if c, ok := classifier(e); ok {
+					return c, true
+				}
+			}
+			return nil, false
+		default:
+			return nil, false
+		}
+	}
+	return nil, false
 }

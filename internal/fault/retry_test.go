@@ -251,6 +251,65 @@ func TestRetryableClassification(t *testing.T) {
 	}
 }
 
+// classifiedWrapper carries its own classification over a cause with
+// another one: the outer one is the first in the chain.
+type classifiedWrapper struct {
+	retry bool
+	err   error
+}
+
+func (e classifiedWrapper) Error() string   { return "wrapped: " + e.err.Error() }
+func (e classifiedWrapper) Unwrap() error   { return e.err }
+func (e classifiedWrapper) Retryable() bool { return e.retry }
+
+// retryableCases covers every shape of chain Retryable walks.
+var retryableCases = []error{
+	nil,
+	errors.New("no such object"),
+	Fatal("denied"),
+	Transient("busy"),
+	ErrInjected,
+	fmt.Errorf("put: %w", Transient("busy")),
+	fmt.Errorf("put: %w", fmt.Errorf("replica 2: %w", Fatal("denied"))),
+	fmt.Errorf("put: %w", errors.New("plain")),
+	fmt.Errorf("put: %w", nil),
+	fmt.Errorf("%w and %w", errors.New("plain"), Transient("busy")),
+	fmt.Errorf("%w and %w", Fatal("denied"), Transient("busy")),
+	errors.Join(errors.New("ctx"), cluster.ErrNodeDown),
+	errors.Join(Transient("busy"), Fatal("denied")),
+	errors.Join(errors.New("a"), errors.New("b")),
+	fmt.Errorf("outer: %w", errors.Join(errors.New("ctx"), fmt.Errorf("inner: %w", Transient("busy")))),
+	errors.Join(errors.Join(errors.New("a")), Fatal("denied"), Transient("busy")),
+	gaveUp{op: "core.put", attempts: 4, err: Transient("busy")},
+	gaveUp{op: "core.put", attempts: 4, err: Fatal("denied")},
+	gaveUp{op: "core.put", deadline: time.Second, attempts: 2, err: errors.Join(errors.New("ctx"), ErrInjectedTimeout)},
+	gaveUp{op: "core.put", attempts: 1, err: errors.New("plain")},
+	classifiedWrapper{retry: false, err: Transient("busy")},
+	fmt.Errorf("put: %w", classifiedWrapper{retry: true, err: Fatal("denied")}),
+}
+
+// TestRetryableMatchesErrorsAs: Retryable answers what errors.As with a
+// Classified target answered, on every case.
+func TestRetryableMatchesErrorsAs(t *testing.T) {
+	for _, err := range retryableCases {
+		var c Classified
+		want := errors.As(err, &c) && c.Retryable()
+		if got := Retryable(err); got != want {
+			t.Errorf("Retryable(%v) = %v, errors.As says %v", err, got, want)
+		}
+	}
+}
+
+// TestRetryableAllocatesNothing: classifying an error is on every retry's
+// path, so it must not allocate.
+func TestRetryableAllocatesNothing(t *testing.T) {
+	for _, err := range retryableCases {
+		if n := testing.AllocsPerRun(100, func() { Retryable(err) }); n != 0 {
+			t.Errorf("Retryable(%v) allocates %v times", err, n)
+		}
+	}
+}
+
 // TestGaveUpReadsAsErrorfDid pins Do's two give-up errors byte for byte
 // against the fmt.Errorf text they replace, and their chains against its:
 // errors.Is, Unwrap and Retryable answer as they did.

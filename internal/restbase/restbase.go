@@ -257,13 +257,17 @@ func (g *Gateway) codedBytes(body int) int {
 	return body
 }
 
-// Get fetches an object through the REST path.
+// Get fetches an object through the REST path. The result is a read-only
+// view of the replica's payload, not a copy: the caller must not write
+// into it. It never changes, since the object copies before it writes
+// bytes a view holds (object.Snapshot).
 func (g *Gateway) Get(p *sim.Proc, client simnet.NodeID, creds string, id object.ID, lvl consistency.Level) ([]byte, error) {
 	var data []byte
 	err := g.request(p, client, creds, 0, g.sizeOf(id), func() error {
-		var rerr error
-		data, rerr = g.grp.Read(p, g.node, id, lvl)
-		return rerr
+		return g.grp.View(p, g.node, id, lvl, func(o *object.Object) error {
+			data = o.Snapshot()
+			return nil
+		})
 	})
 	return data, err
 }

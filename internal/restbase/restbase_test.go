@@ -49,6 +49,50 @@ func TestGetPutRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGetViewOutlivesWrites: Get returns a view, not a copy, so a view
+// taken before a gateway Put or an in-place rewrite must still read the old
+// bytes, at either level, while the object reads the new ones.
+func TestGetViewOutlivesWrites(t *testing.T) {
+	for _, lvl := range []consistency.Level{consistency.Linearizable, consistency.Eventual} {
+		env, gw, client := testGateway(1, DefaultConfig())
+		env.Go("c", func(p *sim.Proc) {
+			oid, err := gw.Create(p, client, "tok", object.Regular)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			put := func(v string) {
+				if err := gw.Put(p, client, "tok", oid, []byte(v), consistency.Linearizable); err != nil {
+					t.Error(err)
+				}
+			}
+			get := func() []byte {
+				b, err := gw.Get(p, client, "tok", oid, lvl)
+				if err != nil {
+					t.Error(err)
+				}
+				return b
+			}
+			put("aaaa")
+			before := get()
+			put("bbbb")
+			afterPut := get()
+			if err := gw.grp.Apply(p, client, oid, consistency.Linearizable, 2, func(o *object.Object) error {
+				_, err := o.WriteAt([]byte("cc"), 0)
+				return err
+			}); err != nil {
+				t.Error(err)
+			}
+			afterWrite := get()
+			if string(before) != "aaaa" || string(afterPut) != "bbbb" || string(afterWrite) != "ccbb" {
+				t.Errorf("%v: views read %q, %q, %q; want \"aaaa\", \"bbbb\", \"ccbb\"",
+					lvl, before, afterPut, afterWrite)
+			}
+		})
+		env.Run()
+	}
+}
+
 func TestAuthRequiredEveryRequest(t *testing.T) {
 	env, gw, client := testGateway(2, DefaultConfig())
 	env.Go("c", func(p *sim.Proc) {
