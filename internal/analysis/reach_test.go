@@ -19,7 +19,6 @@ import (
 //     initializer runs at init);
 //   - every declaration under bench/, test files included: the benchmark
 //     harness is the contract runtime changes may not edit;
-//   - every exported package-level name of the pcsi facade;
 //   - every declaration reachExempt names,
 //
 // and follows types.Info.Uses from each live declaration to the
@@ -31,7 +30,9 @@ import (
 // dynamicMethods, which the standard library calls on values it is handed,
 // stays live with its type.
 // What is left over in non-test files under internal/, cmd/ and pcsi/ is
-// dead code.
+// dead code. The pcsi facade is no root: an exported name there earns its
+// place like any other declaration, through an examples/ program (each is
+// a main package), a cmd/ binary or bench/.
 
 // reachExempt lists the declarations kept although no root reaches them,
 // each with its reason. A key is an import path relative to the module
@@ -44,9 +45,8 @@ import (
 // reachable code. Never add one to silence a finding: delete the
 // declaration instead.
 var reachExempt = map[string]string{
-	"internal/posix":                  "ROADMAP item 8(c) decides it: the POSIX matrix's reference model, or deleted",
-	"internal/consistency.History":    "ROADMAP item 8(a) decides it, with the HistOp and OpKind it holds: the one history checker, or deleted",
-	"internal/core.Client.Mutability": "TestVerbTable drives it as the pipeline's one bare linearizable probe row (no admission, fault op or retry)",
+	"internal/posix":               "ROADMAP item 8(c) decides it: the POSIX matrix's reference model, or deleted",
+	"internal/consistency.History": "ROADMAP item 8(a) decides it, with the HistOp and OpKind it holds: the one history checker, or deleted",
 	// faasfs's commit is checked against a model by property tests that
 	// drive the whole POSIX surface of a Session, not only what E15 runs.
 	"internal/faasfs.Session.Unlink":  "TestPropSerializableAgainstModel and TestPropAbortLeavesNoPartialState unlink in their transactions",
@@ -136,8 +136,7 @@ func unreachable(l *Loader, pkgs []*Package, exempt map[string]string, scope ...
 					}
 					name := decl.Name.Name
 					if decl.Recv == nil {
-						root := !test && (name == "init" || name == "main" && p.Types.Name() == "main" ||
-							rel == "pcsi" && ast.IsExported(name))
+						root := !test && (name == "init" || name == "main" && p.Types.Name() == "main")
 						add(decl, []types.Object{fn}, nil, name, root)
 					} else if recv := recvTypeName(fn); recv != nil {
 						add(decl, []types.Object{fn}, recv, recv.Name()+"."+name, false)
@@ -163,7 +162,6 @@ func unreachable(l *Loader, pkgs []*Package, exempt map[string]string, scope ...
 							} else if obj := p.Info.Defs[id]; obj != nil {
 								objs = append(objs, obj)
 								names = append(names, id.Name)
-								root = root || !test && rel == "pcsi" && ast.IsExported(id.Name)
 							}
 						}
 						if len(objs) > 0 || root {
@@ -302,9 +300,10 @@ func recvTypeName(fn *types.Func) *types.TypeName {
 }
 
 // TestEveryDeclarationReachable fails on every declaration in runtime code
-// that no main, init, bench/ or pcsi export reaches. Each failure line is
-// "file:line name". Delete the declaration (and any test that exercised
-// only it); an entry in reachExempt is for the cases its comment allows.
+// that no main, init, blank var, bench/ or reachExempt entry reaches. Each
+// failure line is "file:line name". Delete the declaration (and any test
+// that exercised only it); an entry in reachExempt is for the cases its
+// comment allows.
 func TestEveryDeclarationReachable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-repo type check is not short")

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/trace"
 )
 
@@ -70,6 +71,23 @@ func TestRunTracedDoesNotPerturb(t *testing.T) {
 		if n := len(d.Leaked); n > 0 {
 			s := d.Leaked[0]
 			t.Errorf("%s: %d spans left open by a process that returned; the first is %s/%s on track %s, opened at %v", e.ID, n, s.Cat, s.Name, s.Track, s.Start)
+		}
+	}
+}
+
+// TestRunTracedChaosLeaksNoSpan holds the same span discipline under
+// faults: the error paths only an injected fault or a crashed node takes
+// must close what they opened too. Two chaos seeds each of E13, E14 and
+// E15, traced at fault rate 0.05 under chaosSchedule.
+func TestRunTracedChaosLeaksNoSpan(t *testing.T) {
+	for _, id := range []string{"E13", "E14", "E15"} {
+		for seed := int64(1); seed <= 2; seed++ {
+			spec := fault.Spec{Rates: fault.Uniform(0.05), Schedule: chaosSchedule(), Retry: fault.DefaultPolicy()}
+			_, d := RunTraced(mustGet(t, id), seed, fault.NewSession(spec))
+			if n := len(d.Leaked); n > 0 {
+				s := d.Leaked[0]
+				t.Errorf("%s seed %d under faults: %d spans left open by a process that returned; the first is %s/%s on track %s, opened at %v", id, seed, n, s.Cat, s.Name, s.Track, s.Start)
+			}
 		}
 	}
 }

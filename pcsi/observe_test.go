@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/pcsi"
 )
@@ -24,7 +26,7 @@ func TestProcessDefaultsReachNew(t *testing.T) {
 	if pcsi.New(pcsi.DefaultOptions()).Obs() == nil {
 		t.Error("a cloud built after pcsi.ActivateObs has no telemetry plane")
 	}
-	own := pcsi.NewObsSession(pcsi.ObsConfig{})
+	own := obs.NewSession(obs.Config{})
 	opts := pcsi.DefaultOptions()
 	opts.Obs = own
 	pcsi.New(opts)
@@ -68,13 +70,13 @@ func TestReadmeQuotesExamples(t *testing.T) {
 // scheduled crash and recovery of node 1 plus stochastic faults, ridden out
 // by the session's default retry policy, and audited afterwards.
 func Example_faults() {
-	faults := pcsi.NewFaultSession(pcsi.FaultSpec{
-		Rates: pcsi.UniformFaultRates(0.05),
-		Schedule: []pcsi.FaultEvent{
-			{At: 10 * time.Millisecond, Action: pcsi.FaultCrashNode, Node: 1},
-			{At: 50 * time.Millisecond, Action: pcsi.FaultRecoverNode, Node: 1},
+	faults := fault.NewSession(fault.Spec{
+		Rates: fault.Uniform(0.05),
+		Schedule: []fault.Event{
+			{At: 10 * time.Millisecond, Action: fault.CrashNode, Node: 1},
+			{At: 50 * time.Millisecond, Action: fault.RecoverNode, Node: 1},
 		},
-		Retry: pcsi.DefaultRetryPolicy(),
+		Retry: fault.DefaultPolicy(),
 	})
 	opts := pcsi.DefaultOptions()
 	opts.Faults = faults
@@ -110,11 +112,11 @@ func Example_faults() {
 // the cloud's metrics on virtual time and evaluates SLO burn rates.
 func Example_dashboards() {
 	opts := pcsi.DefaultOptions()
-	opts.Obs = pcsi.NewObsSession(pcsi.ObsConfig{})
+	opts.Obs = obs.NewSession(obs.Config{})
 	cloud := pcsi.New(opts) // gets a telemetry plane
-	cloud.Obs().SetObjectives(pcsi.SLO{
+	cloud.Obs().SetObjectives(obs.Objective{
 		Name:    "invoke-p99",
-		Latency: &pcsi.SLOLatency{Metric: "invoke_latency", Quantile: 0.99, Max: 150 * time.Millisecond},
+		Latency: &obs.LatencyTarget{Metric: "invoke_latency", Quantile: 0.99, Max: 150 * time.Millisecond},
 		Budget:  0.25,
 	})
 	client := cloud.NewClient(0)

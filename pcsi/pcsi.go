@@ -81,14 +81,10 @@ type (
 	InvokeArgs = core.InvokeArgs
 	// GraphTask is a node of a task graph.
 	GraphTask = core.GraphTask
-	// StatInfo is object metadata.
-	StatInfo = core.StatInfo
 	// PlacementPolicy selects the function-placement scheduler.
 	PlacementPolicy = core.PlacementPolicy
 	// Proc is a simulated process handle.
 	Proc = sim.Proc
-	// Env is the simulation environment.
-	Env = sim.Env
 	// Time is a point in virtual time.
 	Time = sim.Time
 	// Resources is a resource bundle for function footprints.
@@ -102,18 +98,6 @@ type (
 	// backoff, deterministic jitter, and retryable/fatal classification.
 	// Set Options.Retry to thread it through data/meta/fn operations.
 	RetryPolicy = fault.Policy
-	// RetryBackoff parameterises a RetryPolicy's backoff curve.
-	RetryBackoff = fault.Backoff
-	// FaultSpec describes a fault-injection session (rates + schedule)
-	// for chaos testing against a deployment.
-	FaultSpec = fault.Spec
-	// FaultRates are stochastic fault probabilities.
-	FaultRates = fault.Rates
-	// FaultEvent is one entry of a declarative fault schedule.
-	FaultEvent = fault.Event
-	// FaultSession is a fault-injection session (NewFaultSession); set
-	// Options.Faults to inject into a cloud and audit its invariants.
-	FaultSession = fault.Session
 	// QoSConfig configures the admission controller: one limit and queue
 	// per class. Set Options.QoS to enable it; nil keeps the unguarded
 	// data and invoke paths.
@@ -122,35 +106,12 @@ type (
 	// (or a per-op footprint it is derived from), queue bound, queue-delay
 	// budget, and CoDel backpressure.
 	QoSClassConfig = qos.ClassConfig
-	// QoSStats snapshots one class's admission counters.
-	QoSStats = qos.Stats
 	// ObsConfig configures the virtual-time telemetry plane (its sampling
-	// interval). Pass it to NewObsSession; install SLOs per plane with
-	// ObsPlane.SetObjectives.
+	// interval).
 	ObsConfig = obs.Config
-	// ObsSession is a telemetry session (NewObsSession); each cloud built
-	// with it in Options.Obs gets a telemetry Plane (Cloud.Obs()).
+	// ObsSession is a telemetry session; each cloud built with it in
+	// Options.Obs gets a telemetry plane (Cloud.Obs()).
 	ObsSession = obs.Session
-	// ObsPlane is one deployment's telemetry: sampled series, SLO alert
-	// log, and flight recorder. All methods are safe on a nil plane, so
-	// callers never branch on whether telemetry is on.
-	ObsPlane = obs.Plane
-	// SLO is one declarative objective with multi-window burn-rate
-	// alerting (latency quantile target, goodput floor, or shed ceiling).
-	SLO = obs.Objective
-	// SLOLatency targets a histogram quantile (SLO.Latency).
-	SLOLatency = obs.LatencyTarget
-	// SLOGoodput sets a goodput floor on the failure share (SLO.Goodput).
-	SLOGoodput = obs.GoodputFloor
-	// SLOShed caps the shed share of admission decisions (SLO.Shed).
-	SLOShed = obs.ShedCeiling
-	// SLOAlert is one fire/resolve transition of an SLO.
-	SLOAlert = obs.Alert
-	// FlightEvent is one flight-recorder entry.
-	FlightEvent = obs.FlightEvent
-	// ObsTimeline is a session's exportable dump; WriteHTML renders the
-	// static dashboard and WriteJSON the machine-readable timeline.
-	ObsTimeline = obs.Timeline
 	// FnCacheConfig enables per-node caches colocated with function
 	// executors. Set Options.FnCache to enable them; nil keeps every read
 	// and write on the store path, byte-identical to builds without the
@@ -158,15 +119,6 @@ type (
 	// invalidate-on-write; eventual lattice objects get local CRDT
 	// replicas merged through anti-entropy.
 	FnCacheConfig = fncache.Config
-	// FnCacheStats snapshots a deployment's cache counters
-	// (Cloud.FnCache().Snapshot()).
-	FnCacheStats = fncache.Stats
-	// Lattice is a join-semilattice value for eventual-consistency
-	// objects ([Client.LatticeCreate], [Client.LatticeUpdate],
-	// [Client.LatticeRead], [Client.LatticeSync]).
-	Lattice = fncache.Lattice
-	// LWWReg is a last-writer-wins register lattice.
-	LWWReg = fncache.LWWReg
 	// FaaSFS is a shared, transactional, POSIX-shaped file system over
 	// PCSI objects. Mount one with MountFaaSFS; each function invocation
 	// opens a snapshot-isolated FaaSFSSession and commits optimistically.
@@ -177,9 +129,6 @@ type (
 	FaaSFSSession = faasfs.Session
 	// FaaSFSConfig parameterises a mount; it has no fields.
 	FaaSFSConfig = faasfs.Config
-	// FaaSFSStats snapshots a mount's commit/conflict/abort/replay
-	// counters (FaaSFS.Stats()).
-	FaaSFSStats = faasfs.Stats
 )
 
 // ErrOverload is returned by admission-controlled operations when load is
@@ -203,13 +152,6 @@ const (
 	QoSClassData   = qos.ClassData
 	QoSClassInvoke = qos.ClassInvoke
 )
-
-// NewFaultSession returns a fault-injection session for Options.Faults.
-func NewFaultSession(spec FaultSpec) *FaultSession { return fault.NewSession(spec) }
-
-// NewObsSession returns a telemetry session for Options.Obs: its clouds
-// sample metrics on virtual time, alert on SLO burn, and keep a flight recorder.
-func NewObsSession(cfg ObsConfig) *ObsSession { return obs.NewSession(cfg) }
 
 // obsDefault is the session ActivateObs installed, or nil; only New reads it.
 var obsDefault *ObsSession
@@ -235,22 +177,8 @@ func (a ObsActivation) Deactivate() {
 // DefaultRetryPolicy is the stock chaos-mode retry policy.
 func DefaultRetryPolicy() *RetryPolicy { return fault.DefaultPolicy() }
 
-// UniformFaultRates derives a conventional rate mix from one chaos knob.
-func UniformFaultRates(rate float64) FaultRates { return fault.Uniform(rate) }
-
-// Fault schedule actions.
-const (
-	FaultCrashNode   = fault.CrashNode
-	FaultRecoverNode = fault.RecoverNode
-	FaultRackPower   = fault.RackPower
-	FaultRackRestore = fault.RackRestore
-	FaultPartition   = fault.Partition
-	FaultHeal        = fault.Heal
-)
-
 // Optimisation goals for variant selection.
 const (
-	GoalDefault = faas.GoalDefault
 	GoalLatency = faas.GoalLatency
 	GoalCost    = faas.GoalCost
 )
@@ -268,11 +196,9 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 
 // Object kinds.
 const (
-	Regular   = object.Regular
-	Directory = object.Directory
-	FIFO      = object.FIFO
-	Socket    = object.Socket
-	Device    = object.Device
+	Regular = object.Regular
+	FIFO    = object.FIFO
+	Socket  = object.Socket
 )
 
 // Mutability levels (Figure 1 of the paper).
@@ -291,25 +217,18 @@ const (
 
 // Rights for capability references.
 const (
-	RightRead    = capability.Read
-	RightWrite   = capability.Write
-	RightAppend  = capability.Append
-	RightExec    = capability.Exec
-	RightSetMut  = capability.SetMut
-	RightGrant   = capability.Grant
-	RightUnlink  = capability.Unlink
-	RightDestroy = capability.Destroy
-	RightsAll    = capability.All
+	RightRead   = capability.Read
+	RightWrite  = capability.Write
+	RightAppend = capability.Append
+	RightExec   = capability.Exec
+	RightSetMut = capability.SetMut
+	RightsAll   = capability.All
 )
 
 // Execution platform kinds (§3.1's heterogeneous implementations).
 const (
-	PlatformProcess   = platform.Process
-	PlatformContainer = platform.Container
-	PlatformMicroVM   = platform.MicroVM
-	PlatformUnikernel = platform.Unikernel
-	PlatformWasm      = platform.Wasm
-	PlatformGPU       = platform.GPU
+	PlatformWasm = platform.Wasm
+	PlatformGPU  = platform.GPU
 )
 
 // Socket ends (for Socket objects, Figure 2's TCP connection).
@@ -323,7 +242,6 @@ const (
 	PlaceNaive    = core.PlaceNaive
 	PlacePacked   = core.PlacePacked
 	PlaceColocate = core.PlaceColocate
-	PlaceScavenge = core.PlaceScavenge
 )
 
 // WithConsistency sets a created object's default consistency level.

@@ -25,7 +25,11 @@ t0=$(date +%s)
 go run ./cmd/pcsi-vet ./...
 # The "small" ledger every PR reports the same way (nothing is gated on it).
 loc=$(find internal cmd pcsi -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)
-echo "pcsi-vet ./... took $(($(date +%s) - t0)) s; non-test Go under internal/ cmd/ pcsi/: $loc lines"
+# Exported top-level names of the facade (one per alias, const, var, type
+# and func line) and the reachability walk's exemptions.
+facade=$(grep -cE '^(func|type|var) [A-Z]|^	[A-Z][A-Za-z]* += ' pcsi/pcsi.go)
+exempt=$(awk '/^var reachExempt/{f=1;next} f&&/^}/{f=0} f&&/^\t"/{n++} END{print n}' internal/analysis/reach_test.go)
+echo "pcsi-vet ./... took $(($(date +%s) - t0)) s; non-test Go under internal/ cmd/ pcsi/: $loc lines; pcsi exports: $facade; reachExempt entries: $exempt"
 
 echo '== pcsi-vet SARIF (the uploaded artifact; byte-identical across runs)'
 # pcsi-vet exits 1 when diagnostics fire, but the tree is clean here (the
