@@ -11,6 +11,7 @@ import (
 	"repro/internal/capability"
 	"repro/internal/consistency"
 	"repro/internal/fault"
+	"repro/internal/fncache"
 	"repro/internal/object"
 	"repro/internal/sim"
 )
@@ -36,8 +37,15 @@ type aliasCase struct {
 	name   string
 	model  []byte // what the object must hold
 	frozen [][]byte
+	views  []heldView // every View and ViewAt result, at every level
 	seen   seenShared
 	shared []byte // the one buffer put_shared puts, into every case of a seed
+}
+
+// heldView is a View or ViewAt result and what it read when it was taken.
+type heldView struct {
+	got, want []byte
+	what      string
 }
 
 func (ac *aliasCase) fail(format string, args ...any) {
@@ -89,15 +97,22 @@ func (ac *aliasCase) write(verb string, data []byte, off int64) error {
 }
 
 // check reads the object every way the API offers, from both nodes, and
-// compares with the model. Below IMMUTABLE every result is scribbled on
-// (the next check proves that was harmless); at IMMUTABLE the results are
-// views, kept in ac.frozen and re-verified by every later check.
+// compares with the model. Below IMMUTABLE every Get, GetAt and ReadAt result
+// is scribbled on (the next check proves that was harmless); at IMMUTABLE
+// they are views, kept in ac.frozen and re-verified by every later check.
+// View and ViewAt results are views at every level: each must equal what
+// Get returned at the same instant, and is kept in ac.views, never to change.
 func (ac *aliasCase) check(step string, immutable bool) {
 	ac.t.Helper()
 	ac.markedShares(step)
 	for _, v := range ac.frozen {
 		if !bytes.Equal(v, ac.model) {
 			ac.fail("after %s: a view handed out earlier changed to %q, want %q", step, v, ac.model)
+		}
+	}
+	for _, v := range ac.views {
+		if !bytes.Equal(v.got, v.want) {
+			ac.fail("after %s: %s changed to %q, want %q", step, v.what, v.got, v.want)
 		}
 	}
 	for i, cl := range []*Client{ac.a, ac.b, ac.a, ac.b} { // second round: cache hits
@@ -110,6 +125,27 @@ func (ac *aliasCase) check(step string, immutable bool) {
 		if err != nil || !bytes.Equal(at, ac.model) {
 			ac.fail("after %s: GetAt #%d = %q, %v; want %q", step, i, at, err, ac.model)
 			continue
+		}
+		for _, v := range []struct {
+			name string
+			read func() ([]byte, error)
+		}{
+			{"View", func() ([]byte, error) { return cl.View(ac.p, ac.ref) }},
+			{"ViewAt", func() ([]byte, error) { return cl.ViewAt(ac.p, ac.ref, ac.ref.Level()) }},
+		} {
+			var hits int64
+			if fc := ac.c.fncache; fc != nil {
+				hits = fc.Hits.Value()
+			}
+			view, err := v.read()
+			if fc := ac.c.fncache; fc != nil && v.name == "View" && !immutable && fc.Hits.Value() != hits+1 {
+				ac.fail("after %s: View #%d was not served from the lease the Get before it filled", step, i)
+			}
+			if err != nil || !bytes.Equal(view, got) || cap(view) != len(view) {
+				ac.fail("after %s: %s #%d = %q (cap %d), %v; want %q, capacity-clipped", step, v.name, i, view, cap(view), err, got)
+				continue
+			}
+			ac.views = append(ac.views, heldView{view, bytes.Clone(view), fmt.Sprintf("a %s #%d taken after %s", v.name, i, step)})
 		}
 		if immutable {
 			if cap(got) != len(got) || cap(at) != len(at) {
@@ -280,12 +316,20 @@ func (ac *aliasCase) run(lvl object.Mutability, bindable bool, rng *rand.Rand) {
 			ac.fail("a view changed after the last Drop: %q, want %q", v, ac.model)
 		}
 	}
+	for _, v := range ac.views {
+		if !bytes.Equal(v.got, v.want) {
+			ac.fail("after the last Drop: %s changed to %q, want %q", v.what, v.got, v.want)
+		}
+	}
 }
 
 // Property: for every mutability level and every storage flavour, buffers
 // passed to Put/Append/WriteAt and (below IMMUTABLE) slices returned by
 // Get/GetAt/ReadAt are never the object's content, and IMMUTABLE content is
-// shared as capacity-clipped views that no later operation changes. A buffer
+// shared as capacity-clipped views that no later operation changes; so is
+// every View/ViewAt result, at every level — on the "leased" flavour
+// (a linearizable object on a cloud with the function cache on) served from
+// the lease cache once the first Get filled it. A buffer
 // handed over with PutOwned becomes the content of one object only; one
 // buffer put with PutShared becomes the content of every object of a seed,
 // each then written, and stays byte-for-byte what it was. After every step
@@ -300,29 +344,40 @@ func TestPayloadAliasingProperty(t *testing.T) {
 		{"ephemeral", []CreateOpt{WithEphemeral()}},
 		{"linearizable", []CreateOpt{WithConsistency(consistency.Linearizable)}},
 		{"eventual", []CreateOpt{WithConsistency(consistency.Eventual)}},
+		{"leased", []CreateOpt{WithConsistency(consistency.Linearizable)}},
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := testCloud(seed)
-		a, b := c.NewClient(0), c.NewClient(1)
+		leasedOpts := testOptions(seed)
+		leasedOpts.FnCache = &fncache.Config{}
+		plain, leased := testCloud(seed), New(leasedOpts)
 		n := 1 + rng.Intn(64)
 		shared := make([]byte, n, n+64) // spare capacity no holder may append into
 		rng.Read(shared)
 		sharedWant := bytes.Clone(shared)
-		run(t, c, func(p *sim.Proc) {
-			for _, fl := range flavours {
-				for _, lvl := range object.Levels() {
-					ref, err := a.Create(p, object.Regular, fl.opts...)
-					if err != nil {
-						t.Errorf("%s: create: %v", fl.name, err)
+		for _, c := range []*Cloud{plain, leased} {
+			a, b := c.NewClient(0), c.NewClient(1)
+			run(t, c, func(p *sim.Proc) {
+				for _, fl := range flavours {
+					if (fl.name == "leased") != (c == leased) {
 						continue
 					}
-					ac := &aliasCase{t: t, c: c, p: p, a: a, b: b, ref: ref, seen: seenShared{}, shared: shared,
-						name: fmt.Sprintf("seed %d %s/%v", seed, fl.name, lvl)}
-					ac.run(lvl, fl.name != "ephemeral", rng)
+					for _, lvl := range object.Levels() {
+						ref, err := a.Create(p, object.Regular, fl.opts...)
+						if err != nil {
+							t.Errorf("%s: create: %v", fl.name, err)
+							continue
+						}
+						ac := &aliasCase{t: t, c: c, p: p, a: a, b: b, ref: ref, seen: seenShared{}, shared: shared,
+							name: fmt.Sprintf("seed %d %s/%v", seed, fl.name, lvl)}
+						ac.run(lvl, fl.name != "ephemeral", rng)
+					}
 				}
-			}
-		})
+			})
+		}
+		if hits := leased.FnCache().Hits.Value(); hits == 0 {
+			t.Errorf("seed %d: the leased flavour never hit the lease cache", seed)
+		}
 		if !bytes.Equal(shared, sharedWant) {
 			t.Errorf("seed %d: the buffer put with PutShared changed to %q, want %q", seed, shared, sharedWant)
 		}

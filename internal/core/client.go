@@ -27,12 +27,6 @@ func (c *Cloud) NewClient(rack int) *Client {
 	return &Client{c: c, node: c.net.AddNode(rack)}
 }
 
-// ClientAt returns a client homed on an existing node (e.g., a function
-// instance's node, so data ops originate where the code runs).
-func (c *Cloud) ClientAt(node simnet.NodeID) *Client {
-	return &Client{c: c, node: node}
-}
-
 // Node returns the client's origin node.
 func (cl *Client) Node() simnet.NodeID { return cl.node }
 
@@ -192,7 +186,18 @@ func (cl *Client) put(p *sim.Proc, r Ref, data []byte, set func(*object.Object, 
 // read-only view of the frozen bytes (object.Read), shared with the store,
 // the node cache and every other reader: the caller must not write into it.
 // Below IMMUTABLE the result is the caller's own copy.
-func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) {
+func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) { return cl.get(p, r, takeCopy) }
+
+// View is Get without the copy below IMMUTABLE: the payload comes back as
+// a read-only view at every level (object.Snapshot), which later writes to
+// the object never change — they copy first. The caller must not write
+// into it. It is the same verb as Get: the same rights, fault op, span,
+// admission, lease and node-cache logic, virtual-time charges and
+// BytesMoved.
+func (cl *Client) View(p *sim.Proc, r Ref) ([]byte, error) { return cl.get(p, r, takeView) }
+
+// get is Get's and View's body; how says what the caller is handed.
+func (cl *Client) get(p *sim.Proc, r Ref, how take) ([]byte, error) {
 	var data []byte
 	err := cl.run(p, r, verbGet, func(t target) (err error) {
 		fc := cl.c.fncache
@@ -200,15 +205,19 @@ func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) {
 		var epochAtRead uint64
 		if t.e == nil {
 			var hit bool
-			if data, hit = cl.cachedGet(t, leased); hit {
+			if data, hit = cl.cachedGet(t, leased, how); hit {
 				return nil
 			}
 			if leased {
 				epochAtRead = fc.Epoch(fncache.Key(t.id))
+				if how == takeCopy {
+					how = takeCopyLend
+				}
 			}
 		}
+		var lent []byte
 		var at StatInfo
-		data, at, err = t.read(r.lvl, whole)
+		data, lent, at, err = t.read(r.lvl, whole, how)
 		if err == nil && t.e == nil {
 			// Pull-through: a frozen payload is a shared view, servable at once.
 			// Anything else the node may not serve: it keeps the version read.
@@ -224,7 +233,7 @@ func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) {
 				// directories mutate through verbs the lease directory does not
 				// hook.
 				stamp, _ := cl.c.grp.PrimaryStamp(t.id)
-				fc.LeaseFill(int(cl.node), fncache.Key(t.id), data, stamp, epochAtRead, p.Now())
+				fc.LeaseFill(int(cl.node), fncache.Key(t.id), lent, stamp, epochAtRead, p.Now())
 			}
 		}
 		return err
@@ -238,7 +247,7 @@ func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) {
 // round trip and the primary's per-object lock (the Cloudburst win). Every
 // lease hit is audited: an entry whose fill stamp trails the store's newest
 // is a coherence violation, not a staleness allowance.
-func (cl *Client) cachedGet(t target, leased bool) ([]byte, bool) {
+func (cl *Client) cachedGet(t target, leased bool, how take) ([]byte, bool) {
 	var data []byte
 	if e, ok := cl.c.caches[cacheKey{cl.node, t.id}]; ok && e.stable {
 		cl.c.CacheHits++
@@ -255,7 +264,9 @@ func (cl *Client) cachedGet(t target, leased bool) ([]byte, bool) {
 			cl.c.fncache.StaleLeaseServes.Inc()
 		}
 		t.sp.Annotate(trace.Str("fncache", "hit"))
-		data = append([]byte(nil), data...) // mutable object: the caller owns its copy
+		if how != takeView {
+			data = append([]byte(nil), data...) // mutable object: the caller owns its copy
+		}
 	}
 	t.p.Sleep(media.DRAM.ReadCost(int64(len(data))))
 	return data, true
@@ -265,7 +276,14 @@ func (cl *Client) cachedGet(t target, leased bool) ([]byte, bool) {
 // default — the per-operation menu of §3.3. As with Get, an IMMUTABLE
 // payload comes back as a read-only view.
 func (cl *Client) GetAt(p *sim.Proc, r Ref, lvl consistency.Level) ([]byte, error) {
-	data, _, err := cl.look(p, r, verbGetAt, lvl, whole)
+	data, _, err := cl.look(p, r, verbGetAt, lvl, whole, takeCopy)
+	return data, err
+}
+
+// ViewAt is GetAt without the copy below IMMUTABLE: as View, a read-only
+// view at every level, through the same verb as GetAt.
+func (cl *Client) ViewAt(p *sim.Proc, r Ref, lvl consistency.Level) ([]byte, error) {
+	data, _, err := cl.look(p, r, verbGetAt, lvl, whole, takeView)
 	return data, err
 }
 
@@ -339,7 +357,7 @@ func (cl *Client) Freeze(p *sim.Proc, r Ref, m object.Mutability) error {
 
 // Mutability reports the object's current level.
 func (cl *Client) Mutability(p *sim.Proc, r Ref) (object.Mutability, error) {
-	_, info, err := cl.look(p, r, verbMutability, consistency.Linearizable, 0)
+	_, info, err := cl.look(p, r, verbMutability, consistency.Linearizable, 0, takeCopy)
 	return info.Mutability, err
 }
 
@@ -401,14 +419,14 @@ type StatInfo struct {
 
 // Stat fetches object metadata.
 func (cl *Client) Stat(p *sim.Proc, r Ref) (StatInfo, error) {
-	_, info, err := cl.look(p, r, verbStat, consistency.Linearizable, 0)
+	_, info, err := cl.look(p, r, verbStat, consistency.Linearizable, 0, takeCopy)
 	return info, err
 }
 
 // look is the whole of a verb that only reads: one target.read at lvl.
-func (cl *Client) look(p *sim.Proc, r Ref, v *verb, lvl consistency.Level, recv int) (data []byte, at StatInfo, err error) {
+func (cl *Client) look(p *sim.Proc, r Ref, v *verb, lvl consistency.Level, recv int, how take) (data []byte, at StatInfo, err error) {
 	err = cl.run(p, r, v, func(t target) (err error) {
-		data, at, err = t.read(lvl, recv)
+		data, _, at, err = t.read(lvl, recv, how)
 		return err
 	})
 	return data, at, err

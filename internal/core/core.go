@@ -141,7 +141,7 @@ type Cloud struct {
 	fncache  *fncache.Cache  // nil = no colocated caches
 
 	fnRefs   map[string]Ref // function name -> code object ref
-	fnByCode map[object.ID]string
+	fnByCode map[object.ID]fnName
 	nsRoots  map[object.ID]struct{}
 	devices  map[simnet.NodeID]*platform.Device
 

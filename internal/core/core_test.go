@@ -18,7 +18,9 @@ import (
 	"repro/internal/sim"
 )
 
-func testCloud(seed int64) *Cloud {
+func testCloud(seed int64) *Cloud { return New(testOptions(seed)) }
+
+func testOptions(seed int64) Options {
 	opts := DefaultOptions()
 	opts.Seed = seed
 	opts.ClusterCfg = cluster.Config{
@@ -27,7 +29,7 @@ func testCloud(seed int64) *Cloud {
 		GPUNodesPerRack: 1, GPUsPerGPUNode: 2,
 	}
 	opts.Media = media.DRAM
-	return New(opts)
+	return opts
 }
 
 // run drives fn inside a simulation process and runs the clock dry.

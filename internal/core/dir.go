@@ -40,7 +40,7 @@ const (
 // bypasses the cache-stable and lease fast paths (they do not carry
 // versions). As with Get, an IMMUTABLE payload is a read-only view.
 func (cl *Client) GetVersioned(p *sim.Proc, r Ref) ([]byte, uint64, error) {
-	data, at, err := cl.look(p, r, verbGetVersioned, consistency.Linearizable, whole)
+	data, at, err := cl.look(p, r, verbGetVersioned, consistency.Linearizable, whole, takeCopy)
 	return data, at.Version, err
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"unsafe"
 
+	"repro/internal/fncache"
 	"repro/internal/object"
 )
 
@@ -27,6 +28,22 @@ func payload(o *object.Object) (data []byte, shared int) {
 	v := reflect.ValueOf(o).Elem()
 	f := v.FieldByName("data")
 	return *(*[]byte)(unsafe.Pointer(f.UnsafeAddr())), int(v.FieldByName("shared").Int())
+}
+
+// leases calls fn with every lease entry of fc (nil: none), read from the
+// cache's unexported fields as payload reads an object's.
+func leases(fc *fncache.Cache, fn func(node, key int64, data []byte)) {
+	if fc == nil {
+		return
+	}
+	nodes := reflect.ValueOf(fc).Elem().FieldByName("lease").MapRange()
+	for nodes.Next() {
+		entries := nodes.Value().MapRange()
+		for entries.Next() {
+			f := entries.Value().Elem().FieldByName("data")
+			fn(nodes.Key().Int(), int64(entries.Key().Uint()), *(*[]byte)(unsafe.Pointer(f.UnsafeAddr())))
+		}
+	}
 }
 
 // seenShared remembers, from one sharedPastMark audit to the next, the bytes
@@ -74,6 +91,10 @@ func (c *Cloud) sharedPastMark(seen seenShared) []string {
 		// is terminal.
 		add(e.data, 0, fmt.Sprintf("node %d cache of %v", k.node, k.id), object.Immutable)
 	}
+	leases(c.fncache, func(node, key int64, data []byte) {
+		// A lease entry holds a Snapshot and never writes it.
+		add(data, 0, fmt.Sprintf("node %d lease of obj-%d", node, key), object.Immutable)
+	})
 	var out []string
 	for arr, want := range seen {
 		got := unsafe.Slice(arr, len(want))

@@ -17,10 +17,11 @@ import (
 // FnCtx is the context a PCSI function body receives: explicit data-layer
 // inputs and outputs (by reference), a small by-value body, and a client
 // homed on the node the instance runs on — so the function's state access
-// pays exactly the costs of its placement (§4.1).
+// pays exactly the costs of its placement (§4.1). Each attempt of a call
+// gets its own FnCtx.
 type FnCtx struct {
 	Inv     *faas.Invocation
-	Client  *Client
+	Client  Client
 	Inputs  []Ref
 	Outputs []Ref
 	Body    []byte
@@ -56,10 +57,18 @@ type FnConfig struct {
 	Handler     HandlerFunc
 }
 
-// invokeArgs travels through faas.Invocation.Ctx to the adapter.
+// invokeArgs travels through faas.Invocation.Ctx to the adapter. It is
+// never written after it is made, so every attempt of a call shares one.
 type invokeArgs struct {
 	inputs  []Ref
 	outputs []Ref
+}
+
+// fnName is what a code object's ID resolves to: the function's name and
+// the retry-policy label its invocations run under, built once here
+// rather than per call.
+type fnName struct {
+	name, op string
 }
 
 // RegisterFunction stores the function's code as an object in the data
@@ -96,7 +105,7 @@ func (cl *Client) RegisterFunction(p *sim.Proc, cfg FnConfig) (Ref, error) {
 		Handler: func(inv *faas.Invocation) error {
 			fc := &FnCtx{
 				Inv:    inv,
-				Client: c.ClientAt(inv.Node()),
+				Client: Client{c: c, node: inv.Node()},
 				Body:   inv.Body,
 			}
 			if args, ok := inv.Ctx.(*invokeArgs); ok && args != nil {
@@ -115,9 +124,9 @@ func (cl *Client) RegisterFunction(p *sim.Proc, cfg FnConfig) (Ref, error) {
 	}
 	c.fnRefs[cfg.Name] = ref
 	if c.fnByCode == nil {
-		c.fnByCode = make(map[object.ID]string)
+		c.fnByCode = make(map[object.ID]fnName)
 	}
-	c.fnByCode[codeRef.cap.Object()] = cfg.Name
+	c.fnByCode[codeRef.cap.Object()] = fnName{name: cfg.Name, op: verbInvoke.fault + ":" + cfg.Name}
 	return ref, nil
 }
 
@@ -138,21 +147,22 @@ func (cl *Client) Invoke(p *sim.Proc, fnRef Ref, args InvokeArgs) (*faas.Instanc
 	if err := cl.check(fnRef, v.need); err != nil {
 		return nil, err
 	}
-	name, ok := cl.c.fnByCode[fnRef.cap.Object()]
+	fn, ok := cl.c.fnByCode[fnRef.cap.Object()]
 	if !ok {
 		return nil, ErrNoSuchFn
 	}
-	sp := trace.Of(cl.c.env).Start(p, v.cat, v.name, trace.Str("fn", name))
+	sp := trace.Of(cl.c.env).Start(p, v.cat, v.name, trace.Str("fn", fn.name))
 	defer sp.Close(p)
 	hints := faas.PlacementHints{Goal: args.Goal}
+	ctx := &invokeArgs{inputs: args.Inputs, outputs: args.Outputs}
 	var inst *faas.Instance
-	t := target{cl: cl, p: p, v: v, op: v.fault + ":" + name}
+	t := target{cl: cl, p: p, v: v, op: fn.op}
 	err := t.retry(func() error {
 		// The invocation request travels to the runtime's control plane
 		// (and again on each retry — the request is re-sent).
 		cl.c.net.Send(p, cl.node, cl.c.grp.Primary0Node(), 128+len(args.Body))
 		var ierr error
-		inst, ierr = cl.c.rt.Invoke(p, name, args.Body, hints, &invokeArgs{inputs: args.Inputs, outputs: args.Outputs})
+		inst, ierr = cl.c.rt.Invoke(p, fn.name, args.Body, hints, ctx)
 		return ierr
 	})
 	return inst, err
@@ -184,14 +194,14 @@ func (cl *Client) RunGraph(p *sim.Proc, tasks []GraphTask) (map[string]*taskgrap
 		if err := cl.check(t.Fn, capability.Exec); err != nil {
 			return nil, fmt.Errorf("core: task %q: %w", t.Name, err)
 		}
-		name, ok := cl.c.fnByCode[t.Fn.cap.Object()]
+		fn, ok := cl.c.fnByCode[t.Fn.cap.Object()]
 		if !ok {
 			return nil, fmt.Errorf("core: task %q: %w", t.Name, ErrNoSuchFn)
 		}
 		argsByName[t.Name] = &invokeArgs{inputs: t.Inputs, outputs: t.Outputs}
 		if err := g.Add(&taskgraph.Task{
 			Name:          t.Name,
-			Fn:            name,
+			Fn:            fn.name,
 			Body:          t.Body,
 			After:         t.After,
 			Colocate:      t.Colocate,

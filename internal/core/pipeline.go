@@ -201,19 +201,36 @@ func (t *target) view(lvl consistency.Level, recv int, fn func(*object.Object) e
 	})
 }
 
+// take says what a whole-payload read hands back.
+type take uint8
+
+const (
+	takeCopy     take = iota // object.Read: the caller's own copy below IMMUTABLE, a read-only view at it
+	takeCopyLend             // takeCopy, plus a Snapshot lent to the lease cache
+	takeView                 // object.Snapshot: a read-only view at every level
+)
+
 // read views the object at lvl and returns the metadata it saw, together with
-// (recv == whole) the payload it saw them with: the caller's own copy below
-// IMMUTABLE, a read-only view at it (object.Read).
-func (t *target) read(lvl consistency.Level, recv int) (data []byte, at StatInfo, err error) {
+// (recv == whole) the payload it saw them with, as how says, and — unless how
+// is takeCopy — a Snapshot taken in the same access (lent; data itself for
+// takeView).
+func (t *target) read(lvl consistency.Level, recv int, how take) (data, lent []byte, at StatInfo, err error) {
 	err = t.view(lvl, recv, func(o *object.Object) error {
 		if recv == whole {
-			data = o.Read()
+			if how != takeCopy {
+				lent = o.Snapshot()
+			}
+			if how == takeView {
+				data = lent
+			} else {
+				data = o.Read()
+			}
 		}
 		at = StatInfo{Kind: o.Kind(), Size: o.Size(), Version: o.Version(), Mutability: o.Mutability()}
 		return nil
 	})
 	t.moved(len(data))
-	return data, at, err
+	return data, lent, at, err
 }
 
 // poll applies fn until it stops reporting empty, sleeping one network round

@@ -87,6 +87,14 @@ var entryDrivers = []struct {
 	{"put_shared", verbPut, verbDriver{local: true, call: func(cl *Client, p *sim.Proc, r Ref) error {
 		return cl.PutShared(p, r, []byte("v"))
 	}}},
+	{"view", verbGet, verbDriver{local: true, call: func(cl *Client, p *sim.Proc, r Ref) error {
+		_, err := cl.View(p, r)
+		return err
+	}}},
+	{"view_at", verbGetAt, verbDriver{local: true, call: func(cl *Client, p *sim.Proc, r Ref) error {
+		_, err := cl.ViewAt(p, r, consistency.Eventual)
+		return err
+	}}},
 }
 
 // subject builds the object (or function) a row's driver acts on.

@@ -144,7 +144,7 @@ func e14Run(rn run, mode e14Mode) *e14Arm {
 						return err
 					}
 				} else {
-					if _, err := fc.Client.Get(rp, r); err != nil {
+					if _, err := fc.Client.View(rp, r); err != nil {
 						return err
 					}
 				}

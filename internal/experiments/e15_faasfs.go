@@ -469,7 +469,7 @@ func e15Run(rn run, mode e15Mode) *e15Arm {
 	handler := func(step func(rp *sim.Proc, i int, io e15IO) error) core.HandlerFunc {
 		return func(fc *core.FnCtx) error {
 			rp, i := fc.Proc(), int(fc.Body[0])
-			return st.unit(rp, fc.Client, true, func(io e15IO) error { return step(rp, i, io) })
+			return st.unit(rp, &fc.Client, true, func(io e15IO) error { return step(rp, i, io) })
 		}
 	}
 
@@ -504,7 +504,7 @@ func e15Run(rn run, mode e15Mode) *e15Arm {
 		for j := 0; j < e15Rounds; j++ {
 			a, b := e15Pair(k, j)
 			pa, pb := fmt.Sprintf("db/page%d", a), fmt.Sprintf("db/page%d", b)
-			err := st.unit(fc.Proc(), fc.Client, true, func(io e15IO) error {
+			err := st.unit(fc.Proc(), &fc.Client, true, func(io e15IO) error {
 				hb, err := io.read("db/header")
 				if err != nil {
 					return err

@@ -103,7 +103,7 @@ func runE2(rn run) *Report {
 		}
 		for i := 0; i < reads; i++ {
 			start := p.Now()
-			if _, err := clientP.GetAt(p, ref, consistency.Eventual); err != nil {
+			if _, err := clientP.ViewAt(p, ref, consistency.Eventual); err != nil {
 				return
 			}
 			pcsiLat.Observe(p.Now().Sub(start))

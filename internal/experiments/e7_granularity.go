@@ -78,13 +78,13 @@ func runE7(rn run) *Report {
 			if err != nil {
 				return
 			}
-			if err := clientP.Put(p, ref, make([]byte, size)); err != nil {
+			if err := clientP.PutOwned(p, ref, make([]byte, size)); err != nil {
 				return
 			}
 			const n = 20
 			t0 := p.Now()
 			for i := 0; i < n; i++ {
-				if _, err := clientP.GetAt(p, ref, consistency.Eventual); err != nil {
+				if _, err := clientP.ViewAt(p, ref, consistency.Eventual); err != nil {
 					return
 				}
 			}

@@ -95,7 +95,7 @@ func runE8(rn run) *Report {
 				return
 			}
 			for i := 0; i < nOps; i++ {
-				if _, err := clientP.GetAt(p, ref, consistency.Eventual); err != nil {
+				if _, err := clientP.ViewAt(p, ref, consistency.Eventual); err != nil {
 					return
 				}
 			}

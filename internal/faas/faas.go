@@ -112,9 +112,6 @@ type Invocation struct {
 	Fn       *Function
 	Body     []byte
 	Instance *Instance
-	// Scratch is per-invocation state, destroyed on return — the "no
-	// implicit state" rule made mechanical.
-	Scratch map[string]any
 	// Ctx is an opaque slot the embedding system (PCSI core) uses to give
 	// handlers data-layer access.
 	Ctx any
@@ -329,7 +326,6 @@ func (rt *Runtime) Invoke(p *sim.Proc, name string, body []byte, hints Placement
 		Fn:       fn,
 		Body:     append([]byte(nil), body...),
 		Instance: inst,
-		Scratch:  make(map[string]any),
 		Ctx:      ctx,
 		Seq:      rt.seq,
 	}
@@ -348,8 +344,6 @@ func (rt *Runtime) Invoke(p *sim.Proc, name string, body []byte, hints Placement
 	took := p.Now().Sub(busyFrom)
 	inst.busy += took
 	rt.BusySeconds += took.Seconds()
-	// Destroy per-invocation state: the no-implicit-state rule.
-	inv.Scratch = nil
 	rt.release(inst)
 	rt.Invocations.Inc()
 	rt.InvokeLat.Observe(p.Now().Sub(start))

@@ -287,29 +287,42 @@ func TestIdleReaperShrinksToZero(t *testing.T) {
 	}
 }
 
+// No state survives an invocation except through the data layer: each call
+// on a reused instance gets a fresh Invocation carrying only its own body
+// (a copy: scribbling on it reaches neither the caller nor the next call)
+// and its own context.
 func TestNoImplicitState(t *testing.T) {
 	env, rt := testRuntime(4, Config{})
-	leaked := false
+	seen := map[*Invocation]bool{}
+	var leaked []string
 	fn := wasmFn("stateful", func(inv *Invocation) error {
-		if _, ok := inv.Scratch["seen"]; ok {
-			leaked = true
+		if seen[inv] {
+			leaked = append(leaked, "an Invocation was handed out twice")
 		}
-		inv.Scratch["seen"] = true
+		seen[inv] = true
+		if string(inv.Body) != "abc" {
+			leaked = append(leaked, "body "+string(inv.Body)+" carried over")
+		}
+		if inv.Ctx != inv.Seq {
+			leaked = append(leaked, "another call's context")
+		}
+		inv.Body[0] = 'X'
 		return nil
 	})
 	if err := rt.Register(fn); err != nil {
 		t.Fatal(err)
 	}
+	body := []byte("abc")
 	env.Go("c", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			if _, err := rt.Invoke(p, "stateful", nil, PlacementHints{}, nil); err != nil {
+		for i := int64(1); i <= 3; i++ {
+			if _, err := rt.Invoke(p, "stateful", body, PlacementHints{}, i); err != nil {
 				t.Error(err)
 			}
 		}
 	})
 	env.Run()
-	if leaked {
-		t.Error("scratch state survived across invocations — no-implicit-state violated")
+	if len(leaked) > 0 || len(seen) != 3 || string(body) != "abc" {
+		t.Errorf("state survived across invocations — no-implicit-state violated: %v, %d invocations, caller's body %q", leaked, len(seen), body)
 	}
 	if rt.WarmStarts.Value() != 2 {
 		t.Errorf("warm starts = %d (instances were reused, state still must not leak)", rt.WarmStarts.Value())

@@ -230,12 +230,11 @@ func TestRunRetriesConflictToSuccess(t *testing.T) {
 			done[w] = ev
 			c.Env().Go(fmt.Sprintf("writer%d", w), func(wp *sim.Proc) {
 				defer ev.Complete(nil)
-				wcl := c.ClientAt(cl.Node())
 				pol := fault.DefaultPolicy()
 				pol.MaxAttempts = 50
 				pol.Deadline = 0
 				for i := 0; i < rounds; i++ {
-					err := fs.Run(wp, wcl, pol, func(s *faasfs.Session) error {
+					err := fs.Run(wp, cl, pol, func(s *faasfs.Session) error {
 						data, err := s.ReadFile(wp, "/counter")
 						if err != nil {
 							return err

@@ -195,7 +195,9 @@ func (c *Cache) LeaseGet(node int, key Key, now sim.Time) (data []byte, stamp co
 // LeaseFill installs a freshly read entry, validated against the epoch the
 // reader observed before the authoritative read: if a write began since
 // (epoch moved or is in flight), the fill is dropped — the reader keeps its
-// correct data, the cache just declines to remember it.
+// correct data, the cache just declines to remember it. The entry holds data
+// itself, not a copy: it must be a snapshot nobody writes again (the store
+// object's Snapshot, which the object copies before it writes).
 func (c *Cache) LeaseFill(node int, key Key, data []byte, stamp consistency.Stamp, epochAtRead uint64, now sim.Time) {
 	d := c.dirFor(key)
 	if d.epoch != epochAtRead || d.writing {
@@ -208,7 +210,7 @@ func (c *Cache) LeaseFill(node int, key Key, data []byte, stamp consistency.Stam
 		}
 	}
 	entries[key] = &leaseEntry{
-		data:    append([]byte(nil), data...),
+		data:    data,
 		stamp:   stamp,
 		epoch:   d.epoch,
 		expires: now.Add(c.cfg.LeaseTTL),

@@ -398,3 +398,64 @@ func TestSocketOverTCP(t *testing.T) {
 		t.Error("send after close succeeded over TCP")
 	}
 }
+
+// TestGetBodiesAreWholeVersions: OpGet's reply body is a view of the object
+// (core.Client.View), written to the wire after the server's lock is
+// released, while another connection's Puts and Appends to the same object
+// run. Run it under -race: no write may reach the bytes of a body being
+// sent, and every body received is one whole version — one byte value
+// throughout, at a length some Put or Append left.
+func TestGetBodiesAreWholeVersions(t *testing.T) {
+	srv, writer := startServer(t)
+	reader, err := Dial(srv.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	tok, err := writer.Create("regular", "", "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size, chunk, versions, appends = 16 << 10, 1 << 10, 30, 4
+	if err := writer.Put(tok, bytes.Repeat([]byte{0}, size)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for v := 1; v <= versions; v++ {
+			if err := writer.Put(tok, bytes.Repeat([]byte{byte(v)}, size)); err != nil {
+				done <- err
+				return
+			}
+			for j := 0; j < appends; j++ {
+				if err := writer.Append(tok, bytes.Repeat([]byte{byte(v)}, chunk)); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+	reads := 0
+	for writing := true; writing; reads++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+		}
+		body, err := reader.Get(tok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail := len(body) - size
+		if tail < 0 || tail%chunk != 0 || tail/chunk > appends || bytes.Count(body, body[:1]) != len(body) {
+			t.Fatalf("read %d: a body of %d bytes is no whole version (first byte %d)", reads, len(body), body[0])
+		}
+	}
+	if reads < 2 {
+		t.Errorf("only %d reads overlapped the writes", reads)
+	}
+}

@@ -314,8 +314,10 @@ var ops = map[string]op{
 	// The body is the frame's own array (ReadFrame, Decode): hand it over.
 	OpPut:    {key: keyRef, run: func(c *call) error { return c.s.client.PutOwned(c.p, c.ref, c.req.Body) }},
 	OpAppend: {key: keyRef, run: func(c *call) error { return c.s.client.Append(c.p, c.ref, c.req.Body) }},
+	// The body only goes to the wire, after mu is released: a view (View)
+	// that later writes never change, since the object copies first.
 	OpGet: {key: keyRef, run: func(c *call) (err error) {
-		c.body, err = c.s.client.Get(c.p, c.ref)
+		c.body, err = c.s.client.View(c.p, c.ref)
 		return err
 	}},
 	OpFreeze: {key: keyRef, run: func(c *call) error {

@@ -654,10 +654,81 @@ func allocsInProc(e *Env, op func(p *Proc)) float64 {
 
 // The engine's per-event path allocates nothing: scheduling, the heap push
 // and pop, park, wake and the dispatch loop. Only a spawn allocates (the
-// Proc; TestSpawnAllocationsAcrossEnvs).
+// Proc; TestSpawnAllocationsAcrossEnvs). A second process sleeps in
+// lockstep, one nanosecond behind, so no wake is ever the lone next event:
+// every Sleep measured here parks.
 func TestSleepAllocatesNothing(t *testing.T) {
-	if n := allocsInProc(NewEnv(1), func(p *Proc) { p.Sleep(time.Microsecond) }); n != 0 {
-		t.Errorf("Proc.Sleep: %v allocations per call, want 0", n)
+	e := NewEnv(1)
+	var n float64
+	stop, lone := false, 0
+	e.Go("lockstep", func(p *Proc) {
+		p.Sleep(1)
+		for !stop {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	e.Go("measure", func(p *Proc) {
+		n = testing.AllocsPerRun(100, func() {
+			if e.Pending() == 0 {
+				lone++ // the lockstep wake is not queued: this Sleep would not park
+			}
+			p.Sleep(time.Microsecond)
+		})
+		stop = true
+	})
+	e.Run()
+	if n != 0 {
+		t.Errorf("Proc.Sleep (parked): %v allocations per call, want 0", n)
+	}
+	if lone != 0 {
+		t.Errorf("%d of 101 measured sleeps had no lockstep wake queued before theirs", lone)
+	}
+	if got := e.Dispatched(); got != 2+101+102 {
+		t.Errorf("Dispatched = %d, want 205 (two spawns, 101 measured wakes, 102 lockstep wakes)", got)
+	}
+}
+
+// A lone sleeper's wake is the engine's next event, so Sleep takes it
+// inline: no allocation and no switch, but still one dispatch per call.
+func TestInlineSleepAllocatesNothing(t *testing.T) {
+	e := NewEnv(1)
+	n := allocsInProc(e, func(p *Proc) { p.Sleep(time.Microsecond) })
+	if n != 0 {
+		t.Errorf("Proc.Sleep (inline): %v allocations per call, want 0", n)
+	}
+	if e.Now() != Time(101*time.Microsecond) {
+		t.Errorf("101 inline sleeps of 1µs moved the clock to %v, want 101µs", e.Now())
+	}
+	if e.Dispatched() != 1+101 {
+		t.Errorf("Dispatched = %d, want 102 (the spawn and 101 inline wakes)", e.Dispatched())
+	}
+}
+
+// Close aborts a process parked in Wait; a Sleep in its deferred func is
+// cut short there — it parks, and the closing environment unwinds it —
+// and the clock does not move.
+func TestCloseCutsAbortedSleepShort(t *testing.T) {
+	e := NewEnv(1)
+	never := e.NewEvent()
+	past := false
+	var stuck *Proc
+	e.Go("stuck", func(p *Proc) {
+		stuck = p
+		defer func() {
+			p.Sleep(5)
+			past = true // must not run
+		}()
+		p.Wait(never) //nolint:errcheck
+	})
+	end := e.Run()
+	if past {
+		t.Error("an aborted process's deferred Sleep returned")
+	}
+	if end != 0 || e.Now() != 0 {
+		t.Errorf("Run returned %v and the clock reads %v, want 0 and 0", end, e.Now())
+	}
+	if stuck.Returned() || e.LiveProcs() != 0 {
+		t.Errorf("Returned = %v, LiveProcs = %d; want false, 0", stuck.Returned(), e.LiveProcs())
 	}
 }
 

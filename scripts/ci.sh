@@ -84,6 +84,7 @@ go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/pcsinet
 go test -run '^$' -fuzz FuzzDispatch -fuzztime 10s ./internal/pcsinet
 go test -run '^$' -fuzz FuzzLatticePayload -fuzztime 10s ./internal/fncache
 go test -run '^$' -fuzz FuzzPayloadHolders -fuzztime 10s ./internal/object
+go test -run '^$' -fuzz FuzzEngineOrder -fuzztime 10s ./internal/sim
 
 echo '== pcsid/pcsictl smoke (the two binaries end to end over loopback)'
 smoke=$(mktemp -d)
