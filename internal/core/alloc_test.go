@@ -13,11 +13,13 @@ import (
 // A warm Invoke allocates the call's inputs/outputs holder, the faas
 // Invocation and the adapter's FnCtx (which holds its node Client by value),
 // and nothing per attempt beyond those two: the retry label is built at
-// registration. Not parallel: AllocsPerRun counts the whole process.
+// registration. A call with no inputs or outputs has nothing to hold, so it
+// makes exactly one allocation fewer. Not parallel: AllocsPerRun counts the
+// whole process.
 func TestWarmInvokeAllocations(t *testing.T) {
 	c := testCloud(1)
 	cl := c.NewClient(0)
-	var n float64
+	var withArgs, empty float64
 	run(t, c, func(p *sim.Proc) {
 		fn, err := cl.RegisterFunction(p, FnConfig{Name: "noop", Kind: platform.Wasm, Handler: func(*FnCtx) error { return nil }})
 		if err != nil {
@@ -29,13 +31,16 @@ func TestWarmInvokeAllocations(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		args := InvokeArgs{Inputs: []Ref{in}, Outputs: []Ref{in}}
 		var ierr error
-		n = testing.AllocsPerRun(50, func() {
-			if _, err := cl.Invoke(p, fn, args); err != nil {
-				ierr = err
-			}
-		})
+		allocs := func(args InvokeArgs) float64 {
+			return testing.AllocsPerRun(50, func() {
+				if _, err := cl.Invoke(p, fn, args); err != nil {
+					ierr = err
+				}
+			})
+		}
+		withArgs = allocs(InvokeArgs{Inputs: []Ref{in}, Outputs: []Ref{in}})
+		empty = allocs(InvokeArgs{})
 		if ierr != nil {
 			t.Error(ierr)
 		}
@@ -43,8 +48,11 @@ func TestWarmInvokeAllocations(t *testing.T) {
 			t.Errorf("%d cold starts, want 1: the measured calls were not warm", c.Runtime().ColdStarts.Value())
 		}
 	})
-	if n > 3 {
-		t.Errorf("a warm Invoke made %v allocations, want ≤ 3", n)
+	if withArgs > 3 {
+		t.Errorf("a warm Invoke made %v allocations, want ≤ 3", withArgs)
+	}
+	if empty != withArgs-1 {
+		t.Errorf("a warm Invoke with no inputs or outputs made %v allocations, want %v: one fewer than with them", empty, withArgs-1)
 	}
 }
 

@@ -154,7 +154,10 @@ func (cl *Client) Invoke(p *sim.Proc, fnRef Ref, args InvokeArgs) (*faas.Instanc
 	sp := trace.Of(cl.c.env).Start(p, v.cat, v.name, trace.Str("fn", fn.name))
 	defer sp.Close(p)
 	hints := faas.PlacementHints{Goal: args.Goal}
-	ctx := &invokeArgs{inputs: args.Inputs, outputs: args.Outputs}
+	var ctx any // a call with no inputs or outputs passes nothing to the adapter
+	if args.Inputs != nil || args.Outputs != nil {
+		ctx = &invokeArgs{inputs: args.Inputs, outputs: args.Outputs}
+	}
 	var inst *faas.Instance
 	t := target{cl: cl, p: p, v: v, op: fn.op}
 	err := t.retry(func() error {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -53,19 +54,42 @@ func TestFanOutIndependentOfWidth(t *testing.T) {
 	}
 }
 
-// TestFanRunsEveryArmOnce: each index runs exactly once at any width, and a
-// run carrying any session runs its arms one at a time, in index order.
+// TestFanRunsEveryArmOnce: each index runs exactly once at widths 1, 2
+// and 4; at width 2 the caller starts at index 0 and the helper at n-1;
+// and a run carrying any session runs its arms one at a time, in index
+// order.
 func TestFanRunsEveryArmOnce(t *testing.T) {
-	atWidth(4, func() {
-		for _, n := range []int{0, 1, 3, 17} {
-			counts := make([]atomic.Int32, n)
-			run{}.fan(n, func(i int) bool { counts[i].Add(1); return true })
-			for i := range counts {
-				if c := counts[i].Load(); c != 1 {
-					t.Errorf("n=%d: arm %d ran %d times", n, i, c)
+	for _, procs := range []int{1, 2, 4} {
+		atWidth(procs, func() {
+			for _, n := range []int{0, 1, 3, 17} {
+				counts := make([]atomic.Int32, n)
+				var mu sync.Mutex
+				var helped []int // the indices helpers ran, in start order
+				run{}.fan(n, func(i int) bool {
+					counts[i].Add(1)
+					if onFanHelper() {
+						mu.Lock()
+						helped = append(helped, i)
+						mu.Unlock()
+					} else if i == 0 && procs == 2 && n > 1 {
+						// Hold the caller's first arm until a helper has
+						// taken one, so the helper's first pick is seen.
+						waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(helped) > 0 })
+					}
+					return true
+				})
+				for i := range counts {
+					if c := counts[i].Load(); c != 1 {
+						t.Errorf("GOMAXPROCS=%d, n=%d: arm %d ran %d times", procs, n, i, c)
+					}
+				}
+				if procs == 2 && n > 1 && (len(helped) == 0 || helped[0] != n-1) {
+					t.Errorf("n=%d: the helper ran %v; want its first arm to be %d", n, helped, n-1)
 				}
 			}
-		}
+		})
+	}
+	atWidth(4, func() {
 		for name, rn := range map[string]run{
 			"traced":   {trace: trace.NewCollector()},
 			"faulted":  {faults: fault.NewSession(fault.Spec{Rates: fault.Uniform(0.05)})},
@@ -89,6 +113,24 @@ func TestFanRunsEveryArmOnce(t *testing.T) {
 			}
 		}
 	})
+}
+
+// onFanHelper reports whether the calling goroutine is one fan started.
+func onFanHelper() bool {
+	buf := make([]byte, 1<<12)
+	return fanHelper(string(buf[:runtime.Stack(buf, false)]))
+}
+
+// waitFor yields until cond holds, and fails t if it still does not after
+// ten million yields.
+func waitFor(t *testing.T, cond func() bool) {
+	for i := 0; !cond(); i++ {
+		if i == 1e7 {
+			t.Error("gave up waiting after 1e7 yields")
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 // TestFanRepanicsInCaller: a panicking arm re-panics in fan's caller with the

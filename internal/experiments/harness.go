@@ -54,16 +54,19 @@ func (rn run) options() core.Options {
 }
 
 // fan runs arm(0) … arm(n-1), a run's independent arms, at most
-// runtime.GOMAXPROCS(0) at once, handing out indices in order. Each arm
-// writes only its own index's slot of the caller's result slices, so a
-// report never depends on which arm finished first.
+// runtime.GOMAXPROCS(0) at once. The caller takes indices from the front
+// and the helpers from the back, so an experiment that lists its longest
+// arms last (E13's REST arms) starts them first and the two ends meet in
+// the middle. Each arm writes only its own index's slot of the caller's
+// result slices, so a report never depends on which arm finished first.
 //
-// An arm that returns false or panics stops the fan: no index after it is
-// handed out. Arms handed out before it still finish, so above width 1 a
-// few arms past the stopping one may have run; the caller reads results
-// only up to it. If the lowest stopping arm panicked, fan re-panics in the
-// caller with its value; the re-panic's stack starts at fan, so the value
-// is what names the fault (a sim process's panic names the process).
+// An arm that returns false or panics stops the fan: every index below it
+// still runs and no further index above it is handed out, but above width
+// 1 any arm after the stopping one may already have run; the caller reads
+// results only up to it. If the lowest stopping arm panicked, fan
+// re-panics in the caller with its value; the re-panic's stack starts at
+// fan, so the value is what names the fault (a sim process's panic names
+// the process).
 //
 // An observed run keeps width 1, so it runs exactly the arms, in the order,
 // of a loop that stops at the first failed arm, because every session
@@ -76,21 +79,27 @@ func (rn run) fan(n int, arm func(i int) bool) {
 		width = 1
 	}
 	var (
-		mu       sync.Mutex
-		next     int
-		stop     = n // lowest index whose arm stopped the fan; n: none
-		panicked bool
-		value    any // what arm stop panicked with
+		mu          sync.Mutex
+		front, back = 0, n // indices not yet handed out: [front, back)
+		stop        = n    // lowest index whose arm stopped the fan; n: none
+		panicked    bool
+		value       any // what arm stop panicked with
 	)
-	work := func() {
+	work := func(fromBack bool) {
 		for {
 			mu.Lock()
-			i := next
-			if i >= stop {
+			back = min(back, stop)
+			if front >= back {
 				mu.Unlock()
 				return
 			}
-			next++
+			i := front
+			if fromBack {
+				back--
+				i = back
+			} else {
+				front++
+			}
 			mu.Unlock()
 			if ok, p, v := runArm(arm, i); !ok {
 				mu.Lock()
@@ -108,10 +117,10 @@ func (rn run) fan(n int, arm func(i int) bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			work(true)
 		}()
 	}
-	work()
+	work(false)
 	wg.Wait()
 	if panicked {
 		panic(value)

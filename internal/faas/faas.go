@@ -40,7 +40,8 @@ var (
 
 // noPlacement is ErrNoPlacement for one function and footprint. A full
 // cluster refuses many starts that a retry absorbs, so the message is
-// formatted only when asked for.
+// formatted only when asked for, and the runtime boxes one value per
+// function and footprint (Runtime.refusal) rather than one per refusal.
 type noPlacement struct {
 	fn  string
 	res cluster.Resources
@@ -200,7 +201,10 @@ type Runtime struct {
 	// fnInvokes counts per-function invocations for the variant
 	// optimizer's promotion rule.
 	fnInvokes map[string]int64
-	reg       *trace.Registry
+	// refused holds the one error a refused start returns per function
+	// and footprint.
+	refused map[noPlacement]error
+	reg     *trace.Registry
 	// failFast races each handler against its node's failure event (see
 	// SetFailFast).
 	failFast bool
@@ -238,14 +242,15 @@ func NewRuntime(cl *cluster.Cluster, plc Placer, cfg Config) *Runtime {
 		reg = trace.NewRegistry()
 	}
 	rt := &Runtime{
-		env:  cl.Env(),
-		cl:   cl,
-		net:  cl.Net(),
-		plc:  plc,
-		cfg:  cfg,
-		fns:  make(map[string]*Function),
-		pool: make(map[string][]*Instance),
-		reg:  reg,
+		env:     cl.Env(),
+		cl:      cl,
+		net:     cl.Net(),
+		plc:     plc,
+		cfg:     cfg,
+		fns:     make(map[string]*Function),
+		pool:    make(map[string][]*Instance),
+		refused: make(map[noPlacement]error),
+		reg:     reg,
 
 		ColdStarts:  metrics.NewCounter("cold_starts"),
 		WarmStarts:  metrics.NewCounter("warm_starts"),
@@ -409,28 +414,36 @@ func (rt *Runtime) acquire(p *sim.Proc, fn *Function, hints PlacementHints) (*In
 }
 
 // takeIdle pops an idle instance of the chosen variant, preferring one on
-// the hinted node.
+// the hinted node. Without a hint the first available instance is the
+// pick, so the scan stops there.
 func (rt *Runtime) takeIdle(fn *Function, variant int, hints PlacementHints) *Instance {
-	insts := rt.pool[fn.Name]
-	pick := -1
-	for i, in := range insts {
+	var pick *Instance
+	for _, in := range rt.pool[fn.Name] {
 		available := in.variant == variant && (in.state == instIdle ||
 			(in.state == instBusy && in.inflight < in.Fn.Concurrency))
 		if !available {
 			continue
 		}
-		if hints.HasNear && in.Node.ID == hints.NearNode {
-			pick = i
-			break
+		if !hints.HasNear || in.Node.ID == hints.NearNode {
+			return in
 		}
-		if pick < 0 {
-			pick = i
+		if pick == nil {
+			pick = in
 		}
 	}
-	if pick < 0 {
-		return nil
+	return pick
+}
+
+// refusal returns the error a start of fn needing res is refused with:
+// the same value every time, boxed on the first refusal.
+func (rt *Runtime) refusal(fn string, res cluster.Resources) error {
+	key := noPlacement{fn, res}
+	err, ok := rt.refused[key]
+	if !ok {
+		err = key
+		rt.refused[key] = err
 	}
-	return insts[pick]
+	return err
 }
 
 // coldStart places, allocates, boots, and fetches code for a fresh
@@ -442,7 +455,7 @@ func (rt *Runtime) coldStart(p *sim.Proc, fn *Function, variant int, hints Place
 	defer sp.Close(p)
 	node, scavenge := rt.plc.Place(res, hints)
 	if node == nil {
-		return nil, noPlacement{fn.Name, res}
+		return nil, rt.refusal(fn.Name, res)
 	}
 	sp.Annotate(trace.Int("node", int64(node.ID)))
 	if scavenge {

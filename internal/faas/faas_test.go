@@ -3,6 +3,7 @@ package faas
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -129,6 +130,85 @@ func TestNoPlacementError(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// A start refused by a full cluster allocates nothing: the runtime hands
+// back the one error it boxed for the function and footprint, which still
+// matches ErrNoPlacement and is retryable.
+func TestRefusedColdStartAllocatesNothing(t *testing.T) {
+	env, rt := testRuntime(1, Config{})
+	if err := rt.Register(wasmFn("f", sleeper(0))); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range rt.cl.Nodes() {
+		if _, err := rt.cl.Allocate(n, n.Free()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var allocs float64
+	var last error
+	env.Go("c", func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(100, func() {
+			_, last = rt.Invoke(p, "f", nil, PlacementHints{}, nil)
+		})
+	})
+	env.Run()
+	if !errors.Is(last, ErrNoPlacement) || !fault.Retryable(last) {
+		t.Fatalf("err = %v (retryable %v), want a retryable ErrNoPlacement", last, fault.Retryable(last))
+	}
+	if allocs != 0 {
+		t.Errorf("a refused Invoke made %v allocations, want 0", allocs)
+	}
+}
+
+// takeIdle returns the instance a full scan of the pool picks — the
+// hinted node's first available instance, else the first available one —
+// over seeded pools of idle, busy and full instances of two variants, with
+// and without a NearNode hint.
+func TestTakeIdleMatchesFullScan(t *testing.T) {
+	_, rt := testRuntime(1, Config{})
+	nodes := rt.cl.Nodes()
+	fullScan := func(insts []*Instance, variant int, hints PlacementHints) *Instance {
+		var pick *Instance
+		for _, in := range insts {
+			if in.variant != variant || !(in.state == instIdle || in.state == instBusy && in.inflight < in.Fn.Concurrency) {
+				continue
+			}
+			if hints.HasNear && in.Node.ID == hints.NearNode {
+				return in
+			}
+			if pick == nil {
+				pick = in
+			}
+		}
+		return pick
+	}
+	rng := rand.New(rand.NewSource(1))
+	fn := &Function{Name: "f", Concurrency: 2}
+	for trial := 0; trial < 2000; trial++ {
+		insts := make([]*Instance, rng.Intn(8))
+		for i := range insts {
+			in := &Instance{Fn: fn, Node: nodes[rng.Intn(len(nodes))], variant: rng.Intn(2)}
+			switch rng.Intn(3) {
+			case 0:
+				in.state = instIdle
+			case 1:
+				in.state, in.inflight = instBusy, 1 // busy, room for one more
+			default:
+				in.state, in.inflight = instBusy, 2 // full
+			}
+			insts[i] = in
+		}
+		rt.pool[fn.Name] = insts
+		variant := rng.Intn(2)
+		hints := PlacementHints{}
+		if rng.Intn(2) == 0 {
+			hints = PlacementHints{NearNode: nodes[rng.Intn(len(nodes))].ID, HasNear: true}
+		}
+		if got, want := rt.takeIdle(fn, variant, hints), fullScan(insts, variant, hints); got != want {
+			t.Fatalf("trial %d: takeIdle(variant %d, %+v) picked %p, the full scan %p", trial, variant, hints, got, want)
+		}
+	}
 }
 
 // fault.Retryable classifies a placement failure as errors.As with a

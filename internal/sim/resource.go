@@ -7,7 +7,7 @@ type Resource struct {
 	name string
 	cap  int64
 	used int64
-	q    []*resWaiter
+	q    []resWaiter // by value: a parked acquirer allocates nothing
 
 	// Contention statistics.
 	waits     int64
@@ -45,7 +45,7 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 		return
 	}
 	start := r.env.now
-	r.q = append(r.q, &resWaiter{p: p, n: n, at: start})
+	r.q = append(r.q, resWaiter{p: p, n: n, at: start})
 	// admit reserves our units before waking us, so one park suffices.
 	p.park()
 	r.waits++

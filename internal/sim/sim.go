@@ -130,6 +130,7 @@ type Env struct {
 	forks      uint64
 	rng        *rand.Rand
 	observers  []observer // SetObserver's slots; opaque to the engine
+	idle       []*worker  // workers freed while the loop runs (worker.go)
 }
 
 type observer struct{ key, val any }
@@ -382,7 +383,12 @@ func (e *Env) runUntil(limit Time) Time {
 	return e.now
 }
 
-func (e *Env) stopRunning() { e.running = false }
+// stopRunning ends the loop and hands back the workers it kept, also when
+// a process's panic unwinds the loop.
+func (e *Env) stopRunning() {
+	e.running = false
+	e.returnIdle()
+}
 
 // Close aborts every parked process, oldest park first, and spawns no more:
 // each resumed process removes itself from the parked list (in park) and

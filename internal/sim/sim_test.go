@@ -618,6 +618,84 @@ func TestProcessPanicSurfacesFromRun(t *testing.T) {
 
 func parkOnce(p *Proc) { p.Sleep(0) }
 
+// A worker never outlives its loop: while the loop runs, an environment
+// keeps the workers its dead processes free for its next spawn, and hands
+// every one back to the free list whenever the loop returns — after Run,
+// after a RunUntil that leaves processes parked or that a process's panic
+// unwinds, and after Close. Each case's processes are all live at t=0, so
+// a case uses exactly its process count in workers and the free list ends
+// at the larger of that count and its size before, less the workers still
+// held by parked processes or lost to a panic.
+func TestWorkersNeverOutliveTheLoop(t *testing.T) {
+	never := func(e *Env) func(*Proc) {
+		ev := e.NewEvent()
+		return func(p *Proc) { p.Wait(ev) } //nolint:errcheck
+	}
+	exitAt := func(d Duration) func(*Proc) { return func(p *Proc) { p.Sleep(d) } }
+	check := func(what string, e *Env, want int) {
+		t.Helper()
+		if n := len(e.idle); n != 0 {
+			t.Errorf("%s: the environment holds %d idle workers, want 0", what, n)
+		}
+		if got := idleWorkers(); got != want {
+			t.Errorf("%s: %d workers on the free list, want %d", what, got, want)
+		}
+	}
+
+	free := idleWorkers()
+	e := NewEnv(1)
+	for i := 0; i < 4; i++ {
+		e.Go("done", exitAt(time.Duration(i)))
+	}
+	e.Run()
+	free = max(free, 4)
+	check("Run", e, free)
+
+	e = NewEnv(1)
+	for i := 0; i < 3; i++ {
+		e.Go("done", exitAt(1))
+	}
+	for i := 0; i < 2; i++ {
+		e.Go("parked", never(e))
+	}
+	e.RunUntil(10)
+	free = max(free, 5)
+	check("RunUntil with two processes parked", e, free-2)
+	e.Close()
+	check("Close", e, free)
+
+	e = NewEnv(1)
+	for i := 0; i < 3; i++ {
+		e.Go("done", exitAt(1))
+	}
+	e.Go("bad", func(p *Proc) {
+		p.Sleep(2)
+		panic("boom")
+	})
+	func() {
+		defer func() { recover() }()
+		e.RunUntil(10)
+	}()
+	free = max(free, 4)
+	check("RunUntil a process's panic unwound", e, free-1)
+}
+
+// An environment that runs one short loop per request, as a pcsinet
+// server's does, keeps its idle list's backing array across loops, so a
+// request's spawn allocates its Proc and nothing more.
+func TestRunUntilPerSpawnAllocatesOnlyTheProc(t *testing.T) {
+	e := NewEnv(1)
+	defer e.Close()
+	serve := func() {
+		e.Go("req", parkOnce)
+		e.RunUntil(e.Now() + 1)
+	}
+	serve()
+	if n := testing.AllocsPerRun(100, serve); n != 1 {
+		t.Errorf("a spawn and RunUntil made %v allocations, want 1 (the Proc)", n)
+	}
+}
+
 // A worker outlives its environment, so after one warm-up a fresh
 // environment spawns without starting coroutines: iter.Pull costs about a
 // dozen allocations, and a pool per environment would pay them for every
@@ -798,6 +876,39 @@ func TestEventCompletionToCallbackAllocatesNothing(t *testing.T) {
 	}
 	if called != len(evs) {
 		t.Errorf("callback ran %d times, want %d", called, len(evs))
+	}
+}
+
+// A Resource queues its waiters by value in a FIFO that keeps its backing
+// array, so an Acquire that parks and the Release that admits it allocate
+// nothing. A partner holds the unit whenever the measured process asks for
+// it, and asks again while the measured process holds it: every Acquire on
+// either side parks.
+func TestResourceParkedAcquireAllocatesNothing(t *testing.T) {
+	e := NewEnv(1)
+	r := e.NewResource("slot", 1)
+	stop := false
+	cycle := func(p *Proc) {
+		r.Acquire(p, 1)
+		p.Sleep(time.Microsecond)
+		r.Release(1)
+	}
+	e.Go("partner", func(p *Proc) {
+		for !stop {
+			cycle(p)
+		}
+	})
+	var n float64
+	e.Go("measure", func(p *Proc) {
+		n = testing.AllocsPerRun(100, func() { cycle(p) })
+		stop = true
+	})
+	e.Run()
+	if n != 0 {
+		t.Errorf("a parked Resource Acquire and its Release: %v allocations per call, want 0", n)
+	}
+	if r.waits < 2*101 {
+		t.Errorf("%d Acquires parked, want ≥ %d: the cycle did not park on both sides", r.waits, 2*101)
 	}
 }
 

@@ -26,8 +26,26 @@ var workers struct {
 	free []*worker
 }
 
-// getWorker takes a worker off the free list, or starts a new one.
-func getWorker() *worker {
+// putWorkers returns ws to the free list. Only the engine calls it, after
+// next has returned with each worker's process dead: a worker that freed
+// itself before its final yield could be taken by a second engine while
+// the first is still switching out of it.
+func putWorkers(ws ...*worker) {
+	workers.Lock()
+	workers.free = append(workers.free, ws...)
+	workers.Unlock()
+}
+
+// takeWorker returns a worker for a process of e: one a process of e freed
+// while the loop runs, so environments running at once on different
+// goroutines do not meet on the free list's lock at every spawn; else one
+// off the free list; else a new one.
+func (e *Env) takeWorker() *worker {
+	if n := len(e.idle); n > 0 {
+		w := e.idle[n-1]
+		e.idle = e.idle[:n-1]
+		return w
+	}
 	workers.Lock()
 	defer workers.Unlock()
 	if n := len(workers.free); n > 0 {
@@ -40,15 +58,29 @@ func getWorker() *worker {
 	return w
 }
 
-// putWorker returns w to the free list. Only the engine calls it, after
-// next has returned with w's process dead: a worker that freed itself
-// before its final yield could be taken by a second engine while the
-// first is still switching out of it.
-func putWorker(w *worker) {
+// freeWorker releases the worker of a dead process of e. While e's loop
+// runs, e keeps it for its next spawn; returnIdle hands it on when the
+// loop returns.
+func (e *Env) freeWorker(w *worker) {
 	w.p = nil
-	workers.Lock()
-	workers.free = append(workers.free, w)
-	workers.Unlock()
+	if e.running {
+		e.idle = append(e.idle, w)
+		return
+	}
+	putWorkers(w)
+}
+
+// returnIdle hands the workers e kept back to the free list. runUntil
+// calls it whenever it returns, so no environment holds an idle worker
+// once its loop is done — not even one nobody closes. The slice keeps its
+// backing array: an environment that runs a short loop per request (a
+// pcsinet server's) appends into it without allocating.
+func (e *Env) returnIdle() {
+	if len(e.idle) == 0 {
+		return
+	}
+	putWorkers(e.idle...)
+	e.idle = e.idle[:0]
 }
 
 // loop is the coroutine body. A panic other than ErrAborted leaves it
@@ -65,11 +97,11 @@ func (w *worker) loop(yield func(struct{}) bool) {
 // worker first if it has none yet.
 func (p *Proc) dispatch() {
 	if p.w == nil {
-		p.w = getWorker()
+		p.w = p.env.takeWorker()
 		p.w.p = p
 	}
 	p.w.next()
 	if p.dead {
-		putWorker(p.w)
+		p.env.freeWorker(p.w)
 	}
 }

@@ -58,6 +58,14 @@ go run ./cmd/pcsictl trace -verify /tmp/t2.json
 echo '== chaos smoke (seed sweep with fault injection; exits 1 on invariant violation)'
 go run ./cmd/pcsictl chaos E4 -seeds 5
 
+echo '== width smoke (fanned arms and chaos seeds print the same bytes at GOMAXPROCS 1 and 4)'
+for w in 1 4; do
+    GOMAXPROCS=$w go run ./cmd/pcsictl run E4,E5,E7,E9,E13,E14,E15 > /tmp/width-run-$w.txt
+    GOMAXPROCS=$w go run ./cmd/pcsictl chaos E4 -seeds 3 > /tmp/width-chaos-$w.txt
+done
+cmp /tmp/width-run-1.txt /tmp/width-run-4.txt || { echo 'pcsictl run output depends on GOMAXPROCS' >&2; exit 1; }
+cmp /tmp/width-chaos-1.txt /tmp/width-chaos-4.txt || { echo 'pcsictl chaos output depends on GOMAXPROCS' >&2; exit 1; }
+
 echo '== E13/E14/E15 smoke (exits 1 on FAIL; required shape checks present)'
 # The tests above already pin every simulated report byte-for-byte to the
 # committed pcsi_bench_output.txt, so the labels are grepped there: they
