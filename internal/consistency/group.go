@@ -12,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // Errors returned by replicated operations.
@@ -65,6 +66,8 @@ type Group struct {
 	// stamp. The protocol (primary serialisation + majority ack) makes this
 	// impossible, so the chaos harness asserts it stays zero.
 	LinStaleReads int64
+
+	wakes int64 // times a primary waiting on a round's acks woke
 }
 
 // NewGroup builds a replicated group with one replica on each given node,
@@ -129,7 +132,7 @@ func (g *Group) closest(client simnet.NodeID) *Replica {
 func (g *Group) lock(id object.ID) *sim.Resource {
 	l, ok := g.locks[id]
 	if !ok {
-		l = g.env.NewResource(fmt.Sprintf("obj-%d", id), 1)
+		l = g.env.NewResource(1)
 		g.locks[id] = l
 	}
 	return l
@@ -138,6 +141,117 @@ func (g *Group) lock(id object.ID) *sim.Resource {
 func (g *Group) nextStamp(writer int) Stamp {
 	g.lamport++
 	return Stamp{Counter: g.lamport, Writer: writer}
+}
+
+// A round replicates one write from its primary to every other replica
+// that is up and reachable from it, and holds the primary's process until
+// a majority, the primary included, has it. Each other replica is a leg: a
+// chain of engine callbacks — the write's message out, its install and
+// media write, the ack's message back, the ack — each scheduled with
+// Env.After exactly where a process running the leg would sleep. So a
+// round dispatches the same events at the same virtual times, with the
+// same sequence numbers and jitter draws, as a process per leg did, and
+// spawns none (DESIGN §5).
+type round struct {
+	g    *Group
+	prim *Replica
+	msg  int // bytes of the primary's message to each replica
+
+	// What each replica installs and writes to its medium: a new, empty
+	// object (create) or a state.
+	create bool
+	id     object.ID
+	kind   object.Kind
+	data   []byte
+	ver    uint64
+	mut    object.Mutability
+	stamp  Stamp
+	vc     VClock
+
+	acks  int
+	acked sim.Event // completed by each ack; the waiting primary re-arms it
+	legs  []leg
+	buf   [4]leg // the legs of a group of up to five replicas
+}
+
+// A leg is one replica's part of a round. next is its run method, bound
+// once, so scheduling a step allocates nothing.
+type leg struct {
+	rd   *round
+	r    *Replica
+	step int
+	sp   *trace.Span // the message in flight, when traced
+	next func()
+}
+
+// newRound returns a round from prim whose message to each replica is msg
+// bytes. Its legs never move: each one's next is bound to its address.
+func (g *Group) newRound(prim *Replica, msg int) *round {
+	rd := &round{g: g, prim: prim, msg: msg}
+	rd.legs = rd.buf[:0]
+	if n := len(g.replicas) - 1; n > len(rd.buf) {
+		rd.legs = make([]leg, 0, n)
+	}
+	return rd
+}
+
+// install puts the round's write on replica r.
+func (rd *round) install(r *Replica) {
+	if !rd.create {
+		rd.g.applyState(r, rd.id, rd.kind, rd.data, rd.ver, rd.mut, rd.stamp, rd.vc)
+		return
+	}
+	if err := r.St.Insert(object.New(rd.id, rd.kind)); err == nil {
+		r.meta[rd.id] = &objMeta{stamp: rd.stamp, vc: rd.vc.Clone()}
+	}
+}
+
+// replicate runs rd from the primary's process p: the primary's own media
+// write takes write, then a leg starts for each other replica that is up
+// and reachable from the primary, and p waits for a majority of acks. It
+// wakes once for each ack that arrives while it waits, as a process
+// blocked on an ack queue did.
+func (g *Group) replicate(p *sim.Proc, rd *round, write time.Duration) {
+	p.Sleep(write)
+	rd.acks = 1
+	for _, r := range g.replicas {
+		if r == rd.prim || r.down || !g.net.Reachable(rd.prim.Node, r.Node) {
+			continue
+		}
+		rd.legs = append(rd.legs, leg{rd: rd, r: r})
+		l := &rd.legs[len(rd.legs)-1]
+		l.next = l.run
+		g.env.After(0, l.next)
+	}
+	for need := len(g.replicas)/2 + 1; rd.acks < need; rd.acked.Reset() {
+		p.Wait(&rd.acked) //nolint:errcheck // acks carry no error
+		g.wakes++
+	}
+}
+
+// run takes the leg's next step. Each step is an engine callback at the
+// virtual time a process running the leg would have woken.
+func (l *leg) run() {
+	rd := l.rd
+	g := rd.g
+	var d time.Duration
+	l.step++
+	switch l.step {
+	case 1: // the write leaves the primary
+		d, l.sp = g.net.Post("replicate", rd.prim.Node, l.r.Node, rd.msg)
+		g.env.After(d, l.next)
+	case 2: // it arrives: install it and write it to the medium
+		l.sp.CloseAt(g.env.Now())
+		rd.install(l.r)
+		g.env.After(l.r.St.Media().WriteCost(int64(len(rd.data))), l.next)
+	case 3: // the ack leaves
+		d, l.sp = g.net.Post("replicate", l.r.Node, rd.prim.Node, 64)
+		g.env.After(d, l.next)
+	default: // it arrives
+		l.sp.CloseAt(g.env.Now())
+		rd.acks++
+		rd.acked.Complete(nil)
+	}
 }
 
 // Create allocates a new object of the given kind on every replica,
@@ -161,53 +275,17 @@ func (g *Group) Create(p *sim.Proc, client simnet.NodeID, kind object.Kind) (obj
 	defer l.Release(1)
 	// Client -> primary.
 	g.net.Send(p, client, prim.Node, 64)
-	stamp := g.nextStamp(prim.Index)
-	vc := NewVClock(len(g.replicas))
-	vc.Tick(prim.Index)
+	rd := g.newRound(prim, 256)
+	rd.create, rd.id, rd.kind = true, id, kind
+	rd.stamp = g.nextStamp(prim.Index)
+	rd.vc = NewVClock(len(g.replicas))
+	rd.vc.Tick(prim.Index)
 	// Materialise on every replica; wait for a majority (incl. primary).
-	acks := g.replicateState(p, prim, func(r *Replica) {
-		o := object.New(id, kind)
-		if err := r.St.Insert(o); err == nil {
-			r.meta[id] = &objMeta{stamp: stamp, vc: vc.Clone()}
-		}
-	})
-	g.awaitMajority(p, acks)
+	rd.install(prim)
+	g.replicate(p, rd, prim.St.Media().WriteLatency)
 	// Primary -> client.
 	g.net.Send(p, prim.Node, client, 64)
 	return id, nil
-}
-
-// replicateState applies fn at the primary immediately and asynchronously
-// at every other replica, returning an ack queue. fn must be deterministic.
-func (g *Group) replicateState(p *sim.Proc, prim *Replica, fn func(*Replica)) *sim.Queue[int] {
-	acks := sim.NewQueue[int](g.env)
-	fn(prim)
-	p.Sleep(prim.St.Media().WriteLatency)
-	acks.Put(prim.Index)
-	for _, r := range g.replicas {
-		if r == prim || r.down || !g.net.Reachable(prim.Node, r.Node) {
-			continue
-		}
-		r := r
-		g.env.Go("replicate", func(rp *sim.Proc) {
-			g.net.Send(rp, prim.Node, r.Node, 256)
-			fn(r)
-			rp.Sleep(r.St.Media().WriteLatency)
-			g.net.Send(rp, r.Node, prim.Node, 64)
-			acks.Put(r.Index)
-		})
-	}
-	return acks
-}
-
-// awaitMajority blocks until ceil((N+1)/2) acks have arrived.
-func (g *Group) awaitMajority(p *sim.Proc, acks *sim.Queue[int]) {
-	need := len(g.replicas)/2 + 1
-	for i := 0; i < need; i++ {
-		if _, ok := acks.Get(p); !ok {
-			return
-		}
-	}
 }
 
 // Apply performs a mutation on an object at the given level. The mutate
@@ -256,27 +334,13 @@ func (g *Group) applyLinearizable(p *sim.Proc, client simnet.NodeID, id object.I
 	m := prim.meta[id]
 	m.stamp = stamp
 	m.vc.Tick(prim.Index)
-	vc := m.vc.Clone()
 	// Synchronously send the new state to a majority. The replicas install
 	// the primary's bytes uncopied; whichever holder writes next copies.
-	data, ver, mut := o.Snapshot(), o.Version(), o.Mutability()
-	acks := sim.NewQueue[int](g.env)
-	p.Sleep(prim.St.Media().WriteCost(int64(size)))
-	acks.Put(prim.Index)
-	for _, r := range g.replicas {
-		if r == prim || r.down || !g.net.Reachable(prim.Node, r.Node) {
-			continue
-		}
-		r := r
-		g.env.Go("replicate", func(rp *sim.Proc) {
-			g.net.Send(rp, prim.Node, r.Node, 128+len(data))
-			g.applyState(r, id, o.Kind(), data, ver, mut, stamp, vc)
-			rp.Sleep(r.St.Media().WriteCost(int64(len(data))))
-			g.net.Send(rp, r.Node, prim.Node, 64)
-			acks.Put(r.Index)
-		})
-	}
-	g.awaitMajority(p, acks)
+	data := o.Snapshot()
+	rd := g.newRound(prim, 128+len(data))
+	rd.id, rd.kind, rd.data, rd.ver, rd.mut = id, o.Kind(), data, o.Version(), o.Mutability()
+	rd.stamp, rd.vc = stamp, m.vc.Clone()
+	g.replicate(p, rd, prim.St.Media().WriteCost(int64(size)))
 	g.net.Send(p, prim.Node, client, 64)
 	return nil
 }

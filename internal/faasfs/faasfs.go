@@ -151,7 +151,7 @@ func Mount(p *sim.Proc, cl *core.Client, _ Config) (*FS, error) {
 		env:      cloud.Env(),
 		root:     root,
 		journal:  journal,
-		commitMu: cloud.Env().NewResource("faasfs.commit", 1),
+		commitMu: cloud.Env().NewResource(1),
 		refs:     map[uint64]core.Ref{uint64(root.ObjectID()): root},
 		isDir:    map[uint64]bool{uint64(root.ObjectID()): true},
 		model:    map[uint64][]byte{},

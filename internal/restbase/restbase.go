@@ -137,7 +137,7 @@ func NewGateway(net *simnet.Network, grp *consistency.Group, cfg Config) *Gatewa
 		Throttled: metrics.NewCounter("rest_throttled"),
 	}
 	if cfg.Workers > 0 {
-		g.workers = g.env.NewResource("rest-workers", int64(cfg.Workers))
+		g.workers = g.env.NewResource(int64(cfg.Workers))
 	}
 	return g
 }

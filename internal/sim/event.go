@@ -3,8 +3,9 @@ package sim
 // Event is a one-shot completion that processes can wait on. It carries an
 // arbitrary value or an error. Completing an already-completed event is a
 // no-op, which makes race-to-complete patterns (timeouts, first-of) simple.
+// The zero Event is ready to use, so one can live inside the value it
+// signals for without an allocation of its own.
 type Event struct {
-	env  *Env
 	done bool
 	val  any
 	err  error
@@ -19,7 +20,7 @@ type Event struct {
 }
 
 // NewEvent returns an incomplete event.
-func (e *Env) NewEvent() *Event { return &Event{env: e} }
+func (e *Env) NewEvent() *Event { return new(Event) }
 
 // Done reports whether the event has completed.
 func (ev *Event) Done() bool { return ev.done }
@@ -46,12 +47,12 @@ func (ev *Event) finish(v any, err error) {
 	ev.done = true
 	ev.val = v
 	ev.err = err
-	if ev.waiter0 != nil {
-		ev.env.wakeNow(ev.waiter0)
+	if p := ev.waiter0; p != nil {
+		p.env.wakeNow(p)
 		ev.waiter0 = nil
 	}
 	for _, p := range ev.waiters {
-		ev.env.wakeNow(p)
+		p.env.wakeNow(p)
 	}
 	ev.waiters = nil
 	if cb := ev.callback0; cb != nil {

@@ -4,7 +4,6 @@ package sim
 // contended capacity (CPU slots, disk queue depth, connection pools).
 type Resource struct {
 	env  *Env
-	name string
 	cap  int64
 	used int64
 	q    []resWaiter // by value: a parked acquirer allocates nothing
@@ -21,11 +20,11 @@ type resWaiter struct {
 }
 
 // NewResource returns a resource with the given capacity.
-func (e *Env) NewResource(name string, capacity int64) *Resource {
+func (e *Env) NewResource(capacity int64) *Resource {
 	if capacity <= 0 {
 		panic("sim: resource capacity must be positive")
 	}
-	return &Resource{env: e, name: name, cap: capacity}
+	return &Resource{env: e, cap: capacity}
 }
 
 // InUse returns the currently acquired amount.

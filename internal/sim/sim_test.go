@@ -128,6 +128,36 @@ func TestEventCompleteWakesWaiters(t *testing.T) {
 	}
 }
 
+// The zero Event needs no environment: its waiters' own environment wakes
+// them, and Reset re-arms it for the next round of waits.
+func TestZeroEventWakesWaitersAndRearms(t *testing.T) {
+	e := NewEnv(1)
+	var ev Event
+	var woke []Time
+	for i := 0; i < 2; i++ {
+		e.Go("waiter", func(p *Proc) {
+			p.Wait(&ev) //nolint:errcheck // completed with nil
+			woke = append(woke, p.Now())
+		})
+	}
+	e.Go("completer", func(p *Proc) {
+		p.Sleep(7)
+		ev.Complete(nil)
+		p.Sleep(1)
+		ev.Reset()
+		e.Go("late", func(p *Proc) {
+			p.Wait(&ev) //nolint:errcheck // completed with nil
+			woke = append(woke, p.Now())
+		})
+		p.Sleep(2)
+		ev.Complete(nil)
+	})
+	e.Run()
+	if len(woke) != 3 || woke[0] != 7 || woke[1] != 7 || woke[2] != 10 {
+		t.Errorf("waiters woke at %v, want [7 7 10]", woke)
+	}
+}
+
 func TestEventDoubleCompleteIgnored(t *testing.T) {
 	e := NewEnv(1)
 	ev := e.NewEvent()
@@ -238,7 +268,7 @@ func TestShutdownAbortsParkedProcesses(t *testing.T) {
 
 func TestResourceAdmitsFIFO(t *testing.T) {
 	e := NewEnv(1)
-	r := e.NewResource("cpu", 1)
+	r := e.NewResource(1)
 	var order []string
 	worker := func(name string, hold Duration) func(*Proc) {
 		return func(p *Proc) {
@@ -262,7 +292,7 @@ func TestResourceAdmitsFIFO(t *testing.T) {
 
 func TestResourceCounting(t *testing.T) {
 	e := NewEnv(1)
-	r := e.NewResource("mem", 10)
+	r := e.NewResource(10)
 	maxInUse := int64(0)
 	for i := 0; i < 5; i++ {
 		e.Go("w", func(p *Proc) {
@@ -285,7 +315,7 @@ func TestResourceCounting(t *testing.T) {
 
 func TestResourceTryAcquire(t *testing.T) {
 	e := NewEnv(1)
-	r := e.NewResource("x", 2)
+	r := e.NewResource(2)
 	if !r.TryAcquire(2) {
 		t.Fatal("TryAcquire(2) on empty resource failed")
 	}
@@ -300,7 +330,7 @@ func TestResourceTryAcquire(t *testing.T) {
 
 func TestResourceAvgWait(t *testing.T) {
 	e := NewEnv(1)
-	r := e.NewResource("cpu", 1)
+	r := e.NewResource(1)
 	e.Go("a", func(p *Proc) { r.Acquire(p, 1); p.Sleep(100); r.Release(1) })
 	e.Go("b", func(p *Proc) { r.Acquire(p, 1); r.Release(1) })
 	e.Run()
@@ -419,7 +449,7 @@ func TestYieldRunsSameInstantEvents(t *testing.T) {
 
 func TestResourceUseHelper(t *testing.T) {
 	e := NewEnv(1)
-	r := e.NewResource("cpu", 2)
+	r := e.NewResource(2)
 	ran := false
 	e.Go("w", func(p *Proc) {
 		r.Use(p, 2, func() {
@@ -886,7 +916,7 @@ func TestEventCompletionToCallbackAllocatesNothing(t *testing.T) {
 // either side parks.
 func TestResourceParkedAcquireAllocatesNothing(t *testing.T) {
 	e := NewEnv(1)
-	r := e.NewResource("slot", 1)
+	r := e.NewResource(1)
 	stop := false
 	cycle := func(p *Proc) {
 		r.Acquire(p, 1)

@@ -153,10 +153,31 @@ func (n *Network) OneWay(a, b NodeID, size int) time.Duration {
 // process for the one-way delay. When tracing is active each hop becomes a
 // "net/send" span under the caller's current span.
 func (n *Network) Send(p *sim.Proc, a, b NodeID, size int) {
-	n.Msgs++
-	n.Bytes += int64(size)
 	sp := trace.Of(n.env).Start(p, "net", "send",
 		trace.Int("src", int64(a)), trace.Int("dst", int64(b)), trace.Int("bytes", int64(size)))
+	p.Sleep(n.charge(sp, a, b, size))
+	sp.Close(p)
+}
+
+// Post charges a message of size bytes from a to b that no process sleeps
+// through, and returns its one-way delay: an engine callback chain sends
+// it and schedules its next step that much later. When tracing is active
+// the hop's "net/send" span opens now on track, as a root span, and the
+// caller closes it on arrival (Span.CloseAt). Post and Send share one
+// charge, so a posted message counts, draws jitter and meets link faults
+// exactly as a sent one does.
+func (n *Network) Post(track string, a, b NodeID, size int) (time.Duration, *trace.Span) {
+	sp := trace.Of(n.env).Begin(track, "net", "send",
+		trace.Int("src", int64(a)), trace.Int("dst", int64(b)), trace.Int("bytes", int64(size)))
+	return n.charge(sp, a, b, size), sp
+}
+
+// charge counts a message of size bytes from a to b, draws its jitter and
+// its injected link faults (annotating sp with them), and returns its
+// one-way delay.
+func (n *Network) charge(sp *trace.Span, a, b NodeID, size int) time.Duration {
+	n.Msgs++
+	n.Bytes += int64(size)
 	d := n.OneWay(a, b, size)
 	if n.faultFn != nil {
 		if lf := n.faultFn(a, b, size); lf != (LinkFault{}) {
@@ -182,8 +203,7 @@ func (n *Network) Send(p *sim.Proc, a, b NodeID, size int) {
 			}
 		}
 	}
-	p.Sleep(d)
-	sp.Close(p)
+	return d
 }
 
 // Call performs a synchronous request/response exchange: request of reqSize

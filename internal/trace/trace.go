@@ -82,6 +82,16 @@ func (s *Span) Close(p *sim.Proc) {
 	}
 }
 
+// CloseAt ends a span Begin opened at virtual time now. Safe on a nil
+// span; closing twice is a no-op.
+func (s *Span) CloseAt(now sim.Time) {
+	if s == nil || !s.open {
+		return
+	}
+	s.open = false
+	s.End = now
+}
+
 // Annotate appends attributes to the span. Safe on a nil span.
 func (s *Span) Annotate(attrs ...Attr) {
 	if s == nil {
@@ -249,6 +259,20 @@ func (t *Tracer) StartSpan(p *sim.Proc, parent SpanID, links []SpanID, cat, name
 	}
 	t.spans = append(t.spans, s)
 	p.SetSpanCtx(s)
+	return s
+}
+
+// Begin opens a root span on track at the environment's current virtual
+// time, outside any process: an engine callback chain that models one
+// activity across several events (a replication leg's message) opens it
+// and closes it with CloseAt. It joins no span context, and a process
+// returning does not leak it. Safe on a nil tracer.
+func (t *Tracer) Begin(track, cat, name string, attrs ...Attr) *Span {
+	if t == nil {
+		return nil
+	}
+	s := t.Mark(track, cat, name, t.env.Now(), 0, attrs...)
+	s.open = true
 	return s
 }
 

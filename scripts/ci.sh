@@ -147,7 +147,7 @@ mib=$(echo "$graph" | sed -n 's/.*"object\.alloc_mib_per_graph":{"value":\([0-9.
 awk -v v="$mib" 'BEGIN { exit !(v != "" && v + 0 < 9) }' || { echo "graph-bytes object.alloc_mib_per_graph = '$mib', want < 9" >&2; exit 1; }
 echo "graph-bytes object.alloc_mib_per_graph = $mib MiB/graph"
 # Copy tripwire for the node cache: a node holds no payload of an object that
-# is not IMMUTABLE, only a version mark, so a cached-read op stays near 2.1
+# is not IMMUTABLE, only a version mark, so a cached-read op stays near 1.4
 # allocations (3.355 when Put and Get staged a copy; the metric repeats to
 # four digits). 3.0 or more means a payload copy for the node cache crept back.
 reads=$(bash bench/run.sh -workload data-read -seed 1 -seconds 3 -trace 0 | tail -n 1)
@@ -155,5 +155,15 @@ echo "$reads" | grep -q '"correct":true' || { echo "data-read not correct: $read
 allocs=$(echo "$reads" | sed -n 's/.*"allocs_per_op":{"value":\([0-9.e+-]*\).*/\1/p')
 awk -v v="$allocs" 'BEGIN { exit !(v != "" && v + 0 < 3.0) }' || { echo "data-read allocs_per_op = '$allocs', want < 3.0" >&2; exit 1; }
 echo "data-read allocs_per_op = $allocs"
+# Spawn tripwire for replication: a replicated write runs its replica legs as
+# engine callbacks, so a write op stays near 4.3 allocations (6.58 when each
+# leg was a process). 6.0 or more means a fan-out spawns again (DESIGN §5,
+# "Replication rounds"). The golden digest pins the event count and the
+# virtual end time, so a moved event fails the run first.
+writes=$(bash bench/run.sh -workload data-write -seed 1 -seconds 3 -trace 0 | tail -n 1)
+echo "$writes" | grep -q '"correct":true' || { echo "data-write not correct: $writes" >&2; exit 1; }
+allocs=$(echo "$writes" | sed -n 's/.*"allocs_per_op":{"value":\([0-9.e+-]*\).*/\1/p')
+awk -v v="$allocs" 'BEGIN { exit !(v != "" && v + 0 < 6.0) }' || { echo "data-write allocs_per_op = '$allocs', want < 6.0" >&2; exit 1; }
+echo "data-write allocs_per_op = $allocs"
 
 echo 'CI OK'
