@@ -54,16 +54,11 @@ var ErrThrottled = errors.New("restbase: too many requests (429)")
 
 // Config tunes a Gateway.
 type Config struct {
-	// Codec marshals requests and responses (JSON for the REST baseline).
-	Codec wire.Codec
 	// RoutingHops is the number of internal hops (LB, request router)
 	// between the front door and storage.
 	RoutingHops int
 	// PerHopProcess is the service time at each internal hop.
 	PerHopProcess time.Duration
-	// ReuseConnections enables keep-alive (ablation: isolates the
-	// connection-setup share of the overhead).
-	ReuseConnections bool
 	// RawBody streams payloads as raw HTTP bodies (object-store style):
 	// only the envelope is marshaled. When false the body rides inside
 	// the JSON envelope (KV-API style), paying marshal cost on every
@@ -92,7 +87,6 @@ const authCheck = 50 * time.Microsecond
 // DefaultConfig returns the REST baseline configuration.
 func DefaultConfig() Config {
 	return Config{
-		Codec:         wire.JSONCodec{},
 		RoutingHops:   2,
 		PerHopProcess: 300 * time.Microsecond,
 	}
@@ -121,9 +115,6 @@ type Gateway struct {
 
 // NewGateway attaches a gateway (in rack 0) to the given replicated store.
 func NewGateway(net *simnet.Network, grp *consistency.Group, cfg Config) *Gateway {
-	if cfg.Codec == nil {
-		cfg.Codec = wire.JSONCodec{}
-	}
 	trace.Of(net.Env()).SetLabel("rest")
 	g := &Gateway{
 		cfg:       cfg,
@@ -142,11 +133,9 @@ func NewGateway(net *simnet.Network, grp *consistency.Group, cfg Config) *Gatewa
 	return g
 }
 
-// connect pays connection establishment unless keep-alive is on.
+// connect pays connection establishment: the stateless protocol keeps no
+// connection alive between requests.
 func (g *Gateway) connect(p *sim.Proc, client simnet.NodeID) {
-	if g.cfg.ReuseConnections {
-		return
-	}
 	// TCP handshake: one full round trip plus socket setup at both ends.
 	p.Sleep(2 * SocketOverhead)
 	p.Sleep(g.net.RTT(client, g.node))
@@ -192,7 +181,7 @@ func (g *Gateway) request(p *sim.Proc, client simnet.NodeID, creds string, reqBo
 	csp.Close(p)
 	// Request: marshal at client, send, HTTP parse at gateway.
 	msp := tr.Start(p, "rest.marshal", "marshal")
-	p.Sleep(g.cfg.Codec.ModelCost(g.codedBytes(reqBody)))
+	p.Sleep(wire.JSONCodec{}.ModelCost(g.codedBytes(reqBody)))
 	msp.Close(p)
 	g.net.Send(p, client, g.node, 512+reqBody)
 	hsp := tr.Start(p, "rest.http", "http")
@@ -242,7 +231,7 @@ func (g *Gateway) request(p *sim.Proc, client simnet.NodeID, creds string, reqBo
 	p.Sleep(HTTPOverhead)
 	hsp.Close(p)
 	msp = tr.Start(p, "rest.marshal", "marshal")
-	p.Sleep(g.cfg.Codec.ModelCost(g.codedBytes(respBody)))
+	p.Sleep(wire.JSONCodec{}.ModelCost(g.codedBytes(respBody)))
 	msp.Close(p)
 	g.net.Send(p, g.node, client, 512+respBody)
 	g.Lat.Observe(p.Now().Sub(start))
@@ -303,17 +292,11 @@ func (g *Gateway) sizeOf(id object.ID) int {
 // ProtocolOverhead computes the fixed per-request protocol cost of a
 // configuration without a live gateway.
 func ProtocolOverhead(cfg Config, bodySize int) time.Duration {
-	codec := cfg.Codec
-	if codec == nil {
-		codec = wire.JSONCodec{}
-	}
 	if cfg.RawBody {
 		bodySize = 0
 	}
-	d := 2*HTTPOverhead + codec.ModelCost(bodySize) + codec.ModelCost(0)
-	if !cfg.ReuseConnections {
-		d += 2 * SocketOverhead
-	}
+	codec := wire.JSONCodec{}
+	d := 2*HTTPOverhead + codec.ModelCost(bodySize) + codec.ModelCost(0) + 2*SocketOverhead
 	d += authCheck
 	d += time.Duration(cfg.RoutingHops) * cfg.PerHopProcess
 	return d

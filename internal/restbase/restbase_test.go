@@ -3,14 +3,12 @@ package restbase
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/consistency"
 	"repro/internal/media"
 	"repro/internal/object"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/wire"
 )
 
 func testGateway(seed int64, cfg Config) (*sim.Env, *Gateway, simnet.NodeID) {
@@ -125,67 +123,6 @@ func TestProtocolOverheadDominatesOnFastNet(t *testing.T) {
 	overhead := ProtocolOverhead(gw.cfg, 1024)
 	if overhead < 100*simnet.FastNet.BaseRTT {
 		t.Errorf("protocol overhead %v not ≫ FastNet RTT %v", overhead, simnet.FastNet.BaseRTT)
-	}
-}
-
-func TestKeepAliveAblation(t *testing.T) {
-	slow := DefaultConfig()
-	fast := DefaultConfig()
-	fast.ReuseConnections = true
-	envA, gwA, clientA := testGateway(3, slow)
-	envB, gwB, clientB := testGateway(3, fast)
-	var latA, latB time.Duration
-	runOne := func(env *sim.Env, gw *Gateway, client simnet.NodeID, out *time.Duration) {
-		env.Go("c", func(p *sim.Proc) {
-			id, err := gw.Create(p, client, "tok", object.Regular)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			start := p.Now()
-			if _, err := gw.Get(p, client, "tok", id, consistency.Eventual); err != nil {
-				t.Error(err)
-			}
-			*out = p.Now().Sub(start)
-		})
-		env.Run()
-	}
-	runOne(envA, gwA, clientA, &latA)
-	runOne(envB, gwB, clientB, &latB)
-	if latB >= latA {
-		t.Errorf("keep-alive (%v) not faster than per-request connections (%v)", latB, latA)
-	}
-}
-
-func TestBinaryCodecAblation(t *testing.T) {
-	jsonCfg := DefaultConfig()
-	binCfg := DefaultConfig()
-	binCfg.Codec = wire.BinaryCodec{}
-	big := make([]byte, 64*1024)
-	var latJSON, latBin time.Duration
-	for i, cfg := range []Config{jsonCfg, binCfg} {
-		env, gw, client := testGateway(4, cfg)
-		out := []*time.Duration{&latJSON, &latBin}[i]
-		env.Go("c", func(p *sim.Proc) {
-			id, err := gw.Create(p, client, "tok", object.Regular)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := gw.Put(p, client, "tok", id, big, consistency.Eventual); err != nil {
-				t.Error(err)
-				return
-			}
-			start := p.Now()
-			if _, err := gw.Get(p, client, "tok", id, consistency.Eventual); err != nil {
-				t.Error(err)
-			}
-			*out = p.Now().Sub(start)
-		})
-		env.Run()
-	}
-	if latBin >= latJSON {
-		t.Errorf("binary codec (%v) not faster than JSON (%v) at 64KB", latBin, latJSON)
 	}
 }
 

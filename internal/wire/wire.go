@@ -4,7 +4,8 @@
 // representing the stateful PCSI protocol.
 //
 // Both codecs are real implementations measured by the Table 1 benchmarks;
-// the simulated REST gateway additionally charges their modelled costs.
+// the simulated REST gateway additionally charges the JSON codec's modelled
+// cost.
 package wire
 
 import (
@@ -32,9 +33,6 @@ type Message struct {
 type Codec interface {
 	Encode(*Message) ([]byte, error)
 	Decode([]byte) (*Message, error)
-	// ModelCost returns the simulated CPU time to encode+decode a message
-	// with a body of size bytes, used by the simulated gateway.
-	ModelCost(size int) time.Duration
 }
 
 // --- JSON codec (web services baseline) ---
@@ -78,9 +76,11 @@ func (JSONCodec) Decode(b []byte) (*Message, error) {
 	return m, nil
 }
 
-// ModelCost implements Codec: calibrated to Table 1's "Object marshaling
-// (1k): >50,000 ns" — a fixed envelope cost of 45µs plus ~5µs per KiB of
-// body (JSON+base64 throughput of roughly 200 MB/s for encode+decode).
+// ModelCost returns the simulated CPU time the REST gateway charges to
+// encode+decode a message with a body of size bytes, calibrated to Table
+// 1's "Object marshaling (1k): >50,000 ns" — a fixed envelope cost of 45µs
+// plus ~5µs per KiB of body (JSON+base64 throughput of roughly 200 MB/s for
+// encode+decode).
 func (JSONCodec) ModelCost(size int) time.Duration {
 	const perKiB = 5 * time.Microsecond
 	return 45*time.Microsecond + time.Duration(float64(size)/1024*float64(perKiB))
@@ -187,11 +187,4 @@ func (BinaryCodec) Decode(b []byte) (*Message, error) {
 		m.Body = b[k:end:end]
 	}
 	return m, nil
-}
-
-// ModelCost implements Codec: binary framing costs roughly a memcpy —
-// two orders of magnitude below JSON.
-func (BinaryCodec) ModelCost(size int) time.Duration {
-	const perKiB = 300 * time.Nanosecond
-	return 200*time.Nanosecond + time.Duration(float64(size)/1024*float64(perKiB))
 }
