@@ -24,6 +24,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -31,6 +32,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 
@@ -349,14 +352,48 @@ func (h *harnessFlags) OutWriter() (io.Writer, func()) {
 	return f, func() { f.Close() } //nolint:errcheck
 }
 
+// profileFlags registers run's and chaos's -cpuprofile and -memprofile.
+// Call the returned start after parsing, and the stop it returns before the
+// command exits: stop writes the files. Without either flag both do nothing.
+func profileFlags(fs *flag.FlagSet) (start func() (stop func())) {
+	cpu := fs.String("cpuprofile", "", "write a runtime/pprof CPU profile to this file")
+	mem := fs.String("memprofile", "", "write a runtime/pprof allocation profile to this file")
+	write := func(name string, prof *bytes.Buffer) {
+		if err := os.WriteFile(name, prof.Bytes(), 0o644); err != nil {
+			fatal(err)
+		}
+	}
+	return func() func() {
+		var prof bytes.Buffer
+		if *cpu != "" {
+			if err := pprof.StartCPUProfile(&prof); err != nil {
+				fatal(err)
+			}
+		}
+		return func() {
+			if *cpu != "" {
+				pprof.StopCPUProfile()
+				write(*cpu, &prof)
+			}
+			if *mem != "" {
+				runtime.GC() // the profile holds allocations as of the last GC
+				prof.Reset()
+				pprof.Lookup("allocs").WriteTo(&prof, 0) //nolint:errcheck // a bytes.Buffer write cannot fail
+				write(*mem, &prof)
+			}
+		}
+	}
+}
+
 // runCmd implements `pcsictl run`: run the selected experiments (default:
 // all) and print every report, then the trailer pcsi_bench_output.txt
 // ends with. A failing shape check exits 1.
 func runCmd(args []string) {
 	h := newHarnessFlags("run",
 		"simulation seed (same seed ⇒ identical tables)", "write the reports to this file (default stdout)", 0,
-		"usage: pcsictl run [E2,E4,...] [-seed N] [-o file] [-faultrate R] [-list]")
+		"usage: pcsictl run [E2,E4,...] [-seed N] [-o file] [-faultrate R] [-list] [-cpuprofile f] [-memprofile f]")
 	list := h.FS.Bool("list", false, "list the experiments instead of running them")
+	profile := profileFlags(h.FS)
 	exps := h.Select(h.ParseExp(args))
 	w, done := h.OutWriter()
 	defer done()
@@ -367,6 +404,7 @@ func runCmd(args []string) {
 		return
 	}
 	failures := 0
+	stop := profile()
 	for _, e := range exps {
 		rep := e.RunFaults(*h.Seed, h.Faults())
 		rep.Render(w)
@@ -374,6 +412,7 @@ func runCmd(args []string) {
 			failures++
 		}
 	}
+	stop()
 	if failures > 0 {
 		fatal(fmt.Errorf("%d experiment(s) had failing shape checks", failures))
 	}
@@ -434,10 +473,12 @@ func traceCmd(args []string) {
 func chaosCmd(args []string) {
 	h := newHarnessFlags("chaos",
 		"first seed of the sweep", "write the report to this file (default stdout)", 0.05,
-		"usage: pcsictl chaos <experiment> [-seed S] [-o file] [-faultrate R] [-seeds N] [-noretry]")
+		"usage: pcsictl chaos <experiment> [-seed S] [-o file] [-faultrate R] [-seeds N] [-noretry] [-cpuprofile f] [-memprofile f]")
 	seeds := h.FS.Int("seeds", 5, "number of consecutive seeds to sweep")
 	noretry := h.FS.Bool("noretry", false, "disable the default retry policy")
+	profile := profileFlags(h.FS)
 	e := h.RequireExp(args)
+	stop := profile()
 	rep, err := experiments.RunChaos(experiments.ChaosConfig{
 		Exp:       e.ID,
 		Seeds:     *seeds,
@@ -445,6 +486,7 @@ func chaosCmd(args []string) {
 		FaultRate: *h.FaultRate,
 		NoRetry:   *noretry,
 	})
+	stop()
 	if err != nil {
 		fatal(err)
 	}

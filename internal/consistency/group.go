@@ -117,12 +117,13 @@ func (g *Group) liveFrom(from simnet.NodeID) int {
 // when none is usable.
 func (g *Group) closest(client simnet.NodeID) *Replica {
 	var best *Replica
+	var bestRTT time.Duration
 	for _, r := range g.replicas {
 		if r.down || !g.net.Reachable(client, r.Node) {
 			continue
 		}
-		if best == nil || g.net.RTT(client, r.Node) < g.net.RTT(client, best.Node) {
-			best = r
+		if rtt := g.net.RTT(client, r.Node); best == nil || rtt < bestRTT {
+			best, bestRTT = r, rtt
 		}
 	}
 	return best

@@ -39,7 +39,7 @@ type aliasCase struct {
 	frozen [][]byte
 	views  []heldView // every View and ViewAt result, at every level
 	seen   seenShared
-	shared []byte // the one buffer put_shared puts, into every case of a seed
+	shared []byte // the prefix of one buffer put_shared puts; every case of a seed has one
 }
 
 // heldView is a View or ViewAt result and what it read when it was taken.
@@ -330,9 +330,10 @@ func (ac *aliasCase) run(lvl object.Mutability, bindable bool, rng *rand.Rand) {
 // every View/ViewAt result, at every level — on the "leased" flavour
 // (a linearizable object on a cloud with the function cache on) served from
 // the lease cache once the first Get filled it. A buffer
-// handed over with PutOwned becomes the content of one object only; one
-// buffer put with PutShared becomes the content of every object of a seed,
-// each then written, and stays byte-for-byte what it was. After every step
+// handed over with PutOwned becomes the content of one object only;
+// prefixes of one buffer, of a different length per object, put with
+// PutShared become the content of every object of a seed, each then
+// written, and the buffer stays byte-for-byte what it was. After every step
 // no holder below IMMUTABLE may write bytes another holder of its array sees
 // (sharedPastMark). Run it under -race: the engine's processes are
 // goroutines.
@@ -368,7 +369,9 @@ func TestPayloadAliasingProperty(t *testing.T) {
 							t.Errorf("%s: create: %v", fl.name, err)
 							continue
 						}
-						ac := &aliasCase{t: t, c: c, p: p, a: a, b: b, ref: ref, seen: seenShared{}, shared: shared,
+						// Each case puts its own prefix of the one buffer, so
+						// its holders see one array at different lengths.
+						ac := &aliasCase{t: t, c: c, p: p, a: a, b: b, ref: ref, seen: seenShared{}, shared: shared[:1+rng.Intn(n)],
 							name: fmt.Sprintf("seed %d %s/%v", seed, fl.name, lvl)}
 						ac.run(lvl, fl.name != "ephemeral", rng)
 					}
@@ -430,10 +433,12 @@ func TestPutOwnedRetriedUnderFaults(t *testing.T) {
 	}
 }
 
-// TestPutSharedRetriedUnderFaults puts one buffer into 40 objects through a
-// retrying client while half the attempts fail, on both replicated flavours,
-// then writes each object. However often an attempt is re-run, no holder may
-// write the shared bytes (sharedPastMark), and the buffer stays unchanged.
+// TestPutSharedRetriedUnderFaults puts prefixes of one buffer, of 40
+// lengths, into 40 objects through a retrying client while half the
+// attempts fail, on both replicated flavours, then writes each object. The
+// holders see one array at different lengths at once. However often an
+// attempt is re-run, no holder may write bytes another sees
+// (sharedPastMark), and the buffer stays unchanged.
 func TestPutSharedRetriedUnderFaults(t *testing.T) {
 	shared := bytes.Repeat([]byte("shared "), 9)
 	for _, lvl := range []consistency.Level{consistency.Linearizable, consistency.Eventual} {
@@ -454,20 +459,26 @@ func TestPutSharedRetriedUnderFaults(t *testing.T) {
 				refs[i] = ref
 			}
 			c.inj = fault.NewSession(fault.Spec{Rates: fault.Rates{OpError: 0.5}}).Attach(c.env)
+			audit := func(step string, i int) {
+				c.Group().SyncAll() // an eventual append from b must follow the put
+				for _, s := range c.sharedPastMark(seen) {
+					t.Errorf("%v, %s %d: a payload array is shared past a writer's mark: %s", lvl, step, i, s)
+				}
+			}
 			for i, ref := range refs {
-				if err := a.PutShared(p, ref, shared); err == nil {
-					want[i] = bytes.Clone(shared)
+				prefix := shared[:1+i%len(shared)]
+				if err := a.PutShared(p, ref, prefix); err == nil {
+					want[i] = bytes.Clone(prefix)
 					landed++
 				}
-				c.Group().SyncAll() // an eventual append from b must follow the put
+				audit("put", i)
+			}
+			for i, ref := range refs {
 				tail := []byte{byte(i)}
 				if err := b.Append(p, ref, tail); err == nil {
 					want[i] = append(want[i], tail...)
 				}
-				c.Group().SyncAll()
-				for _, s := range c.sharedPastMark(seen) {
-					t.Errorf("%v, object %d: a payload array is shared past a writer's mark: %s", lvl, i, s)
-				}
+				audit("append", i)
 			}
 			c.inj = nil
 			if landed == 0 {

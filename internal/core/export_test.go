@@ -57,20 +57,21 @@ type seenShared map[*byte][]byte
 // holder of a payload array: replica objects, ephemeral objects and
 // node-cache entries. It reports each array some holder below IMMUTABLE
 // could write in place although another holder sees those bytes (its mark
-// is less than that holder's length), and each array whose bytes two
+// is less than that holder's length and its own capacity: holders may see
+// one array at different lengths), and each array whose bytes two
 // holders saw at the previous audit (seen) have changed since; then it
 // records what two holders see now in seen. Empty means the rule holds.
 func (c *Cloud) sharedPastMark(seen seenShared) []string {
 	type holder struct {
-		name      string
-		n, shared int
-		mayWrite  bool // below IMMUTABLE
+		name           string
+		n, cap, shared int
+		mayWrite       bool // below IMMUTABLE
 	}
 	held := make(map[*byte][]holder) // array -> its holders
 	add := func(data []byte, shared int, name string, mut object.Mutability) {
 		if arr := arrayOf(data); arr != nil {
 			held[arr] = append(held[arr], holder{fmt.Sprintf("%s at %v (len %d, shared %d)", name, mut, len(data), shared),
-				len(data), shared, mut != object.Immutable})
+				len(data), cap(data), shared, mut != object.Immutable})
 		}
 	}
 	for _, r := range c.grp.Replicas() {
@@ -113,7 +114,8 @@ func (c *Cloud) sharedPastMark(seen seenShared) []string {
 		for i, w := range hs {
 			names[i], lens[i] = w.name, w.n
 			for j, r := range hs {
-				bad = bad || (i != j && w.mayWrite && w.shared < r.n)
+				// w writes in place only bytes [shared, cap) of the array.
+				bad = bad || (i != j && w.mayWrite && w.shared < min(r.n, w.cap))
 			}
 		}
 		if bad {

@@ -85,7 +85,7 @@ func (cl *Client) RegisterFunction(p *sim.Proc, cfg FnConfig) (Ref, error) {
 	if err != nil {
 		return Ref{}, err
 	}
-	if err := cl.PutOwned(p, codeRef, make([]byte, min(cfg.CodeSize, 1<<16))); err != nil {
+	if err := cl.PutShared(p, codeRef, object.Zeros(int(min(cfg.CodeSize, 1<<16)))); err != nil {
 		return Ref{}, err
 	}
 	// Code is immutable once published — drop-in replacement means

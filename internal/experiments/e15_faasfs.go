@@ -442,10 +442,15 @@ func e15Pair(k, j int) (int, int) {
 	return a, b
 }
 
+// e15Mutate returns page rotated left by one byte, each byte XORed with k+1.
 func e15Mutate(k int, page []byte) []byte {
 	out := make([]byte, len(page))
+	if len(page) > 0 {
+		copy(out, page[1:])
+		out[len(out)-1] = page[0]
+	}
 	for j := range out {
-		out[j] = page[(j+1)%len(page)] ^ byte(k+1)
+		out[j] ^= byte(k + 1)
 	}
 	return out
 }

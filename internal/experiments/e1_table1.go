@@ -28,49 +28,80 @@ func init() {
 // measureBatches is how many batches measure splits its iterations into.
 const measureBatches = 25
 
-// measure runs fn warmup times, then iters times in measureBatches timed
-// batches, and returns the median batch's per-iteration latency. A host
-// stall lands in one batch and leaves the median where it was, while a
-// function that is slow every time is slow in every batch.
+// timed is a function measureEach calls iters times in all.
+type timed struct {
+	iters int
+	fn    func()
+}
+
+// measureEach runs each function warmup times, then, in each of
+// measureBatches batches, times each one's share of its calls back to back
+// and returns per[i][b], function i's per-call latency in batch b:
+// functions timed in one batch share whatever the host was doing then.
 //
 // This is the harness for Table 1's real-measurement rows (marshaling,
 // loopback HTTP/TCP, getpid, indirect call), which are wall-clock by design:
 // they measure this machine, not the simulated cloud.
 //
 //pcsi:allow wallclock Table 1 measured rows run on the real clock.
-func measure(warmup, iters int, fn func()) time.Duration {
-	for i := 0; i < warmup; i++ {
-		fn()
+func measureEach(warmup int, fns ...timed) [][]time.Duration {
+	for _, f := range fns {
+		for i := 0; i < warmup; i++ {
+			f.fn()
+		}
 	}
-	per := make([]time.Duration, 0, measureBatches)
+	per := make([][]time.Duration, len(fns))
 	for b := 0; b < measureBatches; b++ {
-		n := iters*(b+1)/measureBatches - iters*b/measureBatches
-		if n == 0 {
-			continue
+		for i, f := range fns {
+			n := f.iters*(b+1)/measureBatches - f.iters*b/measureBatches
+			start := time.Now()
+			for j := 0; j < n; j++ {
+				f.fn()
+			}
+			per[i] = append(per[i], time.Since(start)/time.Duration(n))
 		}
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			fn()
-		}
-		per = append(per, time.Since(start)/time.Duration(n))
 	}
-	slices.Sort(per)
-	return per[len(per)/2]
+	return per
 }
 
-// loopbackPCSIGet times a Get of a 1 KiB object through an in-process
-// pcsinet server on loopback. Like the HTTP server, the deployment is
-// unobserved: the row measures this machine, not the simulated cloud.
-func loopbackPCSIGet() (time.Duration, error) {
+// measure returns fn's median batch latency: a host stall lands in one
+// batch and leaves the median where it was, while a function that is slow
+// every time is slow in every batch.
+func measure(warmup, iters int, fn func()) time.Duration {
+	return median(measureEach(warmup, timed{iters, fn})[0])
+}
+
+// median leaves d in batch order: the protocol rows pair batches by index.
+func median(d []time.Duration) time.Duration {
+	d = slices.Clone(d)
+	slices.Sort(d)
+	return d[len(d)/2]
+}
+
+// protocolRoundTrips times, with all three loopback servers up, a raw TCP
+// round trip of 1 KiB, an HTTP GET and a pcsinet Get of a 1 KiB object
+// (per[0], per[1], per[2]: measureEach), and closes every server before it
+// returns. Like the HTTP server, the pcsinet deployment is unobserved.
+func protocolRoundTrips() (per [][]time.Duration, err error) {
+	httpSrv, err := restbase.NewLoopbackHTTP(make([]byte, 1024))
+	if err != nil {
+		return nil, err
+	}
+	defer httpSrv.Close()
+	tcpSrv, err := restbase.NewLoopbackTCP()
+	if err != nil {
+		return nil, err
+	}
+	defer tcpSrv.Close()
 	srv := pcsinet.NewServer(core.New(core.DefaultOptions()))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer srv.Close()
 	cl, err := pcsinet.Dial(addr)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer cl.Close()
 	tok, err := cl.Create("regular", "", "", false)
@@ -78,13 +109,25 @@ func loopbackPCSIGet() (time.Duration, error) {
 		err = cl.Put(tok, make([]byte, 1024))
 	}
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return measure(20, 300, func() {
-		if _, err := cl.Get(tok); err != nil {
-			panic(err)
-		}
-	}), nil
+	payload, buf := make([]byte, 1024), make([]byte, 1024)
+	return measureEach(20,
+		timed{500, func() {
+			if err := tcpSrv.RoundTrip(payload, buf); err != nil {
+				panic(err)
+			}
+		}},
+		timed{300, func() {
+			if _, err := httpSrv.Get(); err != nil {
+				panic(err)
+			}
+		}},
+		timed{300, func() {
+			if _, err := cl.Get(tok); err != nil {
+				panic(err)
+			}
+		}}), nil
 }
 
 // e1Row is one line of Table 1: the paper's value, ours, and where ours
@@ -126,50 +169,28 @@ func runE1(rn run) *Report {
 	})
 	rows = append(rows, e1Row{"Object marshaling (1k)", 50 * time.Microsecond, marshal, "measured (JSON encode+decode)"})
 
-	// --- HTTP protocol: real loopback GET minus raw socket round trip ---
-	httpSrv, err := restbase.NewLoopbackHTTP(make([]byte, 1024))
-	if err != nil {
-		r.Check("http-loopback", false, "server failed: %v", err)
-		return r
-	}
-	httpRT := measure(20, 300, func() {
-		if _, err := httpSrv.Get(); err != nil {
-			panic(err)
-		}
-	})
-	// Closed here, not deferred: Close waits for the server's goroutines,
-	// and the measurements below outlast the last few instructions each one
+	// --- HTTP and PCSI protocols: real loopback round trips minus the raw
+	// socket round trip timed in the same batch. The servers are closed
+	// before the rows below are measured: Close waits for their goroutines,
+	// and those measurements outlast the last few instructions each one
 	// runs after it signals, so runNoLeak's exact count finds none of them.
-	httpSrv.Close() //nolint:errcheck
-
-	tcpSrv, err := restbase.NewLoopbackTCP()
+	per, err := protocolRoundTrips()
 	if err != nil {
-		r.Check("tcp-loopback", false, "server failed: %v", err)
+		r.Check("loopback-servers", false, "server failed: %v", err)
 		return r
 	}
-	payload := make([]byte, 1024)
-	buf := make([]byte, 1024)
-	sockRT := measure(20, 500, func() {
-		if err := tcpSrv.RoundTrip(payload, buf); err != nil {
-			panic(err)
+	overhead := func(rt []time.Duration) time.Duration {
+		for b, sock := range per[0] {
+			if rt[b] >= sock {
+				rt[b] -= sock
+			}
 		}
-	})
-	tcpSrv.Close() //nolint:errcheck
-	pcsiRT, err := loopbackPCSIGet()
-	if err != nil {
-		r.Check("pcsinet-loopback", false, "server failed: %v", err)
-		return r
-	}
-	overhead := func(rt time.Duration) time.Duration {
-		if rt < sockRT {
-			return rt
-		}
-		return rt - sockRT
+		return median(rt)
 	}
 	rows = append(rows,
-		e1Row{"HTTP protocol", 50 * time.Microsecond, overhead(httpRT), "measured (loopback HTTP - raw TCP)"},
-		e1Row{"PCSI binary protocol", 0, overhead(pcsiRT), "measured (loopback pcsinet Get - raw TCP)"},
-		e1Row{"Socket overhead", 5 * time.Microsecond, sockRT / 2, "measured (loopback TCP RT / 2)"},
+		e1Row{"HTTP protocol", 50 * time.Microsecond, overhead(per[1]), "measured (loopback HTTP - raw TCP)"},
+		e1Row{"PCSI binary protocol", 0, overhead(per[2]), "measured (loopback pcsinet Get - raw TCP)"},
+		e1Row{"Socket overhead", 5 * time.Microsecond, median(per[0]) / 2, "measured (loopback TCP RT / 2)"},
 	)
 
 	rows = append(rows,

@@ -49,13 +49,8 @@ const (
 
 func runE4(rn run) *Report {
 	r := &Report{ID: "E4", Title: "Figure 2 + §4.1: model serving, naive vs co-located"}
-	// No stage looks at the upload bytes and none writes them, so every
-	// request of both arms puts this one buffer (PutShared). It is per run,
-	// not package-level: a buffer live for the whole process raises the GC's
-	// heap goal for every later experiment (DESIGN §5).
-	upload := make([]byte, e4UploadSize)
-	naive := runPipeline(rn, core.PlaceNaive, upload, r)
-	coloc := runPipeline(rn, core.PlaceColocate, upload, r)
+	naive := runPipeline(rn, core.PlaceNaive, r)
+	coloc := runPipeline(rn, core.PlaceColocate, r)
 	if naive == nil || coloc == nil {
 		return r
 	}
@@ -85,7 +80,7 @@ func runE4(rn run) *Report {
 	return r
 }
 
-func runPipeline(rn run, policy core.PlacementPolicy, uploadData []byte, r *Report) *pipelineStats {
+func runPipeline(rn run, policy core.PlacementPolicy, r *Report) *pipelineStats {
 	opts := rn.options()
 	opts.Policy = policy
 	opts.Media = media.NVMe
@@ -105,7 +100,7 @@ func runPipeline(rn run, policy core.PlacementPolicy, uploadData []byte, r *Repo
 			fail(err)
 			return
 		}
-		if err := client.PutOwned(p, weights, make([]byte, 1<<16)); err != nil { // stand-in payload
+		if err := client.PutShared(p, weights, object.Zeros(1<<16)); err != nil { // stand-in payload
 			fail(err)
 			return
 		}
@@ -132,8 +127,9 @@ func runPipeline(rn run, policy core.PlacementPolicy, uploadData []byte, r *Repo
 			Res: cluster.Resources{MilliCPU: 1000, MemMB: 512},
 			Handler: func(fc *core.FnCtx) error {
 				fc.Proc().Sleep(2 * time.Millisecond) // HTTP decode CPU time
+				// No stage reads or writes the upload bytes.
 				upload := fc.Outputs[0]
-				if err := fc.Client.PutShared(fc.Proc(), upload, uploadData); err != nil {
+				if err := fc.Client.PutShared(fc.Proc(), upload, object.Zeros(e4UploadSize)); err != nil {
 					return err
 				}
 				// Single-use intermediate: freeze so downstream reads are
@@ -163,7 +159,7 @@ func runPipeline(rn run, policy core.PlacementPolicy, uploadData []byte, r *Repo
 					fc.Proc().Sleep(dev.Ensure(key, int64(len(upload))))
 				}
 				fc.Proc().Sleep(5 * time.Millisecond) // GPU kernel time
-				if err := fc.Client.PutOwned(fc.Proc(), fc.Outputs[0], make([]byte, e4ResultSize)); err != nil {
+				if err := fc.Client.PutShared(fc.Proc(), fc.Outputs[0], object.Zeros(e4ResultSize)); err != nil {
 					return err
 				}
 				return fc.Client.Freeze(fc.Proc(), fc.Outputs[0], object.Immutable)

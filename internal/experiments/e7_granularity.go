@@ -52,7 +52,7 @@ func runE7(rn run) *Report {
 			if err != nil {
 				return
 			}
-			if err := gw.Put(p, clientR, "tok", id, make([]byte, size), consistency.Eventual); err != nil {
+			if err := gw.Put(p, clientR, "tok", id, object.Zeros(size), consistency.Eventual); err != nil {
 				return
 			}
 			const n = 20
@@ -78,7 +78,7 @@ func runE7(rn run) *Report {
 			if err != nil {
 				return
 			}
-			if err := clientP.PutOwned(p, ref, make([]byte, size)); err != nil {
+			if err := clientP.PutShared(p, ref, object.Zeros(size)); err != nil {
 				return
 			}
 			const n = 20

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/object"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -443,19 +444,34 @@ func TestE13Overload(t *testing.T)     { runAndCheck(t, "E13") }
 func TestE14Cache(t *testing.T)        { runAndCheck(t, "E14") }
 func TestE15FaaSFS(t *testing.T)       { runAndCheck(t, "E15") }
 
-// TestE4AllocatesOneUpload: no stage looks at or writes E4's upload bytes,
-// so both arms put one shared buffer (PutShared). A fresh 8 MiB buffer per
-// request would allocate 480 MiB per run. It must not run in parallel:
-// TotalAlloc counts the whole process.
-func TestE4AllocatesOneUpload(t *testing.T) {
+// TestE4AllocatesNoStandInPayload: no stage reads E4's upload, weights or
+// result bytes, and no one reads a function's code, so every one of them is
+// a view of the shared zero region (object.Zeros) put with PutShared. A
+// fresh 8 MiB upload per run, as before, would allocate more than 8 MiB;
+// one per request, 480 MiB. It must not run in parallel: TotalAlloc counts
+// the whole process.
+func TestE4AllocatesNoStandInPayload(t *testing.T) {
 	e := mustGet(t, "E4")
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	e.Run(1)
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 32<<20 {
-		t.Errorf("one E4 run allocated %.1f MiB, want < 32 MiB: an upload buffer per request crept back",
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Errorf("one E4 run allocated %.1f MiB, want < 2 MiB: a stand-in payload buffer crept back",
 			float64(got)/(1<<20))
+	}
+}
+
+// The experiments that put object.Zeros views leave the region all zero:
+// every holder copies before it writes, and no reader writes a view.
+func TestZerosStayZero(t *testing.T) {
+	for _, id := range []string{"E4", "E7", "E13"} {
+		mustGet(t, id).Run(1)
+		for i, c := range object.Zeros(8 << 20) {
+			if c != 0 {
+				t.Fatalf("after %s, byte %d of the zero region is %#x", id, i, c)
+			}
+		}
 	}
 }
 

@@ -343,12 +343,15 @@ func (o *Object) SetData(b []byte) error {
 }
 
 // TakeData is SetData without the copy: the object takes b itself as its
-// payload. b must be the caller's own array — never a view from Read or
-// Snapshot, and never one handed to another object — and the caller must
+// payload. b must be the caller's own array — never a view (Read, Snapshot,
+// Zeros) nor one handed to another object — and the caller must
 // neither read nor write it once TakeData succeeds, since below IMMUTABLE
 // the object writes into it in place. On a refusal, which comes exactly
 // where SetData refuses, b is untouched and still the caller's.
 func (o *Object) TakeData(b []byte) error {
+	if len(b) > 0 && &b[0] == &zeros[0] {
+		panic("object: TakeData of Zeros, which nobody may write")
+	}
 	if err := o.canReplace(len(b)); err != nil {
 		return err
 	}
@@ -370,6 +373,22 @@ func (o *Object) ShareData(b []byte) error {
 	o.data, o.shared = b[:len(b):len(b)], len(b)
 	o.bump()
 	return nil
+}
+
+// zeros backs Zeros. Holding no pointers, it lives in .noptrbss: the GC
+// neither scans it nor counts it in its heap goal, and an untouched page
+// costs no memory.
+var zeros [8 << 20]byte
+
+// Zeros returns n zero bytes that nobody may write, for a stand-in payload:
+// up to 8 MiB a capacity-clipped view of one shared region, above that a
+// new array. Put it with ShareData (core.Client.PutShared) or through a
+// callee that copies, such as SetData; TakeData panics on it.
+func Zeros(n int) []byte {
+	if n > len(zeros) {
+		return make([]byte, n)
+	}
+	return zeros[:n:n]
 }
 
 // canReplace returns nil when the whole payload may become n bytes of new

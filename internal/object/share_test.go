@@ -227,3 +227,64 @@ func TestTakeDataRefusesWhereSetDataRefuses(t *testing.T) {
 		}
 	}
 }
+
+// isZero reports whether every byte of b is zero.
+func isZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// An object holding the zero region (ShareData(Zeros(n))) copies before any
+// write reaches it, so no verb changes Zeros; TakeData refuses the region
+// outright, since an object writes a taken array in place.
+func TestWritesLeaveZerosZero(t *testing.T) {
+	const n = 64
+	ones := bytes.Repeat([]byte{1}, 2*n)
+	for _, w := range []struct {
+		verb  string
+		write func(o *Object) error
+	}{
+		{"WriteAt", func(o *Object) error { _, err := o.WriteAt(ones[:8], 4); return err }},
+		{"Append", func(o *Object) error { return o.Append(ones[:8]) }},
+		{"Truncate grow", func(o *Object) error {
+			if err := o.Truncate(2 * n); err != nil {
+				return err
+			}
+			_, err := o.WriteAt(ones, 0)
+			return err
+		}},
+		{"Truncate shrink", func(o *Object) error {
+			if err := o.Truncate(n / 2); err != nil {
+				return err
+			}
+			return o.Append(ones[:8])
+		}},
+		{"SetData", func(o *Object) error { return o.SetData(ones[:n/2]) }},
+		{"ApplyState", func(o *Object) error {
+			o.ApplyState(ones[:n], 9, Mutable)
+			_, err := o.WriteAt(ones[:8], 0)
+			return err
+		}},
+	} {
+		o := New(1, Regular)
+		if err := o.ShareData(Zeros(n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.write(o); err != nil {
+			t.Errorf("%s: %v", w.verb, err)
+		}
+		if !isZero(zeros[:]) {
+			t.Fatalf("%s on an object holding Zeros(%d) wrote into the zero region", w.verb, n)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("TakeData(Zeros(n)) did not panic")
+		}
+	}()
+	_ = New(1, Regular).TakeData(Zeros(n))
+}

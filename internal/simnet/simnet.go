@@ -68,8 +68,7 @@ type LinkFault struct {
 type Network struct {
 	env     *sim.Env
 	profile Profile
-	racks   map[NodeID]int
-	next    NodeID
+	racks   []int // indexed by NodeID, which AddNode hands out densely
 
 	faultFn func(a, b NodeID, size int) LinkFault
 	reachFn func(a, b NodeID) bool
@@ -85,7 +84,7 @@ type Network struct {
 
 // New returns a network using the given latency profile.
 func New(env *sim.Env, profile Profile) *Network {
-	return &Network{env: env, profile: profile, racks: make(map[NodeID]int)}
+	return &Network{env: env, profile: profile}
 }
 
 // Env returns the simulation environment.
@@ -96,10 +95,16 @@ func (n *Network) Profile() Profile { return n.profile }
 
 // AddNode registers a new node in the given rack and returns its ID.
 func (n *Network) AddNode(rack int) NodeID {
-	id := n.next
-	n.next++
-	n.racks[id] = rack
-	return id
+	n.racks = append(n.racks, rack)
+	return NodeID(len(n.racks) - 1)
+}
+
+// rack returns id's rack; an ID AddNode never returned reads rack 0.
+func (n *Network) rack(id NodeID) int {
+	if uint(id) < uint(len(n.racks)) {
+		return n.racks[id]
+	}
+	return 0
 }
 
 // SetLinkFaultFunc installs a per-message fault hook consulted by Send.
@@ -124,7 +129,7 @@ func (n *Network) factor(a, b NodeID) float64 {
 	switch {
 	case a == b:
 		return loopbackFactor
-	case n.racks[a] == n.racks[b]:
+	case n.rack(a) == n.rack(b):
 		return sameRackFactor
 	default:
 		return crossRackFac

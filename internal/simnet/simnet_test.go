@@ -146,8 +146,11 @@ func TestNodeRegistration(t *testing.T) {
 	if len(net.racks) != 2 {
 		t.Errorf("Nodes = %d, want 2", len(net.racks))
 	}
-	if net.racks[a] != 3 || net.racks[b] != 7 {
-		t.Errorf("racks = %d,%d want 3,7", net.racks[a], net.racks[b])
+	if net.rack(a) != 3 || net.rack(b) != 7 {
+		t.Errorf("racks = %d,%d want 3,7", net.rack(a), net.rack(b))
+	}
+	if net.rack(-1) != 0 || net.rack(b+1) != 0 {
+		t.Errorf("unknown IDs read racks %d,%d, want 0,0", net.rack(-1), net.rack(b+1))
 	}
 	if a == b {
 		t.Error("AddNode returned duplicate IDs")

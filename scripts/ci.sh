@@ -58,6 +58,10 @@ go run ./cmd/pcsictl trace -verify /tmp/t2.json
 echo '== chaos smoke (seed sweep with fault injection; exits 1 on invariant violation)'
 go run ./cmd/pcsictl chaos E4 -seeds 5
 
+echo '== profile smoke (pcsictl run -cpuprofile writes a profile pprof reads)'
+go run ./cmd/pcsictl run E4 -cpuprofile /tmp/pcsictl-cpu.prof > /dev/null
+go tool pprof -top /tmp/pcsictl-cpu.prof > /dev/null
+
 echo '== width smoke (fanned arms and chaos seeds print the same bytes at GOMAXPROCS 1 and 4)'
 for w in 1 4; do
     GOMAXPROCS=$w go run ./cmd/pcsictl run E4,E5,E7,E9,E13,E14,E15 > /tmp/width-run-$w.txt
