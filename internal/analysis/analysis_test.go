@@ -346,8 +346,8 @@ func TestErrClassExactPositions(t *testing.T) {
 
 // TestCapDisciplineExactPositions pins file:line:column and the method named
 // for every raw mutation in the mutation fixture, so a mutator dropped from
-// objectMutators or storeMutators (TakeData, ShareData and Snapshot
-// included) goes unreported here.
+// objectMutators or storeMutators (ShareData and Snapshot included) goes
+// unreported here.
 func TestCapDisciplineExactPositions(t *testing.T) {
 	l, diags := loadFixture(t)
 	var got []string
@@ -362,10 +362,9 @@ func TestCapDisciplineExactPositions(t *testing.T) {
 	want := []string{
 		"13:2:object.Object.SetData",
 		"14:2:object.Object.Append",
-		"15:2:object.Object.TakeData",
-		"16:2:object.Object.ShareData",
-		"17:6:object.Object.Snapshot",
-		"18:2:store.Store.Insert",
+		"15:2:object.Object.ShareData",
+		"16:6:object.Object.Snapshot",
+		"17:2:store.Store.Insert",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("capdiscipline positions:\n got %v\nwant %v", got, want)

@@ -11,7 +11,7 @@ import (
 // uncopied. Reads (ReadAt, Read, ContentHash, ...) and construction (New,
 // Clone) are unrestricted.
 var objectMutators = stringSet(
-	"SetData", "TakeData", "ShareData", "WriteAt", "Append", "Truncate", "SetMutability", "ApplyState", "Snapshot",
+	"SetData", "ShareData", "WriteAt", "Append", "Truncate", "SetMutability", "ApplyState", "Snapshot",
 )
 
 // storeMutators are the internal/store methods that create, change, or

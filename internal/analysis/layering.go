@@ -19,7 +19,7 @@ var (
 		"internal/namespace", "internal/consistency", "internal/gc",
 	)
 	computePkgs  = stringSet("internal/faas", "internal/taskgraph", "internal/scheduler")
-	baselinePkgs = stringSet("internal/restbase", "internal/nfsbase", "internal/dynamo", "internal/posix")
+	baselinePkgs = stringSet("internal/restbase", "internal/nfsbase", "internal/dynamo")
 )
 
 // importRule confines one side of an import: the packages in set are the

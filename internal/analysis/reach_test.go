@@ -35,17 +35,16 @@ import (
 // a main package), a cmd/ binary or bench/.
 
 // reachExempt lists the declarations kept although no root reaches them,
-// each with its reason. A key is an import path relative to the module
-// ("internal/posix": the whole package) or a declaration in it
-// ("internal/sim.IdleWorkers"; a type covers its methods). Each entry is
-// a root, so what it reaches stays live with it.
+// each with its reason. A key is an import path relative to the module (the
+// whole package) or a declaration in it ("internal/sim.IdleWorkers"; a type
+// covers its methods). Each entry is a root, so what it reaches stays live
+// with it.
 //
 // An entry is allowed only for code that a pending decision keeps, or for
 // a declaration a named tier-1 test uses to check the behaviour of
 // reachable code. Never add one to silence a finding: delete the
 // declaration instead.
 var reachExempt = map[string]string{
-	"internal/posix":               "ROADMAP item 8(c) decides it: the POSIX matrix's reference model, or deleted",
 	"internal/consistency.History": "ROADMAP item 8(a) decides it, with the HistOp and OpKind it holds: the one history checker, or deleted",
 	// faasfs's commit is checked against a model by property tests that
 	// drive the whole POSIX surface of a Session, not only what E15 runs.

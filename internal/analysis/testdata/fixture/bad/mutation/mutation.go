@@ -12,7 +12,6 @@ func Scribble(st *store.Store) {
 	o := object.New()
 	o.SetData([]byte("x"))   // want: capdiscipline
 	o.Append([]byte("y"))    // want: capdiscipline
-	o.TakeData([]byte("z"))  // want: capdiscipline
 	o.ShareData([]byte("s")) // want: capdiscipline
 	_ = o.Snapshot()         // want: capdiscipline
 	st.Insert(1, o)          // want: capdiscipline

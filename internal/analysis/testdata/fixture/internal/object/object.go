@@ -22,9 +22,6 @@ func New() *Object { return &Object{} }
 // SetData replaces the content.
 func (o *Object) SetData(b []byte) { o.data = append(o.data[:0], b...) }
 
-// TakeData installs b itself as the content.
-func (o *Object) TakeData(b []byte) { o.data = b }
-
 // ShareData installs b itself as the content, shared with its caller.
 func (o *Object) ShareData(b []byte) { o.data = b[:len(b):len(b)] }
 

@@ -58,10 +58,7 @@ type Group struct {
 	// Experiment counters.
 	Conflicts    int64 // concurrent updates detected by vector clocks
 	GossipRounds int64
-	// Merges counts concurrent updates resolved by the installed merger
-	// (lattice joins) rather than LWW.
-	Merges     int64
-	StaleReads int64 // eventual reads that observed a non-latest stamp
+	StaleReads   int64 // eventual reads that observed a non-latest stamp
 	// LinStaleReads counts linearizable reads that observed a non-latest
 	// stamp. The protocol (primary serialisation + majority ack) makes this
 	// impossible, so the chaos harness asserts it stays zero.
@@ -295,9 +292,8 @@ func (g *Group) Create(p *sim.Proc, client simnet.NodeID, kind object.Kind) (obj
 //
 // Apply cannot fail once mutate has succeeded: every refusal (unavailable,
 // not found) comes before it, and nothing after it reports an error. So a
-// caller retrying Apply never runs a mutate again after one succeeded,
-// which is what lets mutate hand the object a buffer it takes
-// (object.TakeData) under a retry loop.
+// caller retrying Apply never runs a mutate again after one succeeded, and
+// a retried Append is applied once.
 func (g *Group) Apply(p *sim.Proc, client simnet.NodeID, id object.ID, lvl Level, size int, mutate func(*object.Object) error) error {
 	switch lvl {
 	case Linearizable:
@@ -726,6 +722,5 @@ func (g *Group) mergeConcurrent(dst, src *Replica, id object.ID, so *object.Obje
 	}
 	g.applyState(dst, id, so.Kind(), merged, ver+1, do.Mutability(), stamp, vc)
 	g.applyState(src, id, so.Kind(), merged, ver+1, do.Mutability(), stamp, vc)
-	g.Merges++
 	return true
 }

@@ -25,10 +25,15 @@ func TestReplicatedAppendCopiesOnlyTheTail(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			// Room for every append, so the primary's array never moves.
-			log := make([]byte, logLen, logLen+appends*rec)
-			take := func(o *object.Object) error { return o.TakeData(log) }
-			if err := g.Apply(p, client, id, Linearizable, logLen, take); err != nil {
+			// Room for every append, so the primary's array never moves:
+			// growing by Truncate allocates it, and cutting back keeps it.
+			room := func(o *object.Object) error {
+				if err := o.Truncate(int64(logLen + appends*rec)); err != nil {
+					return err
+				}
+				return o.Truncate(int64(logLen))
+			}
+			if err := g.Apply(p, client, id, Linearizable, logLen, room); err != nil {
 				t.Error(err)
 				return
 			}

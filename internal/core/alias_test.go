@@ -58,9 +58,8 @@ func (ac *aliasCase) fail(format string, args ...any) {
 func (ac *aliasCase) settle() { ac.c.Group().SyncAll() }
 
 // write performs one write verb with a buffer it then scribbles on — except
-// after put_owned, which hands the buffer to the object, so the test never
-// touches it again, and put_shared, which puts ac.shared itself (data is
-// unused); the model follows the verb's own verdict.
+// put_shared, which puts ac.shared itself (data is unused); the model
+// follows the verb's own verdict.
 func (ac *aliasCase) write(verb string, data []byte, off int64) error {
 	buf := append([]byte(nil), data...)
 	var err error
@@ -69,11 +68,6 @@ func (ac *aliasCase) write(verb string, data []byte, off int64) error {
 		if err = ac.a.Put(ac.p, ac.ref, buf); err == nil {
 			ac.model = append([]byte(nil), data...)
 		}
-	case "put_owned":
-		if err = ac.a.PutOwned(ac.p, ac.ref, buf); err == nil {
-			ac.model = append([]byte(nil), data...)
-		}
-		buf = nil // handed over: never touched again
 	case "put_shared":
 		if err = ac.a.PutShared(ac.p, ac.ref, ac.shared); err == nil {
 			ac.model = append([]byte(nil), ac.shared...)
@@ -187,11 +181,6 @@ func (ac *aliasCase) run(lvl object.Mutability, bindable bool, rng *rand.Rand) {
 		return
 	}
 	ac.check("put", false)
-	if err := ac.write("put_owned", payload(1+rng.Intn(64)), 0); err != nil {
-		ac.fail("put_owned: %v", err)
-		return
-	}
-	ac.check("put_owned", false)
 	if err := ac.write("put_shared", nil, 0); err != nil {
 		ac.fail("put_shared: %v", err)
 		return
@@ -238,7 +227,6 @@ func (ac *aliasCase) run(lvl object.Mutability, bindable bool, rng *rand.Rand) {
 		off  int64
 	}{
 		{"put", payload(len(ac.model)), 0}, // same size: FIXED_SIZE accepts it
-		{"put_owned", payload(len(ac.model)), 0},
 		{"put_shared", nil, 0},
 		{"append", payload(1 + rng.Intn(16)), 0},
 		{"write_at", payload(1), int64(rng.Intn(len(ac.model)))},
@@ -329,11 +317,10 @@ func (ac *aliasCase) run(lvl object.Mutability, bindable bool, rng *rand.Rand) {
 // shared as capacity-clipped views that no later operation changes; so is
 // every View/ViewAt result, at every level — on the "leased" flavour
 // (a linearizable object on a cloud with the function cache on) served from
-// the lease cache once the first Get filled it. A buffer
-// handed over with PutOwned becomes the content of one object only;
-// prefixes of one buffer, of a different length per object, put with
-// PutShared become the content of every object of a seed, each then
-// written, and the buffer stays byte-for-byte what it was. After every step
+// the lease cache once the first Get filled it. Prefixes of one buffer, of a
+// different length per object, put with PutShared become the content of
+// every object of a seed, each then written, and the buffer stays
+// byte-for-byte what it was. After every step
 // no holder below IMMUTABLE may write bytes another holder of its array sees
 // (sharedPastMark). Run it under -race: the engine's processes are
 // goroutines.
@@ -388,48 +375,6 @@ func TestPayloadAliasingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 6, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPutOwnedRetriedUnderFaults hands buffers over through a retrying client
-// while half the attempts fail, on both replicated flavours. A retry that
-// re-ran a mutate which had already taken the buffer — possible only if
-// Group.Apply could fail after its mutate succeeded — would leave the array
-// with two replicas below IMMUTABLE and neither marking it shared, which the
-// shared-prefix oracle reports.
-func TestPutOwnedRetriedUnderFaults(t *testing.T) {
-	for _, lvl := range []consistency.Level{consistency.Linearizable, consistency.Eventual} {
-		opts := DefaultOptions()
-		opts.Retry = &fault.Policy{MaxAttempts: 8}
-		c := New(opts)
-		a, b := c.NewClient(0), c.NewClient(1)
-		run(t, c, func(p *sim.Proc) {
-			ref, err := a.Create(p, object.Regular, WithConsistency(lvl))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			c.inj = fault.NewSession(fault.Spec{Rates: fault.Rates{OpError: 0.5}}).Attach(c.env)
-			var want []byte
-			seen := seenShared{}
-			for i := 0; i < 40; i++ {
-				buf := bytes.Repeat([]byte{byte(i)}, 1+i)
-				if err := a.PutOwned(p, ref, buf); err == nil {
-					want = bytes.Repeat([]byte{byte(i)}, 1+i)
-				}
-				c.Group().SyncAll()
-				for _, s := range c.sharedPastMark(seen) {
-					t.Errorf("%v, put %d: a payload array is shared past a writer's mark: %s", lvl, i, s)
-				}
-			}
-			c.inj = nil
-			if got, err := b.Get(p, ref); err != nil || !bytes.Equal(got, want) {
-				t.Errorf("%v: Get = %q, %v; want %q", lvl, got, err, want)
-			}
-		})
-		if c.RetryAttempts == 0 {
-			t.Errorf("%v: no attempt was retried; the test exercised nothing", lvl)
-		}
 	}
 }
 

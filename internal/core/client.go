@@ -81,11 +81,6 @@ func (cl *Client) checkErr(r Ref, need capability.Rights) error {
 	return nil
 }
 
-// observe records a data operation's latency.
-func (cl *Client) observe(p *sim.Proc, start sim.Time) {
-	cl.c.DataLat.Observe(p.Now().Sub(start))
-}
-
 // Create makes a new object and returns a full-rights reference to it.
 func (cl *Client) Create(p *sim.Proc, kind object.Kind, opts ...CreateOpt) (Ref, error) {
 	params := createParams{lvl: consistency.Linearizable, mut: object.Mutable}
@@ -94,7 +89,6 @@ func (cl *Client) Create(p *sim.Proc, kind object.Kind, opts ...CreateOpt) (Ref,
 	}
 	var id object.ID
 	err := cl.run(p, Ref{}, verbCreate, func(t target) error {
-		start := p.Now()
 		if params.ephemeral {
 			id = cl.c.newEphem(cl.node, kind)
 			if params.mut != object.Mutable {
@@ -121,7 +115,6 @@ func (cl *Client) Create(p *sim.Proc, kind object.Kind, opts ...CreateOpt) (Ref,
 				}
 			}
 		}
-		cl.observe(p, start)
 		return nil
 	})
 	if err != nil {
@@ -135,15 +128,6 @@ func (cl *Client) Create(p *sim.Proc, kind object.Kind, opts ...CreateOpt) (Ref,
 // write produced (cacheEntry.mark).
 func (cl *Client) Put(p *sim.Proc, r Ref, data []byte) error {
 	return cl.put(p, r, data, (*object.Object).SetData)
-}
-
-// PutOwned is Put without the ingress copy: the object takes data itself
-// (object.TakeData). data must be the caller's own array, not a view
-// returned by Get, and the caller must neither read nor write it
-// afterwards. It is the same verb as Put: the same span, fault op, rights,
-// admission, coherence write and virtual-time charges.
-func (cl *Client) PutOwned(p *sim.Proc, r Ref, data []byte) error {
-	return cl.put(p, r, data, (*object.Object).TakeData)
 }
 
 // PutShared is Put without the ingress copy for a buffer the caller keeps

@@ -35,7 +35,6 @@ import (
 	"repro/internal/fncache"
 	"repro/internal/gc"
 	"repro/internal/media"
-	"repro/internal/metrics"
 	"repro/internal/object"
 	"repro/internal/obs"
 	"repro/internal/platform"
@@ -156,12 +155,10 @@ type Cloud struct {
 	ephem      map[object.ID]*ephemObj
 	ephemDrops object.ID
 
-	// reg is the unified metrics directory; the exported fields below
-	// alias its entries for terse call sites.
+	// reg is the unified metrics directory the fncache, QoS and faas
+	// layers register in and the obs plane samples.
 	reg *trace.Registry
 
-	// Counters shared by experiments.
-	DataLat *metrics.Histogram
 	// BytesMoved tallies payload bytes that crossed the network on data
 	// operations (E4's data-movement metric).
 	BytesMoved int64
@@ -220,9 +217,7 @@ func New(opts Options) *Cloud {
 		devices: make(map[simnet.NodeID]*platform.Device),
 		caches:  make(map[cacheKey]cacheEntry),
 		reg:     trace.NewRegistry(),
-		DataLat: metrics.NewHistogram("pcsi_data_ops"),
 	}
-	c.reg.Register(c.DataLat)
 
 	// Telemetry plane (optional): the obs session samples this cloud's
 	// registry on its own virtual clock. No session ⇒ nil plane ⇒ every

@@ -50,11 +50,10 @@ func (c *Cloud) newEphem(owner simnet.NodeID, kind object.Kind) object.ID {
 func (c *Cloud) ephemOf(id object.ID) *ephemObj { return c.ephem[id] }
 
 // ephemDo runs fn against an ephemeral object and, when it succeeds, charges
-// the access and samples its latency: local memory when on the owner, one
-// exchange with the owner otherwise. send is the payload crossing to the
-// object, recv the payload crossing back.
+// the access: local memory when on the owner, one exchange with the owner
+// otherwise. send is the payload crossing to the object, recv the payload
+// crossing back.
 func (cl *Client) ephemDo(p *sim.Proc, e *ephemObj, send, recv int, fn func(*object.Object) error) error {
-	start := p.Now()
 	if err := fn(e.obj); err != nil {
 		return err
 	}
@@ -67,7 +66,6 @@ func (cl *Client) ephemDo(p *sim.Proc, e *ephemObj, send, recv int, fn func(*obj
 		cl.c.net.Send(p, e.owner, cl.node, 64+recv)
 		cl.c.BytesMoved += int64(send + recv)
 	}
-	cl.observe(p, start)
 	return nil
 }
 

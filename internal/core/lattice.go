@@ -123,7 +123,8 @@ func (cl *Client) LatticeSync(p *sim.Proc, r Ref) error {
 // latticeRMW folds enc into the stored payload: read the current value,
 // join, write back. The write is eventual — a concurrent flush from
 // another node lands on a different replica and anti-entropy joins the
-// two (Merges counter), which is what makes this safe without a lock.
+// two with the installed merger, which is what makes this safe without a
+// lock.
 func (cl *Client) latticeRMW(p *sim.Proc, r Ref, enc []byte) error {
 	cur, err := cl.GetAt(p, r, consistency.Eventual)
 	if err != nil {

@@ -20,7 +20,7 @@ import (
 // run threads the cross-cutting hooks in a fixed order —
 //
 //	capability check → QoS admit → span →
-//	    (node-local object | coherence write → body) → DataLat
+//	    (node-local object | coherence write → body)
 //
 // — and the body reaches state through a target, which dispatches
 // node-local vs replicated and wraps each store access in
@@ -34,11 +34,10 @@ type verb struct {
 	fault     string            // injector and retry-policy op name; "" = neither faulted nor retried
 	write     bool              // coherence write: lease holders are invalidated before the store mutates
 
-	noRef     bool // Create: no reference exists yet — nothing to check, no "obj" span attribute
-	noAdmit   bool // bypasses QoS data admission (reasons on each row)
-	noSpan    bool // socket verbs: a span would renumber every later trace ID
-	noObserve bool // the replicated path leaves no DataLat sample
-	noRetry   bool // Pop: faulted once by the verb itself; its poll loop is the retry
+	noRef   bool // Create: no reference exists yet — nothing to check, no "obj" span attribute
+	noAdmit bool // bypasses QoS data admission (reasons on each row)
+	noSpan  bool // socket verbs: a span would renumber every later trace ID
+	noRetry bool // Pop: faulted once by the verb itself; its poll loop is the retry
 }
 
 // verbs is the whole data plane, in declaration order; DESIGN.md §5
@@ -51,37 +50,34 @@ func row(v verb) *verb {
 }
 
 var (
-	// Observes only successful creations, so it samples DataLat itself.
-	verbCreate  = row(verb{name: "create", cat: "core.data", fault: "core.create", noRef: true, noObserve: true})
+	verbCreate  = row(verb{name: "create", cat: "core.data", fault: "core.create", noRef: true})
 	verbPut     = row(verb{name: "put", cat: "core.data", need: capability.Write, fault: "core.put", write: true})
 	verbGet     = row(verb{name: "get", cat: "core.data", need: capability.Read, fault: "core.get"})
 	verbGetAt   = row(verb{name: "get_at", cat: "core.data", need: capability.Read, fault: "core.get_at"})
 	verbAppend  = row(verb{name: "append", cat: "core.data", need: capability.Append, fault: "core.append", write: true})
 	verbWriteAt = row(verb{name: "write_at", cat: "core.data", need: capability.Write, fault: "core.write_at", write: true})
 	verbReadAt  = row(verb{name: "read_at", cat: "core.data", need: capability.Read, fault: "core.read_at"})
-	// Metadata transitions and probes are not data-latency samples.
-	verbFreeze = row(verb{name: "freeze", cat: "core.meta", need: capability.SetMut, fault: "core.freeze", write: true, noObserve: true})
+	verbFreeze  = row(verb{name: "freeze", cat: "core.meta", need: capability.SetMut, fault: "core.freeze", write: true})
 	// A bare linearizable probe: never admitted, faulted, or retried.
-	verbMutability = row(verb{name: "mutability", cat: "core.meta", need: capability.Read, noAdmit: true, noObserve: true})
-	// FIFO traffic is throughput-, not latency-shaped: no DataLat sample.
-	verbPush = row(verb{name: "push", cat: "core.data", need: capability.Append, fault: "core.push", noObserve: true})
+	verbMutability = row(verb{name: "mutability", cat: "core.meta", need: capability.Read, noAdmit: true})
+	verbPush       = row(verb{name: "push", cat: "core.data", need: capability.Append, fault: "core.push"})
 	// A consumer parked on an empty queue would pin an admission slot for an
 	// unbounded poll, starving producers of the tokens needed to fill it.
-	verbPop  = row(verb{name: "pop", cat: "core.data", need: capability.Read | capability.Write, fault: "core.pop", noAdmit: true, noObserve: true, noRetry: true})
-	verbStat = row(verb{name: "stat", cat: "core.meta", need: capability.Read, fault: "core.stat", noObserve: true})
+	verbPop  = row(verb{name: "pop", cat: "core.data", need: capability.Read | capability.Write, fault: "core.pop", noAdmit: true, noRetry: true})
+	verbStat = row(verb{name: "stat", cat: "core.meta", need: capability.Read, fault: "core.stat"})
 	// The versioned read is a Get to the injector: it faults as core.get.
 	verbGetVersioned  = row(verb{name: "get_versioned", cat: "core.data", need: capability.Read, fault: "core.get"})
-	verbReadDir       = row(verb{name: "readdir", cat: "core.meta", need: capability.Read, fault: "core.readdir", noObserve: true})
-	verbSetDirEntries = row(verb{name: "set_entries", cat: "core.meta", need: capability.Write, fault: "core.setdir", noObserve: true})
+	verbReadDir       = row(verb{name: "readdir", cat: "core.meta", need: capability.Read, fault: "core.readdir"})
+	verbSetDirEntries = row(verb{name: "set_entries", cat: "core.meta", need: capability.Write, fault: "core.setdir"})
 	// Sockets predate the hooks and stay bare: a connection's polls are not
-	// operations to admit, trace, fault, or time.
-	verbSockSend  = row(verb{name: "sock_send", need: capability.Write, noAdmit: true, noSpan: true, noObserve: true})
-	verbSockRecv  = row(verb{name: "sock_recv", need: capability.Read | capability.Write, noAdmit: true, noSpan: true, noObserve: true})
-	verbSockClose = row(verb{name: "sock_close", need: capability.Write, noAdmit: true, noSpan: true, noObserve: true})
+	// operations to admit, trace, or fault.
+	verbSockSend  = row(verb{name: "sock_send", need: capability.Write, noAdmit: true, noSpan: true})
+	verbSockRecv  = row(verb{name: "sock_recv", need: capability.Read | capability.Write, noAdmit: true, noSpan: true})
+	verbSockClose = row(verb{name: "sock_close", need: capability.Write, noAdmit: true, noSpan: true})
 	// Invoke resolves the function name between check and span, so it
 	// borrows target.retry instead of going through run; the faas runtime
 	// admits it under ClassInvoke.
-	verbInvoke = row(verb{name: "invoke", cat: "core.fn", need: capability.Exec, fault: "core.invoke", noAdmit: true, noObserve: true})
+	verbInvoke = row(verb{name: "invoke", cat: "core.fn", need: capability.Exec, fault: "core.invoke", noAdmit: true})
 )
 
 // whole, as a view's receive size, means the object's entire payload.
@@ -118,15 +114,10 @@ func (cl *Client) run(p *sim.Proc, r Ref, v *verb, body func(t target) error) er
 	t := target{cl: cl, p: p, v: v, id: id, e: cl.c.ephemOf(id), sp: cl.opSpan(p, v, id), op: v.fault}
 	defer t.sp.Close(p)
 	if t.e != nil {
-		// Node-local copies sample DataLat per successful access (ephemDo).
 		return body(t)
 	}
-	start := p.Now()
 	key, writing := cl.beginWrite(p, r, v)
 	err = body(t)
-	if !v.noObserve {
-		cl.observe(p, start)
-	}
 	if writing {
 		cl.c.fncache.EndWrite(key)
 	}

@@ -81,9 +81,6 @@ var entryDrivers = []struct {
 	v    *verb
 	d    verbDriver
 }{
-	{"put_owned", verbPut, verbDriver{local: true, call: func(cl *Client, p *sim.Proc, r Ref) error {
-		return cl.PutOwned(p, r, []byte("v"))
-	}}},
 	{"put_shared", verbPut, verbDriver{local: true, call: func(cl *Client, p *sim.Proc, r Ref) error {
 		return cl.PutShared(p, r, []byte("v"))
 	}}},
@@ -113,22 +110,19 @@ func (d verbDriver) subject(v *verb, cl *Client, p *sim.Proc, opts ...CreateOpt)
 // fault op "core.<name>"), so flipping a flag is a deliberate edit here too.
 // A new row with no exceptions needs no entry.
 var verbExceptions = map[string]string{
-	"create":        "noRef noObserve",
+	"create":        "noRef",
 	"put":           "write",
 	"append":        "write",
 	"write_at":      "write",
-	"freeze":        "write noObserve",
-	"mutability":    "fault= noAdmit noObserve",
-	"push":          "noObserve",
-	"pop":           "noAdmit noObserve noRetry",
-	"stat":          "noObserve",
+	"freeze":        "write",
+	"mutability":    "fault= noAdmit",
+	"pop":           "noAdmit noRetry",
 	"get_versioned": "fault=core.get",
-	"readdir":       "noObserve",
-	"set_entries":   "fault=core.setdir noObserve",
-	"sock_send":     "fault= noAdmit noSpan noObserve",
-	"sock_recv":     "fault= noAdmit noSpan noObserve",
-	"sock_close":    "fault= noAdmit noSpan noObserve",
-	"invoke":        "noAdmit noObserve",
+	"set_entries":   "fault=core.setdir",
+	"sock_send":     "fault= noAdmit noSpan",
+	"sock_recv":     "fault= noAdmit noSpan",
+	"sock_close":    "fault= noAdmit noSpan",
+	"invoke":        "noAdmit",
 }
 
 func (v *verb) exceptions() string {
@@ -139,7 +133,7 @@ func (v *verb) exceptions() string {
 	for _, f := range []struct {
 		on   bool
 		name string
-	}{{v.write, "write"}, {v.noRef, "noRef"}, {v.noAdmit, "noAdmit"}, {v.noSpan, "noSpan"}, {v.noObserve, "noObserve"}, {v.noRetry, "noRetry"}} {
+	}{{v.write, "write"}, {v.noRef, "noRef"}, {v.noAdmit, "noAdmit"}, {v.noSpan, "noSpan"}, {v.noRetry, "noRetry"}} {
 		if f.on {
 			out = append(out, f.name)
 		}
@@ -205,7 +199,7 @@ func testVerbHooks(t *testing.T, v *verb, d verbDriver) {
 				t.Errorf("refusal cost %v of virtual time and %d admissions; want none", p.Now().Sub(at), admitted()-adm)
 			}
 		}
-		adm, obs := admitted(), c.DataLat.Count()
+		adm := admitted()
 		caller = trace.Of(c.Env()).Start(p, "test", "caller")
 		err = d.call(cl, p, r)
 		caller.Close(p)
@@ -214,10 +208,6 @@ func testVerbHooks(t *testing.T, v *verb, d verbDriver) {
 		}
 		if got := admitted() - adm; (got == 1) == v.noAdmit || got > 1 {
 			t.Errorf("data admissions = %d with noAdmit = %v", got, v.noAdmit)
-		}
-		// Create is the one noObserve row that samples for itself.
-		if got := c.DataLat.Count() - obs; (got == 1) == (v.noObserve && !v.noRef) || got > 1 {
-			t.Errorf("DataLat samples = %d with noObserve = %v", got, v.noObserve)
 		}
 	})
 	var got []string

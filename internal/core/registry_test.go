@@ -64,7 +64,6 @@ func TestRegistryNames(t *testing.T) {
 		"invocations",
 		"invoke_failures",
 		"invoke_latency",
-		"pcsi_data_ops",
 		"preemptions",
 		"qos_data_admitted",
 		"qos_data_inflight",

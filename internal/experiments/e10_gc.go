@@ -24,7 +24,7 @@ func init() {
 }
 
 func runE10(rn run) *Report {
-	r := &Report{ID: "E10", Title: "§3.2: automated reclamation of unreachable objects"}
+	r := &Report{}
 	opts := rn.options()
 	opts.Media = media.DRAM
 	cloud := core.New(opts)

@@ -30,7 +30,7 @@ const (
 )
 
 func runE12(rn run) *Report {
-	r := &Report{ID: "E12", Title: "§3.1 (extension): one function, multiple implementations, goal-driven choice"}
+	r := &Report{}
 
 	type outcome struct {
 		goal     faas.Goal

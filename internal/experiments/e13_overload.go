@@ -228,7 +228,7 @@ func e13Rest(rn run, factor float64) (*e13Arm, int64) {
 }
 
 func runE13(rn run) *Report {
-	r := &Report{ID: "E13", Title: "§4: overload — admission control vs retry storms and opaque 429s"}
+	r := &Report{}
 	factors := []float64{0.5, 1, 2, 4}
 
 	// The SLO shape checks need the telemetry plane. Under `pcsictl dash`

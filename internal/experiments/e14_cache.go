@@ -216,7 +216,7 @@ func e14Run(rn run, mode e14Mode) *e14Arm {
 }
 
 func runE14(rn run) *Report {
-	r := &Report{ID: "E14", Title: "Cloudburst shape: colocated caches under Zipf fan-out — leases vs lattices vs none"}
+	r := &Report{}
 	modes := []e14Mode{e14Off, e14Lease, e14Lattice}
 	arms := make([]*e14Arm, len(modes))
 	rn.fan(len(modes), func(i int) bool { arms[i] = e14Run(rn, modes[i]); return true })

@@ -622,7 +622,7 @@ func e15Run(rn run, mode e15Mode) *e15Arm {
 }
 
 func runE15(rn run) *Report {
-	r := &Report{ID: "E15", Title: "FaaSFS shape: transactional POSIX traces — faasfs vs NFS vs REST"}
+	r := &Report{}
 	arms := make([]*e15Arm, len(e15Modes))
 	rn.fan(len(e15Modes), func(i int) bool { arms[i] = e15Run(rn, e15Modes[i]); return true })
 	ffs, nfs, rest := arms[0], arms[1], arms[2]

@@ -140,7 +140,7 @@ type e1Row struct {
 }
 
 func runE1(rn run) *Report {
-	r := &Report{ID: "E1", Title: "Table 1: representative operation latencies"}
+	r := &Report{}
 	var rows []e1Row
 
 	// --- Simulated rows (calibrated profiles) ---

@@ -26,7 +26,7 @@ func init() {
 }
 
 func runE2(rn run) *Report {
-	r := &Report{ID: "E2", Title: "§2.1: 1KB fetch — NFS vs DynamoDB (latency & cost)"}
+	r := &Report{}
 	const reads = 200
 	payload := make([]byte, 1024)
 

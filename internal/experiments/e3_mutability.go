@@ -15,7 +15,7 @@ func init() {
 }
 
 func runE3(rn run) *Report {
-	r := &Report{ID: "E3", Title: "Figure 1: object mutability transition lattice"}
+	r := &Report{}
 
 	// Transition matrix.
 	t := metrics.NewTable("Figure 1 — Allowable mutability transitions (row → column)",

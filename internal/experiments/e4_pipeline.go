@@ -48,7 +48,7 @@ const (
 )
 
 func runE4(rn run) *Report {
-	r := &Report{ID: "E4", Title: "Figure 2 + §4.1: model serving, naive vs co-located"}
+	r := &Report{}
 	naive := runPipeline(rn, core.PlaceNaive, r)
 	coloc := runPipeline(rn, core.PlaceColocate, r)
 	if naive == nil || coloc == nil {

@@ -49,7 +49,7 @@ const (
 )
 
 func runE5(rn run) *Report {
-	r := &Report{ID: "E5", Title: "§4.2: efficiency — dedicated vs packed vs scavenged"}
+	r := &Report{}
 	configs := []struct {
 		name      string
 		policy    core.PlacementPolicy

@@ -29,7 +29,7 @@ func init() {
 var e7Sizes = []int{64, 1 << 10, 16 << 10, 256 << 10, 4 << 20}
 
 func runE7(rn run) *Report {
-	r := &Report{ID: "E7", Title: "§2.1: web-service overhead vs operation granularity (fast network)"}
+	r := &Report{}
 
 	type point struct {
 		size       int

@@ -28,7 +28,7 @@ func init() {
 }
 
 func runE8(rn run) *Report {
-	r := &Report{ID: "E8", Title: "§3.2: per-request auth (REST) vs open-once capabilities (PCSI)"}
+	r := &Report{}
 	opsPerObject := []int{1, 10, 100, 1000}
 
 	type row struct {

@@ -31,7 +31,7 @@ const (
 )
 
 func runE9(rn run) *Report {
-	r := &Report{ID: "E9", Title: "§3.1/§4.2: autoscaling from zero, pay-per-use"}
+	r := &Report{}
 	opts := rn.options()
 	opts.IdleTimeout = 3 * time.Second
 	opts.Policy = core.PlacePacked

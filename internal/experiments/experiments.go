@@ -75,7 +75,17 @@ type Experiment struct {
 // registry holds all experiments keyed by ID.
 var registry = map[string]Experiment{}
 
-func register(e Experiment) { registry[e.ID] = e }
+// register adds e, stamping its ID and Title on every report its fn
+// returns, so an experiment names itself only here.
+func register(e Experiment) {
+	fn := e.fn
+	e.fn = func(rn run) *Report {
+		r := fn(rn)
+		r.ID, r.Title = e.ID, e.Title
+		return r
+	}
+	registry[e.ID] = e
+}
 
 // All returns every experiment in ID order.
 func All() []Experiment {

@@ -24,7 +24,7 @@ func registerEViol(t *testing.T) {
 }
 
 func runEViol(rn run) *Report {
-	r := &Report{ID: "EVIOL", Title: "synthetic invariant violation (test only)"}
+	r := &Report{}
 	env := rn.env()
 	pl := rn.obs.Attach(env, trace.NewRegistry(), "synthetic")
 	env.Go("work", func(p *sim.Proc) {

@@ -32,7 +32,6 @@ type Collector struct {
 	sources []RootSource
 
 	// Stats from the most recent collection.
-	LastMarked    int
 	LastSwept     int
 	LastSweptIDs  []object.ID
 	LastReclaimed int64 // bytes
@@ -93,7 +92,6 @@ func (c *Collector) Collect() int {
 			c.LastSweptIDs = append(c.LastSweptIDs, id)
 		}
 	}
-	c.LastMarked = len(marked)
 	c.LastSwept = swept
 	c.LastReclaimed = reclaimed
 	c.Collections++

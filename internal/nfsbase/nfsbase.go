@@ -79,7 +79,6 @@ type Handle struct {
 type Mount struct {
 	srv    *Server
 	client simnet.NodeID
-	authed bool
 	Meter  *cost.Meter
 }
 
@@ -88,7 +87,7 @@ func (s *Server) Mount(p *sim.Proc, client simnet.NodeID) (*Mount, error) {
 	// Session setup: handshake + one-time auth.
 	p.Sleep(s.net.RTT(client, s.node))
 	p.Sleep(50 * time.Microsecond)
-	return &Mount{srv: s, client: client, authed: true, Meter: cost.NewMeter("nfs")}, nil
+	return &Mount{srv: s, client: client, Meter: cost.NewMeter("nfs")}, nil
 }
 
 // Lookup resolves a name to a handle (one round trip).

@@ -57,7 +57,7 @@ func (h *holders) step(i int, s []byte) {
 	x, a, b := int(s[1])%3, int(s[2]), int(s[3])
 	o, want := h.objs[x], h.want[x]
 	levels := object.Levels()
-	switch s[0] % 9 {
+	switch s[0] % 8 {
 	case 0: // WriteAt, possibly past EOF
 		off, buf := a%(len(want)+32), h.fresh(1+b%24)
 		if _, err := o.WriteAt(buf, int64(off)); err == nil {
@@ -79,13 +79,7 @@ func (h *holders) step(i int, s []byte) {
 			want = bytes.Clone(buf)
 		}
 		scribble(buf)
-	case 3: // TakeData hands over: the buffer is never touched again
-		buf := h.fresh(a % 40)
-		mirror := bytes.Clone(buf)
-		if err := o.TakeData(buf); err == nil {
-			want = mirror
-		}
-	case 4: // Truncate, either way
+	case 3: // Truncate, either way
 		n := a % (len(want) + 9)
 		if err := o.Truncate(int64(n)); err == nil {
 			if n <= len(want) {
@@ -94,9 +88,9 @@ func (h *holders) step(i int, s []byte) {
 				want = append(want, make([]byte, n-len(want))...)
 			}
 		}
-	case 5:
+	case 4:
 		_ = o.SetMutability(levels[a%4])
-	case 6: // replicate x to holder a (itself too), at x's level or another
+	case 5: // replicate x to holder a (itself too), at x's level or another
 		dst, mut := a%3, o.Mutability()
 		if b%5 < 4 {
 			mut = levels[b%5] // a thaw, like union copy-up
@@ -105,13 +99,13 @@ func (h *holders) step(i int, s []byte) {
 		h.keep(i, snap)
 		h.objs[dst].ApplyState(snap, o.Version(), mut)
 		h.want[dst] = bytes.Clone(want)
-	case 7:
+	case 6:
 		if r := o.Read(); o.Mutability() == object.Immutable {
 			h.keep(i, r)
 		} else {
 			scribble(r)
 		}
-	case 8: // ShareData puts a prefix of the one shared buffer
+	case 7: // ShareData puts a prefix of the one shared buffer
 		if h.shared == nil {
 			h.shared = h.fresh(40)
 			h.sharedWant = bytes.Clone(h.shared)
@@ -141,23 +135,23 @@ func (h *holders) check(t *testing.T, i int) {
 	}
 }
 
-// FuzzPayloadHolders runs random WriteAt, Append, SetData, TakeData,
-// Truncate, SetMutability, Snapshot→ApplyState, Read and ShareData steps over
-// three holders and, after every step, compares each holder's Read, every
-// view handed out so far, and the one buffer ShareData shares, with the plain
+// FuzzPayloadHolders runs random WriteAt, Append, SetData, Truncate,
+// SetMutability, Snapshot→ApplyState, Read and ShareData steps over three
+// holders and, after every step, compares each holder's Read, every view
+// handed out so far, and the one buffer ShareData shares, with the plain
 // model. The seeds are the shared-prefix rule's known breaks: a write below
 // the mark that skips the copy, a Snapshot that does not raise the mark, a
-// write into the zeroed hole past a truncated EOF, one buffer taken by two
-// holders (which the object cannot refuse: only a caller that hands a buffer
-// over twice gets it), and one buffer shared by two holders that both write.
+// write into the zeroed hole past a truncated EOF, a SetData that writes
+// through a shared array, and one buffer shared by two holders that both
+// write.
 func FuzzPayloadHolders(f *testing.F) {
 	for _, seed := range [][]byte{
-		{1, 0, 8, 0, 6, 0, 1, 4, 0, 0, 0, 3},                                        // append, replicate 0→1, overwrite at 0
-		{2, 0, 16, 0, 6, 0, 1, 4, 2, 0, 16, 0},                                      // put, replicate 0→1, put again
-		{1, 0, 8, 0, 6, 0, 1, 4, 4, 0, 2, 0, 0, 0, 12, 0, 1, 0, 3, 0},               // replicate, truncate, write past EOF, append
-		{3, 0, 16, 0, 3, 1, 16, 0, 0, 0, 0, 3},                                      // take on 0, take on 1, overwrite 0
-		{1, 0, 8, 0, 5, 0, 3, 0, 7, 0, 0, 0, 6, 0, 1, 0, 0, 1, 0, 3},                // freeze, view, thaw into 1, overwrite 1
-		{8, 0, 16, 0, 8, 1, 24, 0, 0, 0, 0, 3, 1, 1, 4, 0, 4, 0, 8, 0, 0, 0, 10, 3}, // share on 0 and 1, overwrite 0, append 1, truncate 0, write past EOF
+		{1, 0, 8, 0, 5, 0, 1, 4, 0, 0, 0, 3},                                        // append, replicate 0→1, overwrite at 0
+		{2, 0, 16, 0, 5, 0, 1, 4, 2, 0, 16, 0},                                      // put, replicate 0→1, put again
+		{1, 0, 8, 0, 5, 0, 1, 4, 3, 0, 2, 0, 0, 0, 12, 0, 1, 0, 3, 0},               // replicate, truncate, write past EOF, append
+		{7, 0, 16, 0, 2, 0, 16, 0},                                                  // share on 0, put the same size on 0
+		{1, 0, 8, 0, 4, 0, 3, 0, 6, 0, 0, 0, 5, 0, 1, 0, 0, 1, 0, 3},                // freeze, view, thaw into 1, overwrite 1
+		{7, 0, 16, 0, 7, 1, 24, 0, 0, 0, 0, 3, 1, 1, 4, 0, 3, 0, 8, 0, 0, 0, 10, 3}, // share on 0 and 1, overwrite 0, append 1, truncate 0, write past EOF
 	} {
 		f.Add(seed)
 	}

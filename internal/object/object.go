@@ -342,28 +342,10 @@ func (o *Object) SetData(b []byte) error {
 	return nil
 }
 
-// TakeData is SetData without the copy: the object takes b itself as its
-// payload. b must be the caller's own array — never a view (Read, Snapshot,
-// Zeros) nor one handed to another object — and the caller must
-// neither read nor write it once TakeData succeeds, since below IMMUTABLE
-// the object writes into it in place. On a refusal, which comes exactly
-// where SetData refuses, b is untouched and still the caller's.
-func (o *Object) TakeData(b []byte) error {
-	if len(b) > 0 && &b[0] == &zeros[0] {
-		panic("object: TakeData of Zeros, which nobody may write")
-	}
-	if err := o.canReplace(len(b)); err != nil {
-		return err
-	}
-	o.data, o.shared = b, 0
-	o.bump()
-	return nil
-}
-
-// ShareData is TakeData for a buffer other holders keep reading: the object
-// installs b itself, capacity-clipped, with every byte marked shared (as
-// ApplyState does), so it copies before its first write into those bytes
-// and never writes through b. One b may be shared with any number of
+// ShareData is SetData without the copy, for a buffer other holders keep
+// reading: the object installs b itself, capacity-clipped, with every byte
+// marked shared (as ApplyState does), so it copies before its first write
+// into those bytes and never writes through b. One b may be shared with any number of
 // objects; nobody may write it afterwards. It refuses exactly where SetData
 // refuses.
 func (o *Object) ShareData(b []byte) error {
@@ -383,7 +365,7 @@ var zeros [8 << 20]byte
 // Zeros returns n zero bytes that nobody may write, for a stand-in payload:
 // up to 8 MiB a capacity-clipped view of one shared region, above that a
 // new array. Put it with ShareData (core.Client.PutShared) or through a
-// callee that copies, such as SetData; TakeData panics on it.
+// callee that copies, such as SetData.
 func Zeros(n int) []byte {
 	if n > len(zeros) {
 		return make([]byte, n)

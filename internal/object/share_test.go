@@ -172,11 +172,10 @@ func TestAppendAndSetDataReuseTheArray(t *testing.T) {
 	}
 }
 
-// TakeData and ShareData refuse exactly where SetData refuses, with the same
-// error and no change to the object; where SetData copies, TakeData installs
-// the caller's array itself, and ShareData installs it capacity-clipped with
-// every byte marked shared.
-func TestTakeDataRefusesWhereSetDataRefuses(t *testing.T) {
+// ShareData refuses exactly where SetData refuses, with the same error and
+// no change to the object; where SetData copies, ShareData installs the
+// caller's array capacity-clipped with every byte marked shared.
+func TestShareDataRefusesWhereSetDataRefuses(t *testing.T) {
 	for _, kind := range []Kind{Regular, Directory, FIFO} {
 		for _, lvl := range Levels() {
 			for _, size := range []int{4, 9} { // the current size, and a resize
@@ -192,29 +191,18 @@ func TestTakeDataRefusesWhereSetDataRefuses(t *testing.T) {
 					}
 					return o
 				}
-				copied, taken, shared := build(), build(), build()
-				buf := bytes.Repeat([]byte{'n'}, size)
+				copied, shared := build(), build()
 				kept := make([]byte, size, size+8) // spare capacity the object must not reach
-				copy(kept, buf)
+				copy(kept, bytes.Repeat([]byte{'n'}, size))
 				setErr := copied.SetData(bytes.Repeat([]byte{'n'}, size))
-				takeErr := taken.TakeData(buf)
 				shareErr := shared.ShareData(kept)
 				name := kind.String() + "/" + lvl.String()
-				for _, other := range []struct {
-					verb string
-					o    *Object
-					err  error
-				}{{"TakeData", taken, takeErr}, {"ShareData", shared, shareErr}} {
-					if (setErr == nil) != (other.err == nil) || (setErr != nil && setErr.Error() != other.err.Error()) {
-						t.Errorf("%s, %d bytes: SetData = %v, %s = %v", name, size, setErr, other.verb, other.err)
-					}
-					if !bytes.Equal(copied.data, other.o.data) || copied.Version() != other.o.Version() {
-						t.Errorf("%s, %d bytes: SetData left %q v%d, %s %q v%d",
-							name, size, copied.data, copied.Version(), other.verb, other.o.data, other.o.Version())
-					}
+				if (setErr == nil) != (shareErr == nil) || (setErr != nil && setErr.Error() != shareErr.Error()) {
+					t.Errorf("%s, %d bytes: SetData = %v, ShareData = %v", name, size, setErr, shareErr)
 				}
-				if held := sameArray(taken.data, buf); held != (takeErr == nil) {
-					t.Errorf("%s, %d bytes: object holds the taken buffer = %v, want %v", name, size, held, takeErr == nil)
+				if !bytes.Equal(copied.data, shared.data) || copied.Version() != shared.Version() {
+					t.Errorf("%s, %d bytes: SetData left %q v%d, ShareData %q v%d",
+						name, size, copied.data, copied.Version(), shared.data, shared.Version())
 				}
 				if held := sameArray(shared.data, kept); held != (shareErr == nil) {
 					t.Errorf("%s, %d bytes: object holds the shared buffer = %v, want %v", name, size, held, shareErr == nil)
@@ -238,9 +226,9 @@ func isZero(b []byte) bool {
 	return true
 }
 
-// An object holding the zero region (ShareData(Zeros(n))) copies before any
-// write reaches it, so no verb changes Zeros; TakeData refuses the region
-// outright, since an object writes a taken array in place.
+// An object holding the zero region (ShareData(Zeros(n))) holds it
+// capacity-clipped with every byte marked shared, and copies before any
+// write reaches it, so no verb changes Zeros.
 func TestWritesLeaveZerosZero(t *testing.T) {
 	const n = 64
 	ones := bytes.Repeat([]byte{1}, 2*n)
@@ -274,6 +262,9 @@ func TestWritesLeaveZerosZero(t *testing.T) {
 		if err := o.ShareData(Zeros(n)); err != nil {
 			t.Fatal(err)
 		}
+		if !sameArray(o.data, zeros[:]) || cap(o.data) != n || o.shared != n {
+			t.Fatalf("ShareData(Zeros(%d)) left cap %d and mark %d, want the region with both %d", n, cap(o.data), o.shared, n)
+		}
 		if err := w.write(o); err != nil {
 			t.Errorf("%s: %v", w.verb, err)
 		}
@@ -281,10 +272,4 @@ func TestWritesLeaveZerosZero(t *testing.T) {
 			t.Fatalf("%s on an object holding Zeros(%d) wrote into the zero region", w.verb, n)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("TakeData(Zeros(n)) did not panic")
-		}
-	}()
-	_ = New(1, Regular).TakeData(Zeros(n))
 }

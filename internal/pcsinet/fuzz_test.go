@@ -92,8 +92,8 @@ func FuzzDispatch(f *testing.F) {
 			Headers: map[string]string{"path": "a/b", "kind": "regular", "rights": "read"}})[4:])
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		// OpPut hands the decoded body to an object, and the fuzzer reuses
-		// its input: give the frame its own array, as ReadFrame does.
+		// OpPut shares the decoded body with an object, and the fuzzer
+		// reuses its input: give the frame its own array, as ReadFrame does.
 		req, err := codec.Decode(bytes.Clone(payload))
 		if err != nil {
 			return

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/media"
 	"repro/internal/platform"
+	"repro/internal/wire"
 )
 
 func startServer(t *testing.T) (*Server, *Client) {
@@ -49,9 +50,9 @@ func TestCreatePutGetOverTCP(t *testing.T) {
 	}
 }
 
-// TestPutHandsTheFrameOver: OpPut gives the request frame's own array to the
-// object, so the object's later appends, and the frames read after it on the
-// same connection, must leave each object's bytes exact.
+// TestPutHandsTheFrameOver: OpPut shares the request frame's own array with
+// the object, so the object's later appends, and the frames read after it on
+// the same connection, must leave each object's bytes exact.
 func TestPutHandsTheFrameOver(t *testing.T) {
 	_, cl := startServer(t)
 	first, err := cl.Create("regular", "", "", false)
@@ -78,6 +79,33 @@ func TestPutHandsTheFrameOver(t *testing.T) {
 		if got, err := cl.Get(tok); err != nil || string(got) != want {
 			t.Errorf("Get after a second put = %q, %v; want %q", got, err, want)
 		}
+	}
+}
+
+// TestPutLeavesItsBodyUnchanged: the object OpPut fills shares the
+// request's body and never writes it. An Append after the Put must leave
+// every byte of the body's array, spare capacity included, as it was, and
+// Get must return the two bodies' concatenation.
+func TestPutLeavesItsBodyUnchanged(t *testing.T) {
+	srv := NewServer(core.New(core.DefaultOptions()))
+	tok := srv.dispatch(&wire.Message{Op: OpCreate, Headers: map[string]string{"kind": "regular"}}).Headers["token"]
+	body := make([]byte, 16, 64) // spare capacity an in-place append would reach
+	copy(body, "put payload ....")
+	want := bytes.Clone(body[:cap(body)])
+	for _, req := range []*wire.Message{
+		{Op: OpPut, Key: tok, Body: body},
+		{Op: OpAppend, Key: tok, Body: []byte("+appended")},
+	} {
+		if err := RespError(srv.dispatch(req)); err != nil {
+			t.Fatalf("%s: %v", req.Op, err)
+		}
+	}
+	if got := body[:cap(body)]; !bytes.Equal(got, want) {
+		t.Errorf("the Put body's array changed to %q, want %q", got, want)
+	}
+	resp := srv.dispatch(&wire.Message{Op: OpGet, Key: tok})
+	if err := RespError(resp); err != nil || string(resp.Body) != "put payload ....+appended" {
+		t.Errorf("Get = %q, %v; want the Put body then the Append body", resp.Body, err)
 	}
 }
 

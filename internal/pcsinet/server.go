@@ -311,8 +311,8 @@ var ops = map[string]op{
 		c.grant, err = c.s.client.Create(c.p, kind, opts...)
 		return err
 	}},
-	// The body is the frame's own array (ReadFrame, Decode): hand it over.
-	OpPut:    {key: keyRef, run: func(c *call) error { return c.s.client.PutOwned(c.p, c.ref, c.req.Body) }},
+	// The body is the frame's own array (ReadFrame, Decode): share it.
+	OpPut:    {key: keyRef, run: func(c *call) error { return c.s.client.PutShared(c.p, c.ref, c.req.Body) }},
 	OpAppend: {key: keyRef, run: func(c *call) error { return c.s.client.Append(c.p, c.ref, c.req.Body) }},
 	// The body only goes to the wire, after mu is released: a view (View)
 	// that later writes never change, since the object copies first.

@@ -14,9 +14,8 @@ type Resource struct {
 }
 
 type resWaiter struct {
-	p  *Proc
-	n  int64
-	at Time
+	p *Proc
+	n int64
 }
 
 // NewResource returns a resource with the given capacity.
@@ -44,7 +43,7 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 		return
 	}
 	start := r.env.now
-	r.q = append(r.q, resWaiter{p: p, n: n, at: start})
+	r.q = append(r.q, resWaiter{p: p, n: n})
 	// admit reserves our units before waking us, so one park suffices.
 	p.park()
 	r.waits++

@@ -6,6 +6,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo '== go toolchain (go1.23 or newer)'
+# internal/sim/worker.go, which the engine cannot build without, is
+# //go:build go1.23 (iter.Pull); an older toolchain fails deep in the build.
+gover=$(go env GOVERSION)
+minor=$(echo "$gover" | sed -n 's/^go1\.\([0-9][0-9]*\).*/\1/p')
+[ -z "$minor" ] || [ "$minor" -ge 23 ] || { echo "$gover is older than go1.23, which internal/sim/worker.go needs: install go1.23 or newer" >&2; exit 1; }
+
 echo '== go directive (go.mod and bench/go.mod agree)'
 # bench/run.sh builds the bench module with GOFLAGS=-mod=readonly. A root
 # go line newer than bench/go.mod's makes that build want to rewrite
