@@ -112,7 +112,6 @@ func admissionDemo() {
 		MaxQueue:      64,
 		MaxQueueDelay: 100 * time.Millisecond,
 		CoDelTarget:   20 * time.Millisecond,
-		CoDelInterval: 100 * time.Millisecond,
 	}}
 	cloud := pcsi.New(opts)
 	client := cloud.NewClient(0)

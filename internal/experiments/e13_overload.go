@@ -104,7 +104,6 @@ func e13PCSI(rn run, factor float64, withQoS bool) *e13Arm {
 			MaxQueue:      64,
 			MaxQueueDelay: 100 * time.Millisecond,
 			CoDelTarget:   20 * time.Millisecond,
-			CoDelInterval: 100 * time.Millisecond,
 		}}
 	}
 	cloud := core.New(opts)

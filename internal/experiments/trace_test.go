@@ -2,37 +2,12 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/trace"
 )
-
-// TestRunTracedDeterministic is the trace-determinism invariant (DESIGN.md
-// §5): the same experiment at the same seed exports byte-identical JSON.
-func TestRunTracedDeterministic(t *testing.T) {
-	var bufs [2]bytes.Buffer
-	for i := range bufs {
-		_, d := RunTraced(mustGet(t, "E4"), 42, nil)
-		if err := trace.Export(&bufs[i], d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
-		t.Fatal("two traced E4 runs at seed 42 exported different bytes")
-	}
-	var f struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(bufs[0].Bytes(), &f); err != nil {
-		t.Fatalf("export is not valid JSON: %v", err)
-	}
-	if len(f.TraceEvents) == 0 {
-		t.Fatal("traced E4 exported no traceEvents")
-	}
-}
 
 // TestRunTracedCoverage is the attribution acceptance bar: each simulated
 // PCSI run in the E4 trace must attribute at least 95% of its end-to-end
@@ -63,13 +38,15 @@ func TestRunTracedCoverage(t *testing.T) {
 // its section of pcsi_bench_output.txt, which TestE2Fetch…TestE15FaaSFS
 // pin for the untraced run. Every span must be closed by the process that
 // opened it before that process returns; a process Env.Close aborted may
-// leave its spans open.
+// leave its spans open. The traced runs are the ones TestSimulationContract
+// digests.
 func TestRunTracedDoesNotPerturb(t *testing.T) {
-	for _, e := range simulated() {
-		rep, d := RunTraced(e, 1, nil)
-		checkGolden(t, e.ID, render(rep))
-		if n := len(d.Leaked); n > 0 {
-			s := d.Leaked[0]
+	traced := tracedAtSeed1()
+	for i, e := range simulated() {
+		tr := traced[i]
+		checkGolden(t, e.ID, tr.report)
+		if n := len(tr.leaked); n > 0 {
+			s := tr.leaked[0]
 			t.Errorf("%s: %d spans left open by a process that returned; the first is %s/%s on track %s, opened at %v", e.ID, n, s.Cat, s.Name, s.Track, s.Start)
 		}
 	}

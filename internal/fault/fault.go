@@ -34,7 +34,7 @@ var (
 	// ErrInjected is the base error for injected operation failures.
 	ErrInjected = Transient("fault: injected error")
 	// ErrInjectedTimeout marks an injected timeout; the faulting operation
-	// blocks for Spec.TimeoutDelay of virtual time before returning it.
+	// blocks for 100 ms of virtual time before returning it.
 	ErrInjectedTimeout = Transient("fault: injected timeout")
 )
 
@@ -42,7 +42,7 @@ var (
 // means no stochastic faults.
 type Rates struct {
 	OpError    float64 // operation fails immediately with ErrInjected
-	OpTimeout  float64 // operation blocks TimeoutDelay then fails with ErrInjectedTimeout
+	OpTimeout  float64 // operation blocks 100 ms then fails with ErrInjectedTimeout
 	LinkLoss   float64 // message dropped; modeled as detect+retransmit delay
 	LinkDup    float64 // message duplicated (extra msg/byte counts)
 	DelaySpike float64 // message delayed by a multi-RTT spike
@@ -113,11 +113,13 @@ type Event struct {
 	Groups [][]simnet.NodeID // Partition
 }
 
+// timeoutDelay is the virtual time an injected timeout blocks for.
+const timeoutDelay = 100 * time.Millisecond
+
 // Spec describes everything a Session injects.
 type Spec struct {
-	Rates        Rates
-	Schedule     []Event
-	TimeoutDelay sim.Duration // block time for injected timeouts; default 100ms
+	Rates    Rates
+	Schedule []Event
 	// Retry, when set, is the default retry policy embedding systems adopt
 	// for the duration of the session (core uses it when Options.Retry is
 	// nil). Policies are templates; each env binds its own jitter stream.
@@ -159,9 +161,6 @@ type Session struct {
 
 // NewSession returns a session injecting per spec.
 func NewSession(spec Spec) *Session {
-	if spec.TimeoutDelay <= 0 {
-		spec.TimeoutDelay = 100 * time.Millisecond
-	}
 	return &Session{spec: spec}
 }
 
@@ -321,7 +320,7 @@ func (in *Injector) emit(kind, detail string) {
 }
 
 // OpFault rolls the stochastic operation-fault dice for op. It returns nil
-// (no fault), ErrInjected, or — after blocking TimeoutDelay of virtual
+// (no fault), ErrInjected, or — after blocking timeoutDelay of virtual
 // time — ErrInjectedTimeout.
 func (in *Injector) OpFault(p *sim.Proc, op string) error {
 	if in == nil {
@@ -334,8 +333,8 @@ func (in *Injector) OpFault(p *sim.Proc, op string) error {
 	}
 	if r.OpTimeout > 0 && in.opRNG.Float64() < r.OpTimeout {
 		in.emit("op.timeout", op)
-		p.Sleep(in.spec.TimeoutDelay)
-		return fmt.Errorf("%w: %s after %v", ErrInjectedTimeout, op, in.spec.TimeoutDelay)
+		p.Sleep(timeoutDelay)
+		return fmt.Errorf("%w: %s after %v", ErrInjectedTimeout, op, timeoutDelay)
 	}
 	return nil
 }

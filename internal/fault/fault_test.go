@@ -123,12 +123,9 @@ func TestUniformRates(t *testing.T) {
 }
 
 // OpFault injects errors and timeouts at roughly the configured rates, and
-// injected timeouts consume TimeoutDelay of virtual time.
+// injected timeouts consume timeoutDelay of virtual time.
 func TestOpFaultRatesAndTimeoutDelay(t *testing.T) {
-	s := NewSession(Spec{
-		Rates:        Rates{OpError: 0.2, OpTimeout: 0.1},
-		TimeoutDelay: 7 * time.Millisecond,
-	})
+	s := NewSession(Spec{Rates: Rates{OpError: 0.2, OpTimeout: 0.1}})
 	env := sim.NewEnv(3)
 	in := s.Attach(env)
 	var nerr, ntimeout int
@@ -139,8 +136,8 @@ func TestOpFaultRatesAndTimeoutDelay(t *testing.T) {
 			switch {
 			case errors.Is(err, ErrInjectedTimeout):
 				ntimeout++
-				if d := p.Now().Sub(before); d != 7*time.Millisecond {
-					t.Errorf("injected timeout blocked %v, want 7ms", d)
+				if d := p.Now().Sub(before); d != timeoutDelay {
+					t.Errorf("injected timeout blocked %v, want %v", d, timeoutDelay)
 				}
 			case errors.Is(err, ErrInjected):
 				nerr++

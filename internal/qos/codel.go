@@ -2,9 +2,14 @@ package qos
 
 import (
 	"math"
+	"time"
 
 	"repro/internal/sim"
 )
+
+// coDelInterval is the sliding window over which the sojourn time must
+// stay above target before the controller sheds.
+const coDelInterval = 100 * time.Millisecond
 
 // codel implements the CoDel (Controlled Delay, Nichols & Jacobson, CACM
 // 2012) control law over queue sojourn times, adapted to admission
@@ -12,8 +17,7 @@ import (
 // typed overload error. The law is evaluated at dispatch time, so it is
 // a deterministic function of virtual time — no randomness, no timers.
 type codel struct {
-	target   sim.Duration // sojourn target; 0 disables the controller
-	interval sim.Duration // sliding window over which delay must stay high
+	target sim.Duration // sojourn target; 0 disables the controller
 
 	firstAbove sim.Time // when sojourn first exceeded target (0 = not above)
 	dropping   bool     // in the shedding state
@@ -36,7 +40,7 @@ func (c *codel) onDispatch(now sim.Time, sojourn sim.Duration) bool {
 	if !c.dropping {
 		if c.firstAbove == 0 {
 			// First time above target: arm the interval window.
-			c.firstAbove = now.Add(c.interval)
+			c.firstAbove = now.Add(coDelInterval)
 			return false
 		}
 		if now < c.firstAbove {
@@ -63,11 +67,11 @@ func (c *codel) onDispatch(now sim.Time, sojourn sim.Duration) bool {
 	return true
 }
 
-// controlNext schedules the next shed at t + interval/sqrt(count).
+// controlNext schedules the next shed at t + coDelInterval/sqrt(count).
 func (c *codel) controlNext(t sim.Time) sim.Time {
 	n := c.count
 	if n < 1 {
 		n = 1
 	}
-	return t.Add(sim.Duration(float64(c.interval) / math.Sqrt(float64(n))))
+	return t.Add(sim.Duration(float64(coDelInterval) / math.Sqrt(float64(n))))
 }

@@ -113,12 +113,10 @@ type ClassConfig struct {
 	// 0 = no deadline shedding.
 	MaxQueueDelay sim.Duration
 	// CoDelTarget enables CoDel-style backpressure: when the delay of
-	// dispatched requests stays above the target for a full CoDelInterval,
-	// queued requests are shed (reason "codel") at increasing frequency
-	// until the standing queue drains. 0 = off.
+	// dispatched requests stays above the target for a full 100 ms control
+	// interval, queued requests are shed (reason "codel") at increasing
+	// frequency until the standing queue drains. 0 = off.
 	CoDelTarget sim.Duration
-	// CoDelInterval is the CoDel control interval (default 100ms).
-	CoDelInterval sim.Duration
 }
 
 // Config configures a Controller.
@@ -188,16 +186,13 @@ func New(env *sim.Env, cl *cluster.Cluster, cfg Config, reg *trace.Registry) *Co
 		if limit <= 0 {
 			continue
 		}
-		if cc.CoDelTarget > 0 && cc.CoDelInterval <= 0 {
-			cc.CoDelInterval = 100 * sim.Duration(1e6) // 100ms
-		}
 		label := "qos_" + Class(class).String()
 		c := &classQ{
 			class:         Class(class),
 			label:         label,
 			cfg:           cc,
 			limit:         limit,
-			cd:            codel{target: cc.CoDelTarget, interval: cc.CoDelInterval},
+			cd:            codel{target: cc.CoDelTarget},
 			depthGauge:    metrics.NewGauge(label + "_queue_depth"),
 			inflightGauge: metrics.NewGauge(label + "_inflight"),
 			delayHist:     metrics.NewHistogram(label + "_queue_delay"),

@@ -249,22 +249,26 @@ func TestCapacityDerivation(t *testing.T) {
 }
 
 func TestCoDelShedsStandingQueue(t *testing.T) {
-	// Limit 1, service 10ms, CoDel target 2ms / interval 20ms, and a
-	// standing backlog: sojourn times sit far above target, so after the
-	// first interval CoDel must begin shedding queued requests.
+	// Limit 1, service 10ms, CoDel target 2ms, and a standing backlog:
+	// sojourn times sit far above target from the first dispatch on, so
+	// once a full coDelInterval has passed CoDel must begin shedding
+	// queued requests, and not before.
 	env := sim.NewEnv(1)
 	q := testController(env, ClassConfig{
 		MaxConcurrency: 1,
 		CoDelTarget:    2 * time.Millisecond,
-		CoDelInterval:  20 * time.Millisecond,
 	})
 	var admitted, shed int
+	var firstShed sim.Time
 	for i := 0; i < 40; i++ {
 		i := i
 		env.Go("op", func(p *sim.Proc) {
 			p.Sleep(sim.Duration(i) * time.Millisecond) // 1/ms arrival ramp
 			g, err := q.Admit(p, ClassInvoke)
 			if err != nil {
+				if shed == 0 {
+					firstShed = p.Now()
+				}
 				shed++
 				return
 			}
@@ -283,6 +287,9 @@ func TestCoDelShedsStandingQueue(t *testing.T) {
 	}
 	if admitted+shed != 40 {
 		t.Errorf("admitted+shed = %d, want 40", admitted+shed)
+	}
+	if shed > 0 && firstShed < sim.Time(coDelInterval) {
+		t.Errorf("first shed at %v, before one %v control interval", firstShed, coDelInterval)
 	}
 }
 
