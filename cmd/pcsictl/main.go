@@ -334,9 +334,9 @@ func (h *harnessFlags) RequireExp(args []string) experiments.Experiment {
 }
 
 // Faults returns a fresh fault-injection session at -faultrate for one
-// experiment run; at rate 0 it is idle and attaches nothing.
+// experiment run; at a rate ≤ 0 it is idle and attaches nothing.
 func (h *harnessFlags) Faults() *fault.Session {
-	return fault.NewSession(fault.Spec{Rates: fault.Uniform(*h.FaultRate), Retry: fault.DefaultPolicy()})
+	return fault.NewSession(fault.Spec{Rate: *h.FaultRate, Retry: fault.DefaultPolicy()})
 }
 
 // OutWriter opens the -o file for writing, or returns stdout when unset.

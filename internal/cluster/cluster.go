@@ -122,10 +122,13 @@ type Config struct {
 	Racks        int
 	NodesPerRack int
 	NodeCap      Resources
-	// GPUNodesPerRack nodes in each rack additionally get GPUsPerGPUNode.
+	// GPUNodesPerRack nodes in each rack additionally get gpusPerGPUNode
+	// GPUs.
 	GPUNodesPerRack int
-	GPUsPerGPUNode  int64
 }
+
+// gpusPerGPUNode is the GPU count of every GPU node.
+const gpusPerGPUNode = 4
 
 // DefaultConfig is a small but representative cluster: 4 racks x 16 nodes,
 // 32-core/128GB nodes, 2 GPU nodes per rack with 4 GPUs each.
@@ -134,7 +137,6 @@ var DefaultConfig = Config{
 	NodesPerRack:    16,
 	NodeCap:         Resources{MilliCPU: 32000, MemMB: 131072},
 	GPUNodesPerRack: 2,
-	GPUsPerGPUNode:  4,
 }
 
 // New builds a cluster per config, registering every node on the network.
@@ -144,7 +146,7 @@ func New(env *sim.Env, net *simnet.Network, cfg Config) *Cluster {
 		for i := 0; i < cfg.NodesPerRack; i++ {
 			cap := cfg.NodeCap
 			if i < cfg.GPUNodesPerRack {
-				cap.GPUs = cfg.GPUsPerGPUNode
+				cap.GPUs = gpusPerGPUNode
 			}
 			id := net.AddNode(r)
 			c.nodes = append(c.nodes, &Node{

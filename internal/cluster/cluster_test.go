@@ -24,7 +24,6 @@ func small() Config {
 		NodesPerRack:    4,
 		NodeCap:         Resources{MilliCPU: 8000, MemMB: 16384},
 		GPUNodesPerRack: 1,
-		GPUsPerGPUNode:  2,
 	}
 }
 
@@ -230,8 +229,8 @@ func TestTotals(t *testing.T) {
 	if cap.MilliCPU != 8*8000 {
 		t.Errorf("total capacity CPU = %d", cap.MilliCPU)
 	}
-	if cap.GPUs != 4 {
-		t.Errorf("total capacity GPUs = %d, want 4", cap.GPUs)
+	if cap.GPUs != 8 {
+		t.Errorf("total capacity GPUs = %d, want 8 (2 GPU nodes of 4)", cap.GPUs)
 	}
 	if _, err := c.Allocate(c.Nodes()[2], Resources{MilliCPU: 123}); err != nil {
 		t.Fatal(err)

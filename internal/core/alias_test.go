@@ -403,7 +403,7 @@ func TestPutSharedRetriedUnderFaults(t *testing.T) {
 				}
 				refs[i] = ref
 			}
-			c.inj = fault.NewSession(fault.Spec{Rates: fault.Rates{OpError: 0.5}}).Attach(c.env)
+			c.inj = fault.NewSession(fault.Spec{Rate: 0.5}).Attach(c.env)
 			audit := func(step string, i int) {
 				c.Group().SyncAll() // an eventual append from b must follow the put
 				for _, s := range c.sharedPastMark(seen) {

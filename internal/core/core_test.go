@@ -26,7 +26,7 @@ func testOptions(seed int64) Options {
 	opts.ClusterCfg = cluster.Config{
 		Racks: 2, NodesPerRack: 4,
 		NodeCap:         cluster.Resources{MilliCPU: 16000, MemMB: 32768},
-		GPUNodesPerRack: 1, GPUsPerGPUNode: 2,
+		GPUNodesPerRack: 1,
 	}
 	opts.Media = media.DRAM
 	return opts

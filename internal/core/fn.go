@@ -47,8 +47,6 @@ type FnConfig struct {
 	Res cluster.Resources
 	// CodeSize is the size of the code object stored in the data layer.
 	CodeSize int64
-	// Concurrency is max in-flight invocations per instance (default 1).
-	Concurrency int
 	// Variants optionally provide alternative implementations the runtime
 	// optimizer chooses among per invocation (§3.1).
 	Variants []faas.Variant
@@ -99,7 +97,6 @@ func (cl *Client) RegisterFunction(p *sim.Proc, cfg FnConfig) (Ref, error) {
 		Kind:        cfg.Kind,
 		Res:         cfg.Res,
 		CodeSize:    cfg.CodeSize,
-		Concurrency: cfg.Concurrency,
 		Variants:    cfg.Variants,
 		TypicalExec: cfg.TypicalExec,
 		Handler: func(inv *faas.Invocation) error {

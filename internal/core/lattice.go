@@ -23,7 +23,7 @@ import (
 // LatticeCreate makes an eventual-consistency object initialized to the
 // bottom lattice value. The bottom write is linearizable so every replica
 // starts from a decodable lattice payload; all later updates are eventual.
-func (cl *Client) LatticeCreate(p *sim.Proc, bottom fncache.Lattice) (Ref, error) {
+func (cl *Client) LatticeCreate(p *sim.Proc, bottom fncache.LWWReg) (Ref, error) {
 	r, err := cl.Create(p, object.Regular, WithConsistency(consistency.Eventual))
 	if err != nil {
 		return Ref{}, err
@@ -39,7 +39,7 @@ func (cl *Client) LatticeCreate(p *sim.Proc, bottom fncache.Lattice) (Ref, error
 // LatticeUpdate merges delta into the object. Cached: a DRAM-cost merge
 // into the node's local replica, flushed later. Uncached: read-merge-write
 // through the store.
-func (cl *Client) LatticeUpdate(p *sim.Proc, r Ref, delta fncache.Lattice) error {
+func (cl *Client) LatticeUpdate(p *sim.Proc, r Ref, delta fncache.LWWReg) error {
 	if err := cl.check(r, capability.Write); err != nil {
 		return err
 	}
@@ -55,15 +55,15 @@ func (cl *Client) LatticeUpdate(p *sim.Proc, r Ref, delta fncache.Lattice) error
 // caller's node: the local replica when cached (counting a read against a
 // store that has moved on as observed-stale), the store's closest replica
 // otherwise.
-func (cl *Client) LatticeRead(p *sim.Proc, r Ref) (fncache.Lattice, error) {
+func (cl *Client) LatticeRead(p *sim.Proc, r Ref) (fncache.LWWReg, error) {
 	if err := cl.check(r, capability.Read); err != nil {
-		return nil, err
+		return fncache.LWWReg{}, err
 	}
 	fc := cl.c.fncache
 	if fc == nil {
 		data, err := cl.GetAt(p, r, consistency.Eventual)
 		if err != nil {
-			return nil, err
+			return fncache.LWWReg{}, err
 		}
 		return fncache.Decode(data)
 	}
@@ -81,14 +81,14 @@ func (cl *Client) LatticeRead(p *sim.Proc, r Ref) (fncache.Lattice, error) {
 
 // latticePull installs the store's current join as the caller node's
 // replica, clearing observed staleness up to the pulled stamp.
-func (cl *Client) latticePull(p *sim.Proc, r Ref) (fncache.Lattice, error) {
+func (cl *Client) latticePull(p *sim.Proc, r Ref) (fncache.LWWReg, error) {
 	data, err := cl.GetAt(p, r, consistency.Eventual)
 	if err != nil {
-		return nil, err
+		return fncache.LWWReg{}, err
 	}
 	v, err := fncache.Decode(data)
 	if err != nil {
-		return nil, err
+		return fncache.LWWReg{}, err
 	}
 	stamp, _ := cl.c.grp.NewestStamp(r.cap.Object())
 	cl.c.fncache.LatticePull(int(cl.node), fncache.Key(r.cap.Object()), v, stamp)

@@ -247,7 +247,7 @@ func testVerbFaults(t *testing.T, v *verb, d verbDriver) {
 			return
 		}
 		// Arm the injector only now, so building the subjects is not faulted.
-		c.inj = fault.NewSession(fault.Spec{Rates: fault.Rates{OpError: 1}}).Attach(c.env)
+		c.inj = fault.NewSession(fault.Spec{Rate: 1}).Attach(c.env)
 		var rolled []string
 		c.inj.Observe(func(n fault.Notice) { rolled = append(rolled, n.Kind+" "+n.Detail) })
 
@@ -260,7 +260,7 @@ func testVerbFaults(t *testing.T, v *verb, d verbDriver) {
 		}
 		err = d.call(cl, p, r)
 		if (err == nil) != (v.fault == "") || (err != nil && !strings.Contains(err.Error(), v.fault)) {
-			t.Errorf("under OpError=1: err = %v, want a failure naming %q (none when the row has no fault op)", err, v.fault)
+			t.Errorf("at fault rate 1: err = %v, want a failure naming %q (none when the row has no fault op)", err, v.fault)
 		}
 		if len(rolled) != wantRolls || (wantRolls > 0 && rolled[0] != "op.error "+v.fault) {
 			t.Errorf("fault rolls = %v, want %d of %q", rolled, wantRolls, "op.error "+v.fault)

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/media"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -12,7 +11,7 @@ import (
 func testTable(seed int64) (*sim.Env, *Table, simnet.NodeID) {
 	env := sim.NewEnv(seed)
 	net := simnet.New(env, simnet.DC2021)
-	tbl := New(net, 3, media.Disk)
+	tbl := New(net)
 	client := net.AddNode(2)
 	return env, tbl, client
 }

@@ -17,7 +17,7 @@ type ChaosConfig struct {
 	BaseSeed  int64  // first seed (default 1)
 	FaultRate float64
 	// Schedule optionally adds deterministic timed events (crashes,
-	// partitions) on top of the stochastic rates.
+	// partitions) on top of the stochastic faults.
 	Schedule []fault.Event
 	// NoRetry disables the default retry policy chaos runs otherwise adopt.
 	NoRetry bool
@@ -132,7 +132,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// Each seed owns its sessions, so the sweep itself is an unobserved
 	// run whose arms are the seeds.
 	run{}.fan(cfg.Seeds, func(i int) bool {
-		spec := fault.Spec{Rates: fault.Uniform(cfg.FaultRate), Schedule: cfg.Schedule}
+		spec := fault.Spec{Rate: cfg.FaultRate, Schedule: cfg.Schedule}
 		if !cfg.NoRetry {
 			spec.Retry = fault.DefaultPolicy()
 		}

@@ -72,7 +72,7 @@ func e13Objectives() []obs.Objective {
 		Until:   e13Window,
 	}, {
 		Name:    "invoke-p99",
-		Latency: &obs.LatencyTarget{Metric: "invoke_latency", Quantile: 0.99, Max: 150 * time.Millisecond},
+		Latency: &obs.LatencyTarget{Metric: "invoke_latency", Max: 150 * time.Millisecond},
 		Budget:  0.25,
 		After:   300 * time.Millisecond,
 		Until:   e13Window,
@@ -195,7 +195,7 @@ func e13Rest(rn run, factor float64) (*e13Arm, int64) {
 	retry := (&fault.Policy{
 		MaxAttempts: 6,
 		Deadline:    500 * time.Millisecond,
-		Backoff:     fault.Backoff{Base: 2 * time.Millisecond, Cap: 20 * time.Millisecond, Factor: 2, JitterFrac: 0.5},
+		Backoff:     fault.Backoff{Base: 2 * time.Millisecond, Cap: 20 * time.Millisecond},
 		// The 429 carries no admission state, so the only possible client
 		// policy is "try again" — the opaque-error problem of §2.1.
 		Retryable: func(err error) bool { return errors.Is(err, restbase.ErrThrottled) },

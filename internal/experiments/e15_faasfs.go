@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faasfs"
 	"repro/internal/fault"
-	"repro/internal/media"
 	"repro/internal/metrics"
 	"repro/internal/nfsbase"
 	"repro/internal/object"
@@ -205,14 +204,11 @@ func e15OpenStore(mode e15Mode, cloud *core.Cloud, stats *faasfs.Stats) e15Store
 		// install is visible.
 		pol := (&fault.Policy{
 			MaxAttempts: 500,
-			Backoff: fault.Backoff{
-				Base: 50 * time.Microsecond, Cap: 800 * time.Microsecond,
-				Factor: 2, JitterFrac: 0.5,
-			},
+			Backoff:     fault.Backoff{Base: 50 * time.Microsecond, Cap: 800 * time.Microsecond},
 		}).Bind(cloud.Env())
 		return &e15Sessions{pol: pol, stats: stats}
 	case e15NFS:
-		return e15Mounts{nfsbase.NewServer(cloud.Net(), media.Disk)}
+		return e15Mounts{nfsbase.NewServer(cloud.Net())}
 	default:
 		return e15Gateway{
 			gw:  restbase.NewGateway(cloud.Net(), cloud.Group(), restbase.DefaultConfig()),

@@ -33,7 +33,7 @@ func runE2(rn run) *Report {
 	// --- NFS-style stateful fetch ---
 	envN := rn.env()
 	netN := simnet.New(envN, simnet.DC2021)
-	srv := nfsbase.NewServer(netN, media.Disk)
+	srv := nfsbase.NewServer(netN)
 	if err := srv.Export("obj", payload); err != nil {
 		r.Check("setup", false, "export: %v", err)
 		return r
@@ -64,7 +64,7 @@ func runE2(rn run) *Report {
 	// --- DynamoDB-style REST fetch ---
 	envD := rn.env()
 	netD := simnet.New(envD, simnet.DC2021)
-	tbl := dynamo.New(netD, 3, media.Disk)
+	tbl := dynamo.New(netD)
 	clientD := netD.AddNode(2)
 	dynLatStrong := metrics.NewHistogram("dyn-strong")
 	dynLatEv := metrics.NewHistogram("dyn-eventual")

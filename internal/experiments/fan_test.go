@@ -92,7 +92,7 @@ func TestFanRunsEveryArmOnce(t *testing.T) {
 	atWidth(4, func() {
 		for name, rn := range map[string]run{
 			"traced":   {trace: trace.NewCollector()},
-			"faulted":  {faults: fault.NewSession(fault.Spec{Rates: fault.Uniform(0.05)})},
+			"faulted":  {faults: fault.NewSession(fault.Spec{Rate: 0.05})},
 			"observed": {obs: obs.NewSession(obs.Config{})},
 		} {
 			var order []int

@@ -129,7 +129,7 @@ func simContract() (*simDigests, error) {
 			cmd += fmt.Sprintf(" -faultrate %g", rate)
 		}
 		// The session pcsictl's -faultrate builds.
-		_, tl := RunDash(e13, 1, fault.NewSession(fault.Spec{Rates: fault.Uniform(rate), Retry: fault.DefaultPolicy()}))
+		_, tl := RunDash(e13, 1, fault.NewSession(fault.Spec{Rate: rate, Retry: fault.DefaultPolicy()}))
 		if err := d.add(cmd, tl.WriteHTML); err != nil {
 			return nil, err
 		}

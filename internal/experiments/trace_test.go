@@ -59,7 +59,7 @@ func TestRunTracedDoesNotPerturb(t *testing.T) {
 func TestRunTracedChaosLeaksNoSpan(t *testing.T) {
 	for _, id := range []string{"E13", "E14", "E15"} {
 		for seed := int64(1); seed <= 2; seed++ {
-			spec := fault.Spec{Rates: fault.Uniform(0.05), Schedule: chaosSchedule(), Retry: fault.DefaultPolicy()}
+			spec := fault.Spec{Rate: 0.05, Schedule: chaosSchedule(), Retry: fault.DefaultPolicy()}
 			_, d := RunTraced(mustGet(t, id), seed, fault.NewSession(spec))
 			if n := len(d.Leaked); n > 0 {
 				s := d.Leaked[0]

@@ -174,9 +174,8 @@ type Config struct {
 	// EvictionProb is the per-use probability that a scavenged instance
 	// was preempted and must cold-start again.
 	EvictionProb float64
-	// Metrics optionally shares a metrics registry with the embedding
-	// system; NewRuntime creates a private one when nil. The runtime's
-	// counters and histograms register themselves there.
+	// Metrics is the embedding system's metrics registry (required): the
+	// runtime's counters and histograms register themselves there.
 	Metrics *trace.Registry
 	// QoS optionally gates invocations through an admission controller
 	// (qos.ClassInvoke). Nil = no admission control, byte-identical to the
@@ -238,9 +237,6 @@ type Runtime struct {
 // NewRuntime returns a runtime placing instances with plc.
 func NewRuntime(cl *cluster.Cluster, plc Placer, cfg Config) *Runtime {
 	reg := cfg.Metrics
-	if reg == nil {
-		reg = trace.NewRegistry()
-	}
 	rt := &Runtime{
 		env:     cl.Env(),
 		cl:      cl,

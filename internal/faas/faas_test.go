@@ -13,6 +13,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/trace"
 )
 
 // randomPlacer is a trivial in-package placer so faas tests don't depend
@@ -34,9 +35,10 @@ func testRuntime(seed int64, cfg Config) (*sim.Env, *Runtime) {
 	cl := cluster.New(env, net, cluster.Config{
 		Racks: 2, NodesPerRack: 4,
 		NodeCap:         cluster.Resources{MilliCPU: 16000, MemMB: 32768},
-		GPUNodesPerRack: 1, GPUsPerGPUNode: 2,
+		GPUNodesPerRack: 1,
 	})
 	cfg.CodeStore = net.AddNode(0)
+	cfg.Metrics = trace.NewRegistry()
 	return env, NewRuntime(cl, randomPlacer{cl}, cfg)
 }
 

@@ -1,5 +1,5 @@
 // Package fault is the deterministic fault-injection substrate. A chaos run
-// builds a Session describing stochastic fault rates and/or a declarative
+// builds a Session describing a stochastic fault rate and/or a declarative
 // schedule of timed events (node crashes, rack power, partitions) and
 // attaches it to each environment it creates; domain layers then consult
 // that environment's Injector (Of) at operation boundaries.
@@ -8,7 +8,7 @@
 // sim.Env.ObserverRand streams, which are derived from the seed without
 // touching the workload's shared stream or the fork counter. Enabling faults
 // at seed S therefore perturbs nothing else — the same seed with the same
-// Spec replays byte-identically, and an idle Spec (all rates zero, empty
+// Spec replays byte-identically, and an idle Spec (rate ≤ 0, empty
 // schedule) attaches nothing at all, leaving runs bit-for-bit equal to
 // fault-free ones.
 //
@@ -37,35 +37,6 @@ var (
 	// blocks for 100 ms of virtual time before returning it.
 	ErrInjectedTimeout = Transient("fault: injected timeout")
 )
-
-// Rates are per-decision probabilities for stochastic injection. All zero
-// means no stochastic faults.
-type Rates struct {
-	OpError    float64 // operation fails immediately with ErrInjected
-	OpTimeout  float64 // operation blocks 100 ms then fails with ErrInjectedTimeout
-	LinkLoss   float64 // message dropped; modeled as detect+retransmit delay
-	LinkDup    float64 // message duplicated (extra msg/byte counts)
-	DelaySpike float64 // message delayed by a multi-RTT spike
-}
-
-func (r Rates) zero() bool {
-	return r.OpError == 0 && r.OpTimeout == 0 && r.LinkLoss == 0 && r.LinkDup == 0 && r.DelaySpike == 0
-}
-
-// Uniform derives a conventional rate mix from a single chaos knob: ops and
-// links fault at rate, the rarer modes (timeouts, duplicates) at rate/2.
-func Uniform(rate float64) Rates {
-	if rate <= 0 {
-		return Rates{}
-	}
-	return Rates{
-		OpError:    rate,
-		OpTimeout:  rate / 2,
-		LinkLoss:   rate,
-		LinkDup:    rate / 2,
-		DelaySpike: rate / 2,
-	}
-}
 
 // Action is a scheduled fault kind.
 type Action int
@@ -118,7 +89,11 @@ const timeoutDelay = 100 * time.Millisecond
 
 // Spec describes everything a Session injects.
 type Spec struct {
-	Rates    Rates
+	// Rate is the stochastic fault rate; ≤ 0 injects none. Operations fail
+	// with ErrInjected and messages drop at Rate; the rarer modes —
+	// injected timeouts, duplicated messages and delay spikes — fire at
+	// Rate/2.
+	Rate     float64
 	Schedule []Event
 	// Retry, when set, is the default retry policy embedding systems adopt
 	// for the duration of the session (core uses it when Options.Retry is
@@ -126,7 +101,7 @@ type Spec struct {
 	Retry *Policy
 }
 
-func (s Spec) idle() bool { return s.Rates.zero() && len(s.Schedule) == 0 }
+func (s Spec) idle() bool { return s.Rate <= 0 && len(s.Schedule) == 0 }
 
 // Notice describes one injected fault, delivered to Observe callbacks.
 type Notice struct {
@@ -326,12 +301,15 @@ func (in *Injector) OpFault(p *sim.Proc, op string) error {
 	if in == nil {
 		return nil
 	}
-	r := in.spec.Rates
-	if r.OpError > 0 && in.opRNG.Float64() < r.OpError {
+	r := in.spec.Rate
+	if r <= 0 {
+		return nil
+	}
+	if in.opRNG.Float64() < r {
 		in.emit("op.error", op)
 		return fmt.Errorf("%w: %s", ErrInjected, op)
 	}
-	if r.OpTimeout > 0 && in.opRNG.Float64() < r.OpTimeout {
+	if in.opRNG.Float64() < r/2 {
 		in.emit("op.timeout", op)
 		p.Sleep(timeoutDelay)
 		return fmt.Errorf("%w: %s after %v", ErrInjectedTimeout, op, timeoutDelay)
@@ -342,19 +320,19 @@ func (in *Injector) OpFault(p *sim.Proc, op string) error {
 // linkFault is installed as the network's per-message fault hook.
 func (in *Injector) linkFault(a, b simnet.NodeID, size int) simnet.LinkFault {
 	var lf simnet.LinkFault
-	if a == b {
+	r := in.spec.Rate
+	if a == b || r <= 0 {
 		return lf
 	}
-	r := in.spec.Rates
-	if r.LinkLoss > 0 && in.linkRNG.Float64() < r.LinkLoss {
+	if in.linkRNG.Float64() < r {
 		lf.Drop = true
 		in.emit("link.drop", fmt.Sprintf("%d->%d", a, b))
 	}
-	if r.LinkDup > 0 && in.linkRNG.Float64() < r.LinkDup {
+	if in.linkRNG.Float64() < r/2 {
 		lf.Duplicate = true
 		in.emit("link.dup", fmt.Sprintf("%d->%d", a, b))
 	}
-	if r.DelaySpike > 0 && in.linkRNG.Float64() < r.DelaySpike {
+	if in.linkRNG.Float64() < r/2 {
 		// Spike of 1–5 RTTs, magnitude from the injector's own stream.
 		mult := 1 + 4*in.linkRNG.Float64()
 		lf.ExtraDelay = time.Duration(mult * float64(in.net.RTT(a, b)))

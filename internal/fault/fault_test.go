@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -27,19 +28,21 @@ func attach(s *Session, env *sim.Env, net *simnet.Network, cl *cluster.Cluster) 
 	return in
 }
 
-// An idle spec (no rates, no schedule) must attach nothing at all — the
+// An idle spec (rate ≤ 0, no schedule) must attach nothing at all — the
 // zero-perturbation guarantee.
 func TestIdleSpecAttachesNothing(t *testing.T) {
-	s := NewSession(Spec{Retry: DefaultPolicy()})
-	env := sim.NewEnv(1)
-	if in := s.Attach(env); in != nil {
-		t.Fatal("Attach returned an injector for an idle spec")
-	}
-	if in := Of(env); in != nil {
-		t.Fatal("Of found an injector for an idle spec")
-	}
-	if len(s.Counters()) != 0 {
-		t.Errorf("idle session has counters: %v", s.Counters())
+	for _, rate := range []float64{0, -0.5} {
+		s := NewSession(Spec{Rate: rate, Retry: DefaultPolicy()})
+		env := sim.NewEnv(1)
+		if in := s.Attach(env); in != nil {
+			t.Fatalf("Attach returned an injector for an idle spec at rate %g", rate)
+		}
+		if in := Of(env); in != nil {
+			t.Fatalf("Of found an injector for an idle spec at rate %g", rate)
+		}
+		if len(s.Counters()) != 0 {
+			t.Errorf("idle session at rate %g has counters: %v", rate, s.Counters())
+		}
 	}
 }
 
@@ -67,7 +70,7 @@ func TestNilInjectorSafe(t *testing.T) {
 // Sessions are values: each injects only into the environments attached to
 // it, and attaching one environment twice keeps its first injector.
 func TestSessionsAreIndependent(t *testing.T) {
-	a, b := NewSession(Spec{Rates: Uniform(0.1)}), NewSession(Spec{Rates: Uniform(0.1)})
+	a, b := NewSession(Spec{Rate: 0.1}), NewSession(Spec{Rate: 0.1})
 	ea, eb, none := sim.NewEnv(1), sim.NewEnv(1), sim.NewEnv(1)
 	ina := a.Attach(ea)
 	if ina == nil || a.Attach(ea) != ina || b.Attach(eb) == ina || Of(ea) != ina {
@@ -89,7 +92,7 @@ func TestInjectionDoesNotPerturbSharedStream(t *testing.T) {
 		env := sim.NewEnv(42)
 		var in *Injector
 		if inject {
-			in = NewSession(Spec{Rates: Uniform(0.5)}).Attach(env)
+			in = NewSession(Spec{Rate: 0.5}).Attach(env)
 		}
 		if inject && in == nil {
 			t.Fatal("no injector attached")
@@ -112,20 +115,56 @@ func TestInjectionDoesNotPerturbSharedStream(t *testing.T) {
 	}
 }
 
-func TestUniformRates(t *testing.T) {
-	if !(Rates{}).zero() || !Uniform(0).zero() {
-		t.Error("zero rates not recognised as idle")
+// A wired injector at rate r drops a message between two nodes with
+// probability r, and duplicates and delays it with probability r/2 each:
+// every count must fall within its 99% binomial interval. A node's message
+// to itself is never faulted.
+func TestLinkFaultMix(t *testing.T) {
+	const r, n = 0.2, 20000
+	s := NewSession(Spec{Rate: r})
+	env := sim.NewEnv(7)
+	net, cl := smallCluster(env)
+	in := attach(s, env, net, cl)
+	var drops, dups, spikes int
+	for i := 0; i < n; i++ {
+		lf := in.linkFault(0, 2, 512)
+		if lf.Drop {
+			drops++
+		}
+		if lf.Duplicate {
+			dups++
+		}
+		if lf.ExtraDelay > 0 {
+			spikes++
+		}
 	}
-	r := Uniform(0.1)
-	if r.OpError != 0.1 || r.LinkLoss != 0.1 || r.OpTimeout != 0.05 || r.LinkDup != 0.05 || r.DelaySpike != 0.05 {
-		t.Errorf("Uniform(0.1) = %+v", r)
+	for _, c := range []struct {
+		mode string
+		got  int
+		p    float64
+	}{{"drops", drops, r}, {"duplicates", dups, r / 2}, {"spikes", spikes, r / 2}} {
+		mean := n * c.p
+		half := 2.576 * math.Sqrt(mean*(1-c.p))
+		if math.Abs(float64(c.got)-mean) > half {
+			t.Errorf("%s = %d/%d, want %.0f ± %.0f (rate %g)", c.mode, c.got, n, mean, half, c.p)
+		}
+	}
+	before := s.Counters()
+	for i := 0; i < 1000; i++ {
+		if lf := in.linkFault(1, 1, 512); lf != (simnet.LinkFault{}) {
+			t.Fatalf("a node's message to itself was faulted: %+v", lf)
+		}
+	}
+	if after := s.Counters(); !reflect.DeepEqual(before, after) {
+		t.Errorf("self-messages moved the counters: %v → %v", before, after)
 	}
 }
 
-// OpFault injects errors and timeouts at roughly the configured rates, and
-// injected timeouts consume timeoutDelay of virtual time.
+// OpFault injects errors at the rate and timeouts at half of it (drawn only
+// when no error was), and injected timeouts consume timeoutDelay of virtual
+// time.
 func TestOpFaultRatesAndTimeoutDelay(t *testing.T) {
-	s := NewSession(Spec{Rates: Rates{OpError: 0.2, OpTimeout: 0.1}})
+	s := NewSession(Spec{Rate: 0.2})
 	env := sim.NewEnv(3)
 	in := s.Attach(env)
 	var nerr, ntimeout int
@@ -272,7 +311,7 @@ func TestObserversAndOnNodeDown(t *testing.T) {
 // counters — the whole-sweep determinism the chaos harness relies on.
 func TestSessionCountersDeterministic(t *testing.T) {
 	run := func() []Counter {
-		s := NewSession(Spec{Rates: Uniform(0.2)})
+		s := NewSession(Spec{Rate: 0.2})
 		env := sim.NewEnv(13)
 		net, cl := smallCluster(env)
 		in := attach(s, env, net, cl)

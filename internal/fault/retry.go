@@ -9,29 +9,29 @@ import (
 	"repro/internal/sim"
 )
 
-// Backoff is a capped exponential backoff with deterministic jitter.
+// Backoff is a capped exponential backoff: the nominal delay doubles on
+// every retry, and a bound policy's delay varies by ±50% around it
+// (deterministic jitter).
 type Backoff struct {
-	Base       sim.Duration // first delay; default 1ms
-	Cap        sim.Duration // ceiling on the nominal delay; 0 = uncapped
-	Factor     float64      // exponential growth factor; default 2
-	JitterFrac float64      // delay varies in [d*(1-J), d*(1+J)]; clamped to [0,1]
+	Base sim.Duration // first delay; default 1ms
+	Cap  sim.Duration // ceiling on the nominal delay; 0 = uncapped
 }
 
+// jitterFrac bounds a bound policy's delay to [d/2, 3d/2] around the
+// nominal delay d.
+const jitterFrac = 0.5
+
 // Nominal returns the un-jittered delay before the retry-th retry
-// (0-indexed): min(Base * Factor^retry, Cap). Monotone non-decreasing.
+// (0-indexed): min(Base * 2^retry, Cap). Monotone non-decreasing.
 func (b Backoff) Nominal(retry int) sim.Duration {
 	base := b.Base
 	if base <= 0 {
 		base = time.Millisecond
 	}
-	f := b.Factor
-	if f < 1 {
-		f = 2
-	}
 	if retry < 0 {
 		retry = 0
 	}
-	d := float64(base) * math.Pow(f, float64(retry))
+	d := float64(base) * math.Pow(2, float64(retry))
 	if b.Cap > 0 && d > float64(b.Cap) {
 		d = float64(b.Cap)
 	}
@@ -42,18 +42,12 @@ func (b Backoff) Nominal(retry int) sim.Duration {
 }
 
 // Delay returns the jittered delay before the retry-th retry, drawing from
-// rng (an observer stream, so jitter never perturbs the workload).
+// rng (an observer stream, so jitter never perturbs the workload); a nil
+// rng gives the nominal delay.
 func (b Backoff) Delay(retry int, rng *rand.Rand) sim.Duration {
 	d := float64(b.Nominal(retry))
-	j := b.JitterFrac
-	if j > 1 {
-		j = 1
-	}
-	if j > 0 && rng != nil {
-		d *= 1 + j*(2*rng.Float64()-1)
-	}
-	if d < 0 {
-		d = 0
+	if rng != nil {
+		d *= 1 + jitterFrac*(2*rng.Float64()-1)
 	}
 	return sim.Duration(d)
 }
@@ -82,12 +76,7 @@ func DefaultPolicy() *Policy {
 	return &Policy{
 		MaxAttempts: 4,
 		Deadline:    2 * time.Second,
-		Backoff: Backoff{
-			Base:       time.Millisecond,
-			Cap:        200 * time.Millisecond,
-			Factor:     2,
-			JitterFrac: 0.5,
-		},
+		Backoff:     Backoff{Base: time.Millisecond, Cap: 200 * time.Millisecond},
 	}
 }
 

@@ -19,22 +19,19 @@ func quickCfg(seed int64) *quick.Config {
 }
 
 // backoffFrom maps raw generator bytes onto a Backoff across the interesting
-// parameter space: zero values (defaults), caps below the base, growth
-// factors in [1, 4.9], jitter in [0, 1].
-func backoffFrom(base, capv uint16, factorQ, jitterQ uint8) Backoff {
+// parameter space: zero values (defaults) and caps below the base.
+func backoffFrom(base, capv uint16) Backoff {
 	return Backoff{
-		Base:       sim.Duration(base) * time.Microsecond,
-		Cap:        sim.Duration(capv) * time.Microsecond,
-		Factor:     1 + float64(factorQ%40)/10,
-		JitterFrac: float64(jitterQ%11) / 10,
+		Base: sim.Duration(base) * time.Microsecond,
+		Cap:  sim.Duration(capv) * time.Microsecond,
 	}
 }
 
 // Property: the nominal backoff curve is monotone non-decreasing and never
 // exceeds the cap.
 func TestBackoffNominalMonotoneCapped(t *testing.T) {
-	f := func(base, capv uint16, factorQ, retries uint8) bool {
-		b := backoffFrom(base, capv, factorQ, 0)
+	f := func(base, capv uint16, retries uint8) bool {
+		b := backoffFrom(base, capv)
 		n := int(retries%20) + 2
 		prev := sim.Duration(-1)
 		for i := 0; i < n; i++ {
@@ -54,18 +51,17 @@ func TestBackoffNominalMonotoneCapped(t *testing.T) {
 	}
 }
 
-// Property: jittered delays stay within ±JitterFrac of the nominal delay
-// (and are never negative).
+// Property: jittered delays stay within ±50% of the nominal delay (and are
+// never negative).
 func TestBackoffJitterBounded(t *testing.T) {
-	f := func(base, capv uint16, factorQ, jitterQ uint8, seed int64, retry uint8) bool {
-		b := backoffFrom(base, capv, factorQ, jitterQ)
+	f := func(base, capv uint16, seed int64, retry uint8) bool {
+		b := backoffFrom(base, capv)
 		rng := rand.New(rand.NewSource(seed))
 		r := int(retry % 30)
 		nom := float64(b.Nominal(r))
 		d := float64(b.Delay(r, rng))
-		j := b.JitterFrac
 		const eps = 2 // float→duration rounding slack
-		return d >= 0 && d >= nom*(1-j)-eps && d <= nom*(1+j)+eps
+		return d >= 0 && d >= nom*0.5-eps && d <= nom*1.5+eps
 	}
 	if err := quick.Check(f, quickCfg(2)); err != nil {
 		t.Fatal(err)
@@ -75,8 +71,8 @@ func TestBackoffJitterBounded(t *testing.T) {
 // Property: identical rng seeds yield identical delay sequences — the
 // determinism contract retries depend on.
 func TestBackoffDelayDeterministic(t *testing.T) {
-	f := func(base, capv uint16, factorQ, jitterQ uint8, seed int64) bool {
-		b := backoffFrom(base, capv, factorQ, jitterQ)
+	f := func(base, capv uint16, seed int64) bool {
+		b := backoffFrom(base, capv)
 		r1 := rand.New(rand.NewSource(seed))
 		r2 := rand.New(rand.NewSource(seed))
 		for i := 0; i < 12; i++ {
@@ -91,18 +87,16 @@ func TestBackoffDelayDeterministic(t *testing.T) {
 	}
 }
 
-// Zero jitter (or a nil rng) degrades Delay to exactly Nominal.
+// The nominal delay doubles per retry up to the cap, and a nil rng (an
+// unbound policy) degrades Delay to exactly Nominal.
 func TestBackoffNoJitterIsNominal(t *testing.T) {
-	b := Backoff{Base: time.Millisecond, Cap: 100 * time.Millisecond, Factor: 2}
-	rng := rand.New(rand.NewSource(9))
+	b := Backoff{Base: time.Millisecond, Cap: 100 * time.Millisecond}
 	for i := 0; i < 10; i++ {
-		if b.Delay(i, rng) != b.Nominal(i) {
-			t.Fatalf("retry %d: Delay != Nominal with zero jitter", i)
+		want := min(time.Millisecond<<i, 100*time.Millisecond)
+		if got := b.Nominal(i); got != want {
+			t.Fatalf("retry %d: Nominal = %v, want %v", i, got, want)
 		}
-	}
-	jb := Backoff{Base: time.Millisecond, Factor: 2, JitterFrac: 0.5}
-	for i := 0; i < 10; i++ {
-		if jb.Delay(i, nil) != jb.Nominal(i) {
+		if b.Delay(i, nil) != b.Nominal(i) {
 			t.Fatalf("retry %d: Delay != Nominal with nil rng", i)
 		}
 	}
@@ -116,7 +110,7 @@ func TestPolicyDeadlineEnforced(t *testing.T) {
 	p := (&Policy{
 		MaxAttempts: 1000,
 		Deadline:    deadline,
-		Backoff:     Backoff{Base: time.Millisecond, Factor: 2, JitterFrac: 0.5},
+		Backoff:     Backoff{Base: time.Millisecond},
 	}).Bind(env)
 	attempts := 0
 	var err error

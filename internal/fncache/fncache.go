@@ -19,9 +19,10 @@ type Key uint64
 // revalidation when the deployment does not choose its own TTL.
 const DefaultLeaseTTL = 250 * time.Millisecond
 
-// Config tunes a deployment's colocated caches. The zero value is never
-// used directly: a nil *Config on core.Options means "no cache" and every
-// hook in the data path stays inert.
+// Config tunes a deployment's colocated caches. The zero value gives the
+// defaults: DefaultLeaseTTL and unbounded per-node caches. A nil *Config
+// on core.Options means "no cache", and every hook in the data path stays
+// inert.
 type Config struct {
 	// LeaseTTL is the virtual-time lease duration for linearizable
 	// entries (default DefaultLeaseTTL). Invalidations, not expiry, carry
@@ -52,7 +53,7 @@ type dirEntry struct {
 
 // latticeReplica is one node's local lattice replica for an eventual key.
 type latticeReplica struct {
-	val Lattice
+	val LWWReg
 	// syncStamp is the store stamp last observed by a flush or pull; reads
 	// served while the store has moved past it count as observed-stale.
 	syncStamp consistency.Stamp
@@ -93,8 +94,7 @@ type Cache struct {
 	LatticeStaleReads *metrics.Counter
 }
 
-// New builds a cache and registers its counters in reg (which may be nil
-// for tests).
+// New builds a cache and registers its counters in reg.
 func New(env *sim.Env, cfg Config, reg *trace.Registry) *Cache {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
@@ -114,14 +114,12 @@ func New(env *sim.Env, cfg Config, reg *trace.Registry) *Cache {
 		LatticeMerges:     metrics.NewCounter("fncache_lattice_merges"),
 		LatticeStaleReads: metrics.NewCounter("fncache_stale_reads"),
 	}
-	if reg != nil {
-		reg.Register(c.Hits)
-		reg.Register(c.Misses)
-		reg.Register(c.Invalidations)
-		reg.Register(c.StaleLeaseServes)
-		reg.Register(c.LatticeMerges)
-		reg.Register(c.LatticeStaleReads)
-	}
+	reg.Register(c.Hits)
+	reg.Register(c.Misses)
+	reg.Register(c.Invalidations)
+	reg.Register(c.StaleLeaseServes)
+	reg.Register(c.LatticeMerges)
+	reg.Register(c.LatticeStaleReads)
 	return c
 }
 
@@ -306,11 +304,11 @@ func (c *Cache) nodeLat(node int) map[Key]*latticeReplica {
 
 // LatticeGet returns the node's local replica. ok=false means cold: the
 // caller pulls from the store and calls LatticePull.
-func (c *Cache) LatticeGet(node int, key Key) (Lattice, bool) {
+func (c *Cache) LatticeGet(node int, key Key) (LWWReg, bool) {
 	r, ok := c.nodeLat(node)[key]
 	if !ok {
 		c.Misses.Inc()
-		return nil, false
+		return LWWReg{}, false
 	}
 	c.Hits.Inc()
 	return r.val, true
@@ -318,7 +316,7 @@ func (c *Cache) LatticeGet(node int, key Key) (Lattice, bool) {
 
 // LatticeMergeLocal merges delta into the node's replica and marks it
 // dirty for the next flush. The replica is created if absent.
-func (c *Cache) LatticeMergeLocal(node int, key Key, delta Lattice) {
+func (c *Cache) LatticeMergeLocal(node int, key Key, delta LWWReg) {
 	reps := c.nodeLat(node)
 	r, ok := reps[key]
 	if !ok {
@@ -334,7 +332,7 @@ func (c *Cache) LatticeMergeLocal(node int, key Key, delta Lattice) {
 
 // LatticePull merges the store's value (read at stamp) into the node's
 // replica and clears observed staleness up to that stamp.
-func (c *Cache) LatticePull(node int, key Key, storeVal Lattice, stamp consistency.Stamp) {
+func (c *Cache) LatticePull(node int, key Key, storeVal LWWReg, stamp consistency.Stamp) {
 	reps := c.nodeLat(node)
 	r, ok := reps[key]
 	if !ok {
@@ -408,6 +406,6 @@ func (c *Cache) NodeValue(node int, key Key) []byte {
 
 // InstallPulled replaces a node's replica wholesale after a quiescent pull
 // (post-audit convergence): every replica adopts the merged store value.
-func (c *Cache) InstallPulled(node int, key Key, v Lattice, stamp consistency.Stamp) {
+func (c *Cache) InstallPulled(node int, key Key, v LWWReg, stamp consistency.Stamp) {
 	c.nodeLat(node)[key] = &latticeReplica{val: v, syncStamp: stamp}
 }

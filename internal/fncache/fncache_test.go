@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // qc returns a seeded quick config so every property run is reproducible.
@@ -23,7 +24,7 @@ func checkLaws(t *testing.T, name string, f interface{}, seed int64) {
 }
 
 // mergeEq reports whether two lattice values encode identically.
-func mergeEq(a, b Lattice) bool { return bytes.Equal(a.Encode(), b.Encode()) }
+func mergeEq(a, b LWWReg) bool { return bytes.Equal(a.Encode(), b.Encode()) }
 
 func TestLatticeLawsLWW(t *testing.T) {
 	checkLaws(t, "commutative", func(a, b LWWReg) bool {
@@ -80,7 +81,7 @@ func FuzzLatticePayload(f *testing.F) {
 	f.Add(LWWReg{T: 1, Actor: 2, Val: []byte("v")}.Encode(), LWWReg{T: 1, Actor: 3}.Encode())
 	f.Add([]byte{tagLWW, 0, 0}, []byte("plain bytes"))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		same := func(x, y Lattice) bool { return x.Leq(y) && y.Leq(x) }
+		same := func(x, y LWWReg) bool { return x.Leq(y) && y.Leq(x) }
 		for _, p := range [][]byte{a, b} {
 			v, err := Decode(p)
 			if err != nil {
@@ -119,7 +120,7 @@ func FuzzLatticePayload(f *testing.F) {
 // against a moved epoch is refused.
 func TestLeaseEpochMonotonicity(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c := New(nil, Config{}, nil)
+		c := New(nil, Config{}, trace.NewRegistry())
 		store := map[Key]byte{}
 		lastEpoch := map[Key]uint64{}
 		now := sim.Time(0)
@@ -168,7 +169,7 @@ func TestLeaseEpochMonotonicity(t *testing.T) {
 func stampOf(n uint64) consistency.Stamp { return consistency.Stamp{Counter: n} }
 
 func TestLeaseTTLExpiry(t *testing.T) {
-	c := New(nil, Config{LeaseTTL: 10}, nil)
+	c := New(nil, Config{LeaseTTL: 10}, trace.NewRegistry())
 	c.LeaseFill(1, 7, []byte{42}, stampOf(1), c.Epoch(7), sim.Time(0))
 	if _, _, ok := c.LeaseGet(1, 7, sim.Time(5)); !ok {
 		t.Fatal("entry should be live before TTL")
@@ -182,7 +183,7 @@ func TestLeaseTTLExpiry(t *testing.T) {
 }
 
 func TestLeaseEviction(t *testing.T) {
-	c := New(nil, Config{MaxEntriesPerNode: 2}, nil)
+	c := New(nil, Config{MaxEntriesPerNode: 2}, trace.NewRegistry())
 	now := sim.Time(0)
 	for _, k := range []Key{5, 3, 9} {
 		c.LeaseFill(0, k, []byte{byte(k)}, stampOf(uint64(k)), c.Epoch(k), now)
@@ -198,7 +199,7 @@ func TestLeaseEviction(t *testing.T) {
 }
 
 func TestDropNodeAndInvalidate(t *testing.T) {
-	c := New(nil, Config{}, nil)
+	c := New(nil, Config{}, trace.NewRegistry())
 	now := sim.Time(0)
 	c.LeaseFill(0, 1, []byte{1}, stampOf(1), c.Epoch(1), now)
 	c.LeaseFill(1, 1, []byte{1}, stampOf(1), c.Epoch(1), now)

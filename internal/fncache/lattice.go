@@ -21,17 +21,6 @@ import (
 	"repro/internal/fault"
 )
 
-// Lattice is a join-semilattice value: Merge is the least upper bound and
-// must be commutative, associative, and idempotent; Leq is the induced
-// partial order (a ≤ b ⇔ merge(a,b) = b). Encode renders a deterministic
-// tagged binary form — equal lattice values encode byte-identically, so
-// convergence checks can compare encodings.
-type Lattice interface {
-	Merge(other Lattice) Lattice
-	Leq(other Lattice) bool
-	Encode() []byte
-}
-
 // tagLWW is the encoding tag: every encoded lattice starts with it, so store
 // payloads self-identify as mergeable (the consistency layer's anti-entropy
 // asks Mergeable before replacing a concurrent update with LWW).
@@ -44,26 +33,26 @@ var ErrNotLattice = fault.Fatal("fncache: payload is not an encoded lattice")
 func Mergeable(b []byte) bool { return len(b) > 0 && b[0] == tagLWW }
 
 // Decode parses an encoded lattice value.
-func Decode(b []byte) (Lattice, error) {
+func Decode(b []byte) (LWWReg, error) {
 	switch {
 	case len(b) == 0:
-		return nil, ErrNotLattice
+		return LWWReg{}, ErrNotLattice
 	case b[0] != tagLWW:
-		return nil, fmt.Errorf("%w: tag 0x%02x", ErrNotLattice, b[0])
+		return LWWReg{}, fmt.Errorf("%w: tag 0x%02x", ErrNotLattice, b[0])
 	case len(b) < 13:
-		return nil, fmt.Errorf("%w: short register", ErrNotLattice)
+		return LWWReg{}, fmt.Errorf("%w: short register", ErrNotLattice)
 	}
 	r := LWWReg{T: binary.BigEndian.Uint64(b[1:]), Actor: int32(binary.BigEndian.Uint32(b[9:]))}
 	n, k := binary.Uvarint(b[13:])
 	if k <= 0 {
-		return nil, fmt.Errorf("%w: truncated varint", ErrNotLattice)
+		return LWWReg{}, fmt.Errorf("%w: truncated varint", ErrNotLattice)
 	}
 	val := b[13+k:]
 	if uint64(len(val)) < n {
-		return nil, fmt.Errorf("%w: truncated payload", ErrNotLattice)
+		return LWWReg{}, fmt.Errorf("%w: truncated payload", ErrNotLattice)
 	}
 	if extra := uint64(len(val)) - n; extra != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrNotLattice, extra)
+		return LWWReg{}, fmt.Errorf("%w: %d trailing bytes", ErrNotLattice, extra)
 	}
 	r.Val = append([]byte(nil), val...)
 	return r, nil
@@ -97,12 +86,13 @@ func PayloadLeq(a, b []byte) (bool, error) {
 	return av.Leq(bv), nil
 }
 
-// ---------------------------------------------------------------------------
-// LWW register
-
 // LWWReg is a last-writer-wins register: a timestamped value where merge
-// keeps the greater (T, Actor, Val) triple. The Val tiebreak makes merge
-// commutative even when two actors collide on (T, Actor).
+// keeps the greater (T, Actor, Val) triple. It is a join-semilattice: Merge
+// is the least upper bound (commutative, associative, idempotent — the Val
+// tiebreak keeps it commutative even when two actors collide on (T,
+// Actor)), and Leq is the induced order (a ≤ b ⇔ merge(a,b) = b). Encode
+// renders a deterministic tagged binary form — equal registers encode
+// byte-identically, so convergence checks can compare encodings.
 type LWWReg struct {
 	T     uint64
 	Actor int32
@@ -120,19 +110,15 @@ func (r LWWReg) less(o LWWReg) bool {
 }
 
 // Merge keeps the greater register.
-func (r LWWReg) Merge(other Lattice) Lattice {
-	o := other.(LWWReg)
+func (r LWWReg) Merge(o LWWReg) LWWReg {
 	if r.less(o) {
 		return o
 	}
 	return r
 }
 
-// Leq reports r ≤ other in the register order.
-func (r LWWReg) Leq(other Lattice) bool {
-	o := other.(LWWReg)
-	return !o.less(r)
-}
+// Leq reports r ≤ o in the register order.
+func (r LWWReg) Leq(o LWWReg) bool { return !o.less(r) }
 
 // Encode renders the register.
 func (r LWWReg) Encode() []byte {

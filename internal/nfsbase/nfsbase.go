@@ -46,11 +46,11 @@ type Server struct {
 }
 
 // NewServer exports a fresh server (in rack 0) on disk media.
-func NewServer(net *simnet.Network, media media.Profile) *Server {
+func NewServer(net *simnet.Network) *Server {
 	trace.Of(net.Env()).SetLabel("nfs")
 	return &Server{
 		node:  net.AddNode(0),
-		st:    store.New(media),
+		st:    store.New(media.Disk),
 		net:   net,
 		files: make(map[string]object.ID),
 		Ops:   metrics.NewCounter("nfs_ops"),

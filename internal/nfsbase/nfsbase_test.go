@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/media"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -13,7 +12,7 @@ import (
 func testServer(seed int64) (*sim.Env, *Server, simnet.NodeID) {
 	env := sim.NewEnv(seed)
 	net := simnet.New(env, simnet.DC2021)
-	srv := NewServer(net, media.Disk)
+	srv := NewServer(net)
 	client := net.AddNode(1) // cross-rack, like a real mount
 	return env, srv, client
 }

@@ -71,7 +71,7 @@ func (s *Session) Timeline(experiment string, seed int64) *Timeline {
 	if s == nil {
 		return tl
 	}
-	tl.IntervalNS = s.cfg.Interval.Nanoseconds()
+	tl.IntervalNS = tickInterval.Nanoseconds()
 	for _, pl := range s.planes {
 		tl.Planes = append(tl.Planes, pl.timeline())
 	}

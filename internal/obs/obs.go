@@ -3,6 +3,11 @@
 // multi-window burn-rate alerting, and a bounded flight recorder for
 // post-mortem dumps.
 //
+// The operating settings are the plane's, not the caller's: every plane
+// samples once per 50 ms tick, a latency objective reads each tick's p99,
+// and an objective alerts when its mean burn rate over both the last 5
+// and the last 20 ticks reaches 1.
+//
 // Everything runs inside the simulation's own clock. A sampler tick is an
 // engine-context callback scheduled with sim.Env.After, so sampling
 // consumes no randomness (neither Env.Rand nor ForkRand is ever touched),
@@ -30,8 +35,9 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultInterval is the sampling period used when Config.Interval is zero.
-const DefaultInterval = 50 * time.Millisecond
+// tickInterval is every plane's sampling period: one tick per 50 ms of
+// virtual time.
+const tickInterval = 50 * time.Millisecond
 
 // Every plane keeps 240-point series rings (even, so a ring halves
 // cleanly when it downsamples) and a 512-event / 5s flight recorder.
@@ -41,34 +47,22 @@ const (
 	recorderWindow = 5 * time.Second
 )
 
-// Config parameterises a Session. The zero value gives 50ms sampling.
-// Objectives are installed per plane (Plane.SetObjectives).
-type Config struct {
-	Interval sim.Duration // sampling period; 0 = DefaultInterval
-}
-
-func (c Config) withDefaults() Config {
-	if c.Interval == 0 {
-		c.Interval = DefaultInterval
-	}
-	return c
-}
+// Config is what NewSession takes. It has no fields: every plane samples
+// every 50 ms of virtual time, and objectives are installed per plane
+// (Plane.SetObjectives).
+type Config struct{}
 
 // Session collects the telemetry planes of every environment attached to
 // it. It is a plain value: a run owns its session, and concurrent runs each
 // observe through their own.
 type Session struct {
-	cfg    Config
 	planes []*Plane
 	labels map[string]int
 }
 
 // NewSession returns a session with no planes yet.
-func NewSession(cfg Config) *Session {
-	return &Session{
-		cfg:    cfg.withDefaults(),
-		labels: make(map[string]int),
-	}
+func NewSession(Config) *Session {
+	return &Session{labels: make(map[string]int)}
 }
 
 // FlightDump concatenates every plane's recent flight-recorder window into
@@ -94,10 +88,9 @@ type slot int
 
 const planeSlot slot = 0
 
-// Attach creates a telemetry plane for env, sampling reg at the session's
-// interval. An environment has one plane: attaching it again returns that
-// plane. Safe on a nil session, returning a nil plane on which every method
-// is a no-op.
+// Attach creates a telemetry plane for env, sampling reg every tick. An
+// environment has one plane: attaching it again returns that plane. Safe on
+// a nil session, returning a nil plane on which every method is a no-op.
 func (s *Session) Attach(env *sim.Env, reg *trace.Registry, label string) *Plane {
 	if s == nil || env == nil {
 		return nil
@@ -115,7 +108,6 @@ func (s *Session) Attach(env *sim.Env, reg *trace.Registry, label string) *Plane
 		env:      env,
 		reg:      reg,
 		label:    label,
-		interval: s.cfg.Interval,
 		byKey:    make(map[string]*Series),
 		prevHist: make(map[string]metrics.HistSnapshot),
 		prevCnt:  make(map[string]metrics.CounterSnapshot),
@@ -123,19 +115,16 @@ func (s *Session) Attach(env *sim.Env, reg *trace.Registry, label string) *Plane
 	}
 	env.SetObserver(planeSlot, pl)
 	s.planes = append(s.planes, pl)
-	if pl.interval > 0 {
-		env.After(pl.interval, pl.tick)
-	}
+	env.After(tickInterval, pl.tick)
 	return pl
 }
 
 // Plane is the telemetry of one simulation environment: its sampled
 // series, SLO objective states, alert log, and flight recorder.
 type Plane struct {
-	env      *sim.Env
-	reg      *trace.Registry
-	label    string
-	interval sim.Duration
+	env   *sim.Env
+	reg   *trace.Registry
+	label string
 
 	series []*Series          // creation order
 	byKey  map[string]*Series // metric+"|"+stat
@@ -194,7 +183,7 @@ func (pl *Plane) tick() {
 	pl.sample(now)
 	pl.evaluate(now)
 	if pl.env.Pending() > 0 {
-		pl.env.After(pl.interval, pl.tick)
+		pl.env.After(tickInterval, pl.tick)
 	}
 }
 
@@ -235,7 +224,7 @@ func (pl *Plane) sample(now sim.Time) {
 
 // rate converts a per-tick event count to events per second.
 func (pl *Plane) rate(delta float64) float64 {
-	return delta * 1e9 / float64(pl.interval.Nanoseconds())
+	return delta * 1e9 / float64(tickInterval.Nanoseconds())
 }
 
 func (pl *Plane) seriesFor(metric, stat, unit string, agg aggKind) *Series {

@@ -12,9 +12,18 @@ import (
 	"repro/internal/trace"
 )
 
-// runSynthetic drives a small workload under an obs session: 60ms of
-// healthy traffic, 80ms where every request fails, then 120ms healthy
-// again. Returns the plane for assertions; the session is deactivated.
+// The synthetic workload issues one request every 5 ms for 3.5 s, ten per
+// 50 ms sampler tick. Every request fails during a two-tick blip and during
+// an eight-tick bad phase; the rest are healthy.
+const (
+	blipStart, blipEnd = 1100 * time.Millisecond, 1200 * time.Millisecond
+	badStart, badEnd   = 2300 * time.Millisecond, 2700 * time.Millisecond
+	tick               = 50 * time.Millisecond
+)
+
+// runSynthetic drives the synthetic workload under an obs session with a
+// goodput objective at budget 0.2, so a failing tick burns 5. Returns the
+// plane for assertions.
 func runSynthetic(t *testing.T, seed int64) (*obs.Plane, *obs.Session) {
 	t.Helper()
 	env := sim.NewEnv(seed)
@@ -28,22 +37,20 @@ func runSynthetic(t *testing.T, seed int64) (*obs.Plane, *obs.Session) {
 	reg.Register(lat)
 	reg.Register(util)
 
-	s := obs.NewSession(obs.Config{Interval: 10 * time.Millisecond})
+	s := obs.NewSession(obs.Config{})
 	pl := s.Attach(env, reg, "synthetic")
 	pl.SetObjectives(obs.Objective{
-		Name:       "goodput-floor",
-		Goodput:    &obs.GoodputFloor{Served: "served", Failed: "failed"},
-		Budget:     0.2,
-		ShortTicks: 3,
-		LongTicks:  6,
+		Name:    "goodput-floor",
+		Goodput: &obs.GoodputFloor{Served: "served", Failed: "failed"},
+		Budget:  0.2,
 	})
 
 	env.Go("load", func(p *sim.Proc) {
-		for i := 0; i < 260; i++ {
-			p.Sleep(time.Millisecond)
-			now := int64(p.Now())
-			util.Set(now, float64(i%4))
-			if i >= 60 && i < 140 {
+		for i := 0; i < 700; i++ {
+			p.Sleep(5 * time.Millisecond)
+			now := p.Now().Sub(0)
+			util.Set(int64(now), float64(i%4))
+			if now >= blipStart && now < blipEnd || now >= badStart && now < badEnd {
 				failed.Inc()
 				pl.Record("fault", "op", "injected failure")
 				continue
@@ -63,11 +70,11 @@ func TestSamplerSeriesAndTermination(t *testing.T) {
 	if len(rate) == 0 {
 		t.Fatal("no rate series for served counter")
 	}
-	// Healthy phase serves 1 op/ms = 1000/s. The first tick at t=10ms was
-	// scheduled before the op landing exactly at 10ms, so its window sees
-	// the 9 ops at 1..9ms — deterministically.
-	if got := rate[0].V; got != 900 {
-		t.Fatalf("first served rate = %v, want 900/s", got)
+	// Healthy phase serves 1 op/5ms = 200/s. The first tick at t=50ms was
+	// scheduled before the op landing exactly at 50ms, so its window sees
+	// the 9 ops at 5..45ms — deterministically.
+	if got := rate[0].V; got != 180 {
+		t.Fatalf("first served rate = %v, want 180/s", got)
 	}
 	if pts := pl.SeriesData("util", "level"); len(pts) == 0 {
 		t.Fatal("no level series for gauge")
@@ -82,6 +89,10 @@ func TestSamplerSeriesAndTermination(t *testing.T) {
 	}
 }
 
+// The alert needs both windows: the two-tick blip reaches the short
+// window's threshold but not the long one's, so it never pages; the bad
+// phase fires once four of the long window's 20 ticks burn (4×5/20 = 1),
+// and resolves once the short window's 5 ticks are healthy again.
 func TestBurnRateFiresAndResolves(t *testing.T) {
 	pl, _ := runSynthetic(t, 1)
 	alerts := pl.Alerts()
@@ -92,16 +103,14 @@ func TestBurnRateFiresAndResolves(t *testing.T) {
 	if fire.Kind != "fire" || resolve.Kind != "resolve" {
 		t.Fatalf("alert kinds = %s, %s", fire.Kind, resolve.Kind)
 	}
-	// The bad phase spans [60ms, 140ms]; firing needs the long window's
-	// mean burn over threshold, so it lands inside the phase, and the
-	// resolve lands after it.
-	if fire.At <= sim.Time(60*time.Millisecond) || fire.At > sim.Time(140*time.Millisecond) {
-		t.Fatalf("fired at %v, want inside the bad phase", fire.At)
+	at := func(d time.Duration) sim.Time { return sim.Time(0).Add(d) }
+	if fire.At < at(badStart+4*tick) || fire.At >= at(badEnd) {
+		t.Fatalf("fired at %v, want inside the bad phase, from its fourth tick", fire.At)
 	}
-	if resolve.At <= sim.Time(140*time.Millisecond) {
-		t.Fatalf("resolved at %v, want after the bad phase", resolve.At)
+	if resolve.At <= at(badEnd) || resolve.At > at(badEnd+5*tick) {
+		t.Fatalf("resolved at %v, want within the short window after the bad phase", resolve.At)
 	}
-	if !pl.FiredBetween("goodput-floor", sim.Time(60*time.Millisecond), sim.Time(140*time.Millisecond)) {
+	if !pl.FiredBetween("goodput-floor", at(badStart), at(badEnd)) {
 		t.Fatal("FiredBetween misses the fire")
 	}
 	if pl.FireCount("goodput-floor") != 1 || pl.FireCount("") != 1 {
@@ -117,21 +126,21 @@ func TestLatencyObjective(t *testing.T) {
 	reg := trace.NewRegistry()
 	lat := metrics.NewHistogram("op_latency")
 	reg.Register(lat)
-	s := obs.NewSession(obs.Config{Interval: 10 * time.Millisecond})
+	s := obs.NewSession(obs.Config{})
 	pl := s.Attach(env, reg, "lat")
 	pl.SetObjectives(obs.Objective{
-		Name:       "p99-slow",
-		Latency:    &obs.LatencyTarget{Metric: "op_latency", Quantile: 0.99, Max: 5 * time.Millisecond},
-		Budget:     0.5,
-		ShortTicks: 2,
-		LongTicks:  4,
+		Name:    "p99-slow",
+		Latency: &obs.LatencyTarget{Metric: "op_latency", Max: 5 * time.Millisecond},
+		Budget:  0.5,
 	})
 	env.Go("load", func(p *sim.Proc) {
-		for i := 0; i < 120; i++ {
+		for i := 0; i < 3000; i++ {
 			p.Sleep(time.Millisecond)
 			d := time.Millisecond
-			if i >= 40 {
-				d = 50 * time.Millisecond // every window's p99 now violates
+			if i >= 1500 && i%25 == 0 {
+				// 2 of each tick's 50 ops are slow: the window's p99
+				// violates, its p95 does not.
+				d = 50 * time.Millisecond
 			}
 			lat.Observe(d)
 		}
@@ -139,6 +148,11 @@ func TestLatencyObjective(t *testing.T) {
 	env.Run()
 	if pl.FireCount("p99-slow") != 1 {
 		t.Fatalf("latency objective fires = %d, want 1 (alerts: %+v)", pl.FireCount("p99-slow"), pl.Alerts())
+	}
+	// A bad tick burns 1/0.5 = 2, so the long window reaches 1 on the
+	// tenth bad tick.
+	if at := pl.Alerts()[0].At; at < sim.Time(0).Add(2000*time.Millisecond) || at > sim.Time(0).Add(2050*time.Millisecond) {
+		t.Errorf("latency objective fired at %v, want at the tenth bad tick (2s)", at)
 	}
 }
 
@@ -148,17 +162,17 @@ func TestObjectiveEvaluationBounds(t *testing.T) {
 	failed := metrics.NewCounter("failed")
 	reg.Register(metrics.NewCounter("served"))
 	reg.Register(failed)
-	s := obs.NewSession(obs.Config{Interval: 10 * time.Millisecond})
+	s := obs.NewSession(obs.Config{})
 	pl := s.Attach(env, reg, "bounds")
 	pl.SetObjectives(obs.Objective{
-		Name:       "gated",
-		Goodput:    &obs.GoodputFloor{Served: "served", Failed: "failed"},
-		ShortTicks: 2,
-		LongTicks:  4,
-		After:      500 * time.Millisecond, // everything happens before this
+		Name:    "gated",
+		Goodput: &obs.GoodputFloor{Served: "served", Failed: "failed"},
+		After:   2 * time.Second, // everything happens before this
 	})
+	// 1.5 s of failures: without After the objective would fire once the
+	// long window fills, at 1 s.
 	env.Go("load", func(p *sim.Proc) {
-		for i := 0; i < 200; i++ {
+		for i := 0; i < 1500; i++ {
 			p.Sleep(time.Millisecond)
 			failed.Inc()
 		}

@@ -11,9 +11,9 @@ import (
 // Shed must be set; the others parameterise Google-SRE-style multi-window
 // burn-rate alerting: each sampler tick is scored with a bad-event
 // fraction, the fraction is divided by the error Budget to get a burn
-// rate, and the alert fires when both the short- and the long-window mean
-// burn rate reach Threshold — the short window gives fast detection, the
-// long window keeps one bad tick from paging.
+// rate, and the alert fires when both the mean burn over the last 5 ticks
+// (250 ms) and over the last 20 ticks (1 s) reach 1 — the short window
+// gives fast detection, the long window keeps one bad tick from paging.
 type Objective struct {
 	Name string
 
@@ -21,10 +21,7 @@ type Objective struct {
 	Goodput *GoodputFloor
 	Shed    *ShedCeiling
 
-	Budget     float64 // allowed bad fraction per tick; 0 = 0.1
-	Threshold  float64 // burn-rate level that alerts; 0 = 1
-	ShortTicks int     // fast window, in sampler ticks; 0 = 5
-	LongTicks  int     // slow window, in sampler ticks; 0 = 20
+	Budget float64 // allowed bad fraction per tick; 0 = 0.1
 
 	// After/Until bound evaluation in virtual time (measured from the
 	// epoch), so warm-up and drain phases do not burn budget. Zero Until
@@ -33,23 +30,28 @@ type Objective struct {
 	Until sim.Duration
 }
 
+// The burn-rate alert: it fires when the mean burn over both windows, in
+// sampler ticks, reaches burnThreshold.
+const (
+	burnThreshold = 1
+	shortTicks    = 5
+	longTicks     = 20
+)
+
 // LatencyTarget scores a tick bad (fraction 1) when the Metric histogram's
-// windowed Quantile exceeds Max. Ticks with an empty window score 0.
+// windowed p99 exceeds Max. Ticks with an empty window score 0.
 type LatencyTarget struct {
-	Metric   string // histogram name in the registry
-	Quantile float64
-	Max      sim.Duration
+	Metric string // histogram name in the registry
+	Max    sim.Duration
 }
 
 // GoodputFloor scores a tick by the failure share failed/(served+failed),
 // using the per-tick window counts of the two named metrics (histogram
 // window count or counter delta). Typed sheds are deliberately not
-// failures — a shed is an answer. If MinRate > 0, a tick whose served
-// rate (events/sec) falls below it scores 1 regardless of the share.
+// failures — a shed is an answer.
 type GoodputFloor struct {
-	Served  string
-	Failed  string
-	MinRate float64
+	Served string
+	Failed string
 }
 
 // ShedCeiling scores a tick by the shed share shed/(shed+base) of the two
@@ -64,15 +66,11 @@ type ShedCeiling struct {
 func (o Objective) Target() string {
 	switch {
 	case o.Latency != nil:
-		return fmt.Sprintf("p%g(%s) <= %s within [%s, %s]",
-			o.Latency.Quantile*100, o.Latency.Metric, o.Latency.Max, o.After, untilStr(o.Until))
+		return fmt.Sprintf("p99(%s) <= %s within [%s, %s]",
+			o.Latency.Metric, o.Latency.Max, o.After, untilStr(o.Until))
 	case o.Goodput != nil:
-		t := fmt.Sprintf("failure share %s/(%s+%s) <= %g%%",
+		return fmt.Sprintf("failure share %s/(%s+%s) <= %g%%",
 			o.Goodput.Failed, o.Goodput.Served, o.Goodput.Failed, o.budget()*100)
-		if o.Goodput.MinRate > 0 {
-			t += fmt.Sprintf(", served >= %g/s", o.Goodput.MinRate)
-		}
-		return t
 	case o.Shed != nil:
 		return fmt.Sprintf("shed share %s/(%s+%s) <= %g%%",
 			o.Shed.Shed, o.Shed.Shed, o.Shed.Base, o.budget()*100)
@@ -94,27 +92,6 @@ func (o Objective) budget() float64 {
 	return 0.1
 }
 
-func (o Objective) threshold() float64 {
-	if o.Threshold > 0 {
-		return o.Threshold
-	}
-	return 1
-}
-
-func (o Objective) shortTicks() int {
-	if o.ShortTicks > 0 {
-		return o.ShortTicks
-	}
-	return 5
-}
-
-func (o Objective) longTicks() int {
-	if o.LongTicks > 0 {
-		return o.LongTicks
-	}
-	return 20
-}
-
 // Alert is one burn-rate alert transition. Fire and resolve instants are
 // also emitted into the trace (category "obs.slo") and the flight
 // recorder.
@@ -127,10 +104,10 @@ type Alert struct {
 }
 
 // objectiveState is the per-plane evaluation state of one objective: a
-// circular buffer of per-tick burn rates sized to the long window.
+// circular buffer of per-tick burn rates over the long window.
 type objectiveState struct {
 	obj    Objective
-	burns  []float64
+	burns  [longTicks]float64
 	idx    int
 	n      int
 	firing bool
@@ -145,10 +122,7 @@ func (pl *Plane) SetObjectives(objs ...Objective) {
 	}
 	pl.objectives = pl.objectives[:0]
 	for _, o := range objs {
-		pl.objectives = append(pl.objectives, &objectiveState{
-			obj:   o,
-			burns: make([]float64, o.longTicks()),
-		})
+		pl.objectives = append(pl.objectives, &objectiveState{obj: o})
 	}
 }
 
@@ -205,9 +179,9 @@ func (pl *Plane) evaluate(now sim.Time) {
 		// Both windows must exceed the threshold, and the long window must
 		// be fully populated — otherwise a single early bad tick would
 		// dominate a mostly-empty average and page during warm-up.
-		firing := st.n >= st.obj.longTicks() &&
-			st.avg(st.obj.shortTicks()) >= st.obj.threshold() &&
-			st.avg(st.obj.longTicks()) >= st.obj.threshold()
+		firing := st.n >= longTicks &&
+			st.avg(shortTicks) >= burnThreshold &&
+			st.avg(longTicks) >= burnThreshold
 		if firing != st.firing {
 			st.firing = firing
 			kind := "resolve"
@@ -218,8 +192,8 @@ func (pl *Plane) evaluate(now sim.Time) {
 				At:        now,
 				Objective: st.obj.Name,
 				Kind:      kind,
-				ShortBurn: st.avg(st.obj.shortTicks()),
-				LongBurn:  st.avg(st.obj.longTicks()),
+				ShortBurn: st.avg(shortTicks),
+				LongBurn:  st.avg(longTicks),
 			}
 			pl.alerts = append(pl.alerts, a)
 			detail := fmt.Sprintf("burn short=%.2f long=%.2f", a.ShortBurn, a.LongBurn)
@@ -259,16 +233,13 @@ func (o Objective) badFraction(pl *Plane, now sim.Time) float64 {
 		if !ok || win.Total == 0 {
 			return 0
 		}
-		if win.Quantile(o.Latency.Quantile) > o.Latency.Max {
+		if win.P99() > o.Latency.Max {
 			return 1
 		}
 		return 0
 	case o.Goodput != nil:
 		served := pl.lastDelta[o.Goodput.Served]
 		failed := pl.lastDelta[o.Goodput.Failed]
-		if o.Goodput.MinRate > 0 && pl.rate(served) < o.Goodput.MinRate {
-			return 1
-		}
 		if served+failed == 0 {
 			return 0
 		}

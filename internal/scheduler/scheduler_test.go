@@ -15,7 +15,7 @@ func testCluster(seed int64) *cluster.Cluster {
 	return cluster.New(env, net, cluster.Config{
 		Racks: 2, NodesPerRack: 4,
 		NodeCap:         cluster.Resources{MilliCPU: 8000, MemMB: 16384},
-		GPUNodesPerRack: 1, GPUsPerGPUNode: 2,
+		GPUNodesPerRack: 1,
 	})
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/trace"
 )
 
 func testRT(seed int64, colocate bool) (*sim.Env, *faas.Runtime) {
@@ -20,7 +21,7 @@ func testRT(seed int64, colocate bool) (*sim.Env, *faas.Runtime) {
 	cl := cluster.New(env, net, cluster.Config{
 		Racks: 2, NodesPerRack: 4,
 		NodeCap:         cluster.Resources{MilliCPU: 16000, MemMB: 32768},
-		GPUNodesPerRack: 1, GPUsPerGPUNode: 2,
+		GPUNodesPerRack: 1,
 	})
 	var plc faas.Placer
 	if colocate {
@@ -28,7 +29,7 @@ func testRT(seed int64, colocate bool) (*sim.Env, *faas.Runtime) {
 	} else {
 		plc = scheduler.Naive{C: cl}
 	}
-	return env, faas.NewRuntime(cl, plc, faas.Config{CodeStore: net.AddNode(0)})
+	return env, faas.NewRuntime(cl, plc, faas.Config{CodeStore: net.AddNode(0), Metrics: trace.NewRegistry()})
 }
 
 func reg(t *testing.T, rt *faas.Runtime, name string, d time.Duration) {

@@ -71,7 +71,7 @@ func TestReadmeQuotesExamples(t *testing.T) {
 // by the session's default retry policy, and audited afterwards.
 func Example_faults() {
 	faults := fault.NewSession(fault.Spec{
-		Rates: fault.Uniform(0.05),
+		Rate: 0.05,
 		Schedule: []fault.Event{
 			{At: 10 * time.Millisecond, Action: fault.CrashNode, Node: 1},
 			{At: 50 * time.Millisecond, Action: fault.RecoverNode, Node: 1},
@@ -116,7 +116,7 @@ func Example_dashboards() {
 	cloud := pcsi.New(opts) // gets a telemetry plane
 	cloud.Obs().SetObjectives(obs.Objective{
 		Name:    "invoke-p99",
-		Latency: &obs.LatencyTarget{Metric: "invoke_latency", Quantile: 0.99, Max: 150 * time.Millisecond},
+		Latency: &obs.LatencyTarget{Metric: "invoke_latency", Max: 150 * time.Millisecond},
 		Budget:  0.25,
 	})
 	client := cloud.NewClient(0)

@@ -106,8 +106,8 @@ type (
 	// (or a per-op footprint it is derived from), queue bound, queue-delay
 	// budget, and CoDel backpressure.
 	QoSClassConfig = qos.ClassConfig
-	// ObsConfig configures the virtual-time telemetry plane (its sampling
-	// interval).
+	// ObsConfig is what a telemetry session is built from. It has no
+	// fields: every plane samples each 50 ms of virtual time.
 	ObsConfig = obs.Config
 	// ObsSession is a telemetry session; each cloud built with it in
 	// Options.Obs gets a telemetry plane (Cloud.Obs()).
